@@ -10,9 +10,9 @@
 // axes — planning and scanning — ride the same per-chunk independence.
 //
 // Section 3 adds the inter-query-concurrency axis: N independent read
-// queries admitted at once to a ConcurrentQueryRunner sharing one pool
-// (possible since ChunkStats became relaxed atomics), again with per-query
-// results checked bit-identical to serial.
+// queries admitted at once to a MixedWorkloadRunner sharing one pool (a
+// read-only stream has no conflicts, so every query overlaps every other),
+// again with per-query results checked bit-identical to serial.
 //
 // Section 4 adds the mixed-workload axis: reads + write runs admitted
 // together to a MixedWorkloadRunner over the per-chunk epoch/latch layer
@@ -27,9 +27,7 @@
 
 #include "bench_util.h"
 #include "engine/harness.h"
-#include "exec/concurrent_query_runner.h"
 #include "exec/mixed_workload_runner.h"
-#include "exec/parallel_executor.h"
 #include "model/frequency_model.h"
 #include "optimizer/layout_planner.h"
 #include "util/stopwatch.h"
@@ -98,20 +96,24 @@ void ScanThreadsAxis(JsonMetrics* json) {
   const Value hi = data.domain_hi;
   const Value q = (hi - lo) / 8;  // keeps [lo + i*q, hi - i*q/2) non-empty
   const std::vector<size_t> cols = {0, 1};
-  const auto run_queries = [&](const ParallelExecutor& exec) {
-    uint64_t checksum = 0;
-    checksum += exec.ScanAll(*engine);
+  const auto run_queries = [&](ThreadPool* pool) {
+    const auto scan = [&](const ScanSpec& spec) {
+      return ExecuteScanOnPool(*engine, spec, pool);
+    };
+    uint64_t checksum = scan(ScanSpec::FullScan()).count;
     for (int i = 0; i < 4; ++i) {
-      checksum += exec.CountRange(*engine, lo + i * q, hi - i * q / 2);
+      const Value a = lo + i * q;
+      const Value b = hi - i * q / 2;
+      checksum += scan(ScanSpec::Count(a, b)).count;
+      checksum +=
+          static_cast<uint64_t>(scan(ScanSpec::Sum(a, b, cols)).SumResult());
       checksum += static_cast<uint64_t>(
-          exec.SumPayloadRange(*engine, lo + i * q, hi - i * q / 2, cols));
-      checksum += static_cast<uint64_t>(
-          exec.TpchQ6(*engine, lo + i * q, hi - i * q / 2, 1000, 9000, 8000));
+          scan(ScanSpec::Q6(a, b, 1000, 9000, 8000)).SumResult());
     }
     return checksum;
   };
 
-  const uint64_t serial_checksum = run_queries(ParallelExecutor(nullptr));
+  const uint64_t serial_checksum = run_queries(nullptr);
   const size_t rounds = SmokeMode() ? 1 : 5;
   std::printf("%zu rows, %zu shards, %zu queries/round, %zu rounds\n", rows,
               engine->NumShards(), size_t{13}, rounds);
@@ -121,10 +123,9 @@ void ScanThreadsAxis(JsonMetrics* json) {
   double base_ms = 0.0;
   for (const size_t threads : ThreadSweep()) {
     ThreadPool pool(threads);
-    const ParallelExecutor exec(&pool);
     uint64_t checksum = 0;
     Stopwatch sw;
-    for (size_t r = 0; r < rounds; ++r) checksum = run_queries(exec);
+    for (size_t r = 0; r < rounds; ++r) checksum = run_queries(&pool);
     const double ms = sw.ElapsedMillis();
     if (threads == 1) base_ms = ms;
     // 13 queries/round, each touching O(rows) values.
@@ -178,7 +179,8 @@ void ConcurrentQueriesAxis(JsonMetrics* json) {
     queries.push_back(op);
   }
 
-  const auto serial_results = ConcurrentQueryRunner(nullptr).Run(*engine, queries);
+  const auto serial_results =
+      MixedWorkloadRunner(nullptr).Run(*engine, queries).results;
   const size_t rounds = SmokeMode() ? 1 : 5;
   std::printf("%zu rows, %zu shards, %zu concurrent queries/round, %zu rounds\n",
               rows, engine->NumShards(), queries.size(), rounds);
@@ -188,10 +190,12 @@ void ConcurrentQueriesAxis(JsonMetrics* json) {
   double base_ms = 0.0;
   for (const size_t threads : ThreadSweep()) {
     ThreadPool pool(threads);
-    const ConcurrentQueryRunner runner(&pool);
+    const MixedWorkloadRunner runner(&pool);
     std::vector<uint64_t> results;
     Stopwatch sw;
-    for (size_t r = 0; r < rounds; ++r) results = runner.Run(*engine, queries);
+    for (size_t r = 0; r < rounds; ++r) {
+      results = runner.Run(*engine, queries).results;
+    }
     const double ms = sw.ElapsedMillis();
     if (threads == 1) base_ms = ms;
     const double qps = static_cast<double>(queries.size()) *

@@ -1,7 +1,5 @@
 #include "engine/casper_engine.h"
 
-#include "exec/concurrent_query_runner.h"
-#include "exec/parallel_executor.h"
 #include "layouts/partitioned.h"
 #include "persist/io.h"
 #include "persist/journal.h"
@@ -191,21 +189,9 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
   return engine;
 }
 
-CasperEngine CasperEngine::Open(LayoutBuildOptions options,
-                                std::vector<Value> keys,
-                                std::vector<std::vector<Payload>> payload,
-                                const std::vector<Operation>* training) {
-  EngineOptions eopts;
-  eopts.keys = std::move(keys);
-  eopts.payload = std::move(payload);
-  eopts.training = training;
-  eopts.layout = std::move(options);
-  return Open(std::move(eopts));
-}
-
 ScanPartial CasperEngine::ExecuteScan(const ScanSpec& spec) const {
   if (maintenance_ != nullptr) maintenance_->ObserveSpec(spec);
-  return ParallelExecutor(pool_).ExecuteScan(*engine_, spec);
+  return ExecuteScanOnPool(*engine_, spec, pool_);
 }
 
 uint64_t CasperEngine::ScanAll() const {
@@ -239,12 +225,6 @@ uint64_t CasperEngine::MaxBetween(Value lo, Value hi, size_t col) const {
 uint64_t CasperEngine::AvgBetween(Value lo, Value hi, size_t col) const {
   const ScanSpec spec = ScanSpec::Avg(lo, hi, col);
   return ExecuteScan(spec).Result(spec.agg);
-}
-
-std::vector<uint64_t> CasperEngine::RunConcurrent(
-    const std::vector<Operation>& queries) const {
-  if (maintenance_ != nullptr) maintenance_->ObserveAll(queries);
-  return ConcurrentQueryRunner(pool_).Run(*engine_, queries);
 }
 
 MixedResult CasperEngine::RunMixed(const std::vector<Operation>& ops) {

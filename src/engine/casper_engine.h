@@ -119,17 +119,6 @@ class CasperEngine {
   /// The unified construction surface.
   static CasperEngine Open(EngineOptions options);
 
-  /// Legacy construction facade, kept so callers migrate incrementally;
-  /// forwards to Open(EngineOptions) with maintenance disabled. Build with
-  /// -DCASPER_STRICT_API=ON to surface remaining callers as deprecation
-  /// errors.
-#if defined(CASPER_STRICT_API)
-  [[deprecated("use CasperEngine::Open(EngineOptions)")]]
-#endif
-  static CasperEngine Open(LayoutBuildOptions options, std::vector<Value> keys,
-                           std::vector<std::vector<Payload>> payload,
-                           const std::vector<Operation>* training = nullptr);
-
   // (i) Full column scan: returns the number of live rows visited.
   uint64_t ScanAll() const;
 
@@ -224,19 +213,14 @@ class CasperEngine {
     return engine_->ApplyBatch(ops.data(), ops.size(), pool_);
   }
 
-  /// Inter-query parallelism: admits the read-only queries (point / range
-  /// count / range sum) to a ConcurrentQueryRunner sharing this engine's
-  /// pool. results[i] is bit-identical to issuing queries[i] alone,
-  /// serially. The engine must be quiescent (no concurrent writes;
-  /// background maintenance is fine — re-partitioning preserves the logical
-  /// rows and takes the same exclusive latches a writer would).
-  std::vector<uint64_t> RunConcurrent(const std::vector<Operation>& queries) const;
-
   /// Mixed-workload admission: read queries and write runs execute together,
   /// overlapped wherever their latch-domain footprints are disjoint (reads
   /// during ingest, chunk-disjoint write runs in parallel), with results
   /// bit-identical to a single-threaded serial replay of `ops`. Write items
-  /// are stamped with commit timestamps from this engine's oracle.
+  /// are stamped with commit timestamps from this engine's oracle. A
+  /// read-only stream is the inter-query case: every query overlaps every
+  /// other on the shared pool, nothing is journaled, and
+  /// MixedResult::quiescent reports whether an outside writer overlapped it.
   MixedResult RunMixed(const std::vector<Operation>& ops);
 
   /// Commit-timestamp oracle shared by mixed runs (txn-layer ordering).

@@ -1,13 +1,9 @@
 #include "engine/harness.h"
 
-#include <algorithm>
 #include <sstream>
 
-#include "exec/concurrent_query_runner.h"
 #include "exec/mixed_workload_runner.h"
-#include "exec/parallel_executor.h"
 #include "util/rng.h"
-#include "util/status.h"
 #include "util/stopwatch.h"
 
 namespace casper {
@@ -29,11 +25,6 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
     if (c < pcols) q3_cols.push_back(c);
   }
 
-  // With a pool, range reads fan out over the engine's shards; the merged
-  // result is bit-identical to the serial call.
-  const bool parallel_reads = options.pool != nullptr;
-  const ParallelExecutor exec(options.pool);
-
   // One spec per aggregate shape for the whole replay — only the key range
   // mutates per op, so the hot loop never re-allocates the column lists.
   ScanSpec sum_spec = ScanSpec::Sum(0, 0, q3_cols);
@@ -43,9 +34,7 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
   auto run_spec = [&](ScanSpec& spec, const Operation& op) {
     spec.lo = op.a;
     spec.hi = op.b;
-    return (parallel_reads ? exec.ExecuteScan(engine, spec)
-                           : engine.ExecuteScan(spec))
-        .Result(spec.agg);
+    return engine.ExecuteScan(spec).Result(spec.agg);
   };
 
   Stopwatch total;
@@ -57,8 +46,7 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
         result.checksum += engine.PointLookup(op.a, &row_out);
         break;
       case OpKind::kRangeCount:
-        result.checksum += parallel_reads ? exec.CountRange(engine, op.a, op.b)
-                                          : engine.CountRange(op.a, op.b);
+        result.checksum += engine.CountRange(op.a, op.b);
         break;
       case OpKind::kRangeSum:
         result.checksum += run_spec(sum_spec, op);
@@ -97,42 +85,6 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
 
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops) {
   return RunWorkload(engine, ops, HarnessOptions{});
-}
-
-HarnessResult RunWorkloadBatched(LayoutEngine& engine,
-                                 const std::vector<Operation>& ops,
-                                 const HarnessOptions& options,
-                                 size_t batch_size) {
-  CASPER_CHECK(batch_size > 0);
-  HarnessResult result;
-  result.ops = ops.size();
-  Stopwatch total;
-  for (size_t begin = 0; begin < ops.size(); begin += batch_size) {
-    const size_t n = std::min(batch_size, ops.size() - begin);
-    const BatchResult br = engine.ApplyBatch(ops.data() + begin, n, options.pool);
-    // Same checksum mixing as the per-op replay: query results, rows
-    // deleted, and successful updates each contribute their counts.
-    result.checksum += br.query_checksum + br.deletes + br.updates;
-  }
-  result.seconds = total.ElapsedSeconds();
-  return result;
-}
-
-HarnessResult RunWorkloadConcurrent(const LayoutEngine& engine,
-                                    const std::vector<Operation>& ops,
-                                    const HarnessOptions& options) {
-  HarnessResult result;
-  result.ops = ops.size();
-  // Same Q3 column clipping as the serial replay, so checksums line up.
-  std::vector<size_t> q3_cols;
-  for (const size_t c : options.q3_columns) {
-    if (c < engine.num_payload_columns()) q3_cols.push_back(c);
-  }
-  const ConcurrentQueryRunner runner(options.pool);
-  Stopwatch total;
-  result.checksum = runner.RunChecksum(engine, ops, q3_cols);
-  result.seconds = total.ElapsedSeconds();
-  return result;
 }
 
 HarnessResult RunWorkloadMixed(LayoutEngine& engine,

@@ -47,46 +47,24 @@ struct HarnessOptions {
   /// indistinguishable, so layouts that delete different physical duplicates
   /// still produce identical aggregates (cross-layout correctness checks).
   bool key_derived_payload = false;
-  /// Optional pool for intra-query parallelism: range queries fan out over
-  /// the engine's shards (morsel-driven, exec/). Results — including the
-  /// checksum — are identical to the serial replay.
+  /// Pool for RunWorkloadMixed (RunWorkload is always serial). Results —
+  /// including the checksum — are identical to the serial replay.
   ThreadPool* pool = nullptr;
 };
 
-/// Replays `ops` sequentially against `engine`.
+/// Replays `ops` sequentially against `engine`, one operation at a time —
+/// the serial reference every parallel path is checked against.
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops,
                           const HarnessOptions& options);
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops);
 
-/// Replays `ops` through the batched write surface in slices of `batch_size`
-/// (ApplyBatch groups write runs by destination chunk/shard; queries act as
-/// barriers). Payloads are key-derived by definition of the batched API, so
-/// the checksum matches RunWorkload with key_derived_payload = true and the
-/// default q3 columns. Per-op latency is not recorded (ops are amortized);
-/// `pool` (from options) additionally fans grouped writes over chunks.
-HarnessResult RunWorkloadBatched(LayoutEngine& engine,
-                                 const std::vector<Operation>& ops,
-                                 const HarnessOptions& options,
-                                 size_t batch_size);
-
-/// Replays a *read-only* stream (point queries, range counts, range sums)
-/// with inter-query parallelism: every query is admitted at once to a
-/// ConcurrentQueryRunner sharing options.pool, so independent queries
-/// overlap instead of running one fan-out at a time. The checksum is
-/// bit-identical to RunWorkload over the same stream (per-query results are
-/// deterministic). Per-op latency is not recorded (queries overlap). A
-/// write op in `ops` is a programming error.
-HarnessResult RunWorkloadConcurrent(const LayoutEngine& engine,
-                                    const std::vector<Operation>& ops,
-                                    const HarnessOptions& options);
-
-/// Replays a *mixed* stream (reads + writes interleaved) through the
-/// MixedWorkloadRunner: read queries overlap ingest and chunk-disjoint write
-/// runs commit in parallel, ordered only where their latch-domain footprints
-/// conflict. The checksum is bit-identical to RunWorkload over the same
-/// stream with key_derived_payload = true (write runs take key-derived
-/// payloads, like the batched path). Per-op latency is not recorded
-/// (operations overlap).
+/// Replays a stream of any mix (read-only, write-only, or interleaved)
+/// through the MixedWorkloadRunner on options.pool: reads overlap each other
+/// and ingest, and chunk-disjoint write runs commit in parallel, ordered only
+/// where their latch-domain footprints conflict. The checksum is
+/// bit-identical to RunWorkload over the same stream with
+/// key_derived_payload = true (write runs take key-derived payloads, like
+/// ApplyBatch). Per-op latency is not recorded (operations overlap).
 HarnessResult RunWorkloadMixed(LayoutEngine& engine,
                                const std::vector<Operation>& ops,
                                const HarnessOptions& options);

@@ -4,16 +4,12 @@
 #include <atomic>
 #include <memory>
 
+#include "exec/morsel.h"
 #include "util/thread_pool.h"
 
 namespace casper {
 
 namespace {
-
-bool IsWriteKind(OpKind kind) {
-  return kind == OpKind::kInsert || kind == OpKind::kDelete ||
-         kind == OpKind::kUpdate;
-}
 
 /// One schedulable unit: a single read query or a maximal write run.
 struct Item {
@@ -46,13 +42,17 @@ ScanPartial ExecuteScanDeferred(const LayoutEngine& engine, const ScanSpec& spec
   return total;
 }
 
-uint64_t CountRangeDeferred(const LayoutEngine& engine, Value lo, Value hi) {
-  return ExecuteScanDeferred(engine, ScanSpec::Count(lo, hi)).count;
-}
-
-int64_t SumPayloadRangeDeferred(const LayoutEngine& engine, Value lo, Value hi,
-                                const std::vector<size_t>& cols) {
-  return ExecuteScanDeferred(engine, ScanSpec::Sum(lo, hi, cols)).SumResult();
+ScanPartial ExecuteScanOnPool(const LayoutEngine& engine, const ScanSpec& spec,
+                              ThreadPool* pool) {
+  if (pool == nullptr || pool->num_threads() <= 1) {
+    return engine.ExecuteScan(spec);
+  }
+  const auto partials = exec::MorselMap<ScanPartial>(
+      pool, engine.NumShards(),
+      [&](size_t s) { return engine.ScanSpecShard(s, spec); });
+  ScanPartial total;
+  for (const ScanPartial& p : partials) total.Merge(p);
+  return total;
 }
 
 MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,

@@ -40,10 +40,13 @@ struct MixedResult {
   bool quiescent = true;
 };
 
-/// The mixed-workload extension of ConcurrentQueryRunner: admits read
-/// queries AND write runs together, overlapping them wherever the epoch/latch
-/// domains say they cannot conflict, while keeping every result
-/// deterministic and serial-equivalent.
+/// The engine's one multi-operation scheduler (paper §6.3: column chunks are
+/// independent units for execution as much as for layout solving). It admits
+/// any operation stream — point and range reads, write runs, or both — and
+/// overlaps items wherever the epoch/latch domains say they cannot conflict,
+/// while keeping every result deterministic and serial-equivalent. A
+/// read-only stream is the special case with no write items: every read
+/// overlaps every other.
 ///
 /// How: the stream is split into items — each read query is one item, each
 /// maximal run of consecutive writes is one item — and each item's latch
@@ -100,10 +103,14 @@ class MixedWorkloadRunner {
 /// that).
 ScanPartial ExecuteScanDeferred(const LayoutEngine& engine, const ScanSpec& spec);
 
-/// Legacy per-shape facades over ExecuteScanDeferred.
-uint64_t CountRangeDeferred(const LayoutEngine& engine, Value lo, Value hi);
-int64_t SumPayloadRangeDeferred(const LayoutEngine& engine, Value lo, Value hi,
-                                const std::vector<size_t>& cols);
+/// Morsel-driven fan-out of one ScanSpec over the engine's shards on `pool`,
+/// merging the per-shard partials in shard order — bit-identical to
+/// engine.ExecuteScan(spec) for any thread count, because ScanPartial merging
+/// is associative. A null pool or a single worker runs the engine's
+/// whole-scan path instead (one latch hold, whole-column windows where the
+/// layout provides them).
+ScanPartial ExecuteScanOnPool(const LayoutEngine& engine, const ScanSpec& spec,
+                              ThreadPool* pool);
 
 }  // namespace casper
 

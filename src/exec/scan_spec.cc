@@ -8,23 +8,6 @@
 
 namespace casper {
 
-bool IsReadOnlyKind(OpKind kind) {
-  switch (kind) {
-    case OpKind::kPointQuery:
-    case OpKind::kRangeCount:
-    case OpKind::kRangeSum:
-    case OpKind::kRangeMin:
-    case OpKind::kRangeMax:
-    case OpKind::kRangeAvg:
-      return true;
-    case OpKind::kInsert:
-    case OpKind::kDelete:
-    case OpKind::kUpdate:
-      return false;
-  }
-  return false;
-}
-
 ScanSpec SpecForOperation(const Operation& op,
                           const std::vector<size_t>& sum_cols) {
   // Tables with no payload columns make min/max/avg reference an

@@ -209,13 +209,10 @@ struct ScanSpec {
 /// The spec a read Operation evaluates to, with range sums over `sum_cols`
 /// and min/max/avg over sum_cols.front() (no payload columns -> the spec
 /// references an out-of-range column and evaluates to 0). Shared by the
-/// serial harness, the batched path, and all three runners so every
+/// serial harness, the batched path, and the mixed runner so every
 /// execution mode computes the exact same value per op. `op.kind` must be a
 /// range-read kind (point queries keep their own PointLookup path).
 ScanSpec SpecForOperation(const Operation& op, const std::vector<size_t>& sum_cols);
-
-/// True for the read-only kinds every runner admits (point + range reads).
-bool IsReadOnlyKind(OpKind kind);
 
 namespace exec {
 

@@ -61,8 +61,8 @@ void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out)
 /// layouts store the same logical table: key column a0 plus payload columns.
 ///
 /// Beyond the per-operation surface, every layout exposes a *sharded* read
-/// surface (NumShards + the *Shard methods) consumed by the morsel-driven
-/// executor in exec/, a batched write surface (ApplyBatch), and a batched
+/// surface (NumShards + ScanSpecShard) consumed by the morsel-driven fan-out
+/// in exec/, a batched write surface (ApplyBatch), and a batched
 /// point-lookup surface (LookupBatch). All six layouts shard: partitioned
 /// layouts by column chunk, NoOrder by fixed row morsels, Sorted by
 /// binary-searched row windows, and the delta store into main sub-shards
@@ -203,33 +203,6 @@ class LayoutEngine {
   /// relaxed atomics), so shards — and whole read queries — may run
   /// concurrently.
   virtual size_t NumShards() const { return 1; }
-
-  /// Per-shard slice of CountRange (spec facade over ScanSpecShard).
-  uint64_t CountRangeShard(size_t shard, Value lo, Value hi) const {
-    return ScanSpecShard(shard, ScanSpec::Count(lo, hi)).count;
-  }
-
-  /// Per-shard slice of SumPayloadRange.
-  int64_t SumPayloadRangeShard(size_t shard, Value lo, Value hi,
-                               const std::vector<size_t>& cols) const {
-    return ScanSpecShard(shard, ScanSpec::Sum(lo, hi, cols)).SumResult();
-  }
-
-  /// Per-shard slice of TpchQ6.
-  int64_t TpchQ6Shard(size_t shard, Value lo, Value hi, Payload disc_lo,
-                      Payload disc_hi, Payload qty_max) const {
-    return ScanSpecShard(shard, ScanSpec::Q6(lo, hi, disc_lo, disc_hi, qty_max))
-        .SumResult();
-  }
-
-  /// Per-shard slice of a full scan: live rows visited in this shard, with
-  /// NO range predicate — half-open [lo, hi) cannot express the full key
-  /// domain (hi would need kMaxValue + 1), so full scans evaluate a
-  /// full_domain spec instead of the old CountRange(kMinValue + 1, kMaxValue)
-  /// approximation, which silently dropped rows keyed at either domain edge.
-  uint64_t ScanShard(size_t shard) const {
-    return ScanSpecShard(shard, ScanSpec::FullScan()).count;
-  }
 
   // --- Batched read surface --------------------------------------------------
 

@@ -20,7 +20,7 @@ Status DurableStore::OpenJournal(uint64_t next_seq, size_t fsync_every) {
 void DurableStore::LogOps(const Operation* ops, size_t n) {
   std::vector<Operation> writes;
   for (size_t i = 0; i < n; ++i) {
-    if (IsWriteOp(ops[i].kind)) writes.push_back(ops[i]);
+    if (IsWriteKind(ops[i].kind)) writes.push_back(ops[i]);
   }
   if (writes.empty()) return;
   MutexLock lock(mu_);

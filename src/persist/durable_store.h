@@ -49,11 +49,6 @@ class DurableStore {
   /// Forces batched journal records to disk (fsync_every > 1).
   Status Flush();
 
-  static bool IsWriteOp(OpKind kind) {
-    return kind == OpKind::kInsert || kind == OpKind::kDelete ||
-           kind == OpKind::kUpdate;
-  }
-
  private:
   StoreLayout layout_;
   Mutex mu_;

@@ -29,6 +29,13 @@ constexpr int kNumOpKinds = 9;
 
 std::string_view OpKindName(OpKind kind);
 
+/// True for the kinds that mutate the table (insert, delete, update); every
+/// other kind is a read.
+inline bool IsWriteKind(OpKind kind) {
+  return kind == OpKind::kInsert || kind == OpKind::kDelete ||
+         kind == OpKind::kUpdate;
+}
+
 struct Operation {
   OpKind kind;
   Value a = 0;

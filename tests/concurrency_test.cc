@@ -13,7 +13,7 @@
 
 #include "engine/casper_engine.h"
 #include "engine/harness.h"
-#include "exec/concurrent_query_runner.h"
+#include "exec/mixed_workload_runner.h"
 #include "layouts/delta_store.h"
 #include "layouts/layout_factory.h"
 #include "layouts/partitioned.h"
@@ -150,16 +150,18 @@ TEST(ConcurrentQueries, RawThreadsOverSharedEngineMatchSerial) {
 TEST(ConcurrentQueries, RunnerResultsBitIdenticalToSerialAcrossLayouts) {
   const Fixture f = MakeFixture(25000, 21);
   ThreadPool pool(4);
-  const ConcurrentQueryRunner runner(&pool);
-  const ConcurrentQueryRunner serial_runner(nullptr);
+  const MixedWorkloadRunner runner(&pool);
+  const MixedWorkloadRunner serial_runner(nullptr);
   const std::vector<size_t> cols = {0, 1};
   const auto queries = ReadOnlyOps(400, f.data.domain_lo, f.data.domain_hi, 99);
 
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
-    const auto serial = serial_runner.Run(*engine, queries, cols);
-    const auto parallel = runner.Run(*engine, queries, cols);
+    const auto serial = serial_runner.Run(*engine, queries, cols).results;
+    const MixedResult run = runner.Run(*engine, queries, cols);
+    EXPECT_TRUE(run.quiescent);
+    const auto& parallel = run.results;
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t q = 0; q < serial.size(); ++q) {
       EXPECT_EQ(parallel[q], serial[q]) << "query " << q;
@@ -187,28 +189,48 @@ TEST(ConcurrentQueries, HarnessConcurrentChecksumMatchesSerialReplay) {
 
     HarnessOptions conc_opts = serial_opts;
     conc_opts.pool = &pool;
-    const HarnessResult concurrent = RunWorkloadConcurrent(*engine, ops, conc_opts);
+    const HarnessResult concurrent = RunWorkloadMixed(*engine, ops, conc_opts);
     EXPECT_EQ(concurrent.checksum, serial.checksum);
   }
 }
 
-TEST(ConcurrentQueries, EngineRunConcurrentMatchesSerialFacade) {
+// A read-only RunMixed is the facade's inter-query path: on a quiescent
+// engine every answer equals the serial facade call for that query, and the
+// run reports itself quiescent (no outside writer overlapped it).
+TEST(ConcurrentQueries, EngineReadOnlyRunMixedMatchesSerialFacade) {
   const Fixture f = MakeFixture(20000, 31);
-  LayoutBuildOptions opts;
-  opts.mode = LayoutMode::kCasper;
-  opts.chunk_values = 4096;
-  opts.block_values = 128;
-  opts.calibrate_costs = false;
+  EngineOptions opts;
+  opts.keys = f.data.keys;
+  opts.payload = f.data.payload;
+  opts.training = &f.training;
+  opts.layout.mode = LayoutMode::kCasper;
+  opts.layout.chunk_values = 4096;
+  opts.layout.block_values = 128;
+  opts.layout.calibrate_costs = false;
   opts.exec_threads = 4;
-  CasperEngine engine =
-      CasperEngine::Open(opts, f.data.keys, f.data.payload, &f.training);
+  CasperEngine engine = CasperEngine::Open(std::move(opts));
 
   const auto queries = ReadOnlyOps(300, f.data.domain_lo, f.data.domain_hi, 404);
-  const auto results = engine.RunConcurrent(queries);
-  ASSERT_EQ(results.size(), queries.size());
+  const MixedResult run = engine.RunMixed(queries);
+  EXPECT_TRUE(run.quiescent);
+  ASSERT_EQ(run.results.size(), queries.size());
   const auto cols = DefaultSumColumns(engine.layout());
   for (size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(results[q], SerialChecksum(engine.layout(), {queries[q]}, cols));
+    const Operation& op = queries[q];
+    uint64_t expected = 0;
+    switch (op.kind) {
+      case OpKind::kPointQuery:
+        expected = engine.Find(op.a);
+        break;
+      case OpKind::kRangeCount:
+        expected = engine.CountBetween(op.a, op.b);
+        break;
+      default:
+        expected =
+            static_cast<uint64_t>(engine.SumPayloadBetween(op.a, op.b, cols));
+        break;
+    }
+    EXPECT_EQ(run.results[q], expected) << "query " << q;
   }
 }
 
@@ -286,9 +308,10 @@ TEST(SortedShards, DuplicateRunStraddlingSplitPoint) {
     int64_t sum = 0;
     int64_t q6 = 0;
     for (size_t s = 0; s < layout.NumShards(); ++s) {
-      count += layout.CountRangeShard(s, lo, hi);
-      sum += layout.SumPayloadRangeShard(s, lo, hi, cols);
-      q6 += layout.TpchQ6Shard(s, lo, hi, 1000, 9000, 8000);
+      count += layout.ScanSpecShard(s, ScanSpec::Count(lo, hi)).count;
+      sum += layout.ScanSpecShard(s, ScanSpec::Sum(lo, hi, cols)).SumResult();
+      q6 += layout.ScanSpecShard(s, ScanSpec::Q6(lo, hi, 1000, 9000, 8000))
+                .SumResult();
     }
     EXPECT_EQ(count, layout.CountRange(lo, hi));
     EXPECT_EQ(sum, layout.SumPayloadRange(lo, hi, cols));
@@ -335,9 +358,10 @@ TEST(DeltaShards, MainWindowsPlusDeltaSumExactly) {
     int64_t sum = 0;
     int64_t q6 = 0;
     for (size_t s = 0; s < layout.NumShards(); ++s) {
-      count += layout.CountRangeShard(s, lo, hi);
-      sum += layout.SumPayloadRangeShard(s, lo, hi, cols);
-      q6 += layout.TpchQ6Shard(s, lo, hi, 1000, 9000, 8000);
+      count += layout.ScanSpecShard(s, ScanSpec::Count(lo, hi)).count;
+      sum += layout.ScanSpecShard(s, ScanSpec::Sum(lo, hi, cols)).SumResult();
+      q6 += layout.ScanSpecShard(s, ScanSpec::Q6(lo, hi, 1000, 9000, 8000))
+                .SumResult();
     }
     EXPECT_EQ(count, layout.CountRange(lo, hi));
     EXPECT_EQ(sum, layout.SumPayloadRange(lo, hi, cols));

@@ -18,12 +18,14 @@ TEST(CasperEngine, OpenAndQueryAllApis) {
   auto spec = hap::MakeSpec(hap::Workload::kHybridSkewed, ds.domain_lo, ds.domain_hi);
   auto training = GenerateWorkload(spec, 2000, rng);
 
-  LayoutBuildOptions opts;
-  opts.mode = LayoutMode::kCasper;
-  opts.chunk_values = 4096;
-  opts.block_values = 128;
-  CasperEngine engine =
-      CasperEngine::Open(opts, ds.keys, ds.payload, &training);
+  EngineOptions opts;
+  opts.keys = ds.keys;
+  opts.payload = ds.payload;
+  opts.training = &training;
+  opts.layout.mode = LayoutMode::kCasper;
+  opts.layout.chunk_values = 4096;
+  opts.layout.block_values = 128;
+  CasperEngine engine = CasperEngine::Open(std::move(opts));
 
   EXPECT_EQ(engine.mode(), LayoutMode::kCasper);
   EXPECT_EQ(engine.num_rows(), 10000u);

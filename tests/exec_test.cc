@@ -1,7 +1,7 @@
-// Tests for the sharded parallel execution layer (src/exec/): morsel-driven
-// reads must be bit-identical to serial execution across all six layouts,
-// and the batched write surface must be indistinguishable from applying the
-// same operations one-by-one (randomized, seeded).
+// Tests for the sharded parallel execution layer (src/exec/): reads fanned
+// over a pool must be bit-identical to serial execution across all six
+// layouts, and the batched write surface must be indistinguishable from
+// applying the same operations one-by-one (randomized, seeded).
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -10,7 +10,7 @@
 
 #include "engine/casper_engine.h"
 #include "engine/harness.h"
-#include "exec/parallel_executor.h"
+#include "exec/mixed_workload_runner.h"
 #include "layouts/layout_factory.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -51,6 +51,20 @@ std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
   opts.calibrate_costs = false;  // deterministic plans
   opts.training = &f.training;
   return BuildLayout(opts, f.data.keys, f.data.payload);
+}
+
+/// Live rows visited by a full scan fanned over `pool` (serial when null).
+uint64_t PoolScanAll(const LayoutEngine& engine, ThreadPool* pool) {
+  return ExecuteScanOnPool(engine, ScanSpec::FullScan(), pool).count;
+}
+
+/// Live rows summed over every shard's full-scan slice.
+uint64_t ShardedScanAll(const LayoutEngine& engine) {
+  uint64_t total = 0;
+  for (size_t s = 0; s < engine.NumShards(); ++s) {
+    total += engine.ScanSpecShard(s, ScanSpec::FullScan()).count;
+  }
+  return total;
 }
 
 /// Seeded mixed op stream covering all six kinds (the HAP named mixes each
@@ -95,8 +109,6 @@ std::vector<Operation> RandomOps(size_t n, Value lo, Value hi, uint64_t seed) {
 TEST(ParallelExec, ParallelReadsBitIdenticalToSerialAcrossLayouts) {
   const Fixture f = MakeFixture(30000, 42);
   ThreadPool pool(4);
-  const ParallelExecutor par(&pool);
-  const ParallelExecutor ser(nullptr);
   const Value lo = f.data.domain_lo;
   const uint64_t span = static_cast<uint64_t>(f.data.domain_hi - lo) + 1;
   const std::vector<size_t> cols = {0, 1};
@@ -104,17 +116,21 @@ TEST(ParallelExec, ParallelReadsBitIdenticalToSerialAcrossLayouts) {
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
-    EXPECT_EQ(par.ScanAll(*engine), 30000u);
-    EXPECT_EQ(par.ScanAll(*engine), ser.ScanAll(*engine));
+    EXPECT_EQ(PoolScanAll(*engine, &pool), 30000u);
+    EXPECT_EQ(PoolScanAll(*engine, &pool), PoolScanAll(*engine, nullptr));
 
     Rng qrng(7);
     for (int i = 0; i < 200; ++i) {
       const Value a = lo + static_cast<Value>(qrng.Below(span));
       const Value b = a + static_cast<Value>(qrng.Below(span / 4 + 1)) + 1;
-      EXPECT_EQ(par.CountRange(*engine, a, b), engine->CountRange(a, b));
-      EXPECT_EQ(par.SumPayloadRange(*engine, a, b, cols),
-                engine->SumPayloadRange(a, b, cols));
-      EXPECT_EQ(par.TpchQ6(*engine, a, b, 1000, 9000, 8000),
+      EXPECT_EQ(ExecuteScanOnPool(*engine, ScanSpec::Count(a, b), &pool).count,
+                engine->CountRange(a, b));
+      EXPECT_EQ(
+          ExecuteScanOnPool(*engine, ScanSpec::Sum(a, b, cols), &pool).SumResult(),
+          engine->SumPayloadRange(a, b, cols));
+      EXPECT_EQ(ExecuteScanOnPool(*engine, ScanSpec::Q6(a, b, 1000, 9000, 8000),
+                                  &pool)
+                    .SumResult(),
                 engine->TpchQ6(a, b, 1000, 9000, 8000));
     }
   }
@@ -129,11 +145,12 @@ TEST(ParallelExec, NoOrderShardsByRowMorsels) {
   EXPECT_GE(engine->NumShards(), 2u);
 
   ThreadPool pool(3);
-  const ParallelExecutor par(&pool);
-  EXPECT_EQ(par.ScanAll(*engine), 150000u);
+  EXPECT_EQ(PoolScanAll(*engine, &pool), 150000u);
   const Value mid = (f.data.domain_lo + f.data.domain_hi) / 2;
-  EXPECT_EQ(par.CountRange(*engine, f.data.domain_lo, mid),
-            engine->CountRange(f.data.domain_lo, mid));
+  EXPECT_EQ(
+      ExecuteScanOnPool(*engine, ScanSpec::Count(f.data.domain_lo, mid), &pool)
+          .count,
+      engine->CountRange(f.data.domain_lo, mid));
 }
 
 TEST(ParallelExec, PartitionedShardsAreChunks) {
@@ -142,9 +159,7 @@ TEST(ParallelExec, PartitionedShardsAreChunks) {
   // 30000 rows at 4096 values/chunk -> 8 chunks (duplicate-safe cuts can
   // shift boundaries, never the count below ceil).
   EXPECT_GE(engine->NumShards(), 7u);
-  uint64_t total = 0;
-  for (size_t s = 0; s < engine->NumShards(); ++s) total += engine->ScanShard(s);
-  EXPECT_EQ(total, 30000u);
+  EXPECT_EQ(ShardedScanAll(*engine), 30000u);
 }
 
 TEST(ParallelExec, EveryLayoutShardsMultiChunkTables) {
@@ -152,21 +167,16 @@ TEST(ParallelExec, EveryLayoutShardsMultiChunkTables) {
   // 64K-row morsels, Sorted's 16K-row windows, the delta store's main
   // windows + delta sub-shard, and the partitioned layouts' 4096-value
   // chunks. NumShards() == 1 would silently serialize a layout under the
-  // executor; every layout must decompose.
+  // pool fan-out; every layout must decompose.
   const Fixture f = MakeFixture(80000, 29);
   ThreadPool pool(4);
-  const ParallelExecutor par(&pool);
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
     EXPECT_GT(engine->NumShards(), 1u);
     // The shard decomposition is exact: per-shard scans sum to the rows.
-    uint64_t total = 0;
-    for (size_t s = 0; s < engine->NumShards(); ++s) {
-      total += engine->ScanShard(s);
-    }
-    EXPECT_EQ(total, engine->num_rows());
-    EXPECT_EQ(par.ScanAll(*engine), 80000u);
+    EXPECT_EQ(ShardedScanAll(*engine), engine->num_rows());
+    EXPECT_EQ(PoolScanAll(*engine, &pool), 80000u);
   }
 }
 
@@ -193,8 +203,6 @@ TEST(ParallelExec, ScanAllCoversDomainEdges) {
   const auto training = GenerateWorkload(spec, 1000, train_rng);
 
   ThreadPool pool(3);
-  const ParallelExecutor par(&pool);
-  const ParallelExecutor ser(nullptr);
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     LayoutBuildOptions opts;
@@ -204,13 +212,9 @@ TEST(ParallelExec, ScanAllCoversDomainEdges) {
     opts.calibrate_costs = false;
     opts.training = &training;
     auto engine = BuildLayout(opts, keys, payload);
-    EXPECT_EQ(par.ScanAll(*engine), keys.size());
-    EXPECT_EQ(ser.ScanAll(*engine), keys.size());
-    uint64_t total = 0;
-    for (size_t s = 0; s < engine->NumShards(); ++s) {
-      total += engine->ScanShard(s);
-    }
-    EXPECT_EQ(total, keys.size());
+    EXPECT_EQ(PoolScanAll(*engine, &pool), keys.size());
+    EXPECT_EQ(PoolScanAll(*engine, nullptr), keys.size());
+    EXPECT_EQ(ShardedScanAll(*engine), keys.size());
   }
 }
 
@@ -319,7 +323,7 @@ TEST(ApplyBatch, BatchSlicingDoesNotChangeResults) {
   EXPECT_EQ(a->num_rows(), b->num_rows());
 }
 
-TEST(ApplyBatch, BatchedHarnessMatchesPerOpReplay) {
+TEST(ApplyBatch, PooledBatchSlicesMatchPerOpReplay) {
   const Fixture f = MakeFixture(15000, 21);
   const auto ops = RandomOps(2500, f.data.domain_lo, f.data.domain_hi, 555);
   ThreadPool pool(4);
@@ -335,12 +339,16 @@ TEST(ApplyBatch, BatchedHarnessMatchesPerOpReplay) {
     hopts.key_derived_payload = true;  // matches the batched API's payloads
     const HarnessResult per_op = RunWorkload(*per_op_engine, ops, hopts);
 
-    HarnessOptions bopts = hopts;
-    bopts.pool = &pool;
-    const HarnessResult batched =
-        RunWorkloadBatched(*batch_engine, ops, bopts, /*batch_size=*/128);
+    // 128-op slices through the pooled grouped-write path, folded with the
+    // harness checksum mixing: query results, rows deleted, updates applied.
+    uint64_t checksum = 0;
+    for (size_t begin = 0; begin < ops.size(); begin += 128) {
+      const size_t n = std::min<size_t>(128, ops.size() - begin);
+      const BatchResult br = batch_engine->ApplyBatch(ops.data() + begin, n, &pool);
+      checksum += br.query_checksum + br.deletes + br.updates;
+    }
 
-    EXPECT_EQ(per_op.checksum, batched.checksum);
+    EXPECT_EQ(per_op.checksum, checksum);
     EXPECT_EQ(per_op_engine->num_rows(), batch_engine->num_rows());
   }
 }
@@ -378,18 +386,19 @@ TEST(Capture, ParallelCaptureBitIdenticalToSerial) {
 TEST(CasperEngineExec, ParallelOpenMatchesSerialOpen) {
   const Fixture f = MakeFixture(25000, 63);
 
-  LayoutBuildOptions serial_opts;
-  serial_opts.mode = LayoutMode::kCasper;
-  serial_opts.chunk_values = 4096;
-  serial_opts.block_values = 128;
-  serial_opts.calibrate_costs = false;
-  LayoutBuildOptions parallel_opts = serial_opts;
+  EngineOptions serial_opts;
+  serial_opts.keys = f.data.keys;
+  serial_opts.payload = f.data.payload;
+  serial_opts.training = &f.training;
+  serial_opts.layout.mode = LayoutMode::kCasper;
+  serial_opts.layout.chunk_values = 4096;
+  serial_opts.layout.block_values = 128;
+  serial_opts.layout.calibrate_costs = false;
+  EngineOptions parallel_opts = serial_opts;
   parallel_opts.exec_threads = 4;
 
-  CasperEngine serial =
-      CasperEngine::Open(serial_opts, f.data.keys, f.data.payload, &f.training);
-  CasperEngine parallel = CasperEngine::Open(parallel_opts, f.data.keys,
-                                             f.data.payload, &f.training);
+  CasperEngine serial = CasperEngine::Open(std::move(serial_opts));
+  CasperEngine parallel = CasperEngine::Open(std::move(parallel_opts));
   EXPECT_EQ(serial.pool(), nullptr);
   ASSERT_NE(parallel.pool(), nullptr);
   EXPECT_EQ(parallel.pool()->num_threads(), 4u);

@@ -3,8 +3,8 @@
 //   (1) drift that invalidates the trained layout actually triggers a
 //       re-partition (the capture → detect loop closes);
 //   (2) query results stay bit-identical to an untouched engine replaying
-//       the same stream before/during/after re-partitions — including under
-//       the concurrent and mixed runners while the swap is mid-flight;
+//       the same stream before/during/after re-partitions — including
+//       read-only and mixed RunMixed batches while the swap is mid-flight;
 //   (3) engines with maintenance disabled (or layouts without partition
 //       geometry) never mutate their layout.
 #include <atomic>
@@ -202,11 +202,11 @@ TEST(MaintenanceTest, DiurnalBurstKeepsAdaptingUnderDecay) {
   fixed.layout().ValidateInvariants();
 }
 
-// Read-only queries race RunCycle: every RunConcurrent batch issued while
-// re-partitions are mid-flight must be bit-identical to the pre-drift serial
-// answers (re-partitioning preserves the logical row multiset; readers on
-// other chunks never block; readers on the swapping chunk wait on its
-// latch).
+// Read-only queries race RunCycle: every read-only RunMixed batch issued
+// while re-partitions are mid-flight must be bit-identical to the pre-drift
+// serial answers (re-partitioning preserves the logical row multiset;
+// readers on other chunks never block; readers on the swapping chunk wait on
+// its latch).
 TEST(MaintenanceTest, BitIdenticalDuringRepartitionUnderConcurrentRunner) {
   const TableData data = MakeData();
   const DriftScenario scenario = ShiftingHotRange(0, kDomain, 2);
@@ -224,7 +224,7 @@ TEST(MaintenanceTest, BitIdenticalDuringRepartitionUnderConcurrentRunner) {
   qspec.read_target = std::make_shared<UniformDistribution>();
   Rng qrng(5);
   const auto queries = GenerateWorkload(qspec, 1500, qrng);
-  const std::vector<uint64_t> expected = engine.RunConcurrent(queries);
+  const std::vector<uint64_t> expected = engine.RunMixed(queries).results;
 
   // Churn thread: alternate the observed hotspot between the low and high
   // ends so divergence keeps re-appearing and every cycle has re-layout
@@ -241,12 +241,12 @@ TEST(MaintenanceTest, BitIdenticalDuringRepartitionUnderConcurrentRunner) {
   });
   size_t batches = 0;
   while (!done.load()) {
-    EXPECT_EQ(engine.RunConcurrent(queries), expected)
+    EXPECT_EQ(engine.RunMixed(queries).results, expected)
         << "batch " << batches << " diverged during re-partitioning";
     ++batches;
   }
   churn.join();
-  EXPECT_EQ(engine.RunConcurrent(queries), expected);
+  EXPECT_EQ(engine.RunMixed(queries).results, expected);
 
   EXPECT_GE(engine.maintenance()->stats().chunks_repartitioned, 1u);
   engine.layout().ValidateInvariants();
@@ -336,26 +336,6 @@ TEST(MaintenanceTest, StatsSnapshotRegistrySurface) {
   nopts.layout.mode = LayoutMode::kNoOrder;
   CasperEngine noorder = CasperEngine::Open(std::move(nopts));
   EXPECT_TRUE(noorder.layout().StatsSnapshots().per_chunk.empty());
-}
-
-// The legacy Open facade and the unified surface build identical engines
-// (same geometry, same answers) for identical inputs.
-TEST(MaintenanceTest, LegacyOpenFacadeEquivalence) {
-  const TableData data = MakeData();
-  const DriftScenario scenario = ShiftingHotRange(0, kDomain, 2);
-  Rng trng(11);
-  const auto training = GenerateWorkload(scenario.training, kTrainingOps, trng);
-
-  EngineOptions eopts = BaseOptions(data, &training);
-  const LayoutBuildOptions legacy_build = eopts.layout;
-  CasperEngine unified = CasperEngine::Open(std::move(eopts));
-  CasperEngine legacy =
-      CasperEngine::Open(legacy_build, data.keys, data.payload, &training);
-
-  EXPECT_EQ(unified.layout().LayoutFingerprint(),
-            legacy.layout().LayoutFingerprint());
-  EXPECT_EQ(legacy.maintenance(), nullptr);
-  ExpectSameAnswers(unified, legacy);
 }
 
 }  // namespace

@@ -368,6 +368,41 @@ TEST(Recovery, ReopenEqualsLiveEngine) {
   std::system(("rm -rf " + dir).c_str());
 }
 
+size_t JournalRecordCount(const std::string& dir) {
+  std::vector<persist::JournalRecord> records;
+  uint64_t valid_bytes = 0;
+  const Status s = persist::ReadJournal(persist::StoreLayout(dir).JournalPath(),
+                                        &records, &valid_bytes);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return records.size();
+}
+
+TEST(Recovery, ReadOnlyRunMixedJournalsNothing) {
+  const TableData d = MakeData();
+  const std::string dir = FreshDir("readonly_mixed");
+  CasperEngine e = CasperEngine::Open(BaseOptions(d, dir));
+  Rng rng(37);
+  e.ApplyBatch(WriteRun(rng, 20));
+  const size_t before = JournalRecordCount(dir);
+  ASSERT_EQ(before, 1u);
+
+  std::vector<Operation> reads;
+  for (int i = 0; i < 64; ++i) {
+    const Value lo = static_cast<Value>(rng.Next() % kDomain);
+    reads.push_back({i % 2 == 0 ? OpKind::kRangeSum : OpKind::kPointQuery, lo,
+                     lo + static_cast<Value>(rng.Next() % 4096) + 1});
+  }
+  const MixedResult read_only = e.RunMixed(reads);
+  EXPECT_TRUE(read_only.quiescent);
+  EXPECT_EQ(JournalRecordCount(dir), before);
+
+  // The same call with a write in the stream does journal one record.
+  reads.push_back({OpKind::kInsert, 7, 0});
+  e.RunMixed(reads);
+  EXPECT_EQ(JournalRecordCount(dir), before + 1);
+  std::system(("rm -rf " + dir).c_str());
+}
+
 TEST(Recovery, SurvivesEvictionStateAtClose) {
   const TableData d = MakeData();
   const std::string dir = FreshDir("reopen_evicted");

@@ -319,7 +319,8 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
           // Point lookups and deferred scans share the same latches.
           const Value key = lo + static_cast<Value>(rng.Below(span));
           engine->PointLookup(key, nullptr);
-          const uint64_t deferred = CountRangeDeferred(*engine, lo, hi);
+          const uint64_t deferred =
+              ExecuteScanDeferred(*engine, ScanSpec::Count(lo, hi)).count;
           if (deferred < before || deferred > before + kRuns * kRunSize) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
@@ -529,8 +530,9 @@ TEST(DeferredReads, MatchSerialAnswersWhenQuiescent) {
     for (int i = 0; i < 4; ++i) {
       const Value a = lo + i * q;
       const Value b = hi - i * q / 2;
-      EXPECT_EQ(CountRangeDeferred(*engine, a, b), engine->CountRange(a, b));
-      EXPECT_EQ(SumPayloadRangeDeferred(*engine, a, b, cols),
+      EXPECT_EQ(ExecuteScanDeferred(*engine, ScanSpec::Count(a, b)).count,
+                engine->CountRange(a, b));
+      EXPECT_EQ(ExecuteScanDeferred(*engine, ScanSpec::Sum(a, b, cols)).SumResult(),
                 engine->SumPayloadRange(a, b, cols));
     }
   }
@@ -540,14 +542,16 @@ TEST(DeferredReads, MatchSerialAnswersWhenQuiescent) {
 // replay and stamps commit timestamps through the engine's oracle.
 TEST(MixedWorkload, EngineRunMixedMatchesSerialFacade) {
   const Fixture f = MakeFixture(20000, 53);
-  LayoutBuildOptions opts;
-  opts.mode = LayoutMode::kCasper;
-  opts.chunk_values = 4096;
-  opts.block_values = 128;
-  opts.calibrate_costs = false;
+  EngineOptions opts;
+  opts.keys = f.data.keys;
+  opts.payload = f.data.payload;
+  opts.training = &f.training;
+  opts.layout.mode = LayoutMode::kCasper;
+  opts.layout.chunk_values = 4096;
+  opts.layout.block_values = 128;
+  opts.layout.calibrate_costs = false;
   opts.exec_threads = 4;
-  CasperEngine engine =
-      CasperEngine::Open(opts, f.data.keys, f.data.payload, &f.training);
+  CasperEngine engine = CasperEngine::Open(std::move(opts));
 
   auto serial_engine = BuildMode(LayoutMode::kCasper, f);
   const auto ops = MixedOps(500, f.data.domain_lo, f.data.domain_hi, 606);

@@ -1,14 +1,13 @@
 // Golden-equivalence suite for the unified ScanSpec query API
 // (exec/scan_spec.h): on every one of the six layouts, the legacy per-shape
-// wrappers (CountRange / SumPayloadRange / TpchQ6 / ScanAll and their shard
-// variants), the whole-engine ExecuteScan, and the shard-by-shard
-// ScanSpecShard merge must agree bit for bit — with each other AND with a
-// row-at-a-time brute-force reference over the raw dataset — across
-// randomized specs (empty ranges, full domain, domain-edge keys, 0-3
-// payload predicates, all six aggregate kinds). The three runners
-// (parallel, concurrent, mixed) must produce the same values for the new
-// aggregate op kinds as the serial harness. CI runs this binary under
-// Release, ASan+UBSan, and TSan.
+// wrappers (CountRange / SumPayloadRange / TpchQ6 / ScanAll), the
+// whole-engine ExecuteScan, and the shard-by-shard ScanSpecShard merge must
+// agree bit for bit — with each other AND with a row-at-a-time brute-force
+// reference over the raw dataset — across randomized specs (empty ranges,
+// full domain, domain-edge keys, 0-3 payload predicates, all six aggregate
+// kinds). The pool fan-out and the mixed runner must produce the same values
+// for the new aggregate op kinds as the serial harness. CI runs this binary
+// under Release, ASan+UBSan, and TSan.
 #include <algorithm>
 #include <limits>
 #include <memory>
@@ -18,7 +17,7 @@
 
 #include "engine/casper_engine.h"
 #include "engine/harness.h"
-#include "exec/parallel_executor.h"
+#include "exec/mixed_workload_runner.h"
 #include "exec/scan_spec.h"
 #include "layouts/layout_factory.h"
 #include "util/rng.h"
@@ -322,8 +321,7 @@ TEST(ScanSpecGolden, DegenerateSpecsEvaluateToZero) {
 }
 
 // The new aggregate op kinds produce identical values through the serial
-// harness, the parallel executor, the concurrent runner, and the mixed
-// runner, on every layout.
+// harness, the pool fan-out, and the mixed runner, on every layout.
 TEST(ScanSpecGolden, RunnersAgreeOnNewAggregatesAcrossLayouts) {
   const Fixture f = MakeFixture(20000, 37);
   ThreadPool pool(4);
@@ -361,8 +359,17 @@ TEST(ScanSpecGolden, RunnersAgreeOnNewAggregatesAcrossLayouts) {
     auto engine = BuildMode(mode, f);
 
     const uint64_t serial = RunWorkload(*engine, reads, serial_opts).checksum;
-    EXPECT_EQ(RunWorkload(*engine, reads, pool_opts).checksum, serial);
-    EXPECT_EQ(RunWorkloadConcurrent(*engine, reads, pool_opts).checksum, serial);
+    const std::vector<size_t> cols = DefaultSumColumns(*engine);
+    uint64_t fanned = 0;
+    for (const Operation& op : reads) {
+      if (op.kind == OpKind::kPointQuery) {
+        fanned += engine->PointLookup(op.a, nullptr);
+        continue;
+      }
+      const ScanSpec spec = SpecForOperation(op, cols);
+      fanned += ExecuteScanOnPool(*engine, spec, &pool).Result(spec.agg);
+    }
+    EXPECT_EQ(fanned, serial);
     EXPECT_EQ(RunWorkloadMixed(*engine, reads, pool_opts).checksum, serial);
   }
 }
@@ -372,14 +379,16 @@ TEST(ScanSpecGolden, RunnersAgreeOnNewAggregatesAcrossLayouts) {
 TEST(ScanSpecGolden, EngineFacadeAggregates) {
   const Fixture f = MakeFixture(15000, 61);
   for (const size_t threads : {size_t{0}, size_t{4}}) {
-    LayoutBuildOptions opts;
-    opts.mode = LayoutMode::kCasper;
-    opts.chunk_values = 4096;
-    opts.block_values = 128;
-    opts.calibrate_costs = false;
+    EngineOptions opts;
+    opts.keys = f.data.keys;
+    opts.payload = f.data.payload;
+    opts.training = &f.training;
+    opts.layout.mode = LayoutMode::kCasper;
+    opts.layout.chunk_values = 4096;
+    opts.layout.block_values = 128;
+    opts.layout.calibrate_costs = false;
     opts.exec_threads = threads;
-    auto engine =
-        CasperEngine::Open(opts, f.data.keys, f.data.payload, &f.training);
+    auto engine = CasperEngine::Open(std::move(opts));
 
     Rng rng(3);
     const uint64_t span =
