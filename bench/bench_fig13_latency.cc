@@ -6,8 +6,9 @@
 // A fourth panel (not in the paper) drills into the tiered-storage axis:
 // the same range aggregates against hot (resident, caches warm), warm
 // (resident, caches cold) and cold (evicted, scans run off the chunk files)
-// data, plus hot-chunk throughput under a 25% memory budget. Metrics land in
-// $CASPER_BENCH_JSON for the CI bench-smoke trajectory artifact.
+// data, plus hot-chunk throughput under a 25% memory budget. The three tiers
+// must return identical sums (the process exits nonzero otherwise). Metrics
+// land in $CASPER_BENCH_JSON for the CI bench-smoke trajectory artifact.
 #include <unistd.h>
 
 #include <chrono>
@@ -23,33 +24,42 @@
 namespace casper::bench {
 namespace {
 
-int64_t g_sink = 0;
+/// One timed pass over a query list: mean latency and the (wrapping) sum of
+/// every query's result, so tiers can be checked against each other.
+struct ScanPass {
+  double us = 0.0;
+  int64_t sum = 0;
+};
 
-double MeanScanMicros(const CasperEngine& e,
-                      const std::vector<std::pair<Value, Value>>& queries) {
+ScanPass MeanScanMicros(const CasperEngine& e,
+                        const std::vector<std::pair<Value, Value>>& queries) {
+  uint64_t sum = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& [lo, hi] : queries) {
-    g_sink += e.SumPayloadBetween(lo, hi, {0});
+    sum += static_cast<uint64_t>(e.SumPayloadBetween(lo, hi, {0}));
   }
   const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::micro>(t1 - t0).count() /
-         static_cast<double>(queries.size());
+  return {std::chrono::duration<double, std::micro>(t1 - t0).count() /
+              static_cast<double>(queries.size()),
+          static_cast<int64_t>(sum)};
 }
 
 /// Steady state: best pass of several — deferred encoding builds land inside
 /// early passes (the cache builds per-chunk as vote thresholds trip), so a
 /// single "second pass" is not reliably warm at small smoke scales.
-double SteadyScanMicros(const CasperEngine& e,
-                        const std::vector<std::pair<Value, Value>>& queries) {
-  double best = MeanScanMicros(e, queries);
+ScanPass SteadyScanMicros(const CasperEngine& e,
+                          const std::vector<std::pair<Value, Value>>& queries) {
+  ScanPass best = MeanScanMicros(e, queries);
   for (int pass = 0; pass < 7; ++pass) {
-    const double cur = MeanScanMicros(e, queries);
-    if (cur < best) best = cur;
+    const ScanPass cur = MeanScanMicros(e, queries);
+    if (cur.us < best.us) best.us = cur.us;
+    best.sum = cur.sum;  // the settled pass's answer
   }
   return best;
 }
 
-void RunTierPanel(size_t rows, JsonMetrics* json) {
+/// Returns false when the hot, warm and cold passes disagree.
+bool RunTierPanel(size_t rows, JsonMetrics* json) {
   std::printf("\n--- (d) tiered scans: hot / warm / cold, 1%% range sums ---\n");
   Rng data_rng(77);
   hap::Dataset data = hap::MakeDataset(rows, 2, data_rng);
@@ -83,12 +93,16 @@ void RunTierPanel(size_t rows, JsonMetrics* json) {
   // Warm = first touch of resident data (encoding caches cold, scans on raw
   // columns); hot = steady state after the caches settle onto packed scans;
   // cold = every query pays a chunk-file read + scan-on-file.
-  const double warm_us = MeanScanMicros(engine, queries);
-  const double hot_us = SteadyScanMicros(engine, queries);
+  const ScanPass warm = MeanScanMicros(engine, queries);
+  const ScanPass hot = SteadyScanMicros(engine, queries);
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     table.EvictChunk(c, store.TierChunkPath(c));
   }
-  const double cold_us = MeanScanMicros(engine, queries);
+  const ScanPass cold = MeanScanMicros(engine, queries);
+  const bool identical = hot.sum == warm.sum && cold.sum == warm.sum;
+  const double hot_us = hot.us;
+  const double warm_us = warm.us;
+  const double cold_us = cold.us;
   const ChunkStatsSnapshot totals = engine.layout().StatsSnapshots().Totals();
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     table.PromoteChunk(c);
@@ -99,6 +113,8 @@ void RunTierPanel(size_t rows, JsonMetrics* json) {
   std::printf("  %-34s %10.2f us/query  (%.1f MiB read back)\n",
               "cold (evicted, scan-on-file)", cold_us,
               static_cast<double>(totals.disk_bytes_read) / (1024.0 * 1024.0));
+  std::printf("  %-34s %10s\n", "identical (hot / warm / cold)",
+              identical ? "yes" : "no");
   std::system(("rm -rf " + dir).c_str());
 
   // Larger-than-RAM check: budget 25% of the table, hammer the low quarter
@@ -132,8 +148,8 @@ void RunTierPanel(size_t rows, JsonMetrics* json) {
     (void)MeanScanMicros(budgeted, hot_queries);
     budgeted.tier()->RunCycle();
   }
-  const double budgeted_hot_us = SteadyScanMicros(budgeted, hot_queries);
-  const double unbudgeted_hot_us = SteadyScanMicros(engine, hot_queries);
+  const double budgeted_hot_us = SteadyScanMicros(budgeted, hot_queries).us;
+  const double unbudgeted_hot_us = SteadyScanMicros(engine, hot_queries).us;
   std::printf("  %-34s %10.2f us/query vs %.2f unbudgeted (%.2fx)\n",
               "hot chunks under 25% budget", budgeted_hot_us,
               unbudgeted_hot_us,
@@ -147,6 +163,7 @@ void RunTierPanel(size_t rows, JsonMetrics* json) {
             static_cast<double>(totals.disk_bytes_read) / (1024.0 * 1024.0));
   json->Add("fig13_budgeted_hot_us", budgeted_hot_us);
   json->Add("fig13_unbudgeted_hot_us", unbudgeted_hot_us);
+  return identical;
 }
 
 void RunPanel(const char* title, hap::Workload w, size_t rows, size_t num_ops) {
@@ -184,12 +201,12 @@ int Main() {
   RunPanel("(c) update-only (Q4 80%, Q5 19%, Q6 1%), uniform",
            hap::Workload::kUpdateOnlyUniform, rows, num_ops);
   JsonMetrics json;
-  RunTierPanel(ScaledRows(1 << 20), &json);
+  const bool tiers_identical = RunTierPanel(ScaledRows(1 << 20), &json);
   json.WriteIfRequested();
   std::printf("\n(paper: (a) Casper inserts orders of magnitude faster without "
               "hurting Q1;\n (b) Casper matches the delta store; (c) Casper 2x+ "
               "all others)\n");
-  return 0;
+  return tiers_identical ? 0 : 1;
 }
 
 }  // namespace

@@ -96,34 +96,37 @@ PersistedChunk ChunkWriter::Encode(
   PersistedChunk out;
   out.chunk_index = chunk_index;
   out.rows = live_keys.size();
-  out.live_prefix.assign(parts.size() + 1, 0);
+  ChunkEncoding& enc = out.encoding;
+  enc.live_prefix.assign(parts.size() + 1, 0);
   std::vector<size_t> frame_sizes;
+  std::vector<Value> uppers;
   for (size_t t = 0; t < parts.size(); ++t) {
     CASPER_CHECK(parts[t].cap >= parts[t].size);
-    out.live_prefix[t + 1] = out.live_prefix[t] + parts[t].size;
+    enc.live_prefix[t + 1] = enc.live_prefix[t] + parts[t].size;
     if (parts[t].size > 0) frame_sizes.push_back(parts[t].size);
+    uppers.push_back(parts[t].upper);
   }
-  CASPER_CHECK_MSG(out.live_prefix.back() == out.rows,
+  CASPER_CHECK_MSG(enc.live_prefix.back() == out.rows,
                    "partition sizes do not cover the live keys");
   out.parts = std::move(parts);
+  if (!uppers.empty()) out.index = PartitionIndex(std::move(uppers));
   if (out.rows > 0) {
-    out.keys =
-        std::make_shared<FrameOfReferenceColumn>(live_keys, frame_sizes);
+    enc.keys = std::make_shared<FrameOfReferenceColumn>(live_keys, frame_sizes);
   }
-  out.payload.resize(live_payload.size());
-  out.payload_zones.resize(live_payload.size());
+  enc.payload.resize(live_payload.size());
+  enc.payload_zones.resize(live_payload.size());
   for (size_t c = 0; c < live_payload.size(); ++c) {
     const std::vector<Payload>& col = live_payload[c];
     CASPER_CHECK(col.size() == out.rows);
     if (out.rows > 0) {
-      out.payload[c] = PackedPayloadColumn::Encode(col, ChooseDiskEncoding(col));
-      CASPER_CHECK(out.payload[c] != nullptr);
+      enc.payload[c] = PackedPayloadColumn::Encode(col, ChooseDiskEncoding(col));
+      CASPER_CHECK(enc.payload[c] != nullptr);
     }
-    auto& zones = out.payload_zones[c];
+    auto& zones = enc.payload_zones[c];
     zones.assign(out.parts.size(), PayloadZone{});
     for (size_t t = 0; t < out.parts.size(); ++t) {
-      const size_t begin = out.live_prefix[t];
-      const size_t end = out.live_prefix[t + 1];
+      const size_t begin = enc.live_prefix[t];
+      const size_t end = enc.live_prefix[t + 1];
       if (begin == end) continue;
       const auto [zmn, zmx] =
           std::minmax_element(col.begin() + begin, col.begin() + end);
@@ -134,12 +137,13 @@ PersistedChunk ChunkWriter::Encode(
 }
 
 void ChunkWriter::Serialize(const PersistedChunk& chunk, std::string* out) {
+  const ChunkEncoding& enc = chunk.encoding;
   ByteSink s;
   s.U32(kChunkMagic);
   s.U32(kChunkFormatVersion);
   s.U64(chunk.chunk_index);
   s.U64(chunk.rows);
-  s.U64(chunk.payload.size());
+  s.U64(enc.payload.size());
   s.U64(chunk.parts.size());
   for (const ChunkPartitionMeta& p : chunk.parts) {
     s.U64(p.size);
@@ -149,20 +153,19 @@ void ChunkWriter::Serialize(const PersistedChunk& chunk, std::string* out) {
     s.I64(p.max_val);
   }
   {
-    std::vector<uint64_t> lp(chunk.live_prefix.begin(),
-                             chunk.live_prefix.end());
+    std::vector<uint64_t> lp(enc.live_prefix.begin(), enc.live_prefix.end());
     s.U64Vector(lp);
   }
-  const size_t frames = chunk.keys ? chunk.keys->num_frames() : 0;
+  const size_t frames = enc.keys ? enc.keys->num_frames() : 0;
   s.U64(frames);
   for (size_t f = 0; f < frames; ++f) {
-    s.I64(chunk.keys->frame_reference(f));
-    s.I64(chunk.keys->frame_max(f));
-    s.U64(chunk.keys->frame_begin(f));
-    PutBitPacked(&s, chunk.keys->frame_offsets(f));
+    s.I64(enc.keys->frame_reference(f));
+    s.I64(enc.keys->frame_max(f));
+    s.U64(enc.keys->frame_begin(f));
+    PutBitPacked(&s, enc.keys->frame_offsets(f));
   }
-  for (size_t c = 0; c < chunk.payload.size(); ++c) {
-    const PackedPayloadColumn* col = chunk.payload[c].get();
+  for (size_t c = 0; c < enc.payload.size(); ++c) {
+    const PackedPayloadColumn* col = enc.payload[c].get();
     if (col != nullptr) {
       s.U32(col->encoding() == PayloadEncoding::kDictionary ? kEncDict
                                                             : kEncFoR);
@@ -182,7 +185,7 @@ void ChunkWriter::Serialize(const PersistedChunk& chunk, std::string* out) {
       s.U32(0);
       s.U64(0);
     }
-    for (const PayloadZone& z : chunk.payload_zones[c]) {
+    for (const PayloadZone& z : enc.payload_zones[c]) {
       s.U32(z.min);
       s.U32(z.max);
     }
@@ -224,19 +227,37 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
       !src.U64(&payload_cols) || !src.BoundedCount(&num_parts, 5 * 8)) {
     return Corrupt("header truncated");
   }
+  // Routing needs at least one partition and strictly increasing uppers
+  // (the resident chunk's invariant); anything else is not a chunk file.
+  if (num_parts == 0) return Corrupt("no partitions");
   chunk.parts.resize(num_parts);
+  std::vector<Value> uppers(num_parts);
   uint64_t live_total = 0;
-  for (ChunkPartitionMeta& p : chunk.parts) {
-    if (!src.U64(&p.size) || !src.U64(&p.cap) || !src.I64(&p.upper) ||
+  uint64_t begin = 0;
+  for (size_t t = 0; t < num_parts; ++t) {
+    ChunkPartitionMeta& p = chunk.parts[t];
+    uint64_t size = 0;
+    uint64_t cap = 0;
+    if (!src.U64(&size) || !src.U64(&cap) || !src.I64(&p.upper) ||
         !src.I64(&p.min_val) || !src.I64(&p.max_val)) {
       return Corrupt("partition table truncated");
     }
-    if (p.cap < p.size) return Corrupt("partition cap < size");
-    live_total += p.size;
+    if (cap < size) return Corrupt("partition cap < size");
+    if (t > 0 && p.upper <= uppers[t - 1]) {
+      return Corrupt("partition uppers not increasing");
+    }
+    p.begin = begin;
+    p.size = size;
+    p.cap = cap;
+    uppers[t] = p.upper;
+    begin += cap;
+    live_total += size;
   }
   if (live_total != chunk.rows) {
     return Corrupt("partition sizes do not sum to rows");
   }
+  chunk.index = PartitionIndex(std::move(uppers));
+  ChunkEncoding& enc = chunk.encoding;
   {
     std::vector<uint64_t> lp;
     if (!src.U64Vector(&lp)) return Corrupt("live prefix truncated");
@@ -248,7 +269,7 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
         return Corrupt("live prefix inconsistent with partition sizes");
       }
     }
-    chunk.live_prefix.assign(lp.begin(), lp.end());
+    enc.live_prefix.assign(lp.begin(), lp.end());
   }
   uint64_t frames = 0;
   if (!src.BoundedCount(&frames, 4 * 8)) return Corrupt("frame count");
@@ -272,11 +293,11 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
   }
   if (covered != chunk.rows) return Corrupt("frames do not cover rows");
   if (chunk.rows > 0) {
-    chunk.keys = std::make_shared<FrameOfReferenceColumn>(
+    enc.keys = std::make_shared<FrameOfReferenceColumn>(
         FrameOfReferenceColumn::FromFrames(std::move(pieces), chunk.rows));
   }
-  chunk.payload.resize(payload_cols);
-  chunk.payload_zones.resize(payload_cols);
+  enc.payload.resize(payload_cols);
+  enc.payload_zones.resize(payload_cols);
   for (uint64_t c = 0; c < payload_cols; ++c) {
     uint32_t enc_tag = 0;
     uint32_t base = 0;
@@ -307,12 +328,12 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
                             "payload column");
     if (!s.ok()) return s;
     if (chunk.rows > 0) {
-      chunk.payload[c] = PackedPayloadColumn::FromParts(
+      enc.payload[c] = PackedPayloadColumn::FromParts(
           enc_tag == kEncDict ? PayloadEncoding::kDictionary
                               : PayloadEncoding::kFrameOfReference,
           static_cast<Payload>(base), std::move(dict), std::move(packed));
     }
-    auto& zones = chunk.payload_zones[c];
+    auto& zones = enc.payload_zones[c];
     zones.resize(num_parts);
     for (PayloadZone& z : zones) {
       if (!src.U32(&z.min) || !src.U32(&z.max)) {

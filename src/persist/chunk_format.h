@@ -10,6 +10,7 @@
 #include "compression/packed_column.h"
 #include "persist/evicted_chunk.h"
 #include "storage/compressed_cache.h"
+#include "storage/partition_index.h"
 #include "storage/types.h"
 #include "util/status.h"
 
@@ -45,21 +46,21 @@ constexpr uint32_t kChunkMagic = 0x52505343u;  // 'CSPR'
 constexpr uint32_t kChunkFormatVersion = 1;
 
 /// A chunk file's contents in memory: writer input and reader output. After
-/// Parse the encoded columns are live objects (FromFrames / FromParts), so
-/// the cold read paths operate on this struct exactly as the warm paths
-/// operate on a ChunkEncoding + partition array.
+/// Parse the encoded columns are live objects (FromFrames / FromParts) held
+/// as one ChunkEncoding — the same struct the warm cache holds — so the
+/// partition evaluator (storage/partition_scan.h) reads a parsed file exactly
+/// as it reads a cache entry.
 struct PersistedChunk {
   uint32_t version = kChunkFormatVersion;
   uint64_t chunk_index = 0;
   uint64_t rows = 0;  ///< live rows
   std::vector<ChunkPartitionMeta> parts;
-  /// live_prefix[t] = live rows in partitions [0, t); size parts + 1.
-  std::vector<size_t> live_prefix;
-  std::shared_ptr<const FrameOfReferenceColumn> keys;  ///< null iff rows == 0
-  /// One packed column per payload column (all non-null when rows > 0).
-  std::vector<std::shared_ptr<const PackedPayloadColumn>> payload;
-  /// payload_zones[c][t] = min/max of column c in partition t (live rows).
-  std::vector<std::vector<PayloadZone>> payload_zones;
+  /// Routing over the partition uppers, built by Encode and Parse.
+  PartitionIndex index;
+  /// keys: null iff rows == 0. payload: one packed column per payload column
+  /// (all non-null when rows > 0). live_prefix: size parts + 1.
+  /// payload_zones[c][t]: min/max of column c in partition t (live rows).
+  ChunkEncoding encoding;
   /// Serialized size; filled by the reader for disk_bytes_read accounting.
   uint64_t file_bytes = 0;
 
@@ -94,7 +95,8 @@ class ChunkWriter {
 class ChunkReader {
  public:
   /// Pure parse: validates magic, version, CRC and structural consistency
-  /// (partition sizes vs rows, prefix sums, frame coverage, packed word
+  /// (at least one partition, strictly increasing partition uppers,
+  /// partition sizes vs rows, prefix sums, frame coverage, packed word
   /// counts) before reassembling the columns. Any violation is a clean
   /// Status, never a crash or out-of-bounds read.
   static Status Parse(const std::string& bytes, PersistedChunk* out);

@@ -3,156 +3,27 @@
 #include <algorithm>
 #include <numeric>
 
-#include "exec/scan_kernels.h"
-
 namespace casper {
 namespace persist {
-
-namespace {
-
-/// First partition whose upper bound admits v (mirrors PartitionIndex::Route;
-/// clamps to the last partition for keys above every bound).
-size_t RoutePart(const std::vector<ChunkPartitionMeta>& parts, Value v) {
-  for (size_t t = 0; t < parts.size(); ++t) {
-    if (parts[t].upper >= v) return t;
-  }
-  return parts.size() - 1;
-}
-
-/// Decodes the live-row window [begin, end) of the key column into `out`.
-void DecodeKeyWindow(const FrameOfReferenceColumn& keys, size_t begin,
-                     size_t end, std::vector<Value>* out) {
-  out->resize(end - begin);
-  for (size_t i = begin; i < end; ++i) (*out)[i - begin] = keys.Get(i);
-}
-
-}  // namespace
-
-uint64_t CountRangePersisted(const PersistedChunk& f, Value lo, Value hi,
-                             ChunkStats* stats) {
-  if (lo >= hi || f.rows == 0 || f.keys == nullptr) return 0;
-  // Frames align with non-empty partitions, so the frame zone-map walk IS
-  // the partition zone-map walk — identical accounting to the warm
-  // CountRangeCompressed path, on the very same packed words.
-  FrameOfReferenceColumn::ScanStats fs;
-  const uint64_t count = f.keys->CountRange(lo, hi, &fs);
-  ++stats->compressed_scans;
-  stats->partitions_scanned += fs.frames_blind + fs.frames_scanned;
-  stats->partitions_pruned += fs.frames_pruned;
-  stats->element_reads += fs.elements_decoded;
-  return count;
-}
-
-ScanPartial EvalSpecOverPersisted(const ScanSpec& spec, const PersistedChunk& f,
-                                  ChunkStats* stats) {
-  ScanPartial out;
-  if (!spec.RefsValid(f.payload.size())) return out;
-  if (spec.predicates.empty() && spec.agg.kind == AggKind::kCount) {
-    if (spec.full_domain) {
-      uint64_t scanned = 0;
-      for (const ChunkPartitionMeta& p : f.parts) scanned += (p.size != 0);
-      stats->partitions_scanned += scanned;
-      out.count = f.rows;
-    } else {
-      out.count = CountRangePersisted(f, spec.lo, spec.hi, stats);
-    }
-    return out;
-  }
-  if (spec.EmptyKeyRange() || f.rows == 0 || f.keys == nullptr) return out;
-  const bool touches_payload =
-      !spec.predicates.empty() || !spec.agg.cols.empty();
-  // Which payload columns the evaluator can actually read (predicates and
-  // aggregate inputs): only these get decoded into scratch.
-  std::vector<char> referenced(f.payload.size(), 0);
-  for (const PredicateSpec& pr : spec.predicates) referenced[pr.col] = 1;
-  for (const size_t c : spec.agg.cols) referenced[c] = 1;
-  constexpr size_t kMaxLocalPreds = 16;
-  PredicateSpec local_preds[kMaxLocalPreds];
-  size_t first = 0;
-  size_t last = f.parts.size() - 1;
-  if (!spec.full_domain) {
-    first = RoutePart(f.parts, spec.lo);
-    last = RoutePart(f.parts, spec.hi - 1);
-  }
-  std::vector<Value> key_scratch;
-  std::vector<std::vector<Payload>> col_scratch(f.payload.size());
-  for (size_t t = first; t <= last && t < f.parts.size(); ++t) {
-    const ChunkPartitionMeta& p = f.parts[t];
-    if (p.size == 0) continue;
-    bool check = false;
-    if (!spec.full_domain) {
-      if (p.min_val >= spec.hi || p.max_val < spec.lo) continue;
-      check = (t == first || t == last) &&
-              !(p.min_val >= spec.lo && p.max_val < spec.hi);
-    }
-    exec::SpecRows rows;
-    // Payload zone maps: skip / blind-consume exactly like the warm path
-    // (cold chunks always carry zones for every column).
-    if (!spec.predicates.empty() && spec.predicates.size() <= kMaxLocalPreds &&
-        !f.payload_zones.empty()) {
-      bool skip = false;
-      size_t np = 0;
-      for (const PredicateSpec& pr : spec.predicates) {
-        const PayloadZone z = f.payload_zones[pr.col][t];
-        if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
-          skip = true;
-          break;
-        }
-        if (pr.lo <= z.min && z.max <= pr.hi) continue;  // always true
-        local_preds[np++] = pr;
-      }
-      if (skip) {
-        ++stats->payload_partitions_pruned;
-        continue;
-      }
-      if (np < spec.predicates.size()) {
-        rows.preds = local_preds;
-        rows.npreds = np;
-        rows.preds_override = true;
-      }
-    }
-    const size_t begin = f.live_prefix[t];
-    const size_t end = f.live_prefix[t + 1];
-    const size_t n = end - begin;
-    DecodeKeyWindow(*f.keys, begin, end, &key_scratch);
-    for (size_t c = 0; c < f.payload.size(); ++c) {
-      if (!referenced[c]) continue;
-      col_scratch[c].resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        col_scratch[c][i] = f.payload[c]->DecodeAt(begin + i);
-      }
-    }
-    stats->element_reads += n;
-    rows.keys = key_scratch.data();
-    rows.n = n;
-    rows.base = 0;  // scratch arrays start at the window, not the chunk
-    rows.cols = &col_scratch;
-    rows.key_check = check;
-    rows.packed = &f.payload;
-    rows.packed_base = begin;
-    if (touches_payload) ++stats->compressed_payload_scans;
-    out.Merge(exec::EvalSpecRows(spec, rows));
-  }
-  return out;
-}
 
 size_t PointLookupPersisted(const PersistedChunk& f, Value key,
                             std::vector<Payload>* payload_out,
                             size_t payload_cols, ChunkStats* stats) {
   if (payload_out != nullptr) payload_out->clear();
-  if (f.rows == 0 || f.keys == nullptr) return 0;
-  const size_t t = RoutePart(f.parts, key);
+  const ChunkEncoding& enc = f.encoding;
+  if (f.rows == 0 || enc.keys == nullptr) return 0;
+  const size_t t = f.index.Route(key);
   const ChunkPartitionMeta& p = f.parts[t];
   if (p.size == 0 || key < p.min_val || key > p.max_val) {
     ++stats->partitions_pruned;
     return 0;
   }
-  const size_t begin = f.live_prefix[t];
-  const size_t end = f.live_prefix[t + 1];
+  const size_t begin = enc.live_prefix[t];
+  const size_t end = enc.live_prefix[t + 1];
   size_t matches = 0;
   size_t first_match = 0;
   for (size_t i = begin; i < end; ++i) {
-    if (f.keys->Get(i) == key) {
+    if (enc.keys->Get(i) == key) {
       if (matches == 0) first_match = i;
       ++matches;
     }
@@ -162,70 +33,39 @@ size_t PointLookupPersisted(const PersistedChunk& f, Value key,
   if (matches > 0 && payload_out != nullptr && payload_cols > 0) {
     payload_out->resize(payload_cols);
     for (size_t col = 0; col < payload_cols; ++col) {
-      (*payload_out)[col] = f.payload[col]->DecodeAt(first_match);
+      (*payload_out)[col] = enc.payload[col]->DecodeAt(first_match);
     }
   }
   return matches;
 }
 
-int64_t SumKeysRangePersisted(const PersistedChunk& f, Value lo, Value hi,
-                              ChunkStats* stats) {
-  if (lo >= hi || f.rows == 0 || f.keys == nullptr) return 0;
-  const size_t first = RoutePart(f.parts, lo);
-  const size_t last = RoutePart(f.parts, hi - 1);
-  uint64_t sum = 0;
-  uint64_t scanned = 0;
-  uint64_t pruned = 0;
-  uint64_t reads = 0;
-  std::vector<Value> scratch;
-  for (size_t t = first; t <= last && t < f.parts.size(); ++t) {
-    const ChunkPartitionMeta& p = f.parts[t];
-    if (p.size == 0) continue;
-    if (p.min_val >= hi || p.max_val < lo) {
-      ++pruned;
-      continue;
-    }
-    ++scanned;
-    DecodeKeyWindow(*f.keys, f.live_prefix[t], f.live_prefix[t + 1], &scratch);
-    const bool check =
-        (t == first || t == last) && !(p.min_val >= lo && p.max_val < hi);
-    sum += static_cast<uint64_t>(
-        check ? kernels::SumInRange(scratch.data(), scratch.size(), lo, hi)
-              : kernels::SumValues(scratch.data(), scratch.size()));
-    reads += scratch.size();
-  }
-  stats->partitions_scanned += scanned;
-  stats->partitions_pruned += pruned;
-  stats->element_reads += reads;
-  return static_cast<int64_t>(sum);
-}
-
 PromotedChunkData DecodeForPromotion(const PersistedChunk& f) {
+  const ChunkEncoding& enc = f.encoding;
   PromotedChunkData out;
   out.sorted_keys.reserve(f.rows);
-  out.payload.resize(f.payload.size());
+  out.payload.resize(enc.payload.size());
   for (auto& col : out.payload) col.reserve(f.rows);
   out.sizes.reserve(f.parts.size());
   out.ghosts.reserve(f.parts.size());
-  std::vector<Value> window;
+  const std::vector<Value> keys =
+      enc.keys != nullptr ? enc.keys->DecodeAll() : std::vector<Value>();
   std::vector<size_t> order;
   for (size_t t = 0; t < f.parts.size(); ++t) {
     out.sizes.push_back(f.parts[t].size);
     out.ghosts.push_back(f.parts[t].cap - f.parts[t].size);
-    const size_t begin = f.live_prefix[t];
-    const size_t end = f.live_prefix[t + 1];
+    const size_t begin = enc.live_prefix[t];
+    const size_t end = enc.live_prefix[t + 1];
     if (begin == end) continue;
-    DecodeKeyWindow(*f.keys, begin, end, &window);
-    order.resize(window.size());
-    std::iota(order.begin(), order.end(), size_t{0});
+    order.resize(end - begin);
+    std::iota(order.begin(), order.end(), begin);
     // Stable: duplicate keys keep their stored row order, so the payload
     // permutation is deterministic.
     std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) { return window[a] < window[b]; });
-    for (const size_t i : order) out.sorted_keys.push_back(window[i]);
-    for (size_t c = 0; c < f.payload.size(); ++c) {
+                     [&](size_t a, size_t b) { return keys[a] < keys[b]; });
+    for (const size_t i : order) out.sorted_keys.push_back(keys[i]);
+    for (size_t c = 0; c < enc.payload.size(); ++c) {
       for (const size_t i : order) {
-        out.payload[c].push_back(f.payload[c]->DecodeAt(begin + i));
+        out.payload[c].push_back(enc.payload[c]->DecodeAt(i));
       }
     }
   }

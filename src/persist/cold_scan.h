@@ -4,43 +4,26 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/scan_spec.h"
 #include "persist/chunk_format.h"
 #include "storage/types.h"
 
 namespace casper {
 namespace persist {
 
-/// Read paths over a parsed chunk file — the cold mirror of the warm
-/// per-chunk query surface. Each function reproduces its in-memory
-/// counterpart's answer bit for bit: the same partition zone-map walk
-/// (skip / blind-consume / evaluate), the same packed kernels on the stored
-/// words, the same wrapping arithmetic. Accounting lands on `stats` (the
-/// chunk's resident ChunkStats, which survives eviction); disk_reads /
+/// Row-level reads over a parsed chunk file. Range scans and aggregates do
+/// not live here: they run through the one partition evaluator
+/// (storage/partition_scan.h), which reads a parsed file through the same
+/// view as a resident chunk. What remains is the point lookup and the decode
+/// that promotion needs, both routed through the file's PartitionIndex — the
+/// routing resident chunks use. Accounting lands on `stats` (the chunk's
+/// resident ChunkStats, which survives eviction); disk_reads /
 /// disk_bytes_read are bumped by the caller that loaded the file.
-
-/// ScanSpec evaluation; mirrors PartitionedTable::ScanSpecInChunk. On the
-/// cold path every payload column is packed, so the evaluator always runs
-/// scan-on-compressed with payload-zone pruning and the predicate override
-/// (blind consume) logic of the warm path.
-ScanPartial EvalSpecOverPersisted(const ScanSpec& spec, const PersistedChunk& f,
-                                  ChunkStats* stats);
-
-/// COUNT(key in [lo, hi)); mirrors CountRangeCompressed (frames are zone
-/// maps; surviving frames are counted on the packed words with
-/// kernels::CountPackedInRange — no materialization).
-uint64_t CountRangePersisted(const PersistedChunk& f, Value lo, Value hi,
-                             ChunkStats* stats);
 
 /// COUNT(key == key) with the first match's payload row; mirrors
 /// PartitionedTable::PointLookup. `payload_out` may be nullptr.
 size_t PointLookupPersisted(const PersistedChunk& f, Value key,
                             std::vector<Payload>* payload_out,
                             size_t payload_cols, ChunkStats* stats);
-
-/// SUM(key WHERE key in [lo, hi)); mirrors PartitionedColumnChunk::SumRange.
-int64_t SumKeysRangePersisted(const PersistedChunk& f, Value lo, Value hi,
-                              ChunkStats* stats);
 
 /// Everything promotion needs to rebuild the chunk in memory through the
 /// deterministic Build path: live rows sorted by key (partitions are

@@ -85,7 +85,7 @@ Status LoadStore(const StoreLayout& layout, Manifest* manifest,
       return Status::Internal("base chunk " + std::to_string(c) + ": " +
                               std::string(s.message()));
     }
-    if (pc.payload.size() != manifest->payload_cols) {
+    if (pc.encoding.payload.size() != manifest->payload_cols) {
       return Status::Internal("base chunk payload column count mismatch");
     }
     PromotedChunkData d = DecodeForPromotion(pc);

@@ -5,20 +5,18 @@
 #include <string>
 #include <vector>
 
+#include "storage/column_chunk.h"
 #include "storage/types.h"
 
 namespace casper {
 namespace persist {
 
-/// Partition geometry as persisted: everything routing, zone-map pruning and
-/// promotion need to know about one partition without touching its values.
-struct ChunkPartitionMeta {
-  uint64_t size = 0;     ///< live values at serialization time
-  uint64_t cap = 0;      ///< region width (size + ghost slots)
-  Value upper = 0;       ///< routing bound
-  Value min_val = 0;     ///< key zone map
-  Value max_val = 0;
-};
+/// Partition geometry as persisted: the resident chunk's own partition record,
+/// so resident and evicted chunks share one geometry type (and one partition
+/// evaluator, storage/partition_scan.h). The file stores size, cap, upper and
+/// the key zone map; `begin` is not stored — readers restore it as the prefix
+/// sum of caps, the contiguous-layout invariant.
+using ChunkPartitionMeta = PartitionedColumnChunk::Partition;
 
 /// The resident-side remnant of a chunk demoted to disk: where its file
 /// lives plus the geometry summary that answers metadata-only questions

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "compression/frame_of_reference.h"
 #include "exec/scan_kernels.h"
 #include "util/status.h"
 
@@ -170,50 +169,6 @@ uint64_t PartitionedColumnChunk::CountRange(Value lo, Value hi) const {
   return count;
 }
 
-int64_t PartitionedColumnChunk::SumRange(Value lo, Value hi) const {
-  if (lo >= hi || live_ == 0) return 0;
-  const size_t first = index_.Route(lo);
-  const size_t last = index_.Route(hi - 1);
-  uint64_t sum = 0;
-  // Batched accounting, one atomic flush per query (like CountRange).
-  uint64_t scanned = 0;
-  uint64_t pruned = 0;
-  uint64_t reads = 0;
-  for (size_t t = first; t <= last && t < parts_.size(); ++t) {
-    const Partition& p = parts_[t];
-    if (p.size == 0) continue;
-    if (p.min_val >= hi || p.max_val < lo) {
-      ++pruned;
-      continue;
-    }
-    ++scanned;
-    const Value* d = data_.data() + p.begin;
-    const bool check = (t == first || t == last) &&
-                       !(p.min_val >= lo && p.max_val < hi);
-    sum += static_cast<uint64_t>(check ? kernels::SumInRange(d, p.size, lo, hi)
-                                       : kernels::SumValues(d, p.size));
-    reads += p.size;  // sums read every live element, qualifying or not
-  }
-  stats_.partitions_scanned += scanned;
-  stats_.partitions_pruned += pruned;
-  stats_.element_reads += reads;
-  return static_cast<int64_t>(sum);
-}
-
-uint64_t PartitionedColumnChunk::ScanAllCount() const {
-  // Middle-partition semantics everywhere: every partition fully qualifies
-  // for the domain-wide scan, so consume the size counters (paper Fig. 3c).
-  // Empty partitions are skipped in the accounting, like every range path.
-  uint64_t count = 0;
-  uint64_t scanned = 0;
-  for (const Partition& p : parts_) {
-    count += p.size;
-    scanned += (p.size != 0);
-  }
-  stats_.partitions_scanned += scanned;
-  return count;
-}
-
 void PartitionedColumnChunk::LiveValues(std::vector<Value>* values,
                                         std::vector<size_t>* frame_sizes) const {
   values->clear();
@@ -226,22 +181,6 @@ void PartitionedColumnChunk::LiveValues(std::vector<Value>* values,
                    data_.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
     frame_sizes->push_back(p.size);
   }
-}
-
-uint64_t PartitionedColumnChunk::CountRangeCompressed(
-    const FrameOfReferenceColumn& col, Value lo, Value hi) const {
-  FrameOfReferenceColumn::ScanStats fs;
-  const uint64_t count = col.CountRange(lo, hi, &fs);
-  ++stats_.compressed_scans;
-  stats_.partitions_scanned += fs.frames_blind + fs.frames_scanned;
-  stats_.partitions_pruned += fs.frames_pruned;
-  stats_.element_reads += fs.elements_decoded;
-  return count;
-}
-
-void PartitionedColumnChunk::MaterializeRange(Value lo, Value hi,
-                                              std::vector<Value>* out) const {
-  ForEachSlotInRange(lo, hi, [&](uint32_t s) { out->push_back(data_[s]); });
 }
 
 // --- Free-slot primitives -----------------------------------------------------

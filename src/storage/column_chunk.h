@@ -10,8 +10,6 @@
 
 namespace casper {
 
-class FrameOfReferenceColumn;
-
 /// A range-partitioned column chunk — the physical heart of Casper
 /// (paper §3, §6). Values live in one contiguous buffer split into
 /// partitions; each partition's free ("ghost") slots sit at the tail of its
@@ -83,23 +81,12 @@ class PartitionedColumnChunk {
   /// blindly via their size counters (paper Fig. 3c).
   uint64_t CountRange(Value lo, Value hi) const;
 
-  /// Sum of live values in [lo, hi); scans every qualifying partition.
-  int64_t SumRange(Value lo, Value hi) const;
-
-  /// Appends live values in [lo, hi) to out (materializing range query).
-  void MaterializeRange(Value lo, Value hi, std::vector<Value>* out) const;
-
   /// Visits each live slot in [lo, hi): fn(slot). Used by tables to apply
   /// per-row logic (e.g. payload aggregation) on qualifying rows. Boundary
   /// partitions are filtered through the vectorized FilterSlots kernel;
   /// zone-map-qualified partitions skip the predicate entirely.
   template <typename Fn>
   void ForEachSlotInRange(Value lo, Value hi, Fn&& fn) const;
-
-  /// Count of live values scanned partition-by-partition with no range
-  /// predicate — the full-table-scan read path (covers the whole key domain,
-  /// including both domain edges, unlike any half-open [lo, hi)).
-  uint64_t ScanAllCount() const;
 
   // --- Compressed read path --------------------------------------------------
 
@@ -109,14 +96,6 @@ class PartitionedColumnChunk {
   /// synergy holds: finer partitions => narrower frames).
   void LiveValues(std::vector<Value>* values,
                   std::vector<size_t>* frame_sizes) const;
-
-  /// CountRange answered from `col`, a FoR encoding produced from
-  /// LiveValues() at the current epoch, with accounting mirrored onto this
-  /// chunk's counters (frames map 1:1 to non-empty partitions, so
-  /// partitions_scanned / partitions_pruned / element_reads stay comparable
-  /// with the raw path).
-  uint64_t CountRangeCompressed(const FrameOfReferenceColumn& col, Value lo,
-                                Value hi) const;
 
   // --- Write path ------------------------------------------------------------
 
@@ -143,12 +122,14 @@ class PartitionedColumnChunk {
   size_t capacity() const { return data_.size(); }
   size_t num_partitions() const { return parts_.size(); }
   const Partition& partition(size_t t) const { return parts_[t]; }
+  const std::vector<Partition>& partitions() const { return parts_; }
+  const PartitionIndex& partition_index() const { return index_; }
   const std::vector<Value>& raw_data() const { return data_; }
   Value domain_upper() const { return parts_.back().upper; }
 
   ChunkStats& stats() { return stats_; }
   /// Read paths account their data movement too: the counters are mutable
-  /// relaxed atomics, so const callers (e.g. the table's spec evaluator
+  /// relaxed atomics, so const callers (e.g. the partition evaluator
   /// recording packed-payload scans and payload-zone prunes) may bump them.
   ChunkStats& stats() const { return stats_; }
   /// One coherent copy of the counters (take between queries for exact

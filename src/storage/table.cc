@@ -8,6 +8,7 @@
 #include "persist/chunk_format.h"
 #include "persist/cold_scan.h"
 #include "persist/io.h"
+#include "storage/partition_scan.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -223,153 +224,35 @@ ScanPartial PartitionedTable::ScanSpecAllChunks(const ScanSpec& spec) const {
   return out;
 }
 
-uint64_t PartitionedTable::CountRangeInChunk(size_t c, Value lo, Value hi) const {
-  if (lo >= hi || !ChunkOverlapsRange(c, lo, hi)) return 0;
-  const TableChunk& ch = *chunks_[c];
-  SharedChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr) {
-    const persist::PersistedChunk pc = LoadEvicted(ch);
-    return persist::CountRangePersisted(pc, lo, hi, &ch.keys.stats());
-  }
-  if (const auto enc = CompressedFor(c, ch)) {
-    return ch.keys.CountRangeCompressed(*enc->keys, lo, hi);
-  }
-  return ch.keys.CountRange(lo, hi);
-}
-
-uint64_t PartitionedTable::ScanChunk(size_t c) const {
-  const TableChunk& ch = *chunks_[c];
-  SharedChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr) {
-    const persist::PersistedChunk pc = LoadEvicted(ch);
-    return persist::EvalSpecOverPersisted(ScanSpec::FullScan(), pc,
-                                          &ch.keys.stats())
-        .count;
-  }
-  return ch.keys.ScanAllCount();
-}
-
 int64_t PartitionedTable::SumPayloadRange(Value lo, Value hi,
                                           const std::vector<size_t>& cols) const {
   return ScanSpecAllChunks(ScanSpec::Sum(lo, hi, cols)).SumResult();
 }
 
-int64_t PartitionedTable::SumPayloadRangeInChunk(
-    size_t c, Value lo, Value hi, const std::vector<size_t>& cols) const {
-  // Facade over the generic per-chunk evaluator — ONE copy of the zone-map
-  // walk serves the table-level and layout-level read paths alike.
-  return ScanSpecInChunk(c, ScanSpec::Sum(lo, hi, cols)).SumResult();
-}
-
 ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) const {
-  ScanPartial out;
-  if (!spec.RefsValid(payload_cols_)) return out;
-  // The predicate-free count shape keeps its dedicated chunk path — it is
-  // the one with the compressed-cache answer and its stats accounting. (The
-  // predicate-free sum shape needs no special case: the general loop below
-  // reduces to the same zone-map walk + SumPayload kernels.)
-  if (spec.predicates.empty() && spec.agg.kind == AggKind::kCount) {
-    out.count = spec.full_domain ? ScanChunk(c)
-                                 : CountRangeInChunk(c, spec.lo, spec.hi);
-    return out;
-  }
-  // General composition: partition-by-partition with the zone-map logic of
-  // the legacy loops (skip excluded partitions, blind-consume fully
-  // qualifying ones), evaluating through the shared spec evaluator.
-  if (spec.EmptyKeyRange() ||
+  if (!spec.RefsValid(payload_cols_) || spec.EmptyKeyRange() ||
       (!spec.full_domain && !ChunkOverlapsRange(c, spec.lo, spec.hi))) {
-    return out;
+    return ScanPartial();
   }
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
+  ChunkStats* stats = &ch.keys.stats();
   if (ch.evicted != nullptr) {
-    // Cold path: the evaluator runs the same zone-map walk over the parsed
-    // file, always scan-on-compressed (every column is packed on disk).
     const persist::PersistedChunk pc = LoadEvicted(ch);
-    return persist::EvalSpecOverPersisted(spec, pc, &ch.keys.stats());
+    return ScanPartitions(spec, PartitionSource::File(pc), stats);
   }
-  const auto& chunk = ch.keys;
-  if (chunk.size() == 0) return out;
-  // Scan-on-compressed: every spec that touches payload columns consults the
-  // chunk encoding cache (which votes toward / reuses the ChunkEncoding
-  // snapshot). When a referenced column is packed, the evaluator scans the
-  // packed words; the payload zone maps prune or blind-consume partitions
-  // even for columns the advisor kept raw.
-  const bool touches_payload =
-      !spec.predicates.empty() || !spec.agg.cols.empty();
+  // Range counts and specs that touch payload columns consult the encoding
+  // cache (voting toward, or reusing, the chunk's ChunkEncoding); full-domain
+  // counts and key-only specs never do.
+  const bool count_only =
+      spec.predicates.empty() && spec.agg.kind == AggKind::kCount;
+  const bool wants_encoding =
+      count_only ? !spec.full_domain
+                 : !spec.predicates.empty() || !spec.agg.cols.empty();
   const CompressedChunkCache::EncodingPtr enc =
-      touches_payload ? CompressedFor(c, ch) : nullptr;
-  bool any_packed = false;
-  if (enc != nullptr) {
-    for (const PredicateSpec& pr : spec.predicates) {
-      any_packed = any_packed || enc->packed(pr.col) != nullptr;
-    }
-    for (const size_t col : spec.agg.cols) {
-      any_packed = any_packed || enc->packed(col) != nullptr;
-    }
-  }
-  constexpr size_t kMaxLocalPreds = 16;
-  PredicateSpec local_preds[kMaxLocalPreds];
-  size_t first = 0;
-  size_t last = chunk.num_partitions() - 1;
-  if (!spec.full_domain) {
-    first = chunk.RoutePartition(spec.lo);
-    last = chunk.RoutePartition(spec.hi - 1);
-  }
-  for (size_t t = first; t <= last && t < chunk.num_partitions(); ++t) {
-    const auto& p = chunk.partition(t);
-    if (p.size == 0) continue;
-    bool check = false;
-    if (!spec.full_domain) {
-      if (p.min_val >= spec.hi || p.max_val < spec.lo) continue;
-      // A boundary partition whose zone map sits inside [lo, hi) is consumed
-      // predicate-free, exactly like a middle partition (paper Fig. 3c).
-      check = (t == first || t == last) &&
-              !(p.min_val >= spec.lo && p.max_val < spec.hi);
-    }
-    exec::SpecRows rows;
-    rows.keys = chunk.raw_data().data() + p.begin;
-    rows.n = p.size;
-    rows.base = static_cast<uint32_t>(p.begin);
-    rows.cols = &ch.payload;
-    rows.key_check = check;
-    if (enc != nullptr) {
-      // Payload zone maps (per-partition min/max per column): a predicate
-      // whose range is disjoint from the zone skips the partition without
-      // touching a value; a zone fully inside the predicate range proves the
-      // predicate for every live row, so it is dropped from this run
-      // (blind consume) via the override span.
-      if (!spec.predicates.empty() &&
-          spec.predicates.size() <= kMaxLocalPreds &&
-          !enc->payload_zones.empty()) {
-        bool skip = false;
-        size_t np = 0;
-        for (const PredicateSpec& pr : spec.predicates) {
-          const PayloadZone z = enc->payload_zones[pr.col][t];
-          if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
-            skip = true;
-            break;
-          }
-          if (pr.lo <= z.min && z.max <= pr.hi) continue;  // always true
-          local_preds[np++] = pr;
-        }
-        if (skip) {
-          ++chunk.stats().payload_partitions_pruned;
-          continue;
-        }
-        if (np < spec.predicates.size()) {
-          rows.preds = local_preds;
-          rows.npreds = np;
-          rows.preds_override = true;
-        }
-      }
-      rows.packed = &enc->payload;
-      rows.packed_base = enc->live_prefix[t];
-      if (any_packed) ++chunk.stats().compressed_payload_scans;
-    }
-    out.Merge(exec::EvalSpecRows(spec, rows));
-  }
-  return out;
+      wants_encoding ? CompressedFor(c, ch) : nullptr;
+  return ScanPartitions(
+      spec, PartitionSource::Resident(ch.keys, ch.payload, enc.get()), stats);
 }
 
 void PartitionedTable::LookupBatch(const Value* keys, size_t n,
@@ -377,17 +260,7 @@ void PartitionedTable::LookupBatch(const Value* keys, size_t n,
   // Tiny runs (a single point query between batch barriers) skip the
   // O(num_chunks) bucketing and probe directly.
   if (n <= 2) {
-    for (size_t i = 0; i < n; ++i) {
-      const TableChunk& ch = *chunks_[RouteChunk(keys[i])];
-      SharedChunkGuard guard(ch.latch);
-      if (ch.evicted != nullptr) {
-        const persist::PersistedChunk pc = LoadEvicted(ch);
-        out_counts[i] = persist::PointLookupPersisted(pc, keys[i], nullptr, 0,
-                                                      &ch.keys.stats());
-        continue;
-      }
-      out_counts[i] = ch.keys.CountEqual(keys[i]);
-    }
+    for (size_t i = 0; i < n; ++i) out_counts[i] = PointLookup(keys[i]);
     return;
   }
   // Route once: bucket query indices by destination chunk, mirroring
@@ -422,24 +295,6 @@ void PartitionedTable::LookupBatch(const Value* keys, size_t n,
   } else {
     for (const size_t c : touched) probe_chunk(c);
   }
-}
-
-int64_t PartitionedTable::SumKeysRange(Value lo, Value hi) const {
-  int64_t sum = 0;
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    const bool is_last = (c + 1 == chunks_.size());
-    if (!is_last && chunk_uppers_[c] < lo) continue;
-    if (c > 0 && chunk_uppers_[c - 1] >= hi - 1) break;
-    const TableChunk& ch = *chunks_[c];
-    SharedChunkGuard guard(ch.latch);
-    if (ch.evicted != nullptr) {
-      const persist::PersistedChunk pc = LoadEvicted(ch);
-      sum += persist::SumKeysRangePersisted(pc, lo, hi, &ch.keys.stats());
-      continue;
-    }
-    sum += ch.keys.SumRange(lo, hi);
-  }
-  return sum;
 }
 
 void PartitionedTable::ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
@@ -660,17 +515,9 @@ void PartitionedTable::SnapshotChunkPartitionSizes(size_t c,
   out->clear();
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr) {
-    out->reserve(ch.evicted->parts.size());
-    for (const auto& p : ch.evicted->parts) {
-      out->push_back(static_cast<size_t>(p.size));
-    }
-    return;
-  }
-  out->reserve(ch.keys.num_partitions());
-  for (size_t t = 0; t < ch.keys.num_partitions(); ++t) {
-    out->push_back(ch.keys.partition(t).size);
-  }
+  const auto& parts =
+      ch.evicted != nullptr ? ch.evicted->parts : ch.keys.partitions();
+  for (const auto& p : parts) out->push_back(p.size);
 }
 
 bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
@@ -796,22 +643,13 @@ void PartitionedTable::SnapshotForPersistLocked(
     std::vector<Value>* live_keys,
     std::vector<std::vector<Payload>>* live_payload) const {
   const auto& chunk = ch.keys;
-  parts->clear();
-  parts->reserve(chunk.num_partitions());
+  *parts = chunk.partitions();
   live_keys->clear();
   live_keys->reserve(chunk.size());
   live_payload->assign(payload_cols_, {});
   for (auto& col : *live_payload) col.reserve(chunk.size());
   const std::vector<Value>& data = chunk.raw_data();
-  for (size_t t = 0; t < chunk.num_partitions(); ++t) {
-    const auto& p = chunk.partition(t);
-    persist::ChunkPartitionMeta meta;
-    meta.size = p.size;
-    meta.cap = p.cap;
-    meta.upper = p.upper;
-    meta.min_val = p.min_val;
-    meta.max_val = p.max_val;
-    parts->push_back(meta);
+  for (const auto& p : chunk.partitions()) {
     for (size_t s = p.begin; s < p.begin + p.size; ++s) {
       live_keys->push_back(data[s]);
       for (size_t col = 0; col < payload_cols_; ++col) {
@@ -933,23 +771,12 @@ uint64_t PartitionedTable::LayoutFingerprint() const {
   for (size_t c = 0; c < chunks_.size(); ++c) {
     const TableChunk& ch = *chunks_[c];
     SharedChunkGuard guard(ch.latch);
-    if (ch.evicted != nullptr) {
-      // Evicted chunks contribute the geometry recorded at eviction time:
-      // begins are prefix sums of caps (the contiguous-layout invariant), so
-      // the fingerprint is stable across evict/promote round trips.
-      mix(ch.evicted->parts.size());
-      uint64_t begin = 0;
-      for (const auto& p : ch.evicted->parts) {
-        mix(begin);
-        mix(p.cap);
-        mix(static_cast<uint64_t>(p.upper));
-        begin += p.cap;
-      }
-      continue;
-    }
-    mix(ch.keys.num_partitions());
-    for (size_t t = 0; t < ch.keys.num_partitions(); ++t) {
-      const auto& p = ch.keys.partition(t);
+    // Evicted chunks contribute the geometry recorded at eviction time, so
+    // the fingerprint is stable across evict/promote round trips.
+    const auto& parts =
+        ch.evicted != nullptr ? ch.evicted->parts : ch.keys.partitions();
+    mix(parts.size());
+    for (const auto& p : parts) {
       mix(p.begin);
       mix(p.cap);
       mix(static_cast<uint64_t>(p.upper));

@@ -75,40 +75,25 @@ class PartitionedTable {
   /// Q3: SUM over selected payload columns of rows with key in [lo, hi).
   int64_t SumPayloadRange(Value lo, Value hi, const std::vector<size_t>& cols) const;
 
-  /// Sum of keys in [lo, hi) (single-column aggregate).
-  int64_t SumKeysRange(Value lo, Value hi) const;
-
   // --- Per-chunk read surface (morsel-driven execution) ----------------------
-  // Each method is the chunk-c slice of the corresponding whole-table query:
-  // summing over all chunks (in any order) reproduces the serial answer. A
-  // chunk outside the key range contributes 0 after an O(1) bounds check.
+  // The chunk-c slice of a whole-table query: merging the slices of all
+  // chunks (in any order) reproduces the serial answer. A chunk outside the
+  // key range contributes 0 after an O(1) bounds check.
   // Every per-chunk read holds that chunk's latch shared and every write
   // holds it exclusive (see chunk_latch.h), so reads may overlap ingest and
   // chunk-disjoint write runs commit in parallel; the per-chunk access
   // counters are relaxed atomics on top of that.
 
-  /// COUNT(*) WHERE key in [lo, hi), restricted to chunk c. Once chunk c has
-  /// proven read-mostly (several scans at one write epoch), the count is
-  /// answered from a lazily built frame-of-reference encoding
-  /// (CompressedChunkCache) — scan-on-compressed via the packed kernels —
-  /// and any write to the chunk invalidates the encoding through its epoch.
-  uint64_t CountRangeInChunk(size_t c, Value lo, Value hi) const;
-
-  /// Full scan of chunk c: live rows, no range predicate — covers the whole
-  /// key domain including both edges (the ScanAll read path).
-  uint64_t ScanChunk(size_t c) const;
-
-  /// SUM over `cols` WHERE key in [lo, hi), restricted to chunk c.
-  int64_t SumPayloadRangeInChunk(size_t c, Value lo, Value hi,
-                                 const std::vector<size_t>& cols) const;
-
   /// The chunk-c slice of an arbitrary ScanSpec (exec/scan_spec.h) — the
-  /// generic per-chunk read behind LayoutEngine::ScanSpecShard (this is how
-  /// the Q6 shape and every other predicate/aggregate composition read the
-  /// table now). The predicate-free count shape keeps its dedicated path
-  /// above (compressed-cache answers, stats accounting); everything else
-  /// runs partition-by-partition with the same zone-map skip/blind-consume
-  /// logic, evaluating predicates and aggregates through the kernel layer.
+  /// per-chunk read behind LayoutEngine::ScanSpecShard, and the only one:
+  /// counts, sums, the Q6 shape, min/max/avg and full scans all come here.
+  /// Under the chunk's shared latch it builds a PartitionSource view — from
+  /// the resident arrays plus the chunk's cached encoding, or from the tier
+  /// file of an evicted chunk — and hands it to ScanPartitions
+  /// (storage/partition_scan.h), the one partition walk for every tier.
+  /// Once chunk c has proven read-mostly (several range scans at one write
+  /// epoch), the CompressedChunkCache encodes it and later scans run on the
+  /// packed columns; any write invalidates the encoding through the epoch.
   ScanPartial ScanSpecInChunk(size_t c, const ScanSpec& spec) const;
 
   /// Whole-table ScanSpec evaluation with the serial chunk walk's early
@@ -262,10 +247,13 @@ class PartitionedTable {
   // --- Tiered storage (persist/) ---------------------------------------------
   // A chunk is either resident (keys + payload in memory) or evicted (its
   // data lives in a .cspr tier file; only an EvictedChunkState summary stays
-  // resident). Reads on evicted chunks answer from the file through the cold
-  // scan paths (persist/cold_scan.h) with zone-map pushdown — no
-  // materialization; any write to an evicted chunk promotes it first, under
-  // the same exclusive latch the write already holds.
+  // resident). Scans on evicted chunks read the parsed file through the same
+  // partition evaluator as resident chunks (storage/partition_scan.h), with
+  // the same zone-map pruning; each surviving partition's referenced columns
+  // are decoded into scratch, its keys only at the range's boundary
+  // partitions. Point lookups use persist/cold_scan.h. Any write to an
+  // evicted chunk promotes it first, under the same exclusive latch the
+  // write already holds.
 
   /// Demotes chunk c to `path` (one durable .cspr file) and releases its
   /// in-memory storage, under the chunk's exclusive latch. Returns false

@@ -91,17 +91,6 @@ TEST(ColumnChunk, RangeCountMatchesReference) {
   }
 }
 
-TEST(ColumnChunk, SumAndMaterializeRange) {
-  std::vector<Value> data = Iota(50, 1);
-  Chunk c = Chunk::Build(data, {10, 20, 20});
-  EXPECT_EQ(c.SumRange(1, 51), 50 * 51 / 2);
-  EXPECT_EQ(c.SumRange(10, 20), 10 + 11 + 12 + 13 + 14 + 15 + 16 + 17 + 18 + 19);
-  std::vector<Value> out;
-  c.MaterializeRange(5, 8, &out);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<Value>{5, 6, 7}));
-}
-
 TEST(ColumnChunk, InsertIntoGhostSlotIsLocal) {
   Chunk::Options opts;
   Chunk c = Chunk::Build(Iota(12, 0, 10), {4, 4, 4}, {2, 2, 2}, opts);

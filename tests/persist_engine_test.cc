@@ -14,6 +14,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -104,6 +105,15 @@ void ExpectSameAnswers(const CasperEngine& a, const CasperEngine& b,
     EXPECT_EQ(a.MinBetween(lo, hi, 0), b.MinBetween(lo, hi, 0));
     EXPECT_EQ(a.MaxBetween(lo, hi, 1), b.MaxBetween(lo, hi, 1));
     EXPECT_EQ(a.AvgBetween(lo, hi, 0), b.AvgBetween(lo, hi, 0));
+    // A payload predicate: on evicted chunks it runs the payload-zone prune
+    // and the predicate filter over the packed file columns.
+    ScanSpec pred = ScanSpec::Sum(lo, hi, {0});
+    const Payload plo = static_cast<Payload>(lo % 10000);
+    pred.predicates.push_back({1, plo, plo + 2500});
+    const ScanPartial pa_scan = a.ExecuteScan(pred);
+    const ScanPartial pb_scan = b.ExecuteScan(pred);
+    EXPECT_EQ(pa_scan.sum, pb_scan.sum);
+    EXPECT_EQ(pa_scan.count, pb_scan.count);
 
     const Value key = static_cast<Value>(rng.Next() % kDomain);
     std::vector<Payload> pa, pb;
@@ -712,6 +722,331 @@ TEST(TierManager, RidesTheMaintenanceCycle) {
   EXPECT_EQ(resident, 0u);  // budget of 1 byte: every chunk demoted
   CasperEngine ref = CasperEngine::Open(BaseOptions(d, ""));
   ExpectSameAnswers(e, ref, 67, 40);
+  std::system(("rm -rf " + dir).c_str());
+}
+
+
+// ---- (5) One partition walk across hot, warm and cold chunks ---------------
+//
+// The same fixed-seed spec set runs on resident chunks without an encoding
+// (hot), on resident chunks answering from their cached encoding (warm) and
+// on evicted chunks (cold). Every answer must equal brute force, and each
+// shape's per-chunk counter delta is pinned exactly: the tier manager's heat
+// and the encoding advisor read these counters, so a refactor of the scan
+// paths must not move them.
+
+constexpr size_t kTierChunkRows = 8192;  // at least the cache's min_rows
+constexpr size_t kTierChunks = 3;
+constexpr size_t kTierParts = 16;
+
+struct TierData {
+  std::vector<Value> keys;
+  /// {0: quantity, 1: discount, 2: price}, the Q6 column convention.
+  std::vector<std::vector<Payload>> payload;
+};
+
+TierData MakeTierData() {
+  TierData d;
+  Rng rng(2024);
+  const size_t rows = kTierChunkRows * kTierChunks;
+  d.payload.resize(3);
+  for (size_t i = 0; i < rows; ++i) {
+    const Value key = static_cast<Value>(4 * i + rng.Next() % 4);
+    d.keys.push_back(key);
+    d.payload[0].push_back(static_cast<Payload>((key * 7) % 50));
+    // Discount follows the key, so partitions carry narrow discount zones
+    // that payload predicates can prune or fully cover.
+    d.payload[1].push_back(static_cast<Payload>((key / 1500) % 11));
+    d.payload[2].push_back(static_cast<Payload>(1000 + (key * 31) % 9000));
+  }
+  return d;
+}
+
+PartitionedLayout MakeTierLayout(const TierData& d) {
+  PartitionedTable::ChunkLayoutSpec spec;
+  spec.partition_sizes.assign(kTierParts, kTierChunkRows / kTierParts);
+  spec.ghosts.assign(kTierParts, 4);
+  PartitionedTable::Options opts;
+  opts.chunk_values = kTierChunkRows;
+  return PartitionedLayout(
+      LayoutMode::kEquiWidthGhost,
+      PartitionedTable::Build(d.keys, d.payload,
+                              std::vector<PartitionedTable::ChunkLayoutSpec>(
+                                  kTierChunks, spec),
+                              opts));
+}
+
+ScanPartial BruteForce(const TierData& d, const ScanSpec& spec) {
+  ScanPartial out;
+  for (size_t r = 0; r < d.keys.size(); ++r) {
+    if (!spec.full_domain && (d.keys[r] < spec.lo || d.keys[r] >= spec.hi)) {
+      continue;
+    }
+    bool keep = true;
+    for (const PredicateSpec& p : spec.predicates) {
+      const Payload v = d.payload[p.col][r];
+      keep = keep && p.lo <= v && v <= p.hi;
+    }
+    if (!keep) continue;
+    const auto col = [&](size_t i) { return d.payload[spec.agg.cols[i]][r]; };
+    switch (spec.agg.kind) {
+      case AggKind::kCount:
+        ++out.count;
+        break;
+      case AggKind::kSum:
+        for (const size_t c : spec.agg.cols) out.sum += d.payload[c][r];
+        break;
+      case AggKind::kSumProduct:
+        out.sum += static_cast<uint64_t>(static_cast<int64_t>(col(0)) *
+                                         static_cast<int64_t>(col(1)));
+        break;
+      case AggKind::kMin:
+        out.min = std::min(out.min, col(0));
+        ++out.count;
+        break;
+      case AggKind::kMax:
+        out.max = std::max(out.max, col(0));
+        ++out.count;
+        break;
+      case AggKind::kAvg:
+        out.sum += col(0);
+        ++out.count;
+        break;
+    }
+  }
+  return out;
+}
+
+struct TierShape {
+  const char* name;
+  std::vector<ScanSpec> specs;
+};
+
+/// At most seven specs per shape: the hot tier runs each shape on a fresh
+/// table, and eight range scans at one epoch would build an encoding.
+std::vector<TierShape> TierShapes() {
+  const Value domain = static_cast<Value>(4 * kTierChunkRows * kTierChunks);
+  Rng rng(77);
+  const auto range = [&](Value* lo, Value* hi) {
+    *lo = static_cast<Value>(rng.Next() % (domain + 100)) - 50;
+    const Value widths[] = {300, 6000, domain};
+    const Value width = widths[rng.Next() % 3];
+    *hi = *lo + static_cast<Value>(rng.Next() % width) + 1;
+  };
+  std::vector<TierShape> shapes;
+  const auto add = [&](const char* name, auto make, int n = 6) {
+    TierShape s{name, {}};
+    for (int i = 0; i < n; ++i) {
+      Value lo = 0, hi = 0;
+      range(&lo, &hi);
+      s.specs.push_back(make(lo, hi));
+    }
+    shapes.push_back(std::move(s));
+  };
+  add("count", [](Value lo, Value hi) { return ScanSpec::Count(lo, hi); });
+  add("sum", [](Value lo, Value hi) { return ScanSpec::Sum(lo, hi, {0, 2}); });
+  add(
+      "q6",
+      [&](Value lo, Value hi) {
+        const Payload disc = static_cast<Payload>(rng.Next() % 11);
+        return ScanSpec::Q6(lo, hi, disc, disc + 1,
+                            static_cast<Payload>(rng.Next() % 50));
+      },
+      4);
+  // Q6 edge shapes: discount outside every zone (each partition pruned),
+  // predicates covering every zone (each predicate dropped), and the
+  // quantity < 0 predicate that admits nothing.
+  shapes.back().specs.push_back(ScanSpec::Q6(-50, domain + 50, 20, 30, 25));
+  shapes.back().specs.push_back(ScanSpec::Q6(1000, domain - 1000, 0, 10, 50));
+  shapes.back().specs.push_back(ScanSpec::Q6(0, domain, 0, 10, 0));
+  add("min", [](Value lo, Value hi) { return ScanSpec::Min(lo, hi, 2); });
+  add("max", [](Value lo, Value hi) { return ScanSpec::Max(lo, hi, 1); });
+  add("avg", [](Value lo, Value hi) { return ScanSpec::Avg(lo, hi, 0); });
+  ScanSpec full_sum = ScanSpec::Sum(0, 0, {2});
+  full_sum.full_domain = true;
+  shapes.push_back({"full", {ScanSpec::FullScan(), full_sum}});
+  shapes.push_back({"empty",
+                    {ScanSpec::Count(5, 5), ScanSpec::Sum(10, 3, {0}),
+                     ScanSpec::Q6(7, 7, 0, 10, 50), ScanSpec::Min(9, 9, 0)}});
+  return shapes;
+}
+
+/// The nonzero counters of one chunk's delta, e.g. "reads=12 scanned=3".
+std::string DeltaString(const ChunkStatsSnapshot& a, const ChunkStatsSnapshot& b) {
+  std::string out;
+  const auto field = [&](const char* name, uint64_t before, uint64_t after) {
+    if (after == before) return;
+    if (!out.empty()) out += ' ';
+    out += std::string(name) + '=' + std::to_string(after - before);
+  };
+  field("reads", a.element_reads, b.element_reads);
+  field("writes", a.element_writes, b.element_writes);
+  field("ripples", a.ripple_steps, b.ripple_steps);
+  field("scanned", a.partitions_scanned, b.partitions_scanned);
+  field("pruned", a.partitions_pruned, b.partitions_pruned);
+  field("blocks", a.blocks_scanned, b.blocks_scanned);
+  field("cscans", a.compressed_scans, b.compressed_scans);
+  field("cpscans", a.compressed_payload_scans, b.compressed_payload_scans);
+  field("ppruned", a.payload_partitions_pruned, b.payload_partitions_pruned);
+  field("grows", a.grows, b.grows);
+  field("evictions", a.evictions, b.evictions);
+  field("promotions", a.promotions, b.promotions);
+  field("disk_reads", a.disk_reads, b.disk_reads);
+  field("disk_bytes", a.disk_bytes_read, b.disk_bytes_read);
+  return out;
+}
+
+/// Runs one shape, checks every answer against brute force, and returns the
+/// per-chunk counter deltas joined by " | ".
+std::string RunShape(const PartitionedLayout& layout, const TierData& d,
+                     const TierShape& shape, const char* tier) {
+  const StatsSnapshotRegistry before = layout.StatsSnapshots();
+  for (size_t i = 0; i < shape.specs.size(); ++i) {
+    const ScanSpec& spec = shape.specs[i];
+    const ScanPartial got = layout.ExecuteScan(spec);
+    const ScanPartial want = BruteForce(d, spec);
+    EXPECT_EQ(got.count, want.count) << tier << " " << shape.name << " #" << i;
+    EXPECT_EQ(got.sum, want.sum) << tier << " " << shape.name << " #" << i;
+    EXPECT_EQ(got.min, want.min) << tier << " " << shape.name << " #" << i;
+    EXPECT_EQ(got.max, want.max) << tier << " " << shape.name << " #" << i;
+  }
+  const StatsSnapshotRegistry after = layout.StatsSnapshots();
+  std::string out;
+  for (size_t c = 0; c < after.per_chunk.size(); ++c) {
+    if (c > 0) out += " | ";
+    out += DeltaString(before.per_chunk[c], after.per_chunk[c]);
+  }
+  return out;
+}
+
+TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
+  const TierData d = MakeTierData();
+  const std::vector<TierShape> shapes = TierShapes();
+  struct Expected {
+    const char* hot;
+    const char* warm;
+    const char* cold;
+  };
+  // Per-chunk counter deltas per shape and tier.
+  const std::vector<Expected> expected = {
+      // count
+      {
+          "reads=1536 scanned=3 | "
+          "reads=512 scanned=1 | "
+          "reads=1536 scanned=18",
+          "reads=1536 scanned=3 pruned=29 cscans=2 | "
+          "reads=512 scanned=1 pruned=15 cscans=1 | "
+          "reads=1536 scanned=18 pruned=30 cscans=3",
+          "reads=1536 scanned=3 pruned=29 cscans=2 disk_reads=2 disk_bytes=76048 | "
+          "reads=512 scanned=1 pruned=15 cscans=1 disk_reads=1 disk_bytes=38024 | "
+          "reads=1536 scanned=18 pruned=30 cscans=3 disk_reads=3 disk_bytes=114072"
+      },
+      // sum
+      {
+          " |  | ",
+          " | "
+          "cpscans=15 | "
+          "cpscans=23",
+          " | "
+          "reads=7680 cpscans=15 disk_reads=3 disk_bytes=114072 | "
+          "reads=11776 cpscans=23 disk_reads=4 disk_bytes=152096"
+      },
+      // q6
+      {
+          " |  | ",
+          "cpscans=18 ppruned=35 | "
+          "cpscans=27 ppruned=48 | "
+          "cpscans=28 ppruned=50",
+          "reads=9216 cpscans=18 ppruned=35 disk_reads=4 disk_bytes=152096 | "
+          "reads=13824 cpscans=27 ppruned=48 disk_reads=5 disk_bytes=190120 | "
+          "reads=14336 cpscans=28 ppruned=50 disk_reads=7 disk_bytes=266168"
+      },
+      // min
+      {
+          " |  | ",
+          "cpscans=10 | "
+          "cpscans=16 | "
+          "cpscans=37",
+          "reads=5120 cpscans=10 disk_reads=2 disk_bytes=76048 | "
+          "reads=8192 cpscans=16 disk_reads=1 disk_bytes=38024 | "
+          "reads=18944 cpscans=37 disk_reads=5 disk_bytes=190120"
+      },
+      // max
+      {
+          " |  | ",
+          "cpscans=1 | "
+          "cpscans=14 | "
+          "cpscans=29",
+          "reads=512 cpscans=1 disk_reads=1 disk_bytes=38024 | "
+          "reads=7168 cpscans=14 disk_reads=3 disk_bytes=114072 | "
+          "reads=14848 cpscans=29 disk_reads=3 disk_bytes=114072"
+      },
+      // avg
+      {
+          " |  | ",
+          " | "
+          "cpscans=12 | "
+          "cpscans=7",
+          " | "
+          "reads=6144 cpscans=12 disk_reads=4 disk_bytes=152096 | "
+          "reads=3584 cpscans=7 disk_reads=3 disk_bytes=114072"
+      },
+      // full
+      {
+          "scanned=16 | "
+          "scanned=16 | "
+          "scanned=16",
+          "scanned=16 cpscans=16 | "
+          "scanned=16 cpscans=16 | "
+          "scanned=16 cpscans=16",
+          "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048 | "
+          "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048 | "
+          "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048"
+      },
+      // empty
+      {
+          " |  | ",
+          " |  | ",
+          " |  | "
+      },
+  };
+  ASSERT_EQ(expected.size(), shapes.size());
+
+  // Hot: a fresh table per shape, so no chunk collects enough range scans to
+  // build its encoding.
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    const PartitionedLayout hot = MakeTierLayout(d);
+    EXPECT_EQ(RunShape(hot, d, shapes[s], "hot"), expected[s].hot)
+        << "hot " << shapes[s].name;
+    for (size_t c = 0; c < kTierChunks; ++c) {
+      EXPECT_FALSE(hot.table().compressed_cache().HasEncoding(c));
+    }
+  }
+
+  // Warm: repeated range counts make every chunk read-mostly, so each one
+  // answers from its cached encoding.
+  PartitionedLayout layout = MakeTierLayout(d);
+  for (int i = 0; i < 8; ++i) layout.ExecuteScan(ScanSpec::Count(-1, 1 << 20));
+  for (size_t c = 0; c < kTierChunks; ++c) {
+    ASSERT_TRUE(layout.table().compressed_cache().HasEncoding(c)) << c;
+  }
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    EXPECT_EQ(RunShape(layout, d, shapes[s], "warm"), expected[s].warm)
+        << "warm " << shapes[s].name;
+  }
+
+  // Cold: every chunk evicted to its tier file.
+  const std::string dir = FreshDir("tier_equivalence");
+  ASSERT_TRUE(persist::EnsureDir(dir).ok());
+  PartitionedTable& table = layout.mutable_table();
+  for (size_t c = 0; c < kTierChunks; ++c) {
+    ASSERT_TRUE(
+        table.EvictChunk(c, dir + "/chunk_" + std::to_string(c) + ".cspr"));
+  }
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    EXPECT_EQ(RunShape(layout, d, shapes[s], "cold"), expected[s].cold)
+        << "cold " << shapes[s].name;
+  }
   std::system(("rm -rf " + dir).c_str());
 }
 

@@ -89,12 +89,10 @@ TEST(Table, CrossChunkRangeAggregates) {
 TEST(Table, SumsAgreeWithScan) {
   Table t = MakeTable(4096, 2, 1024, 8, 2, 4);
   const Value lo = 1000, hi = 9000;
-  int64_t expect_keys = 0, expect_pay = 0;
-  t.ForEachRowInRange(lo, hi, [&](size_t ci, uint32_t slot, Value key) {
-    expect_keys += key;
+  int64_t expect_pay = 0;
+  t.ForEachRowInRange(lo, hi, [&](size_t ci, uint32_t slot, Value) {
     expect_pay += t.payload(ci, 0, slot) + t.payload(ci, 1, slot);
   });
-  EXPECT_EQ(t.SumKeysRange(lo, hi), expect_keys);
   EXPECT_EQ(t.SumPayloadRange(lo, hi, {0, 1}), expect_pay);
 }
 

@@ -22,11 +22,12 @@ CountPackedInRange, SumPacked, ...) are single-implementation by design —
 they work on bit-packed words where the unpack IS the kernel — and are only
 checked for test coverage (rule 5).
 
-Rule 6 covers the tiered-storage consumers: everything under src/persist/
-(the cold-scan path runs the same packed kernels over chunk files) must call
-kernels through the top-level dispatched entry points — a direct scalar:: or
-avx2:: call there would silently pin cold scans to one implementation and
-skip the runtime dispatch the parity contract exists to protect.
+Rule 6 covers the storage and tiered-storage consumers: everything under
+src/storage/ and src/persist/ (the partition evaluator in src/storage/ runs
+hot, warm and cold scans, cold ones over chunk files) must call kernels
+through the top-level dispatched entry points — a direct scalar:: or avx2::
+call there would silently pin those scans to one implementation and skip the
+runtime dispatch the parity contract exists to protect.
 """
 
 import re
@@ -119,18 +120,21 @@ def main() -> int:
         if name not in test_text:
             errors.append(f"{TEST}: kernel {name} is never exercised")
 
-    # 6. the persistence layer (cold scans over chunk files) goes through the
-    #    dispatched entry points only — never a pinned scalar::/avx2:: call.
+    # 6. the storage and persistence layers (hot, warm and cold scans) go
+    #    through the dispatched entry points only — never a pinned
+    #    scalar::/avx2:: call.
     ns_call = re.compile(r"\b(scalar|avx2)::")
-    for path in sorted((root / "src" / "persist").rglob("*")):
-        if path.suffix not in (".h", ".cc"):
-            continue
-        rel = path.relative_to(root).as_posix()
-        for i, line in enumerate(strip_comments(path.read_text()).splitlines()):
-            if ns_call.search(line):
-                errors.append(
-                    f"{rel}:{i + 1}: persist code must use the dispatched "
-                    f"kernels:: entry points, not scalar::/avx2:: directly")
+    for layer in ("storage", "persist"):
+        for path in sorted((root / "src" / layer).rglob("*")):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = strip_comments(path.read_text())
+            for i, line in enumerate(text.splitlines()):
+                if ns_call.search(line):
+                    errors.append(
+                        f"{rel}:{i + 1}: {layer} code must use the dispatched "
+                        f"kernels:: entry points, not scalar::/avx2:: directly")
 
     if errors:
         for e in errors:
