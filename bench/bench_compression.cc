@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "compression/dictionary.h"
 #include "compression/frame_of_reference.h"
 #include "compression/packed_column.h"
 #include "exec/scan_kernels.h"
@@ -43,17 +42,17 @@ int Main() {
     auto ds = hap::MakeDataset(rows, 2, rng);
     std::sort(ds.keys.begin(), ds.keys.end());
     FrameOfReferenceColumn keys_for(ds.keys, size_t{2048});
-    std::vector<Value> pay(ds.payload[0].begin(), ds.payload[0].end());
-    DictionaryColumn pay_dict(pay);
+    const auto pay_dict =
+        PackedPayloadColumn::Encode(ds.payload[0], PayloadEncoding::kDictionary);
     const double key_ratio = keys_for.CompressionRatio();
     // Payload columns are 4-byte in the HAP schema; ratio vs 32 bits.
     const double pay_ratio =
-        32.0 / std::max(1u, pay_dict.bit_width());
+        32.0 / std::max(1u, pay_dict->bit_width());
     std::printf("  key column, FOR frames=2048:    %4.2fx (%.1f bits/value)\n",
                 key_ratio, keys_for.MeanBitsPerValue());
     std::printf("  payload column, dictionary:     %4.2fx (%u bits/code, %zu "
                 "distinct)\n",
-                pay_ratio, pay_dict.bit_width(), pay_dict.dictionary_size());
+                pay_ratio, pay_dict->bit_width(), pay_dict->dictionary_size());
     const double combined =
         (8 + 4 + 4) / (8 / key_ratio + 4 / pay_ratio + 4 / pay_ratio);
     std::printf("  combined (1 key + 2 payloads):  %4.2fx   (paper: ~2.5x)\n",
@@ -110,14 +109,15 @@ int Main() {
     auto t = tpch::MakeLineitem(rows, rng);
     std::sort(t.shipdate.begin(), t.shipdate.end());
     FrameOfReferenceColumn dates(t.shipdate, size_t{2048});
-    std::vector<Value> qty(t.payload[0].begin(), t.payload[0].end());
-    std::vector<Value> disc(t.payload[1].begin(), t.payload[1].end());
+    const auto qty_d =
+        PackedPayloadColumn::Encode(t.payload[0], PayloadEncoding::kDictionary);
+    const auto disc_d =
+        PackedPayloadColumn::Encode(t.payload[1], PayloadEncoding::kDictionary);
     std::vector<Value> price(t.payload[2].begin(), t.payload[2].end());
-    DictionaryColumn qty_d(qty), disc_d(disc);
     FrameOfReferenceColumn price_f(price, size_t{2048});
     const double date_r = dates.CompressionRatio();
-    const double qty_r = 32.0 / std::max(1u, qty_d.bit_width());
-    const double disc_r = 32.0 / std::max(1u, disc_d.bit_width());
+    const double qty_r = 32.0 / std::max(1u, qty_d->bit_width());
+    const double disc_r = 32.0 / std::max(1u, disc_d->bit_width());
     const double price_r =
         32.0 / std::max(1.0, price_f.MeanBitsPerValue());
     std::printf("  shipdate FOR: %4.2fx  quantity dict: %4.2fx  discount dict: "

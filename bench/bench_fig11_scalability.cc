@@ -123,7 +123,11 @@ void ScanThreadsAxis(JsonMetrics* json) {
   double base_ms = 0.0;
   for (const size_t threads : ThreadSweep()) {
     ThreadPool pool(threads);
+    // As many untimed pooled rounds as timed ones first, so the row that
+    // runs first (the 1-thread baseline) pays none of the engine's one-time
+    // warm-up; at full scale that warm-up spans more than one round.
     uint64_t checksum = 0;
+    for (size_t r = 0; r < rounds; ++r) checksum = run_queries(&pool);
     Stopwatch sw;
     for (size_t r = 0; r < rounds; ++r) checksum = run_queries(&pool);
     const double ms = sw.ElapsedMillis();
@@ -191,7 +195,11 @@ void ConcurrentQueriesAxis(JsonMetrics* json) {
   for (const size_t threads : ThreadSweep()) {
     ThreadPool pool(threads);
     const MixedWorkloadRunner runner(&pool);
+    // Untimed warm-up rounds, as on the scan axis.
     std::vector<uint64_t> results;
+    for (size_t r = 0; r < rounds; ++r) {
+      results = runner.Run(*engine, queries).results;
+    }
     Stopwatch sw;
     for (size_t r = 0; r < rounds; ++r) {
       results = runner.Run(*engine, queries).results;

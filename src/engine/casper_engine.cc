@@ -31,7 +31,8 @@ Status ValidateEngineOptions(const EngineOptions& options) {
       return Status::InvalidArgument(
           "maintenance.capture_interval must be positive for background mode");
     }
-    if (options.maintenance.decay < 0.0 || options.maintenance.decay > 1.0) {
+    // Written so that NaN fails too (every comparison with NaN is false).
+    if (!(options.maintenance.decay >= 0.0 && options.maintenance.decay <= 1.0)) {
       return Status::InvalidArgument("maintenance.decay must be in [0, 1]");
     }
   }
@@ -57,7 +58,7 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument(
         "persist.journal_fsync_every must be >= 1 (0 would never sync)");
   }
-  if (p.tier_decay < 0.0 || p.tier_decay > 1.0) {
+  if (!(p.tier_decay >= 0.0 && p.tier_decay <= 1.0)) {
     return Status::InvalidArgument("persist.tier_decay must be in [0, 1]");
   }
   const persist::StoreLayout store(p.storage_dir);

@@ -223,7 +223,7 @@ class CasperEngine {
   /// MixedResult::quiescent reports whether an outside writer overlapped it.
   MixedResult RunMixed(const std::vector<Operation>& ops);
 
-  /// Commit-timestamp oracle shared by mixed runs (txn-layer ordering).
+  /// Commit-timestamp oracle shared by mixed runs; it stamps write items.
   TimestampOracle& oracle() { return *oracle_; }
 
   LayoutMode mode() const { return engine_->mode(); }

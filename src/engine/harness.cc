@@ -7,6 +7,13 @@
 #include "util/stopwatch.h"
 
 namespace casper {
+namespace {
+
+/// Seed of the random payload attached to inserted rows when
+/// HarnessOptions::key_derived_payload is off.
+constexpr uint64_t kInsertPayloadSeed = 0xC0FFEE;
+
+}  // namespace
 
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops,
                           const HarnessOptions& options) {
@@ -14,16 +21,10 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
   result.ops = ops.size();
   for (auto& rec : result.latency) rec.Reserve(ops.size() / 4 + 1);
 
-  Rng payload_rng(options.payload_seed);
-  const size_t pcols = engine.num_payload_columns();
-  std::vector<Payload> payload(pcols);
+  Rng payload_rng(kInsertPayloadSeed);
+  std::vector<Payload> payload(engine.num_payload_columns());
   std::vector<Payload> row_out;
-
-  // Q3 columns clipped to the table's width.
-  std::vector<size_t> q3_cols;
-  for (const size_t c : options.q3_columns) {
-    if (c < pcols) q3_cols.push_back(c);
-  }
+  const std::vector<size_t> q3_cols = DefaultSumColumns(engine);
 
   // One spec per aggregate shape for the whole replay — only the key range
   // mutates per op, so the hot loop never re-allocates the column lists.
@@ -92,14 +93,11 @@ HarnessResult RunWorkloadMixed(LayoutEngine& engine,
                                const HarnessOptions& options) {
   HarnessResult result;
   result.ops = ops.size();
-  // Same Q3 column clipping as the serial replay, so checksums line up.
-  std::vector<size_t> q3_cols;
-  for (const size_t c : options.q3_columns) {
-    if (c < engine.num_payload_columns()) q3_cols.push_back(c);
-  }
+  // Sums DefaultSumColumns(engine), as the serial replay does, so checksums
+  // line up.
   const MixedWorkloadRunner runner(options.pool);
   Stopwatch total;
-  result.checksum = runner.Run(engine, ops, q3_cols).checksum;
+  result.checksum = runner.Run(engine, ops).checksum;
   result.seconds = total.ElapsedSeconds();
   return result;
 }

@@ -38,11 +38,8 @@ struct HarnessResult {
 struct HarnessOptions {
   /// Record per-op latency (tiny overhead; disable for pure throughput).
   bool record_latency = true;
-  /// Payload columns summed by Q3 (defaults to the first two).
-  std::vector<size_t> q3_columns = {0, 1};
-  /// Seed for the synthetic payload attached to inserted rows.
-  uint64_t payload_seed = 0xC0FFEE;
-  /// Derive inserted payloads from the key instead of the seed:
+  /// Derive inserted payloads from the key instead of a fixed-seed random
+  /// stream:
   /// payload[c] = (key * (c + 1)) % 10000. Makes duplicate-key rows
   /// indistinguishable, so layouts that delete different physical duplicates
   /// still produce identical aggregates (cross-layout correctness checks).
@@ -53,7 +50,8 @@ struct HarnessOptions {
 };
 
 /// Replays `ops` sequentially against `engine`, one operation at a time —
-/// the serial reference every parallel path is checked against.
+/// the serial reference every parallel path is checked against. Range
+/// aggregates sum DefaultSumColumns(engine).
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops,
                           const HarnessOptions& options);
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops);

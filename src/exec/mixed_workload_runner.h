@@ -5,10 +5,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/chunk_snapshot.h"
 #include "exec/scan_spec.h"
 #include "layouts/layout_engine.h"
 #include "storage/types.h"
-#include "txn/mvcc.h"
 #include "workload/ops.h"
 
 namespace casper {
@@ -33,7 +33,7 @@ struct MixedResult {
   /// Highest commit timestamp stamped on a write run (0 without an oracle).
   uint64_t last_commit_ts = 0;
   /// For a read-only stream: true iff no *external* writer advanced any
-  /// chunk epoch during the run (txn::ChunkSnapshot validation) — i.e. the
+  /// chunk epoch during the run (ChunkSnapshot validation) — i.e. the
   /// results are serial-equivalent, not merely bounded-stale. Streams with
   /// writes are always serial-equivalent (the DAG orders conflicts) and
   /// report true.
@@ -70,7 +70,7 @@ struct MixedResult {
 /// per-chunk exclusive latches, so chunk-disjoint write runs from different
 /// items commit in parallel (multi-writer ingest). When a TimestampOracle is
 /// attached, each write item is stamped with a commit timestamp on
-/// completion, wiring the txn layer's ordering into the protocol.
+/// completion (MixedResult::last_commit_ts reports the highest).
 class MixedWorkloadRunner {
  public:
   explicit MixedWorkloadRunner(ThreadPool* pool = nullptr,

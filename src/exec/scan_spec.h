@@ -108,6 +108,10 @@ struct ScanSpec {
   /// An empty key range qualifies no rows (full-domain specs never do).
   bool EmptyKeyRange() const { return !full_domain && lo >= hi; }
 
+  /// True when evaluation reads payload columns (a predicate or an aggregate
+  /// column), i.e. when a packed payload encoding can serve it.
+  bool TouchesPayload() const { return !predicates.empty() || !agg.cols.empty(); }
+
   /// True when every referenced payload column exists in a table of `pcols`
   /// payload columns AND the aggregate carries the arity its kind reads
   /// (kSumProduct: 2 columns; kMin/kMax/kAvg: 1). Degenerate specs evaluate

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "exec/scan_kernels.h"
-#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
@@ -75,19 +74,7 @@ CompressedChunkCache::EncodingPtr DeltaStoreLayout::CompressedMain(
         // The analysis can't see through GetOrBuild that this callback runs
         // on the caller's thread with the engine latch still held shared.
         engine_latch_.AssertReaderHeld();
-        auto enc = std::make_shared<ChunkEncoding>();
-        enc->keys =
-            std::make_shared<FrameOfReferenceColumn>(main_keys_, size_t{4096});
-        // Positional encode, deleted slots included: values at tombstoned
-        // positions are junk the evaluator never consults (the tombstone
-        // filter precedes packed refinement), and including them keeps
-        // packed row == main-store position.
-        enc->payload.resize(main_payload_.size());
-        for (size_t c = 0; c < main_payload_.size(); ++c) {
-          enc->payload[c] = AdvisePayloadEncoding(main_payload_[c],
-                                                  /*reads=*/1, /*writes=*/0);
-        }
-        return enc;
+        return EncodeSingleStore(main_keys_, main_payload_);
       });
 }
 
@@ -114,7 +101,7 @@ ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
   // Packed payload columns serve the main window directly (packed row ==
   // main-store position); keep the snapshot alive across the evaluation.
   CompressedChunkCache::EncodingPtr enc;
-  if (!spec.predicates.empty() || !spec.agg.cols.empty()) {
+  if (spec.TouchesPayload()) {
     enc = CompressedMain(count_vote);
     if (enc != nullptr) {
       rows.packed = &enc->payload;

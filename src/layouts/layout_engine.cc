@@ -1,5 +1,8 @@
 #include "layouts/layout_engine.h"
 
+#include "model/encoding_advisor.h"
+#include "storage/compressed_cache.h"
+
 namespace casper {
 
 void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out) {
@@ -15,6 +18,18 @@ std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine) {
   const size_t n = engine.num_payload_columns() < 2 ? engine.num_payload_columns() : 2;
   for (size_t c = 0; c < n; ++c) cols.push_back(c);
   return cols;
+}
+
+std::shared_ptr<const ChunkEncoding> EncodeSingleStore(
+    const std::vector<Value>& keys,
+    const std::vector<std::vector<Payload>>& payload) {
+  auto enc = std::make_shared<ChunkEncoding>();
+  enc->keys = std::make_shared<FrameOfReferenceColumn>(keys, size_t{4096});
+  enc->payload.resize(payload.size());
+  for (size_t c = 0; c < payload.size(); ++c) {
+    enc->payload[c] = AdvisePayloadEncoding(payload[c], /*reads=*/1, /*writes=*/0);
+  }
+  return enc;
 }
 
 ScanPartial LayoutEngine::ExecuteScan(const ScanSpec& spec) const {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 
 namespace casper {
 
+struct ChunkEncoding;
 class ThreadPool;
 
 /// The six operation modes evaluated in the paper (§7, Fig. 12):
@@ -179,7 +181,7 @@ class LayoutEngine {
   }
 
   /// The epoch/latch protecting `domain` — for epoch sniffing
-  /// (ChunkLatch::WriteActive) and snapshot validation (txn::ChunkSnapshot);
+  /// (ChunkLatch::WriteActive) and snapshot validation (ChunkSnapshot);
   /// the engine's own paths already latch internally.
   virtual const ChunkLatch& DomainLatch(size_t domain) const {
     (void)domain;
@@ -264,8 +266,8 @@ void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* resu
 /// Single-op convenience: derives DefaultSumColumns itself.
 void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* result);
 
-/// Payload columns aggregated by kRangeSum in batched execution: the first
-/// two, clipped to the table's width (the harness's q3 default).
+/// Payload columns aggregated by kRangeSum in batched execution and by the
+/// harness's Q3: the first two, clipped to the table's width.
 std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine);
 
 /// Qualifying positions [first, last) of [lo, hi) inside the `shard`-th
@@ -290,6 +292,18 @@ inline std::pair<size_t, size_t> SortedShardWindow(const std::vector<Value>& key
       b);
   return {first, last};
 }
+
+/// The compressed-cache encoding of one single-store layout (NoOrder, Sorted,
+/// the delta store's main store): FoR keys at 4096-row frames, plus each
+/// payload column through AdvisePayloadEncoding profiled as read-only (these
+/// layouts keep no read/write counters; the cache's read-mostly vote already
+/// gated the build). The columns are dense, so packed row == position and no
+/// live-row prefix is built. Every position is encoded: a delta store's
+/// tombstoned positions carry junk the evaluator never consults, because the
+/// tombstone filter precedes packed refinement.
+std::shared_ptr<const ChunkEncoding> EncodeSingleStore(
+    const std::vector<Value>& keys,
+    const std::vector<std::vector<Payload>>& payload);
 
 /// Shared ApplyBatch skeleton for layouts whose groupable runs are
 /// consecutive inserts and consecutive point queries (NoOrder, Sorted, delta

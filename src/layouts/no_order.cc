@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "exec/scan_kernels.h"
-#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
@@ -42,18 +41,7 @@ CompressedChunkCache::EncodingPtr NoOrderLayout::CompressedColumn(
         // The analysis can't see through GetOrBuild that this callback runs
         // on the caller's thread with the engine latch still held shared.
         engine_latch_.AssertReaderHeld();
-        auto enc = std::make_shared<ChunkEncoding>();
-        enc->keys = std::make_shared<FrameOfReferenceColumn>(keys_, size_t{4096});
-        // Insertion-order rows are dense, so slot i is packed row i — no
-        // live-row prefix needed. The layout keeps no per-chunk read/write
-        // counters; the cache's own read-mostly vote already gated the
-        // build, so profile the columns as read-only here.
-        enc->payload.resize(payload_.size());
-        for (size_t c = 0; c < payload_.size(); ++c) {
-          enc->payload[c] =
-              AdvisePayloadEncoding(payload_[c], /*reads=*/1, /*writes=*/0);
-        }
-        return enc;
+        return EncodeSingleStore(keys_, payload_);
       });
 }
 
@@ -103,7 +91,7 @@ ScanPartial NoOrderLayout::EvalRowsLocked(size_t begin, size_t end,
   // insertion-order rows are dense, so packed row == slot. The snapshot
   // must stay alive across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
-  if (!spec.predicates.empty() || !spec.agg.cols.empty()) {
+  if (spec.TouchesPayload()) {
     enc = CompressedColumn(count_vote);
     if (enc != nullptr) {
       rows.packed = &enc->payload;

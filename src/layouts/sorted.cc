@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "exec/scan_kernels.h"
-#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
@@ -45,17 +44,10 @@ CompressedChunkCache::EncodingPtr SortedLayout::CompressedColumn(
         // The analysis can't see through GetOrBuild that this callback runs
         // on the caller's thread with the engine latch still held shared.
         engine_latch_.AssertReaderHeld();
-        auto enc = std::make_shared<ChunkEncoding>();
         // Sorted keys give narrow FoR frames; the frame column only carries
         // the payoff gate and memory accounting here (counts stay on binary
         // search), the packed payload columns carry the scan win.
-        enc->keys = std::make_shared<FrameOfReferenceColumn>(keys_, size_t{4096});
-        enc->payload.resize(payload_.size());
-        for (size_t c = 0; c < payload_.size(); ++c) {
-          enc->payload[c] =
-              AdvisePayloadEncoding(payload_[c], /*reads=*/1, /*writes=*/0);
-        }
-        return enc;
+        return EncodeSingleStore(keys_, payload_);
       });
 }
 
@@ -78,7 +70,7 @@ ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
   // payload column serves this window directly. Keep the snapshot alive
   // across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
-  if (!spec.predicates.empty() || !spec.agg.cols.empty()) {
+  if (spec.TouchesPayload()) {
     enc = CompressedColumn(count_vote);
     if (enc != nullptr) {
       rows.packed = &enc->payload;

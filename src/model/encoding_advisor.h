@@ -27,7 +27,7 @@ struct PayloadColumnProfile {
 /// The central compression-payoff gate for 32-bit payload columns: an
 /// encoding must predict <= 16 effective bits per value (>= 2x vs the raw
 /// array) or the column stays raw — the payload-side twin of the key cache's
-/// max_mean_bits = 32 gate, applied in ONE place so every chunk and layout
+/// kMaxMeanBits = 32 gate, applied in ONE place so every chunk and layout
 /// shares the same payoff rule.
 inline constexpr double kMaxPayloadMeanBits = 16.0;
 

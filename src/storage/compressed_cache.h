@@ -75,9 +75,9 @@ struct ChunkEncoding {
 ///
 /// Policy:
 ///  - An encoding is built only after a chunk has been range-scanned
-///    `build_after_scans` times at one write epoch (a chunk that keeps
-///    taking writes never pays the encode), and only if it actually
-///    compresses (mean offset width <= `max_mean_bits`); otherwise the slot
+///    kBuildAfterScans times at one write epoch (a chunk that keeps taking
+///    writes never pays the encode), and only if it actually compresses
+///    (mean offset width <= kMaxMeanBits); otherwise the slot
 ///    remembers the rejection until the next write.
 ///  - Validity is tied to the chunk's epoch/latch (chunk_latch.h): callers
 ///    pass the latch's current even epoch while holding it shared, so a
@@ -97,32 +97,27 @@ struct ChunkEncoding {
 /// then everyone shares the same column.
 class CompressedChunkCache {
  public:
-  struct Config {
-    /// Range scans observed at one epoch before the encode is attempted.
-    size_t build_after_scans = 8;
-    /// Don't bother encoding chunks smaller than this.
-    size_t min_rows = 4096;
-    /// Reject encodings whose mean bits/value exceed this (< 2x compression
-    /// vs the 64-bit raw column means the raw SIMD scan is the cheaper
-    /// representation). Applied by GetOrBuild to whatever the encoder
-    /// returns, so every caller shares one payoff gate.
-    double max_mean_bits = 32.0;
-    /// Churn backoff cap: every time a BUILT encoding is invalidated by a
-    /// write, the scan threshold for the next build doubles (up to
-    /// build_after_scans << max_churn_shift), so write-hot chunks stop
-    /// paying O(chunk) encodes they never amortize. A genuinely read-mostly
-    /// chunk reaches its (higher) threshold anyway; a hybrid chunk stops
-    /// rebuilding after a couple of wasted encodes per workload lifetime.
-    unsigned max_churn_shift = 6;
-  };
+  /// Range scans observed at one epoch before the encode is attempted.
+  static constexpr size_t kBuildAfterScans = 8;
+  /// Don't bother encoding chunks smaller than this.
+  static constexpr size_t kMinRows = 4096;
+  /// Reject encodings whose mean bits/value exceed this (< 2x compression
+  /// vs the 64-bit raw column means the raw SIMD scan is the cheaper
+  /// representation). Applied by GetOrBuild to whatever the encoder
+  /// returns, so every caller shares one payoff gate.
+  static constexpr double kMaxMeanBits = 32.0;
+  /// Churn backoff cap: every time a BUILT encoding is invalidated by a
+  /// write, the scan threshold for the next build doubles (up to
+  /// kBuildAfterScans << kMaxChurnShift), so write-hot chunks stop paying
+  /// O(chunk) encodes they never amortize. A genuinely read-mostly chunk
+  /// reaches its (higher) threshold anyway; a hybrid chunk stops rebuilding
+  /// after a couple of wasted encodes per workload lifetime.
+  static constexpr unsigned kMaxChurnShift = 6;
 
   using EncodingPtr = std::shared_ptr<const ChunkEncoding>;
 
   CompressedChunkCache() = default;
   explicit CompressedChunkCache(size_t slots) { Reset(slots); }
-  CompressedChunkCache(size_t slots, Config config) : config_(config) {
-    Reset(slots);
-  }
 
   /// (Re)sizes the slot set; build-time only (not thread-safe).
   void Reset(size_t slots) {
@@ -134,7 +129,6 @@ class CompressedChunkCache {
   }
 
   size_t num_slots() const { return entries_.size(); }
-  const Config& config() const { return config_; }
 
   /// Hit-only lookup: the cached encoding for `slot` if one is valid at
   /// `epoch`, nullptr otherwise — no scan accounting, no build, lock-free.
@@ -150,13 +144,13 @@ class CompressedChunkCache {
   /// Cached encoding for `slot` if one is valid at `epoch`; otherwise counts
   /// this scan and, once the slot is hot enough, invokes `encode()` (which
   /// may return nullptr to veto). Encodings that fail the compression-payoff
-  /// gate (Config::max_mean_bits) are rejected here, once, for every caller.
+  /// gate (kMaxMeanBits) are rejected here, once, for every caller.
   /// Callers must hold the slot's chunk latch shared and pass that latch's
   /// current (necessarily even) epoch. The hit path takes no lock.
   template <typename EncodeFn>
   EncodingPtr GetOrBuild(size_t slot, uint64_t epoch, size_t rows,
                          EncodeFn&& encode) {
-    if (rows < config_.min_rows) return nullptr;
+    if (rows < kMinRows) return nullptr;
     Entry& e = *entries_[slot];
     if (e.epoch.load(std::memory_order_acquire) != epoch) {
       // A write advanced the chunk epoch since this slot last recorded one:
@@ -168,7 +162,7 @@ class CompressedChunkCache {
         // threshold) so chunks that keep taking writes stop rebuilding.
         if (std::atomic_load_explicit(&e.column, std::memory_order_relaxed) !=
                 nullptr &&
-            e.churn.load(std::memory_order_relaxed) < config_.max_churn_shift) {
+            e.churn.load(std::memory_order_relaxed) < kMaxChurnShift) {
           e.churn.fetch_add(1, std::memory_order_relaxed);
         }
         std::atomic_store_explicit(&e.column, EncodingPtr(),
@@ -183,7 +177,7 @@ class CompressedChunkCache {
       return col;  // lock-free hit
     }
     if (e.rejected.load(std::memory_order_relaxed)) return nullptr;
-    const size_t threshold = config_.build_after_scans
+    const size_t threshold = kBuildAfterScans
                              << e.churn.load(std::memory_order_relaxed);
     if (e.scans.fetch_add(1, std::memory_order_relaxed) + 1 < threshold) {
       return nullptr;
@@ -195,7 +189,7 @@ class CompressedChunkCache {
     }
     if (e.rejected.load(std::memory_order_relaxed)) return nullptr;
     EncodingPtr built = encode();
-    if (built != nullptr && built->MeanBitsPerValue() > config_.max_mean_bits) {
+    if (built != nullptr && built->MeanBitsPerValue() > kMaxMeanBits) {
       built = nullptr;  // doesn't compress: raw SIMD scan stays cheaper
     }
     if (built == nullptr) {
@@ -279,7 +273,6 @@ class CompressedChunkCache {
     EncodingPtr column;
   };
 
-  Config config_;
   // unique_ptr keeps the owning table movable (Entry holds a mutex).
   std::vector<std::unique_ptr<Entry>> entries_;
 };

@@ -247,8 +247,7 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
   const bool count_only =
       spec.predicates.empty() && spec.agg.kind == AggKind::kCount;
   const bool wants_encoding =
-      count_only ? !spec.full_domain
-                 : !spec.predicates.empty() || !spec.agg.cols.empty();
+      count_only ? !spec.full_domain : spec.TouchesPayload();
   const CompressedChunkCache::EncodingPtr enc =
       wants_encoding ? CompressedFor(c, ch) : nullptr;
   return ScanPartitions(

@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "compression/bitpack.h"
-#include "compression/dictionary.h"
 #include "compression/frame_of_reference.h"
+#include "compression/packed_column.h"
 #include "util/rng.h"
 
 namespace casper {
@@ -38,102 +38,20 @@ TEST(BitPack, OverwriteIsClean) {
   EXPECT_EQ(arr.Get(4), 0u);
 }
 
-TEST(Dictionary, RoundTrip) {
-  Rng rng(2);
-  std::vector<Value> values;
-  for (int i = 0; i < 5000; ++i) values.push_back(rng.Range(0, 99));  // 100 distinct
-  DictionaryColumn dict(values);
-  EXPECT_LE(dict.dictionary_size(), 100u);
-  EXPECT_LE(dict.bit_width(), 7u);
-  EXPECT_EQ(dict.DecodeAll(), values);
-}
-
 TEST(Dictionary, LowCardinalityCompressesHard) {
-  // 8-byte values with 11 distinct codes -> 4 bits/value: >10x.
-  std::vector<Value> values;
+  // 11 distinct payload values -> 4-bit codes through the dictionary mode of
+  // the packed-column surface the read paths use.
+  std::vector<Payload> values;
   Rng rng(3);
-  for (int i = 0; i < 100000; ++i) values.push_back(rng.Range(0, 10));
-  DictionaryColumn dict(values);
-  EXPECT_GT(dict.CompressionRatio(), 10.0);
-}
-
-TEST(Dictionary, RangePredicatesOnCodes) {
-  std::vector<Value> values = {5, 1, 9, 5, 3, 7, 1, 9, 5};
-  DictionaryColumn dict(values);
-  EXPECT_EQ(dict.CountRange(1, 6), 6u);   // 1,1,3,5,5,5
-  EXPECT_EQ(dict.CountRange(6, 100), 3u); // 7,9,9
-  EXPECT_EQ(dict.CountRange(2, 3), 0u);   // value absent from dictionary
-  std::vector<uint32_t> pos;
-  dict.CollectEqual(5, &pos);
-  EXPECT_EQ(pos, (std::vector<uint32_t>{0, 3, 8}));
-  pos.clear();
-  dict.CollectEqual(4, &pos);
-  EXPECT_TRUE(pos.empty());
-}
-
-// Dictionary codec fuzz (scan-on-compressed ISSUE distributions): duplicate-
-// heavy, domain-edge, and single-value columns must round-trip exactly, and
-// the code-domain predicates (CountRange / CollectEqual, which run on the
-// packed words) must match a brute-force value-space reference.
-TEST(Dictionary, RoundTripFuzz) {
-  Rng rng(20260808);
-  for (int iter = 0; iter < 120; ++iter) {
-    const size_t n = 1 + rng.Below(800);
-    std::vector<Value> values;
-    values.reserve(n);
-    switch (iter % 3) {
-      case 0:  // duplicate-heavy: few distinct values, wide apart
-        for (size_t i = 0; i < n; ++i) {
-          values.push_back(static_cast<Value>(rng.Below(9)) * 1000003 - 4000000);
-        }
-        break;
-      case 1:  // domain edges spliced into a random column
-        for (size_t i = 0; i < n; ++i) {
-          const uint64_t pick = rng.Below(10);
-          if (pick == 0) {
-            values.push_back(kMinValue);
-          } else if (pick == 1) {
-            values.push_back(kMaxValue);
-          } else {
-            values.push_back(static_cast<Value>(rng.Below(100000)) - 50000);
-          }
-        }
-        break;
-      default:  // single value: bit width 0
-        values.assign(n, static_cast<Value>(rng.Below(1u << 20)));
-        break;
-    }
-    const DictionaryColumn dict(values);
-    ASSERT_EQ(dict.DecodeAll(), values) << iter;
-    for (int probe = 0; probe < 8; ++probe) {
-      const size_t i = rng.Below(n);
-      ASSERT_EQ(dict.Get(i), values[i]) << iter;
-    }
-
-    // Half-open range counts vs brute force, bounds around present values.
-    const Value a = values[rng.Below(n)];
-    const Value b = values[rng.Below(n)];
-    const Value lo = std::min(a, b);
-    const Value hi = std::max(a, b);  // may equal lo: empty half-open range
-    uint64_t want = 0;
-    for (const Value v : values) want += (lo <= v && v < hi) ? 1 : 0;
-    ASSERT_EQ(dict.CountRange(lo, hi), want) << iter;
-
-    // Equality positions for a present and an absent value.
-    std::vector<uint32_t> got, want_pos;
-    dict.CollectEqual(a, &got);
-    for (size_t i = 0; i < n; ++i) {
-      if (values[i] == a) want_pos.push_back(static_cast<uint32_t>(i));
-    }
-    ASSERT_EQ(got, want_pos) << iter;
-    got.clear();
-    dict.CollectEqual(kMaxValue - 12345, &got);  // (almost surely) absent
-    want_pos.clear();
-    for (size_t i = 0; i < n; ++i) {
-      if (values[i] == kMaxValue - 12345) want_pos.push_back(static_cast<uint32_t>(i));
-    }
-    ASSERT_EQ(got, want_pos) << iter;
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(static_cast<Payload>(rng.Range(0, 10)));
   }
+  const auto dict =
+      PackedPayloadColumn::Encode(values, PayloadEncoding::kDictionary);
+  ASSERT_NE(dict, nullptr);
+  EXPECT_EQ(dict->dictionary_size(), 11u);
+  EXPECT_LE(dict->bit_width(), 4u);
+  EXPECT_EQ(dict->DecodeAll(), values);
 }
 
 TEST(FrameOfReference, RoundTrip) {

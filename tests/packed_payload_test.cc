@@ -91,6 +91,36 @@ TEST(PackedPayload, RoundTripFuzzBothCodecs) {
 }
 
 TEST(PackedPayload, RewritePredicateMatchesBruteForce) {
+  // Both codecs' rewritten closed [lo, hi] must select exactly the rows a
+  // value-space scan selects; a veto only when no row qualifies.
+  const auto check = [](const std::vector<Payload>& values, Payload lo,
+                        Payload hi, int iter) {
+    const size_t n = values.size();
+    std::vector<uint32_t> want;
+    for (size_t i = 0; i < n; ++i) {
+      if (lo <= values[i] && values[i] <= hi) {
+        want.push_back(static_cast<uint32_t>(i));
+      }
+    }
+    for (const auto enc :
+         {PayloadEncoding::kFrameOfReference, PayloadEncoding::kDictionary}) {
+      const auto col = PackedPayloadColumn::Encode(values, enc);
+      ASSERT_NE(col, nullptr);
+      uint64_t plo = 0, phi = 0;
+      if (!col->RewritePredicate(lo, hi, &plo, &phi)) {
+        ASSERT_TRUE(want.empty()) << "iter=" << iter << " enc=" << (int)enc
+                                  << " lo=" << lo << " hi=" << hi;
+        continue;
+      }
+      std::vector<uint32_t> got(n);
+      const size_t k = kernels::FilterPackedPayloadInRange(
+          col->words(), 0, n, col->bit_width(), plo, phi, 0, got.data());
+      got.resize(k);
+      ASSERT_EQ(got, want) << "iter=" << iter << " enc=" << (int)enc
+                           << " lo=" << lo << " hi=" << hi;
+    }
+  };
+
   Rng rng(77001);
   for (int iter = 0; iter < 96; ++iter) {
     const size_t n = 1 + rng.Below(2000);
@@ -113,27 +143,16 @@ TEST(PackedPayload, RewritePredicateMatchesBruteForce) {
       if (rng.Below(2) == 0 && lo > 0) --lo;   // off-by-one edges around
       if (rng.Below(2) == 0 && hi < kPayMax) ++hi;  // present values
     }
-    std::vector<uint32_t> want;
-    for (size_t i = 0; i < n; ++i) {
-      if (lo <= values[i] && values[i] <= hi) {
-        want.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    for (const auto enc :
-         {PayloadEncoding::kFrameOfReference, PayloadEncoding::kDictionary}) {
-      const auto col = PackedPayloadColumn::Encode(values, enc);
-      ASSERT_NE(col, nullptr);
-      uint64_t plo = 0, phi = 0;
-      if (!col->RewritePredicate(lo, hi, &plo, &phi)) {
-        // Whole-run veto must only fire when no row can qualify.
-        ASSERT_TRUE(want.empty()) << "iter=" << iter << " enc=" << (int)enc;
-        continue;
-      }
-      std::vector<uint32_t> got(n);
-      const size_t k = kernels::FilterPackedPayloadInRange(
-          col->words(), 0, n, col->bit_width(), plo, phi, 0, got.data());
-      got.resize(k);
-      ASSERT_EQ(got, want) << "iter=" << iter << " enc=" << (int)enc;
+    ASSERT_NO_FATAL_FAILURE(check(values, lo, hi, iter));
+  }
+
+  // A fixed column with values missing from its dictionary (0, 2, 4, 6, 8,
+  // 10, 11): every bound pair over [0, 11], so bounds land on absent values,
+  // between two codes, past both ends and inverted.
+  const std::vector<Payload> gaps = {5, 1, 9, 5, 3, 7, 1, 9, 5};
+  for (Payload lo = 0; lo <= 11; ++lo) {
+    for (Payload hi = 0; hi <= 11; ++hi) {
+      ASSERT_NO_FATAL_FAILURE(check(gaps, lo, hi, -1));
     }
   }
 }

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -179,6 +180,8 @@ TEST(ValidateEngineOptions, RejectsOutOfRangeTierDecay) {
   EXPECT_FALSE(ValidateEngineOptions(o).ok());
   o.persist.tier_decay = 1.5;
   EXPECT_FALSE(ValidateEngineOptions(o).ok());
+  o.persist.tier_decay = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(ValidateEngineOptions(o).ok());
 }
 
 TEST(ValidateEngineOptions, RejectsZeroGeometry) {
@@ -201,6 +204,8 @@ TEST(ValidateEngineOptions, RejectsZeroMaintenanceInterval) {
   o.maintenance.capture_interval = std::chrono::milliseconds(100);
   EXPECT_TRUE(ValidateEngineOptions(o).ok());
   o.maintenance.decay = 2.0;
+  EXPECT_FALSE(ValidateEngineOptions(o).ok());
+  o.maintenance.decay = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(ValidateEngineOptions(o).ok());
 }
 
@@ -735,7 +740,7 @@ TEST(TierManager, RidesTheMaintenanceCycle) {
 // and the encoding advisor read these counters, so a refactor of the scan
 // paths must not move them.
 
-constexpr size_t kTierChunkRows = 8192;  // at least the cache's min_rows
+constexpr size_t kTierChunkRows = 8192;  // at least the cache's kMinRows
 constexpr size_t kTierChunks = 3;
 constexpr size_t kTierParts = 16;
 

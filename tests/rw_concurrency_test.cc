@@ -16,10 +16,10 @@
 
 #include "engine/casper_engine.h"
 #include "engine/harness.h"
+#include "exec/chunk_snapshot.h"
 #include "exec/mixed_workload_runner.h"
 #include "layouts/layout_factory.h"
 #include "layouts/partitioned.h"
-#include "txn/mvcc.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "workload/generator.h"
@@ -444,7 +444,7 @@ TEST(WriteWriteConflicts, OverlappingRunsSerializeWithoutDeadlock) {
   parallel_engine->ValidateInvariants();
 }
 
-// ChunkSnapshot (txn/) must validate over a quiescent engine, flag exactly
+// ChunkSnapshot (exec/chunk_snapshot.h) must validate over a quiescent engine, flag exactly
 // the chunk a write touched, and carry oracle timestamps forward.
 TEST(ChunkSnapshots, DetectExactlyTheTouchedChunks) {
   const Fixture f = MakeFixture(20000, 43);

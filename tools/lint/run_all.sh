@@ -9,5 +9,6 @@ status=0
 
 python3 "$root/tools/lint/kernel_parity_lint.py" "$root" || status=1
 python3 "$root/tools/lint/memory_order_lint.py" "$root" || status=1
+python3 "$root/tools/lint/orphan_module_lint.py" "$root" || status=1
 
 exit $status
