@@ -6,6 +6,8 @@
 #include "layouts/partitioned.h"
 #include "model/cost_model.h"
 #include "storage/table.h"
+#include "util/status.h"
+#include "util/stopwatch.h"
 #include "workload/capture.h"
 
 namespace casper {
@@ -92,8 +94,56 @@ Partitioning LayoutMaintenanceService::CurrentPartitioning(
   return Partitioning::FromBoundaryBits(std::move(bits));
 }
 
+CycleCapture CaptureCycle(const PartitionedTable& table,
+                          const std::vector<Operation>& ops,
+                          size_t block_values) {
+  // The distinct keys the ops name, ascending: chunks cover ascending key
+  // ranges, so the keys routing to one chunk form one run.
+  std::vector<Value> keys;
+  for (const Operation& op : ops) WorkloadCapture::AppendRankedKeys(op, &keys);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  // A key's global rank is the live rows of every earlier chunk plus its
+  // rank inside its own chunk — exactly its lower_bound position in the
+  // concatenation of the chunks' sorted keys, the input WorkloadCapture
+  // ranks against at build time. Empty chunks get no model (nothing to
+  // re-partition there); their keys rank at the next non-empty chunk's start.
+  CycleCapture out;
+  std::vector<size_t> ranks(keys.size());
+  size_t rows_before = 0;
+  size_t first = 0;
+  for (size_t c = 0; c < table.num_chunks(); ++c) {
+    size_t last = first;
+    while (last < keys.size() && table.ChunkFor(keys[last]) == c) ++last;
+    const size_t rows = table.RankKeysInChunk(c, keys.data() + first,
+                                              last - first, ranks.data() + first);
+    for (size_t k = first; k < last; ++k) ranks[k] += rows_before;
+    rows_before += rows;
+    first = last;
+    if (rows == 0) continue;
+    out.chunks.push_back(c);
+    out.rows.push_back(rows);
+  }
+  if (out.chunks.empty()) return out;
+
+  WorkloadCapture capture(
+      [&keys, &ranks](Value v) {
+        const auto it = std::lower_bound(keys.begin(), keys.end(), v);
+        CASPER_CHECK_MSG(it != keys.end() && *it == v, "key was not ranked");
+        return ranks[static_cast<size_t>(it - keys.begin())];
+      },
+      out.rows, block_values);
+  capture.CaptureAll(ops);
+  out.models = std::move(capture.mutable_models());
+  return out;
+}
+
 MaintenanceCycleReport LayoutMaintenanceService::RunCycle() {
   const MaintenanceCycleReport report = RunCycleInner();
+  capture_ns_.Add(report.capture_ns);
+  solve_ns_.Add(report.solve_ns);
+  repartition_ns_.Add(report.repartition_ns);
   if (cycle_hook_) cycle_hook_();
   return report;
 }
@@ -102,11 +152,14 @@ MaintenanceCycleReport LayoutMaintenanceService::RunCycleInner() {
   MaintenanceCycleReport report;
   MutexLock cycle(cycle_mu_);
   cycles_.Add(1);
+  Stopwatch stage;
 
-  // Drain the observation ring (oldest first).
+  // Drain the observation ring (oldest first). Below the noise gate the ops
+  // stay buffered: the next cycle captures them together with its own.
   std::vector<Operation> ops;
   {
     MutexLock lock(buf_mu_);
+    if (ring_count_ < options_.min_cycle_ops) return report;
     ops.reserve(ring_count_);
     for (size_t i = 0; i < ring_count_; ++i) {
       ops.push_back(ring_[(ring_start_ + i) % ring_.size()]);
@@ -115,32 +168,12 @@ MaintenanceCycleReport LayoutMaintenanceService::RunCycleInner() {
     ring_count_ = 0;
   }
   report.ops_captured = ops.size();
-  if (ops.size() < options_.min_cycle_ops) return report;
 
-  // Snapshot the live data: per-chunk sorted keys under shared latches.
-  // Chunks cover ascending key ranges, so the concatenation is globally
-  // sorted — exactly the input WorkloadCapture routed at build time. Empty
-  // chunks are skipped (nothing to re-partition there) with an index map.
-  const PartitionedTable& table = layout_->table();
-  const size_t num_chunks = table.num_chunks();
-  std::vector<Value> sorted_keys;
-  std::vector<size_t> chunk_rows;
-  std::vector<size_t> present;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    std::vector<Value> keys;
-    table.SnapshotChunkSortedKeys(c, &keys);
-    if (keys.empty()) continue;
-    present.push_back(c);
-    chunk_rows.push_back(keys.size());
-    sorted_keys.insert(sorted_keys.end(), keys.begin(), keys.end());
-  }
-  if (present.empty()) return report;
-
-  WorkloadCapture capture(sorted_keys, chunk_rows, block_values_);
-  capture.CaptureAll(ops);
+  const CycleCapture capture = CaptureCycle(layout_->table(), ops, block_values_);
 
   // Fold the fresh capture into the decayed live models. Rescale bridges
   // block-count changes (chunk grew/shrank since the last cycle).
+  const size_t num_chunks = layout_->table().num_chunks();
   if (live_.size() != num_chunks) live_.assign(num_chunks, FrequencyModel());
   struct Candidate {
     size_t chunk;
@@ -148,9 +181,9 @@ MaintenanceCycleReport LayoutMaintenanceService::RunCycleInner() {
     double activity;
   };
   std::vector<Candidate> candidates;
-  for (size_t i = 0; i < present.size(); ++i) {
-    const size_t c = present[i];
-    const FrequencyModel& fresh = capture.models()[i];
+  for (size_t i = 0; i < capture.chunks.size(); ++i) {
+    const size_t c = capture.chunks[i];
+    const FrequencyModel& fresh = capture.models[i];
     FrequencyModel& live = live_[c];
     if (live.num_blocks() != fresh.num_blocks()) {
       live = live.num_blocks() == 0 ? FrequencyModel(fresh.num_blocks())
@@ -159,7 +192,7 @@ MaintenanceCycleReport LayoutMaintenanceService::RunCycleInner() {
     live.Scale(options_.decay);
     live.Merge(fresh);
     if (live.Empty()) continue;
-    candidates.push_back({c, chunk_rows[i], fresh.total_operations()});
+    candidates.push_back({c, capture.rows[i], fresh.total_operations()});
   }
   // Most-active chunks first: under the per-cycle cap, the hottest diverged
   // chunks get fixed now, colder ones next cycle.
@@ -168,17 +201,20 @@ MaintenanceCycleReport LayoutMaintenanceService::RunCycleInner() {
               if (a.activity != b.activity) return a.activity > b.activity;
               return a.chunk < b.chunk;
             });
+  report.capture_ns = stage.ElapsedNanos();
 
   for (const Candidate& cand : candidates) {
     if (report.chunks_repartitioned >= options_.max_chunks_per_cycle) break;
     ++report.chunks_evaluated;
     evaluated_.Add(1);
 
+    stage.Restart();
     const FrequencyModel& live = live_[cand.chunk];
     const CostTerms terms = CostTerms::Compute(live, planner_.costs);
     const double current_cost =
         EvaluateLayoutCost(terms, CurrentPartitioning(cand.chunk, live.num_blocks()));
     const ChunkPlan plan = LayoutPlanner::PlanChunk(live, cand.rows, planner_);
+    report.solve_ns += stage.ElapsedNanos();
     const double benefit = current_cost - plan.predicted_cost;
     if (current_cost <= 0.0) continue;
     if (benefit / current_cost < options_.divergence_threshold) continue;
@@ -191,7 +227,10 @@ MaintenanceCycleReport LayoutMaintenanceService::RunCycleInner() {
     PartitionedTable::ChunkLayoutSpec spec;
     spec.partition_sizes = plan.PartitionValueSizes(block_values_, cand.rows);
     spec.ghosts = plan.ghosts.per_partition;
-    if (layout_->RepartitionChunk(cand.chunk, spec)) {
+    stage.Restart();
+    const bool swapped = layout_->RepartitionChunk(cand.chunk, spec);
+    report.repartition_ns += stage.ElapsedNanos();
+    if (swapped) {
       ++report.chunks_repartitioned;
       repartitioned_.Add(1);
     }
@@ -239,6 +278,9 @@ MaintenanceStats LayoutMaintenanceService::stats() const {
   s.ops_dropped = dropped_.load();
   s.chunks_evaluated = evaluated_.load();
   s.chunks_repartitioned = repartitioned_.load();
+  s.capture_ns = capture_ns_.load();
+  s.solve_ns = solve_ns_.load();
+  s.repartition_ns = repartition_ns_.load();
   return s;
 }
 

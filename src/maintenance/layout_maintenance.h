@@ -20,6 +20,7 @@
 namespace casper {
 
 class PartitionedLayout;
+class PartitionedTable;
 
 /// Knobs for the online adaptive re-layout loop (EngineOptions::maintenance).
 struct MaintenanceOptions {
@@ -55,17 +56,22 @@ struct MaintenanceOptions {
   /// dropped (the live model wants recency, the counters record the loss).
   size_t max_buffered_ops = size_t{1} << 16;
 
-  /// Cycles that captured fewer operations than this are skipped (noise
-  /// gate: don't re-solve layouts off a handful of requests).
+  /// Cycles that find fewer buffered operations than this are skipped and
+  /// leave them buffered for the next cycle (noise gate: don't re-solve
+  /// layouts off a handful of requests).
   size_t min_cycle_ops = 32;
 };
 
 /// What one maintenance cycle did (RunCycle's return; lifetime totals in
-/// MaintenanceStats).
+/// MaintenanceStats). The *_ns fields split the cycle's wall time by stage
+/// (class comment): capture, solve (pricing plus re-solve) and re-partition.
 struct MaintenanceCycleReport {
   size_t ops_captured = 0;
   size_t chunks_evaluated = 0;
   size_t chunks_repartitioned = 0;
+  uint64_t capture_ns = 0;
+  uint64_t solve_ns = 0;
+  uint64_t repartition_ns = 0;
 };
 
 /// Lifetime counters, readable from any thread.
@@ -75,7 +81,27 @@ struct MaintenanceStats {
   uint64_t ops_dropped = 0;
   uint64_t chunks_evaluated = 0;
   uint64_t chunks_repartitioned = 0;
+  uint64_t capture_ns = 0;
+  uint64_t solve_ns = 0;
+  uint64_t repartition_ns = 0;
 };
+
+/// The fresh per-chunk models of one cycle's observed ops.
+struct CycleCapture {
+  std::vector<size_t> chunks;          ///< non-empty chunks, ascending
+  std::vector<size_t> rows;            ///< live rows of each
+  std::vector<FrequencyModel> models;  ///< fresh model of each
+};
+
+/// The cycle's capture step (class comment, (a)): the models WorkloadCapture
+/// builds for `ops` over the table's live keys, equal to a capture over a
+/// sorted copy of them. Only the distinct keys the ops name are ranked, one
+/// shared-latch PartitionedTable::RankKeysInChunk pass per chunk they route
+/// to; every other chunk gives its row count alone, so an evicted chunk's
+/// file is read only when an op routes into it. Empty when the table is.
+CycleCapture CaptureCycle(const PartitionedTable& table,
+                          const std::vector<Operation>& ops,
+                          size_t block_values);
 
 /// Online adaptive re-layout: the background maintenance service owned by
 /// CasperEngine. The solver otherwise runs exactly once at Open, so the
@@ -83,10 +109,13 @@ struct MaintenanceStats {
 /// production workload drifts. This service closes the loop:
 ///
 ///  (a) Capture — query/write paths feed their operations to Observe(); each
-///      cycle drains the buffer, snapshots the live sorted keys per chunk
-///      (shared latches), re-runs WorkloadCapture over the drained traffic,
-///      and folds the fresh per-chunk FrequencyModels into decayed live
-///      models (Scale + Merge, Rescale when a chunk's block count moved).
+///      cycle drains the buffer and runs WorkloadCapture over the drained
+///      traffic (CaptureCycle). Keys are placed by their exact rank among
+///      the live keys, taken from partition geometry in one shared-latch
+///      pass per chunk the ops touch; no key is copied or sorted, and a cold
+///      chunk no op touches is never read. The fresh per-chunk
+///      FrequencyModels fold into decayed live models (Scale + Merge,
+///      Rescale when a chunk's block count moved).
 ///  (b) Detect — per active chunk, the cost model prices the CURRENT
 ///      partitioning under the live mix and LayoutPlanner re-solves for the
 ///      best one; a chunk diverges when the predicted benefit clears both
@@ -172,6 +201,9 @@ class LayoutMaintenanceService {
   RelaxedCounter dropped_;
   RelaxedCounter evaluated_;
   RelaxedCounter repartitioned_;
+  RelaxedCounter capture_ns_;
+  RelaxedCounter solve_ns_;
+  RelaxedCounter repartition_ns_;
 
   // Background thread lifecycle (same cv-wait idiom as ThreadPool).
   Mutex thread_mu_;

@@ -485,28 +485,70 @@ size_t PartitionedTable::MemoryBytes() const {
   return bytes;
 }
 
-void PartitionedTable::SnapshotChunkSortedKeys(size_t c,
-                                               std::vector<Value>* out) const {
-  out->clear();
+namespace {
+
+/// The geometry rank of RankKeysInChunk over one chunk's partitions:
+/// `route(v)` is the chunk's partition routing and `for_each_key(t, fn)`
+/// visits partition t's live keys. Keys are ascending, so the keys routing to
+/// one partition form a run and the partitions before it are summed once.
+template <typename Route, typename ForEachKey>
+void RankByPartition(const std::vector<PartitionedColumnChunk::Partition>& parts,
+                     const Value* keys, size_t n, size_t* ranks, Route&& route,
+                     ForEachKey&& for_each_key) {
+  size_t summed = 0;  // partitions [0, summed) are counted in `before`
+  size_t before = 0;
+  std::vector<size_t> below;
+  for (size_t i = 0; i < n;) {
+    const size_t t = route(keys[i]);
+    size_t j = i + 1;
+    while (j < n && route(keys[j]) == t) ++j;
+    for (; summed < t; ++summed) before += parts[summed].size;
+    // One pass over the partition: a live key x is below every run key from
+    // upper_bound(x) on, so bucket x there and prefix-sum the buckets.
+    below.assign(j - i + 1, 0);
+    for_each_key(t, [&](Value x) {
+      ++below[static_cast<size_t>(std::upper_bound(keys + i, keys + j, x) -
+                                  (keys + i))];
+    });
+    size_t rank = before;
+    for (size_t k = i; k < j; ++k) {
+      rank += below[k - i];
+      ranks[k] = rank;
+    }
+    i = j;
+  }
+}
+
+}  // namespace
+
+size_t PartitionedTable::RankKeysInChunk(size_t c, const Value* keys, size_t n,
+                                         size_t* ranks) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
   if (ch.evicted != nullptr) {
+    const size_t rows = static_cast<size_t>(ch.evicted->rows);
+    if (n == 0) return rows;
     const persist::PersistedChunk pc = LoadEvicted(ch);
-    *out = persist::DecodeForPromotion(pc).sorted_keys;
-    return;
+    const ChunkEncoding& enc = pc.encoding;
+    RankByPartition(
+        pc.parts, keys, n, ranks, [&](Value v) { return pc.index.Route(v); },
+        [&](size_t t, auto&& fn) {
+          for (size_t i = enc.live_prefix[t]; i < enc.live_prefix[t + 1]; ++i) {
+            fn(enc.keys->Get(i));
+          }
+        });
+    return rows;
   }
-  const auto& chunk = ch.keys;
-  out->reserve(chunk.size());
+  const PartitionedColumnChunk& chunk = ch.keys;
   const std::vector<Value>& data = chunk.raw_data();
-  for (size_t t = 0; t < chunk.num_partitions(); ++t) {
-    const auto& p = chunk.partition(t);
-    const size_t first = out->size();
-    out->insert(out->end(), data.begin() + static_cast<ptrdiff_t>(p.begin),
-                data.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
-    // Partitions hold disjoint ascending ranges but are unsorted inside;
-    // sorting each live run yields the chunk's global key order.
-    std::sort(out->begin() + static_cast<ptrdiff_t>(first), out->end());
-  }
+  RankByPartition(
+      chunk.partitions(), keys, n, ranks,
+      [&](Value v) { return chunk.RoutePartition(v); },
+      [&](size_t t, auto&& fn) {
+        const auto& p = chunk.partition(t);
+        for (size_t s = p.begin; s < p.begin + p.size; ++s) fn(data[s]);
+      });
+  return chunk.size();
 }
 
 void PartitionedTable::SnapshotChunkPartitionSizes(size_t c,

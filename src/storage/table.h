@@ -216,11 +216,16 @@ class PartitionedTable {
 
   // --- Online re-layout (maintenance surface) --------------------------------
 
-  /// Live keys of chunk c in sorted order, read under the chunk's shared
-  /// latch — the maintenance service's data snapshot for re-solving the
-  /// chunk's layout. Partitions cover disjoint ascending key ranges, so
-  /// sorting each partition's live run yields the chunk's global order.
-  void SnapshotChunkSortedKeys(size_t c, std::vector<Value>* out) const;
+  /// Live rows of chunk c and, for each of the `n` ascending `keys`, the
+  /// count of the chunk's live keys below it (`ranks[i]`), under one shared
+  /// latch — where the maintenance cycle places the keys its observed ops
+  /// name. Ranks come from partition geometry: partitions cover disjoint
+  /// ascending key ranges, so a key's rank is the sizes of the partitions
+  /// before RoutePartition(key) plus one count inside that partition; no key
+  /// is copied or sorted. With n == 0 only the row count is read (no I/O);
+  /// otherwise an evicted chunk's tier file is read once.
+  size_t RankKeysInChunk(size_t c, const Value* keys, size_t n,
+                         size_t* ranks) const;
 
   /// Live partition sizes of chunk c under its shared latch (the advisor's
   /// view of the current geometry, for costing the layout as it stands).

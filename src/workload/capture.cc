@@ -1,11 +1,26 @@
 #include "workload/capture.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace casper {
+
+namespace {
+
+/// Binary search over the sorted dataset (the build-time rank source).
+KeyRankSource SortedKeyRanks(const std::vector<Value>& sorted_keys) {
+  CASPER_CHECK(std::is_sorted(sorted_keys.begin(), sorted_keys.end()));
+  auto keys = std::make_shared<const std::vector<Value>>(sorted_keys);
+  return [keys](Value v) {
+    return static_cast<size_t>(
+        std::lower_bound(keys->begin(), keys->end(), v) - keys->begin());
+  };
+}
+
+}  // namespace
 
 WorkloadCapture::WorkloadCapture(const std::vector<Value>& sorted_keys,
                                  size_t chunk_values, size_t block_values)
@@ -27,39 +42,63 @@ WorkloadCapture::WorkloadCapture(const std::vector<Value>& sorted_keys,
 WorkloadCapture::WorkloadCapture(const std::vector<Value>& sorted_keys,
                                  std::vector<size_t> chunk_row_counts,
                                  size_t block_values)
-    : sorted_keys_(sorted_keys),
-      block_values_(block_values),
-      chunk_rows_(std::move(chunk_row_counts)) {
-  CASPER_CHECK(!sorted_keys_.empty());
-  CASPER_CHECK(std::is_sorted(sorted_keys_.begin(), sorted_keys_.end()));
-  CASPER_CHECK(block_values_ > 0);
-  size_t offset = 0;
-  for (const size_t take : chunk_rows_) {
-    CASPER_CHECK(take > 0);
-    chunk_begin_.push_back(offset);
-    const size_t blocks = (take + block_values_ - 1) / block_values_;
-    models_.emplace_back(blocks);
-    offset += take;
-  }
-  CASPER_CHECK_MSG(offset == sorted_keys_.size(),
+    : WorkloadCapture(SortedKeyRanks(sorted_keys), std::move(chunk_row_counts),
+                      block_values) {
+  CASPER_CHECK_MSG(total_rows_ == sorted_keys.size(),
                    "chunk counts must cover the dataset");
 }
 
-size_t WorkloadCapture::GlobalPosition(Value v) const {
-  return static_cast<size_t>(
-      std::lower_bound(sorted_keys_.begin(), sorted_keys_.end(), v) -
-      sorted_keys_.begin());
+WorkloadCapture::WorkloadCapture(KeyRankSource rank,
+                                 std::vector<size_t> chunk_row_counts,
+                                 size_t block_values)
+    : rank_(std::move(rank)),
+      block_values_(block_values),
+      chunk_rows_(std::move(chunk_row_counts)) {
+  CASPER_CHECK(!chunk_rows_.empty());
+  CASPER_CHECK(block_values_ > 0);
+  for (const size_t take : chunk_rows_) {
+    CASPER_CHECK(take > 0);
+    chunk_begin_.push_back(total_rows_);
+    const size_t blocks = (take + block_values_ - 1) / block_values_;
+    models_.emplace_back(blocks);
+    total_rows_ += take;
+  }
 }
 
 WorkloadCapture::Location WorkloadCapture::Locate(Value v) const {
-  size_t pos = GlobalPosition(v);
-  if (pos >= sorted_keys_.size()) pos = sorted_keys_.size() - 1;
-  size_t chunk = 0;
-  while (chunk + 1 < chunk_begin_.size() && pos >= chunk_begin_[chunk + 1]) ++chunk;
+  const size_t pos = std::min(rank_(v), total_rows_ - 1);
+  const size_t chunk = static_cast<size_t>(
+      std::upper_bound(chunk_begin_.begin(), chunk_begin_.end(), pos) -
+      chunk_begin_.begin() - 1);
   const size_t in_chunk = pos - chunk_begin_[chunk];
   const size_t block =
       std::min(in_chunk / block_values_, models_[chunk].num_blocks() - 1);
   return {chunk, block};
+}
+
+void WorkloadCapture::AppendRankedKeys(const Operation& op,
+                                       std::vector<Value>* out) {
+  switch (op.kind) {
+    case OpKind::kPointQuery:
+    case OpKind::kInsert:
+    case OpKind::kDelete:
+      out->push_back(op.a);
+      break;
+    case OpKind::kRangeCount:
+    case OpKind::kRangeSum:
+    case OpKind::kRangeMin:
+    case OpKind::kRangeMax:
+    case OpKind::kRangeAvg:
+      if (op.b > op.a) {
+        out->push_back(op.a);
+        out->push_back(op.b - 1);
+      }
+      break;
+    case OpKind::kUpdate:
+      out->push_back(op.a);
+      out->push_back(op.b);
+      break;
+  }
 }
 
 template <typename Emit>

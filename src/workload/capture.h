@@ -2,6 +2,7 @@
 #define CASPER_WORKLOAD_CAPTURE_H_
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "model/frequency_model.h"
@@ -12,23 +13,41 @@ namespace casper {
 
 class ThreadPool;
 
+/// Where capture places a key: its global sorted position in the captured
+/// dataset — the count of the dataset's keys below v, over the chunks
+/// concatenated in order (std::lower_bound over the sorted keys).
+using KeyRankSource = std::function<size_t(Value)>;
+
 /// Builds per-chunk Frequency Models from a sample workload without
 /// executing or materializing anything (paper §4.2: "we capture the access
 /// patterns as if each operation is executed on the initial dataset").
 ///
-/// Construction takes the initial dataset sorted by key; every operation's
-/// target values are located by binary search, mapped to (chunk, block), and
-/// recorded in that chunk's histograms. Range queries spanning chunks are
-/// split; updates crossing chunks degrade to delete + insert (each chunk is
-/// an independent sub-problem, paper §6.3).
+/// Every operation's target values are ranked by a KeyRankSource, mapped to
+/// (chunk, block), and recorded in that chunk's histograms. A rank equal to a
+/// chunk's end is the next chunk's first row, and a rank past the dataset
+/// clamps to its last row. Range queries spanning chunks are split; updates
+/// crossing chunks degrade to delete + insert (each chunk is an independent
+/// sub-problem, paper §6.3). At build time the ranks come from the sorted
+/// dataset; the maintenance cycle ranks only the keys its ops name, from
+/// partition geometry (CaptureCycle, maintenance/layout_maintenance.h).
 class WorkloadCapture {
  public:
+  /// Ranks by binary search over the dataset sorted by key, split into
+  /// chunks of `chunk_values` rows.
   WorkloadCapture(const std::vector<Value>& sorted_keys, size_t chunk_values,
                   size_t block_values);
 
   /// Explicit (e.g. duplicate-safe) chunk row counts.
   WorkloadCapture(const std::vector<Value>& sorted_keys,
                   std::vector<size_t> chunk_row_counts, size_t block_values);
+
+  /// Ranks from `rank` over chunks of `chunk_row_counts` rows (all > 0).
+  WorkloadCapture(KeyRankSource rank, std::vector<size_t> chunk_row_counts,
+                  size_t block_values);
+
+  /// The keys Route ranks for `op`, appended to `out` (possibly repeated) —
+  /// what a KeyRankSource must answer to capture `op`.
+  static void AppendRankedKeys(const Operation& op, std::vector<Value>* out);
 
   void Capture(const Operation& op);
   void CaptureAll(const std::vector<Operation>& ops) {
@@ -68,11 +87,10 @@ class WorkloadCapture {
 
   /// Chunk/block a key maps to (clamped into the dataset).
   Location Locate(Value v) const;
-  /// Global sorted position of v (first key >= v).
-  size_t GlobalPosition(Value v) const;
 
-  std::vector<Value> sorted_keys_;
+  KeyRankSource rank_;
   size_t block_values_;
+  size_t total_rows_ = 0;
   std::vector<size_t> chunk_rows_;
   std::vector<size_t> chunk_begin_;  // global row offset of each chunk
   std::vector<FrequencyModel> models_;

@@ -6,16 +6,27 @@
 //       the same stream before/during/after re-partitions — including
 //       read-only and mixed RunMixed batches while the swap is mid-flight;
 //   (3) engines with maintenance disabled (or layouts without partition
-//       geometry) never mutate their layout.
+//       geometry) never mutate their layout;
+//   (4) the cycle's capture step builds exactly the models a capture over a
+//       sorted copy of the live keys would, and reads no cold chunk that no
+//       observed op routes into.
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/casper_engine.h"
+#include "layouts/partitioned.h"
 #include "maintenance/layout_maintenance.h"
+#include "persist/io.h"
 #include "util/rng.h"
+#include "workload/capture.h"
 #include "workload/drift.h"
 #include "workload/generator.h"
 
@@ -336,6 +347,240 @@ TEST(MaintenanceTest, StatsSnapshotRegistrySurface) {
   nopts.layout.mode = LayoutMode::kNoOrder;
   CasperEngine noorder = CasperEngine::Open(std::move(nopts));
   EXPECT_TRUE(noorder.layout().StatsSnapshots().per_chunk.empty());
+}
+
+// A cycle that finds fewer buffered ops than the noise gate leaves them in
+// the ring: the next cycle captures them together with its own.
+TEST(MaintenanceTest, NoiseGateKeepsObservationsForNextCycle) {
+  const TableData data = MakeData();
+  const DriftScenario scenario = ShiftingHotRange(0, kDomain, 2);
+  Rng trng(11);
+  const auto training = GenerateWorkload(scenario.training, kTrainingOps, trng);
+
+  EngineOptions opts = BaseOptions(data, &training);
+  opts.maintenance = ManualMaintenance();
+  opts.maintenance.min_cycle_ops = 32;
+  CasperEngine engine = CasperEngine::Open(std::move(opts));
+  LayoutMaintenanceService* service = engine.maintenance();
+  ASSERT_NE(service, nullptr);
+
+  const auto ops = PhaseOps(scenario.phases.back(), 12, 40);
+  service->ObserveAll(std::vector<Operation>(ops.begin(), ops.begin() + 20));
+  const MaintenanceCycleReport first = service->RunCycle();
+  EXPECT_EQ(first.ops_captured, 0u);
+  EXPECT_EQ(first.chunks_evaluated, 0u);
+
+  service->ObserveAll(std::vector<Operation>(ops.begin() + 20, ops.end()));
+  const MaintenanceCycleReport second = service->RunCycle();
+  EXPECT_EQ(second.ops_captured, 40u);
+  EXPECT_GE(second.chunks_evaluated, 1u);
+
+  const MaintenanceStats stats = service->stats();
+  EXPECT_EQ(stats.cycles, 2u);
+  EXPECT_EQ(stats.ops_observed, 40u);
+  EXPECT_EQ(stats.ops_dropped, 0u);
+  EXPECT_GT(stats.capture_ns, 0u);
+}
+
+// --- Capture step against a sorted-key reference -----------------------------
+
+constexpr size_t kCapChunks = 5;
+constexpr size_t kCapChunkRows = 1000;
+constexpr size_t kCapPartitions = 10;
+constexpr size_t kCapBlockValues = 64;
+
+/// 5 chunks x 1000 rows, 10 partitions each and no ghost slots (so the first
+/// insert into a chunk grows it). Chunk c holds keys [2000c, 2000c + 2000)
+/// with some duplicates.
+PartitionedTable MakeCaptureTable() {
+  const size_t rows = kCapChunks * kCapChunkRows;
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload(1);
+  for (size_t i = 0; i < rows; ++i) {
+    const Value key = static_cast<Value>(4 * (i / 2) + (i % 2 == 1 && i % 5 == 1));
+    keys.push_back(key);
+    payload[0].push_back(static_cast<Payload>(key % 1000));
+  }
+  PartitionedTable::Options options;
+  options.chunk_values = kCapChunkRows;
+  options.chunk.block_values = kCapBlockValues;
+  std::vector<PartitionedTable::ChunkLayoutSpec> specs(kCapChunks);
+  for (auto& spec : specs) {
+    spec.partition_sizes.assign(kCapPartitions, kCapChunkRows / kCapPartitions);
+  }
+  return PartitionedTable::Build(std::move(keys), std::move(payload),
+                                 std::move(specs), options);
+}
+
+std::string CaptureTestDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "casper_maintenance_" + tag +
+                          "_" + std::to_string(::getpid());
+  std::system(("rm -rf " + dir).c_str());
+  EXPECT_TRUE(persist::EnsureDir(dir).ok());
+  return dir;
+}
+
+void ExpectSameModel(const FrequencyModel& got, const FrequencyModel& want,
+                     size_t chunk) {
+  ASSERT_EQ(got.num_blocks(), want.num_blocks()) << "chunk " << chunk;
+  EXPECT_EQ(got.pq(), want.pq()) << "chunk " << chunk;
+  EXPECT_EQ(got.rs(), want.rs()) << "chunk " << chunk;
+  EXPECT_EQ(got.sc(), want.sc()) << "chunk " << chunk;
+  EXPECT_EQ(got.re(), want.re()) << "chunk " << chunk;
+  EXPECT_EQ(got.de(), want.de()) << "chunk " << chunk;
+  EXPECT_EQ(got.in(), want.in()) << "chunk " << chunk;
+  EXPECT_EQ(got.udf(), want.udf()) << "chunk " << chunk;
+  EXPECT_EQ(got.utf(), want.utf()) << "chunk " << chunk;
+  EXPECT_EQ(got.udb(), want.udb()) << "chunk " << chunk;
+  EXPECT_EQ(got.utb(), want.utb()) << "chunk " << chunk;
+  EXPECT_EQ(got.total_operations(), want.total_operations()) << "chunk " << chunk;
+}
+
+TEST(MaintenanceTest, CycleCaptureMatchesSortedSnapshot) {
+  PartitionedTable table = MakeCaptureTable();
+  // Chunk 0 loses its top keys, so keys just above its last live key still
+  // route to it. Chunk 1 grows. Chunk 2 is emptied. Chunk 3 loses a few rows
+  // and is evicted below. Chunk 4 receives rows from chunk 1.
+  for (Value k = 1900; k < 2000; ++k) {
+    while (table.Delete(k) > 0) {
+    }
+  }
+  for (Value k = 2002; k < 2400; k += 8) table.Insert(k, {7});
+  for (Value k = 4000; k < 6000; ++k) {
+    while (table.Delete(k) > 0) {
+    }
+  }
+  for (Value k = 6000; k < 6400; k += 12) table.Delete(k);
+  for (Value k = 2400; k < 2440; k += 4) ASSERT_TRUE(table.UpdateKey(k, k + 6001));
+  EXPECT_GT(table.CoherentStatsSnapshot(1).grows, 0u);
+  ASSERT_EQ(table.RankKeysInChunk(2, nullptr, 0, nullptr), 0u);
+
+  // The reference input: live keys collected chunk by chunk and sorted, the
+  // empty chunk left out — what the build-time capture ranks against.
+  std::vector<std::vector<Value>> per_chunk(kCapChunks);
+  table.ForEachRowInRange(kMinValue, kMaxValue, [&](size_t c, uint32_t, Value k) {
+    per_chunk[c].push_back(k);
+  });
+  std::vector<Value> sorted_keys;
+  std::vector<size_t> chunks;
+  std::vector<size_t> rows;
+  Value chunk0_last = kMinValue;
+  for (size_t c = 0; c < kCapChunks; ++c) {
+    std::sort(per_chunk[c].begin(), per_chunk[c].end());
+    if (per_chunk[c].empty()) continue;
+    if (c == 0) chunk0_last = per_chunk[c].back();
+    chunks.push_back(c);
+    rows.push_back(per_chunk[c].size());
+    sorted_keys.insert(sorted_keys.end(), per_chunk[c].begin(), per_chunk[c].end());
+  }
+  ASSERT_EQ(chunks, (std::vector<size_t>{0, 1, 3, 4}));
+  ASSERT_EQ(table.ChunkFor(chunk0_last + 1), 0u);
+
+  const std::string dir = CaptureTestDir("capture");
+  ASSERT_TRUE(table.EvictChunk(3, dir + "/chunk_3.cspr"));
+  ASSERT_FALSE(table.ChunkResident(3));
+
+  std::vector<Operation> ops;
+  const auto op = [&ops](OpKind kind, Value a, Value b = 0) {
+    Operation o;
+    o.kind = kind;
+    o.a = a;
+    o.b = b;
+    ops.push_back(o);
+  };
+  // Past chunk 0's last live key, inside the emptied chunk, below the first
+  // and above the last chunk, and at a chunk's routing bound.
+  op(OpKind::kPointQuery, chunk0_last + 1);
+  op(OpKind::kInsert, chunk0_last + 3);
+  op(OpKind::kPointQuery, 5000);
+  op(OpKind::kDelete, 4100);
+  op(OpKind::kPointQuery, -1000);
+  op(OpKind::kInsert, 1 << 20);
+  op(OpKind::kPointQuery, 1999);
+  // Ranges spanning chunks (including the whole domain), cross-chunk updates.
+  op(OpKind::kRangeCount, -50, 20000);
+  op(OpKind::kRangeSum, 1500, 6500);
+  op(OpKind::kRangeMax, chunk0_last + 1, 4500);
+  op(OpKind::kUpdate, 2100, 8100);
+  op(OpKind::kUpdate, 9000, 100);
+  op(OpKind::kUpdate, 4500, 6100);
+  Rng rng(21);
+  for (int i = 0; i < 3000; ++i) {
+    const Value a = static_cast<Value>(rng.Next() % 10400) - 200;
+    const Value b = a + static_cast<Value>(rng.Next() % 5000);
+    switch (rng.Next() % 6) {
+      case 0:
+        op(OpKind::kPointQuery, a);
+        break;
+      case 1:
+        op(OpKind::kRangeCount, a, b);
+        break;
+      case 2:
+        op(OpKind::kInsert, a);
+        break;
+      case 3:
+        op(OpKind::kDelete, a);
+        break;
+      case 4:
+        op(OpKind::kUpdate, a, static_cast<Value>(rng.Next() % 10400) - 200);
+        break;
+      default:
+        op(OpKind::kRangeAvg, a, a + static_cast<Value>(rng.Next() % 300));
+        break;
+    }
+  }
+
+  const uint64_t cold_reads = table.CoherentStatsSnapshot(3).disk_reads;
+  const CycleCapture got = CaptureCycle(table, ops, kCapBlockValues);
+  // The cold chunk is read once for all the ops routing into it.
+  EXPECT_EQ(table.CoherentStatsSnapshot(3).disk_reads, cold_reads + 1);
+
+  WorkloadCapture want(sorted_keys, rows, kCapBlockValues);
+  want.CaptureAll(ops);
+  EXPECT_EQ(got.chunks, chunks);
+  EXPECT_EQ(got.rows, rows);
+  ASSERT_EQ(got.models.size(), want.models().size());
+  for (size_t i = 0; i < got.models.size(); ++i) {
+    ExpectSameModel(got.models[i], want.models()[i], chunks[i]);
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+// Traffic on resident chunks only: the cycle (capture, solve and any
+// re-partition) reads nothing from the tier files of the evicted chunks.
+TEST(MaintenanceTest, CycleReadsNoUntouchedColdChunk) {
+  PartitionedLayout layout(LayoutMode::kCasper, MakeCaptureTable());
+  const std::string dir = CaptureTestDir("cold");
+  PartitionedTable& table = layout.mutable_table();
+  ASSERT_TRUE(table.EvictChunk(1, dir + "/chunk_1.cspr"));
+  ASSERT_TRUE(table.EvictChunk(3, dir + "/chunk_3.cspr"));
+
+  LayoutMaintenanceService service(&layout, ManualMaintenance(),
+                                   PlannerOptions(), kCapBlockValues);
+  // Chunks 0, 2 and 4 hold keys [0, 2000), [4000, 6000) and [8000, 10000).
+  Rng rng(31);
+  std::vector<Operation> ops;
+  for (int i = 0; i < 600; ++i) {
+    const Value base = static_cast<Value>(4000 * (rng.Next() % 3));
+    Operation o;
+    o.a = base + static_cast<Value>(rng.Next() % 1800);
+    o.b = o.a + static_cast<Value>(rng.Next() % 150);
+    o.kind = (i % 3 == 0) ? OpKind::kRangeSum
+                          : (i % 3 == 1 ? OpKind::kPointQuery : OpKind::kInsert);
+    ops.push_back(o);
+  }
+  service.ObserveAll(ops);
+
+  const ChunkStatsSnapshot before = table.StatsSnapshots().Totals();
+  const MaintenanceCycleReport report = service.RunCycle();
+  const ChunkStatsSnapshot after = table.StatsSnapshots().Totals();
+  EXPECT_EQ(report.ops_captured, ops.size());
+  EXPECT_GE(report.chunks_evaluated, 1u);
+  EXPECT_EQ(after.disk_reads, before.disk_reads);
+  EXPECT_EQ(after.disk_bytes_read, before.disk_bytes_read);
+  EXPECT_FALSE(table.ChunkResident(1));
+  EXPECT_FALSE(table.ChunkResident(3));
+  std::system(("rm -rf " + dir).c_str());
 }
 
 }  // namespace
