@@ -131,9 +131,9 @@ double StaticVsAdaptive(JsonMetrics& json) {
   for (size_t i = 0; i < scenario.phases.size(); ++i) {
     Rng rng(40 + i);
     last_phase = GenerateWorkload(scenario.phases[i].spec, phase_ops, rng);
-    const BatchResult a = adaptive.ApplyBatch(last_phase);
-    const BatchResult b = fixed.ApplyBatch(last_phase);
-    if (a.query_checksum != b.query_checksum) {
+    const MixedResult a = adaptive.RunMixed(last_phase);
+    const MixedResult b = fixed.RunMixed(last_phase);
+    if (a.checksum != b.checksum) {
       std::fprintf(stderr,
                    "FAIL: adaptive/static checksum divergence in phase %s\n",
                    scenario.phases[i].label.c_str());

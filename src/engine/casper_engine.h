@@ -130,18 +130,6 @@ class CasperEngine {
     return engine_->PointLookup(key, payload);
   }
 
-  /// Batched point search: counts[i] == Find(keys[i]). The run is grouped by
-  /// destination chunk (routing amortized, chunk groups fanned over the
-  /// pool) — the read-side mirror of ApplyBatch.
-  std::vector<uint64_t> FindBatch(const std::vector<Value>& keys) const {
-    if (maintenance_ != nullptr) {
-      for (const Value key : keys) {
-        maintenance_->Observe({OpKind::kPointQuery, key, 0});
-      }
-    }
-    return engine_->LookupBatch(keys, pool_);
-  }
-
   // (iii) Range search — the unified ScanSpec surface. ExecuteScan is the
   // primitive (fans out over shards when a pool is attached); the named
   // methods are thin spec-building facades, bit-identical to the primitive.
@@ -159,6 +147,7 @@ class CasperEngine {
 
   // (iv) Insert.
   void Insert(Value key, const std::vector<Payload>& payload) {
+    CheckPayloadWidth(payload);
     if (maintenance_ != nullptr) {
       maintenance_->Observe({OpKind::kInsert, key, 0});
     }
@@ -173,6 +162,7 @@ class CasperEngine {
   /// caller-supplied rows through the layout's grouped, latch-protected
   /// write path, fanned over the pool where the layout allows.
   void InsertRows(const std::vector<Row>& rows) {
+    for (const Row& row : rows) CheckPayloadWidth(row.payload);
     if (maintenance_ != nullptr) {
       for (const Row& row : rows) {
         maintenance_->Observe({OpKind::kInsert, row.key, 0});
@@ -202,15 +192,6 @@ class CasperEngine {
       durable_->LogOps(&op, 1);
     }
     return engine_->Delete(key);
-  }
-
-  /// Batched operations: write runs are grouped by destination chunk/shard
-  /// and point-query runs by destination chunk (both fanned over the pool
-  /// when attached); results are identical to applying the ops one-by-one.
-  BatchResult ApplyBatch(const std::vector<Operation>& ops) {
-    if (maintenance_ != nullptr) maintenance_->ObserveAll(ops);
-    if (durable_ != nullptr) durable_->LogOps(ops.data(), ops.size());
-    return engine_->ApplyBatch(ops.data(), ops.size(), pool_);
   }
 
   /// Mixed-workload admission: read queries and write runs execute together,
@@ -254,6 +235,16 @@ class CasperEngine {
   const LayoutEngine& layout() const { return *engine_; }
 
  private:
+  /// Aborts on a row whose payload width is not the table's. Runs before a
+  /// write is observed or journaled, so a mis-sized row never reaches the
+  /// journal, where every later Open would replay it.
+  void CheckPayloadWidth(const std::vector<Payload>& payload) const {
+    CASPER_CHECK_MSG(payload.size() == engine_->num_payload_columns(),
+                     "payload width " << payload.size()
+                                      << " != table payload columns "
+                                      << engine_->num_payload_columns());
+  }
+
   CasperEngine(std::unique_ptr<LayoutEngine> engine,
                std::unique_ptr<ThreadPool> owned_pool, ThreadPool* pool)
       : engine_(std::move(engine)),

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "exec/scan_kernels.h"
 #include "util/status.h"
@@ -177,20 +176,6 @@ void DeltaStoreLayout::InsertLocked(Value key, const std::vector<Payload>& paylo
   MaybeMerge();
 }
 
-void DeltaStoreLayout::InsertRows(const Row* rows, size_t n, ThreadPool* /*pool*/) {
-  ExclusiveChunkGuard guard(engine_latch_);
-  delta_keys_.reserve(delta_keys_.size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    CASPER_CHECK(rows[i].payload.size() == main_payload_.size());
-    delta_keys_.push_back(rows[i].key);
-    for (size_t c = 0; c < main_payload_.size(); ++c) {
-      delta_payload_[c].push_back(rows[i].payload[c]);
-    }
-  }
-  // One merge check for the whole run, like the batched Operation path.
-  MaybeMerge();
-}
-
 size_t DeltaStoreLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
   return DeleteLocked(key);
@@ -232,49 +217,18 @@ bool DeltaStoreLayout::UpdateKey(Value old_key, Value new_key) {
   return true;
 }
 
-void DeltaStoreLayout::LookupBatch(const Value* keys, size_t n,
-                                   uint64_t* out_counts,
-                                   ThreadPool* /*pool*/) const {
-  if (n == 0) return;
-  SharedChunkGuard guard(engine_latch_);
-  // One delta pass for the whole run; the sorted main store stays per-key
-  // binary searches (already cheap).
-  std::unordered_map<Value, uint64_t> delta_counts;
-  delta_counts.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) delta_counts.emplace(keys[i], 0);
-  for (const Value k : delta_keys_) {
-    const auto it = delta_counts.find(k);
-    if (it != delta_counts.end()) ++it->second;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const auto [lo, hi] =
-        std::equal_range(main_keys_.begin(), main_keys_.end(), keys[i]);
-    uint64_t count = 0;
-    for (auto it = lo; it != hi; ++it) {
-      count += !deleted_[static_cast<size_t>(it - main_keys_.begin())];
+size_t DeltaStoreLayout::ApplyWriteRun(const std::vector<BatchWrite>& run,
+                                       ThreadPool* /*pool*/) {
+  ExclusiveChunkGuard guard(engine_latch_);
+  size_t deleted = 0;
+  for (const BatchWrite& w : run) {
+    if (w.is_insert) {
+      InsertLocked(w.key, w.payload);
+    } else {
+      deleted += DeleteLocked(w.key);
     }
-    out_counts[i] = count + delta_counts.find(keys[i])->second;
   }
-}
-
-BatchResult DeltaStoreLayout::ApplyBatch(const Operation* ops, size_t n,
-                                         ThreadPool* pool) {
-  std::vector<Payload> row;
-  return ApplyBatchInsertRuns(
-      *this, ops, n,
-      [&](const std::vector<Value>& run) {
-        ExclusiveChunkGuard guard(engine_latch_);
-        delta_keys_.reserve(delta_keys_.size() + run.size());
-        for (const Value key : run) {
-          delta_keys_.push_back(key);
-          KeyDerivedPayload(key, main_payload_.size(), &row);
-          for (size_t c = 0; c < main_payload_.size(); ++c) {
-            delta_payload_[c].push_back(row[c]);
-          }
-        }
-        MaybeMerge();
-      },
-      pool);
+  return deleted;
 }
 
 size_t DeltaStoreLayout::num_rows() const {

@@ -36,27 +36,11 @@ class DeltaStoreLayout final : public LayoutEngine {
   size_t Delete(Value key) override;
   bool UpdateKey(Value old_key, Value new_key) override;
 
-  /// Batched writes: insert runs append to the delta in bulk with a single
-  /// merge check at the end of the run (vs one per insert), so a large batch
-  /// triggers at most one merge. Logical content matches one-by-one
-  /// application exactly; only merge *timing* (merge_count) may differ.
-  /// Deletes prefer the delta via swap-remove — order-sensitive — so they
-  /// barrier, as do queries and updates.
-  BatchResult ApplyBatch(const Operation* ops, size_t n,
-                         ThreadPool* pool = nullptr) override;
-  using LayoutEngine::ApplyBatch;
-
-  /// Batched point lookups: per-key binary searches on the sorted main store
-  /// plus ONE pass over the unsorted delta for the whole run (hash-grouped),
-  /// instead of one delta scan per key.
-  void LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                   ThreadPool* pool = nullptr) const override;
-  using LayoutEngine::LookupBatch;
-
-  /// Payload-carrying ingest: bulk delta append with one merge check for the
-  /// run, under the engine latch.
-  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr) override;
-  using LayoutEngine::InsertRows;
+  /// Batched writes: the run applies in order under one exclusive hold of
+  /// the engine latch, each insert with its own merge check, so content and
+  /// merge timing both match one-by-one Insert/Delete calls.
+  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
+                       ThreadPool* pool) override;
 
   /// Unified scan surface: one main-store pass (binary-searched window with
   /// the delete bitmap applied) plus one delta pass, merged main-first like

@@ -1,13 +1,18 @@
 #include "layouts/layout_engine.h"
 
+#include <utility>
+
 #include "model/encoding_advisor.h"
 #include "storage/compressed_cache.h"
+#include "util/status.h"
 
 namespace casper {
 
 void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out) {
   out->resize(num_columns);
-  const uint64_t base = static_cast<uint64_t>(key < 0 ? -key : key);
+  // |key| taken in uint64_t: negating kMinValue as a Value would overflow.
+  const uint64_t bits = static_cast<uint64_t>(key);
+  const uint64_t base = key < 0 ? 0 - bits : bits;
   for (size_t c = 0; c < num_columns; ++c) {
     (*out)[c] = static_cast<Payload>((base * (c + 1)) % 10000);
   }
@@ -79,29 +84,48 @@ void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* resu
   ApplyOperation(engine, op, result, DefaultSumColumns(engine));
 }
 
-void LayoutEngine::LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                               ThreadPool* /*pool*/) const {
-  // Serial fallback: one probe per key. Layouts with routable or scannable
-  // structure override with grouped variants.
-  for (size_t i = 0; i < n; ++i) {
-    out_counts[i] = PointLookup(keys[i], nullptr);
-  }
-}
-
-void LayoutEngine::InsertRows(const Row* rows, size_t n, ThreadPool* /*pool*/) {
-  // Serial fallback: one routed insert per row. Layouts with a groupable
-  // write path override with bulk variants.
-  for (size_t i = 0; i < n; ++i) Insert(rows[i].key, rows[i].payload);
-}
-
 BatchResult LayoutEngine::ApplyBatch(const Operation* ops, size_t n,
-                                     ThreadPool* /*pool*/) {
-  // Serial fallback: apply in order. Layouts with a routable write path
-  // (partitioned, no-order, sorted, delta) override with grouped variants.
+                                     ThreadPool* pool) {
   BatchResult result;
   const std::vector<size_t> sum_cols = DefaultSumColumns(*this);
-  for (size_t i = 0; i < n; ++i) ApplyOperation(*this, ops[i], &result, sum_cols);
+  const size_t cols = num_payload_columns();
+  std::vector<BatchWrite> run;
+  auto flush_run = [&] {
+    if (run.empty()) return;
+    result.deletes += ApplyWriteRun(run, pool);
+    run.clear();
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const Operation& op = ops[i];
+    if (op.kind != OpKind::kInsert && op.kind != OpKind::kDelete) {
+      flush_run();
+      ApplyOperation(*this, op, &result, sum_cols);
+      continue;
+    }
+    BatchWrite w;
+    w.key = op.a;
+    w.is_insert = op.kind == OpKind::kInsert;
+    if (w.is_insert) {
+      KeyDerivedPayload(op.a, cols, &w.payload);
+      ++result.inserts;
+    }
+    run.push_back(std::move(w));
+  }
+  flush_run();
   return result;
+}
+
+void LayoutEngine::InsertRows(const Row* rows, size_t n, ThreadPool* pool) {
+  const size_t cols = num_payload_columns();
+  std::vector<BatchWrite> run(n);
+  for (size_t i = 0; i < n; ++i) {
+    CASPER_CHECK_MSG(rows[i].payload.size() == cols,
+                     "row payload width != table payload columns");
+    run[i].key = rows[i].key;
+    run[i].is_insert = true;
+    run[i].payload = rows[i].payload;
+  }
+  ApplyWriteRun(run, pool);
 }
 
 }  // namespace casper

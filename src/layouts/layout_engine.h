@@ -64,8 +64,8 @@ void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out)
 ///
 /// Beyond the per-operation surface, every layout exposes a *sharded* read
 /// surface (NumShards + ScanSpecShard) consumed by the morsel-driven fan-out
-/// in exec/, a batched write surface (ApplyBatch), and a batched
-/// point-lookup surface (LookupBatch). All six layouts shard: partitioned
+/// in exec/, and one batched write surface (ApplyWriteRun) that ApplyBatch
+/// and InsertRows both reduce to. All six layouts shard: partitioned
 /// layouts by column chunk, NoOrder by fixed row morsels, Sorted by
 /// binary-searched row windows, and the delta store into main sub-shards
 /// plus the delta buffer.
@@ -206,31 +206,22 @@ class LayoutEngine {
   /// concurrently.
   virtual size_t NumShards() const { return 1; }
 
-  // --- Batched read surface --------------------------------------------------
-
-  /// Batched point lookups — the read-side mirror of ApplyBatch:
-  /// out_counts[i] == PointLookup(keys[i], nullptr) for every i.
-  /// Implementations group the run by destination chunk / store component to
-  /// amortize routing and scans, and may fan disjoint groups out over
-  /// `pool`. The default probes serially one key at a time.
-  virtual void LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                           ThreadPool* pool = nullptr) const;
-  std::vector<uint64_t> LookupBatch(const std::vector<Value>& keys,
-                                    ThreadPool* pool = nullptr) const {
-    std::vector<uint64_t> counts(keys.size(), 0);
-    LookupBatch(keys.data(), keys.size(), counts.data(), pool);
-    return counts;
-  }
-
   // --- Batched write surface -----------------------------------------------
 
+  /// Applies a run of inserts (with their payloads) and deletes with results
+  /// identical to calling Insert/Delete on them in order, and returns the
+  /// rows actually deleted. This is the one batched write every layout
+  /// implements: partitioned layouts group the run by destination chunk and
+  /// may fan chunk groups out over `pool`; the single-store layouts apply it
+  /// under one exclusive hold of the engine latch.
+  virtual size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
+                               ThreadPool* pool) = 0;
+
   /// Applies `n` operations with results identical to applying them in order
-  /// one-by-one (inserts take key-derived payloads). Implementations group
-  /// maximal runs of inserts/deletes by destination shard to amortize
-  /// routing, and may fan shard groups out over `pool`; queries and updates
-  /// act as barriers. The default applies the batch serially op-by-op.
-  virtual BatchResult ApplyBatch(const Operation* ops, size_t n,
-                                 ThreadPool* pool = nullptr);
+  /// one-by-one (inserts take key-derived payloads). Each maximal run of
+  /// inserts/deletes goes to ApplyWriteRun as one call; queries and updates
+  /// are barriers applied through ApplyOperation.
+  BatchResult ApplyBatch(const Operation* ops, size_t n, ThreadPool* pool = nullptr);
   BatchResult ApplyBatch(const std::vector<Operation>& ops,
                          ThreadPool* pool = nullptr) {
     return ApplyBatch(ops.data(), ops.size(), pool);
@@ -238,11 +229,10 @@ class LayoutEngine {
 
   /// Payload-carrying batch ingest (the production write surface, vs the
   /// Operation stream's key-derived payloads): inserts `n` caller-supplied
-  /// rows with logical results identical to calling Insert(row.key,
-  /// row.payload) in order. Implementations group/bulk the run (chunk-routed
-  /// and pool-parallel where the layout allows); the default applies
-  /// row-by-row.
-  virtual void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr);
+  /// rows as one ApplyWriteRun, with results identical to calling
+  /// Insert(row.key, row.payload) in order. Every row's width is checked
+  /// before any row applies.
+  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr);
   void InsertRows(const std::vector<Row>& rows, ThreadPool* pool = nullptr) {
     InsertRows(rows.data(), rows.size(), pool);
   }
@@ -255,8 +245,8 @@ class LayoutEngine {
 };
 
 /// Applies one operation through the per-op surface, folding the outcome
-/// into `result` exactly as ApplyBatch does (shared by the serial fallback,
-/// batch barriers, and equivalence tests). Inserts use KeyDerivedPayload;
+/// into `result` exactly as ApplyBatch does (shared by ApplyBatch's
+/// barriers and the equivalence tests). Inserts use KeyDerivedPayload;
 /// range aggregates (sum/min/max/avg) use `sum_cols` — callers applying a
 /// whole batch compute it ONCE (DefaultSumColumns) and pass it through
 /// instead of re-deriving it per op.
@@ -304,61 +294,6 @@ inline std::pair<size_t, size_t> SortedShardWindow(const std::vector<Value>& key
 std::shared_ptr<const ChunkEncoding> EncodeSingleStore(
     const std::vector<Value>& keys,
     const std::vector<std::vector<Payload>>& payload);
-
-/// Shared ApplyBatch skeleton for layouts whose groupable runs are
-/// consecutive inserts and consecutive point queries (NoOrder, Sorted, delta
-/// store): buffers kInsert keys and flushes them via flush_run(keys) at any
-/// barrier; buffers kPointQuery keys and answers a maximal run through the
-/// engine's LookupBatch (chunk/store-grouped, optionally pool-parallel).
-/// Inserts barrier lookups and vice versa — reads must observe every write
-/// before them — so results stay identical to one-by-one application.
-/// flush_run must apply the keyed inserts with KeyDerivedPayload rows; the
-/// skeleton does the insert and checksum accounting.
-template <typename FlushFn>
-BatchResult ApplyBatchInsertRuns(LayoutEngine& engine, const Operation* ops,
-                                 size_t n, FlushFn&& flush_run,
-                                 ThreadPool* pool = nullptr) {
-  BatchResult result;
-  // One sum-column derivation per batch, shared by every range-aggregate
-  // barrier op (it used to be re-derived inside ApplyOperation per op).
-  const std::vector<size_t> sum_cols = DefaultSumColumns(engine);
-  std::vector<Value> pending;
-  std::vector<Value> pending_lookups;
-  std::vector<uint64_t> counts;
-  auto flush_inserts = [&] {
-    if (pending.empty()) return;
-    flush_run(pending);
-    result.inserts += pending.size();
-    pending.clear();
-  };
-  auto flush_lookups = [&] {
-    if (pending_lookups.empty()) return;
-    counts.assign(pending_lookups.size(), 0);
-    engine.LookupBatch(pending_lookups.data(), pending_lookups.size(),
-                       counts.data(), pool);
-    for (const uint64_t c : counts) result.query_checksum += c;
-    pending_lookups.clear();
-  };
-  for (size_t i = 0; i < n; ++i) {
-    switch (ops[i].kind) {
-      case OpKind::kInsert:
-        flush_lookups();
-        pending.push_back(ops[i].a);
-        break;
-      case OpKind::kPointQuery:
-        flush_inserts();
-        pending_lookups.push_back(ops[i].a);
-        break;
-      default:
-        flush_inserts();
-        flush_lookups();
-        ApplyOperation(engine, ops[i], &result, sum_cols);
-    }
-  }
-  flush_inserts();
-  flush_lookups();
-  return result;
-}
 
 }  // namespace casper
 

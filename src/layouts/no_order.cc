@@ -1,7 +1,6 @@
 #include "layouts/no_order.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "exec/scan_kernels.h"
 #include "util/status.h"
@@ -101,53 +100,12 @@ ScanPartial NoOrderLayout::EvalRowsLocked(size_t begin, size_t end,
   return exec::EvalSpecRows(spec, rows);
 }
 
-void NoOrderLayout::LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                                ThreadPool* /*pool*/) const {
-  if (n == 0) return;
-  SharedChunkGuard guard(engine_latch_);
-  // Group the queried keys, then answer every one of them with a single
-  // pass over the column — O(rows + n) for the run instead of n full scans.
-  std::unordered_map<Value, uint64_t> counts;
-  counts.reserve(n * 2);
-  for (size_t i = 0; i < n; ++i) counts.emplace(keys[i], 0);
-  for (const Value k : keys_) {
-    const auto it = counts.find(k);
-    if (it != counts.end()) ++it->second;
-  }
-  for (size_t i = 0; i < n; ++i) out_counts[i] = counts.find(keys[i])->second;
-}
-
-BatchResult NoOrderLayout::ApplyBatch(const Operation* ops, size_t n,
-                                      ThreadPool* pool) {
-  std::vector<Payload> row;
-  return ApplyBatchInsertRuns(
-      *this, ops, n,
-      [&](const std::vector<Value>& run) {
-        ExclusiveChunkGuard guard(engine_latch_);
-        keys_.reserve(keys_.size() + run.size());
-        for (const Value key : run) {
-          keys_.push_back(key);
-          KeyDerivedPayload(key, payload_.size(), &row);
-          for (size_t c = 0; c < payload_.size(); ++c) payload_[c].push_back(row[c]);
-        }
-      },
-      pool);
-}
-
-void NoOrderLayout::InsertRows(const Row* rows, size_t n, ThreadPool* /*pool*/) {
-  ExclusiveChunkGuard guard(engine_latch_);
-  keys_.reserve(keys_.size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    CASPER_CHECK(rows[i].payload.size() == payload_.size());
-    keys_.push_back(rows[i].key);
-    for (size_t c = 0; c < payload_.size(); ++c) {
-      payload_[c].push_back(rows[i].payload[c]);
-    }
-  }
-}
-
 void NoOrderLayout::Insert(Value key, const std::vector<Payload>& payload) {
   ExclusiveChunkGuard guard(engine_latch_);
+  InsertLocked(key, payload);
+}
+
+void NoOrderLayout::InsertLocked(Value key, const std::vector<Payload>& payload) {
   CASPER_CHECK(payload.size() == payload_.size());
   keys_.push_back(key);
   for (size_t c = 0; c < payload_.size(); ++c) payload_[c].push_back(payload[c]);
@@ -155,6 +113,10 @@ void NoOrderLayout::Insert(Value key, const std::vector<Payload>& payload) {
 
 size_t NoOrderLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
+  return DeleteLocked(key);
+}
+
+size_t NoOrderLayout::DeleteLocked(Value key) {
   const size_t i = kernels::FindFirstEqual(keys_.data(), keys_.size(), key);
   if (i == keys_.size()) return 0;
   keys_[i] = keys_.back();
@@ -164,6 +126,20 @@ size_t NoOrderLayout::Delete(Value key) {
     col.pop_back();
   }
   return 1;
+}
+
+size_t NoOrderLayout::ApplyWriteRun(const std::vector<BatchWrite>& run,
+                                    ThreadPool* /*pool*/) {
+  ExclusiveChunkGuard guard(engine_latch_);
+  size_t deleted = 0;
+  for (const BatchWrite& w : run) {
+    if (w.is_insert) {
+      InsertLocked(w.key, w.payload);
+    } else {
+      deleted += DeleteLocked(w.key);
+    }
+  }
+  return deleted;
 }
 
 bool NoOrderLayout::UpdateKey(Value old_key, Value new_key) {

@@ -39,23 +39,10 @@ class NoOrderLayout final : public LayoutEngine {
   }
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
-  /// Batched point lookups: one pass over the column answers the whole run
-  /// (hash-grouped keys), O(rows + n) instead of n full scans.
-  void LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                   ThreadPool* pool = nullptr) const override;
-  using LayoutEngine::LookupBatch;
-
-  /// Batched writes: insert runs bulk-append (one reserve, no per-op
-  /// routing); point-query runs answer through LookupBatch; deletes
-  /// swap-remove and are order-sensitive, so they barrier.
-  BatchResult ApplyBatch(const Operation* ops, size_t n,
-                         ThreadPool* pool = nullptr) override;
-  using LayoutEngine::ApplyBatch;
-
-  /// Payload-carrying ingest: one reserve + bulk append under the engine
-  /// latch.
-  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr) override;
-  using LayoutEngine::InsertRows;
+  /// Batched writes: the run applies in order under one exclusive hold of
+  /// the engine latch (appends and swap-removes, exactly as Insert/Delete).
+  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
+                       ThreadPool* pool) override;
 
   size_t num_rows() const override {
     SharedChunkGuard guard(engine_latch_);
@@ -73,6 +60,11 @@ class NoOrderLayout final : public LayoutEngine {
   void ValidateInvariants() const override;
 
  private:
+  // Latch-free write internals; callers hold the engine latch exclusively.
+  void InsertLocked(Value key, const std::vector<Payload>& payload)
+      REQUIRES(engine_latch_);
+  size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
+
   /// Row window [begin, end) of a shard.
   std::pair<size_t, size_t> MorselBounds(size_t shard) const
       REQUIRES_SHARED(engine_latch_) {

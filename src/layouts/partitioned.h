@@ -64,28 +64,13 @@ class PartitionedLayout final : public LayoutEngine {
     return table_.ScanSpecAllChunks(spec);
   }
 
-  /// Batched point lookups: routed once and probed chunk-by-chunk (pool
-  /// fans chunk groups out), mirroring the batched write path.
-  void LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                   ThreadPool* pool = nullptr) const override {
-    table_.LookupBatch(keys, n, out_counts, pool);
+  /// Batched writes: the run is routed once and applied chunk-by-chunk
+  /// under each chunk's exclusive latch, chunk groups fanned over `pool`
+  /// (PartitionedTable::ApplyWriteRun).
+  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
+                       ThreadPool* pool) override {
+    return table_.ApplyWriteRun(run, pool);
   }
-  using LayoutEngine::LookupBatch;
-
-  /// Batched writes: maximal insert/delete runs are grouped by destination
-  /// chunk and applied chunk-parallel; maximal point-query runs are answered
-  /// through LookupBatch; range queries and (possibly cross-chunk) updates
-  /// are barriers.
-  BatchResult ApplyBatch(const Operation* ops, size_t n,
-                         ThreadPool* pool = nullptr) override;
-  using LayoutEngine::ApplyBatch;
-
-  /// Payload-carrying ingest: one routed, chunk-grouped, latch-protected
-  /// write run (PartitionedTable::BatchWriteRows).
-  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr) override {
-    table_.BatchWriteRows(rows, n, pool);
-  }
-  using LayoutEngine::InsertRows;
 
   size_t num_rows() const override { return table_.num_rows(); }
   size_t num_payload_columns() const override {

@@ -126,6 +126,10 @@ void SortedLayout::InsertLocked(Value key, const std::vector<Payload>& payload) 
 
 size_t SortedLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
+  return DeleteLocked(key);
+}
+
+size_t SortedLayout::DeleteLocked(Value key) {
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
   if (it == keys_.end() || *it != key) return 0;
   const size_t pos = static_cast<size_t>(it - keys_.begin());
@@ -183,33 +187,27 @@ void SortedLayout::MergeRowsLocked(std::vector<Row> rows) {
   payload_ = std::move(merged_payload);
 }
 
-void SortedLayout::MergeInsertRun(const std::vector<Value>& batch_keys) {
-  std::vector<Row> rows(batch_keys.size());
-  for (size_t i = 0; i < batch_keys.size(); ++i) {
-    rows[i].key = batch_keys[i];
-    KeyDerivedPayload(batch_keys[i], payload_.size(), &rows[i].payload);
-  }
-  MergeRowsLocked(std::move(rows));
-}
-
-void SortedLayout::InsertRows(const Row* rows, size_t n, ThreadPool* /*pool*/) {
-  std::vector<Row> run(rows, rows + n);
-  // payload_cols_ (not payload_.size()): the check runs before the latch is
-  // taken, so it may only read immutable state.
-  for (const Row& r : run) CASPER_CHECK(r.payload.size() == payload_cols_);
+size_t SortedLayout::ApplyWriteRun(const std::vector<BatchWrite>& run,
+                                   ThreadPool* /*pool*/) {
   ExclusiveChunkGuard guard(engine_latch_);
-  MergeRowsLocked(std::move(run));
-}
-
-BatchResult SortedLayout::ApplyBatch(const Operation* ops, size_t n,
-                                     ThreadPool* pool) {
-  return ApplyBatchInsertRuns(
-      *this, ops, n,
-      [&](const std::vector<Value>& run) {
-        ExclusiveChunkGuard guard(engine_latch_);
-        MergeInsertRun(run);
-      },
-      pool);
+  size_t deleted = 0;
+  std::vector<Row> stretch;
+  auto merge_stretch = [&] {
+    if (stretch.empty()) return;
+    MergeRowsLocked(std::move(stretch));
+    stretch.clear();
+  };
+  for (const BatchWrite& w : run) {
+    if (w.is_insert) {
+      CASPER_CHECK(w.payload.size() == payload_cols_);
+      stretch.push_back(Row{w.key, w.payload});
+    } else {
+      merge_stretch();
+      deleted += DeleteLocked(w.key);
+    }
+  }
+  merge_stretch();
+  return deleted;
 }
 
 LayoutMemoryStats SortedLayout::MemoryStats() const {

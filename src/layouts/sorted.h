@@ -23,18 +23,14 @@ class SortedLayout final : public LayoutEngine {
   size_t Delete(Value key) override;
   bool UpdateKey(Value old_key, Value new_key) override;
 
-  /// Batched writes: an insert run is stably sorted and merged in one
-  /// O(n + k log k) pass instead of k O(n) tail shifts. Placement matches
-  /// sequential Insert exactly (upper_bound: new rows land after existing
-  /// equals, batch order preserved among themselves).
-  BatchResult ApplyBatch(const Operation* ops, size_t n,
-                         ThreadPool* pool = nullptr) override;
-  using LayoutEngine::ApplyBatch;
-
-  /// Payload-carrying ingest: one stable-sorted merge pass under the engine
-  /// latch, placement identical to sequential Insert calls.
-  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr) override;
-  using LayoutEngine::InsertRows;
+  /// Batched writes, under one exclusive hold of the engine latch: each
+  /// stretch of inserts is stably sorted and merged in one O(n + k log k)
+  /// pass instead of k O(n) tail shifts, and deletes apply between
+  /// stretches. Placement matches sequential Insert/Delete exactly
+  /// (upper_bound: new rows land after existing equals, run order preserved
+  /// among themselves).
+  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
+                       ThreadPool* pool) override;
 
   /// Unified scan surface: the key range resolves to one whole-column
   /// binary-searched window [first, last) — counts never touch data, sums
@@ -63,13 +59,12 @@ class SortedLayout final : public LayoutEngine {
   void ValidateInvariants() const override;
 
  private:
-  /// Insert without taking the engine latch (callers hold it exclusively).
+  // Latch-free write internals; callers hold the engine latch exclusively.
   void InsertLocked(Value key, const std::vector<Payload>& payload)
       REQUIRES(engine_latch_);
+  size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
   /// One-pass merge of caller rows into the sorted column.
   void MergeRowsLocked(std::vector<Row> rows) REQUIRES(engine_latch_);
-  void MergeInsertRun(const std::vector<Value>& batch_keys)
-      REQUIRES(engine_latch_);
 
   /// Qualifying row positions [first, last) of [lo, hi) inside this shard's
   /// window, found by binary search bounded to the window.

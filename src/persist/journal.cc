@@ -39,6 +39,9 @@ void SerializeRows(const Row* rows, size_t n, ByteSink* s) {
   s->U64(n);
   s->U64(cols);
   for (size_t i = 0; i < n; ++i) {
+    // The record stores one width for every row; a row of another width
+    // would be read past its end here and misparse on replay.
+    CASPER_CHECK(rows[i].payload.size() == cols);
     s->I64(rows[i].key);
     for (uint64_t c = 0; c < cols; ++c) s->U32(rows[i].payload[c]);
   }

@@ -15,7 +15,7 @@ namespace persist {
 
 /// Append-only write-ahead journal of committed write runs. One record per
 /// facade-level write call (Insert/InsertRows -> a row run; Delete/Update/
-/// ApplyBatch/RunMixed -> an operation run), appended BEFORE the write is
+/// RunMixed -> an operation run), appended BEFORE the write is
 /// applied, in the order the facade serializes them. Together with the base
 /// chunk files this is the durable truth: recovery replays the journal's
 /// valid prefix serially and lands on exactly the state the engine held

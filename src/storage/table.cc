@@ -254,48 +254,6 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
       spec, PartitionSource::Resident(ch.keys, ch.payload, enc.get()), stats);
 }
 
-void PartitionedTable::LookupBatch(const Value* keys, size_t n,
-                                   uint64_t* out_counts, ThreadPool* pool) const {
-  // Tiny runs (a single point query between batch barriers) skip the
-  // O(num_chunks) bucketing and probe directly.
-  if (n <= 2) {
-    for (size_t i = 0; i < n; ++i) out_counts[i] = PointLookup(keys[i]);
-    return;
-  }
-  // Route once: bucket query indices by destination chunk, mirroring
-  // ApplyWriteRun on the read side. Per-chunk runs keep the chunk's data hot
-  // and hand the pool disjoint work (distinct chunks, distinct out slots).
-  std::vector<std::vector<uint32_t>> by_chunk(chunks_.size());
-  for (size_t i = 0; i < n; ++i) {
-    by_chunk[RouteChunk(keys[i])].push_back(static_cast<uint32_t>(i));
-  }
-  std::vector<size_t> touched;
-  for (size_t c = 0; c < by_chunk.size(); ++c) {
-    if (!by_chunk[c].empty()) touched.push_back(c);
-  }
-  auto probe_chunk = [&](size_t c) {
-    const TableChunk& ch = *chunks_[c];
-    SharedChunkGuard guard(ch.latch);
-    if (ch.evicted != nullptr) {
-      // One disk read serves the whole per-chunk probe run.
-      const persist::PersistedChunk pc = LoadEvicted(ch);
-      for (const uint32_t idx : by_chunk[c]) {
-        out_counts[idx] = persist::PointLookupPersisted(pc, keys[idx], nullptr,
-                                                        0, &ch.keys.stats());
-      }
-      return;
-    }
-    for (const uint32_t idx : by_chunk[c]) {
-      out_counts[idx] = ch.keys.CountEqual(keys[idx]);
-    }
-  };
-  if (pool != nullptr && pool->num_threads() > 1 && touched.size() > 1) {
-    pool->ParallelFor(touched.size(), [&](size_t i) { probe_chunk(touched[i]); });
-  } else {
-    for (const size_t c : touched) probe_chunk(c);
-  }
-}
-
 void PartitionedTable::ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
                                     const std::vector<Payload>* new_payload,
                                     std::vector<Payload>* stash) {
@@ -454,22 +412,6 @@ size_t PartitionedTable::ApplyWriteRun(const std::vector<BatchWrite>& run,
     deleted += removed[c];
   }
   return deleted;
-}
-
-void PartitionedTable::BatchWriteRows(const Row* rows, size_t n,
-                                      ThreadPool* pool) {
-  std::vector<BatchWrite> run;
-  run.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    CASPER_CHECK_MSG(rows[i].payload.size() == payload_cols_,
-                     "row payload width != table payload columns");
-    BatchWrite w;
-    w.key = rows[i].key;
-    w.is_insert = true;
-    w.payload = rows[i].payload;
-    run.push_back(std::move(w));
-  }
-  ApplyWriteRun(run, pool);
 }
 
 size_t PartitionedTable::MemoryBytes() const {

@@ -102,13 +102,6 @@ class PartitionedTable {
   /// whole-table CountRange / SumPayloadRange facades above reduce to.
   ScanPartial ScanSpecAllChunks(const ScanSpec& spec) const;
 
-  /// Batched point lookups (read-side mirror of ApplyWriteRun): routes the
-  /// run once, groups keys by destination chunk, and probes chunk-by-chunk —
-  /// out_counts[i] == PointLookup(keys[i]) for every i. With a pool, chunk
-  /// groups are probed concurrently (disjoint chunks, disjoint out slots).
-  void LookupBatch(const Value* keys, size_t n, uint64_t* out_counts,
-                   ThreadPool* pool = nullptr) const;
-
   /// O(1) key-range overlap test against the chunk routing bounds.
   bool ChunkOverlapsRange(size_t c, Value lo, Value hi) const {
     const bool is_last = (c + 1 == chunks_.size());
@@ -142,13 +135,6 @@ class PartitionedTable {
   /// Q6: move one row from old_key to new_key (primary-key correction).
   bool UpdateKey(Value old_key, Value new_key);
 
-  /// One row of a batched write run.
-  struct BatchWrite {
-    Value key = 0;
-    bool is_insert = false;  ///< false = delete-one
-    std::vector<Payload> payload;  ///< inserts only; one entry per column
-  };
-
   /// Applies a run of inserts/deletes with results identical to applying
   /// them in order one-by-one. The run is routed once (one binary search per
   /// op, stable within each chunk) and then applied chunk-by-chunk — legal
@@ -162,16 +148,6 @@ class PartitionedTable {
   /// Returns the number of rows actually deleted.
   size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
                        ThreadPool* pool = nullptr);
-
-  /// Payload-carrying batch ingest: inserts `n` caller-supplied rows through
-  /// the same route-once, chunk-grouped, latch-protected path as
-  /// ApplyWriteRun. Each row's payload must have one entry per payload
-  /// column. This is the production write surface; the Operation-stream path
-  /// derives payloads from keys instead.
-  void BatchWriteRows(const Row* rows, size_t n, ThreadPool* pool = nullptr);
-  void BatchWriteRows(const std::vector<Row>& rows, ThreadPool* pool = nullptr) {
-    BatchWriteRows(rows.data(), rows.size(), pool);
-  }
 
   // --- Concurrency control ---------------------------------------------------
 

@@ -218,38 +218,6 @@ TEST(ParallelExec, ScanAllCoversDomainEdges) {
   }
 }
 
-TEST(LookupBatch, MatchesPointLookupAcrossLayouts) {
-  const Fixture f = MakeFixture(20000, 51);
-  ThreadPool pool(4);
-  // Mutate first so the delta store has a live delta and tombstones, the
-  // partitioned layouts have rippled, etc.
-  const auto mutations =
-      RandomOps(1000, f.data.domain_lo, f.data.domain_hi, /*seed=*/31);
-
-  Rng rng(13);
-  const uint64_t span =
-      static_cast<uint64_t>(f.data.domain_hi - f.data.domain_lo) + 1;
-  std::vector<Value> keys;
-  for (int i = 0; i < 400; ++i) {
-    keys.push_back(f.data.domain_lo + static_cast<Value>(rng.Below(span)));
-  }
-  keys.push_back(keys.front());  // duplicate within the batch
-  keys.push_back(f.data.domain_hi + 10);  // absent key
-
-  for (const LayoutMode mode : AllModes()) {
-    SCOPED_TRACE(LayoutModeName(mode));
-    auto engine = BuildMode(mode, f);
-    engine->ApplyBatch(mutations);
-    const std::vector<uint64_t> serial = engine->LookupBatch(keys);
-    const std::vector<uint64_t> pooled = engine->LookupBatch(keys, &pool);
-    ASSERT_EQ(serial.size(), keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_EQ(serial[i], engine->PointLookup(keys[i], nullptr)) << "key " << i;
-    }
-    EXPECT_EQ(serial, pooled);
-  }
-}
-
 TEST(ApplyBatch, EquivalentToOneByOneAcrossLayouts) {
   const Fixture f = MakeFixture(20000, 99);
   const auto ops =
@@ -419,12 +387,12 @@ TEST(CasperEngineExec, ParallelOpenMatchesSerialOpen) {
 
   // Batched writes through both engines leave identical logical state.
   const auto ops = RandomOps(1500, f.data.domain_lo, f.data.domain_hi, 404);
-  const BatchResult rs = serial.ApplyBatch(ops);
-  const BatchResult rp = parallel.ApplyBatch(ops);
+  const MixedResult rs = serial.RunMixed(ops);
+  const MixedResult rp = parallel.RunMixed(ops);
   EXPECT_EQ(rs.inserts, rp.inserts);
   EXPECT_EQ(rs.deletes, rp.deletes);
   EXPECT_EQ(rs.updates, rp.updates);
-  EXPECT_EQ(rs.query_checksum, rp.query_checksum);
+  EXPECT_EQ(rs.checksum, rp.checksum);
   EXPECT_EQ(serial.num_rows(), parallel.num_rows());
 }
 

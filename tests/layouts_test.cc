@@ -52,6 +52,16 @@ TestData MakeData(size_t rows, size_t cols, uint64_t seed,
   return d;
 }
 
+// |kMinValue| is taken in unsigned arithmetic: 2^63 % 10000 == 5808, and
+// 2 * 2^63 wraps to 0. Negating the key as a signed value would overflow.
+TEST(KeyDerivedPayload, MinValueKeyDoesNotOverflow) {
+  std::vector<Payload> payload;
+  KeyDerivedPayload(kMinValue, 2, &payload);
+  EXPECT_EQ(payload, (std::vector<Payload>{5808, 0}));
+  KeyDerivedPayload(-7, 2, &payload);
+  EXPECT_EQ(payload, (std::vector<Payload>{7, 14}));
+}
+
 TEST(LayoutFactory, BuildsEveryMode) {
   TestData d = MakeData(5000, 3, 42);
   for (const LayoutMode mode : kAllModes) {

@@ -106,9 +106,9 @@ size_t ReplayScenario(const DriftScenario& scenario, CasperEngine& adaptive,
   size_t repartitioned = 0;
   for (size_t i = 0; i < scenario.phases.size(); ++i) {
     const auto ops = PhaseOps(scenario.phases[i], 100 + i);
-    const BatchResult a = adaptive.ApplyBatch(ops);
-    const BatchResult b = fixed.ApplyBatch(ops);
-    EXPECT_EQ(a.query_checksum, b.query_checksum)
+    const MixedResult a = adaptive.RunMixed(ops);
+    const MixedResult b = fixed.RunMixed(ops);
+    EXPECT_EQ(a.checksum, b.checksum)
         << scenario.name << " phase " << scenario.phases[i].label;
     EXPECT_EQ(a.inserts, b.inserts);
     EXPECT_EQ(a.deletes, b.deletes);
@@ -119,8 +119,8 @@ size_t ReplayScenario(const DriftScenario& scenario, CasperEngine& adaptive,
   return repartitioned;
 }
 
-/// Post-scenario deep comparison: a probe grid of range counts/sums and a
-/// point-lookup batch must agree exactly between the two engines.
+/// Post-scenario deep comparison: a probe grid of range counts/sums and of
+/// point lookups must agree exactly between the two engines.
 void ExpectSameAnswers(const CasperEngine& a, const CasperEngine& b) {
   constexpr int kProbes = 64;
   for (int i = 0; i < kProbes; ++i) {
@@ -131,9 +131,7 @@ void ExpectSameAnswers(const CasperEngine& a, const CasperEngine& b) {
               b.SumPayloadBetween(lo, hi, {0, 1}))
         << lo;
   }
-  std::vector<Value> probes;
-  for (Value v = 0; v < kDomain; v += 997) probes.push_back(v);
-  EXPECT_EQ(a.FindBatch(probes), b.FindBatch(probes));
+  for (Value v = 0; v < kDomain; v += 997) EXPECT_EQ(a.Find(v), b.Find(v)) << v;
   EXPECT_EQ(a.ScanAll(), b.ScanAll());
 }
 
@@ -311,7 +309,7 @@ TEST(MaintenanceTest, DisabledMaintenanceNeverMutatesLayout) {
   const uint64_t before = engine.layout().LayoutFingerprint();
   EXPECT_NE(before, 0u);
   for (size_t i = 0; i < scenario.phases.size(); ++i) {
-    engine.ApplyBatch(PhaseOps(scenario.phases[i], 300 + i));
+    engine.RunMixed(PhaseOps(scenario.phases[i], 300 + i));
   }
   EXPECT_EQ(engine.layout().LayoutFingerprint(), before);
 

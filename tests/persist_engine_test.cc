@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -349,8 +350,8 @@ TEST(Recovery, ReopenEqualsLiveEngine) {
     Rng rng(31);
     for (int run = 0; run < 10; ++run) {
       const auto ops = WriteRun(rng, 1 + rng.Next() % 40);
-      e.ApplyBatch(ops);
-      ref.ApplyBatch(ops);
+      e.RunMixed(ops);
+      ref.RunMixed(ops);
     }
     std::vector<Row> rows;
     for (int i = 0; i < 25; ++i) {
@@ -397,7 +398,7 @@ TEST(Recovery, ReadOnlyRunMixedJournalsNothing) {
   const std::string dir = FreshDir("readonly_mixed");
   CasperEngine e = CasperEngine::Open(BaseOptions(d, dir));
   Rng rng(37);
-  e.ApplyBatch(WriteRun(rng, 20));
+  e.RunMixed(WriteRun(rng, 20));
   const size_t before = JournalRecordCount(dir);
   ASSERT_EQ(before, 1u);
 
@@ -426,8 +427,8 @@ TEST(Recovery, SurvivesEvictionStateAtClose) {
     CasperEngine e = CasperEngine::Open(BaseOptions(d, dir));
     Rng rng(37);
     const auto ops = WriteRun(rng, 60);
-    e.ApplyBatch(ops);
-    ref.ApplyBatch(ops);
+    e.RunMixed(ops);
+    ref.RunMixed(ops);
     // Evict half the chunks and leave them evicted across the close: the
     // journal + base files are the durable truth, tier files just a cache.
     PartitionedTable& table = TableOf(e);
@@ -444,26 +445,32 @@ TEST(Recovery, SurvivesEvictionStateAtClose) {
   std::system(("rm -rf " + dir).c_str());
 }
 
-/// Forks a child that opens a store at `dir` and applies `runs` write
-/// batches with the named kill point armed; returns the child's exit status.
-int RunChildToCrash(const std::string& dir, const TableData& d,
-                    const char* point, int runs) {
+/// Runs `body` in a forked child and returns the child's wait status; the
+/// child exits 0 when `body` returns.
+int RunInChild(const std::function<void()>& body) {
   const pid_t pid = fork();
   if (pid == 0) {
-    // Child: arm the kill point, do the work, exit 0 if it never fires.
-    ::setenv("CASPER_PERSIST_CRASH_POINT", point, 1);
-    {
-      CasperEngine e = CasperEngine::Open(BaseOptions(d, dir));
-      Rng rng(43);
-      for (int run = 0; run < runs; ++run) {
-        e.ApplyBatch(WriteRun(rng, 1 + rng.Next() % 30));
-      }
-    }
+    body();
     ::_exit(0);
   }
   int status = 0;
   ::waitpid(pid, &status, 0);
   return status;
+}
+
+/// Forks a child that opens a store at `dir` and applies `runs` write
+/// batches with the named kill point armed; returns the child's exit status.
+int RunChildToCrash(const std::string& dir, const TableData& d,
+                    const char* point, int runs) {
+  return RunInChild([&] {
+    // Child: arm the kill point, do the work, exit 0 if it never fires.
+    ::setenv("CASPER_PERSIST_CRASH_POINT", point, 1);
+    CasperEngine e = CasperEngine::Open(BaseOptions(d, dir));
+    Rng rng(43);
+    for (int run = 0; run < runs; ++run) {
+      e.RunMixed(WriteRun(rng, 1 + rng.Next() % 30));
+    }
+  });
 }
 
 /// The recovery acceptance gate: whatever the journal's valid prefix holds,
@@ -482,7 +489,7 @@ void ExpectRecoveryEqualsSerialReplay(const std::string& dir,
     if (rec.type == persist::JournalRecordType::kRowsRun) {
       ref.InsertRows(rec.rows);
     } else {
-      ref.ApplyBatch(rec.ops);
+      ref.RunMixed(rec.ops);
     }
   }
 
@@ -544,7 +551,7 @@ TEST(Recovery, TornJournalFuzzAtEveryOffset) {
       // Fuzz over run sizes: singletons, small and mid-size batches, plus
       // the row-run record type.
       const size_t n = 1 + rng.Next() % 25;
-      e.ApplyBatch(WriteRun(rng, n));
+      e.RunMixed(WriteRun(rng, n));
       if (run % 4 == 3) {
         std::vector<Row> rows;
         for (size_t i = 0; i < 1 + rng.Next() % 5; ++i) {
@@ -580,6 +587,56 @@ TEST(Recovery, TornJournalFuzzAtEveryOffset) {
     ExpectRecoveryEqualsSerialReplay(dir, d);
   }
   std::system(("rm -rf " + dir).c_str());
+}
+
+// A write whose payload width is not the table's must die before it is
+// journaled: a journaled bad row would abort every later Open on replay.
+TEST(Recovery, MisSizedPayloadNeverReachesTheJournal) {
+  const TableData d = MakeData();
+  const std::vector<Row> committed = {{41, {123, 164}}, {42, {126, 168}}};
+  const std::vector<std::pair<const char*, std::function<void(CasperEngine&)>>>
+      bad_writes = {
+          {"short Insert", [](CasperEngine& e) { e.Insert(7, {21}); }},
+          {"long Insert", [](CasperEngine& e) { e.Insert(7, {21, 28, 35}); }},
+          {"InsertRows, first row short",
+           [](CasperEngine& e) { e.InsertRows({{7, {21}}, {8, {24, 32}}}); }},
+          {"InsertRows, later row short",
+           [](CasperEngine& e) { e.InsertRows({{7, {21, 28}}, {8, {24}}}); }},
+      };
+  int tag = 0;
+  for (const auto& [name, bad_write] : bad_writes) {
+    SCOPED_TRACE(name);
+    const std::string dir = FreshDir("missized_" + std::to_string(tag++));
+    CasperEngine ref = CasperEngine::Open(BaseOptions(d, ""));
+    ref.InsertRows(committed);
+    ref.Insert(43, {129, 172});
+    {
+      CasperEngine e = CasperEngine::Open(BaseOptions(d, dir));
+      e.InsertRows(committed);
+      e.Insert(43, {129, 172});
+    }
+    EngineOptions recover = BaseOptions(d, dir);
+    recover.keys.clear();
+    recover.payload.clear();
+
+    const int bad = RunInChild([&] {
+      CasperEngine e = CasperEngine::Open(recover);
+      bad_write(e);
+    });
+    EXPECT_FALSE(WIFEXITED(bad) && WEXITSTATUS(bad) == 0)
+        << "the mis-sized write was accepted";
+    // Re-open in a child first, so a replay abort fails this test rather
+    // than the whole binary.
+    const int reopen = RunInChild([&] { CasperEngine::Open(recover); });
+    const bool reopens = WIFEXITED(reopen) && WEXITSTATUS(reopen) == 0;
+    EXPECT_TRUE(reopens) << "re-open after the mis-sized write aborted";
+    if (reopens) {
+      EXPECT_EQ(JournalRecordCount(dir), 2u);
+      CasperEngine r = CasperEngine::Open(recover);
+      ExpectSameAnswers(r, ref, 61, 40);
+    }
+    std::system(("rm -rf " + dir).c_str());
+  }
 }
 
 // ---- (4) Memory-budgeted tiering -------------------------------------------

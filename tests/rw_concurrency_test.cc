@@ -592,21 +592,43 @@ TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
   }
 }
 
-// Satellite: the payload-carrying batch API must be byte-equivalent to
-// sequential Insert calls with the same caller-supplied rows, on every
-// layout (placement included — probed via payload lookups and range sums).
+// The payload-carrying batch APIs must be byte-equivalent to sequential
+// Insert/Delete calls with the same caller-supplied rows, on every layout
+// (placement included — probed via payload lookups and range sums): first
+// an insert-only InsertRows run, then an ApplyWriteRun that mixes inserts
+// and deletes, with duplicate keys that carry distinct payloads.
 TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
   const Fixture f = MakeFixture(15000, 61);
   const std::vector<size_t> cols = {0, 1, 2};
   Rng rng(62);
   const uint64_t span =
       static_cast<uint64_t>(f.data.domain_hi - f.data.domain_lo) + 1;
+  auto random_payload = [&] {
+    return std::vector<Payload>{static_cast<Payload>(rng.Below(10000)),
+                                static_cast<Payload>(rng.Below(10000)),
+                                static_cast<Payload>(rng.Below(10000))};
+  };
   std::vector<Row> rows(300);
   for (auto& row : rows) {
     row.key = f.data.domain_lo + static_cast<Value>(rng.Below(span));
-    row.payload = {static_cast<Payload>(rng.Below(10000)),
-                   static_cast<Payload>(rng.Below(10000)),
-                   static_cast<Payload>(rng.Below(10000))};
+    row.payload = random_payload();
+  }
+
+  // The mixed run draws from a small key pool — keys the InsertRows run
+  // added, keys of the base table, and fresh keys — so inserts stack
+  // duplicates with distinct payloads and deletes hit rows of every origin
+  // (and sometimes no row at all).
+  std::vector<Value> pool_keys;
+  for (size_t i = 0; i < 10; ++i) {
+    pool_keys.push_back(rows[i * 29].key);
+    pool_keys.push_back(f.data.keys[i * 1409]);
+    pool_keys.push_back(f.data.domain_lo + static_cast<Value>(rng.Below(span)));
+  }
+  std::vector<BatchWrite> run(400);
+  for (auto& w : run) {
+    w.key = pool_keys[rng.Below(pool_keys.size())];
+    w.is_insert = rng.Below(5) < 3;
+    if (w.is_insert) w.payload = random_payload();
   }
 
   ThreadPool pool(4);
@@ -614,25 +636,42 @@ TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto batch_engine = BuildMode(mode, f);
     auto serial_engine = BuildMode(mode, f);
+    auto expect_same = [&](const std::vector<Value>& touched) {
+      EXPECT_EQ(batch_engine->num_rows(), serial_engine->num_rows());
+      EXPECT_EQ(
+          batch_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1),
+          serial_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1));
+      EXPECT_EQ(
+          batch_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols),
+          serial_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols));
+      std::vector<Payload> got;
+      std::vector<Payload> want;
+      for (const Value key : touched) {
+        EXPECT_EQ(batch_engine->PointLookup(key, &got),
+                  serial_engine->PointLookup(key, &want));
+        EXPECT_EQ(got, want) << "key " << key;
+      }
+      batch_engine->ValidateInvariants();
+    };
 
     batch_engine->InsertRows(rows.data(), rows.size(), &pool);
     for (const Row& row : rows) serial_engine->Insert(row.key, row.payload);
+    std::vector<Value> inserted;
+    for (size_t i = 0; i < rows.size(); i += 37) inserted.push_back(rows[i].key);
+    expect_same(inserted);
 
-    EXPECT_EQ(batch_engine->num_rows(), serial_engine->num_rows());
-    EXPECT_EQ(
-        batch_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1),
-        serial_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1));
-    EXPECT_EQ(
-        batch_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols),
-        serial_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols));
-    std::vector<Payload> got;
-    std::vector<Payload> want;
-    for (size_t i = 0; i < rows.size(); i += 37) {
-      EXPECT_EQ(batch_engine->PointLookup(rows[i].key, &got),
-                serial_engine->PointLookup(rows[i].key, &want));
-      EXPECT_EQ(got, want) << "key " << rows[i].key;
+    const size_t deleted = batch_engine->ApplyWriteRun(run, &pool);
+    size_t serial_deleted = 0;
+    for (const BatchWrite& w : run) {
+      if (w.is_insert) {
+        serial_engine->Insert(w.key, w.payload);
+      } else {
+        serial_deleted += serial_engine->Delete(w.key);
+      }
     }
-    batch_engine->ValidateInvariants();
+    EXPECT_EQ(deleted, serial_deleted);
+    EXPECT_GT(deleted, 0u);
+    expect_same(pool_keys);
   }
 }
 
