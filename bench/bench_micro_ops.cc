@@ -23,6 +23,7 @@
 #include "layouts/no_order.h"
 #include "storage/column_chunk.h"
 #include "storage/partition_index.h"
+#include "storage/partition_scan.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -168,7 +169,7 @@ void RunKernelAxis(bench::JsonMetrics* metrics) {
 
 // --- Spec-dispatch-overhead axis ---------------------------------------------
 // The ScanSpec redesign routes every legacy read (CountRange & co.) through
-// a descriptor build + the ExecuteScan virtual. This axis pins the facade's
+// a descriptor build + the ScanSpecShard virtual. This axis pins the facade's
 // cost: engine.CountRange (spec path end to end, latch included) against the
 // raw kernel call that the pre-redesign virtual body reduced to on this
 // layout. Keys are drawn from the full 63-bit domain so the compressed-chunk
@@ -420,9 +421,13 @@ void BM_RangeCount(benchmark::State& state) {
   auto chunk = MakeChunk(1 << 20, parts, 0, false);
   Rng rng(3);
   const Value width = (4 << 20) / 100;  // ~1% selectivity
+  // The chunk's count-only partition walk, through the one evaluator.
+  const std::vector<std::vector<Payload>> no_payload;
+  const PartitionSource src = PartitionSource::Resident(chunk, no_payload, nullptr);
   for (auto _ : state) {
     const Value lo = static_cast<Value>(rng.Below(4 << 20));
-    benchmark::DoNotOptimize(chunk.CountRange(lo, lo + width));
+    benchmark::DoNotOptimize(
+        ScanPartitions(ScanSpec::Count(lo, lo + width), src, &chunk.stats()).count);
   }
   state.SetItemsProcessed(state.iterations());
 }

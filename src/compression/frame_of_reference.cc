@@ -92,38 +92,18 @@ Value FrameOfReferenceColumn::Get(size_t i) const {
 
 uint64_t FrameOfReferenceColumn::CountRange(Value lo, Value hi,
                                             ScanStats* stats) const {
-  return CountRangeInRows(0, count_, lo, hi, stats);
-}
-
-uint64_t FrameOfReferenceColumn::CountRangeInRows(size_t row_begin,
-                                                  size_t row_end, Value lo,
-                                                  Value hi,
-                                                  ScanStats* stats) const {
-  if (lo >= hi || row_begin >= row_end || row_begin >= count_) return 0;
-  row_end = std::min(row_end, count_);
-  // First frame overlapping the window (frames are ordered by begin).
-  size_t f0 = 0, f1 = frames_.size();
-  while (f0 + 1 < f1) {
-    const size_t mid = (f0 + f1) / 2;
-    if (frames_[mid].begin <= row_begin) {
-      f0 = mid;
-    } else {
-      f1 = mid;
-    }
-  }
+  if (lo >= hi) return 0;
   uint64_t count = 0;
-  for (size_t fi = f0; fi < frames_.size() && frames_[fi].begin < row_end; ++fi) {
-    const Frame& f = frames_[fi];
-    const size_t b = std::max(row_begin, f.begin) - f.begin;
-    const size_t e = std::min(row_end, f.begin + f.offsets.size()) - f.begin;
-    if (b >= e) continue;
+  for (const Frame& f : frames_) {
+    const size_t n = f.offsets.size();
+    if (n == 0) continue;
     if (f.reference >= hi || f.max < lo) {  // zone-map prune
       if (stats != nullptr) ++stats->frames_pruned;
       continue;
     }
     if (f.reference >= lo && f.max < hi) {  // fully qualifies: blind consume
       if (stats != nullptr) ++stats->frames_blind;
-      count += e - b;
+      count += n;
       continue;
     }
     // Translate the predicate to unsigned offset space (offsets are deltas
@@ -135,11 +115,11 @@ uint64_t FrameOfReferenceColumn::CountRangeInRows(size_t row_begin,
             : static_cast<uint64_t>(lo) - static_cast<uint64_t>(f.reference);
     const uint64_t ohi =
         static_cast<uint64_t>(hi) - static_cast<uint64_t>(f.reference);
-    count += kernels::CountPackedInRange(f.offsets.words(), b, e,
+    count += kernels::CountPackedInRange(f.offsets.words(), 0, n,
                                          f.offsets.bit_width(), olo, ohi);
     if (stats != nullptr) {
       ++stats->frames_scanned;
-      stats->elements_decoded += e - b;
+      stats->elements_decoded += n;
     }
   }
   return count;

@@ -43,11 +43,6 @@ class FrameOfReferenceColumn {
   /// kernels::CountPackedInRange — no materialization).
   uint64_t CountRange(Value lo, Value hi, ScanStats* stats = nullptr) const;
 
-  /// CountRange restricted to the value positions [row_begin, row_end) — the
-  /// row-window slice used by sharded scans over a cached encoding.
-  uint64_t CountRangeInRows(size_t row_begin, size_t row_end, Value lo, Value hi,
-                            ScanStats* stats = nullptr) const;
-
   /// Sum of all values (decompression-free aggregate: sum of references +
   /// packed offsets).
   int64_t SumAll() const;

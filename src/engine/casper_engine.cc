@@ -80,13 +80,11 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
 
   LayoutBuildOptions build = options.layout;
   if (options.training != nullptr) build.training = options.training;
-  if (options.pool != nullptr) build.pool = options.pool;
-  if (options.exec_threads > 0) build.exec_threads = options.exec_threads;
   // One pool serves the whole stack: frequency-model capture and per-chunk
   // layout solves during the build, then shard fan-out at query time.
   std::unique_ptr<ThreadPool> owned;
-  if (build.pool == nullptr && build.exec_threads > 1) {
-    owned = std::make_unique<ThreadPool>(build.exec_threads);
+  if (build.pool == nullptr && options.exec_threads > 1) {
+    owned = std::make_unique<ThreadPool>(options.exec_threads);
     build.pool = owned.get();
   }
   ThreadPool* pool = build.pool;

@@ -66,11 +66,10 @@ struct EngineOptions {
   /// planner knobs (layouts/layout_factory.h).
   LayoutBuildOptions layout;
 
-  /// Execution parallelism: exec_threads > 1 makes the engine create and
-  /// own a pool; a non-null pool is used instead (both override the
-  /// equivalent fields inside `layout`). 0 / nullptr = fully serial.
+  /// Execution parallelism: a non-null layout.pool is used as is; otherwise
+  /// exec_threads > 1 makes the engine create and own a pool of that many
+  /// threads. 0 (default) = fully serial.
   size_t exec_threads = 0;
-  ThreadPool* pool = nullptr;
 
   /// Online adaptive re-layout policy (maintenance/layout_maintenance.h).
   /// Takes effect only for the partitioned layout family — other layouts
@@ -103,11 +102,11 @@ Status ValidateEngineOptions(const EngineOptions& options);
 /// paper Fig. 10). Any other mode gives the corresponding baseline layout
 /// over the same data, which is how the paper runs its comparisons.
 ///
-/// Parallelism: set options.exec_threads > 1 (or pass options.pool) and the
-/// engine threads one pool through the whole stack — frequency-model capture
-/// and per-chunk layout solves at Open() time, morsel-driven shard fan-out
-/// for scans/range reads, and chunk-grouped batched writes — with results
-/// bit-identical to serial execution.
+/// Parallelism: set options.exec_threads > 1 (or pass options.layout.pool)
+/// and the engine threads one pool through the whole stack — frequency-model
+/// capture and per-chunk layout solves at Open() time, morsel-driven shard
+/// fan-out for scans/range reads, and chunk-grouped batched writes — with
+/// results bit-identical to serial execution.
 ///
 /// Maintenance: with options.maintenance.enabled, the engine owns a
 /// LayoutMaintenanceService that observes every query/write issued through

@@ -23,25 +23,6 @@ struct Item {
 
 }  // namespace
 
-ScanPartial ExecuteScanDeferred(const LayoutEngine& engine, const ScanSpec& spec) {
-  const size_t shards = engine.NumShards();
-  std::vector<ScanPartial> partials(shards);
-  std::vector<size_t> deferred;
-  for (size_t s = 0; s < shards; ++s) {
-    // Epoch sniff, seqlock-style: a shard whose domain hosts a writer right
-    // now is revisited later instead of blocking this scan on its latch.
-    if (engine.DomainLatch(engine.ShardDomain(s)).WriteActive()) {
-      deferred.push_back(s);
-      continue;
-    }
-    partials[s] = engine.ScanSpecShard(s, spec);
-  }
-  for (const size_t s : deferred) partials[s] = engine.ScanSpecShard(s, spec);
-  ScanPartial total;
-  for (const ScanPartial& p : partials) total.Merge(p);
-  return total;
-}
-
 ScanPartial ExecuteScanOnPool(const LayoutEngine& engine, const ScanSpec& spec,
                               ThreadPool* pool) {
   if (pool == nullptr || pool->num_threads() <= 1) {
@@ -132,11 +113,12 @@ MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
       result.results[i] = engine.PointLookup(op.a, nullptr);
       return;
     }
-    // Every range read — count, sum, min/max/avg — is one deferred spec
-    // fan-out; the per-op value uses the same Result extraction as the
-    // serial harness, so mixed results stay bit-identical to serial replay.
+    // Every range read — count, sum, min/max/avg — is one ExecuteScan; the
+    // DAG already keeps writers off the chunks it reads, and the per-op
+    // value uses the same Result extraction as the serial harness, so mixed
+    // results stay bit-identical to serial replay.
     const ScanSpec& spec = read_specs[i];
-    result.results[i] = ExecuteScanDeferred(engine, spec).Result(spec.agg);
+    result.results[i] = engine.ExecuteScan(spec).Result(spec.agg);
   };
   auto run_item = [&](const Item& item) {
     if (!item.is_write) {

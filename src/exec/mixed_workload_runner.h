@@ -60,11 +60,11 @@ struct MixedResult {
 /// bit-identical to a single-threaded serial replay because conflicting
 /// operations never reorder and disjoint operations commute.
 ///
-/// Within a read item, range queries fan over the engine's shards with
-/// epoch-based deferral (validate-and-retry instead of blocking): shards
-/// whose latch domain currently hosts a writer — possible when other runners
-/// or direct writers share the engine — are skipped on the first pass and
-/// retried after the others, and partials merge in shard order.
+/// A read item is one ExecuteScan (or PointLookup): items, not shards, are
+/// the unit of overlap, and the DAG already orders every read after the
+/// writes to its chunks. A writer outside the runner that shares the engine
+/// only blocks a shard on its latch; each shard is still read under one
+/// latch hold.
 ///
 /// Write items commit through the engine's grouped ApplyBatch under the
 /// per-chunk exclusive latches, so chunk-disjoint write runs from different
@@ -95,20 +95,12 @@ class MixedWorkloadRunner {
   TimestampOracle* oracle_;
 };
 
-/// Shard fan-out of one ScanSpec with epoch-based deferral: shards whose
-/// latch domain currently has an exclusive writer (odd epoch) are deferred
-/// to a second pass instead of blocking on the latch; partials merge in
-/// shard order, so the answer equals ExecuteScan(spec) whenever no
-/// conflicting writer overlaps the call (the mixed runner's DAG guarantees
-/// that).
-ScanPartial ExecuteScanDeferred(const LayoutEngine& engine, const ScanSpec& spec);
-
 /// Morsel-driven fan-out of one ScanSpec over the engine's shards on `pool`,
 /// merging the per-shard partials in shard order — bit-identical to
 /// engine.ExecuteScan(spec) for any thread count, because ScanPartial merging
-/// is associative. A null pool or a single worker runs the engine's
-/// whole-scan path instead (one latch hold, whole-column windows where the
-/// layout provides them).
+/// is associative. Only the partitioned layouts have more than one shard (one
+/// per chunk); a single-store layout, a null pool or a single worker runs
+/// engine.ExecuteScan(spec) on the calling thread.
 ScanPartial ExecuteScanOnPool(const LayoutEngine& engine, const ScanSpec& spec,
                               ThreadPool* pool);
 

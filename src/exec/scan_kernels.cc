@@ -41,41 +41,6 @@ uint64_t CountEqual(const Value* d, size_t n, Value v) {
   return c;
 }
 
-int64_t SumInRange(const Value* d, size_t n, Value lo, Value hi) {
-  // Mask-and-add: qualifying lanes contribute their value, others 0.
-  // Unsigned accumulation keeps wraparound defined (UBSan-clean).
-  uint64_t s0 = 0, s1 = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64_t m0 =
-        (d[i] >= lo) & (d[i] < hi) ? ~uint64_t{0} : uint64_t{0};
-    const uint64_t m1 =
-        (d[i + 1] >= lo) & (d[i + 1] < hi) ? ~uint64_t{0} : uint64_t{0};
-    s0 += static_cast<uint64_t>(d[i]) & m0;
-    s1 += static_cast<uint64_t>(d[i + 1]) & m1;
-  }
-  uint64_t s = s0 + s1;
-  for (; i < n; ++i) {
-    const uint64_t m = (d[i] >= lo) & (d[i] < hi) ? ~uint64_t{0} : uint64_t{0};
-    s += static_cast<uint64_t>(d[i]) & m;
-  }
-  return static_cast<int64_t>(s);
-}
-
-int64_t SumValues(const Value* d, size_t n) {
-  uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += static_cast<uint64_t>(d[i]);
-    s1 += static_cast<uint64_t>(d[i + 1]);
-    s2 += static_cast<uint64_t>(d[i + 2]);
-    s3 += static_cast<uint64_t>(d[i + 3]);
-  }
-  uint64_t s = s0 + s1 + s2 + s3;
-  for (; i < n; ++i) s += static_cast<uint64_t>(d[i]);
-  return static_cast<int64_t>(s);
-}
-
 int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
                           Value lo, Value hi) {
   uint64_t s0 = 0, s1 = 0;
@@ -266,14 +231,6 @@ uint64_t CountInRange(const Value* d, size_t n, Value lo, Value hi) {
 
 uint64_t CountEqual(const Value* d, size_t n, Value v) {
   return CASPER_DISPATCH(CountEqual, d, n, v);
-}
-
-int64_t SumInRange(const Value* d, size_t n, Value lo, Value hi) {
-  return CASPER_DISPATCH(SumInRange, d, n, lo, hi);
-}
-
-int64_t SumValues(const Value* d, size_t n) {
-  return CASPER_DISPATCH(SumValues, d, n);
 }
 
 int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,

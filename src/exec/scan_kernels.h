@@ -40,12 +40,6 @@ uint64_t CountInRange(const Value* d, size_t n, Value lo, Value hi);
 /// Count of d[i] == v (point predicate; no hi overflow at the domain edge).
 uint64_t CountEqual(const Value* d, size_t n, Value v);
 
-/// Sum of qualifying d[i] (wraparound-defined 64-bit accumulation).
-int64_t SumInRange(const Value* d, size_t n, Value lo, Value hi);
-
-/// Unconditional sum of d[i] (fully-qualifying partitions / sorted windows).
-int64_t SumValues(const Value* d, size_t n);
-
 /// Sum of payload[i] where lo <= keys[i] < hi (the Q3 inner loop: predicate
 /// on the key column, aggregate on an aligned payload column).
 int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
@@ -168,8 +162,6 @@ size_t RefinePackedPayloadInRange(const uint64_t* words, unsigned width,
 namespace scalar {
 uint64_t CountInRange(const Value* d, size_t n, Value lo, Value hi);
 uint64_t CountEqual(const Value* d, size_t n, Value v);
-int64_t SumInRange(const Value* d, size_t n, Value lo, Value hi);
-int64_t SumValues(const Value* d, size_t n);
 int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
                           Value lo, Value hi);
 int64_t SumPayload(const Payload* payload, size_t n);
@@ -196,8 +188,6 @@ uint64_t SumIndexedU64(const uint64_t* lut, const uint64_t* idx, size_t n);
 namespace avx2 {
 uint64_t CountInRange(const Value* d, size_t n, Value lo, Value hi);
 uint64_t CountEqual(const Value* d, size_t n, Value v);
-int64_t SumInRange(const Value* d, size_t n, Value lo, Value hi);
-int64_t SumValues(const Value* d, size_t n);
 int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
                           Value lo, Value hi);
 int64_t SumPayload(const Payload* payload, size_t n);

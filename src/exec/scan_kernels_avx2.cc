@@ -68,36 +68,6 @@ uint64_t CountEqual(const Value* d, size_t n, Value v) {
   return c;
 }
 
-int64_t SumInRange(const Value* d, size_t n, Value lo, Value hi) {
-  const __m256i vlo = _mm256_set1_epi64x(lo);
-  const __m256i vhi = _mm256_set1_epi64x(hi);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    acc = _mm256_add_epi64(acc, _mm256_and_si256(v, RangeMask(v, vlo, vhi)));
-  }
-  uint64_t s = HSum64(acc);
-  for (; i < n; ++i) {
-    const uint64_t m = (d[i] >= lo) & (d[i] < hi) ? ~uint64_t{0} : uint64_t{0};
-    s += static_cast<uint64_t>(d[i]) & m;
-  }
-  return static_cast<int64_t>(s);
-}
-
-int64_t SumValues(const Value* d, size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)));
-  }
-  uint64_t s = HSum64(acc);
-  for (; i < n; ++i) s += static_cast<uint64_t>(d[i]);
-  return static_cast<int64_t>(s);
-}
-
 int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
                           Value lo, Value hi) {
   const __m256i vlo = _mm256_set1_epi64x(lo);

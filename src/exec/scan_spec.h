@@ -19,7 +19,7 @@ class PackedPayloadColumn;
 /// storage-engine API, made composable): every read over a key range — full
 /// column scans, COUNT/SUM range queries, the TPC-H Q6 shape, and the
 /// min/max/avg aggregates — is one ScanSpec value evaluated through a single
-/// pair of virtuals on LayoutEngine (ExecuteScan / ScanSpecShard). Adding a
+/// virtual on LayoutEngine (ScanSpecShard, merged by ExecuteScan). Adding a
 /// query shape means building a spec, not touching ten files.
 ///
 /// A spec is: an optional key-range predicate ([lo, hi) half-open, or the

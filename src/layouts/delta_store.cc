@@ -64,9 +64,7 @@ size_t DeltaStoreLayout::PointLookupLocked(Value key,
   return count;
 }
 
-CompressedChunkCache::EncodingPtr DeltaStoreLayout::CompressedMain(
-    bool count_scan) const {
-  if (!count_scan) return compressed_.Get(0, engine_latch_.Epoch());
+CompressedChunkCache::EncodingPtr DeltaStoreLayout::CompressedMain() const {
   return compressed_.GetOrBuild(
       0, engine_latch_.Epoch(), main_keys_.size(),
       [&]() -> CompressedChunkCache::EncodingPtr {
@@ -78,8 +76,7 @@ CompressedChunkCache::EncodingPtr DeltaStoreLayout::CompressedMain(
 }
 
 ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
-                                                   const ScanSpec& spec,
-                                                   bool count_vote) const {
+                                                   const ScanSpec& spec) const {
   ScanPartial out;
   if (first >= last) return out;
   // Window rows already satisfy the key predicate; the tombstone bitmap
@@ -101,7 +98,7 @@ ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
   // main-store position); keep the snapshot alive across the evaluation.
   CompressedChunkCache::EncodingPtr enc;
   if (spec.TouchesPayload()) {
-    enc = CompressedMain(count_vote);
+    enc = CompressedMain();
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = first;
@@ -119,7 +116,8 @@ ScanPartial DeltaStoreLayout::EvalDeltaLocked(const ScanSpec& spec) const {
   return exec::EvalSpecRows(spec, rows);
 }
 
-ScanPartial DeltaStoreLayout::ExecuteScan(const ScanSpec& spec) const {
+ScanPartial DeltaStoreLayout::ScanSpecShard(size_t /*shard*/,
+                                            const ScanSpec& spec) const {
   SharedChunkGuard guard(engine_latch_);
   ScanPartial out;
   if (!spec.RefsValid(main_payload_.size()) || spec.EmptyKeyRange()) return out;
@@ -137,31 +135,6 @@ ScanPartial DeltaStoreLayout::ExecuteScan(const ScanSpec& spec) const {
   }
   out.Merge(EvalDeltaLocked(spec));
   return out;
-}
-
-std::pair<size_t, size_t> DeltaStoreLayout::MainShardWindow(size_t shard, Value lo,
-                                                            Value hi) const {
-  return SortedShardWindow(main_keys_, kMainShardRows, shard, lo, hi);
-}
-
-ScanPartial DeltaStoreLayout::ScanSpecShard(size_t shard,
-                                            const ScanSpec& spec) const {
-  SharedChunkGuard guard(engine_latch_);
-  if (!spec.RefsValid(main_payload_.size())) return ScanPartial{};
-  if (shard < NumMainShards()) {
-    if (spec.full_domain) {
-      // Full-domain window: no range predicate, so rows at both key-domain
-      // edges are covered; the tombstone bitmap is applied inside.
-      const size_t begin = shard * kMainShardRows;
-      if (begin >= main_keys_.size()) return ScanPartial{};
-      return EvalMainWindowLocked(
-          begin, std::min(main_keys_.size(), begin + kMainShardRows), spec,
-          /*count_vote=*/shard == 0);
-    }
-    const auto [first, last] = MainShardWindow(shard, spec.lo, spec.hi);
-    return EvalMainWindowLocked(first, last, spec, /*count_vote=*/shard == 0);
-  }
-  return EvalDeltaLocked(spec);
 }
 
 void DeltaStoreLayout::Insert(Value key, const std::vector<Payload>& payload) {

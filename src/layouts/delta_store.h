@@ -42,21 +42,9 @@ class DeltaStoreLayout final : public LayoutEngine {
   size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
                        ThreadPool* pool) override;
 
-  /// Unified scan surface: one main-store pass (binary-searched window with
-  /// the delete bitmap applied) plus one delta pass, merged main-first like
-  /// every legacy read did.
-  ScanPartial ExecuteScan(const ScanSpec& spec) const override;
-
-  // Sharded read surface: the main/delta pair is naturally parallel — the
-  // sorted main store splits into fixed-width row windows (binary-searched
-  // per shard like SortedLayout, with the delete bitmap applied), and the
-  // unsorted delta buffer is one extra sub-shard scanned in full. Shards
-  // [0, M) are main windows, shard M is the delta.
-  static constexpr size_t kMainShardRows = size_t{1} << 14;
-  size_t NumShards() const override {
-    SharedChunkGuard guard(engine_latch_);
-    return NumMainShards() + 1;  // + the delta sub-shard (may be empty)
-  }
+  /// Unified scan surface: the main/delta pair is the one shard — one
+  /// main-store pass (binary-searched window with the delete bitmap applied)
+  /// plus one delta pass, merged main-first.
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
   size_t num_rows() const override;
@@ -90,11 +78,9 @@ class DeltaStoreLayout final : public LayoutEngine {
 
   /// Spec evaluation over the pre-qualified main window [first, last) —
   /// rows already satisfy the key predicate; the delete bitmap is applied
-  /// inside. `count_vote` controls the compressed cache's read-mostly
-  /// voting (whole-store scans and main shard 0 vote).
+  /// inside.
   ScanPartial EvalMainWindowLocked(size_t first, size_t last,
-                                   const ScanSpec& spec,
-                                   bool count_vote = true) const
+                                   const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
 
   /// Main-store encoding snapshot (slot 0). The main store is encoded
@@ -102,21 +88,11 @@ class DeltaStoreLayout final : public LayoutEngine {
   /// position and the tombstone filter composes with packed refinement
   /// unchanged. The delta buffer always stays raw (it exists to absorb
   /// writes).
-  CompressedChunkCache::EncodingPtr CompressedMain(bool count_scan) const
+  CompressedChunkCache::EncodingPtr CompressedMain() const
       REQUIRES_SHARED(engine_latch_);
 
   /// Spec evaluation over the unsorted delta buffer.
   ScanPartial EvalDeltaLocked(const ScanSpec& spec) const
-      REQUIRES_SHARED(engine_latch_);
-
-  size_t NumMainShards() const REQUIRES_SHARED(engine_latch_) {
-    return main_keys_.empty()
-               ? 0
-               : (main_keys_.size() + kMainShardRows - 1) / kMainShardRows;
-  }
-  /// Qualifying main-store positions [first, last) of [lo, hi) inside main
-  /// shard `shard`'s row window (delete bitmap not yet applied).
-  std::pair<size_t, size_t> MainShardWindow(size_t shard, Value lo, Value hi) const
       REQUIRES_SHARED(engine_latch_);
 
   Options opts_;

@@ -38,9 +38,6 @@ std::shared_ptr<const ChunkEncoding> EncodeSingleStore(
 }
 
 ScanPartial LayoutEngine::ExecuteScan(const ScanSpec& spec) const {
-  // Index-order merge over the sharded surface; layouts with a cheaper
-  // whole-engine evaluation override this (the merge is associative, so the
-  // two paths are bit-identical).
   ScanPartial total;
   const size_t shards = NumShards();
   for (size_t s = 0; s < shards; ++s) total.Merge(ScanSpecShard(s, spec));

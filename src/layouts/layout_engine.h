@@ -1,11 +1,9 @@
 #ifndef CASPER_LAYOUTS_LAYOUT_ENGINE_H_
 #define CASPER_LAYOUTS_LAYOUT_ENGINE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "exec/scan_spec.h"
@@ -62,20 +60,23 @@ void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out)
 /// "physical benchmark" surface of the HAP benchmark (paper §7.1). All
 /// layouts store the same logical table: key column a0 plus payload columns.
 ///
-/// Beyond the per-operation surface, every layout exposes a *sharded* read
-/// surface (NumShards + ScanSpecShard) consumed by the morsel-driven fan-out
-/// in exec/, and one batched write surface (ApplyWriteRun) that ApplyBatch
-/// and InsertRows both reduce to. All six layouts shard: partitioned
-/// layouts by column chunk, NoOrder by fixed row morsels, Sorted by
-/// binary-searched row windows, and the delta store into main sub-shards
-/// plus the delta buffer.
+/// Beyond the per-operation surface, every layout exposes one read virtual,
+/// ScanSpecShard, and one batched write virtual, ApplyWriteRun, that
+/// ApplyBatch and InsertRows both reduce to. A shard is the unit of parallel
+/// read work (paper §6.3): the partitioned layouts have one shard per column
+/// chunk, and NoOrder, Sorted and the delta store are one shard each — a
+/// single store is a single chunk. ExecuteScan is the in-order merge of
+/// every shard, and ExecuteScanOnPool (exec/) runs the same shards on a
+/// pool.
 ///
 /// Concurrency: every read and write path is routed through an epoch/latch
 /// (chunk_latch.h) — per chunk for the partitioned layouts, whole-engine for
 /// the single-store ones — so reads may overlap ingest and chunk-disjoint
-/// write runs commit in parallel. The latch-domain surface below exposes the
-/// conflict structure to schedulers (exec/mixed_workload_runner) that need
-/// deterministic, serial-equivalent mixed execution.
+/// write runs commit in parallel. Each shard is read under one hold of its
+/// latch, so a shard's partial is always a state that shard was in. The
+/// latch-domain surface below exposes the conflict structure to schedulers
+/// (exec/mixed_workload_runner) that need deterministic, serial-equivalent
+/// mixed execution.
 class LayoutEngine {
  public:
   virtual ~LayoutEngine() = default;
@@ -90,21 +91,26 @@ class LayoutEngine {
   // --- The unified scan/aggregate surface (exec/scan_spec.h) ---------------
   // Every range read — count, sum, Q6, min/max/avg, full scans, and any
   // composition of key range + payload predicates + aggregate — evaluates
-  // through this ONE pair of virtuals. The per-shape methods below are thin
+  // through this ONE virtual. The per-shape methods below are thin
   // non-virtual wrappers that build specs; adding a query shape means
   // building a spec value, not growing the virtual surface of six layouts.
 
-  /// Evaluates `spec` over the whole engine. The default merges
-  /// ScanSpecShard over every shard in index order; layouts with a cheaper
-  /// whole-engine path (one latch hold, whole-column binary search, the
-  /// compressed-column cache) override it — bit-identically, because
-  /// ScanPartial merging is associative.
-  virtual ScanPartial ExecuteScan(const ScanSpec& spec) const;
+  /// Number of independently scannable shards: one per column chunk for the
+  /// partitioned layouts, one for the single-store layouts. Fixed for the
+  /// engine's lifetime (chunk routing bounds are build-time constants).
+  virtual size_t NumShards() const { return 1; }
 
-  /// The shard-s slice of ExecuteScan: merging all shards (in any order)
-  /// reproduces the whole-engine answer. This is the one method every layout
-  /// must implement for the read surface.
+  /// The shard-s slice of ExecuteScan, evaluated under one hold of the
+  /// shard's latch. Merging all shards (in any order) reproduces the
+  /// whole-engine answer, because ScanPartial merging is associative. Reads
+  /// of distinct shards touch disjoint logical state (access counters are
+  /// relaxed atomics), so shards — and whole read queries — may run
+  /// concurrently.
   virtual ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const = 0;
+
+  /// Evaluates `spec` over the whole engine: the merge of every shard in
+  /// index order.
+  ScanPartial ExecuteScan(const ScanSpec& spec) const;
 
   // --- Legacy per-shape wrappers (bit-identical spec facades) --------------
 
@@ -188,24 +194,6 @@ class LayoutEngine {
     return engine_latch_;
   }
 
-  /// Latch domain the given read shard falls under (shard-granular epoch
-  /// sniffing for validate-and-retry morsel scans).
-  virtual size_t ShardDomain(size_t shard) const {
-    (void)shard;
-    return 0;
-  }
-
-  // --- Sharded read surface (morsel-driven execution, exec/) ---------------
-
-  /// Number of independently scannable shards. Partitioned layouts shard by
-  /// column chunk, NoOrder by fixed row morsels, Sorted by row windows, the
-  /// delta store by main windows + the delta buffer. Shard counts may change
-  /// across writes; they are only stable between writes. Per-shard reads of
-  /// distinct shards touch disjoint logical state (access counters are
-  /// relaxed atomics), so shards — and whole read queries — may run
-  /// concurrently.
-  virtual size_t NumShards() const { return 1; }
-
   // --- Batched write surface -----------------------------------------------
 
   /// Applies a run of inserts (with their payloads) and deletes with results
@@ -259,29 +247,6 @@ void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* resu
 /// Payload columns aggregated by kRangeSum in batched execution and by the
 /// harness's Q3: the first two, clipped to the table's width.
 std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine);
-
-/// Qualifying positions [first, last) of [lo, hi) inside the `shard`-th
-/// `shard_rows`-wide window of a sorted key run, found by binary search
-/// bounded to the window. Positional windows sum exactly to the whole-run
-/// answer even when a duplicate run straddles a split point. Shared by the
-/// Sorted and delta-store sharded read surfaces.
-inline std::pair<size_t, size_t> SortedShardWindow(const std::vector<Value>& keys,
-                                                   size_t shard_rows, size_t shard,
-                                                   Value lo, Value hi) {
-  const size_t begin = shard * shard_rows;
-  if (lo >= hi || begin >= keys.size()) return {0, 0};
-  const size_t end = std::min(keys.size(), begin + shard_rows);
-  const auto b = keys.begin();
-  const size_t first = static_cast<size_t>(
-      std::lower_bound(b + static_cast<ptrdiff_t>(begin),
-                       b + static_cast<ptrdiff_t>(end), lo) -
-      b);
-  const size_t last = static_cast<size_t>(
-      std::lower_bound(b + static_cast<ptrdiff_t>(first),
-                       b + static_cast<ptrdiff_t>(end), hi) -
-      b);
-  return {first, last};
-}
 
 /// The compressed-cache encoding of one single-store layout (NoOrder, Sorted,
 /// the delta store's main store): FoR keys at 4096-row frames, plus each

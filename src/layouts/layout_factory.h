@@ -66,10 +66,6 @@ struct LayoutBuildOptions {
   /// frequency-model capture and layout planning at build time (paper §6.3),
   /// then morsel-driven scan fan-out and chunk-grouped batched writes.
   ThreadPool* pool = nullptr;
-
-  /// When pool is null and exec_threads > 1, CasperEngine::Open creates and
-  /// owns a pool of this many threads. 0 (default) = fully serial.
-  size_t exec_threads = 0;
 };
 
 /// The planner options the factory actually solves with, after folding in

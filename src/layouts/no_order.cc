@@ -1,6 +1,6 @@
 #include "layouts/no_order.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "exec/scan_kernels.h"
 #include "util/status.h"
@@ -29,11 +29,7 @@ size_t NoOrderLayout::PointLookup(Value key, std::vector<Payload>* payload) cons
   return count;
 }
 
-CompressedChunkCache::EncodingPtr NoOrderLayout::CompressedColumn(
-    bool count_scan) const {
-  // count_scan=false is the hit-only path for per-morsel shard scans: a
-  // 16-way fan-out must not cast 16 "read-mostly" votes for one query.
-  if (!count_scan) return compressed_.Get(0, engine_latch_.Epoch());
+CompressedChunkCache::EncodingPtr NoOrderLayout::CompressedColumn() const {
   return compressed_.GetOrBuild(
       0, engine_latch_.Epoch(), keys_.size(),
       [&]() -> CompressedChunkCache::EncodingPtr {
@@ -44,58 +40,35 @@ CompressedChunkCache::EncodingPtr NoOrderLayout::CompressedColumn(
       });
 }
 
-ScanPartial NoOrderLayout::ExecuteScan(const ScanSpec& spec) const {
-  // Whole-column evaluation under one latch hold (the morsel fan-out path
-  // goes shard-by-shard through ScanSpecShard instead).
+ScanPartial NoOrderLayout::ScanSpecShard(size_t /*shard*/,
+                                         const ScanSpec& spec) const {
   SharedChunkGuard guard(engine_latch_);
-  return EvalRowsLocked(0, keys_.size(), spec, /*count_vote=*/true);
-}
-
-ScanPartial NoOrderLayout::ScanSpecShard(size_t shard, const ScanSpec& spec) const {
-  SharedChunkGuard guard(engine_latch_);
-  const auto [begin, end] = MorselBounds(shard);
-  // Shard 0 casts the query's single read-mostly vote (every fanned query
-  // visits it exactly once); the other morsels only consume a cache hit.
-  return EvalRowsLocked(begin, end, spec, /*count_vote=*/shard == 0);
-}
-
-ScanPartial NoOrderLayout::EvalRowsLocked(size_t begin, size_t end,
-                                          const ScanSpec& spec,
-                                          bool count_vote) const {
   ScanPartial out;
-  if (!spec.RefsValid(payload_.size())) return out;
-  end = std::min(end, keys_.size());
-  if (begin >= end) return out;
+  if (!spec.RefsValid(payload_.size()) || keys_.empty()) return out;
   if (spec.predicates.empty() && spec.agg.kind == AggKind::kCount) {
     if (spec.full_domain) {
-      // Insertion order carries no key structure: every row in the window is
-      // live, and the full-domain scan visits all of them (both edges
-      // included) without touching data or the compressed cache.
-      out.count = end - begin;
+      // Insertion order carries no key structure: every row is live, and the
+      // full-domain scan visits all of them (both edges included) without
+      // touching data or the compressed cache.
+      out.count = keys_.size();
       return out;
     }
-    if (const auto enc = CompressedColumn(count_vote)) {
-      out.count = (begin == 0 && end == keys_.size())
-                      ? enc->keys->CountRange(spec.lo, spec.hi)
-                      : enc->keys->CountRangeInRows(begin, end, spec.lo, spec.hi);
+    if (const auto enc = CompressedColumn()) {
+      out.count = enc->keys->CountRange(spec.lo, spec.hi);
       return out;
     }
   }
   exec::SpecRows rows;
-  rows.keys = keys_.data() + begin;
-  rows.n = end - begin;
-  rows.base = static_cast<uint32_t>(begin);
+  rows.keys = keys_.data();
+  rows.n = keys_.size();
   rows.cols = &payload_;
   // Payload-touching specs scan packed columns when the cache has them:
   // insertion-order rows are dense, so packed row == slot. The snapshot
   // must stay alive across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
   if (spec.TouchesPayload()) {
-    enc = CompressedColumn(count_vote);
-    if (enc != nullptr) {
-      rows.packed = &enc->payload;
-      rows.packed_base = begin;
-    }
+    enc = CompressedColumn();
+    if (enc != nullptr) rows.packed = &enc->payload;
   }
   return exec::EvalSpecRows(spec, rows);
 }

@@ -1,7 +1,6 @@
 #ifndef CASPER_LAYOUTS_NO_ORDER_H_
 #define CASPER_LAYOUTS_NO_ORDER_H_
 
-#include <utility>
 #include <vector>
 
 #include "layouts/layout_engine.h"
@@ -24,19 +23,9 @@ class NoOrderLayout final : public LayoutEngine {
   size_t Delete(Value key) override;
   bool UpdateKey(Value old_key, Value new_key) override;
 
-  /// Unified scan surface: whole-column evaluation under one latch hold,
-  /// with the compressed-column cache answering predicate-free counts.
-  ScanPartial ExecuteScan(const ScanSpec& spec) const override;
-
-  // Sharded read surface: fixed-width row morsels over the insertion-order
-  // arrays (there is no key structure to shard by). NumShards latches shared
-  // (row count moves under writers); a stale shard index read after a
-  // concurrent shrink clamps to an empty morsel.
-  static constexpr size_t kMorselRows = size_t{1} << 16;
-  size_t NumShards() const override {
-    SharedChunkGuard guard(engine_latch_);
-    return keys_.empty() ? 1 : (keys_.size() + kMorselRows - 1) / kMorselRows;
-  }
+  /// Unified scan surface: the whole insertion-order column is the one
+  /// shard, evaluated under one latch hold, with the compressed-column cache
+  /// answering predicate-free counts.
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
   /// Batched writes: the run applies in order under one exclusive hold of
@@ -65,28 +54,10 @@ class NoOrderLayout final : public LayoutEngine {
       REQUIRES(engine_latch_);
   size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
 
-  /// Row window [begin, end) of a shard.
-  std::pair<size_t, size_t> MorselBounds(size_t shard) const
-      REQUIRES_SHARED(engine_latch_) {
-    const size_t begin = shard * kMorselRows;
-    const size_t end = begin + kMorselRows < keys_.size() ? begin + kMorselRows
-                                                          : keys_.size();
-    return {begin < keys_.size() ? begin : keys_.size(), end};
-  }
-
   /// Whole-column encoding snapshot (FoR keys + advisor-chosen packed
   /// payload columns, slot 0), valid while the engine-latch epoch is
-  /// unchanged. count_scan=false consumes a hit without voting toward the
-  /// build threshold (per-morsel shard scans vote once, via shard 0).
-  CompressedChunkCache::EncodingPtr CompressedColumn(bool count_scan = true) const
-      REQUIRES_SHARED(engine_latch_);
-
-  /// Spec evaluation over the row window [begin, end).
-  /// `count_vote` controls the compressed cache's read-mostly voting
-  /// (whole-column scans and shard 0 vote; the other morsels of a fanned
-  /// query only consume hits).
-  ScanPartial EvalRowsLocked(size_t begin, size_t end, const ScanSpec& spec,
-                             bool count_vote) const
+  /// unchanged.
+  CompressedChunkCache::EncodingPtr CompressedColumn() const
       REQUIRES_SHARED(engine_latch_);
 
   /// Payload column count: immutable after construction, so readable with no

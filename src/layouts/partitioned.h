@@ -48,20 +48,14 @@ class PartitionedLayout final : public LayoutEngine {
   const ChunkLatch& DomainLatch(size_t domain) const override {
     return table_.chunk_latch(domain);
   }
-  size_t ShardDomain(size_t shard) const override { return shard; }
 
   // Sharded read surface: one shard per column chunk (chunks are the
   // independent layout/tuning unit of paper §4.4, and here the independent
-  // execution unit too).
+  // execution unit too). A chunk outside the key range contributes 0 after
+  // an O(1) bounds check, before its latch is taken.
   size_t NumShards() const override { return table_.num_chunks(); }
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override {
     return table_.ScanSpecInChunk(shard, spec);
-  }
-  /// Whole-engine path: the table's chunk walk with its serial early break
-  /// (narrow ranges stop at the first chunk above the range instead of
-  /// probing every chunk).
-  ScanPartial ExecuteScan(const ScanSpec& spec) const override {
-    return table_.ScanSpecAllChunks(spec);
   }
 
   /// Batched writes: the run is routed once and applied chunk-by-chunk

@@ -30,14 +30,7 @@ size_t SortedLayout::PointLookup(Value key, std::vector<Payload>* payload) const
   return count;
 }
 
-std::pair<size_t, size_t> SortedLayout::ShardWindow(size_t shard, Value lo,
-                                                    Value hi) const {
-  return SortedShardWindow(keys_, kShardRows, shard, lo, hi);
-}
-
-CompressedChunkCache::EncodingPtr SortedLayout::CompressedColumn(
-    bool count_scan) const {
-  if (!count_scan) return compressed_.Get(0, engine_latch_.Epoch());
+CompressedChunkCache::EncodingPtr SortedLayout::CompressedColumn() const {
   return compressed_.GetOrBuild(
       0, engine_latch_.Epoch(), keys_.size(),
       [&]() -> CompressedChunkCache::EncodingPtr {
@@ -52,8 +45,7 @@ CompressedChunkCache::EncodingPtr SortedLayout::CompressedColumn(
 }
 
 ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
-                                           const ScanSpec& spec,
-                                           bool count_vote) const {
+                                           const ScanSpec& spec) const {
   ScanPartial out;
   if (!spec.RefsValid(payload_.size())) return out;
   if (first >= last) return out;
@@ -71,7 +63,7 @@ ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
   // across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
   if (spec.TouchesPayload()) {
-    enc = CompressedColumn(count_vote);
+    enc = CompressedColumn();
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = first;
@@ -80,7 +72,8 @@ ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
   return exec::EvalSpecRows(spec, rows);
 }
 
-ScanPartial SortedLayout::ExecuteScan(const ScanSpec& spec) const {
+ScanPartial SortedLayout::ScanSpecShard(size_t /*shard*/,
+                                        const ScanSpec& spec) const {
   SharedChunkGuard guard(engine_latch_);
   if (spec.full_domain) return EvalWindowLocked(0, keys_.size(), spec);
   if (spec.EmptyKeyRange()) return ScanPartial{};
@@ -92,21 +85,6 @@ ScanPartial SortedLayout::ExecuteScan(const ScanSpec& spec) const {
                        spec.hi) -
       keys_.begin());
   return EvalWindowLocked(first, last, spec);
-}
-
-ScanPartial SortedLayout::ScanSpecShard(size_t shard, const ScanSpec& spec) const {
-  SharedChunkGuard guard(engine_latch_);
-  if (spec.full_domain) {
-    // Sorted rows are all live; the full-domain window is the whole shard
-    // (unlike a [kMinValue + 1, kMaxValue) range, this includes both domain
-    // edges).
-    const size_t begin = shard * kShardRows;
-    if (begin >= keys_.size()) return ScanPartial{};
-    return EvalWindowLocked(begin, std::min(keys_.size(), begin + kShardRows),
-                            spec, /*count_vote=*/shard == 0);
-  }
-  const auto [first, last] = ShardWindow(shard, spec.lo, spec.hi);
-  return EvalWindowLocked(first, last, spec, /*count_vote=*/shard == 0);
 }
 
 void SortedLayout::Insert(Value key, const std::vector<Payload>& payload) {

@@ -32,22 +32,10 @@ class SortedLayout final : public LayoutEngine {
   size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
                        ThreadPool* pool) override;
 
-  /// Unified scan surface: the key range resolves to one whole-column
-  /// binary-searched window [first, last) — counts never touch data, sums
-  /// run the unconditional vector kernels, and payload predicates filter
-  /// within the pre-qualified window.
-  ScanPartial ExecuteScan(const ScanSpec& spec) const override;
-
-  // Sharded read surface: the sorted run is range-split into fixed-width row
-  // windows; each shard binary-searches the query bounds *within its own
-  // window*, so the per-shard work is O(log w + qualifying rows) and the
-  // positional windows merge exactly to the serial answer — duplicate runs
-  // straddling a split point are counted once per side, never twice.
-  static constexpr size_t kShardRows = size_t{1} << 14;
-  size_t NumShards() const override {
-    SharedChunkGuard guard(engine_latch_);
-    return keys_.empty() ? 1 : (keys_.size() + kShardRows - 1) / kShardRows;
-  }
+  /// Unified scan surface: the sorted run is the one shard. The key range
+  /// resolves to one whole-column binary-searched window [first, last) —
+  /// counts never touch data, sums run the unconditional vector kernels, and
+  /// payload predicates filter within the pre-qualified window.
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
   size_t num_rows() const override {
@@ -66,22 +54,15 @@ class SortedLayout final : public LayoutEngine {
   /// One-pass merge of caller rows into the sorted column.
   void MergeRowsLocked(std::vector<Row> rows) REQUIRES(engine_latch_);
 
-  /// Qualifying row positions [first, last) of [lo, hi) inside this shard's
-  /// window, found by binary search bounded to the window.
-  std::pair<size_t, size_t> ShardWindow(size_t shard, Value lo, Value hi) const
-      REQUIRES_SHARED(engine_latch_);
-
   /// Spec evaluation over the pre-qualified sorted window [first, last)
   /// (every row in it satisfies the key predicate).
-  /// `count_vote` controls the compressed cache's read-mostly voting
-  /// (whole-column scans and shard 0 vote; other morsels only consume hits).
-  ScanPartial EvalWindowLocked(size_t first, size_t last, const ScanSpec& spec,
-                               bool count_vote = true) const
+  ScanPartial EvalWindowLocked(size_t first, size_t last,
+                               const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
 
   /// Whole-column encoding snapshot (slot 0): sorted rows are dense, so
   /// packed row == row position.
-  CompressedChunkCache::EncodingPtr CompressedColumn(bool count_scan) const
+  CompressedChunkCache::EncodingPtr CompressedColumn() const
       REQUIRES_SHARED(engine_latch_);
 
   /// Payload column count: immutable after construction, so readable with no

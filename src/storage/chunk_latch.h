@@ -20,9 +20,8 @@ namespace casper {
 /// - Writers take it exclusive and advance the epoch twice: to an odd value
 ///   on entry, back to even on exit. The epoch is therefore odd exactly
 ///   while a writer is inside the chunk.
-/// - Morsel scans use the epoch to *validate-and-retry instead of blocking*:
-///   sniff `WriteActive()` before a shard, defer busy shards to a second
-///   pass, and only then block on the latch (see exec/mixed_workload_runner).
+/// - Snapshots compare epochs to tell whether a writer entered a chunk
+///   between two points (see exec/chunk_snapshot.h).
 /// - Seqlock reads over atomic payloads (e.g. ChunkStats' relaxed counters)
 ///   use `ReadBegin()` / `ReadValidate()` to obtain a copy that is coherent
 ///   with respect to writers, without ever touching the mutex.

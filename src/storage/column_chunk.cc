@@ -130,45 +130,6 @@ void PartitionedColumnChunk::CollectSlots(Value v, std::vector<uint32_t>* out) c
   }
 }
 
-uint64_t PartitionedColumnChunk::CountRange(Value lo, Value hi) const {
-  if (lo >= hi || live_ == 0) return 0;
-  const size_t first = index_.Route(lo);
-  const size_t last = index_.Route(hi - 1);
-  uint64_t count = 0;
-  // Accumulate accounting locally and flush once: one atomic add per query
-  // instead of one per partition on the hottest read path.
-  uint64_t scanned = 0;
-  uint64_t pruned = 0;
-  uint64_t reads = 0;
-  for (size_t t = first; t <= last && t < parts_.size(); ++t) {
-    const Partition& p = parts_[t];
-    if (p.size == 0) continue;
-    if (t == first || t == last) {
-      if (p.min_val >= hi || p.max_val < lo) {
-        // Zone map excluded the boundary partition: pruned, not scanned —
-        // the same accounting the compressed path uses for pruned frames.
-        ++pruned;
-        continue;
-      }
-      ++scanned;
-      if (p.min_val >= lo && p.max_val < hi) {
-        count += p.size;  // zone map fully qualifies it: blind consume
-        continue;
-      }
-      count += kernels::CountInRange(data_.data() + p.begin, p.size, lo, hi);
-      reads += p.size;
-    } else {
-      // Middle partitions fully qualify: blind consume (paper Fig. 3c).
-      ++scanned;
-      count += p.size;
-    }
-  }
-  stats_.partitions_scanned += scanned;
-  stats_.partitions_pruned += pruned;
-  stats_.element_reads += reads;
-  return count;
-}
-
 void PartitionedColumnChunk::LiveValues(std::vector<Value>* values,
                                         std::vector<size_t>* frame_sizes) const {
   values->clear();

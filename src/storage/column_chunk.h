@@ -77,10 +77,6 @@ class PartitionedColumnChunk {
   /// Slots (positions) of live values equal to v.
   void CollectSlots(Value v, std::vector<uint32_t>* out) const;
 
-  /// Count of live values in [lo, hi). Middle partitions are consumed
-  /// blindly via their size counters (paper Fig. 3c).
-  uint64_t CountRange(Value lo, Value hi) const;
-
   /// Visits each live slot in [lo, hi): fn(slot). Used by tables to apply
   /// per-row logic (e.g. payload aggregation) on qualifying rows. Boundary
   /// partitions are filtered through the vectorized FilterSlots kernel;

@@ -87,7 +87,7 @@ struct ChunkEncoding {
 ///  - Returned encodings are shared_ptr snapshots: a scan keeps its column
 ///    alive even if a later epoch rebuilds the slot.
 ///
-/// Thread safety: any number of readers may call Get/GetOrBuild concurrently
+/// Thread safety: any number of readers may call GetOrBuild concurrently
 /// (they hold the chunk latch shared). The hit path is lock-free — an atomic
 /// epoch check plus an atomic shared_ptr load — because the shared latch
 /// guarantees every concurrent caller passes the SAME epoch (a writer would
@@ -129,17 +129,6 @@ class CompressedChunkCache {
   }
 
   size_t num_slots() const { return entries_.size(); }
-
-  /// Hit-only lookup: the cached encoding for `slot` if one is valid at
-  /// `epoch`, nullptr otherwise — no scan accounting, no build, lock-free.
-  /// For read paths that should consume an existing encoding without voting
-  /// to create one (e.g. per-morsel shard scans, which would otherwise
-  /// inflate the scan counter by the fan-out width every query).
-  EncodingPtr Get(size_t slot, uint64_t epoch) const {
-    const Entry& e = *entries_[slot];
-    if (e.epoch.load(std::memory_order_acquire) != epoch) return nullptr;
-    return std::atomic_load_explicit(&e.column, std::memory_order_acquire);
-  }
 
   /// Cached encoding for `slot` if one is valid at `epoch`; otherwise counts
   /// this scan and, once the slot is hot enough, invokes `encode()` (which

@@ -208,27 +208,6 @@ size_t PartitionedTable::PointLookup(Value key,
   return slots.size();
 }
 
-uint64_t PartitionedTable::CountRange(Value lo, Value hi) const {
-  return ScanSpecAllChunks(ScanSpec::Count(lo, hi)).count;
-}
-
-ScanPartial PartitionedTable::ScanSpecAllChunks(const ScanSpec& spec) const {
-  ScanPartial out;
-  if (spec.EmptyKeyRange()) return out;
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    // Serial early break: chunks hold ascending key ranges, so the first
-    // chunk entirely above the range ends the walk.
-    if (!spec.full_domain && c > 0 && chunk_uppers_[c - 1] >= spec.hi - 1) break;
-    out.Merge(ScanSpecInChunk(c, spec));
-  }
-  return out;
-}
-
-int64_t PartitionedTable::SumPayloadRange(Value lo, Value hi,
-                                          const std::vector<size_t>& cols) const {
-  return ScanSpecAllChunks(ScanSpec::Sum(lo, hi, cols)).SumResult();
-}
-
 ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) const {
   if (!spec.RefsValid(payload_cols_) || spec.EmptyKeyRange() ||
       (!spec.full_domain && !ChunkOverlapsRange(c, spec.lo, spec.hi))) {

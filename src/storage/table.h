@@ -69,12 +69,6 @@ class PartitionedTable {
   /// the payload column count) with the first match's payload if any.
   size_t PointLookup(Value key, std::vector<Payload>* payload_out = nullptr) const;
 
-  /// Q2: COUNT(*) over key range [lo, hi).
-  uint64_t CountRange(Value lo, Value hi) const;
-
-  /// Q3: SUM over selected payload columns of rows with key in [lo, hi).
-  int64_t SumPayloadRange(Value lo, Value hi, const std::vector<size_t>& cols) const;
-
   // --- Per-chunk read surface (morsel-driven execution) ----------------------
   // The chunk-c slice of a whole-table query: merging the slices of all
   // chunks (in any order) reproduces the serial answer. A chunk outside the
@@ -95,12 +89,6 @@ class PartitionedTable {
   /// epoch), the CompressedChunkCache encodes it and later scans run on the
   /// packed columns; any write invalidates the encoding through the epoch.
   ScanPartial ScanSpecInChunk(size_t c, const ScanSpec& spec) const;
-
-  /// Whole-table ScanSpec evaluation with the serial chunk walk's early
-  /// break (stop at the first chunk entirely above the range) — the
-  /// whole-engine read path of PartitionedLayout::ExecuteScan, and what the
-  /// whole-table CountRange / SumPayloadRange facades above reduce to.
-  ScanPartial ScanSpecAllChunks(const ScanSpec& spec) const;
 
   /// O(1) key-range overlap test against the chunk routing bounds.
   bool ChunkOverlapsRange(size_t c, Value lo, Value hi) const {

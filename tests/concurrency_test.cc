@@ -1,11 +1,13 @@
 // Concurrency tests for the post-ChunkStats-race read surface: mixed
 // concurrent queries over all six layouts must produce checksums
 // bit-identical to serial execution, relaxed-atomic access counters must not
-// lose increments, and the sorted/delta shard splits must stay exact around
-// duplicate runs straddling a binary-search split point. Built to run clean
+// lose increments, and the sorted and delta-store range reads must count a
+// long duplicate run (with tombstones and delta rows) exactly once. Built to
+// run clean
 // under ThreadSanitizer (-DCASPER_TSAN=ON): sizes are moderate and every
 // assertion is deterministic.
 #include <memory>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -273,102 +275,115 @@ TEST(ConcurrentQueries, StatsCountersLoseNoIncrements) {
   EXPECT_EQ(scanned, kThreads * kProbes);
 }
 
-// A duplicate run straddling the sorted layout's binary-search split point:
-// positional shard windows must count the run exactly once across the split.
-TEST(SortedShards, DuplicateRunStraddlingSplitPoint) {
-  constexpr size_t kRows = 40000;
-  constexpr Value kDup = 16000;  // run [16000, 17000) straddles shard row 16384
-  std::vector<Value> keys(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    keys[i] = (i >= 16000 && i < 17000) ? kDup : static_cast<Value>(i);
+/// Row-at-a-time reference over raw rows with key in [lo, hi): the count,
+/// the sum of payload columns 0 and 1, and the Q6 shape (columns 0 =
+/// quantity, 1 = discount, 2 = price).
+struct RangeRef {
+  uint64_t count = 0;
+  int64_t sum = 0;
+  int64_t q6 = 0;
+};
+
+RangeRef BruteRange(const std::vector<Value>& keys,
+                    const std::vector<std::vector<Payload>>& payload, Value lo,
+                    Value hi) {
+  RangeRef ref;
+  uint64_t sum = 0;
+  uint64_t q6 = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] < lo || keys[i] >= hi) continue;
+    ++ref.count;
+    sum += uint64_t{payload[0][i]} + payload[1][i];
+    if (payload[1][i] >= 1000 && payload[1][i] <= 9000 && payload[0][i] < 8000) {
+      q6 += uint64_t{payload[2][i]} * payload[1][i];
+    }
   }
-  std::vector<std::vector<Payload>> payload(3);
+  ref.sum = static_cast<int64_t>(sum);
+  ref.q6 = static_cast<int64_t>(q6);
+  return ref;
+}
+
+/// 40000 rows keyed by position, except a 1000-row duplicate run of kDupKey
+/// at positions [16000, 17000); key-derived payloads over three columns.
+constexpr size_t kDupRows = 40000;
+constexpr Value kDupKey = 16000;
+
+void MakeDuplicateRun(std::vector<Value>* keys,
+                      std::vector<std::vector<Payload>>* payload) {
+  keys->resize(kDupRows);
+  for (size_t i = 0; i < kDupRows; ++i) {
+    (*keys)[i] = (i >= 16000 && i < 17000) ? kDupKey : static_cast<Value>(i);
+  }
+  payload->assign(3, std::vector<Payload>(kDupRows));
   std::vector<Payload> row;
-  for (auto& col : payload) col.resize(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    KeyDerivedPayload(keys[i], 3, &row);
-    for (size_t c = 0; c < 3; ++c) payload[c][i] = row[c];
+  for (size_t i = 0; i < kDupRows; ++i) {
+    KeyDerivedPayload((*keys)[i], 3, &row);
+    for (size_t c = 0; c < 3; ++c) (*payload)[c][i] = row[c];
   }
+}
+
+// A long duplicate run in the sorted layout: binary-searched range reads
+// must count it exactly once, whichever side of it the range starts.
+TEST(SortedReads, DuplicateRunMatchesReference) {
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload;
+  MakeDuplicateRun(&keys, &payload);
   SortedLayout layout(keys, payload);
-  ASSERT_EQ(layout.NumShards(), (kRows + SortedLayout::kShardRows - 1) /
-                                    SortedLayout::kShardRows);
-  ASSERT_GT(layout.NumShards(), 1u);
 
   const std::vector<size_t> cols = {0, 1};
   const std::vector<std::pair<Value, Value>> ranges = {
-      {kDup, kDup + 1},          // exactly the duplicate run
-      {kDup - 7, kDup + 9},      // run plus neighbors
-      {0, kRows},                // everything
-      {16380, 16390},            // hugging the split row on both sides
-      {kDup + 1, kDup + 2},      // empty: swallowed by the run
+      {kDupKey, kDupKey + 1},      // exactly the duplicate run
+      {kDupKey - 7, kDupKey + 9},  // run plus neighbors
+      {0, kDupRows},               // everything
+      {16380, 16390},              // keys swallowed by the run
+      {kDupKey + 1, kDupKey + 2},  // empty: swallowed by the run
   };
   for (const auto& [lo, hi] : ranges) {
     SCOPED_TRACE(testing::Message() << "[" << lo << ", " << hi << ")");
-    uint64_t count = 0;
-    int64_t sum = 0;
-    int64_t q6 = 0;
-    for (size_t s = 0; s < layout.NumShards(); ++s) {
-      count += layout.ScanSpecShard(s, ScanSpec::Count(lo, hi)).count;
-      sum += layout.ScanSpecShard(s, ScanSpec::Sum(lo, hi, cols)).SumResult();
-      q6 += layout.ScanSpecShard(s, ScanSpec::Q6(lo, hi, 1000, 9000, 8000))
-                .SumResult();
-    }
-    EXPECT_EQ(count, layout.CountRange(lo, hi));
-    EXPECT_EQ(sum, layout.SumPayloadRange(lo, hi, cols));
-    EXPECT_EQ(q6, layout.TpchQ6(lo, hi, 1000, 9000, 8000));
+    const RangeRef ref = BruteRange(keys, payload, lo, hi);
+    EXPECT_EQ(layout.CountRange(lo, hi), ref.count);
+    EXPECT_EQ(layout.SumPayloadRange(lo, hi, cols), ref.sum);
+    EXPECT_EQ(layout.TpchQ6(lo, hi, 1000, 9000, 8000), ref.q6);
   }
-  EXPECT_EQ(layout.CountRange(kDup, kDup + 1), 1000u);  // the full duplicate run
+  EXPECT_EQ(layout.CountRange(kDupKey, kDupKey + 1), 1000u);  // the full run
 }
 
-// Same shape for the delta store: main-store sub-shards with tombstones in
-// the straddling run, plus a populated delta sub-shard.
-TEST(DeltaShards, MainWindowsPlusDeltaSumExactly) {
-  constexpr size_t kRows = 40000;
-  constexpr Value kDup = 16000;
-  std::vector<Value> keys(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    keys[i] = (i >= 16000 && i < 17000) ? kDup : static_cast<Value>(i);
-  }
-  std::vector<std::vector<Payload>> payload(3);
-  std::vector<Payload> row;
-  for (auto& col : payload) col.resize(kRows);
-  for (size_t i = 0; i < kRows; ++i) {
-    KeyDerivedPayload(keys[i], 3, &row);
-    for (size_t c = 0; c < 3; ++c) payload[c][i] = row[c];
-  }
+// Same shape for the delta store: tombstones in the duplicate run of the
+// main store, plus a populated delta buffer.
+TEST(DeltaReads, TombstonesAndDeltaMatchReference) {
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload;
+  MakeDuplicateRun(&keys, &payload);
   DeltaStoreLayout::Options dopts;
   dopts.min_merge_rows = 1 << 20;  // keep the delta unmerged for the test
   DeltaStoreLayout layout(keys, payload, dopts);
 
   // Tombstone part of the duplicate run and land new rows in the delta.
-  for (int i = 0; i < 300; ++i) ASSERT_EQ(layout.Delete(kDup), 1u);
-  for (int i = 0; i < 500; ++i) {
-    KeyDerivedPayload(kDup, 3, &row);
-    layout.Insert(kDup, row);
-  }
+  std::vector<Payload> row;
+  KeyDerivedPayload(kDupKey, 3, &row);
+  for (int i = 0; i < 300; ++i) ASSERT_EQ(layout.Delete(kDupKey), 1u);
+  for (int i = 0; i < 500; ++i) layout.Insert(kDupKey, row);
   ASSERT_EQ(layout.delta_size(), 500u);
-  ASSERT_GT(layout.NumShards(), 2u);  // main windows + delta sub-shard
 
+  // Reference rows: every duplicate carries the same payload, so the live
+  // table is the input plus 200 more copies of the run's row.
+  for (int i = 0; i < 200; ++i) {
+    keys.push_back(kDupKey);
+    for (size_t c = 0; c < 3; ++c) payload[c].push_back(row[c]);
+  }
   const std::vector<size_t> cols = {0, 1};
   const std::vector<std::pair<Value, Value>> ranges = {
-      {kDup, kDup + 1}, {kDup - 7, kDup + 9}, {0, kRows}, {16380, 16390}};
+      {kDupKey, kDupKey + 1}, {kDupKey - 7, kDupKey + 9}, {0, kDupRows},
+      {16380, 16390}};
   for (const auto& [lo, hi] : ranges) {
     SCOPED_TRACE(testing::Message() << "[" << lo << ", " << hi << ")");
-    uint64_t count = 0;
-    int64_t sum = 0;
-    int64_t q6 = 0;
-    for (size_t s = 0; s < layout.NumShards(); ++s) {
-      count += layout.ScanSpecShard(s, ScanSpec::Count(lo, hi)).count;
-      sum += layout.ScanSpecShard(s, ScanSpec::Sum(lo, hi, cols)).SumResult();
-      q6 += layout.ScanSpecShard(s, ScanSpec::Q6(lo, hi, 1000, 9000, 8000))
-                .SumResult();
-    }
-    EXPECT_EQ(count, layout.CountRange(lo, hi));
-    EXPECT_EQ(sum, layout.SumPayloadRange(lo, hi, cols));
-    EXPECT_EQ(q6, layout.TpchQ6(lo, hi, 1000, 9000, 8000));
+    const RangeRef ref = BruteRange(keys, payload, lo, hi);
+    EXPECT_EQ(layout.CountRange(lo, hi), ref.count);
+    EXPECT_EQ(layout.SumPayloadRange(lo, hi, cols), ref.sum);
+    EXPECT_EQ(layout.TpchQ6(lo, hi, 1000, 9000, 8000), ref.q6);
   }
   // 1000 dups - 300 tombstones + 500 delta rows.
-  EXPECT_EQ(layout.PointLookup(kDup, nullptr), 1200u);
+  EXPECT_EQ(layout.PointLookup(kDupKey, nullptr), 1200u);
 }
 
 }  // namespace

@@ -136,13 +136,11 @@ TEST(ParallelExec, ParallelReadsBitIdenticalToSerialAcrossLayouts) {
   }
 }
 
-TEST(ParallelExec, NoOrderShardsByRowMorsels) {
-  // Enough rows for multiple 64K-row morsels.
+TEST(ParallelExec, NoOrderPoolScanMatchesSerial) {
   const Fixture f = MakeFixture(150000, 11);
   LayoutBuildOptions opts;
   opts.mode = LayoutMode::kNoOrder;
   auto engine = BuildLayout(opts, f.data.keys, f.data.payload);
-  EXPECT_GE(engine->NumShards(), 2u);
 
   ThreadPool pool(3);
   EXPECT_EQ(PoolScanAll(*engine, &pool), 150000u);
@@ -162,18 +160,14 @@ TEST(ParallelExec, PartitionedShardsAreChunks) {
   EXPECT_EQ(ShardedScanAll(*engine), 30000u);
 }
 
-TEST(ParallelExec, EveryLayoutShardsMultiChunkTables) {
-  // 80000 rows: enough for >1 shard under every sharding scheme — NoOrder's
-  // 64K-row morsels, Sorted's 16K-row windows, the delta store's main
-  // windows + delta sub-shard, and the partitioned layouts' 4096-value
-  // chunks. NumShards() == 1 would silently serialize a layout under the
-  // pool fan-out; every layout must decompose.
+TEST(ParallelExec, EveryLayoutShardMergeIsExact) {
+  // 80000 rows: many 4096-value chunks for the partitioned layouts; the
+  // single-store layouts are one shard each.
   const Fixture f = MakeFixture(80000, 29);
   ThreadPool pool(4);
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
-    EXPECT_GT(engine->NumShards(), 1u);
     // The shard decomposition is exact: per-shard scans sum to the rows.
     EXPECT_EQ(ShardedScanAll(*engine), engine->num_rows());
     EXPECT_EQ(PoolScanAll(*engine, &pool), 80000u);

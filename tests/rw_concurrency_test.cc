@@ -2,12 +2,16 @@
 // streams (reads + chunk-disjoint write runs) admitted together must produce
 // results bit-identical to a single-threaded serial replay, raw reader
 // threads must survive overlapping a live ingest with only bounded-staleness
-// effects, chunk-disjoint write runs must commit in parallel and overlapping
-// runs serialize without deadlock, and ChunkSnapshot must detect exactly the
-// chunks an ingest touched. The read-only sibling of this file is
-// concurrency_test.cc; both are built to run clean under ThreadSanitizer
-// (-DCASPER_TSAN=ON) with moderate sizes and deterministic assertions.
+// effects, a pooled scan racing a row-moving writer must return a state the
+// table was actually in, chunk-disjoint write runs must commit in parallel
+// and overlapping runs serialize without deadlock, and ChunkSnapshot must
+// detect exactly the chunks an ingest touched. The read-only sibling of this
+// file is concurrency_test.cc; both are built to run clean under
+// ThreadSanitizer (-DCASPER_TSAN=ON) with moderate sizes and deterministic
+// assertions.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -316,12 +320,11 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
           if (count < before || count > before + kRuns * kRunSize) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
-          // Point lookups and deferred scans share the same latches.
+          // Point lookups and full scans share the same latches.
           const Value key = lo + static_cast<Value>(rng.Below(span));
           engine->PointLookup(key, nullptr);
-          const uint64_t deferred =
-              ExecuteScanDeferred(*engine, ScanSpec::Count(lo, hi)).count;
-          if (deferred < before || deferred > before + kRuns * kRunSize) {
+          const uint64_t all = engine->ExecuteScan(ScanSpec::FullScan()).count;
+          if (all < before || all > before + kRuns * kRunSize) {
             violations.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -336,6 +339,73 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
 
     EXPECT_EQ(violations.load(), 0u);
     EXPECT_EQ(engine->CountRange(lo, hi), before + kRuns * kRunSize);
+    engine->ValidateInvariants();
+  }
+}
+
+// A pooled sum racing a writer that deletes and reinserts one row must
+// return the sum of a state the table was actually in: the full table, or
+// the table minus one toggled row. A scan that latched row windows one at a
+// time could read one window before a write and the next after it, and both
+// baselines move rows no write touched across window boundaries: NoOrder's
+// swap-remove jumps the last row to the front, and every Sorted delete or
+// insert shifts each later row by one position. Such a scan counts a row
+// twice or not at all.
+TEST(ReadsDuringWrites, PooledSumNeverTearsUnderRowMovingWriter) {
+  // 140000 rows: a scan split into 16K- or 64K-row windows would cross
+  // several window boundaries here.
+  constexpr size_t kRows = 140000;
+  // Each layout races the writer for a fixed wall-clock budget rather than
+  // a fixed sum count, so the test stays bounded under sanitizers and on a
+  // loaded host.
+  constexpr auto kBudget = std::chrono::milliseconds(120);
+  Fixture f = MakeFixture(kRows, 61);
+  // Distinct keys on the same domain: each toggled key names one row.
+  for (size_t i = 0; i < kRows; ++i) f.data.keys[i] = static_cast<Value>(4 * i);
+  const std::vector<size_t> cols = {0, 1};
+  const ScanSpec spec = ScanSpec::Sum(f.data.domain_lo, f.data.domain_hi, cols);
+  ThreadPool pool(4);
+
+  for (const LayoutMode mode : AllModes()) {
+    SCOPED_TRACE(LayoutModeName(mode));
+    auto engine = BuildMode(mode, f);
+    // NoOrder toggles whatever key is at position 0. The first toggle moves
+    // the last row to the front and appends the deleted row, so position 0
+    // alternates between the first and last input keys. The other layouts
+    // toggle the smallest key.
+    const std::vector<Value> toggled =
+        mode == LayoutMode::kNoOrder
+            ? std::vector<Value>{f.data.keys.front(), f.data.keys.back()}
+            : std::vector<Value>{f.data.keys.front()};
+    const int64_t full = engine->ExecuteScan(spec).SumResult();
+    std::vector<std::vector<Payload>> rows(toggled.size());
+    std::vector<int64_t> states = {full};
+    for (size_t t = 0; t < toggled.size(); ++t) {
+      ASSERT_EQ(engine->PointLookup(toggled[t], &rows[t]), 1u);
+      states.push_back(full - rows[t][0] - rows[t][1]);
+    }
+
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      for (size_t i = 0; !done.load(std::memory_order_acquire); ++i) {
+        const size_t t = i % toggled.size();
+        engine->Delete(toggled[t]);
+        engine->Insert(toggled[t], rows[t]);
+      }
+    });
+    size_t sums = 0;
+    size_t torn = 0;
+    const auto deadline = std::chrono::steady_clock::now() + kBudget;
+    while (std::chrono::steady_clock::now() < deadline) {
+      const int64_t sum = ExecuteScanOnPool(*engine, spec, &pool).SumResult();
+      if (std::find(states.begin(), states.end(), sum) == states.end()) ++torn;
+      ++sums;
+    }
+    done.store(true, std::memory_order_release);
+    writer.join();
+
+    EXPECT_EQ(torn, 0u) << "of " << sums << " pooled sums";
+    EXPECT_EQ(engine->ExecuteScan(spec).SumResult(), full);
     engine->ValidateInvariants();
   }
 }
@@ -513,29 +583,6 @@ TEST(ChunkSnapshots, CoherentStatsSnapshotUnderWriter) {
   }
   writer.join();
   EXPECT_GT(snapshots, 0u);
-}
-
-// Quiescent deferred reads are plain shard fan-outs: they must equal the
-// whole-query answers on every layout.
-TEST(DeferredReads, MatchSerialAnswersWhenQuiescent) {
-  const Fixture f = MakeFixture(20000, 47);
-  const std::vector<size_t> cols = {0, 1};
-  const Value lo = f.data.domain_lo;
-  const Value hi = f.data.domain_hi;
-  const Value q = (hi - lo) / 8;
-
-  for (const LayoutMode mode : AllModes()) {
-    SCOPED_TRACE(LayoutModeName(mode));
-    auto engine = BuildMode(mode, f);
-    for (int i = 0; i < 4; ++i) {
-      const Value a = lo + i * q;
-      const Value b = hi - i * q / 2;
-      EXPECT_EQ(ExecuteScanDeferred(*engine, ScanSpec::Count(a, b)).count,
-                engine->CountRange(a, b));
-      EXPECT_EQ(ExecuteScanDeferred(*engine, ScanSpec::Sum(a, b, cols)).SumResult(),
-                engine->SumPayloadRange(a, b, cols));
-    }
-  }
 }
 
 // The facade: CasperEngine::RunMixed over its own pool matches the serial

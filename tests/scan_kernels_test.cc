@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,11 +87,6 @@ TEST(ScanKernels, DispatchedMatchesScalarAcrossSizesAndOffsets) {
     ASSERT_EQ(kernels::CountInRange(c.k(), n, c.lo, c.hi), count_ref) << n;
     ASSERT_EQ(kernels::CountEqual(c.k(), n, c.probe),
               kernels::scalar::CountEqual(c.k(), n, c.probe))
-        << n;
-    ASSERT_EQ(kernels::SumInRange(c.k(), n, c.lo, c.hi),
-              kernels::scalar::SumInRange(c.k(), n, c.lo, c.hi))
-        << n;
-    ASSERT_EQ(kernels::SumValues(c.k(), n), kernels::scalar::SumValues(c.k(), n))
         << n;
     ASSERT_EQ(kernels::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi),
               kernels::scalar::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi))
@@ -227,9 +223,6 @@ TEST(ScanKernels, Avx2NamespaceMatchesScalarWhenAvailable) {
     ASSERT_EQ(kernels::avx2::CountInRange(c.k(), n, c.lo, c.hi),
               kernels::scalar::CountInRange(c.k(), n, c.lo, c.hi))
         << n;
-    ASSERT_EQ(kernels::avx2::SumInRange(c.k(), n, c.lo, c.hi),
-              kernels::scalar::SumInRange(c.k(), n, c.lo, c.hi))
-        << n;
     ASSERT_EQ(kernels::avx2::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi),
               kernels::scalar::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi))
         << n;
@@ -250,9 +243,8 @@ TEST(ScanKernels, Avx2NamespaceMatchesScalarWhenAvailable) {
 #endif  // CASPER_AVX2
 
 // Scan-on-compressed: a frame-of-reference encoding of the same buffer must
-// produce the same counts as the raw kernels, for every size, random frame
-// widths (tail frames exercise partial unpack blocks), and row-window
-// slices.
+// produce the same counts as the raw kernels, for every size and random
+// frame widths (tail frames exercise partial unpack blocks).
 TEST(ScanKernels, CompressedMatchesRawAcrossSizes) {
   Rng rng(4242);
   for (size_t n = 1; n <= 4097; n += (n < 128 ? 1 : 29)) {
@@ -266,15 +258,13 @@ TEST(ScanKernels, CompressedMatchesRawAcrossSizes) {
               kernels::scalar::CountInRange(raw.data(), n, c.lo, c.hi))
         << n << " fw=" << frame_width;
 
-    // Random row-window slice.
-    const size_t b = rng.Below(n + 1);
-    const size_t e = b + rng.Below(n + 1 - b);
-    ASSERT_EQ(col.CountRangeInRows(b, e, c.lo, c.hi),
-              kernels::scalar::CountInRange(raw.data() + b, e - b, c.lo, c.hi))
-        << n << " [" << b << "," << e << ")";
-
     // Decode-free aggregate and random access agree with the raw column.
-    ASSERT_EQ(col.SumAll(), kernels::scalar::SumValues(raw.data(), n)) << n;
+    // Reference sum accumulated in uint64_t: wraparound stays defined at
+    // the key-domain edges.
+    const uint64_t raw_sum =
+        std::accumulate(raw.begin(), raw.end(), uint64_t{0},
+                        [](uint64_t s, Value v) { return s + static_cast<uint64_t>(v); });
+    ASSERT_EQ(col.SumAll(), static_cast<int64_t>(raw_sum)) << n;
     const size_t probe_at = rng.Below(n);
     ASSERT_EQ(col.Get(probe_at), raw[probe_at]) << n;
   }
