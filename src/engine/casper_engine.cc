@@ -58,9 +58,6 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument(
         "persist.journal_fsync_every must be >= 1 (0 would never sync)");
   }
-  if (!(p.tier_decay >= 0.0 && p.tier_decay <= 1.0)) {
-    return Status::InvalidArgument("persist.tier_decay must be in [0, 1]");
-  }
   const persist::StoreLayout store(p.storage_dir);
   Status s = store.EnsureLayout();
   if (!s.ok()) return s;
@@ -160,7 +157,6 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
 
     persist::TierOptions topt;
     topt.memory_budget_bytes = options.persist.memory_budget_bytes.value_or(0);
-    topt.decay = options.persist.tier_decay;
     topt.promote_score = options.persist.tier_promote_score;
     topt.max_evictions_per_cycle = options.persist.max_evictions_per_cycle;
     engine.tier_ = std::make_unique<persist::TierManager>(
@@ -230,9 +226,13 @@ MixedResult CasperEngine::RunMixed(const std::vector<Operation>& ops) {
   if (maintenance_ != nullptr) maintenance_->ObserveAll(ops);
   // Journaled as one run, before any of it applies: replay of the record is
   // bit-identical to the run because mixed admission commits writes in
-  // serial-equivalent order (LogOps keeps only the write operations).
-  if (durable_ != nullptr) durable_->LogOps(ops.data(), ops.size());
-  return MixedWorkloadRunner(pool_, oracle_.get()).Run(*engine_, ops);
+  // serial-equivalent order (CommitOps journals only the write operations,
+  // and holds the journal across the run only when there are any).
+  const auto run = [&] {
+    return MixedWorkloadRunner(pool_, oracle_.get()).Run(*engine_, ops);
+  };
+  if (durable_ == nullptr) return run();
+  return durable_->CommitOps(ops.data(), ops.size(), run);
 }
 
 }  // namespace casper

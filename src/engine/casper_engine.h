@@ -39,9 +39,8 @@ struct PersistOptions {
   /// larger trades the last few records for write throughput.
   size_t journal_fsync_every = 1;
 
-  /// Tiering policy (persist/tier_manager.h): per-cycle heat decay, the
-  /// promotion threshold, and the demotion-per-cycle cap.
-  double tier_decay = 0.5;
+  /// Tiering policy (persist/tier_manager.h): the promotion threshold and
+  /// the demotion-per-cycle cap.
   double tier_promote_score = 256.0;
   size_t max_evictions_per_cycle = 4;
 };
@@ -150,11 +149,10 @@ class CasperEngine {
     if (maintenance_ != nullptr) {
       maintenance_->Observe({OpKind::kInsert, key, 0});
     }
-    if (durable_ != nullptr) {
-      const Row row{key, payload};
-      durable_->LogRows(&row, 1);
-    }
-    engine_->Insert(key, payload);
+    const auto apply = [&] { engine_->Insert(key, payload); };
+    if (durable_ == nullptr) return apply();
+    const Row row{key, payload};
+    durable_->CommitRows(&row, 1, apply);
   }
 
   /// Payload-carrying batch ingest (production write surface): inserts
@@ -167,8 +165,9 @@ class CasperEngine {
         maintenance_->Observe({OpKind::kInsert, row.key, 0});
       }
     }
-    if (durable_ != nullptr) durable_->LogRows(rows.data(), rows.size());
-    engine_->InsertRows(rows.data(), rows.size(), pool_);
+    const auto apply = [&] { engine_->InsertRows(rows.data(), rows.size(), pool_); };
+    if (durable_ == nullptr) return apply();
+    durable_->CommitRows(rows.data(), rows.size(), apply);
   }
 
   // (v) Update / delete.
@@ -176,21 +175,14 @@ class CasperEngine {
     if (maintenance_ != nullptr) {
       maintenance_->Observe({OpKind::kUpdate, old_key, new_key});
     }
-    if (durable_ != nullptr) {
-      const Operation op{OpKind::kUpdate, old_key, new_key};
-      durable_->LogOps(&op, 1);
-    }
-    return engine_->UpdateKey(old_key, new_key);
+    return Commit({OpKind::kUpdate, old_key, new_key},
+                  [&] { return engine_->UpdateKey(old_key, new_key); });
   }
   size_t Delete(Value key) {
     if (maintenance_ != nullptr) {
       maintenance_->Observe({OpKind::kDelete, key, 0});
     }
-    if (durable_ != nullptr) {
-      const Operation op{OpKind::kDelete, key, 0};
-      durable_->LogOps(&op, 1);
-    }
-    return engine_->Delete(key);
+    return Commit({OpKind::kDelete, key, 0}, [&] { return engine_->Delete(key); });
   }
 
   /// Mixed-workload admission: read queries and write runs execute together,
@@ -242,6 +234,14 @@ class CasperEngine {
                      "payload width " << payload.size()
                                       << " != table payload columns "
                                       << engine_->num_payload_columns());
+  }
+
+  /// Runs one write through `apply`; a durable engine journals `op` first,
+  /// in one critical section with the apply (DurableStore::CommitOps).
+  template <typename Apply>
+  auto Commit(const Operation& op, Apply&& apply) -> decltype(apply()) {
+    if (durable_ == nullptr) return apply();
+    return durable_->CommitOps(&op, 1, apply);
   }
 
   CasperEngine(std::unique_ptr<LayoutEngine> engine,

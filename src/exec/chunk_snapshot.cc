@@ -8,7 +8,7 @@ ChunkSnapshot ChunkSnapshot::Capture(const LayoutEngine& engine,
                                      TimestampOracle* oracle) {
   ChunkSnapshot snap;
   snap.ts_ = oracle != nullptr ? oracle->Current() : 0;
-  const size_t n = engine.NumLatchDomains();
+  const size_t n = engine.NumShards();
   snap.epochs_.reserve(n);
   for (size_t d = 0; d < n; ++d) {
     // ReadBegin spins past any in-flight writer: captured epochs are even,

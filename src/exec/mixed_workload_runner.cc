@@ -146,7 +146,7 @@ MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
     // compatibility in stream order: readers since the last write all block
     // the next write; the last write blocks everything after it until the
     // next write supersedes it.
-    const size_t num_domains = engine.NumLatchDomains();
+    const size_t num_domains = engine.NumShards();
     std::vector<uint32_t> last_write(num_domains, UINT32_MAX);
     std::vector<std::vector<uint32_t>> readers(num_domains);
     for (uint32_t i = 0; i < items.size(); ++i) {

@@ -64,17 +64,6 @@ size_t DeltaStoreLayout::PointLookupLocked(Value key,
   return count;
 }
 
-CompressedChunkCache::EncodingPtr DeltaStoreLayout::CompressedMain() const {
-  return compressed_.GetOrBuild(
-      0, engine_latch_.Epoch(), main_keys_.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis can't see through GetOrBuild that this callback runs
-        // on the caller's thread with the engine latch still held shared.
-        engine_latch_.AssertReaderHeld();
-        return EncodeSingleStore(main_keys_, main_payload_);
-      });
-}
-
 ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
                                                    const ScanSpec& spec) const {
   ScanPartial out;
@@ -98,7 +87,8 @@ ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
   // main-store position); keep the snapshot alive across the evaluation.
   CompressedChunkCache::EncodingPtr enc;
   if (spec.TouchesPayload()) {
-    enc = CompressedMain();
+    enc = CachedSingleStoreEncoding(compressed_, engine_latch_, main_keys_,
+                                    main_payload_);
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = first;

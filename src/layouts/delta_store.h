@@ -83,14 +83,6 @@ class DeltaStoreLayout final : public LayoutEngine {
                                    const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
 
-  /// Main-store encoding snapshot (slot 0). The main store is encoded
-  /// POSITIONALLY — deleted slots included — so packed row == main-store
-  /// position and the tombstone filter composes with packed refinement
-  /// unchanged. The delta buffer always stays raw (it exists to absorb
-  /// writes).
-  CompressedChunkCache::EncodingPtr CompressedMain() const
-      REQUIRES_SHARED(engine_latch_);
-
   /// Spec evaluation over the unsorted delta buffer.
   ScanPartial EvalDeltaLocked(const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
@@ -109,7 +101,9 @@ class DeltaStoreLayout final : public LayoutEngine {
   std::vector<std::vector<Payload>> delta_payload_ GUARDED_BY(engine_latch_);
   uint64_t merges_ GUARDED_BY(engine_latch_) = 0;
   /// One-slot cache over the main store; any write (even a delta append)
-  /// advances the engine epoch and invalidates it.
+  /// advances the engine epoch and invalidates it. The main store is encoded
+  /// positionally, deleted slots included, so packed row == main-store
+  /// position; the delta buffer always stays raw.
   mutable CompressedChunkCache compressed_{1};
 };
 

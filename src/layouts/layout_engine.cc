@@ -25,16 +25,19 @@ std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine) {
   return cols;
 }
 
-std::shared_ptr<const ChunkEncoding> EncodeSingleStore(
+std::shared_ptr<const ChunkEncoding> CachedSingleStoreEncoding(
+    CompressedChunkCache& cache, const ChunkLatch& latch,
     const std::vector<Value>& keys,
     const std::vector<std::vector<Payload>>& payload) {
-  auto enc = std::make_shared<ChunkEncoding>();
-  enc->keys = std::make_shared<FrameOfReferenceColumn>(keys, size_t{4096});
-  enc->payload.resize(payload.size());
-  for (size_t c = 0; c < payload.size(); ++c) {
-    enc->payload[c] = AdvisePayloadEncoding(payload[c], /*reads=*/1, /*writes=*/0);
-  }
-  return enc;
+  return cache.GetOrBuild(0, latch.Epoch(), keys.size(), [&] {
+    auto enc = std::make_shared<ChunkEncoding>();
+    enc->keys = std::make_shared<FrameOfReferenceColumn>(keys, size_t{4096});
+    enc->payload.resize(payload.size());
+    for (size_t c = 0; c < payload.size(); ++c) {
+      enc->payload[c] = AdvisePayloadEncoding(payload[c], /*reads=*/1, /*writes=*/0);
+    }
+    return CompressedChunkCache::EncodingPtr(std::move(enc));
+  });
 }
 
 ScanPartial LayoutEngine::ExecuteScan(const ScanSpec& spec) const {

@@ -13,6 +13,7 @@
 
 namespace casper {
 
+class CompressedChunkCache;
 struct ChunkEncoding;
 class ThreadPool;
 
@@ -95,9 +96,11 @@ class LayoutEngine {
   // non-virtual wrappers that build specs; adding a query shape means
   // building a spec value, not growing the virtual surface of six layouts.
 
-  /// Number of independently scannable shards: one per column chunk for the
-  /// partitioned layouts, one for the single-store layouts. Fixed for the
-  /// engine's lifetime (chunk routing bounds are build-time constants).
+  /// Number of independently scannable shards, which are also the latch
+  /// domains of the concurrency-control surface below: one per column chunk
+  /// for the partitioned layouts, one for the single-store layouts. Reads and
+  /// writes on distinct shards never conflict. Fixed for the engine's
+  /// lifetime (chunk routing bounds are build-time constants).
   virtual size_t NumShards() const { return 1; }
 
   /// The shard-s slice of ExecuteScan, evaluated under one hold of the
@@ -164,13 +167,7 @@ class LayoutEngine {
   virtual uint64_t LayoutFingerprint() const { return 0; }
 
   // --- Concurrency-control surface (epoch/latch domains) -------------------
-
-  /// Number of independent latch domains. The partitioned layouts expose one
-  /// domain per column chunk; NoOrder, Sorted and the delta store have a
-  /// single domain guarding the whole store. Reads and writes on distinct
-  /// domains never conflict; the domain count is fixed for the engine's
-  /// lifetime (chunk routing bounds are build-time constants).
-  virtual size_t NumLatchDomains() const { return 1; }
+  // Domains are numbered like shards: [0, NumShards()).
 
   /// Latch domain a write on `key` routes to.
   virtual size_t WriteDomain(Value key) const {
@@ -249,16 +246,19 @@ void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* resu
 std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine);
 
 /// The compressed-cache encoding of one single-store layout (NoOrder, Sorted,
-/// the delta store's main store): FoR keys at 4096-row frames, plus each
-/// payload column through AdvisePayloadEncoding profiled as read-only (these
-/// layouts keep no read/write counters; the cache's read-mostly vote already
-/// gated the build). The columns are dense, so packed row == position and no
-/// live-row prefix is built. Every position is encoded: a delta store's
-/// tombstoned positions carry junk the evaluator never consults, because the
-/// tombstone filter precedes packed refinement.
-std::shared_ptr<const ChunkEncoding> EncodeSingleStore(
+/// the delta store's main store), fetched from or built into slot 0 of
+/// `cache` at `latch`'s current epoch; the caller holds `latch` shared. The
+/// encoding is FoR keys at 4096-row frames, plus each payload column through
+/// AdvisePayloadEncoding profiled as read-only (these layouts keep no
+/// read/write counters; the cache's read-mostly vote already gated the
+/// build). The columns are dense, so packed row == position and no live-row
+/// prefix is built. Every position is encoded: a delta store's tombstoned
+/// positions carry junk the evaluator never consults, because the tombstone
+/// filter precedes packed refinement.
+std::shared_ptr<const ChunkEncoding> CachedSingleStoreEncoding(
+    CompressedChunkCache& cache, const ChunkLatch& latch,
     const std::vector<Value>& keys,
-    const std::vector<std::vector<Payload>>& payload);
+    const std::vector<std::vector<Payload>>& payload) REQUIRES_SHARED(latch);
 
 }  // namespace casper
 

@@ -29,17 +29,6 @@ size_t NoOrderLayout::PointLookup(Value key, std::vector<Payload>* payload) cons
   return count;
 }
 
-CompressedChunkCache::EncodingPtr NoOrderLayout::CompressedColumn() const {
-  return compressed_.GetOrBuild(
-      0, engine_latch_.Epoch(), keys_.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis can't see through GetOrBuild that this callback runs
-        // on the caller's thread with the engine latch still held shared.
-        engine_latch_.AssertReaderHeld();
-        return EncodeSingleStore(keys_, payload_);
-      });
-}
-
 ScanPartial NoOrderLayout::ScanSpecShard(size_t /*shard*/,
                                          const ScanSpec& spec) const {
   SharedChunkGuard guard(engine_latch_);
@@ -53,7 +42,8 @@ ScanPartial NoOrderLayout::ScanSpecShard(size_t /*shard*/,
       out.count = keys_.size();
       return out;
     }
-    if (const auto enc = CompressedColumn()) {
+    if (const auto enc = CachedSingleStoreEncoding(compressed_, engine_latch_,
+                                                   keys_, payload_)) {
       out.count = enc->keys->CountRange(spec.lo, spec.hi);
       return out;
     }
@@ -67,7 +57,7 @@ ScanPartial NoOrderLayout::ScanSpecShard(size_t /*shard*/,
   // must stay alive across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
   if (spec.TouchesPayload()) {
-    enc = CompressedColumn();
+    enc = CachedSingleStoreEncoding(compressed_, engine_latch_, keys_, payload_);
     if (enc != nullptr) rows.packed = &enc->payload;
   }
   return exec::EvalSpecRows(spec, rows);

@@ -54,12 +54,6 @@ class NoOrderLayout final : public LayoutEngine {
       REQUIRES(engine_latch_);
   size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
 
-  /// Whole-column encoding snapshot (FoR keys + advisor-chosen packed
-  /// payload columns, slot 0), valid while the engine-latch epoch is
-  /// unchanged.
-  CompressedChunkCache::EncodingPtr CompressedColumn() const
-      REQUIRES_SHARED(engine_latch_);
-
   /// Payload column count: immutable after construction, so readable with no
   /// latch (columns are never added or dropped, only rows).
   size_t payload_cols_ = 0;

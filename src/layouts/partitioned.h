@@ -34,7 +34,6 @@ class PartitionedLayout final : public LayoutEngine {
   // Concurrency-control surface: one latch domain per column chunk — the
   // unit at which reads overlap ingest and disjoint write runs commit in
   // parallel (PartitionedTable latches every path internally).
-  size_t NumLatchDomains() const override { return table_.num_chunks(); }
   size_t WriteDomain(Value key) const override { return table_.ChunkFor(key); }
   void ReadDomains(Value lo, Value hi, std::vector<size_t>* out) const override {
     if (lo >= hi) return;

@@ -30,20 +30,6 @@ size_t SortedLayout::PointLookup(Value key, std::vector<Payload>* payload) const
   return count;
 }
 
-CompressedChunkCache::EncodingPtr SortedLayout::CompressedColumn() const {
-  return compressed_.GetOrBuild(
-      0, engine_latch_.Epoch(), keys_.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis can't see through GetOrBuild that this callback runs
-        // on the caller's thread with the engine latch still held shared.
-        engine_latch_.AssertReaderHeld();
-        // Sorted keys give narrow FoR frames; the frame column only carries
-        // the payoff gate and memory accounting here (counts stay on binary
-        // search), the packed payload columns carry the scan win.
-        return EncodeSingleStore(keys_, payload_);
-      });
-}
-
 ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
                                            const ScanSpec& spec) const {
   ScanPartial out;
@@ -63,7 +49,7 @@ ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
   // across the evaluation (rows.packed points into it).
   CompressedChunkCache::EncodingPtr enc;
   if (spec.TouchesPayload()) {
-    enc = CompressedColumn();
+    enc = CachedSingleStoreEncoding(compressed_, engine_latch_, keys_, payload_);
     if (enc != nullptr) {
       rows.packed = &enc->payload;
       rows.packed_base = first;

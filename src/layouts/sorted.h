@@ -60,18 +60,15 @@ class SortedLayout final : public LayoutEngine {
                                const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
 
-  /// Whole-column encoding snapshot (slot 0): sorted rows are dense, so
-  /// packed row == row position.
-  CompressedChunkCache::EncodingPtr CompressedColumn() const
-      REQUIRES_SHARED(engine_latch_);
-
   /// Payload column count: immutable after construction, so readable with no
   /// latch (columns are never added or dropped, only rows).
   size_t payload_cols_ = 0;
   std::vector<Value> keys_ GUARDED_BY(engine_latch_);
   std::vector<std::vector<Payload>> payload_ GUARDED_BY(engine_latch_);
   /// One-slot cache over the whole sorted run; epoch-invalidated by the
-  /// engine latch like every other layout's encodings.
+  /// engine latch like every other layout's encodings. Its key frames only
+  /// carry the payoff gate and memory accounting (counts stay on binary
+  /// search); the packed payload columns carry the scan win.
   mutable CompressedChunkCache compressed_{1};
 };
 

@@ -21,7 +21,7 @@ LayoutMaintenanceService::LayoutMaintenanceService(PartitionedLayout* layout,
       planner_(planner),
       block_values_(block_values) {
   MutexLock lock(buf_mu_);
-  ring_.resize(std::max<size_t>(1, options_.max_buffered_ops));
+  ring_.resize(kMaxBufferedOps);
 }
 
 LayoutMaintenanceService::~LayoutMaintenanceService() { Stop(); }

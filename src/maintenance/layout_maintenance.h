@@ -52,10 +52,6 @@ struct MaintenanceOptions {
   /// chunks go first; the rest wait for the next cycle.
   size_t max_chunks_per_cycle = 1;
 
-  /// Observed-operation ring capacity; beyond it the oldest observations are
-  /// dropped (the live model wants recency, the counters record the loss).
-  size_t max_buffered_ops = size_t{1} << 16;
-
   /// Cycles that find fewer buffered operations than this are skipped and
   /// leave them buffered for the next cycle (noise gate: don't re-solve
   /// layouts off a handful of requests).
@@ -185,7 +181,10 @@ class LayoutMaintenanceService {
   const size_t block_values_;
   std::function<void()> cycle_hook_;
 
-  // Observation ring (hot path: one guarded append per operation).
+  // Observation ring (hot path: one guarded append per operation). Beyond
+  // kMaxBufferedOps the oldest observations are dropped: the live model
+  // wants recency, and the counters record the loss.
+  static constexpr size_t kMaxBufferedOps = size_t{1} << 16;
   Mutex buf_mu_;
   std::vector<Operation> ring_ GUARDED_BY(buf_mu_);
   size_t ring_start_ GUARDED_BY(buf_mu_) = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "model/encoding_advisor.h"
 #include "persist/crc32.h"
 #include "persist/io.h"
 
@@ -72,67 +73,35 @@ EvictedChunkState PersistedChunk::ToEvictedState(std::string path) const {
 
 PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values) {
   if (values.empty()) return PayloadEncoding::kFrameOfReference;
-  const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
+  const PayloadColumnProfile p = ProfilePayloadValues(values);
   const unsigned for_width =
-      BitsFor(static_cast<uint64_t>(*mx) - static_cast<uint64_t>(*mn));
-  std::vector<Payload> distinct(values);
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  const unsigned dict_width = BitsFor(distinct.size() - 1);
+      BitsFor(static_cast<uint64_t>(p.max) - static_cast<uint64_t>(p.min));
+  const unsigned dict_width = BitsFor(p.distinct - 1);
   // Total stored bits decide: packed codes plus the dictionary entries
   // themselves versus packed FoR offsets.
-  const uint64_t for_bits = values.size() * uint64_t{for_width};
-  const uint64_t dict_bits = values.size() * uint64_t{dict_width} +
-                             distinct.size() * uint64_t{8 * sizeof(Payload)};
+  const uint64_t for_bits = p.rows * uint64_t{for_width};
+  const uint64_t dict_bits = p.rows * uint64_t{dict_width} +
+                             p.distinct * uint64_t{8 * sizeof(Payload)};
   return dict_bits < for_bits ? PayloadEncoding::kDictionary
                               : PayloadEncoding::kFrameOfReference;
 }
 
-PersistedChunk ChunkWriter::Encode(
-    uint64_t chunk_index, std::vector<ChunkPartitionMeta> parts,
-    const std::vector<Value>& live_keys,
-    const std::vector<std::vector<Payload>>& live_payload) {
+PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) {
   PersistedChunk out;
   out.chunk_index = chunk_index;
-  out.rows = live_keys.size();
-  ChunkEncoding& enc = out.encoding;
-  enc.live_prefix.assign(parts.size() + 1, 0);
-  std::vector<size_t> frame_sizes;
+  out.rows = rows.keys.size();
+  out.parts = rows.parts;
   std::vector<Value> uppers;
-  for (size_t t = 0; t < parts.size(); ++t) {
-    CASPER_CHECK(parts[t].cap >= parts[t].size);
-    enc.live_prefix[t + 1] = enc.live_prefix[t] + parts[t].size;
-    if (parts[t].size > 0) frame_sizes.push_back(parts[t].size);
-    uppers.push_back(parts[t].upper);
+  for (const ChunkPartitionMeta& p : out.parts) {
+    CASPER_CHECK(p.cap >= p.size);
+    uppers.push_back(p.upper);
   }
-  CASPER_CHECK_MSG(enc.live_prefix.back() == out.rows,
-                   "partition sizes do not cover the live keys");
-  out.parts = std::move(parts);
   if (!uppers.empty()) out.index = PartitionIndex(std::move(uppers));
-  if (out.rows > 0) {
-    enc.keys = std::make_shared<FrameOfReferenceColumn>(live_keys, frame_sizes);
-  }
-  enc.payload.resize(live_payload.size());
-  enc.payload_zones.resize(live_payload.size());
-  for (size_t c = 0; c < live_payload.size(); ++c) {
-    const std::vector<Payload>& col = live_payload[c];
-    CASPER_CHECK(col.size() == out.rows);
-    if (out.rows > 0) {
-      enc.payload[c] = PackedPayloadColumn::Encode(col, ChooseDiskEncoding(col));
-      CASPER_CHECK(enc.payload[c] != nullptr);
-    }
-    auto& zones = enc.payload_zones[c];
-    zones.assign(out.parts.size(), PayloadZone{});
-    for (size_t t = 0; t < out.parts.size(); ++t) {
-      const size_t begin = enc.live_prefix[t];
-      const size_t end = enc.live_prefix[t + 1];
-      if (begin == end) continue;
-      const auto [zmn, zmx] =
-          std::minmax_element(col.begin() + begin, col.begin() + end);
-      zones[t] = PayloadZone{*zmn, *zmx};
-    }
-  }
+  out.encoding = EncodeChunkRows(rows, [](const std::vector<Payload>& col) {
+    auto packed = PackedPayloadColumn::Encode(col, ChooseDiskEncoding(col));
+    CASPER_CHECK(packed != nullptr);
+    return packed;
+  });
   return out;
 }
 

@@ -9,6 +9,7 @@
 #include "compression/frame_of_reference.h"
 #include "compression/packed_column.h"
 #include "persist/evicted_chunk.h"
+#include "storage/chunk_rows.h"
 #include "storage/compressed_cache.h"
 #include "storage/partition_index.h"
 #include "storage/types.h"
@@ -68,22 +69,18 @@ struct PersistedChunk {
   EvictedChunkState ToEvictedState(std::string path) const;
 };
 
-/// Deterministic per-column disk encoding choice: dictionary when
-/// rows * code_width + dict storage beats rows * FoR width, FoR otherwise.
-/// Unlike the in-memory advisor there is no raw option and no payoff gate.
+/// Deterministic per-column disk encoding choice over the advisor's own
+/// column profile (ProfilePayloadValues): dictionary when rows * code_width
+/// + dict storage beats rows * FoR width, FoR otherwise. Unlike the
+/// in-memory advisor there is no raw option and no payoff gate.
 PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values);
 
 class ChunkWriter {
  public:
-  /// Pure encode: packs one chunk's live data (keys and payload columns in
-  /// partition order, partition geometry in `parts`) into a PersistedChunk.
-  /// `live_keys` and each `live_payload[c]` hold exactly the live rows,
-  /// concatenated partition by partition; frames align with non-empty
-  /// partitions (the LiveValues contract the warm cache also uses).
-  static PersistedChunk Encode(
-      uint64_t chunk_index, std::vector<ChunkPartitionMeta> parts,
-      const std::vector<Value>& live_keys,
-      const std::vector<std::vector<Payload>>& live_payload);
+  /// Pure encode: packs one chunk's live rows (ChunkRows, partition order)
+  /// through EncodeChunkRows, the encoder the warm cache also uses, with
+  /// every payload column packed by ChooseDiskEncoding.
+  static PersistedChunk Encode(uint64_t chunk_index, const ChunkRows& rows);
 
   /// Pure serialize: appends the v1 byte image (including trailing CRC).
   static void Serialize(const PersistedChunk& chunk, std::string* out);

@@ -1,7 +1,6 @@
 #include "persist/cold_scan.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace casper {
 namespace persist {
@@ -39,35 +38,23 @@ size_t PointLookupPersisted(const PersistedChunk& f, Value key,
   return matches;
 }
 
-PromotedChunkData DecodeForPromotion(const PersistedChunk& f) {
+PromotedChunkData DecodeForPromotion(const PersistedChunk& f, size_t spare_tail) {
   const ChunkEncoding& enc = f.encoding;
   PromotedChunkData out;
-  out.sorted_keys.reserve(f.rows);
-  out.payload.resize(enc.payload.size());
-  for (auto& col : out.payload) col.reserve(f.rows);
-  out.sizes.reserve(f.parts.size());
-  out.ghosts.reserve(f.parts.size());
-  const std::vector<Value> keys =
-      enc.keys != nullptr ? enc.keys->DecodeAll() : std::vector<Value>();
-  std::vector<size_t> order;
-  for (size_t t = 0; t < f.parts.size(); ++t) {
-    out.sizes.push_back(f.parts[t].size);
-    out.ghosts.push_back(f.parts[t].cap - f.parts[t].size);
-    const size_t begin = enc.live_prefix[t];
-    const size_t end = enc.live_prefix[t + 1];
-    if (begin == end) continue;
-    order.resize(end - begin);
-    std::iota(order.begin(), order.end(), begin);
-    // Stable: duplicate keys keep their stored row order, so the payload
-    // permutation is deterministic.
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) { return keys[a] < keys[b]; });
-    for (const size_t i : order) out.sorted_keys.push_back(keys[i]);
-    for (size_t c = 0; c < enc.payload.size(); ++c) {
-      for (const size_t i : order) {
-        out.payload[c].push_back(enc.payload[c]->DecodeAt(i));
-      }
-    }
+  ChunkRows& rows = out.rows;
+  rows.parts = f.parts;
+  if (enc.keys != nullptr) rows.keys = enc.keys->DecodeAll();
+  rows.payload.resize(enc.payload.size());
+  for (size_t c = 0; c < enc.payload.size(); ++c) {
+    if (enc.payload[c] != nullptr) rows.payload[c] = enc.payload[c]->DecodeAll();
+  }
+  SortWithinPartitions(&rows);
+  for (const ChunkPartitionMeta& p : f.parts) {
+    out.spec.partition_sizes.push_back(p.size);
+    out.spec.ghosts.push_back(p.cap - p.size);
+  }
+  if (!out.spec.ghosts.empty()) {
+    out.spec.ghosts.back() -= std::min(out.spec.ghosts.back(), spare_tail);
   }
   return out;
 }

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "persist/chunk_format.h"
+#include "storage/chunk_rows.h"
+#include "storage/table.h"
 #include "storage/types.h"
 
 namespace casper {
@@ -13,10 +15,10 @@ namespace persist {
 /// Row-level reads over a parsed chunk file. Range scans and aggregates do
 /// not live here: they run through the one partition evaluator
 /// (storage/partition_scan.h), which reads a parsed file through the same
-/// view as a resident chunk. What remains is the point lookup and the decode
-/// that promotion needs, both routed through the file's PartitionIndex — the
-/// routing resident chunks use. Accounting lands on `stats` (the chunk's
-/// resident ChunkStats, which survives eviction); disk_reads /
+/// view as a resident chunk. What remains is the point lookup, routed through
+/// the file's PartitionIndex (the routing resident chunks use), and the
+/// decode that promotion and recovery need. Accounting lands on `stats` (the
+/// chunk's resident ChunkStats, which survives eviction); disk_reads /
 /// disk_bytes_read are bumped by the caller that loaded the file.
 
 /// COUNT(key == key) with the first match's payload row; mirrors
@@ -25,19 +27,16 @@ size_t PointLookupPersisted(const PersistedChunk& f, Value key,
                             std::vector<Payload>* payload_out,
                             size_t payload_cols, ChunkStats* stats);
 
-/// Everything promotion needs to rebuild the chunk in memory through the
-/// deterministic Build path: live rows sorted by key (partitions are
-/// range-disjoint and ordered, so a stable per-partition sort yields the
-/// globally sorted order Build requires), payload columns aligned to that
-/// order, and the per-partition size/ghost vectors that reproduce the stored
-/// capacity envelope.
+/// A parsed chunk file decoded for a rebuild through the deterministic
+/// Build path (promotion and recovery): the live rows sorted by key, and the
+/// spec that reproduces the stored capacity envelope — per-partition sizes
+/// (empties kept) and ghosts = cap - size, with `spare_tail` taken back out
+/// of the last partition because Build re-appends it.
 struct PromotedChunkData {
-  std::vector<Value> sorted_keys;
-  std::vector<std::vector<Payload>> payload;  ///< [col][row], aligned
-  std::vector<size_t> sizes;                  ///< per partition (empties kept)
-  std::vector<size_t> ghosts;                 ///< cap - size per partition
+  ChunkRows rows;
+  PartitionedTable::ChunkLayoutSpec spec;
 };
-PromotedChunkData DecodeForPromotion(const PersistedChunk& f);
+PromotedChunkData DecodeForPromotion(const PersistedChunk& f, size_t spare_tail);
 
 }  // namespace persist
 }  // namespace casper

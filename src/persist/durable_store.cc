@@ -6,7 +6,6 @@
 
 #include "persist/chunk_format.h"
 #include "persist/cold_scan.h"
-#include "persist/evicted_chunk.h"
 #include "persist/io.h"
 
 namespace casper {
@@ -17,20 +16,22 @@ Status DurableStore::OpenJournal(uint64_t next_seq, size_t fsync_every) {
   return journal_.Open(layout_.JournalPath(), next_seq, fsync_every);
 }
 
-void DurableStore::LogOps(const Operation* ops, size_t n) {
+bool DurableStore::HasWrites(const Operation* ops, size_t n) {
+  return std::any_of(ops, ops + n,
+                     [](const Operation& op) { return IsWriteKind(op.kind); });
+}
+
+void DurableStore::AppendOpsLocked(const Operation* ops, size_t n) {
   std::vector<Operation> writes;
   for (size_t i = 0; i < n; ++i) {
     if (IsWriteKind(ops[i].kind)) writes.push_back(ops[i]);
   }
-  if (writes.empty()) return;
-  MutexLock lock(mu_);
   const Status s = journal_.AppendOps(writes.data(), writes.size());
   CASPER_CHECK_MSG(s.ok(), "journal append failed");
 }
 
-void DurableStore::LogRows(const Row* rows, size_t n) {
+void DurableStore::AppendRowsLocked(const Row* rows, size_t n) {
   if (n == 0) return;
-  MutexLock lock(mu_);
   const Status s = journal_.AppendRows(rows, n);
   CASPER_CHECK_MSG(s.ok(), "journal append failed");
 }
@@ -47,12 +48,7 @@ Status CreateStore(const StoreLayout& layout, const PartitionedTable& table,
   uint64_t base_rows = 0;
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     MaybeCrash("store:before_chunk");
-    std::vector<ChunkPartitionMeta> parts;
-    std::vector<Value> live_keys;
-    std::vector<std::vector<Payload>> live_payload;
-    table.SnapshotChunkForPersist(c, &parts, &live_keys, &live_payload);
-    const PersistedChunk pc =
-        ChunkWriter::Encode(c, std::move(parts), live_keys, live_payload);
+    const PersistedChunk pc = ChunkWriter::Encode(c, table.SnapshotChunkRows(c));
     base_rows += pc.rows;
     s = ChunkWriter::Write(layout.BaseChunkPath(c), pc);
     if (!s.ok()) return s;
@@ -88,22 +84,13 @@ Status LoadStore(const StoreLayout& layout, Manifest* manifest,
     if (pc.encoding.payload.size() != manifest->payload_cols) {
       return Status::Internal("base chunk payload column count mismatch");
     }
-    PromotedChunkData d = DecodeForPromotion(pc);
-    // The table rebuild re-appends spare_tail to each chunk's last partition;
-    // the stored caps already include it, so take it back out of the ghost
-    // vector or the capacity envelope would grow on every recovery.
-    if (!d.ghosts.empty() && spare_tail > 0) {
-      d.ghosts.back() -= std::min(d.ghosts.back(), spare_tail);
-    }
-    PartitionedTable::ChunkLayoutSpec spec;
-    spec.partition_sizes = std::move(d.sizes);
-    spec.ghosts = std::move(d.ghosts);
-    out->specs.push_back(std::move(spec));
-    out->keys.insert(out->keys.end(), d.sorted_keys.begin(),
-                     d.sorted_keys.end());
+    PromotedChunkData d = DecodeForPromotion(pc, spare_tail);
+    out->specs.push_back(std::move(d.spec));
+    out->keys.insert(out->keys.end(), d.rows.keys.begin(), d.rows.keys.end());
     for (size_t col = 0; col < manifest->payload_cols; ++col) {
       out->payload[col].insert(out->payload[col].end(),
-                               d.payload[col].begin(), d.payload[col].end());
+                               d.rows.payload[col].begin(),
+                               d.rows.payload[col].end());
     }
   }
   if (out->keys.size() != manifest->base_rows) {

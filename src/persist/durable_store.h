@@ -18,9 +18,11 @@ namespace casper {
 namespace persist {
 
 /// The engine's handle on its durable state: owns the store layout and the
-/// write-ahead journal. The engine logs every committed write run here
-/// BEFORE applying it (write-ahead), under the facade's own serialization
-/// plus this object's mutex, so journal order equals apply order.
+/// write-ahead journal. The facade commits every write through CommitOps /
+/// CommitRows: the journal record is appended BEFORE the write applies
+/// (write-ahead), and the append and the apply run under one hold of this
+/// object's mutex, so concurrent writers journal in exactly the order they
+/// apply.
 ///
 /// Query operations in a mixed run are filtered out — they are read-only and
 /// deterministic, so replay needs only the writes.
@@ -38,18 +40,39 @@ class DurableStore {
   Status OpenJournal(uint64_t next_seq, size_t fsync_every);
 
   /// Journals the write operations of `ops` (kInsert/kDelete/kUpdate) as one
-  /// record; a run with no writes appends nothing. Aborts on append failure:
-  /// continuing would apply a write the journal never saw, silently breaking
-  /// the recovery guarantee.
-  void LogOps(const Operation* ops, size_t n);
+  /// record, then returns `apply()`, both under the store mutex. A run with
+  /// no writes appends nothing and applies without the mutex, so read-only
+  /// runs still overlap. Aborts on append failure: continuing would apply a
+  /// write the journal never saw, silently breaking the recovery guarantee.
+  template <typename Apply>
+  auto CommitOps(const Operation* ops, size_t n, Apply&& apply) {
+    if (!HasWrites(ops, n)) return apply();
+    MutexLock lock(mu_);
+    AppendOpsLocked(ops, n);
+    return apply();
+  }
 
-  /// Journals payload-carrying rows (Insert / InsertRows) as one record.
-  void LogRows(const Row* rows, size_t n);
+  /// Journals payload-carrying rows (Insert / InsertRows) as one record, then
+  /// returns `apply()`, both under the store mutex.
+  template <typename Apply>
+  auto CommitRows(const Row* rows, size_t n, Apply&& apply) {
+    MutexLock lock(mu_);
+    AppendRowsLocked(rows, n);
+    return apply();
+  }
+
+  /// Journal-only forms of CommitOps / CommitRows (nothing to apply).
+  void LogOps(const Operation* ops, size_t n) { CommitOps(ops, n, [] {}); }
+  void LogRows(const Row* rows, size_t n) { CommitRows(rows, n, [] {}); }
 
   /// Forces batched journal records to disk (fsync_every > 1).
   Status Flush();
 
  private:
+  static bool HasWrites(const Operation* ops, size_t n);
+  void AppendOpsLocked(const Operation* ops, size_t n) REQUIRES(mu_);
+  void AppendRowsLocked(const Row* rows, size_t n) REQUIRES(mu_);
+
   StoreLayout layout_;
   Mutex mu_;
   JournalWriter journal_ GUARDED_BY(mu_);

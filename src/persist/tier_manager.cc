@@ -36,7 +36,7 @@ TierCycleReport TierManager::RunCycle() {
     h.last_reads = reads;
     h.last_writes = writes;
     h.wrote_this_cycle = dw > 0;
-    h.score = h.score * options_.decay + static_cast<double>(dr) +
+    h.score = h.score * TierOptions::kDecay + static_cast<double>(dr) +
               static_cast<double>(dw);
   }
 

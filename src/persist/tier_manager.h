@@ -17,12 +17,13 @@ namespace persist {
 
 /// Tiering policy knobs, split out of EngineOptions::persist.
 struct TierOptions {
+  /// Exponential decay applied to each chunk's heat score per cycle.
+  static constexpr double kDecay = 0.5;
+
   /// Resident-byte ceiling across all chunks (keys + payload). <= 0 means
   /// unbudgeted: nothing is ever demoted, but chunks evicted explicitly
   /// (tests, recovery experiments) are still promoted back on heat.
   int64_t memory_budget_bytes = 0;
-  /// Exponential decay applied to each chunk's heat score per cycle.
-  double decay = 0.5;
   /// Heat score at which an evicted chunk is promoted back (subject to the
   /// budget admitting its resident footprint).
   double promote_score = 256.0;

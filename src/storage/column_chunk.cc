@@ -130,20 +130,6 @@ void PartitionedColumnChunk::CollectSlots(Value v, std::vector<uint32_t>* out) c
   }
 }
 
-void PartitionedColumnChunk::LiveValues(std::vector<Value>* values,
-                                        std::vector<size_t>* frame_sizes) const {
-  values->clear();
-  frame_sizes->clear();
-  values->reserve(live_);
-  for (const Partition& p : parts_) {
-    if (p.size == 0) continue;
-    values->insert(values->end(),
-                   data_.begin() + static_cast<ptrdiff_t>(p.begin),
-                   data_.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
-    frame_sizes->push_back(p.size);
-  }
-}
-
 // --- Free-slot primitives -----------------------------------------------------
 
 void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, MoveLog* log) {

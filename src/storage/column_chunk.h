@@ -84,15 +84,6 @@ class PartitionedColumnChunk {
   template <typename Fn>
   void ForEachSlotInRange(Value lo, Value hi, Fn&& fn) const;
 
-  // --- Compressed read path --------------------------------------------------
-
-  /// Live values in partition order plus one frame size per non-empty
-  /// partition — the source layout for this chunk's frame-of-reference
-  /// encoding (frames == partitions, so the paper's partitioning/compression
-  /// synergy holds: finer partitions => narrower frames).
-  void LiveValues(std::vector<Value>* values,
-                  std::vector<size_t>* frame_sizes) const;
-
   // --- Write path ------------------------------------------------------------
 
   /// Inserts v into its range partition (paper Fig. 4a / Fig. 5).

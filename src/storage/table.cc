@@ -1,7 +1,6 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "model/encoding_advisor.h"
@@ -25,6 +24,47 @@ std::vector<size_t> PartitionedTable::ChunkRowCounts(size_t rows,
   }
   return counts;
 }
+
+namespace {
+
+/// Payload arrays mirroring a freshly Built chunk's slot layout: rows
+/// [first_row, first_row + chunk.size()) of `cols`, in key order, packed at
+/// the head of each partition region, free slots zero-filled.
+std::vector<std::vector<Payload>> PlacePayloadRows(
+    const PartitionedColumnChunk& chunk,
+    const std::vector<std::vector<Payload>>& cols, size_t first_row) {
+  std::vector<std::vector<Payload>> placed(cols.size());
+  for (size_t col = 0; col < cols.size(); ++col) {
+    placed[col].assign(chunk.capacity(), 0);
+    size_t src = first_row;
+    for (const auto& p : chunk.partitions()) {
+      std::copy_n(cols[col].begin() + static_cast<ptrdiff_t>(src), p.size,
+                  placed[col].begin() + static_cast<ptrdiff_t>(p.begin));
+      src += p.size;
+    }
+  }
+  return placed;
+}
+
+/// Re-seeds a rebuilt chunk's counters from a pre-swap snapshot.
+void RestoreChunkStats(ChunkStats& stats, const ChunkStatsSnapshot& carry) {
+  stats.element_reads.store(carry.element_reads);
+  stats.element_writes.store(carry.element_writes);
+  stats.ripple_steps.store(carry.ripple_steps);
+  stats.partitions_scanned.store(carry.partitions_scanned);
+  stats.partitions_pruned.store(carry.partitions_pruned);
+  stats.blocks_scanned.store(carry.blocks_scanned);
+  stats.compressed_scans.store(carry.compressed_scans);
+  stats.compressed_payload_scans.store(carry.compressed_payload_scans);
+  stats.payload_partitions_pruned.store(carry.payload_partitions_pruned);
+  stats.grows.store(carry.grows);
+  stats.evictions.store(carry.evictions);
+  stats.promotions.store(carry.promotions);
+  stats.disk_reads.store(carry.disk_reads);
+  stats.disk_bytes_read.store(carry.disk_bytes_read);
+}
+
+}  // namespace
 
 PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
                                          std::vector<std::vector<Payload>> payload_cols,
@@ -73,22 +113,8 @@ PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
     PartitionedColumnChunk chunk = PartitionedColumnChunk::Build(
         std::move(keys), specs[c].partition_sizes, specs[c].ghosts, options.chunk);
 
-    // Payload arrays mirror the chunk's slot layout (values packed at the
-    // head of each partition region, free slots zero-filled).
-    std::vector<std::vector<Payload>> payload(table.payload_cols_);
-    for (size_t col = 0; col < table.payload_cols_; ++col) {
-      payload[col].assign(chunk.capacity(), 0);
-    }
-    size_t src = offset;
-    for (size_t t = 0; t < chunk.num_partitions(); ++t) {
-      const auto& p = chunk.partition(t);
-      for (size_t s = 0; s < p.size; ++s) {
-        for (size_t col = 0; col < table.payload_cols_; ++col) {
-          payload[col][p.begin + s] = payload_cols[col][src + s];
-        }
-      }
-      src += p.size;
-    }
+    std::vector<std::vector<Payload>> payload =
+        PlacePayloadRows(chunk, payload_cols, offset);
     table.chunk_uppers_.push_back(chunk.domain_upper());
     table.chunks_.push_back(
         std::make_unique<TableChunk>(std::move(chunk), std::move(payload)));
@@ -102,66 +128,25 @@ CompressedChunkCache::EncodingPtr PartitionedTable::CompressedFor(
     size_t c, const TableChunk& ch) const {
   // The shared latch (held by the caller) pins the epoch at an even value,
   // so an encoding built or fetched here cannot straddle a write.
-  // The compression-payoff gate lives in GetOrBuild; this lambda extracts
-  // the chunk's live values (frames == partitions), asks the encoding
-  // advisor for a per-column payload encoding, and records the payload zone
-  // maps + live-row prefix that let scans prune and address packed rows.
+  // The compression-payoff gate lives in GetOrBuild; this lambda encodes the
+  // chunk's live rows (EncodeChunkRows), with each payload column's encoding
+  // chosen by the advisor.
   return compressed_.GetOrBuild(
       c, ch.latch.Epoch(), ch.keys.size(),
       [&]() -> CompressedChunkCache::EncodingPtr {
         // The analysis cannot see through GetOrBuild that this callback runs
         // on the caller's stack with the latch still held; re-assert it.
         ch.latch.AssertReaderHeld();
-        std::vector<Value> values;
-        std::vector<size_t> frames;
-        const auto& chunk = ch.keys;
-        chunk.LiveValues(&values, &frames);
-        if (values.empty()) return nullptr;
-        auto enc = std::make_shared<ChunkEncoding>();
-        enc->keys = std::make_shared<FrameOfReferenceColumn>(values, frames);
-
-        const size_t parts = chunk.num_partitions();
-        enc->live_prefix.resize(parts + 1);
-        size_t live = 0;
-        for (size_t t = 0; t < parts; ++t) {
-          enc->live_prefix[t] = live;
-          live += chunk.partition(t).size;
-        }
-        enc->live_prefix[parts] = live;
-
-        if (payload_cols_ > 0) {
-          // Scan/update mix from the counters the read and write paths
-          // already bump — the advisor keeps update-heavy chunks raw.
-          const ChunkStatsSnapshot snap = chunk.StatsSnapshot();
-          const uint64_t reads = snap.element_reads + snap.compressed_scans;
-          enc->payload.resize(payload_cols_);
-          enc->payload_zones.resize(payload_cols_);
-          std::vector<Payload> vals;
-          for (size_t col = 0; col < payload_cols_; ++col) {
-            const std::vector<Payload>& raw = ch.payload[col];
-            vals.clear();
-            vals.reserve(live);
-            auto& zones = enc->payload_zones[col];
-            zones.resize(parts);
-            for (size_t t = 0; t < parts; ++t) {
-              const auto& p = chunk.partition(t);
-              PayloadZone z;
-              if (p.size > 0) {
-                z.min = std::numeric_limits<Payload>::max();
-                for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-                  const Payload v = raw[s];
-                  z.min = std::min(z.min, v);
-                  z.max = std::max(z.max, v);
-                  vals.push_back(v);
-                }
-              }
-              zones[t] = z;
-            }
-            enc->payload[col] =
-                AdvisePayloadEncoding(vals, reads, snap.element_writes);
-          }
-        }
-        return enc;
+        const ChunkRows rows = SnapshotRowsLocked(ch);
+        if (rows.keys.empty()) return nullptr;
+        // Scan/update mix from the counters the read and write paths already
+        // bump — the advisor keeps update-heavy chunks raw.
+        const ChunkStatsSnapshot snap = ch.keys.StatsSnapshot();
+        const uint64_t reads = snap.element_reads + snap.compressed_scans;
+        return std::make_shared<ChunkEncoding>(
+            EncodeChunkRows(rows, [&](const std::vector<Payload>& col) {
+              return AdvisePayloadEncoding(col, reads, snap.element_writes);
+            }));
       });
 }
 
@@ -488,160 +473,74 @@ bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
   if (ch.keys.size() == 0) return false;  // Build requires live data
-  RepartitionChunkLocked(ch, spec);
-  return true;
-}
-
-void PartitionedTable::RepartitionChunkLocked(TableChunk& ch,
-                                              const ChunkLayoutSpec& spec) {
-  const PartitionedColumnChunk& old_chunk = ch.keys;
-  const size_t n = old_chunk.size();
-
-  // Extract the live rows in key order: walk partitions (disjoint ascending
-  // ranges), sort each partition's live slots by key, and record the slot
-  // order so payload rows travel with their keys.
-  std::vector<Value> keys;
-  keys.reserve(n);
-  std::vector<uint32_t> slots;
-  slots.reserve(n);
-  const std::vector<Value>& data = old_chunk.raw_data();
-  std::vector<uint32_t> part_slots;
-  for (size_t t = 0; t < old_chunk.num_partitions(); ++t) {
-    const auto& p = old_chunk.partition(t);
-    part_slots.clear();
-    part_slots.reserve(p.size);
-    for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-      part_slots.push_back(static_cast<uint32_t>(s));
-    }
-    std::stable_sort(part_slots.begin(), part_slots.end(),
-                     [&](uint32_t a, uint32_t b) { return data[a] < data[b]; });
-    for (const uint32_t s : part_slots) {
-      keys.push_back(data[s]);
-      slots.push_back(s);
-    }
-  }
+  ChunkRows rows = SnapshotRowsLocked(ch);
+  SortWithinPartitions(&rows);
+  const size_t n = rows.keys.size();
 
   // Clamp the requested cuts to the live count found at latch time: the plan
   // was made against an earlier snapshot and writes may have landed since.
   // Shrinkage empties trailing partitions (Build merges them away); growth
   // is absorbed by the last partition.
-  std::vector<size_t> sizes = spec.partition_sizes;
+  ChunkLayoutSpec clamped = spec;
+  std::vector<size_t>& sizes = clamped.partition_sizes;
   size_t cum = 0;
-  for (size_t t = 0; t < sizes.size(); ++t) {
-    sizes[t] = std::min(sizes[t], n - cum);
-    cum += sizes[t];
+  for (size_t& size : sizes) {
+    size = std::min(size, n - cum);
+    cum += size;
   }
   sizes.back() += n - cum;
-  std::vector<size_t> ghosts = spec.ghosts;
-  ghosts.resize(sizes.size(), 0);
+  clamped.ghosts.resize(sizes.size(), 0);
+  RebuildChunkLocked(ch, std::move(rows.keys), rows.payload, std::move(clamped));
+  return true;
+}
 
-  // Gather payload rows in the same sorted-live order before the key swap
-  // invalidates the old slot numbering.
-  std::vector<std::vector<Payload>> rows_by_col(payload_cols_);
-  for (size_t col = 0; col < payload_cols_; ++col) {
-    rows_by_col[col].reserve(n);
-    for (const uint32_t s : slots) {
-      rows_by_col[col].push_back(ch.payload[col][s]);
-    }
-  }
-
-  const ChunkStatsSnapshot carry = old_chunk.StatsSnapshot();
-  PartitionedColumnChunk new_chunk = PartitionedColumnChunk::Build(
-      std::move(keys), std::move(sizes), std::move(ghosts), opts_.chunk);
-
-  std::vector<std::vector<Payload>> new_payload =
-      PlacePayloadRows(new_chunk, rows_by_col);
-
-  ch.keys = std::move(new_chunk);
-  ch.payload = std::move(new_payload);
-  // The access counters are frequency accounting the advisor and encoding
-  // gates keep consuming; they describe the data, not the geometry, so they
-  // survive the swap.
+void PartitionedTable::RebuildChunkLocked(
+    TableChunk& ch, std::vector<Value> sorted_keys,
+    const std::vector<std::vector<Payload>>& payload, ChunkLayoutSpec spec) {
+  const ChunkStatsSnapshot carry = ch.keys.StatsSnapshot();
+  ch.keys = PartitionedColumnChunk::Build(std::move(sorted_keys),
+                                          std::move(spec.partition_sizes),
+                                          std::move(spec.ghosts), opts_.chunk);
+  ch.payload = PlacePayloadRows(ch.keys, payload, 0);
   RestoreChunkStats(ch.keys.stats(), carry);
 }
 
-std::vector<std::vector<Payload>> PartitionedTable::PlacePayloadRows(
-    const PartitionedColumnChunk& chunk,
-    const std::vector<std::vector<Payload>>& rows_by_col) const {
-  // Payload arrays mirror the new slot layout (values packed at the head of
-  // each partition region, free slots zero-filled) — same packing as Build.
-  std::vector<std::vector<Payload>> new_payload(payload_cols_);
-  for (size_t col = 0; col < payload_cols_; ++col) {
-    new_payload[col].assign(chunk.capacity(), 0);
-  }
-  size_t src = 0;
-  for (size_t t = 0; t < chunk.num_partitions(); ++t) {
-    const auto& p = chunk.partition(t);
-    for (size_t s = 0; s < p.size; ++s) {
-      for (size_t col = 0; col < payload_cols_; ++col) {
-        new_payload[col][p.begin + s] = rows_by_col[col][src + s];
-      }
-    }
-    src += p.size;
-  }
-  return new_payload;
-}
-
-void PartitionedTable::RestoreChunkStats(ChunkStats& stats,
-                                         const ChunkStatsSnapshot& carry) {
-  stats.element_reads.store(carry.element_reads);
-  stats.element_writes.store(carry.element_writes);
-  stats.ripple_steps.store(carry.ripple_steps);
-  stats.partitions_scanned.store(carry.partitions_scanned);
-  stats.partitions_pruned.store(carry.partitions_pruned);
-  stats.blocks_scanned.store(carry.blocks_scanned);
-  stats.compressed_scans.store(carry.compressed_scans);
-  stats.compressed_payload_scans.store(carry.compressed_payload_scans);
-  stats.payload_partitions_pruned.store(carry.payload_partitions_pruned);
-  stats.grows.store(carry.grows);
-  stats.evictions.store(carry.evictions);
-  stats.promotions.store(carry.promotions);
-  stats.disk_reads.store(carry.disk_reads);
-  stats.disk_bytes_read.store(carry.disk_bytes_read);
-}
-
-void PartitionedTable::SnapshotForPersistLocked(
-    const TableChunk& ch, std::vector<persist::ChunkPartitionMeta>* parts,
-    std::vector<Value>* live_keys,
-    std::vector<std::vector<Payload>>* live_payload) const {
-  const auto& chunk = ch.keys;
-  *parts = chunk.partitions();
-  live_keys->clear();
-  live_keys->reserve(chunk.size());
-  live_payload->assign(payload_cols_, {});
-  for (auto& col : *live_payload) col.reserve(chunk.size());
+ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
+  const PartitionedColumnChunk& chunk = ch.keys;
   const std::vector<Value>& data = chunk.raw_data();
-  for (const auto& p : chunk.partitions()) {
-    for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-      live_keys->push_back(data[s]);
-      for (size_t col = 0; col < payload_cols_; ++col) {
-        (*live_payload)[col].push_back(ch.payload[col][s]);
-      }
+  ChunkRows rows;
+  rows.parts = chunk.partitions();
+  rows.keys.reserve(chunk.size());
+  for (const auto& p : rows.parts) {
+    rows.keys.insert(rows.keys.end(), data.begin() + static_cast<ptrdiff_t>(p.begin),
+                     data.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
+  }
+  rows.payload.resize(payload_cols_);
+  for (size_t col = 0; col < payload_cols_; ++col) {
+    const std::vector<Payload>& raw = ch.payload[col];
+    rows.payload[col].reserve(chunk.size());
+    for (const auto& p : rows.parts) {
+      rows.payload[col].insert(rows.payload[col].end(),
+                               raw.begin() + static_cast<ptrdiff_t>(p.begin),
+                               raw.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
     }
   }
+  return rows;
 }
 
-void PartitionedTable::SnapshotChunkForPersist(
-    size_t c, std::vector<persist::ChunkPartitionMeta>* parts,
-    std::vector<Value>* live_keys,
-    std::vector<std::vector<Payload>>* live_payload) const {
+ChunkRows PartitionedTable::SnapshotChunkRows(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  CASPER_CHECK_MSG(ch.evicted == nullptr,
-                   "persist snapshot of an evicted chunk");
-  SnapshotForPersistLocked(ch, parts, live_keys, live_payload);
+  CASPER_CHECK_MSG(ch.evicted == nullptr, "row snapshot of an evicted chunk");
+  return SnapshotRowsLocked(ch);
 }
 
 bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
   TableChunk& ch = *chunks_[c];
   ExclusiveChunkGuard guard(ch.latch);
   if (ch.evicted != nullptr || ch.keys.size() == 0) return false;
-  std::vector<persist::ChunkPartitionMeta> parts;
-  std::vector<Value> live_keys;
-  std::vector<std::vector<Payload>> live_payload;
-  SnapshotForPersistLocked(ch, &parts, &live_keys, &live_payload);
-  const persist::PersistedChunk pc = persist::ChunkWriter::Encode(
-      c, std::move(parts), live_keys, live_payload);
+  const persist::PersistedChunk pc =
+      persist::ChunkWriter::Encode(c, SnapshotRowsLocked(ch));
   if (!persist::ChunkWriter::Write(path, pc).ok()) return false;
   ch.evicted = std::make_unique<persist::EvictedChunkState>(
       pc.ToEvictedState(path));
@@ -670,25 +569,12 @@ void PartitionedTable::EnsureResidentLocked(TableChunk& ch) {
   persist::PersistedChunk pc;
   const Status s = persist::ChunkReader::Read(ch.evicted->path, &pc);
   CASPER_CHECK_MSG(s.ok(), "tier chunk file unreadable during promotion");
-  persist::PromotedChunkData data = persist::DecodeForPromotion(pc);
-  // Build re-appends the configured spare tail to the last partition; the
-  // stored caps already include it, so take it back out of the ghost budget
-  // or the capacity envelope would creep on every evict/promote cycle.
-  if (!data.ghosts.empty() && opts_.chunk.spare_tail > 0) {
-    data.ghosts.back() -= std::min(data.ghosts.back(), opts_.chunk.spare_tail);
-  }
-  const ChunkStatsSnapshot carry = ch.keys.StatsSnapshot();
-  PartitionedColumnChunk new_chunk =
-      PartitionedColumnChunk::Build(std::move(data.sorted_keys),
-                                    std::move(data.sizes),
-                                    std::move(data.ghosts), opts_.chunk);
-  std::vector<std::vector<Payload>> new_payload =
-      PlacePayloadRows(new_chunk, data.payload);
+  persist::PromotedChunkData data =
+      persist::DecodeForPromotion(pc, opts_.chunk.spare_tail);
   const std::string stale_path = ch.evicted->path;
-  ch.keys = std::move(new_chunk);
-  ch.payload = std::move(new_payload);
   ch.evicted.reset();
-  RestoreChunkStats(ch.keys.stats(), carry);
+  RebuildChunkLocked(ch, std::move(data.rows.keys), data.rows.payload,
+                     std::move(data.spec));
   ChunkStats& stats = ch.keys.stats();
   ++stats.promotions;
   ++stats.disk_reads;

@@ -10,6 +10,7 @@
 #include "exec/scan_spec.h"
 #include "persist/evicted_chunk.h"
 #include "storage/chunk_latch.h"
+#include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
 #include "storage/compressed_cache.h"
 #include "storage/types.h"
@@ -245,13 +246,9 @@ class PartitionedTable {
   /// manager's admission check for promotions under a byte budget.
   size_t ChunkFootprintIfResident(size_t c) const;
 
-  /// Snapshot of chunk c for the chunk-file writer, under the chunk's shared
-  /// latch: per-partition geometry plus live keys and payload rows in
-  /// partition order (exactly the ChunkWriter::Encode input contract).
-  void SnapshotChunkForPersist(
-      size_t c, std::vector<persist::ChunkPartitionMeta>* parts,
-      std::vector<Value>* live_keys,
-      std::vector<std::vector<Payload>>* live_payload) const;
+  /// Chunk c's live rows in partition order (storage/chunk_rows.h), under
+  /// the chunk's shared latch: the input of the chunk-file writer.
+  ChunkRows SnapshotChunkRows(size_t c) const;
 
   // --- Introspection -----------------------------------------------------------
 
@@ -303,8 +300,6 @@ class PartitionedTable {
   PartitionedTable() = default;
 
   size_t RouteChunk(Value key) const;
-  void RepartitionChunkLocked(TableChunk& chunk, const ChunkLayoutSpec& spec)
-      REQUIRES(chunk.latch);
   void ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
                     const std::vector<Payload>* new_payload,
                     std::vector<Payload>* stash) REQUIRES(chunk.latch);
@@ -323,29 +318,22 @@ class PartitionedTable {
       REQUIRES_SHARED(ch.latch);
 
   /// Brings an evicted chunk back to residency in place (no-op when already
-  /// resident): decode the tier file, rebuild through Build (stats carried
-  /// over like a re-partition), remove the now-stale tier file.
+  /// resident): decode the tier file, rebuild it (RebuildChunkLocked), remove
+  /// the now-stale tier file.
   void EnsureResidentLocked(TableChunk& ch) REQUIRES(ch.latch);
 
-  /// The locked core of SnapshotChunkForPersist (shared by EvictChunk, whose
-  /// exclusive hold satisfies the shared requirement).
-  void SnapshotForPersistLocked(
-      const TableChunk& ch, std::vector<persist::ChunkPartitionMeta>* parts,
-      std::vector<Value>* live_keys,
-      std::vector<std::vector<Payload>>* live_payload) const
+  /// The locked core of SnapshotChunkRows (also what the warm encoding,
+  /// eviction and re-partition read; an exclusive hold satisfies it).
+  ChunkRows SnapshotRowsLocked(const TableChunk& ch) const
       REQUIRES_SHARED(ch.latch);
 
-  /// Payload arrays mirroring a freshly Built chunk's slot layout (values
-  /// packed at each partition head, free slots zero-filled) from rows given
-  /// in the chunk's sorted-live order — shared by re-partition and promotion.
-  std::vector<std::vector<Payload>> PlacePayloadRows(
-      const PartitionedColumnChunk& chunk,
-      const std::vector<std::vector<Payload>>& rows_by_col) const;
-
-  /// Re-seeds a rebuilt chunk's counters from a pre-swap snapshot (the stats
-  /// survive re-partition, eviction and promotion alike).
-  static void RestoreChunkStats(ChunkStats& stats,
-                                const ChunkStatsSnapshot& carry);
+  /// Replaces chunk ch with a fresh Build of `sorted_keys` to `spec`, its
+  /// payload placed to the new slot layout, and its access counters carried
+  /// over: they describe the data, not the geometry, so they survive
+  /// re-partition, eviction and promotion alike.
+  void RebuildChunkLocked(TableChunk& ch, std::vector<Value> sorted_keys,
+                          const std::vector<std::vector<Payload>>& payload,
+                          ChunkLayoutSpec spec) REQUIRES(ch.latch);
 
   /// Chunk-c encoding snapshot (key frame + advisor-chosen packed payload
   /// columns + payload zone maps) if cached and valid at the chunk's current

@@ -20,6 +20,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -171,17 +172,6 @@ TEST(ValidateEngineOptions, RejectsZeroFsyncInterval) {
   const TableData d = MakeData();
   EngineOptions o = BaseOptions(d, FreshDir("validate_fsync"));
   o.persist.journal_fsync_every = 0;
-  EXPECT_FALSE(ValidateEngineOptions(o).ok());
-}
-
-TEST(ValidateEngineOptions, RejectsOutOfRangeTierDecay) {
-  const TableData d = MakeData();
-  EngineOptions o = BaseOptions(d, FreshDir("validate_decay"));
-  o.persist.tier_decay = -0.1;
-  EXPECT_FALSE(ValidateEngineOptions(o).ok());
-  o.persist.tier_decay = 1.5;
-  EXPECT_FALSE(ValidateEngineOptions(o).ok());
-  o.persist.tier_decay = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(ValidateEngineOptions(o).ok());
 }
 
@@ -381,6 +371,47 @@ TEST(Recovery, ReopenEqualsLiveEngine) {
   r.Insert(500, {1500, 2000});
   ref.Insert(500, {1500, 2000});
   ExpectSameAnswers(r, ref, 17, 40);
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(Recovery, ConcurrentWritersOnOneKeyReplayInApplyOrder) {
+  // Two facade writers race on one key: Delete(k) against Insert(k) with
+  // distinct payloads. Journal order must equal apply order, or replay
+  // reorders a delete around an insert and the reopened engine diverges.
+  const TableData d = MakeData();
+  const std::string dir = FreshDir("write_race");
+  constexpr Value kKey = kDomain + 7;  // absent from the base data
+  constexpr Payload kOps = 4000;
+  EngineOptions o = BaseOptions(d, dir);
+  o.persist.journal_fsync_every = size_t{1} << 20;  // appends, few fsyncs
+  size_t live_k = 0;
+  std::vector<Payload> live_first;
+  uint64_t live_rows = 0;
+  int64_t live_sum = 0;
+  {
+    CasperEngine e = CasperEngine::Open(o);
+    std::thread deleter([&] {
+      for (Payload i = 0; i < kOps; ++i) e.Delete(kKey);
+    });
+    std::thread inserter([&] {
+      for (Payload i = 0; i < kOps; ++i) e.Insert(kKey, {i, kOps + i});
+    });
+    deleter.join();
+    inserter.join();
+    live_k = e.Find(kKey, &live_first);
+    live_rows = e.ScanAll();
+    live_sum = e.SumPayloadBetween(0, kKey + 1, {0, 1});
+    ASSERT_TRUE(e.FlushWal().ok());
+  }
+  EngineOptions recover = BaseOptions(d, dir);
+  recover.keys.clear();
+  recover.payload.clear();
+  const CasperEngine r = CasperEngine::Open(std::move(recover));
+  std::vector<Payload> first;
+  EXPECT_EQ(r.Find(kKey, &first), live_k);
+  EXPECT_EQ(first, live_first);
+  EXPECT_EQ(r.ScanAll(), live_rows);
+  EXPECT_EQ(r.SumPayloadBetween(0, kKey + 1, {0, 1}), live_sum);
   std::system(("rm -rf " + dir).c_str());
 }
 

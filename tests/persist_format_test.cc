@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,15 +41,9 @@ std::string TempDir() {
 /// A synthetic chunk: sorted keys cut into partitions with ghost slots, and
 /// payload columns with controllable cardinality (low => dictionary wins,
 /// high => FoR wins on disk).
-struct TestChunk {
-  std::vector<ChunkPartitionMeta> parts;
-  std::vector<Value> keys;                      // live, partition order
-  std::vector<std::vector<Payload>> payload;    // [col][row]
-};
-
-TestChunk MakeChunk(size_t rows, size_t partitions, size_t payload_cols,
+ChunkRows MakeChunk(size_t rows, size_t partitions, size_t payload_cols,
                     uint32_t payload_mod, uint64_t seed) {
-  TestChunk c;
+  ChunkRows c;
   Rng rng(seed);
   c.keys.reserve(rows);
   Value k = 0;
@@ -86,8 +81,8 @@ TestChunk MakeChunk(size_t rows, size_t partitions, size_t payload_cols,
 }
 
 TEST(ChunkFormat, RoundTripLossless) {
-  const TestChunk c = MakeChunk(5000, 16, 2, 50, 42);
-  const PersistedChunk enc = ChunkWriter::Encode(3, c.parts, c.keys, c.payload);
+  const ChunkRows c = MakeChunk(5000, 16, 2, 50, 42);
+  const PersistedChunk enc = ChunkWriter::Encode(3, c);
   std::string bytes;
   ChunkWriter::Serialize(enc, &bytes);
 
@@ -104,24 +99,48 @@ TEST(ChunkFormat, RoundTripLossless) {
     EXPECT_EQ(dec.parts[t].max_val, c.parts[t].max_val);
   }
 
-  const PromotedChunkData d = DecodeForPromotion(dec);
+  const PromotedChunkData d = DecodeForPromotion(dec, 0);
   std::vector<Value> expect_keys = c.keys;
   std::sort(expect_keys.begin(), expect_keys.end());
-  EXPECT_EQ(d.sorted_keys, expect_keys);
-  ASSERT_EQ(d.payload.size(), c.payload.size());
+  EXPECT_EQ(d.rows.keys, expect_keys);
+  ASSERT_EQ(d.rows.payload.size(), c.payload.size());
   size_t total = 0;
-  for (size_t t = 0; t < d.sizes.size(); ++t) {
-    total += d.sizes[t];
-    EXPECT_EQ(d.sizes[t] + d.ghosts[t], c.parts[t].cap);
+  for (size_t t = 0; t < d.spec.partition_sizes.size(); ++t) {
+    total += d.spec.partition_sizes[t];
+    EXPECT_EQ(d.spec.partition_sizes[t] + d.spec.ghosts[t], c.parts[t].cap);
   }
   EXPECT_EQ(total, c.keys.size());
 }
 
+TEST(ChunkFormat, GoldenBytesPinTheV1Image) {
+  // A fixed chunk covering both disk codecs (column 0 FoR-shaped, column 1
+  // dictionary-shaped: four distinct values spread over a wide range), ghost
+  // slots, and an empty trailing partition. Its byte length and trailing CRC
+  // pin the v1 image: any change to the encoder or the serializer that moves
+  // a byte fails here.
+  ChunkRows c = MakeChunk(3000, 10, 2, 1u << 20, 2024);
+  for (Payload& v : c.payload[1]) v = (v % 4) * 1000003u;
+  ChunkPartitionMeta tail;
+  tail.cap = 3;
+  tail.upper = c.parts.back().upper + 10;
+  c.parts.push_back(tail);
+  const PersistedChunk enc = ChunkWriter::Encode(5, c);
+  EXPECT_EQ(enc.encoding.payload[0]->encoding(),
+            PayloadEncoding::kFrameOfReference);
+  EXPECT_EQ(enc.encoding.payload[1]->encoding(), PayloadEncoding::kDictionary);
+  std::string bytes;
+  ChunkWriter::Serialize(enc, &bytes);
+  ASSERT_EQ(bytes.size(), 13412u);
+  uint32_t crc = 0;
+  std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc), sizeof(crc));
+  EXPECT_EQ(crc, 0xe3e6b5e2u);
+}
+
 TEST(ChunkFormat, ColdScansMatchBruteForce) {
   for (const uint32_t payload_mod : {8u, 1u << 20}) {  // dict- and FoR-shaped
-    const TestChunk c = MakeChunk(4000, 12, 2, payload_mod, 7);
+    const ChunkRows c = MakeChunk(4000, 12, 2, payload_mod, 7);
     const PersistedChunk enc =
-        ChunkWriter::Encode(0, c.parts, c.keys, c.payload);
+        ChunkWriter::Encode(0, c);
     std::string bytes;
     ChunkWriter::Serialize(enc, &bytes);
     PersistedChunk f;
@@ -180,8 +199,8 @@ TEST(ChunkFormat, ColdScansMatchBruteForce) {
 }
 
 TEST(ChunkFormat, CorruptionIsACleanStatus) {
-  const TestChunk c = MakeChunk(1000, 4, 1, 30, 5);
-  const PersistedChunk enc = ChunkWriter::Encode(0, c.parts, c.keys, c.payload);
+  const ChunkRows c = MakeChunk(1000, 4, 1, 30, 5);
+  const PersistedChunk enc = ChunkWriter::Encode(0, c);
   std::string bytes;
   ChunkWriter::Serialize(enc, &bytes);
 
@@ -219,8 +238,8 @@ TEST(ChunkFormat, CorruptionIsACleanStatus) {
 
 TEST(ChunkFormat, FileRoundTripFillsFileBytes) {
   const std::string dir = TempDir();
-  const TestChunk c = MakeChunk(2000, 8, 1, 1000, 11);
-  const PersistedChunk enc = ChunkWriter::Encode(0, c.parts, c.keys, c.payload);
+  const ChunkRows c = MakeChunk(2000, 8, 1, 1000, 11);
+  const PersistedChunk enc = ChunkWriter::Encode(0, c);
   const std::string path = dir + "/chunk_0.cspr";
   ASSERT_TRUE(ChunkWriter::Write(path, enc).ok());
   PersistedChunk dec;

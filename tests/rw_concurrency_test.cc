@@ -422,14 +422,14 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
   auto serial_engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
   auto* pl = dynamic_cast<PartitionedLayout*>(parallel_engine.get());
   ASSERT_NE(pl, nullptr);
-  ASSERT_GT(pl->NumLatchDomains(), 2u);
+  ASSERT_GT(pl->NumShards(), 2u);
 
   // Run A routes strictly below the chunk holding mid, run B strictly
   // above it: provably disjoint chunk footprints (keys are filtered by
   // their actual latch domain, so the boundary chunk belongs to neither).
   const size_t mid_domain = pl->WriteDomain(mid);
   ASSERT_GT(mid_domain, 0u);
-  ASSERT_LT(mid_domain + 1, pl->NumLatchDomains());
+  ASSERT_LT(mid_domain + 1, pl->NumShards());
   auto make_run = [&](Value base, Value limit, bool below, uint64_t seed) {
     Rng rng(seed);
     const uint64_t span = static_cast<uint64_t>(limit - base);
@@ -448,7 +448,7 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
   const auto run_b = make_run(mid + 1, hi, /*below=*/false, 42);
 
   // Disjointness sanity: the two runs share no latch domain.
-  std::vector<bool> in_a(pl->NumLatchDomains(), false);
+  std::vector<bool> in_a(pl->NumShards(), false);
   for (const auto& op : run_a) in_a[pl->WriteDomain(op.a)] = true;
   for (const auto& op : run_b) ASSERT_FALSE(in_a[pl->WriteDomain(op.a)]);
 
@@ -523,7 +523,7 @@ TEST(ChunkSnapshots, DetectExactlyTheTouchedChunks) {
 
   const ChunkSnapshot snap = ChunkSnapshot::Capture(*engine, &oracle);
   EXPECT_TRUE(snap.Validate(*engine));
-  EXPECT_EQ(snap.num_domains(), engine->NumLatchDomains());
+  EXPECT_EQ(snap.num_domains(), engine->NumShards());
 
   // Reads do not advance epochs.
   engine->CountRange(f.data.domain_lo, f.data.domain_hi);
