@@ -8,7 +8,8 @@
 // vectorized scan kernels (exec/scan_kernels.h) and the scan-on-compressed
 // path, written as $CASPER_BENCH_JSON metrics so the CI bench-smoke job
 // accumulates per-PR kernel numbers (see RunKernelAxis below and the
-// Kernel* google-benchmarks).
+// Kernel* google-benchmarks). The chunk-encode axis (RunChunkEncodeAxis)
+// times the warm-cache chunk build and the column profile inside it.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "exec/scan_kernels.h"
 #include "exec/scan_spec.h"
 #include "layouts/no_order.h"
+#include "model/encoding_advisor.h"
+#include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
 #include "storage/partition_index.h"
 #include "storage/partition_scan.h"
@@ -341,6 +344,123 @@ double RunPackedPayloadAxis(bench::JsonMetrics* metrics) {
   return sum_speedup;
 }
 
+// --- Chunk-encode axis -------------------------------------------------------
+// The warm-cache build a range scan triggers once a chunk crosses the
+// compressed cache's scan threshold, on the perfbench durable_drift chunk
+// shape: 26,215 live rows in 48 key-sorted partitions and three uniform
+// [0, 10000) payload columns, encoded by EncodeChunkRows with the advisor
+// the cache uses (PartitionedTable::CompressedFor). The column profile is
+// timed on its own against the sort-based count it replaced; the CI gate is
+// that the profile runs at >= 5x that reference. Before any number is
+// published the profile is checked against the sort-based one (the unit
+// tests pin the encoded words against per-value builds).
+
+constexpr size_t kEncodeRows = 26215;
+constexpr size_t kEncodeParts = 48;
+constexpr size_t kEncodePayloadCols = 3;
+
+ChunkRows MakeEncodeChunk() {
+  Rng rng(151);
+  ChunkRows rows;
+  for (size_t i = 0; i < kEncodeRows; ++i) {
+    rows.keys.push_back(static_cast<Value>(rng.Below(4 * kEncodeRows)));
+  }
+  std::sort(rows.keys.begin(), rows.keys.end());
+  size_t begin = 0;
+  for (size_t t = 0; t < kEncodeParts; ++t) {
+    const size_t end = kEncodeRows * (t + 1) / kEncodeParts;
+    PartitionedColumnChunk::Partition p;
+    p.begin = begin;
+    p.size = end - begin;
+    p.cap = p.size;
+    p.upper = rows.keys[end - 1];
+    rows.parts.push_back(p);
+    begin = end;
+  }
+  rows.payload.assign(kEncodePayloadCols, std::vector<Payload>(kEncodeRows));
+  for (std::vector<Payload>& col : rows.payload) {
+    for (Payload& v : col) v = static_cast<Payload>(rng.Below(10000));
+  }
+  return rows;
+}
+
+/// The profile as a sorted copy computes it: the reference the timing gate
+/// and the sanity check compare against.
+PayloadColumnProfile SortProfile(const std::vector<Payload>& values) {
+  PayloadColumnProfile p;
+  p.rows = values.size();
+  if (values.empty()) return p;
+  std::vector<Payload> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  p.min = sorted.front();
+  p.max = sorted.back();
+  p.distinct = static_cast<size_t>(
+      std::unique(sorted.begin(), sorted.end()) - sorted.begin());
+  return p;
+}
+
+/// Returns the profile's speedup over the sort-based reference.
+double RunChunkEncodeAxis(bench::JsonMetrics* metrics) {
+  const size_t reps = bench::SmokeMode() ? 11 : 51;
+  const ChunkRows rows = MakeEncodeChunk();
+  // A read-only chunk, as when the eighth scan at one epoch builds it.
+  const uint64_t reads = 1;
+  const auto advise = [&](const std::vector<Payload>& col) {
+    return AdvisePayloadEncoding(col, reads, /*writes=*/0);
+  };
+
+  // Interleaved best-of windows, like the spec and packed-payload axes.
+  double encode_best_ns = 1e300;
+  double profile_best_ns = 1e300;
+  double sort_profile_best_ns = 1e300;
+  for (size_t r = 0; r < reps; ++r) {
+    Stopwatch sw;
+    benchmark::DoNotOptimize(EncodeChunkRows(rows, advise));
+    encode_best_ns = std::min(encode_best_ns, static_cast<double>(sw.ElapsedNanos()));
+    sw.Restart();
+    for (const std::vector<Payload>& col : rows.payload) {
+      benchmark::DoNotOptimize(ProfilePayloadValues(col));
+    }
+    profile_best_ns = std::min(profile_best_ns, static_cast<double>(sw.ElapsedNanos()));
+    sw.Restart();
+    for (const std::vector<Payload>& col : rows.payload) {
+      benchmark::DoNotOptimize(SortProfile(col));
+    }
+    sort_profile_best_ns =
+        std::min(sort_profile_best_ns, static_cast<double>(sw.ElapsedNanos()));
+  }
+  const double profiled_rows = static_cast<double>(kEncodeRows * kEncodePayloadCols);
+  const double profile_mrps = profiled_rows * 1e3 / profile_best_ns;
+  const double sort_profile_mrps = profiled_rows * 1e3 / sort_profile_best_ns;
+  const double profile_speedup = profile_mrps / sort_profile_mrps;
+
+  // Sanity before publishing: the profile equals the sort-based one.
+  for (const std::vector<Payload>& col : rows.payload) {
+    const PayloadColumnProfile got = ProfilePayloadValues(col);
+    const PayloadColumnProfile want = SortProfile(col);
+    if (got.rows != want.rows || got.distinct != want.distinct ||
+        got.min != want.min || got.max != want.max) {
+      std::fprintf(stderr, "chunk-encode axis: profile disagrees with the sort!\n");
+      std::abort();
+    }
+  }
+
+  bench::PrintHeader("chunk encode axis",
+                     "warm-cache chunk build (26,215 rows, 48 partitions, 3 payload cols)");
+  bench::PrintRow("chunk encode", encode_best_ns / 1e3, "us");
+  bench::PrintRow("payload profile", profile_mrps, "Mrows/s");
+  bench::PrintRow("payload profile, sort reference", sort_profile_mrps, "Mrows/s");
+  bench::PrintRow("payload profile speedup", profile_speedup, "x");
+
+  metrics->Add("chunk_encode_us", encode_best_ns / 1e3);
+  metrics->Add("payload_profile_mrps", profile_mrps);
+  metrics->Add("payload_profile_sort_mrps", sort_profile_mrps);
+  metrics->Add("payload_profile_speedup", profile_speedup);
+  // The >= 5x floor is enforced by the caller AFTER the JSON is written, so
+  // a failing run still uploads the numbers that explain the failure.
+  return profile_speedup;
+}
+
 // Google-benchmark registrations of the same kernels, for --benchmark_filter
 // deep dives at arbitrary sizes.
 void BM_KernelCountRangeSeed(benchmark::State& state) {
@@ -503,12 +623,13 @@ BENCHMARK(BM_PartitionIndexBinarySearch)->Arg(64)->Arg(256)->Arg(4096);
 // Custom main: the kernel axis runs first (prints + JSON for the CI perf
 // trajectory), then any google-benchmarks selected on the command line.
 int main(int argc, char** argv) {
-  // One metrics object for both hand-timed axes: WriteIfRequested truncates
+  // One metrics object for every hand-timed axis: WriteIfRequested truncates
   // the JSON file, so it must run exactly once.
   casper::bench::JsonMetrics metrics;
   casper::RunKernelAxis(&metrics);
   const double spec_overhead_pct = casper::RunSpecDispatchAxis(&metrics);
   const double packed_sum_speedup = casper::RunPackedPayloadAxis(&metrics);
+  const double profile_speedup = casper::RunChunkEncodeAxis(&metrics);
   metrics.WriteIfRequested();
   if (spec_overhead_pct > 2.0) {
     std::fprintf(stderr,
@@ -520,6 +641,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "packed axis: packed sum speedup %.2fx below the 1.5x floor\n",
                  packed_sum_speedup);
+    return 1;
+  }
+  if (profile_speedup < 5.0) {
+    std::fprintf(stderr,
+                 "chunk-encode axis: payload profile speedup %.2fx below the "
+                 "5x floor\n",
+                 profile_speedup);
     return 1;
   }
   benchmark::Initialize(&argc, argv);

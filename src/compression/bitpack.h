@@ -20,6 +20,8 @@ class BitPackedArray {
     words_.assign((count * width_ + 63) / 64 + 1, 0);
   }
 
+  /// Writes one value in place. The encoders pack with Pack; Set is the
+  /// per-value reference the tests compare Pack's words against.
   void Set(size_t i, uint64_t value) {
     CASPER_CHECK(i < count_);
     if (width_ == 0) return;
@@ -35,6 +37,41 @@ class BitPackedArray {
       words_[word + 1] &= ~(mask >> (width_ - spill));
       words_[word + 1] |= value >> (width_ - spill);
     }
+  }
+
+  /// Packs value_at(0) .. value_at(count - 1) in one sequential pass that
+  /// writes each word once: the words equal those of an array filled by
+  /// Set(i, value_at(i)) for every i. Every value must fit `bit_width` bits
+  /// (checked once, after the pass).
+  template <typename ValueAt>
+  static BitPackedArray Pack(size_t count, unsigned bit_width,
+                             const ValueAt& value_at) {
+    CASPER_CHECK(bit_width <= 64);
+    std::vector<uint64_t> words;
+    words.reserve(WordsFor(count, bit_width));
+    if (bit_width > 0) {
+      const uint64_t mask =
+          bit_width == 64 ? ~uint64_t{0} : ((uint64_t{1} << bit_width) - 1);
+      uint64_t overflow = 0;
+      uint64_t acc = 0;   // the word being filled
+      unsigned fill = 0;  // bits of `acc` already used, always < 64
+      for (size_t i = 0; i < count; ++i) {
+        const uint64_t v = value_at(i);
+        overflow |= v & ~mask;
+        acc |= v << fill;
+        fill += bit_width;
+        if (fill >= 64) {
+          words.push_back(acc);
+          fill -= 64;
+          // The bits of v that did not fit start the next word.
+          acc = fill == 0 ? 0 : v >> (bit_width - fill);
+        }
+      }
+      if (fill > 0) words.push_back(acc);
+      CASPER_CHECK_MSG(overflow == 0, "packed value exceeds the bit width");
+    }
+    words.resize(WordsFor(count, bit_width), 0);
+    return FromWords(count, bit_width, std::move(words));
   }
 
   uint64_t Get(size_t i) const {

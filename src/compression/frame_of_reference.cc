@@ -32,19 +32,20 @@ void FrameOfReferenceColumn::BuildFrames(const std::vector<Value>& values,
     CASPER_CHECK(sz > 0 && begin + sz <= values.size());
     Frame f;
     f.begin = begin;
-    f.reference = *std::min_element(values.begin() + static_cast<ptrdiff_t>(begin),
-                                    values.begin() + static_cast<ptrdiff_t>(begin + sz));
-    f.max = *std::max_element(values.begin() + static_cast<ptrdiff_t>(begin),
-                              values.begin() + static_cast<ptrdiff_t>(begin + sz));
+    const auto [mn, mx] =
+        std::minmax_element(values.begin() + static_cast<ptrdiff_t>(begin),
+                            values.begin() + static_cast<ptrdiff_t>(begin + sz));
+    f.reference = *mn;
+    f.max = *mx;
     // Offset arithmetic lives in uint64 (wrap-defined): values may span the
     // whole int64 domain, where max - reference overflows signed math.
     const unsigned width = BitsFor(static_cast<uint64_t>(f.max) -
                                    static_cast<uint64_t>(f.reference));
-    f.offsets = BitPackedArray(sz, width);
-    for (size_t i = 0; i < sz; ++i) {
-      f.offsets.Set(i, static_cast<uint64_t>(values[begin + i]) -
-                           static_cast<uint64_t>(f.reference));
-    }
+    const Value* frame = values.data() + begin;
+    const uint64_t reference = static_cast<uint64_t>(f.reference);
+    f.offsets = BitPackedArray::Pack(sz, width, [&](size_t i) {
+      return static_cast<uint64_t>(frame[i]) - reference;
+    });
     frames_.push_back(std::move(f));
     begin += sz;
   }

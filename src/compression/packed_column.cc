@@ -9,36 +9,39 @@ namespace casper {
 std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
     const std::vector<Payload>& values, PayloadEncoding enc) {
   if (values.empty() || enc == PayloadEncoding::kRaw) return nullptr;
+  const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
+  return Encode(values, enc, *mn, *mx);
+}
+
+std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
+    const std::vector<Payload>& values, PayloadEncoding enc, Payload min,
+    Payload max) {
+  if (values.empty() || enc == PayloadEncoding::kRaw) return nullptr;
   // make_shared cannot call the private constructor; the factory keeps the
   // invariant that every published column is fully encoded.
   // NOLINTNEXTLINE(modernize-make-shared)
   auto col = std::shared_ptr<PackedPayloadColumn>(new PackedPayloadColumn());
   col->enc_ = enc;
   if (enc == PayloadEncoding::kFrameOfReference) {
-    const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
-    col->base_ = *mn;
-    const unsigned width =
-        BitsFor(static_cast<uint64_t>(*mx) - static_cast<uint64_t>(*mn));
-    col->packed_ = BitPackedArray(values.size(), width);
-    for (size_t i = 0; i < values.size(); ++i) {
-      col->packed_.Set(i, static_cast<uint64_t>(values[i]) -
-                              static_cast<uint64_t>(col->base_));
-    }
+    col->base_ = min;
+    const uint64_t base = uint64_t{min};
+    col->packed_ = BitPackedArray::Pack(
+        values.size(), BitsFor(uint64_t{max} - base),
+        [&](size_t i) { return uint64_t{values[i]} - base; });
   } else {
     col->dict_ = values;
     std::sort(col->dict_.begin(), col->dict_.end());
     col->dict_.erase(std::unique(col->dict_.begin(), col->dict_.end()),
                      col->dict_.end());
-    col->lut_.assign(col->dict_.begin(), col->dict_.end());
-    const unsigned width = BitsFor(col->dict_.size() - 1);
-    col->packed_ = BitPackedArray(values.size(), width);
-    for (size_t i = 0; i < values.size(); ++i) {
-      const size_t code = static_cast<size_t>(
-          std::lower_bound(col->dict_.begin(), col->dict_.end(), values[i]) -
-          col->dict_.begin());
-      col->packed_.Set(i, code);
-    }
+    const std::vector<Payload>& dict = col->dict_;
+    col->packed_ = BitPackedArray::Pack(
+        values.size(), BitsFor(dict.size() - 1), [&](size_t i) {
+          return static_cast<uint64_t>(
+              std::lower_bound(dict.begin(), dict.end(), values[i]) -
+              dict.begin());
+        });
   }
+  col->lut_.assign(col->dict_.begin(), col->dict_.end());
   // Block prefix sums in payload space (wrapping): predicate-free sums over
   // row windows reduce to two prefix loads plus the block edges.
   const size_t blocks = values.size() / kSumBlock;

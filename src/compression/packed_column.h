@@ -43,6 +43,12 @@ class PackedPayloadColumn {
   /// Encodes `values` with `enc`; nullptr for kRaw or an empty column.
   static std::shared_ptr<const PackedPayloadColumn> Encode(
       const std::vector<Payload>& values, PayloadEncoding enc);
+  /// Same, for a caller that already knows the column's min and max (the
+  /// column profile): FoR takes its base and width from them instead of a
+  /// second pass over `values`.
+  static std::shared_ptr<const PackedPayloadColumn> Encode(
+      const std::vector<Payload>& values, PayloadEncoding enc, Payload min,
+      Payload max);
 
   /// Reassembles a column from its serialized pieces (the on-disk chunk
   /// format stores the encoding tag, the FoR base or the sorted dictionary,

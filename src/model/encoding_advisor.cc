@@ -4,6 +4,26 @@
 
 namespace casper {
 
+namespace {
+
+/// Distinct values of a column lying in [min, max]: one bit per value of the
+/// span, set in one pass, then counted.
+size_t CountDistinctInSpan(const std::vector<Payload>& values, Payload min,
+                           Payload max) {
+  std::vector<uint64_t> bits((uint64_t{max} - uint64_t{min}) / 64 + 1, 0);
+  for (const Payload v : values) {
+    const uint64_t bit = uint64_t{v} - uint64_t{min};
+    bits[bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+  size_t distinct = 0;
+  for (const uint64_t word : bits) {
+    distinct += static_cast<size_t>(__builtin_popcountll(word));
+  }
+  return distinct;
+}
+
+}  // namespace
+
 PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values) {
   PayloadColumnProfile p;
   p.rows = values.size();
@@ -11,6 +31,11 @@ PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values) {
   const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
   p.min = *mn;
   p.max = *mx;
+  if (ProfileUsesBitmap(p.min, p.max, p.rows)) {
+    p.distinct = CountDistinctInSpan(values, p.min, p.max);
+    return p;
+  }
+  // Wide, sparse column: a bitmap of [min, max] would outgrow a sorted copy.
   std::vector<Payload> sorted = values;
   std::sort(sorted.begin(), sorted.end());
   p.distinct = static_cast<size_t>(
@@ -47,7 +72,7 @@ std::shared_ptr<const PackedPayloadColumn> AdvisePayloadEncoding(
   profile.writes = writes;
   const PayloadEncoding enc = ChoosePayloadEncoding(profile);
   if (enc == PayloadEncoding::kRaw) return nullptr;
-  auto col = PackedPayloadColumn::Encode(values, enc);
+  auto col = PackedPayloadColumn::Encode(values, enc, profile.min, profile.max);
   // Re-check the payoff gate on the built column: the prediction ignores the
   // prefix-sum blocks and per-array padding, so verify the real footprint.
   if (col && col->MeanBitsPerValue() > kMaxPayloadMeanBits) return nullptr;

@@ -31,7 +31,20 @@ struct PayloadColumnProfile {
 /// shares the same payoff rule.
 inline constexpr double kMaxPayloadMeanBits = 16.0;
 
-/// min/max and exact distinct count of a column (one pass + sort).
+/// Widest value span, in values per column row, that ProfilePayloadValues
+/// counts distinct values over with a bitmap of [min, max]: at one bit per
+/// value, a span of up to 32 x rows is no larger than the sorted copy of the
+/// column (32 bits per row) the profile makes otherwise.
+inline constexpr uint64_t kMaxProfileBitmapBitsPerRow = 8 * sizeof(Payload);
+
+/// True when ProfilePayloadValues takes the bitmap path for a `rows`-row
+/// column spanning [min, max]: max - min + 1 <= 32 x rows.
+inline bool ProfileUsesBitmap(Payload min, Payload max, size_t rows) {
+  return uint64_t{max} - uint64_t{min} < kMaxProfileBitmapBitsPerRow * rows;
+}
+
+/// min/max and exact distinct count of a column: one pass over a bitmap of
+/// [min, max] when ProfileUsesBitmap, a sorted copy otherwise.
 PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values);
 
 /// Picks raw / FoR / dictionary for one payload column of one chunk:

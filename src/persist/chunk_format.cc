@@ -71,9 +71,10 @@ EvictedChunkState PersistedChunk::ToEvictedState(std::string path) const {
   return st;
 }
 
-PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values) {
-  if (values.empty()) return PayloadEncoding::kFrameOfReference;
-  const PayloadColumnProfile p = ProfilePayloadValues(values);
+namespace {
+
+PayloadEncoding ChooseDiskEncoding(const PayloadColumnProfile& p) {
+  if (p.rows == 0) return PayloadEncoding::kFrameOfReference;
   const unsigned for_width =
       BitsFor(static_cast<uint64_t>(p.max) - static_cast<uint64_t>(p.min));
   const unsigned dict_width = BitsFor(p.distinct - 1);
@@ -84,6 +85,12 @@ PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values) {
                              p.distinct * uint64_t{8 * sizeof(Payload)};
   return dict_bits < for_bits ? PayloadEncoding::kDictionary
                               : PayloadEncoding::kFrameOfReference;
+}
+
+}  // namespace
+
+PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values) {
+  return ChooseDiskEncoding(ProfilePayloadValues(values));
 }
 
 PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) {
@@ -98,7 +105,9 @@ PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) 
   }
   if (!uppers.empty()) out.index = PartitionIndex(std::move(uppers));
   out.encoding = EncodeChunkRows(rows, [](const std::vector<Payload>& col) {
-    auto packed = PackedPayloadColumn::Encode(col, ChooseDiskEncoding(col));
+    const PayloadColumnProfile p = ProfilePayloadValues(col);
+    auto packed =
+        PackedPayloadColumn::Encode(col, ChooseDiskEncoding(p), p.min, p.max);
     CASPER_CHECK(packed != nullptr);
     return packed;
   });

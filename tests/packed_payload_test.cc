@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include "exec/scan_kernels.h"
 #include "exec/scan_spec.h"
 #include "model/encoding_advisor.h"
+#include "persist/chunk_format.h"
 #include "util/rng.h"
 
 namespace casper {
@@ -287,6 +290,85 @@ TEST(EncodingAdvisor, PicksExpectedEncodings) {
   }
   // Empty column: nothing to encode.
   EXPECT_EQ(AdvisePayloadEncoding({}, /*reads=*/1, /*writes=*/0), nullptr);
+}
+
+// A `rows`-row column whose values span exactly [lo, lo + span - 1]: both
+// ends present, the rest uniform in between.
+std::vector<Payload> SpanColumn(size_t rows, Payload lo, uint64_t span, Rng& rng) {
+  std::vector<Payload> v;
+  v.push_back(lo);
+  v.push_back(static_cast<Payload>(lo + span - 1));
+  while (v.size() < rows) v.push_back(static_cast<Payload>(lo + rng.Below(span)));
+  return v;
+}
+
+TEST(EncodingAdvisor, ProfileIsExactOnBothPaths) {
+  // The profile counts distinct values over a [min, max] bitmap when
+  // ProfileUsesBitmap (span <= 32 x rows) and over a sorted copy otherwise.
+  // On both sides of that rule it must match a std::set count, and the two
+  // encoding choices made from it are pinned to the ones the sort-only
+  // profile made.
+  Rng rng(21);
+  const size_t n = 1000;
+  const uint64_t at = kMaxProfileBitmapBitsPerRow * n;  // the widest bitmap span
+  struct Case {
+    std::string name;
+    std::vector<Payload> values;
+    bool bitmap;
+    PayloadEncoding advised;  // ChoosePayloadEncoding, read-only chunk
+    PayloadEncoding disk;     // ChooseDiskEncoding
+  };
+  std::vector<Case> cases;
+  std::vector<Payload> narrow;
+  for (int i = 0; i < 26215; ++i) narrow.push_back(static_cast<Payload>(rng.Below(10000)));
+  cases.push_back({"narrow", narrow, true, PayloadEncoding::kFrameOfReference,
+                   PayloadEncoding::kFrameOfReference});
+  std::vector<Payload> wide;
+  for (int i = 0; i < 4000; ++i) {
+    wide.push_back(static_cast<Payload>(rng.Below(uint64_t{1} << 32)));
+  }
+  cases.push_back({"wide", wide, false, PayloadEncoding::kRaw,
+                   PayloadEncoding::kFrameOfReference});
+  std::vector<Payload> sparse;
+  for (int i = 0; i < 3000; ++i) {
+    sparse.push_back(static_cast<Payload>(rng.Below(4)) * 1000003u);
+  }
+  cases.push_back({"wide few distinct", sparse, false, PayloadEncoding::kDictionary,
+                   PayloadEncoding::kDictionary});
+  cases.push_back({"span at threshold - 1", SpanColumn(n, 7, at - 1, rng), true,
+                   PayloadEncoding::kFrameOfReference, PayloadEncoding::kFrameOfReference});
+  cases.push_back({"span at threshold", SpanColumn(n, 7, at, rng), true,
+                   PayloadEncoding::kFrameOfReference, PayloadEncoding::kFrameOfReference});
+  cases.push_back({"span at threshold + 1", SpanColumn(n, 7, at + 1, rng), false,
+                   PayloadEncoding::kFrameOfReference, PayloadEncoding::kFrameOfReference});
+  cases.push_back({"one repeated value", std::vector<Payload>(5000, 42), true,
+                   PayloadEncoding::kFrameOfReference,
+                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"u32 edges", {0, kPayMax}, false, PayloadEncoding::kRaw,
+                   PayloadEncoding::kFrameOfReference});
+  std::vector<Payload> edges;
+  for (int i = 0; i < 1000; ++i) edges.push_back(i % 2 == 0 ? 0 : kPayMax);
+  cases.push_back({"u32 edges repeated", edges, false, PayloadEncoding::kDictionary,
+                   PayloadEncoding::kDictionary});
+  cases.push_back({"empty", {}, false, PayloadEncoding::kRaw,
+                   PayloadEncoding::kFrameOfReference});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<Payload>& v = c.values;
+    const PayloadColumnProfile p = ProfilePayloadValues(v);
+    EXPECT_EQ(p.rows, v.size());
+    EXPECT_EQ(p.distinct, std::set<Payload>(v.begin(), v.end()).size());
+    if (!v.empty()) {
+      EXPECT_EQ(p.min, *std::min_element(v.begin(), v.end()));
+      EXPECT_EQ(p.max, *std::max_element(v.begin(), v.end()));
+      EXPECT_EQ(ProfileUsesBitmap(p.min, p.max, p.rows), c.bitmap);
+    }
+    PayloadColumnProfile read_only = p;
+    read_only.reads = 1;
+    EXPECT_EQ(ChoosePayloadEncoding(read_only), c.advised);
+    EXPECT_EQ(persist::ChooseDiskEncoding(v), c.disk);
+  }
 }
 
 }  // namespace
