@@ -3,6 +3,12 @@
 // (b) measured vs modeled point-query latency across partitions of
 // exponentially increasing size (linear in partition width). The paper
 // reports measured/model ratios ~1.0 throughout.
+//
+// Panel (c) is the paper's Fig. 8b: a Frequency Model learned from the
+// workload's distributions (§4.3, model/learned_fm) instead of counted from
+// a sample. For each HAP mix it plans one layout from the learned model and
+// one from the sampled training capture, and prices both under a large
+// sampled reference capture of the same mix (Eq. 16).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -10,8 +16,11 @@
 #include "bench_util.h"
 #include "model/access_cost.h"
 #include "model/cost_model.h"
+#include "model/learned_fm.h"
+#include "optimizer/layout_planner.h"
 #include "storage/column_chunk.h"
 #include "util/stopwatch.h"
+#include "workload/capture.h"
 
 namespace casper::bench {
 namespace {
@@ -133,6 +142,64 @@ void PartB_PointQueries() {
               "(paper: ~1.0)\n", worst_ratio);
 }
 
+/// The single-chunk Frequency Model `ops` capture over `sorted_keys`.
+FrequencyModel SampledModel(const std::vector<Value>& sorted_keys,
+                            size_t block_values, const std::vector<Operation>& ops) {
+  WorkloadCapture capture(sorted_keys, sorted_keys.size(), block_values);
+  capture.CaptureAll(ops);
+  return capture.models()[0];
+}
+
+void PartC_LearnedModel() {
+  std::printf("\n-- (c) learned vs sampled Frequency Model (paper Fig. 8b) --\n");
+  const size_t rows = ScaledRows(1 << 20);
+  const size_t block_values = 512;
+  const size_t training_ops = NumOps();
+  const size_t reference_ops = 40 * training_ops;
+  Rng data_rng(21);
+  hap::Dataset data = hap::MakeDataset(rows, 1, data_rng);
+  std::vector<Value> keys = data.keys;
+  std::sort(keys.begin(), keys.end());
+
+  // The factory's planner configuration with fixed (uncalibrated) access
+  // constants, so every run prices the same plans.
+  LayoutBuildOptions build;
+  build.ghost_fraction = 0.01;
+  build.calibrate_costs = false;
+  const PlannerOptions planner = ResolvePlannerOptions(build);
+
+  std::printf("%zu rows, %zu-value blocks, %zu training ops, reference "
+              "capture of %zu ops\n",
+              rows, block_values, training_ops, reference_ops);
+  std::printf("%-22s %14s %14s %14s %14s %16s\n", "workload", "parts sampled",
+              "parts learned", "cost sampled", "cost learned", "learned/sampled");
+  for (const hap::Workload w : hap::Figure12Workloads()) {
+    const WorkloadSpec spec = hap::MakeSpec(w, data.domain_lo, data.domain_hi);
+    Rng train_rng(22);
+    Rng reference_rng(23);
+    const FrequencyModel sampled =
+        SampledModel(keys, block_values, GenerateWorkload(spec, training_ops, train_rng));
+    const FrequencyModel learned = LearnFrequencyModel(
+        keys, block_values, spec, static_cast<double>(training_ops));
+    const CostTerms reference = CostTerms::Compute(
+        SampledModel(keys, block_values,
+                     GenerateWorkload(spec, reference_ops, reference_rng)),
+        planner.costs);
+
+    const ChunkPlan from_sample = LayoutPlanner::PlanChunk(sampled, rows, planner);
+    const ChunkPlan from_learned = LayoutPlanner::PlanChunk(learned, rows, planner);
+    const double cost_sampled = EvaluateLayoutCost(reference, from_sample.partitioning);
+    const double cost_learned = EvaluateLayoutCost(reference, from_learned.partitioning);
+    std::printf("%-22s %14zu %14zu %14.4g %14.4g %16.3f\n",
+                std::string(hap::WorkloadName(w)).c_str(),
+                from_sample.partitioning.NumPartitions(),
+                from_learned.partitioning.NumPartitions(), cost_sampled,
+                cost_learned, cost_learned / cost_sampled);
+  }
+  std::printf("(paper: the learned model's layout performs like the sampled "
+              "one; a ratio near 1.0 keeps it)\n");
+}
+
 }  // namespace
 }  // namespace casper::bench
 
@@ -140,5 +207,6 @@ int main() {
   casper::bench::PrintHeader("Figure 9", "cost model verification");
   casper::bench::PartA_Inserts();
   casper::bench::PartB_PointQueries();
+  casper::bench::PartC_LearnedModel();
   return 0;
 }

@@ -89,7 +89,7 @@ void ScanThreadsAxis(JsonMetrics* json) {
   LayoutBuildOptions opts;
   opts.mode = LayoutMode::kEquiWidthGhost;
   opts.chunk_values = size_t{1} << 16;  // many chunks -> many shards
-  auto engine = BuildLayout(opts, data.keys, data.payload);
+  auto engine = BuildPartitionedLayout(opts, data.keys, data.payload);
 
   // Query set: full scans plus wide range counts/sums/Q6 over the domain.
   const Value lo = data.domain_lo;
@@ -155,7 +155,7 @@ void ConcurrentQueriesAxis(JsonMetrics* json) {
   LayoutBuildOptions opts;
   opts.mode = LayoutMode::kEquiWidthGhost;
   opts.chunk_values = size_t{1} << 16;
-  auto engine = BuildLayout(opts, data.keys, data.payload);
+  auto engine = BuildPartitionedLayout(opts, data.keys, data.payload);
 
   // Query set: a skewed hybrid read mix — point lookups plus medium and wide
   // range counts/sums, like independent dashboard sessions hitting the
@@ -247,7 +247,7 @@ void MixedWorkloadAxis(JsonMetrics* json) {
               "speedup", "identical");
   double base_ms = 0.0;
   for (const size_t threads : ThreadSweep()) {
-    auto engine = BuildLayout(opts, data.keys, data.payload);
+    auto engine = BuildPartitionedLayout(opts, data.keys, data.payload);
     ThreadPool pool(threads);
     HarnessOptions mixed_opts = serial_opts;
     mixed_opts.pool = &pool;

@@ -86,8 +86,7 @@ bool RunTierPanel(size_t rows, JsonMetrics* json) {
   opts.layout.chunk_values = chunk_values;
   opts.persist.storage_dir = dir;
   CasperEngine engine = CasperEngine::Open(std::move(opts));
-  auto* partitioned = dynamic_cast<PartitionedLayout*>(&engine.layout());
-  PartitionedTable& table = partitioned->mutable_table();
+  PartitionedTable& table = engine.layout().mutable_table();
   const persist::StoreLayout store(dir);
 
   // Warm = first touch of resident data (encoding caches cold, scans on raw

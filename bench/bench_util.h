@@ -113,19 +113,16 @@ inline BuiltWorkload MakeHapExperiment(hap::Workload w, size_t rows, size_t num_
   return out;
 }
 
-/// Builds an engine and replays the op stream; returns the harness result.
-/// Goes through the unified EngineOptions surface so every bench exercises
-/// the same construction path production callers use.
+/// Builds a layout of any of the six modes (Casper trains on w.training)
+/// and replays the op stream; returns the harness result. The baselines are
+/// not engines, so every mode goes through BuildLayout, the builder the
+/// facade's partitioned modes share.
 inline HarnessResult RunLayout(LayoutMode mode, const BuiltWorkload& w,
                                LayoutBuildOptions opts = LayoutBuildOptions()) {
-  EngineOptions eopts;
-  eopts.keys = w.data.keys;
-  eopts.payload = w.data.payload;
-  eopts.training = &w.training;
-  eopts.layout = std::move(opts);
-  eopts.layout.mode = mode;
-  CasperEngine engine = CasperEngine::Open(std::move(eopts));
-  return RunWorkload(engine.layout(), w.ops);
+  opts.mode = mode;
+  opts.training = &w.training;
+  const auto layout = BuildLayout(opts, w.data.keys, w.data.payload);
+  return RunWorkload(*layout, w.ops);
 }
 
 }  // namespace casper::bench

@@ -45,25 +45,27 @@ int main() {
               "Q4 (us)", "Kops/s", "mem amp");
   for (const LayoutMode mode :
        {LayoutMode::kCasper, LayoutMode::kDeltaStore, LayoutMode::kSorted}) {
-    EngineOptions opts;
-    opts.keys = data.keys;
-    opts.payload = data.payload;
+    // BuildLayout builds the baselines too; the engine facade opens only
+    // the partitioned modes.
+    LayoutBuildOptions opts;
+    opts.mode = mode;
     opts.training = &training;
-    opts.layout.mode = mode;
-    CasperEngine engine = CasperEngine::Open(std::move(opts));
-    HarnessResult r = RunWorkload(engine.layout(), live);
-    const auto mem = engine.MemoryStats();
+    const auto layout = BuildLayout(opts, data.keys, data.payload);
+    HarnessResult r = RunWorkload(*layout, live);
+    const auto mem = layout->MemoryStats();
     std::printf("%-16s %12.2f %12.2f %12.3f %12.1f %11.3fx\n",
-                std::string(engine.layout().name()).c_str(),
+                std::string(layout->name()).c_str(),
                 r.Rec(OpKind::kPointQuery).MeanMicros(),
                 r.Rec(OpKind::kRangeSum).MeanMicros(),
                 r.Rec(OpKind::kInsert).MeanMicros(),
                 r.ThroughputOpsPerSec() / 1000.0, mem.Amplification());
     // Scan-on-compressed telemetry: how often the range aggregates above ran
     // on packed payload columns, and how many partitions the payload zone
-    // maps skipped outright. StatsSnapshots() is the unified stats surface —
-    // layouts without per-chunk accounting just return an empty registry.
-    const ChunkStatsSnapshot totals = engine.layout().StatsSnapshots().Totals();
+    // maps skipped outright. Only the partitioned layout keeps per-chunk
+    // counters (StatsSnapshots()).
+    const auto* partitioned = dynamic_cast<const PartitionedLayout*>(layout.get());
+    if (partitioned == nullptr) continue;
+    const ChunkStatsSnapshot totals = partitioned->StatsSnapshots().Totals();
     if (totals.compressed_payload_scans + totals.payload_partitions_pruned > 0) {
       std::printf("%-16s %zu packed payload partition scans, %zu partitions "
                   "zone-map pruned\n",

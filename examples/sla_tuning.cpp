@@ -53,10 +53,10 @@ int main() {
     opts.layout.planner.update_sla_ns = cfg.update_sla_ns;
     opts.layout.planner.read_sla_ns = cfg.read_sla_ns;
     CasperEngine engine = CasperEngine::Open(std::move(opts));
-    auto* pl = dynamic_cast<PartitionedLayout*>(&engine.layout());
+    const PartitionedTable& table = engine.layout().table();
     size_t parts = 0, max_width = 0;
-    for (size_t ci = 0; ci < pl->table().num_chunks(); ++ci) {
-      const auto& chunk = pl->table().key_chunk(ci);
+    for (size_t ci = 0; ci < table.num_chunks(); ++ci) {
+      const auto& chunk = table.key_chunk(ci);
       parts += chunk.num_partitions();
       for (size_t t = 0; t < chunk.num_partitions(); ++t) {
         max_width = std::max(max_width, chunk.partition(t).cap);

@@ -1,6 +1,5 @@
 #include "engine/casper_engine.h"
 
-#include "layouts/partitioned.h"
 #include "persist/io.h"
 #include "persist/journal.h"
 #include "persist/manifest.h"
@@ -9,16 +8,12 @@
 
 namespace casper {
 
-namespace {
-
-bool IsPartitionedMode(LayoutMode mode) {
-  return mode == LayoutMode::kEquiWidth || mode == LayoutMode::kEquiWidthGhost ||
-         mode == LayoutMode::kCasper;
-}
-
-}  // namespace
-
 Status ValidateEngineOptions(const EngineOptions& options) {
+  if (!IsPartitionedMode(options.layout.mode)) {
+    return Status::InvalidArgument(
+        "the engine needs a partitioned layout mode (EquiWidth, "
+        "EquiWidthGhost or Casper); build a baseline with BuildLayout");
+  }
   if (options.layout.chunk_values == 0) {
     return Status::InvalidArgument("layout.chunk_values must be positive");
   }
@@ -48,11 +43,6 @@ Status ValidateEngineOptions(const EngineOptions& options) {
           "have nowhere to go)");
     }
     return Status::Ok();
-  }
-  if (!IsPartitionedMode(options.layout.mode)) {
-    return Status::InvalidArgument(
-        "persistence requires a partitioned layout mode (EquiWidth, "
-        "EquiWidthGhost or Casper)");
   }
   if (p.journal_fsync_every == 0) {
     return Status::InvalidArgument(
@@ -91,7 +81,7 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
   const bool recovering =
       persistent && persist::FileExists(store.ManifestPath());
 
-  std::unique_ptr<LayoutEngine> layout;
+  std::unique_ptr<PartitionedLayout> layout;
   std::vector<persist::JournalRecord> replay;
   uint64_t next_seq = 0;
   if (recovering) {
@@ -121,22 +111,20 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
     CASPER_CHECK_MSG(s.ok(), "journal truncation failed: " << s.ToString());
     next_seq = replay.size();
   } else {
-    layout = BuildLayout(build, std::move(options.keys),
-                         std::move(options.payload));
+    layout = BuildPartitionedLayout(build, std::move(options.keys),
+                                    std::move(options.payload));
   }
 
   CasperEngine engine(std::move(layout), std::move(owned), pool);
 
+  PartitionedLayout& partitioned = *engine.engine_;
   if (persistent) {
-    auto* partitioned = dynamic_cast<PartitionedLayout*>(engine.engine_.get());
-    CASPER_CHECK_MSG(partitioned != nullptr,
-                     "persistence requires a partitioned layout");
     if (recovering) {
       for (const persist::JournalRecord& rec : replay) {
         if (rec.type == persist::JournalRecordType::kRowsRun) {
-          engine.engine_->InsertRows(rec.rows.data(), rec.rows.size(), pool);
+          partitioned.InsertRows(rec.rows.data(), rec.rows.size(), pool);
         } else {
-          engine.engine_->ApplyBatch(rec.ops.data(), rec.ops.size(), pool);
+          partitioned.ApplyBatch(rec.ops.data(), rec.ops.size(), pool);
         }
       }
     } else {
@@ -145,7 +133,7 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
       // point, so everything before it is discarded on re-open.
       Status s = persist::RemoveFileIfExists(store.JournalPath());
       CASPER_CHECK_MSG(s.ok(), "stale journal removal failed: " << s.ToString());
-      s = persist::CreateStore(store, partitioned->table(),
+      s = persist::CreateStore(store, partitioned.table(),
                                static_cast<uint32_t>(build.mode),
                                build.chunk_values);
       CASPER_CHECK_MSG(s.ok(), "store creation failed: " << s.ToString());
@@ -160,26 +148,21 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
     topt.promote_score = options.persist.tier_promote_score;
     topt.max_evictions_per_cycle = options.persist.max_evictions_per_cycle;
     engine.tier_ = std::make_unique<persist::TierManager>(
-        &partitioned->mutable_table(), store, topt);
+        &partitioned.mutable_table(), store, topt);
   }
 
   if (options.maintenance.enabled) {
-    // Only the partitioned family has tunable partition geometry; other
-    // layouts get no service (engine.maintenance() stays null).
-    auto* partitioned = dynamic_cast<PartitionedLayout*>(engine.engine_.get());
-    if (partitioned != nullptr) {
-      engine.maintenance_ = std::make_unique<LayoutMaintenanceService>(
-          partitioned, options.maintenance, ResolvePlannerOptions(build),
-          build.block_values);
-      if (engine.tier_ != nullptr) {
-        // Tiering rides the maintenance cadence: every cycle (foreground or
-        // background) ends with a demote/promote pass. The raw pointer is
-        // stable across the engine move below (unique_ptr target).
-        persist::TierManager* tier = engine.tier_.get();
-        engine.maintenance_->SetCycleHook([tier] { tier->RunCycle(); });
-      }
-      if (options.maintenance.background) engine.maintenance_->Start();
+    engine.maintenance_ = std::make_unique<LayoutMaintenanceService>(
+        &partitioned, options.maintenance, ResolvePlannerOptions(build),
+        build.block_values);
+    if (engine.tier_ != nullptr) {
+      // Tiering rides the maintenance cadence: every cycle (foreground or
+      // background) ends with a demote/promote pass. The raw pointer is
+      // stable across the engine move below (unique_ptr target).
+      persist::TierManager* tier = engine.tier_.get();
+      engine.maintenance_->SetCycleHook([tier] { tier->RunCycle(); });
     }
+    if (options.maintenance.background) engine.maintenance_->Start();
   }
   return engine;
 }

@@ -8,8 +8,8 @@
 
 #include "exec/mixed_workload_runner.h"
 #include "exec/scan_spec.h"
-#include "layouts/layout_engine.h"
 #include "layouts/layout_factory.h"
+#include "layouts/partitioned.h"
 #include "maintenance/layout_maintenance.h"
 #include "persist/durable_store.h"
 #include "persist/tier_manager.h"
@@ -71,21 +71,18 @@ struct EngineOptions {
   size_t exec_threads = 0;
 
   /// Online adaptive re-layout policy (maintenance/layout_maintenance.h).
-  /// Takes effect only for the partitioned layout family — other layouts
-  /// have no tunable partition geometry and get no service.
   MaintenanceOptions maintenance;
 
-  /// Durable tiered storage policy (see PersistOptions above). Persistence
-  /// requires a partitioned layout mode.
+  /// Durable tiered storage policy (see PersistOptions above).
   PersistOptions persist;
 };
 
 /// Rejects nonsensical engine configurations before Open commits to them:
+/// a layout mode other than EquiWidth, EquiWidthGhost or Casper,
 /// non-positive memory budgets, budgets without a storage_dir, unwritable
-/// storage directories, persistence over a non-partitioned layout, zero
-/// chunk/block geometry, zero maintenance intervals, out-of-range decay
-/// factors, and opening an existing store with fresh keys (which would
-/// silently shadow the durable data). Open CHECK-fails on a bad config;
+/// storage directories, zero chunk/block geometry, zero maintenance
+/// intervals, out-of-range decay factors, and opening an existing store with
+/// fresh keys (which would silently shadow the durable data). Open CHECK-fails on a bad config;
 /// callers wanting a recoverable error validate first.
 Status ValidateEngineOptions(const EngineOptions& options);
 
@@ -95,11 +92,13 @@ Status ValidateEngineOptions(const EngineOptions& options);
 /// values, (iv) insert a new entry, and (v) update or delete an existing
 /// entry". A drop-in scan/update operator for a relational engine.
 ///
-/// Open() with mode == kCasper requires a training workload sample; the
-/// engine captures its Frequency Model, solves the layout problem per chunk
-/// and materializes the tailored layout (the A -> B -> C pipeline of
-/// paper Fig. 10). Any other mode gives the corresponding baseline layout
-/// over the same data, which is how the paper runs its comparisons.
+/// The engine is the partitioned layout (layouts/partitioned.h). Open() with
+/// mode == kCasper requires a training workload sample; the engine captures
+/// its Frequency Model, solves the layout problem per chunk and materializes
+/// the tailored layout (the A -> B -> C pipeline of paper Fig. 10).
+/// EquiWidth and EquiWidthGhost give the equi-width partitionings over the
+/// same data. The paper's single-store comparison points (NoOrder, Sorted,
+/// the delta store) are not engines: benches build them with BuildLayout.
 ///
 /// Parallelism: set options.exec_threads > 1 (or pass options.layout.pool)
 /// and the engine threads one pool through the whole stack — frequency-model
@@ -186,13 +185,12 @@ class CasperEngine {
   }
 
   /// Mixed-workload admission: read queries and write runs execute together,
-  /// overlapped wherever their latch-domain footprints are disjoint (reads
-  /// during ingest, chunk-disjoint write runs in parallel), with results
+  /// overlapped wherever their chunk footprints are disjoint (reads during
+  /// ingest, chunk-disjoint write runs in parallel), with results
   /// bit-identical to a single-threaded serial replay of `ops`. Write items
   /// are stamped with commit timestamps from this engine's oracle. A
   /// read-only stream is the inter-query case: every query overlaps every
-  /// other on the shared pool, nothing is journaled, and
-  /// MixedResult::quiescent reports whether an outside writer overlapped it.
+  /// other on the shared pool, and nothing is journaled.
   MixedResult RunMixed(const std::vector<Operation>& ops);
 
   /// Commit-timestamp oracle shared by mixed runs; it stamps write items.
@@ -205,8 +203,7 @@ class CasperEngine {
   /// Pool used for parallel execution; nullptr when running serial.
   ThreadPool* pool() const { return pool_; }
 
-  /// The adaptive re-layout service; nullptr when maintenance is disabled
-  /// or the layout has no tunable partition geometry.
+  /// The adaptive re-layout service; nullptr when maintenance is disabled.
   LayoutMaintenanceService* maintenance() const { return maintenance_.get(); }
 
   /// Durable store handle; nullptr unless persist.storage_dir is set.
@@ -222,8 +219,8 @@ class CasperEngine {
     return durable_ != nullptr ? durable_->Flush() : Status::Ok();
   }
 
-  LayoutEngine& layout() { return *engine_; }
-  const LayoutEngine& layout() const { return *engine_; }
+  PartitionedLayout& layout() { return *engine_; }
+  const PartitionedLayout& layout() const { return *engine_; }
 
  private:
   /// Aborts on a row whose payload width is not the table's. Runs before a
@@ -244,14 +241,14 @@ class CasperEngine {
     return durable_->CommitOps(&op, 1, apply);
   }
 
-  CasperEngine(std::unique_ptr<LayoutEngine> engine,
+  CasperEngine(std::unique_ptr<PartitionedLayout> engine,
                std::unique_ptr<ThreadPool> owned_pool, ThreadPool* pool)
       : engine_(std::move(engine)),
         owned_pool_(std::move(owned_pool)),
         pool_(pool),
         oracle_(std::make_unique<TimestampOracle>()) {}
 
-  std::unique_ptr<LayoutEngine> engine_;
+  std::unique_ptr<PartitionedLayout> engine_;
   std::unique_ptr<ThreadPool> owned_pool_;  ///< set when the engine made its own
   ThreadPool* pool_ = nullptr;              ///< may alias owned_pool_ or a caller's
   /// Stamps mixed-run write commits (unique_ptr keeps the engine movable —

@@ -88,7 +88,7 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
   return RunWorkload(engine, ops, HarnessOptions{});
 }
 
-HarnessResult RunWorkloadMixed(LayoutEngine& engine,
+HarnessResult RunWorkloadMixed(PartitionedLayout& engine,
                                const std::vector<Operation>& ops,
                                const HarnessOptions& options) {
   HarnessResult result;

@@ -12,6 +12,7 @@
 
 namespace casper {
 
+class PartitionedLayout;
 class ThreadPool;
 
 /// Outcome of replaying an operation stream against a layout engine:
@@ -59,11 +60,11 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
 /// Replays a stream of any mix (read-only, write-only, or interleaved)
 /// through the MixedWorkloadRunner on options.pool: reads overlap each other
 /// and ingest, and chunk-disjoint write runs commit in parallel, ordered only
-/// where their latch-domain footprints conflict. The checksum is
+/// where their chunk footprints conflict. The checksum is
 /// bit-identical to RunWorkload over the same stream with
 /// key_derived_payload = true (write runs take key-derived payloads, like
 /// ApplyBatch). Per-op latency is not recorded (operations overlap).
-HarnessResult RunWorkloadMixed(LayoutEngine& engine,
+HarnessResult RunWorkloadMixed(PartitionedLayout& engine,
                                const std::vector<Operation>& ops,
                                const HarnessOptions& options);
 

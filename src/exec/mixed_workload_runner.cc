@@ -16,14 +16,14 @@ struct Item {
   bool is_write = false;
   uint32_t begin = 0;  ///< [begin, end) indices into the op stream
   uint32_t end = 0;
-  std::vector<size_t> domains;     ///< sorted, deduped latch footprint
+  std::vector<size_t> chunks;      ///< sorted, deduped chunk footprint
   std::vector<uint32_t> succs;     ///< items unblocked by this one
   size_t dep_count = 0;            ///< incoming edges (duplicates counted)
 };
 
 }  // namespace
 
-ScanPartial ExecuteScanOnPool(const LayoutEngine& engine, const ScanSpec& spec,
+ScanPartial ExecuteScanOnPool(const PartitionedLayout& engine, const ScanSpec& spec,
                               ThreadPool* pool) {
   if (pool == nullptr || pool->num_threads() <= 1) {
     return engine.ExecuteScan(spec);
@@ -36,20 +36,19 @@ ScanPartial ExecuteScanOnPool(const LayoutEngine& engine, const ScanSpec& spec,
   return total;
 }
 
-MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
+MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
                                      const std::vector<Operation>& ops,
                                      const std::vector<size_t>& sum_cols) const {
   MixedResult result;
   result.results.assign(ops.size(), 0);
   if (ops.empty()) return result;
 
-  // --- 1. Split the stream into items and compute latch footprints. --------
+  // --- 1. Split the stream into items and compute chunk footprints. --------
+  const PartitionedTable& table = engine.table();
   std::vector<Item> items;
-  bool has_writes = false;
   for (uint32_t i = 0; i < ops.size(); ++i) {
     const Operation& op = ops[i];
     if (IsWriteKind(op.kind)) {
-      has_writes = true;
       // Start a new run iff the previous item is not a write run (every
       // prior op produced an item ending exactly at i, so runs are maximal).
       if (items.empty() || !items.back().is_write) {
@@ -60,34 +59,28 @@ MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
       }
       Item& item = items.back();
       item.end = i + 1;
-      item.domains.push_back(engine.WriteDomain(op.a));
-      if (op.kind == OpKind::kUpdate) {
-        item.domains.push_back(engine.WriteDomain(op.b));
-      }
+      item.chunks.push_back(table.ChunkFor(op.a));
+      if (op.kind == OpKind::kUpdate) item.chunks.push_back(table.ChunkFor(op.b));
     } else {
       Item item;
       item.begin = i;
       item.end = i + 1;
       if (op.kind == OpKind::kPointQuery) {
-        item.domains.push_back(engine.WriteDomain(op.a));
+        item.chunks.push_back(table.ChunkFor(op.a));
       } else if (op.a < op.b) {
-        engine.ReadDomains(op.a, op.b, &item.domains);
+        // Chunks cover contiguous sorted key ranges, so a range read touches
+        // the window [ChunkFor(lo), ChunkFor(hi - 1)].
+        const size_t last = table.ChunkFor(op.b - 1);
+        for (size_t c = table.ChunkFor(op.a); c <= last; ++c) item.chunks.push_back(c);
       }
       items.push_back(std::move(item));
     }
   }
   for (Item& item : items) {
-    std::sort(item.domains.begin(), item.domains.end());
-    item.domains.erase(std::unique(item.domains.begin(), item.domains.end()),
-                       item.domains.end());
+    std::sort(item.chunks.begin(), item.chunks.end());
+    item.chunks.erase(std::unique(item.chunks.begin(), item.chunks.end()),
+                      item.chunks.end());
   }
-
-  // Read-only streams carry a chunk snapshot across the run: the epochs
-  // reveal (non-fatally) whether an external writer overlapped — external
-  // writers are legal under the latches, they just make results
-  // bounded-stale instead of serial-equivalent.
-  const ChunkSnapshot snapshot =
-      has_writes ? ChunkSnapshot{} : ChunkSnapshot::Capture(engine, oracle_);
 
   // Specs for the range-read ops, built once on this (serial) setup path:
   // workers only read them, so the concurrent phase never allocates or
@@ -142,35 +135,35 @@ MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
   if (pool_ == nullptr || pool_->num_threads() <= 1 || items.size() == 1) {
     for (const Item& item : items) run_item(item);
   } else {
-    // Per-domain edge construction mirroring shared/exclusive latch
+    // Per-chunk edge construction mirroring shared/exclusive latch
     // compatibility in stream order: readers since the last write all block
     // the next write; the last write blocks everything after it until the
     // next write supersedes it.
-    const size_t num_domains = engine.NumShards();
-    std::vector<uint32_t> last_write(num_domains, UINT32_MAX);
-    std::vector<std::vector<uint32_t>> readers(num_domains);
+    const size_t num_chunks = table.num_chunks();
+    std::vector<uint32_t> last_write(num_chunks, UINT32_MAX);
+    std::vector<std::vector<uint32_t>> readers(num_chunks);
     for (uint32_t i = 0; i < items.size(); ++i) {
-      for (const size_t d : items[i].domains) {
+      for (const size_t c : items[i].chunks) {
         if (!items[i].is_write) {
-          if (last_write[d] != UINT32_MAX) {
-            items[last_write[d]].succs.push_back(i);
+          if (last_write[c] != UINT32_MAX) {
+            items[last_write[c]].succs.push_back(i);
             ++items[i].dep_count;
           }
-          readers[d].push_back(i);
+          readers[c].push_back(i);
         } else {
-          if (readers[d].empty()) {
-            if (last_write[d] != UINT32_MAX) {
-              items[last_write[d]].succs.push_back(i);
+          if (readers[c].empty()) {
+            if (last_write[c] != UINT32_MAX) {
+              items[last_write[c]].succs.push_back(i);
               ++items[i].dep_count;
             }
           } else {
-            for (const uint32_t r : readers[d]) {
+            for (const uint32_t r : readers[c]) {
               items[r].succs.push_back(i);
               ++items[i].dep_count;
             }
-            readers[d].clear();
+            readers[c].clear();
           }
-          last_write[d] = i;
+          last_write[c] = i;
         }
       }
     }
@@ -205,11 +198,10 @@ MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
   result.last_commit_ts = last_ts.load();
   for (const uint64_t r : result.results) result.checksum += r;
   result.checksum += result.deletes + result.updates;
-  result.quiescent = has_writes || snapshot.Validate(engine);
   return result;
 }
 
-MixedResult MixedWorkloadRunner::Run(LayoutEngine& engine,
+MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
                                      const std::vector<Operation>& ops) const {
   return Run(engine, ops, DefaultSumColumns(engine));
 }

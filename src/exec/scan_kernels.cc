@@ -153,8 +153,10 @@ uint64_t CountU64InRange(const uint64_t* d, size_t n, uint64_t lo, uint64_t hi) 
     c3 += static_cast<uint64_t>(d[i + 3] >= lo) & static_cast<uint64_t>(d[i + 3] < hi);
   }
   uint64_t c = c0 + c1 + c2 + c3;
-  for (; i < n; ++i) {
-    c += static_cast<uint64_t>(d[i] >= lo) & static_cast<uint64_t>(d[i] < hi);
+  // A pointer tail: GCC 12 misreads an index tail inlined through the
+  // 64-value unpack buffer as overflowing (-Waggressive-loop-optimizations).
+  for (const uint64_t* p = d + i; p != d + n; ++p) {
+    c += static_cast<uint64_t>(*p >= lo) & static_cast<uint64_t>(*p < hi);
   }
   return c;
 }
@@ -189,7 +191,8 @@ uint64_t SumIndexedU64(const uint64_t* lut, const uint64_t* idx, size_t n) {
     s3 += lut[idx[i + 3]];
   }
   uint64_t s = s0 + s1 + s2 + s3;
-  for (; i < n; ++i) s += lut[idx[i]];
+  // Pointer tail, as in CountU64InRange.
+  for (const uint64_t* p = idx + i; p != idx + n; ++p) s += lut[*p];
   return s;
 }
 

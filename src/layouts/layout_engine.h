@@ -29,6 +29,13 @@ enum class LayoutMode {
 
 std::string_view LayoutModeName(LayoutMode mode);
 
+/// True for the range-partitioned modes (EquiWidth, EquiWidthGhost, Casper):
+/// the ones PartitionedLayout implements and the engine facade opens.
+inline bool IsPartitionedMode(LayoutMode mode) {
+  return mode == LayoutMode::kEquiWidth || mode == LayoutMode::kEquiWidthGhost ||
+         mode == LayoutMode::kCasper;
+}
+
 /// Memory-amplification report (paper's three-way tradeoff).
 struct LayoutMemoryStats {
   size_t data_bytes = 0;   ///< live rows
@@ -67,17 +74,19 @@ void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out)
 /// read work (paper §6.3): the partitioned layouts have one shard per column
 /// chunk, and NoOrder, Sorted and the delta store are one shard each — a
 /// single store is a single chunk. ExecuteScan is the in-order merge of
-/// every shard, and ExecuteScanOnPool (exec/) runs the same shards on a
-/// pool.
+/// every shard, and ExecuteScanOnPool (exec/) runs a partitioned layout's
+/// shards on a pool.
 ///
 /// Concurrency: every read and write path is routed through an epoch/latch
 /// (chunk_latch.h) — per chunk for the partitioned layouts, whole-engine for
 /// the single-store ones — so reads may overlap ingest and chunk-disjoint
 /// write runs commit in parallel. Each shard is read under one hold of its
-/// latch, so a shard's partial is always a state that shard was in. The
-/// latch-domain surface below exposes the conflict structure to schedulers
-/// (exec/mixed_workload_runner) that need deterministic, serial-equivalent
-/// mixed execution.
+/// latch, so a shard's partial is always a state that shard was in.
+///
+/// The engine facade and the mixed runner hold the partitioned layout
+/// (layouts/partitioned.h) directly; NoOrder, Sorted and the delta store are
+/// the paper's comparison points, built through BuildLayout and replayed
+/// through this interface.
 class LayoutEngine {
  public:
   virtual ~LayoutEngine() = default;
@@ -96,11 +105,9 @@ class LayoutEngine {
   // non-virtual wrappers that build specs; adding a query shape means
   // building a spec value, not growing the virtual surface of six layouts.
 
-  /// Number of independently scannable shards, which are also the latch
-  /// domains of the concurrency-control surface below: one per column chunk
-  /// for the partitioned layouts, one for the single-store layouts. Reads and
-  /// writes on distinct shards never conflict. Fixed for the engine's
-  /// lifetime (chunk routing bounds are build-time constants).
+  /// Number of independently scannable shards: one per column chunk for the
+  /// partitioned layouts, one for the single-store layouts. Fixed for the
+  /// engine's lifetime (chunk routing bounds are build-time constants).
   virtual size_t NumShards() const { return 1; }
 
   /// The shard-s slice of ExecuteScan, evaluated under one hold of the
@@ -155,42 +162,6 @@ class LayoutEngine {
   /// Structural self-check (test hook); default no-op.
   virtual void ValidateInvariants() const {}
 
-  /// Unified stats read surface: one coherent per-chunk counter snapshot.
-  /// Dashboards, advisors, and the layout maintenance service all consume
-  /// this instead of per-layout snapshot loops. Layouts without per-chunk
-  /// accounting return an empty registry.
-  virtual StatsSnapshotRegistry StatsSnapshots() const { return {}; }
-
-  /// Hash of the physical layout geometry (partition boundaries and
-  /// capacities). Stable across reads; changed by online re-partitioning.
-  /// Layouts without tunable geometry return 0.
-  virtual uint64_t LayoutFingerprint() const { return 0; }
-
-  // --- Concurrency-control surface (epoch/latch domains) -------------------
-  // Domains are numbered like shards: [0, NumShards()).
-
-  /// Latch domain a write on `key` routes to.
-  virtual size_t WriteDomain(Value key) const {
-    (void)key;
-    return 0;
-  }
-
-  /// Appends the latch domains a read over [lo, hi) may touch (point reads
-  /// pass hi == lo + 1). Conservative supersets are allowed.
-  virtual void ReadDomains(Value lo, Value hi, std::vector<size_t>* out) const {
-    (void)lo;
-    (void)hi;
-    out->push_back(0);
-  }
-
-  /// The epoch/latch protecting `domain` — for epoch sniffing
-  /// (ChunkLatch::WriteActive) and snapshot validation (ChunkSnapshot);
-  /// the engine's own paths already latch internally.
-  virtual const ChunkLatch& DomainLatch(size_t domain) const {
-    (void)domain;
-    return engine_latch_;
-  }
-
   // --- Batched write surface -----------------------------------------------
 
   /// Applies a run of inserts (with their payloads) and deletes with results
@@ -223,9 +194,8 @@ class LayoutEngine {
   }
 
  protected:
-  /// Whole-engine epoch/latch for single-domain layouts. Implementations
-  /// with finer-grained protection (PartitionedLayout) override the domain
-  /// surface and leave this unused.
+  /// Whole-engine epoch/latch for the single-store layouts; PartitionedLayout
+  /// latches per chunk and leaves this unused.
   mutable ChunkLatch engine_latch_;
 };
 

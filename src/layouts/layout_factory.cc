@@ -87,9 +87,42 @@ std::vector<size_t> EvenGhosts(size_t partitions, size_t budget) {
   return g;
 }
 
-std::unique_ptr<LayoutEngine> BuildPartitioned(
+}  // namespace
+
+PartitionedTable::Options PartitionedTableOptionsFor(
+    const LayoutBuildOptions& options) {
+  PartitionedTable::Options topts;
+  topts.chunk_values = options.chunk_values;
+  topts.chunk.block_values = options.block_values;
+  topts.chunk.dense = (options.mode == LayoutMode::kEquiWidth);
+  // The dense design moves exactly one slot per ripple (paper Fig. 4);
+  // batching is a ghost-value optimization (paper §6.1).
+  topts.chunk.ghost_batch = topts.chunk.dense ? 1 : options.ghost_batch;
+  topts.chunk.spare_tail = (options.mode == LayoutMode::kEquiWidth)
+                               ? options.spare_tail
+                               : 0;
+  return topts;
+}
+
+PlannerOptions ResolvePlannerOptions(const LayoutBuildOptions& options) {
+  PlannerOptions planner = options.planner;
+  planner.ghost_fraction = options.ghost_fraction;
+  if (planner.max_partitions == 0) planner.max_partitions = options.equi_partitions;
+  if (options.calibrate_costs) {
+    // Preserve any SLA the caller expressed in pre-calibration units by
+    // keeping index_probe; only the four access constants are replaced.
+    const double probe = planner.costs.index_probe;
+    planner.costs = CalibrateEngineCosts(options.block_values);
+    planner.costs.index_probe = probe;
+  }
+  return planner;
+}
+
+std::unique_ptr<PartitionedLayout> BuildPartitionedLayout(
     const LayoutBuildOptions& options, std::vector<Value> keys,
     std::vector<std::vector<Payload>> payload) {
+  CASPER_CHECK_MSG(IsPartitionedMode(options.mode),
+                   "BuildPartitionedLayout needs a partitioned layout mode");
   SortRowsByKey(&keys, &payload);
   const auto counts = DuplicateSafeChunkCounts(keys, options.chunk_values);
 
@@ -131,38 +164,6 @@ std::unique_ptr<LayoutEngine> BuildPartitioned(
   return std::make_unique<PartitionedLayout>(options.mode, std::move(table));
 }
 
-}  // namespace
-
-PartitionedTable::Options PartitionedTableOptionsFor(
-    const LayoutBuildOptions& options) {
-  PartitionedTable::Options topts;
-  topts.chunk_values = options.chunk_values;
-  topts.chunk.block_values = options.block_values;
-  topts.chunk.dense = (options.mode == LayoutMode::kEquiWidth);
-  // The dense design moves exactly one slot per ripple (paper Fig. 4);
-  // batching is a ghost-value optimization (paper §6.1).
-  topts.chunk.ghost_batch = topts.chunk.dense ? 1 : options.ghost_batch;
-  topts.chunk.spare_tail = (options.mode == LayoutMode::kEquiWidth)
-                               ? options.spare_tail
-                               : 0;
-  topts.chunk.index_fanout = options.index_fanout;
-  return topts;
-}
-
-PlannerOptions ResolvePlannerOptions(const LayoutBuildOptions& options) {
-  PlannerOptions planner = options.planner;
-  planner.ghost_fraction = options.ghost_fraction;
-  if (planner.max_partitions == 0) planner.max_partitions = options.equi_partitions;
-  if (options.calibrate_costs) {
-    // Preserve any SLA the caller expressed in pre-calibration units by
-    // keeping index_probe; only the four access constants are replaced.
-    const double probe = planner.costs.index_probe;
-    planner.costs = CalibrateEngineCosts(options.block_values);
-    planner.costs.index_probe = probe;
-  }
-  return planner;
-}
-
 std::unique_ptr<LayoutEngine> BuildLayout(const LayoutBuildOptions& options,
                                           std::vector<Value> keys,
                                           std::vector<std::vector<Payload>> payload) {
@@ -176,7 +177,6 @@ std::unique_ptr<LayoutEngine> BuildLayout(const LayoutBuildOptions& options,
     case LayoutMode::kDeltaStore: {
       SortRowsByKey(&keys, &payload);
       DeltaStoreLayout::Options dopts;
-      dopts.merge_fraction = options.delta_merge_fraction;
       dopts.min_merge_rows = options.delta_min_merge_rows;
       return std::make_unique<DeltaStoreLayout>(std::move(keys), std::move(payload),
                                                 dopts);
@@ -184,7 +184,7 @@ std::unique_ptr<LayoutEngine> BuildLayout(const LayoutBuildOptions& options,
     case LayoutMode::kEquiWidth:
     case LayoutMode::kEquiWidthGhost:
     case LayoutMode::kCasper:
-      return BuildPartitioned(options, std::move(keys), std::move(payload));
+      return BuildPartitionedLayout(options, std::move(keys), std::move(payload));
   }
   CASPER_CHECK_MSG(false, "unknown layout mode");
   return nullptr;

@@ -11,6 +11,7 @@
 
 namespace casper {
 
+class PartitionedLayout;
 class ThreadPool;
 
 /// Everything needed to instantiate any of the six layout modes over the
@@ -37,7 +38,6 @@ struct LayoutBuildOptions {
   /// 100M rows even 0.1% dwarfs a 10k-op workload; see EXPERIMENTS.md).
   double ghost_fraction = 0.01;
   size_t ghost_batch = 8;
-  size_t index_fanout = 9;
 
   /// Dense-layout scratch space at the column end (NoOrder-style spare).
   size_t spare_tail = 1024;
@@ -45,8 +45,8 @@ struct LayoutBuildOptions {
   // Delta-store knobs: the write-store is a bounded buffer that is merged
   // back ("moved out") when full, like Vertica's WOS — the continuous
   // integration cost the paper charges the state of the art for. The cap is
-  // the larger of an absolute budget and a fraction of the main store.
-  double delta_merge_fraction = 0.002;
+  // the larger of this absolute budget and DeltaStoreLayout's default
+  // fraction of the main store.
   size_t delta_min_merge_rows = 4096;
 
   /// Casper's optimizer inputs (access costs, SLAs). ghost_fraction and the
@@ -82,9 +82,16 @@ std::unique_ptr<LayoutEngine> BuildLayout(const LayoutBuildOptions& options,
                                           std::vector<Value> keys,
                                           std::vector<std::vector<Payload>> payload);
 
+/// BuildLayout for the partitioned modes (EquiWidth, EquiWidthGhost,
+/// Casper): sorts the rows, cuts duplicate-safe chunks and plans each
+/// chunk's partitions and ghost slots. Casper mode needs options.training.
+std::unique_ptr<PartitionedLayout> BuildPartitionedLayout(
+    const LayoutBuildOptions& options, std::vector<Value> keys,
+    std::vector<std::vector<Payload>> payload);
+
 /// The PartitionedTable::Options a partitioned build derives from the
 /// build-level knobs (chunk capacity, block granularity, dense/ghost mode,
-/// spare tail, index fan-out). Exposed so durable-store recovery rebuilds
+/// spare tail). Exposed so durable-store recovery rebuilds
 /// the table under exactly the configuration the original build used.
 PartitionedTable::Options PartitionedTableOptionsFor(
     const LayoutBuildOptions& options);

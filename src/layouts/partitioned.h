@@ -12,7 +12,10 @@ namespace casper {
 /// ghost values, and Casper's workload-tailored layout all share this
 /// engine — they differ only in the ChunkLayoutSpecs the factory feeds the
 /// underlying PartitionedTable (paper §7: "Casper integrates all tested
-/// column layout strategies").
+/// column layout strategies"). This is the engine: the CasperEngine facade,
+/// the mixed runner, maintenance and durable storage all hold it directly.
+/// Its column chunks are the independent unit of layout and of execution
+/// (paper §6.3): one shard and one latch per chunk.
 class PartitionedLayout final : public LayoutEngine {
  public:
   PartitionedLayout(LayoutMode mode, PartitionedTable table)
@@ -29,23 +32,6 @@ class PartitionedLayout final : public LayoutEngine {
   size_t Delete(Value key) override { return table_.Delete(key); }
   bool UpdateKey(Value old_key, Value new_key) override {
     return table_.UpdateKey(old_key, new_key);
-  }
-
-  // Concurrency-control surface: one latch domain per column chunk — the
-  // unit at which reads overlap ingest and disjoint write runs commit in
-  // parallel (PartitionedTable latches every path internally).
-  size_t WriteDomain(Value key) const override { return table_.ChunkFor(key); }
-  void ReadDomains(Value lo, Value hi, std::vector<size_t>* out) const override {
-    if (lo >= hi) return;
-    // Chunks cover contiguous sorted key ranges, so the overlap set is the
-    // contiguous window [ChunkFor(lo), ChunkFor(hi - 1)] — two binary
-    // searches instead of an O(num_chunks) scan per range read.
-    const size_t first = table_.ChunkFor(lo);
-    const size_t last = table_.ChunkFor(hi - 1);
-    for (size_t c = first; c <= last; ++c) out->push_back(c);
-  }
-  const ChunkLatch& DomainLatch(size_t domain) const override {
-    return table_.chunk_latch(domain);
   }
 
   // Sharded read surface: one shard per column chunk (chunks are the
@@ -79,12 +65,13 @@ class PartitionedLayout final : public LayoutEngine {
   }
   void ValidateInvariants() const override { table_.ValidateInvariants(); }
 
-  StatsSnapshotRegistry StatsSnapshots() const override {
-    return table_.StatsSnapshots();
-  }
-  uint64_t LayoutFingerprint() const override {
-    return table_.LayoutFingerprint();
-  }
+  /// One coherent per-chunk counter snapshot: the stats surface that
+  /// dashboards, advisors and the layout maintenance service read.
+  StatsSnapshotRegistry StatsSnapshots() const { return table_.StatsSnapshots(); }
+
+  /// Hash of the partition geometry (boundaries and capacities): stable
+  /// across reads, changed by online re-partitioning.
+  uint64_t LayoutFingerprint() const { return table_.LayoutFingerprint(); }
 
   /// Maintenance entry point: rebuild chunk c's partitioning in place under
   /// its exclusive latch (queries keep flowing on every other chunk).

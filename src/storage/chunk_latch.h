@@ -20,8 +20,8 @@ namespace casper {
 /// - Writers take it exclusive and advance the epoch twice: to an odd value
 ///   on entry, back to even on exit. The epoch is therefore odd exactly
 ///   while a writer is inside the chunk.
-/// - Snapshots compare epochs to tell whether a writer entered a chunk
-///   between two points (see exec/chunk_snapshot.h).
+/// - Comparing two epochs tells whether a writer entered a chunk between
+///   two points (the compressed cache keys its encodings by epoch).
 /// - Seqlock reads over atomic payloads (e.g. ChunkStats' relaxed counters)
 ///   use `ReadBegin()` / `ReadValidate()` to obtain a copy that is coherent
 ///   with respect to writers, without ever touching the mutex.

@@ -90,7 +90,7 @@ PartitionedColumnChunk PartitionedColumnChunk::Build(
   std::vector<Value> uppers;
   uppers.reserve(chunk.parts_.size());
   for (const auto& p : chunk.parts_) uppers.push_back(p.upper);
-  chunk.index_ = PartitionIndex(std::move(uppers), options.index_fanout);
+  chunk.index_ = PartitionIndex(std::move(uppers));
   return chunk;
 }
 

@@ -40,8 +40,6 @@ class PartitionedColumnChunk {
     /// Extra free slots appended after the last partition at build time
     /// (the column-end scratch space of the dense design).
     size_t spare_tail = 0;
-    /// Partition-index fan-out.
-    size_t index_fanout = 9;
   };
 
   struct Partition {

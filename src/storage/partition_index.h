@@ -8,6 +8,9 @@
 
 namespace casper {
 
+/// Fan-out of every partition index the engine builds.
+inline constexpr size_t kPartitionIndexFanout = 9;
+
 /// The shallow k-ary partition index of paper §3/§6.3 ("Locating
 /// Partitions"): a static search tree over partition routing bounds. The
 /// upper bound of partition t is the largest key routed to t; Route(v)
@@ -22,7 +25,8 @@ class PartitionIndex {
   PartitionIndex() = default;
 
   /// `uppers` must be non-decreasing; entry t routes values <= uppers[t].
-  explicit PartitionIndex(std::vector<Value> uppers, size_t fanout = 9);
+  explicit PartitionIndex(std::vector<Value> uppers,
+                          size_t fanout = kPartitionIndexFanout);
 
   /// Rebuild after partition bounds change.
   void Reset(std::vector<Value> uppers);
@@ -42,7 +46,7 @@ class PartitionIndex {
   void BuildTree();
 
   std::vector<Value> uppers_;
-  size_t fanout_ = 9;
+  size_t fanout_ = kPartitionIndexFanout;
   // Implicit k-ary tree: level_offsets_[l] is where level l starts in
   // tree_; level 0 is the root. Leaves are the uppers themselves.
   std::vector<Value> tree_;

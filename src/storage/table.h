@@ -168,8 +168,8 @@ class PartitionedTable {
     }
   }
 
-  /// Unified stats read surface: one CoherentStatsSnapshot per chunk (the
-  /// LayoutEngine::StatsSnapshots surface for partitioned layouts).
+  /// Unified stats read surface: one CoherentStatsSnapshot per chunk
+  /// (behind PartitionedLayout::StatsSnapshots).
   StatsSnapshotRegistry StatsSnapshots() const {
     StatsSnapshotRegistry reg;
     reg.per_chunk.reserve(chunks_.size());

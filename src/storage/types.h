@@ -134,10 +134,9 @@ struct ChunkStatsSnapshot {
 };
 
 /// The unified stats read surface: one coherent counter snapshot per chunk,
-/// as returned by LayoutEngine::StatsSnapshots(). Everything that used to
-/// hand-roll CoherentStatsSnapshot loops (dashboards, advisors, the layout
-/// maintenance service) reads this instead. Layouts without per-chunk
-/// accounting return an empty registry.
+/// as returned by PartitionedLayout::StatsSnapshots(). Everything that used
+/// to hand-roll CoherentStatsSnapshot loops (dashboards, advisors, the
+/// layout maintenance service) reads this instead.
 struct StatsSnapshotRegistry {
   std::vector<ChunkStatsSnapshot> per_chunk;
 

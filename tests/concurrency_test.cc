@@ -34,6 +34,11 @@ std::vector<LayoutMode> AllModes() {
           LayoutMode::kEquiWidthGhost, LayoutMode::kCasper};
 }
 
+/// The modes the mixed runner takes: the partitioned layout's three.
+std::vector<LayoutMode> PartitionedModes() {
+  return {LayoutMode::kEquiWidth, LayoutMode::kEquiWidthGhost, LayoutMode::kCasper};
+}
+
 struct Fixture {
   hap::Dataset data;
   std::vector<Operation> training;
@@ -50,14 +55,22 @@ Fixture MakeFixture(size_t rows, uint64_t seed) {
   return f;
 }
 
-std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
+LayoutBuildOptions ModeOptions(LayoutMode mode, const Fixture& f) {
   LayoutBuildOptions opts;
   opts.mode = mode;
   opts.chunk_values = 4096;
   opts.block_values = 128;
   opts.calibrate_costs = false;
   opts.training = &f.training;
-  return BuildLayout(opts, f.data.keys, f.data.payload);
+  return opts;
+}
+
+std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
+  return BuildLayout(ModeOptions(mode, f), f.data.keys, f.data.payload);
+}
+
+std::unique_ptr<PartitionedLayout> BuildPartitioned(LayoutMode mode, const Fixture& f) {
+  return BuildPartitionedLayout(ModeOptions(mode, f), f.data.keys, f.data.payload);
 }
 
 /// Seeded read-only stream: point queries, range counts, range sums.
@@ -157,13 +170,11 @@ TEST(ConcurrentQueries, RunnerResultsBitIdenticalToSerialAcrossLayouts) {
   const std::vector<size_t> cols = {0, 1};
   const auto queries = ReadOnlyOps(400, f.data.domain_lo, f.data.domain_hi, 99);
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto engine = BuildMode(mode, f);
+    auto engine = BuildPartitioned(mode, f);
     const auto serial = serial_runner.Run(*engine, queries, cols).results;
-    const MixedResult run = runner.Run(*engine, queries, cols);
-    EXPECT_TRUE(run.quiescent);
-    const auto& parallel = run.results;
+    const auto parallel = runner.Run(*engine, queries, cols).results;
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t q = 0; q < serial.size(); ++q) {
       EXPECT_EQ(parallel[q], serial[q]) << "query " << q;
@@ -181,9 +192,9 @@ TEST(ConcurrentQueries, HarnessConcurrentChecksumMatchesSerialReplay) {
   ThreadPool pool(4);
   const auto ops = ReadOnlyOps(500, f.data.domain_lo, f.data.domain_hi, 77);
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto engine = BuildMode(mode, f);
+    auto engine = BuildPartitioned(mode, f);
 
     HarnessOptions serial_opts;
     serial_opts.record_latency = false;
@@ -197,8 +208,7 @@ TEST(ConcurrentQueries, HarnessConcurrentChecksumMatchesSerialReplay) {
 }
 
 // A read-only RunMixed is the facade's inter-query path: on a quiescent
-// engine every answer equals the serial facade call for that query, and the
-// run reports itself quiescent (no outside writer overlapped it).
+// engine every answer equals the serial facade call for that query.
 TEST(ConcurrentQueries, EngineReadOnlyRunMixedMatchesSerialFacade) {
   const Fixture f = MakeFixture(20000, 31);
   EngineOptions opts;
@@ -214,7 +224,6 @@ TEST(ConcurrentQueries, EngineReadOnlyRunMixedMatchesSerialFacade) {
 
   const auto queries = ReadOnlyOps(300, f.data.domain_lo, f.data.domain_hi, 404);
   const MixedResult run = engine.RunMixed(queries);
-  EXPECT_TRUE(run.quiescent);
   ASSERT_EQ(run.results.size(), queries.size());
   const auto cols = DefaultSumColumns(engine.layout());
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -242,10 +251,8 @@ TEST(ConcurrentQueries, EngineReadOnlyRunMixedMatchesSerialFacade) {
 // total is exact under any interleaving.
 TEST(ConcurrentQueries, StatsCountersLoseNoIncrements) {
   const Fixture f = MakeFixture(20000, 13);
-  auto engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
-  auto* pl = dynamic_cast<PartitionedLayout*>(engine.get());
-  ASSERT_NE(pl, nullptr);
-  PartitionedTable& table = pl->mutable_table();
+  auto engine = BuildPartitioned(LayoutMode::kEquiWidthGhost, f);
+  PartitionedTable& table = engine->mutable_table();
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     table.mutable_key_chunk(c).stats().Clear();
   }

@@ -1,7 +1,8 @@
 // Tests for the sharded parallel execution layer (src/exec/): reads fanned
-// over a pool must be bit-identical to serial execution across all six
-// layouts, and the batched write surface must be indistinguishable from
-// applying the same operations one-by-one (randomized, seeded).
+// over a pool must be bit-identical to serial execution on the partitioned
+// layouts, every layout's shard merge must be exact, and the batched write
+// surface must be indistinguishable from applying the same operations
+// one-by-one (randomized, seeded).
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -27,6 +28,11 @@ std::vector<LayoutMode> AllModes() {
           LayoutMode::kEquiWidthGhost, LayoutMode::kCasper};
 }
 
+/// The modes ExecuteScanOnPool takes: the partitioned layout's three.
+std::vector<LayoutMode> PartitionedModes() {
+  return {LayoutMode::kEquiWidth, LayoutMode::kEquiWidthGhost, LayoutMode::kCasper};
+}
+
 struct Fixture {
   hap::Dataset data;
   std::vector<Operation> training;
@@ -43,18 +49,22 @@ Fixture MakeFixture(size_t rows, uint64_t seed) {
   return f;
 }
 
-std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
+LayoutBuildOptions ModeOptions(LayoutMode mode, const std::vector<Operation>& training) {
   LayoutBuildOptions opts;
   opts.mode = mode;
   opts.chunk_values = 4096;   // many chunks -> many shards at test scale
   opts.block_values = 128;
   opts.calibrate_costs = false;  // deterministic plans
-  opts.training = &f.training;
-  return BuildLayout(opts, f.data.keys, f.data.payload);
+  opts.training = &training;
+  return opts;
+}
+
+std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
+  return BuildLayout(ModeOptions(mode, f.training), f.data.keys, f.data.payload);
 }
 
 /// Live rows visited by a full scan fanned over `pool` (serial when null).
-uint64_t PoolScanAll(const LayoutEngine& engine, ThreadPool* pool) {
+uint64_t PoolScanAll(const PartitionedLayout& engine, ThreadPool* pool) {
   return ExecuteScanOnPool(engine, ScanSpec::FullScan(), pool).count;
 }
 
@@ -113,9 +123,10 @@ TEST(ParallelExec, ParallelReadsBitIdenticalToSerialAcrossLayouts) {
   const uint64_t span = static_cast<uint64_t>(f.data.domain_hi - lo) + 1;
   const std::vector<size_t> cols = {0, 1};
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto engine = BuildMode(mode, f);
+    auto engine = BuildPartitionedLayout(ModeOptions(mode, f.training), f.data.keys,
+                                         f.data.payload);
     EXPECT_EQ(PoolScanAll(*engine, &pool), 30000u);
     EXPECT_EQ(PoolScanAll(*engine, &pool), PoolScanAll(*engine, nullptr));
 
@@ -136,21 +147,6 @@ TEST(ParallelExec, ParallelReadsBitIdenticalToSerialAcrossLayouts) {
   }
 }
 
-TEST(ParallelExec, NoOrderPoolScanMatchesSerial) {
-  const Fixture f = MakeFixture(150000, 11);
-  LayoutBuildOptions opts;
-  opts.mode = LayoutMode::kNoOrder;
-  auto engine = BuildLayout(opts, f.data.keys, f.data.payload);
-
-  ThreadPool pool(3);
-  EXPECT_EQ(PoolScanAll(*engine, &pool), 150000u);
-  const Value mid = (f.data.domain_lo + f.data.domain_hi) / 2;
-  EXPECT_EQ(
-      ExecuteScanOnPool(*engine, ScanSpec::Count(f.data.domain_lo, mid), &pool)
-          .count,
-      engine->CountRange(f.data.domain_lo, mid));
-}
-
 TEST(ParallelExec, PartitionedShardsAreChunks) {
   const Fixture f = MakeFixture(30000, 17);
   auto engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
@@ -164,13 +160,12 @@ TEST(ParallelExec, EveryLayoutShardMergeIsExact) {
   // 80000 rows: many 4096-value chunks for the partitioned layouts; the
   // single-store layouts are one shard each.
   const Fixture f = MakeFixture(80000, 29);
-  ThreadPool pool(4);
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
     // The shard decomposition is exact: per-shard scans sum to the rows.
     EXPECT_EQ(ShardedScanAll(*engine), engine->num_rows());
-    EXPECT_EQ(PoolScanAll(*engine, &pool), 80000u);
+    EXPECT_EQ(engine->ExecuteScan(ScanSpec::FullScan()).count, 80000u);
   }
 }
 
@@ -199,16 +194,13 @@ TEST(ParallelExec, ScanAllCoversDomainEdges) {
   ThreadPool pool(3);
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    LayoutBuildOptions opts;
-    opts.mode = mode;
-    opts.chunk_values = 4096;
-    opts.block_values = 128;
-    opts.calibrate_costs = false;
-    opts.training = &training;
+    const LayoutBuildOptions opts = ModeOptions(mode, training);
     auto engine = BuildLayout(opts, keys, payload);
-    EXPECT_EQ(PoolScanAll(*engine, &pool), keys.size());
-    EXPECT_EQ(PoolScanAll(*engine, nullptr), keys.size());
+    EXPECT_EQ(engine->ExecuteScan(ScanSpec::FullScan()).count, keys.size());
     EXPECT_EQ(ShardedScanAll(*engine), keys.size());
+    if (!IsPartitionedMode(mode)) continue;
+    auto partitioned = BuildPartitionedLayout(opts, keys, payload);
+    EXPECT_EQ(PoolScanAll(*partitioned, &pool), keys.size());
   }
 }
 

@@ -312,20 +312,10 @@ TEST(MaintenanceTest, DisabledMaintenanceNeverMutatesLayout) {
     engine.RunMixed(PhaseOps(scenario.phases[i], 300 + i));
   }
   EXPECT_EQ(engine.layout().LayoutFingerprint(), before);
-
-  // Layouts without partition geometry get no service even when enabled.
-  EngineOptions sopts = BaseOptions(data, &training);
-  sopts.layout.mode = LayoutMode::kSorted;
-  sopts.training = nullptr;
-  sopts.maintenance = ManualMaintenance();
-  CasperEngine sorted = CasperEngine::Open(std::move(sopts));
-  EXPECT_EQ(sorted.maintenance(), nullptr);
-  EXPECT_EQ(sorted.layout().LayoutFingerprint(), 0u);
 }
 
 // The unified stats surface: per-chunk snapshots line up with the shard
-// count, totals move when queries run, and non-partitioned layouts return an
-// empty registry.
+// count, and totals move when queries run.
 TEST(MaintenanceTest, StatsSnapshotRegistrySurface) {
   const TableData data = MakeData();
   const DriftScenario scenario = ShiftingHotRange(0, kDomain, 2);
@@ -340,11 +330,6 @@ TEST(MaintenanceTest, StatsSnapshotRegistrySurface) {
   const StatsSnapshotRegistry reg1 = engine.layout().StatsSnapshots();
   EXPECT_GT(reg1.Totals().partitions_scanned + reg1.Totals().partitions_pruned,
             reg0.Totals().partitions_scanned + reg0.Totals().partitions_pruned);
-
-  EngineOptions nopts = BaseOptions(data, nullptr);
-  nopts.layout.mode = LayoutMode::kNoOrder;
-  CasperEngine noorder = CasperEngine::Open(std::move(nopts));
-  EXPECT_TRUE(noorder.layout().StatsSnapshots().per_chunk.empty());
 }
 
 // A cycle that finds fewer buffered ops than the noise gate leaves them in

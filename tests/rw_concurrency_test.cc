@@ -4,8 +4,8 @@
 // threads must survive overlapping a live ingest with only bounded-staleness
 // effects, a pooled scan racing a row-moving writer must return a state the
 // table was actually in, chunk-disjoint write runs must commit in parallel
-// and overlapping runs serialize without deadlock, and ChunkSnapshot must
-// detect exactly the chunks an ingest touched. The read-only sibling of this
+// and overlapping runs serialize without deadlock, and coherent stats
+// snapshots must terminate under a live writer. The read-only sibling of this
 // file is concurrency_test.cc; both are built to run clean under
 // ThreadSanitizer (-DCASPER_TSAN=ON) with moderate sizes and deterministic
 // assertions.
@@ -20,7 +20,6 @@
 
 #include "engine/casper_engine.h"
 #include "engine/harness.h"
-#include "exec/chunk_snapshot.h"
 #include "exec/mixed_workload_runner.h"
 #include "layouts/layout_factory.h"
 #include "layouts/partitioned.h"
@@ -36,6 +35,11 @@ std::vector<LayoutMode> AllModes() {
   return {LayoutMode::kNoOrder,   LayoutMode::kSorted,
           LayoutMode::kDeltaStore, LayoutMode::kEquiWidth,
           LayoutMode::kEquiWidthGhost, LayoutMode::kCasper};
+}
+
+/// The modes the mixed runner takes: the partitioned layout's three.
+std::vector<LayoutMode> PartitionedModes() {
+  return {LayoutMode::kEquiWidth, LayoutMode::kEquiWidthGhost, LayoutMode::kCasper};
 }
 
 struct Fixture {
@@ -54,14 +58,22 @@ Fixture MakeFixture(size_t rows, uint64_t seed) {
   return f;
 }
 
-std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
+LayoutBuildOptions ModeOptions(LayoutMode mode, const Fixture& f) {
   LayoutBuildOptions opts;
   opts.mode = mode;
   opts.chunk_values = 4096;
   opts.block_values = 128;
   opts.calibrate_costs = false;
   opts.training = &f.training;
-  return BuildLayout(opts, f.data.keys, f.data.payload);
+  return opts;
+}
+
+std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
+  return BuildLayout(ModeOptions(mode, f), f.data.keys, f.data.payload);
+}
+
+std::unique_ptr<PartitionedLayout> BuildPartitioned(LayoutMode mode, const Fixture& f) {
+  return BuildPartitionedLayout(ModeOptions(mode, f), f.data.keys, f.data.payload);
 }
 
 /// Seeded mixed stream: the read kinds interleaved with insert / delete /
@@ -171,7 +183,7 @@ SerialRef SerialReplay(LayoutEngine& engine, const std::vector<Operation>& ops,
 // The tentpole guarantee: a mixed stream admitted to the DAG scheduler over
 // a real pool produces per-op read results, write aggregates, checksum AND
 // final physical state bit-identical to the single-threaded serial replay,
-// on every layout.
+// on every partitioned layout.
 TEST(MixedWorkload, RunMatchesSerialReplayAcrossLayouts) {
   const Fixture f = MakeFixture(20000, 11);
   ThreadPool pool(4);
@@ -179,9 +191,9 @@ TEST(MixedWorkload, RunMatchesSerialReplayAcrossLayouts) {
   const std::vector<size_t> cols = {0, 1};
   const auto ops = MixedOps(600, f.data.domain_lo, f.data.domain_hi, 303);
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto mixed_engine = BuildMode(mode, f);
+    auto mixed_engine = BuildPartitioned(mode, f);
     auto serial_engine = BuildMode(mode, f);
 
     const SerialRef ref = SerialReplay(*serial_engine, ops, cols);
@@ -254,9 +266,9 @@ TEST(MixedWorkload, AggregateBearingStreamMatchesSerialReplay) {
     }
   }
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto mixed_engine = BuildMode(mode, f);
+    auto mixed_engine = BuildPartitioned(mode, f);
     auto serial_engine = BuildMode(mode, f);
 
     const SerialRef ref = SerialReplay(*serial_engine, ops, cols);
@@ -350,7 +362,8 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
 // baselines move rows no write touched across window boundaries: NoOrder's
 // swap-remove jumps the last row to the front, and every Sorted delete or
 // insert shifts each later row by one position. Such a scan counts a row
-// twice or not at all.
+// twice or not at all. The partitioned layouts sum over the pool; a
+// single-store baseline is one shard and sums through ExecuteScan.
 TEST(ReadsDuringWrites, PooledSumNeverTearsUnderRowMovingWriter) {
   // 140000 rows: a scan split into 16K- or 64K-row windows would cross
   // several window boundaries here.
@@ -369,6 +382,7 @@ TEST(ReadsDuringWrites, PooledSumNeverTearsUnderRowMovingWriter) {
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
+    const auto* partitioned = dynamic_cast<const PartitionedLayout*>(engine.get());
     // NoOrder toggles whatever key is at position 0. The first toggle moves
     // the last row to the front and appends the deleted row, so position 0
     // alternates between the first and last input keys. The other layouts
@@ -397,7 +411,9 @@ TEST(ReadsDuringWrites, PooledSumNeverTearsUnderRowMovingWriter) {
     size_t torn = 0;
     const auto deadline = std::chrono::steady_clock::now() + kBudget;
     while (std::chrono::steady_clock::now() < deadline) {
-      const int64_t sum = ExecuteScanOnPool(*engine, spec, &pool).SumResult();
+      const int64_t sum = partitioned != nullptr
+                              ? ExecuteScanOnPool(*partitioned, spec, &pool).SumResult()
+                              : engine->ExecuteScan(spec).SumResult();
       if (std::find(states.begin(), states.end(), sum) == states.end()) ++torn;
       ++sums;
     }
@@ -418,18 +434,17 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
   const Value hi = f.data.domain_hi;
   const Value mid = lo + (hi - lo) / 2;
 
-  auto parallel_engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
+  auto parallel_engine = BuildPartitioned(LayoutMode::kEquiWidthGhost, f);
   auto serial_engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
-  auto* pl = dynamic_cast<PartitionedLayout*>(parallel_engine.get());
-  ASSERT_NE(pl, nullptr);
-  ASSERT_GT(pl->NumShards(), 2u);
+  const PartitionedTable& table = parallel_engine->table();
+  ASSERT_GT(table.num_chunks(), 2u);
 
   // Run A routes strictly below the chunk holding mid, run B strictly
   // above it: provably disjoint chunk footprints (keys are filtered by
-  // their actual latch domain, so the boundary chunk belongs to neither).
-  const size_t mid_domain = pl->WriteDomain(mid);
-  ASSERT_GT(mid_domain, 0u);
-  ASSERT_LT(mid_domain + 1, pl->NumShards());
+  // their actual chunk, so the boundary chunk belongs to neither).
+  const size_t mid_chunk = table.ChunkFor(mid);
+  ASSERT_GT(mid_chunk, 0u);
+  ASSERT_LT(mid_chunk + 1, table.num_chunks());
   auto make_run = [&](Value base, Value limit, bool below, uint64_t seed) {
     Rng rng(seed);
     const uint64_t span = static_cast<uint64_t>(limit - base);
@@ -438,8 +453,8 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
       Operation op;
       op.kind = rng.Below(100) < 70 ? OpKind::kInsert : OpKind::kDelete;
       op.a = base + static_cast<Value>(rng.Below(span));
-      const size_t d = pl->WriteDomain(op.a);
-      if (below ? d >= mid_domain : d <= mid_domain) continue;
+      const size_t c = table.ChunkFor(op.a);
+      if (below ? c >= mid_chunk : c <= mid_chunk) continue;
       run.push_back(op);
     }
     return run;
@@ -447,10 +462,10 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
   const auto run_a = make_run(lo, mid, /*below=*/true, 41);
   const auto run_b = make_run(mid + 1, hi, /*below=*/false, 42);
 
-  // Disjointness sanity: the two runs share no latch domain.
-  std::vector<bool> in_a(pl->NumShards(), false);
-  for (const auto& op : run_a) in_a[pl->WriteDomain(op.a)] = true;
-  for (const auto& op : run_b) ASSERT_FALSE(in_a[pl->WriteDomain(op.a)]);
+  // Disjointness sanity: the two runs share no chunk.
+  std::vector<bool> in_a(table.num_chunks(), false);
+  for (const auto& op : run_a) in_a[table.ChunkFor(op.a)] = true;
+  for (const auto& op : run_b) ASSERT_FALSE(in_a[table.ChunkFor(op.a)]);
 
   std::thread t1([&] { parallel_engine->ApplyBatch(run_a); });
   std::thread t2([&] { parallel_engine->ApplyBatch(run_b); });
@@ -514,42 +529,13 @@ TEST(WriteWriteConflicts, OverlappingRunsSerializeWithoutDeadlock) {
   parallel_engine->ValidateInvariants();
 }
 
-// ChunkSnapshot (exec/chunk_snapshot.h) must validate over a quiescent engine, flag exactly
-// the chunk a write touched, and carry oracle timestamps forward.
-TEST(ChunkSnapshots, DetectExactlyTheTouchedChunks) {
-  const Fixture f = MakeFixture(20000, 43);
-  auto engine = BuildMode(LayoutMode::kEquiWidth, f);
-  TimestampOracle oracle;
-
-  const ChunkSnapshot snap = ChunkSnapshot::Capture(*engine, &oracle);
-  EXPECT_TRUE(snap.Validate(*engine));
-  EXPECT_EQ(snap.num_domains(), engine->NumShards());
-
-  // Reads do not advance epochs.
-  engine->CountRange(f.data.domain_lo, f.data.domain_hi);
-  engine->PointLookup(f.data.domain_lo, nullptr);
-  EXPECT_TRUE(snap.Validate(*engine));
-
-  // One insert advances exactly its routed chunk's epoch.
-  const Value key = f.data.domain_lo + 5;
-  std::vector<Payload> payload;
-  KeyDerivedPayload(key, engine->num_payload_columns(), &payload);
-  engine->Insert(key, payload);
-  EXPECT_FALSE(snap.Validate(*engine));
-  const auto changed = snap.ChangedDomains(*engine);
-  ASSERT_EQ(changed.size(), 1u);
-  EXPECT_EQ(changed[0], engine->WriteDomain(key));
-}
-
 // CoherentStatsSnapshot's seqlock loop: equal to the raw snapshot when
 // quiescent, and always terminating (with copies taken from writer-free
 // epoch windows) while a writer is live.
-TEST(ChunkSnapshots, CoherentStatsSnapshotUnderWriter) {
+TEST(StatsSnapshots, CoherentStatsSnapshotUnderWriter) {
   const Fixture f = MakeFixture(20000, 67);
-  auto engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
-  auto* pl = dynamic_cast<PartitionedLayout*>(engine.get());
-  ASSERT_NE(pl, nullptr);
-  PartitionedTable& table = pl->mutable_table();
+  auto engine = BuildPartitioned(LayoutMode::kEquiWidthGhost, f);
+  PartitionedTable& table = engine->mutable_table();
 
   engine->CountRange(f.data.domain_lo, f.data.domain_hi);
   for (size_t c = 0; c < table.num_chunks(); ++c) {
@@ -616,15 +602,15 @@ TEST(MixedWorkload, EngineRunMixedMatchesSerialFacade) {
 }
 
 // Harness plumbing: RunWorkloadMixed's checksum equals the serial harness
-// replay with key-derived payloads, across all layouts.
+// replay with key-derived payloads, across the partitioned layouts.
 TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
   const Fixture f = MakeFixture(20000, 59);
   ThreadPool pool(4);
   const auto ops = MixedOps(500, f.data.domain_lo, f.data.domain_hi, 707);
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto mixed_engine = BuildMode(mode, f);
+    auto mixed_engine = BuildPartitioned(mode, f);
     auto serial_engine = BuildMode(mode, f);
 
     HarnessOptions serial_opts;

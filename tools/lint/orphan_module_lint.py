@@ -19,12 +19,7 @@ import sys
 from pathlib import Path
 
 # path (relative to repo root) -> why the header may stay test-only.
-ALLOWLIST = {
-    "src/model/learned_fm.h":
-        "paper §4.3 statistical frequency model; only learned_fm_test uses "
-        "it today, and whether to wire it in or delete it is an open "
-        "decision",
-}
+ALLOWLIST = {}
 
 # Directories whose includes make a header "used".
 USER_DIRS = ("src", "bench", "examples", "perfbench")
