@@ -9,7 +9,7 @@
 // path, written as $CASPER_BENCH_JSON metrics so the CI bench-smoke job
 // accumulates per-PR kernel numbers (see RunKernelAxis below and the
 // Kernel* google-benchmarks). The chunk-encode axis (RunChunkEncodeAxis)
-// times the warm-cache chunk build and the column profile inside it.
+// times the chunk-file encode and the column profile inside it.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -23,6 +23,7 @@
 #include "exec/scan_spec.h"
 #include "layouts/no_order.h"
 #include "model/encoding_advisor.h"
+#include "persist/chunk_format.h"
 #include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
 #include "storage/partition_index.h"
@@ -175,9 +176,8 @@ void RunKernelAxis(bench::JsonMetrics* metrics) {
 // a descriptor build + the ScanSpecShard virtual. This axis pins the facade's
 // cost: engine.CountRange (spec path end to end, latch included) against the
 // raw kernel call that the pre-redesign virtual body reduced to on this
-// layout. Keys are drawn from the full 63-bit domain so the compressed-chunk
-// cache's >=2x-compression gate rejects the column and BOTH paths scan the
-// raw array — apples to apples. The facade must cost <= 2%.
+// layout. The layout keeps its keys in one form, so BOTH paths scan the raw
+// array — apples to apples. The facade must cost <= 2%.
 
 double RunSpecDispatchAxis(bench::JsonMetrics* metrics) {
   // Chunk-sized scan (the unit real queries amortize over): long enough that
@@ -345,15 +345,14 @@ double RunPackedPayloadAxis(bench::JsonMetrics* metrics) {
 }
 
 // --- Chunk-encode axis -------------------------------------------------------
-// The warm-cache build a range scan triggers once a chunk crosses the
-// compressed cache's scan threshold, on the perfbench durable_drift chunk
-// shape: 26,215 live rows in 48 key-sorted partitions and three uniform
-// [0, 10000) payload columns, encoded by EncodeChunkRows with the advisor
-// the cache uses (PartitionedTable::CompressedFor). The column profile is
-// timed on its own against the sort-based count it replaced; the CI gate is
-// that the profile runs at >= 5x that reference. Before any number is
-// published the profile is checked against the sort-based one (the unit
-// tests pin the encoded words against per-value builds).
+// The chunk-file encode an eviction or a store write runs, on the perfbench
+// durable_drift chunk shape: 26,215 live rows in 48 key-sorted partitions
+// and three uniform [0, 10000) payload columns, encoded by
+// ChunkWriter::Encode. The column profile is timed on its own against the
+// sort-based count it replaced; the CI gate is that the profile runs at
+// >= 5x that reference. Before any number is published the profile is
+// checked against the sort-based one (the unit tests pin the encoded words
+// against per-value builds).
 
 constexpr size_t kEncodeRows = 26215;
 constexpr size_t kEncodeParts = 48;
@@ -403,11 +402,6 @@ PayloadColumnProfile SortProfile(const std::vector<Payload>& values) {
 double RunChunkEncodeAxis(bench::JsonMetrics* metrics) {
   const size_t reps = bench::SmokeMode() ? 11 : 51;
   const ChunkRows rows = MakeEncodeChunk();
-  // A read-only chunk, as when the eighth scan at one epoch builds it.
-  const uint64_t reads = 1;
-  const auto advise = [&](const std::vector<Payload>& col) {
-    return AdvisePayloadEncoding(col, reads, /*writes=*/0);
-  };
 
   // Interleaved best-of windows, like the spec and packed-payload axes.
   double encode_best_ns = 1e300;
@@ -415,7 +409,7 @@ double RunChunkEncodeAxis(bench::JsonMetrics* metrics) {
   double sort_profile_best_ns = 1e300;
   for (size_t r = 0; r < reps; ++r) {
     Stopwatch sw;
-    benchmark::DoNotOptimize(EncodeChunkRows(rows, advise));
+    benchmark::DoNotOptimize(persist::ChunkWriter::Encode(0, rows));
     encode_best_ns = std::min(encode_best_ns, static_cast<double>(sw.ElapsedNanos()));
     sw.Restart();
     for (const std::vector<Payload>& col : rows.payload) {
@@ -446,7 +440,7 @@ double RunChunkEncodeAxis(bench::JsonMetrics* metrics) {
   }
 
   bench::PrintHeader("chunk encode axis",
-                     "warm-cache chunk build (26,215 rows, 48 partitions, 3 payload cols)");
+                     "chunk-file encode (26,215 rows, 48 partitions, 3 payload cols)");
   bench::PrintRow("chunk encode", encode_best_ns / 1e3, "us");
   bench::PrintRow("payload profile", profile_mrps, "Mrows/s");
   bench::PrintRow("payload profile, sort reference", sort_profile_mrps, "Mrows/s");
@@ -543,7 +537,7 @@ void BM_RangeCount(benchmark::State& state) {
   const Value width = (4 << 20) / 100;  // ~1% selectivity
   // The chunk's count-only partition walk, through the one evaluator.
   const std::vector<std::vector<Payload>> no_payload;
-  const PartitionSource src = PartitionSource::Resident(chunk, no_payload, nullptr);
+  const PartitionSource src = PartitionSource::Resident(chunk, no_payload);
   for (auto _ : state) {
     const Value lo = static_cast<Value>(rng.Below(4 << 20));
     benchmark::DoNotOptimize(

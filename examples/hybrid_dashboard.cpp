@@ -59,24 +59,9 @@ int main() {
                 r.Rec(OpKind::kRangeSum).MeanMicros(),
                 r.Rec(OpKind::kInsert).MeanMicros(),
                 r.ThroughputOpsPerSec() / 1000.0, mem.Amplification());
-    // Scan-on-compressed telemetry: how often the range aggregates above ran
-    // on packed payload columns, and how many partitions the payload zone
-    // maps skipped outright. Only the partitioned layout keeps per-chunk
-    // counters (StatsSnapshots()).
-    const auto* partitioned = dynamic_cast<const PartitionedLayout*>(layout.get());
-    if (partitioned == nullptr) continue;
-    const ChunkStatsSnapshot totals = partitioned->StatsSnapshots().Totals();
-    if (totals.compressed_payload_scans + totals.payload_partitions_pruned > 0) {
-      std::printf("%-16s %zu packed payload partition scans, %zu partitions "
-                  "zone-map pruned\n",
-                  "", static_cast<size_t>(totals.compressed_payload_scans),
-                  static_cast<size_t>(totals.payload_partitions_pruned));
-    }
   }
   // The overnight analytics window: ingest pauses and the same dashboard
-  // queries run read-only. With stable chunk epochs the compressed cache
-  // warms up, so the range aggregates move onto packed payload columns and
-  // the payload zone maps start skipping partitions.
+  // queries run read-only, on the partitions the training workload chose.
   {
     WorkloadSpec analytics = spec;
     analytics.mix = {.range_sum = 1.0};
@@ -88,19 +73,10 @@ int main() {
     opts.training = &training;
     opts.layout.mode = LayoutMode::kCasper;
     CasperEngine engine = CasperEngine::Open(std::move(opts));
-    // First pass pays the per-chunk encode builds; second pass runs on the
-    // warm cache and shows the steady-state packed-scan cost.
-    HarnessResult cold = RunWorkload(engine.layout(), overnight);
-    HarnessResult warm = RunWorkload(engine.layout(), overnight);
-    const ChunkStatsSnapshot totals = engine.layout().StatsSnapshots().Totals();
+    HarnessResult r = RunWorkload(engine.layout(), overnight);
     std::printf("\novernight analytics (read-only range sums on Casper): "
-                "%.2f us/query warming the encodings, %.2f us/query warm\n"
-                "  %zu packed payload partition scans, %zu partitions "
-                "zone-map pruned\n",
-                cold.Rec(OpKind::kRangeSum).MeanMicros(),
-                warm.Rec(OpKind::kRangeSum).MeanMicros(),
-                static_cast<size_t>(totals.compressed_payload_scans),
-                static_cast<size_t>(totals.payload_partitions_pruned));
+                "%.2f us/query\n",
+                r.Rec(OpKind::kRangeSum).MeanMicros());
   }
   // The history tail goes cold: cap resident memory at ~a quarter of the
   // table and let the tier manager push cold chunks to disk. The dashboard

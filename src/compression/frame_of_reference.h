@@ -65,7 +65,7 @@ class FrameOfReferenceColumn {
   // --- Serialization surface (src/persist chunk format) ----------------------
   // The on-disk codec writes each frame's reference/max/begin plus its packed
   // words verbatim and reassembles the column without re-encoding, so a cold
-  // read scans exactly the words the warm cache held.
+  // read scans exactly the words the encoder packed.
 
   Value frame_reference(size_t f) const { return frames_[f].reference; }
   Value frame_max(size_t f) const { return frames_[f].max; }

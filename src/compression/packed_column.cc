@@ -8,7 +8,7 @@ namespace casper {
 
 std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
     const std::vector<Payload>& values, PayloadEncoding enc) {
-  if (values.empty() || enc == PayloadEncoding::kRaw) return nullptr;
+  if (values.empty()) return nullptr;
   const auto [mn, mx] = std::minmax_element(values.begin(), values.end());
   return Encode(values, enc, *mn, *mx);
 }
@@ -16,7 +16,7 @@ std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
 std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
     const std::vector<Payload>& values, PayloadEncoding enc, Payload min,
     Payload max) {
-  if (values.empty() || enc == PayloadEncoding::kRaw) return nullptr;
+  if (values.empty()) return nullptr;
   // make_shared cannot call the private constructor; the factory keeps the
   // invariant that every published column is fully encoded.
   // NOLINTNEXTLINE(modernize-make-shared)
@@ -59,7 +59,6 @@ std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::Encode(
 std::shared_ptr<const PackedPayloadColumn> PackedPayloadColumn::FromParts(
     PayloadEncoding enc, Payload base, std::vector<Payload> dict,
     BitPackedArray packed) {
-  CASPER_CHECK(enc != PayloadEncoding::kRaw);
   if (enc == PayloadEncoding::kDictionary) {
     CASPER_CHECK_MSG(!dict.empty() && std::is_sorted(dict.begin(), dict.end()),
                      "dictionary must be sorted and non-empty");

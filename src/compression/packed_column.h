@@ -11,11 +11,10 @@
 
 namespace casper {
 
-/// Per-column physical encoding choices the advisor can pick from
-/// (ByteStore: the biggest hybrid-workload wins come from choosing the
-/// encoding per column, not per table).
+/// Per-column physical encodings of a packed payload column (ByteStore: the
+/// biggest hybrid-workload wins come from choosing the encoding per column,
+/// not per table).
 enum class PayloadEncoding {
-  kRaw,               ///< keep the flat Payload array (no packed column)
   kFrameOfReference,  ///< base + bit-packed offsets (paper §6.2 FoR)
   kDictionary,        ///< order-preserving dictionary + bit-packed codes
 };
@@ -33,14 +32,13 @@ enum class PayloadEncoding {
 /// touch packed words — still bit-identical to the flat-array kernels, since
 /// wrapping u64 addition is associative.
 ///
-/// Instances are immutable after Encode and safe to share across threads
-/// (they live inside CompressedChunkCache snapshots).
+/// Instances are immutable after Encode and safe to share across threads.
 class PackedPayloadColumn {
  public:
   /// Rows per materialized prefix-sum block.
   static constexpr size_t kSumBlock = 4096;
 
-  /// Encodes `values` with `enc`; nullptr for kRaw or an empty column.
+  /// Encodes `values` with `enc`; nullptr for an empty column.
   static std::shared_ptr<const PackedPayloadColumn> Encode(
       const std::vector<Payload>& values, PayloadEncoding enc);
   /// Same, for a caller that already knows the column's min and max (the
@@ -55,7 +53,7 @@ class PackedPayloadColumn {
   /// and the packed words verbatim). The derived structures the file does
   /// not carry — the widened dictionary lut and the block prefix sums — are
   /// rebuilt here, deterministically, so a reassembled column is
-  /// indistinguishable from one Encode produced. `enc` must not be kRaw.
+  /// indistinguishable from one Encode produced.
   static std::shared_ptr<const PackedPayloadColumn> FromParts(
       PayloadEncoding enc, Payload base, std::vector<Payload> dict,
       BitPackedArray packed);
@@ -93,8 +91,7 @@ class PackedPayloadColumn {
   const uint64_t* lut() const { return lut_.empty() ? nullptr : lut_.data(); }
 
   /// Effective bits per row including the dictionary and prefix-sum
-  /// overheads — the number the central >=2x payoff gate compares against
-  /// half the 32-bit raw width.
+  /// overheads (compression-ratio reporting).
   double MeanBitsPerValue() const;
   size_t CompressedBytes() const;
   size_t UncompressedBytes() const { return size() * sizeof(Payload); }

@@ -234,15 +234,13 @@ struct SpecRows {
   const uint8_t* tombstones = nullptr;  ///< nullable; 1 = deleted, by slot
   bool key_check = true;
 
-  /// Optional packed payload encodings for the run (from the chunk's
-  /// CompressedChunkCache snapshot): packed[c] is nullptr when column c
-  /// stayed raw. The run's rows must be POSITIONALLY DENSE in packed space —
-  /// slot `base + i` is packed row `packed_base + i` — which is what the
-  /// layouts' live-at-partition-head invariant (and the delta store's
-  /// slot-positional main encode) guarantees. Predicate-free sums scan
-  /// packed words with no materialization; predicated scans filter/refine in
-  /// the packed domain and aggregate from the raw arrays (late
-  /// materialization), so results stay bit-identical either way.
+  /// Optional packed payload encodings for the run (a chunk file's columns,
+  /// storage/partition_scan.h): packed[c] is nullptr when column c has no
+  /// packed form. The run's rows must be POSITIONALLY DENSE in packed space —
+  /// slot `base + i` is packed row `packed_base + i`. Predicate-free sums
+  /// scan packed words with no materialization; predicated scans
+  /// filter/refine in the packed domain and aggregate from the raw arrays
+  /// (late materialization), so results stay bit-identical either way.
   const std::vector<std::shared_ptr<const PackedPayloadColumn>>* packed =
       nullptr;
   size_t packed_base = 0;  ///< packed row position of slot `base`

@@ -83,17 +83,6 @@ ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
   // per-window bitmap byte scans entirely.
   rows.tombstones = main_live_ == main_keys_.size() ? nullptr : deleted_.data();
   rows.key_check = false;
-  // Packed payload columns serve the main window directly (packed row ==
-  // main-store position); keep the snapshot alive across the evaluation.
-  CompressedChunkCache::EncodingPtr enc;
-  if (spec.TouchesPayload()) {
-    enc = CachedSingleStoreEncoding(compressed_, engine_latch_, main_keys_,
-                                    main_payload_);
-    if (enc != nullptr) {
-      rows.packed = &enc->payload;
-      rows.packed_base = first;
-    }
-  }
   return exec::EvalSpecRows(spec, rows);
 }
 
@@ -266,7 +255,7 @@ LayoutMemoryStats DeltaStoreLayout::MemoryStats() const {
   // Direct fields, not num_rows(): this method already holds the latch.
   s.data_bytes = (main_live_ + delta_keys_.size()) * row_bytes;
   s.total_bytes = (main_keys_.size() + delta_keys_.size()) * row_bytes +
-                  deleted_.size() * sizeof(uint8_t) + compressed_.MemoryBytes();
+                  deleted_.size() * sizeof(uint8_t);
   return s;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "layouts/layout_engine.h"
-#include "storage/compressed_cache.h"
 
 namespace casper {
 
@@ -100,11 +99,6 @@ class DeltaStoreLayout final : public LayoutEngine {
   std::vector<Value> delta_keys_ GUARDED_BY(engine_latch_);
   std::vector<std::vector<Payload>> delta_payload_ GUARDED_BY(engine_latch_);
   uint64_t merges_ GUARDED_BY(engine_latch_) = 0;
-  /// One-slot cache over the main store; any write (even a delta append)
-  /// advances the engine epoch and invalidates it. The main store is encoded
-  /// positionally, deleted slots included, so packed row == main-store
-  /// position; the delta buffer always stays raw.
-  mutable CompressedChunkCache compressed_{1};
 };
 
 }  // namespace casper

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "model/encoding_advisor.h"
-#include "storage/compressed_cache.h"
 #include "util/status.h"
 
 namespace casper {
@@ -23,21 +21,6 @@ std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine) {
   const size_t n = engine.num_payload_columns() < 2 ? engine.num_payload_columns() : 2;
   for (size_t c = 0; c < n; ++c) cols.push_back(c);
   return cols;
-}
-
-std::shared_ptr<const ChunkEncoding> CachedSingleStoreEncoding(
-    CompressedChunkCache& cache, const ChunkLatch& latch,
-    const std::vector<Value>& keys,
-    const std::vector<std::vector<Payload>>& payload) {
-  return cache.GetOrBuild(0, latch.Epoch(), keys.size(), [&] {
-    auto enc = std::make_shared<ChunkEncoding>();
-    enc->keys = std::make_shared<FrameOfReferenceColumn>(keys, size_t{4096});
-    enc->payload.resize(payload.size());
-    for (size_t c = 0; c < payload.size(); ++c) {
-      enc->payload[c] = AdvisePayloadEncoding(payload[c], /*reads=*/1, /*writes=*/0);
-    }
-    return CompressedChunkCache::EncodingPtr(std::move(enc));
-  });
 }
 
 ScanPartial LayoutEngine::ExecuteScan(const ScanSpec& spec) const {

@@ -2,7 +2,6 @@
 #define CASPER_LAYOUTS_LAYOUT_ENGINE_H_
 
 #include <cstddef>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -13,8 +12,6 @@
 
 namespace casper {
 
-class CompressedChunkCache;
-struct ChunkEncoding;
 class ThreadPool;
 
 /// The six operation modes evaluated in the paper (§7, Fig. 12):
@@ -214,21 +211,6 @@ void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* resu
 /// Payload columns aggregated by kRangeSum in batched execution and by the
 /// harness's Q3: the first two, clipped to the table's width.
 std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine);
-
-/// The compressed-cache encoding of one single-store layout (NoOrder, Sorted,
-/// the delta store's main store), fetched from or built into slot 0 of
-/// `cache` at `latch`'s current epoch; the caller holds `latch` shared. The
-/// encoding is FoR keys at 4096-row frames, plus each payload column through
-/// AdvisePayloadEncoding profiled as read-only (these layouts keep no
-/// read/write counters; the cache's read-mostly vote already gated the
-/// build). The columns are dense, so packed row == position and no live-row
-/// prefix is built. Every position is encoded: a delta store's tombstoned
-/// positions carry junk the evaluator never consults, because the tombstone
-/// filter precedes packed refinement.
-std::shared_ptr<const ChunkEncoding> CachedSingleStoreEncoding(
-    CompressedChunkCache& cache, const ChunkLatch& latch,
-    const std::vector<Value>& keys,
-    const std::vector<std::vector<Payload>>& payload) REQUIRES_SHARED(latch);
 
 }  // namespace casper
 

@@ -34,32 +34,18 @@ ScanPartial NoOrderLayout::ScanSpecShard(size_t /*shard*/,
   SharedChunkGuard guard(engine_latch_);
   ScanPartial out;
   if (!spec.RefsValid(payload_.size()) || keys_.empty()) return out;
-  if (spec.predicates.empty() && spec.agg.kind == AggKind::kCount) {
-    if (spec.full_domain) {
-      // Insertion order carries no key structure: every row is live, and the
-      // full-domain scan visits all of them (both edges included) without
-      // touching data or the compressed cache.
-      out.count = keys_.size();
-      return out;
-    }
-    if (const auto enc = CachedSingleStoreEncoding(compressed_, engine_latch_,
-                                                   keys_, payload_)) {
-      out.count = enc->keys->CountRange(spec.lo, spec.hi);
-      return out;
-    }
+  if (spec.predicates.empty() && spec.agg.kind == AggKind::kCount &&
+      spec.full_domain) {
+    // Insertion order carries no key structure: every row is live, and the
+    // full-domain scan visits all of them (both edges included) without
+    // touching data.
+    out.count = keys_.size();
+    return out;
   }
   exec::SpecRows rows;
   rows.keys = keys_.data();
   rows.n = keys_.size();
   rows.cols = &payload_;
-  // Payload-touching specs scan packed columns when the cache has them:
-  // insertion-order rows are dense, so packed row == slot. The snapshot
-  // must stay alive across the evaluation (rows.packed points into it).
-  CompressedChunkCache::EncodingPtr enc;
-  if (spec.TouchesPayload()) {
-    enc = CachedSingleStoreEncoding(compressed_, engine_latch_, keys_, payload_);
-    if (enc != nullptr) rows.packed = &enc->payload;
-  }
   return exec::EvalSpecRows(spec, rows);
 }
 
@@ -118,9 +104,7 @@ LayoutMemoryStats NoOrderLayout::MemoryStats() const {
   LayoutMemoryStats s;
   s.data_bytes = keys_.size() * sizeof(Value) +
                  payload_.size() * keys_.size() * sizeof(Payload);
-  // A live compressed encoding is real resident memory, same as the
-  // partitioned table's accounting.
-  s.total_bytes = s.data_bytes + compressed_.MemoryBytes();
+  s.total_bytes = s.data_bytes;
   return s;
 }
 

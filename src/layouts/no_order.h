@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "layouts/layout_engine.h"
-#include "storage/compressed_cache.h"
 
 namespace casper {
 
@@ -24,8 +23,7 @@ class NoOrderLayout final : public LayoutEngine {
   bool UpdateKey(Value old_key, Value new_key) override;
 
   /// Unified scan surface: the whole insertion-order column is the one
-  /// shard, evaluated under one latch hold, with the compressed-column cache
-  /// answering predicate-free counts.
+  /// shard, evaluated under one latch hold.
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
   /// Batched writes: the run applies in order under one exclusive hold of
@@ -60,10 +58,6 @@ class NoOrderLayout final : public LayoutEngine {
   std::vector<Value> keys_ GUARDED_BY(engine_latch_);
   std::vector<std::vector<Payload>> payload_
       GUARDED_BY(engine_latch_);  // [col][row]
-  /// One-slot cache: the whole insertion-order column is the chunk here.
-  /// Fixed 4096-value frames (zone maps only pay off on clustered data, and
-  /// the payoff gate rejects incompressible key sets entirely).
-  mutable CompressedChunkCache compressed_{1};
 };
 
 }  // namespace casper

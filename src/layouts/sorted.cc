@@ -44,17 +44,6 @@ ScanPartial SortedLayout::EvalWindowLocked(size_t first, size_t last,
   rows.base = static_cast<uint32_t>(first);
   rows.cols = &payload_;
   rows.key_check = false;
-  // Sorted rows are dense: packed row == row position, so any cached packed
-  // payload column serves this window directly. Keep the snapshot alive
-  // across the evaluation (rows.packed points into it).
-  CompressedChunkCache::EncodingPtr enc;
-  if (spec.TouchesPayload()) {
-    enc = CachedSingleStoreEncoding(compressed_, engine_latch_, keys_, payload_);
-    if (enc != nullptr) {
-      rows.packed = &enc->payload;
-      rows.packed_base = first;
-    }
-  }
   return exec::EvalSpecRows(spec, rows);
 }
 
@@ -179,9 +168,7 @@ LayoutMemoryStats SortedLayout::MemoryStats() const {
   LayoutMemoryStats s;
   s.data_bytes = keys_.size() * sizeof(Value) +
                  payload_.size() * keys_.size() * sizeof(Payload);
-  // A live compressed encoding is real resident memory, same as the
-  // partitioned table's accounting.
-  s.total_bytes = s.data_bytes + compressed_.MemoryBytes();
+  s.total_bytes = s.data_bytes;
   return s;
 }
 

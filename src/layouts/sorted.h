@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "layouts/layout_engine.h"
-#include "storage/compressed_cache.h"
 
 namespace casper {
 
@@ -65,11 +64,6 @@ class SortedLayout final : public LayoutEngine {
   size_t payload_cols_ = 0;
   std::vector<Value> keys_ GUARDED_BY(engine_latch_);
   std::vector<std::vector<Payload>> payload_ GUARDED_BY(engine_latch_);
-  /// One-slot cache over the whole sorted run; epoch-invalidated by the
-  /// engine latch like every other layout's encodings. Its key frames only
-  /// carry the payoff gate and memory accounting (counts stay on binary
-  /// search); the packed payload columns carry the scan win.
-  mutable CompressedChunkCache compressed_{1};
 };
 
 }  // namespace casper

@@ -43,40 +43,18 @@ PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values) {
   return p;
 }
 
-PayloadEncoding ChoosePayloadEncoding(const PayloadColumnProfile& profile) {
-  if (profile.rows == 0) return PayloadEncoding::kRaw;
-  // Update-heavy chunks churn the cache faster than an encode amortizes.
-  if (profile.writes > profile.reads) return PayloadEncoding::kRaw;
-  // Predicted mean bits per value. The dictionary pays the code width plus
-  // the amortized dictionary storage (32-bit entry + 64-bit lut entry per
-  // distinct value); FoR pays the width of the value range.
-  const double dict_bits =
-      static_cast<double>(BitsFor(profile.distinct == 0 ? 0
-                                                        : profile.distinct - 1)) +
-      96.0 * static_cast<double>(profile.distinct) /
-          static_cast<double>(profile.rows);
-  const double for_bits = static_cast<double>(
-      BitsFor(static_cast<uint64_t>(profile.max) -
-              static_cast<uint64_t>(profile.min)));
-  const double best = std::min(dict_bits, for_bits);
-  if (best > kMaxPayloadMeanBits) return PayloadEncoding::kRaw;
-  // Ties favor FoR: same bits, no dictionary indirection on decode.
-  return for_bits <= dict_bits ? PayloadEncoding::kFrameOfReference
-                               : PayloadEncoding::kDictionary;
-}
-
-std::shared_ptr<const PackedPayloadColumn> AdvisePayloadEncoding(
-    const std::vector<Payload>& values, uint64_t reads, uint64_t writes) {
-  PayloadColumnProfile profile = ProfilePayloadValues(values);
-  profile.reads = reads;
-  profile.writes = writes;
-  const PayloadEncoding enc = ChoosePayloadEncoding(profile);
-  if (enc == PayloadEncoding::kRaw) return nullptr;
-  auto col = PackedPayloadColumn::Encode(values, enc, profile.min, profile.max);
-  // Re-check the payoff gate on the built column: the prediction ignores the
-  // prefix-sum blocks and per-array padding, so verify the real footprint.
-  if (col && col->MeanBitsPerValue() > kMaxPayloadMeanBits) return nullptr;
-  return col;
+PayloadEncoding ChooseDiskEncoding(const PayloadColumnProfile& p) {
+  if (p.rows == 0) return PayloadEncoding::kFrameOfReference;
+  const unsigned for_width =
+      BitsFor(static_cast<uint64_t>(p.max) - static_cast<uint64_t>(p.min));
+  const unsigned dict_width = BitsFor(p.distinct - 1);
+  // Total stored bits decide: packed codes plus the dictionary entries
+  // themselves versus packed FoR offsets.
+  const uint64_t for_bits = p.rows * uint64_t{for_width};
+  const uint64_t dict_bits = p.rows * uint64_t{dict_width} +
+                             p.distinct * uint64_t{8 * sizeof(Payload)};
+  return dict_bits < for_bits ? PayloadEncoding::kDictionary
+                              : PayloadEncoding::kFrameOfReference;
 }
 
 }  // namespace casper

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "compression/packed_column.h"
@@ -11,25 +10,13 @@
 
 namespace casper {
 
-/// Per-column statistics the encoding choice is made from: the value-shape
-/// numbers (distinct count, range) come from the column itself at encode
-/// time, the scan/update mix from the chunk counters the read and write
-/// paths already bump (ChunkStats).
+/// The value-shape statistics a payload column's encoding is chosen from.
 struct PayloadColumnProfile {
   size_t rows = 0;
   size_t distinct = 0;
   Payload min = 0;
   Payload max = 0;
-  uint64_t reads = 0;   ///< element reads + compressed scans on the chunk
-  uint64_t writes = 0;  ///< element writes on the chunk
 };
-
-/// The central compression-payoff gate for 32-bit payload columns: an
-/// encoding must predict <= 16 effective bits per value (>= 2x vs the raw
-/// array) or the column stays raw — the payload-side twin of the key cache's
-/// kMaxMeanBits = 32 gate, applied in ONE place so every chunk and layout
-/// shares the same payoff rule.
-inline constexpr double kMaxPayloadMeanBits = 16.0;
 
 /// Widest value span, in values per column row, that ProfilePayloadValues
 /// counts distinct values over with a bitmap of [min, max]: at one bit per
@@ -47,19 +34,11 @@ inline bool ProfileUsesBitmap(Payload min, Payload max, size_t rows) {
 /// [min, max] when ProfileUsesBitmap, a sorted copy otherwise.
 PayloadColumnProfile ProfilePayloadValues(const std::vector<Payload>& values);
 
-/// Picks raw / FoR / dictionary for one payload column of one chunk:
-///  - update-heavy chunks (writes > reads) stay raw — the encode would be
-///    invalidated before it amortizes;
-///  - otherwise the encoding with the smaller predicted mean bits/value
-///    wins (dictionary pays code width + amortized dictionary storage, FoR
-///    pays the range width), subject to the kMaxPayloadMeanBits gate.
-PayloadEncoding ChoosePayloadEncoding(const PayloadColumnProfile& profile);
-
-/// Profile + choose + encode + verify: the one-call surface the compressed
-/// cache encoders use. Returns nullptr when the column should stay raw
-/// (advisor said so, or the built encoding missed the gate after all).
-std::shared_ptr<const PackedPayloadColumn> AdvisePayloadEncoding(
-    const std::vector<Payload>& values, uint64_t reads, uint64_t writes);
+/// The one payload encoding rule, applied to every column of a chunk file
+/// (EncodeChunkRows): dictionary when rows * code_width + dictionary storage
+/// beats rows * FoR width, FoR otherwise. There is no raw option and no
+/// payoff gate: in a chunk file compactness beats decode cost.
+PayloadEncoding ChooseDiskEncoding(const PayloadColumnProfile& profile);
 
 }  // namespace casper
 

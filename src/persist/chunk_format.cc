@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "model/encoding_advisor.h"
 #include "persist/crc32.h"
 #include "persist/io.h"
 
@@ -71,28 +70,6 @@ EvictedChunkState PersistedChunk::ToEvictedState(std::string path) const {
   return st;
 }
 
-namespace {
-
-PayloadEncoding ChooseDiskEncoding(const PayloadColumnProfile& p) {
-  if (p.rows == 0) return PayloadEncoding::kFrameOfReference;
-  const unsigned for_width =
-      BitsFor(static_cast<uint64_t>(p.max) - static_cast<uint64_t>(p.min));
-  const unsigned dict_width = BitsFor(p.distinct - 1);
-  // Total stored bits decide: packed codes plus the dictionary entries
-  // themselves versus packed FoR offsets.
-  const uint64_t for_bits = p.rows * uint64_t{for_width};
-  const uint64_t dict_bits = p.rows * uint64_t{dict_width} +
-                             p.distinct * uint64_t{8 * sizeof(Payload)};
-  return dict_bits < for_bits ? PayloadEncoding::kDictionary
-                              : PayloadEncoding::kFrameOfReference;
-}
-
-}  // namespace
-
-PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values) {
-  return ChooseDiskEncoding(ProfilePayloadValues(values));
-}
-
 PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) {
   PersistedChunk out;
   out.chunk_index = chunk_index;
@@ -104,13 +81,7 @@ PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) 
     uppers.push_back(p.upper);
   }
   if (!uppers.empty()) out.index = PartitionIndex(std::move(uppers));
-  out.encoding = EncodeChunkRows(rows, [](const std::vector<Payload>& col) {
-    const PayloadColumnProfile p = ProfilePayloadValues(col);
-    auto packed =
-        PackedPayloadColumn::Encode(col, ChooseDiskEncoding(p), p.min, p.max);
-    CASPER_CHECK(packed != nullptr);
-    return packed;
-  });
+  out.encoding = EncodeChunkRows(rows);
   return out;
 }
 

@@ -10,7 +10,6 @@
 #include "compression/packed_column.h"
 #include "persist/evicted_chunk.h"
 #include "storage/chunk_rows.h"
-#include "storage/compressed_cache.h"
 #include "storage/partition_index.h"
 #include "storage/types.h"
 #include "util/status.h"
@@ -36,21 +35,17 @@ namespace persist {
 ///                   per partition: u32 zone_min | u32 zone_max
 ///   u32  crc
 ///
-/// The packed words are exactly the words the warm-path ChunkEncoding holds:
-/// a cold scan reassembles BitPackedArrays from them verbatim (no
-/// re-encoding) and runs the same kernels::*Packed* kernels the cache serves.
-/// Payload columns are ALWAYS packed on disk — even columns the in-memory
-/// encoding advisor keeps raw — because on the cold path compactness beats
-/// decode cost unconditionally.
+/// The packed words are exactly the words EncodeChunkRows packs: a cold scan
+/// reassembles BitPackedArrays from them verbatim (no re-encoding). Every
+/// payload column is packed, with the encoding ChooseDiskEncoding picks.
 
 constexpr uint32_t kChunkMagic = 0x52505343u;  // 'CSPR'
 constexpr uint32_t kChunkFormatVersion = 1;
 
 /// A chunk file's contents in memory: writer input and reader output. After
 /// Parse the encoded columns are live objects (FromFrames / FromParts) held
-/// as one ChunkEncoding — the same struct the warm cache holds — so the
-/// partition evaluator (storage/partition_scan.h) reads a parsed file exactly
-/// as it reads a cache entry.
+/// as one ChunkEncoding, which the partition evaluator
+/// (storage/partition_scan.h) reads through PartitionSource::File.
 struct PersistedChunk {
   uint32_t version = kChunkFormatVersion;
   uint64_t chunk_index = 0;
@@ -69,17 +64,10 @@ struct PersistedChunk {
   EvictedChunkState ToEvictedState(std::string path) const;
 };
 
-/// Deterministic per-column disk encoding choice over the advisor's own
-/// column profile (ProfilePayloadValues): dictionary when rows * code_width
-/// + dict storage beats rows * FoR width, FoR otherwise. Unlike the
-/// in-memory advisor there is no raw option and no payoff gate.
-PayloadEncoding ChooseDiskEncoding(const std::vector<Payload>& values);
-
 class ChunkWriter {
  public:
   /// Pure encode: packs one chunk's live rows (ChunkRows, partition order)
-  /// through EncodeChunkRows, the encoder the warm cache also uses, with
-  /// every payload column packed by ChooseDiskEncoding.
+  /// through EncodeChunkRows.
   static PersistedChunk Encode(uint64_t chunk_index, const ChunkRows& rows);
 
   /// Pure serialize: appends the v1 byte image (including trailing CRC).

@@ -110,7 +110,6 @@ TierCycleReport TierManager::RunCycle() {
   }
 
   report.resident_bytes = resident_bytes;
-  last_resident_bytes_ = resident_bytes;
   return report;
 }
 

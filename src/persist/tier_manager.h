@@ -66,13 +66,6 @@ class TierManager {
   /// One scoring + demotion + promotion pass. Serialized internally.
   TierCycleReport RunCycle();
 
-  /// Resident footprint (keys + payload bytes of non-evicted chunks) at the
-  /// last cycle's end.
-  size_t resident_bytes() const {
-    MutexLock lock(mu_);
-    return last_resident_bytes_;
-  }
-
   const TierOptions& options() const { return options_; }
 
  private:
@@ -87,9 +80,8 @@ class TierManager {
   StoreLayout store_;
   TierOptions options_;
 
-  mutable Mutex mu_;
+  Mutex mu_;
   std::vector<ChunkHeat> heat_ GUARDED_BY(mu_);
-  size_t last_resident_bytes_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace persist

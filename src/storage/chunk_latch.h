@@ -21,7 +21,7 @@ namespace casper {
 ///   on entry, back to even on exit. The epoch is therefore odd exactly
 ///   while a writer is inside the chunk.
 /// - Comparing two epochs tells whether a writer entered a chunk between
-///   two points (the compressed cache keys its encodings by epoch).
+///   two points.
 /// - Seqlock reads over atomic payloads (e.g. ChunkStats' relaxed counters)
 ///   use `ReadBegin()` / `ReadValidate()` to obtain a copy that is coherent
 ///   with respect to writers, without ever touching the mutex.

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <numeric>
 
+#include "model/encoding_advisor.h"
 #include "util/status.h"
 
 namespace casper {
 
-ChunkEncoding EncodeChunkRows(const ChunkRows& rows, const PayloadEncoder& encode) {
+ChunkEncoding EncodeChunkRows(const ChunkRows& rows) {
   const size_t parts = rows.parts.size();
   const size_t n = rows.keys.size();
   ChunkEncoding enc;
@@ -26,7 +27,11 @@ ChunkEncoding EncodeChunkRows(const ChunkRows& rows, const PayloadEncoder& encod
   for (size_t c = 0; c < rows.payload.size(); ++c) {
     const std::vector<Payload>& col = rows.payload[c];
     CASPER_CHECK(col.size() == n);
-    if (n > 0) enc.payload[c] = encode(col);
+    if (n > 0) {
+      const PayloadColumnProfile p = ProfilePayloadValues(col);
+      enc.payload[c] =
+          PackedPayloadColumn::Encode(col, ChooseDiskEncoding(p), p.min, p.max);
+    }
     auto& zones = enc.payload_zones[c];
     zones.assign(parts, PayloadZone{});
     for (size_t t = 0; t < parts; ++t) {

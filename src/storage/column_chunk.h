@@ -70,7 +70,6 @@ class PartitionedColumnChunk {
 
   /// Number of live values equal to v (point query, paper Fig. 3b).
   size_t CountEqual(Value v) const;
-  bool Contains(Value v) const { return CountEqual(v) > 0; }
 
   /// Slots (positions) of live values equal to v.
   void CollectSlots(Value v, std::vector<uint32_t>* out) const;

@@ -8,8 +8,7 @@ namespace casper {
 
 PartitionSource PartitionSource::Resident(
     const PartitionedColumnChunk& chunk,
-    const std::vector<std::vector<Payload>>& payload,
-    const ChunkEncoding* enc) {
+    const std::vector<std::vector<Payload>>& payload) {
   PartitionSource src;
   src.parts = chunk.partitions().data();
   src.num_parts = chunk.num_partitions();
@@ -17,7 +16,6 @@ PartitionSource PartitionSource::Resident(
   src.rows = chunk.size();
   src.keys = chunk.raw_data().data();
   src.cols = &payload;
-  src.enc = enc;
   return src;
 }
 
@@ -47,7 +45,7 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
     return out;
   }
   if (spec.EmptyKeyRange() || src.rows == 0) return out;
-  const ChunkEncoding* enc = src.enc;
+  const ChunkEncoding* enc = src.enc;  // null for a resident view
   if (count_only && enc != nullptr) {
     // Frames align with non-empty partitions, so the frame zone-map walk is
     // the partition walk, counted on the packed key words.
@@ -60,24 +58,14 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
     return out;
   }
 
-  // Whether a partition evaluation reads at least one packed payload column.
-  bool any_packed = false;
-  if (enc != nullptr) {
-    for (const PredicateSpec& pr : spec.predicates) {
-      any_packed = any_packed || enc->packed(pr.col) != nullptr;
-    }
-    for (const size_t col : spec.agg.cols) {
-      any_packed = any_packed || enc->packed(col) != nullptr;
-    }
-  }
   // A file-backed view decodes each surviving partition into scratch: the
   // payload columns the spec references, and the keys only where the key
-  // predicate is checked (EvalSpecRows reads no key otherwise).
-  const bool resident = src.keys != nullptr;
+  // predicate is checked (EvalSpecRows reads no key otherwise). Every one of
+  // its payload columns is packed.
   std::vector<Value> key_scratch;
   std::vector<std::vector<Payload>> col_scratch;
   std::vector<char> referenced;
-  if (!resident) {
+  if (enc != nullptr) {
     col_scratch.resize(enc->payload.size());
     referenced.assign(enc->payload.size(), 0);
     for (const PredicateSpec& pr : spec.predicates) referenced[pr.col] = 1;
@@ -95,7 +83,7 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   // What every partition's run shares, set once: copying it per partition
   // keeps the per-partition set-up to a few register moves.
   exec::SpecRows shared;
-  shared.cols = resident ? src.cols : &col_scratch;
+  shared.cols = enc == nullptr ? src.cols : &col_scratch;
   if (enc != nullptr) shared.packed = &enc->payload;
   uint64_t scanned = 0;
   uint64_t pruned = 0;
@@ -117,7 +105,7 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
               !(p.min_val >= spec.lo && p.max_val < spec.hi);
     }
     if (count_only) {
-      // Key-range count on resident keys without an encoding.
+      // Key-range count on resident keys.
       ++scanned;
       if (!check) {
         out.count += p.size;  // blind consume (paper Fig. 3c)
@@ -128,58 +116,55 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
     exec::SpecRows rows = shared;
     rows.n = p.size;
     rows.key_check = check;
-    if (enc != nullptr) {
-      // Payload zone maps: a predicate disjoint from the zone skips the
-      // partition without touching a value; a zone inside the predicate range
-      // proves it for every live row, so it is dropped from this run.
-      if (!spec.predicates.empty() &&
-          spec.predicates.size() <= kMaxLocalPreds &&
-          !enc->payload_zones.empty()) {
-        bool skip = false;
-        size_t np = 0;
-        for (const PredicateSpec& pr : spec.predicates) {
-          const PayloadZone z = enc->payload_zones[pr.col][t];
-          if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
-            skip = true;
-            break;
-          }
-          if (pr.lo <= z.min && z.max <= pr.hi) continue;  // always true
-          local_preds[np++] = pr;
-        }
-        if (skip) {
-          ++payload_pruned;
-          continue;
-        }
-        if (np < spec.predicates.size()) {
-          rows.preds = local_preds;
-          rows.npreds = np;
-          rows.preds_override = true;
-        }
-      }
-      rows.packed_base = enc->live_prefix[t];
-      payload_scans += any_packed;
-    }
-    if (resident) {
+    if (enc == nullptr) {
       rows.keys = src.keys + p.begin;
       rows.base = static_cast<uint32_t>(p.begin);
-    } else {
-      // Scratch starts at the partition, so base stays 0.
-      const size_t begin = enc->live_prefix[t];
-      const size_t n = p.size;
-      if (check) {
-        key_scratch.resize(n);
-        for (size_t i = 0; i < n; ++i) key_scratch[i] = enc->keys->Get(begin + i);
-        rows.keys = key_scratch.data();
-      }
-      for (size_t c = 0; c < col_scratch.size(); ++c) {
-        if (!referenced[c]) continue;
-        col_scratch[c].resize(n);
-        for (size_t i = 0; i < n; ++i) {
-          col_scratch[c][i] = enc->payload[c]->DecodeAt(begin + i);
-        }
-      }
-      reads += n;  // rows decoded from packed storage count as reads
+      out.Merge(exec::EvalSpecRows(spec, rows));
+      continue;
     }
+    // Payload zone maps: a predicate disjoint from the zone skips the
+    // partition without touching a value; a zone inside the predicate range
+    // proves it for every live row, so it is dropped from this run.
+    if (!spec.predicates.empty() && spec.predicates.size() <= kMaxLocalPreds) {
+      bool skip = false;
+      size_t np = 0;
+      for (const PredicateSpec& pr : spec.predicates) {
+        const PayloadZone z = enc->payload_zones[pr.col][t];
+        if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
+          skip = true;
+          break;
+        }
+        if (pr.lo <= z.min && z.max <= pr.hi) continue;  // always true
+        local_preds[np++] = pr;
+      }
+      if (skip) {
+        ++payload_pruned;
+        continue;
+      }
+      if (np < spec.predicates.size()) {
+        rows.preds = local_preds;
+        rows.npreds = np;
+        rows.preds_override = true;
+      }
+    }
+    // Scratch starts at the partition, so base stays 0.
+    const size_t begin = enc->live_prefix[t];
+    const size_t n = p.size;
+    rows.packed_base = begin;
+    payload_scans += spec.TouchesPayload();
+    if (check) {
+      key_scratch.resize(n);
+      for (size_t i = 0; i < n; ++i) key_scratch[i] = enc->keys->Get(begin + i);
+      rows.keys = key_scratch.data();
+    }
+    for (size_t c = 0; c < col_scratch.size(); ++c) {
+      if (!referenced[c]) continue;
+      col_scratch[c].resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        col_scratch[c][i] = enc->payload[c]->DecodeAt(begin + i);
+      }
+    }
+    reads += n;  // rows decoded from packed storage count as reads
     out.Merge(exec::EvalSpecRows(spec, rows));
   }
   if (scanned != 0) stats->partitions_scanned += scanned;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "model/encoding_advisor.h"
 #include "persist/chunk_format.h"
 #include "persist/cold_scan.h"
 #include "persist/io.h"
@@ -12,18 +11,6 @@
 #include "util/thread_pool.h"
 
 namespace casper {
-
-std::vector<size_t> PartitionedTable::ChunkRowCounts(size_t rows,
-                                                     const Options& options) {
-  std::vector<size_t> counts;
-  size_t remaining = rows;
-  while (remaining > 0) {
-    const size_t take = std::min(remaining, options.chunk_values);
-    counts.push_back(take);
-    remaining -= take;
-  }
-  return counts;
-}
 
 namespace {
 
@@ -44,24 +31,6 @@ std::vector<std::vector<Payload>> PlacePayloadRows(
     }
   }
   return placed;
-}
-
-/// Re-seeds a rebuilt chunk's counters from a pre-swap snapshot.
-void RestoreChunkStats(ChunkStats& stats, const ChunkStatsSnapshot& carry) {
-  stats.element_reads.store(carry.element_reads);
-  stats.element_writes.store(carry.element_writes);
-  stats.ripple_steps.store(carry.ripple_steps);
-  stats.partitions_scanned.store(carry.partitions_scanned);
-  stats.partitions_pruned.store(carry.partitions_pruned);
-  stats.blocks_scanned.store(carry.blocks_scanned);
-  stats.compressed_scans.store(carry.compressed_scans);
-  stats.compressed_payload_scans.store(carry.compressed_payload_scans);
-  stats.payload_partitions_pruned.store(carry.payload_partitions_pruned);
-  stats.grows.store(carry.grows);
-  stats.evictions.store(carry.evictions);
-  stats.promotions.store(carry.promotions);
-  stats.disk_reads.store(carry.disk_reads);
-  stats.disk_bytes_read.store(carry.disk_bytes_read);
 }
 
 }  // namespace
@@ -120,34 +89,7 @@ PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
         std::make_unique<TableChunk>(std::move(chunk), std::move(payload)));
     offset += n;
   }
-  table.compressed_.Reset(table.chunks_.size());
   return table;
-}
-
-CompressedChunkCache::EncodingPtr PartitionedTable::CompressedFor(
-    size_t c, const TableChunk& ch) const {
-  // The shared latch (held by the caller) pins the epoch at an even value,
-  // so an encoding built or fetched here cannot straddle a write.
-  // The compression-payoff gate lives in GetOrBuild; this lambda encodes the
-  // chunk's live rows (EncodeChunkRows), with each payload column's encoding
-  // chosen by the advisor.
-  return compressed_.GetOrBuild(
-      c, ch.latch.Epoch(), ch.keys.size(),
-      [&]() -> CompressedChunkCache::EncodingPtr {
-        // The analysis cannot see through GetOrBuild that this callback runs
-        // on the caller's stack with the latch still held; re-assert it.
-        ch.latch.AssertReaderHeld();
-        const ChunkRows rows = SnapshotRowsLocked(ch);
-        if (rows.keys.empty()) return nullptr;
-        // Scan/update mix from the counters the read and write paths already
-        // bump — the advisor keeps update-heavy chunks raw.
-        const ChunkStatsSnapshot snap = ch.keys.StatsSnapshot();
-        const uint64_t reads = snap.element_reads + snap.compressed_scans;
-        return std::make_shared<ChunkEncoding>(
-            EncodeChunkRows(rows, [&](const std::vector<Payload>& col) {
-              return AdvisePayloadEncoding(col, reads, snap.element_writes);
-            }));
-      });
 }
 
 size_t PartitionedTable::RouteChunk(Value key) const {
@@ -205,17 +147,8 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
     const persist::PersistedChunk pc = LoadEvicted(ch);
     return ScanPartitions(spec, PartitionSource::File(pc), stats);
   }
-  // Range counts and specs that touch payload columns consult the encoding
-  // cache (voting toward, or reusing, the chunk's ChunkEncoding); full-domain
-  // counts and key-only specs never do.
-  const bool count_only =
-      spec.predicates.empty() && spec.agg.kind == AggKind::kCount;
-  const bool wants_encoding =
-      count_only ? !spec.full_domain : spec.TouchesPayload();
-  const CompressedChunkCache::EncodingPtr enc =
-      wants_encoding ? CompressedFor(c, ch) : nullptr;
-  return ScanPartitions(
-      spec, PartitionSource::Resident(ch.keys, ch.payload, enc.get()), stats);
+  return ScanPartitions(spec, PartitionSource::Resident(ch.keys, ch.payload),
+                        stats);
 }
 
 void PartitionedTable::ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
@@ -386,8 +319,6 @@ size_t PartitionedTable::MemoryBytes() const {
     bytes += ch.keys.capacity() * sizeof(Value);
     for (const auto& col : ch.payload) bytes += col.size() * sizeof(Payload);
   }
-  // Cached compressed encodings are real resident bytes too.
-  bytes += compressed_.MemoryBytes();
   return bytes;
 }
 
@@ -502,7 +433,7 @@ void PartitionedTable::RebuildChunkLocked(
                                           std::move(spec.partition_sizes),
                                           std::move(spec.ghosts), opts_.chunk);
   ch.payload = PlacePayloadRows(ch.keys, payload, 0);
-  RestoreChunkStats(ch.keys.stats(), carry);
+  ch.keys.stats().Restore(carry);
 }
 
 ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
@@ -550,9 +481,6 @@ bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
     col.shrink_to_fit();
   }
   ++ch.keys.stats().evictions;
-  // The chunk stops consulting the encoding cache entirely; drop its slot so
-  // the stale encoding's memory goes with the eviction.
-  compressed_.Invalidate(c);
   return true;
 }
 

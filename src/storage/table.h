@@ -12,7 +12,6 @@
 #include "storage/chunk_latch.h"
 #include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
-#include "storage/compressed_cache.h"
 #include "storage/types.h"
 #include "util/status.h"
 
@@ -56,14 +55,6 @@ class PartitionedTable {
                                 std::vector<std::vector<Payload>> payload_cols,
                                 std::vector<ChunkLayoutSpec> specs);
 
-  /// Number of chunks a sorted input of `rows` rows will be split into.
-  static size_t NumChunksFor(size_t rows, const Options& options) {
-    return (rows + options.chunk_values - 1) / options.chunk_values;
-  }
-
-  /// Row counts per chunk for a sorted input of `rows` rows.
-  static std::vector<size_t> ChunkRowCounts(size_t rows, const Options& options);
-
   // --- Queries ---------------------------------------------------------------
 
   /// Q1: point query. Returns match count; fills `payload_out` (resized to
@@ -83,12 +74,9 @@ class PartitionedTable {
   /// per-chunk read behind LayoutEngine::ScanSpecShard, and the only one:
   /// counts, sums, the Q6 shape, min/max/avg and full scans all come here.
   /// Under the chunk's shared latch it builds a PartitionSource view — from
-  /// the resident arrays plus the chunk's cached encoding, or from the tier
-  /// file of an evicted chunk — and hands it to ScanPartitions
-  /// (storage/partition_scan.h), the one partition walk for every tier.
-  /// Once chunk c has proven read-mostly (several range scans at one write
-  /// epoch), the CompressedChunkCache encodes it and later scans run on the
-  /// packed columns; any write invalidates the encoding through the epoch.
+  /// the resident arrays, or from the tier file of an evicted chunk — and
+  /// hands it to ScanPartitions (storage/partition_scan.h), the one partition
+  /// walk for every tier. A read never builds or keeps anything.
   ScanPartial ScanSpecInChunk(size_t c, const ScanSpec& spec) const;
 
   /// O(1) key-range overlap test against the chunk routing bounds.
@@ -201,9 +189,8 @@ class PartitionedTable {
   /// chunk. Live rows are extracted in key order (payload carried along),
   /// the requested partition cuts are clamped to the row count found at
   /// latch time (writes may land between the advisor's snapshot and the
-  /// exclusive hold), and the chunk's access counters survive the swap. The
-  /// guard's epoch bump invalidates this chunk's compressed encodings
-  /// exactly as a write does. Chunk routing bounds are untouched — a chunk's
+  /// exclusive hold), and the chunk's access counters survive the swap.
+  /// Chunk routing bounds are untouched — a chunk's
   /// key range is a build-time constant; only its internal partitioning
   /// changes. Returns false (no-op) for an empty chunk or an empty spec.
   bool RepartitionChunk(size_t c, const ChunkLayoutSpec& spec);
@@ -270,9 +257,6 @@ class PartitionedTable {
     return ch.keys;
   }
 
-  /// Per-chunk compressed-encoding cache (test / reporting hook).
-  const CompressedChunkCache& compressed_cache() const { return compressed_; }
-
   /// Bytes held by key + payload storage (memory-amplification reporting).
   size_t MemoryBytes() const;
 
@@ -322,8 +306,8 @@ class PartitionedTable {
   /// the now-stale tier file.
   void EnsureResidentLocked(TableChunk& ch) REQUIRES(ch.latch);
 
-  /// The locked core of SnapshotChunkRows (also what the warm encoding,
-  /// eviction and re-partition read; an exclusive hold satisfies it).
+  /// The locked core of SnapshotChunkRows (also what eviction and
+  /// re-partition read; an exclusive hold satisfies it).
   ChunkRows SnapshotRowsLocked(const TableChunk& ch) const
       REQUIRES_SHARED(ch.latch);
 
@@ -335,14 +319,6 @@ class PartitionedTable {
                           const std::vector<std::vector<Payload>>& payload,
                           ChunkLayoutSpec spec) REQUIRES(ch.latch);
 
-  /// Chunk-c encoding snapshot (key frame + advisor-chosen packed payload
-  /// columns + payload zone maps) if cached and valid at the chunk's current
-  /// epoch; counts the scan (and maybe builds) otherwise. `ch` is chunk c;
-  /// the caller holds its latch shared.
-  CompressedChunkCache::EncodingPtr CompressedFor(size_t c,
-                                                  const TableChunk& ch) const
-      REQUIRES_SHARED(ch.latch);
-
   Options opts_;
   size_t payload_cols_ = 0;
   /// Whole-table row count: relaxed atomic because chunk-disjoint write runs
@@ -352,9 +328,6 @@ class PartitionedTable {
   /// only the data inside each TableChunk (guarded by its latch) mutates.
   std::vector<std::unique_ptr<TableChunk>> chunks_;
   std::vector<Value> chunk_uppers_;
-  /// Lazy per-chunk FoR encodings for read-mostly chunks; epoch-invalidated
-  /// by the chunk latches (see CompressedChunkCache).
-  mutable CompressedChunkCache compressed_;
 };
 
 template <typename Fn>

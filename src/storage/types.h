@@ -122,7 +122,6 @@ struct ChunkStatsSnapshot {
   uint64_t ripple_steps = 0;
   uint64_t partitions_scanned = 0;
   uint64_t partitions_pruned = 0;
-  uint64_t blocks_scanned = 0;
   uint64_t compressed_scans = 0;
   uint64_t compressed_payload_scans = 0;
   uint64_t payload_partitions_pruned = 0;
@@ -148,7 +147,6 @@ struct StatsSnapshotRegistry {
       t.ripple_steps += s.ripple_steps;
       t.partitions_scanned += s.partitions_scanned;
       t.partitions_pruned += s.partitions_pruned;
-      t.blocks_scanned += s.blocks_scanned;
       t.compressed_scans += s.compressed_scans;
       t.compressed_payload_scans += s.compressed_payload_scans;
       t.payload_partitions_pruned += s.payload_partitions_pruned;
@@ -176,9 +174,8 @@ struct ChunkStats {
   RelaxedCounter partitions_pruned;  ///< partitions skipped by their zone map
                                      ///< (min_val/max_val excluded the range
                                      ///< without reading a single element)
-  RelaxedCounter blocks_scanned;     ///< sequential element batches read
-  RelaxedCounter compressed_scans;   ///< range scans answered from the
-                                     ///< compressed (FoR) chunk encoding
+  RelaxedCounter compressed_scans;   ///< range counts answered from a chunk
+                                     ///< file's packed (FoR) key frames
   RelaxedCounter compressed_payload_scans;  ///< partition scans that read at
                                             ///< least one packed (FoR/dict)
                                             ///< payload column
@@ -198,7 +195,6 @@ struct ChunkStats {
     s.ripple_steps = ripple_steps.load();
     s.partitions_scanned = partitions_scanned.load();
     s.partitions_pruned = partitions_pruned.load();
-    s.blocks_scanned = blocks_scanned.load();
     s.compressed_scans = compressed_scans.load();
     s.compressed_payload_scans = compressed_payload_scans.load();
     s.payload_partitions_pruned = payload_partitions_pruned.load();
@@ -210,21 +206,25 @@ struct ChunkStats {
     return s;
   }
 
-  void Clear() {
-    element_reads.store(0);
-    element_writes.store(0);
-    ripple_steps.store(0);
-    partitions_scanned.store(0);
-    partitions_pruned.store(0);
-    blocks_scanned.store(0);
-    compressed_scans.store(0);
-    compressed_payload_scans.store(0);
-    payload_partitions_pruned.store(0);
-    grows.store(0);
-    evictions.store(0);
-    promotions.store(0);
-    disk_reads.store(0);
-    disk_bytes_read.store(0);
+  void Clear() { Restore(ChunkStatsSnapshot{}); }
+
+  /// Re-seeds the counters from a snapshot: a rebuilt chunk (re-partition,
+  /// promotion) carries its counts over, since they describe the data, not
+  /// the geometry.
+  void Restore(const ChunkStatsSnapshot& s) {
+    element_reads.store(s.element_reads);
+    element_writes.store(s.element_writes);
+    ripple_steps.store(s.ripple_steps);
+    partitions_scanned.store(s.partitions_scanned);
+    partitions_pruned.store(s.partitions_pruned);
+    compressed_scans.store(s.compressed_scans);
+    compressed_payload_scans.store(s.compressed_payload_scans);
+    payload_partitions_pruned.store(s.payload_partitions_pruned);
+    grows.store(s.grows);
+    evictions.store(s.evictions);
+    promotions.store(s.promotions);
+    disk_reads.store(s.disk_reads);
+    disk_bytes_read.store(s.disk_bytes_read);
   }
 };
 

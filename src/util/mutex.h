@@ -10,9 +10,8 @@ namespace casper {
 /// std::mutex with capability annotations. libstdc++'s std::mutex /
 /// std::lock_guard carry no thread-safety attributes, so locking through
 /// them is invisible to the analysis; this wrapper makes plain-mutex
-/// critical sections (thread pool, MVCC commit log, compressed-cache
-/// builds) checkable with the same GUARDED_BY/REQUIRES contract as the
-/// chunk latches.
+/// critical sections (thread pool, durable store, tier manager, maintenance)
+/// checkable with the same GUARDED_BY/REQUIRES contract as the chunk latches.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

@@ -22,7 +22,7 @@ using Chunk = PartitionedColumnChunk;
 uint64_t CountRange(const Chunk& c, Value lo, Value hi) {
   const std::vector<std::vector<Payload>> no_payload;
   return ScanPartitions(ScanSpec::Count(lo, hi),
-                        PartitionSource::Resident(c, no_payload, nullptr),
+                        PartitionSource::Resident(c, no_payload),
                         &c.stats())
       .count;
 }

@@ -431,48 +431,43 @@ TEST(ZoneMapPruning, PrunedPartitionsAreNeverTouched) {
   EXPECT_GT(s.element_reads, 0u);
 }
 
-// The compressed-chunk cache: a read-mostly chunk gets a frame-of-reference
-// encoding after repeated scans, count queries are answered from it
-// (compressed_scans fires, results unchanged), and any write invalidates it
-// through the chunk epoch.
-TEST(CompressedChunkScans, CacheBuildsAnswersAndInvalidates) {
+// A resident chunk has one form, its partitioned arrays: reads never build
+// or keep a second copy of the data, however often the same chunk is scanned
+// at one write epoch.
+TEST(ScanMemory, ReadsNeverGrowResidentBytes) {
   std::vector<Value> keys;
   for (Value v = 0; v < 8192; ++v) keys.push_back(v);
-  std::vector<std::vector<Payload>> payload(
-      1, std::vector<Payload>(keys.size(), 1));
+  std::vector<std::vector<Payload>> payload(3);
+  for (size_t r = 0; r < keys.size(); ++r) {
+    payload[0].push_back(static_cast<Payload>(r % 100));
+    payload[1].push_back(static_cast<Payload>(r % 11));
+    payload[2].push_back(static_cast<Payload>(r % 50));
+  }
   PartitionedTable::ChunkLayoutSpec spec;
   spec.partition_sizes.assign(8, 1024);
   PartitionedTable::Options topts;
   topts.chunk_values = keys.size();
-  PartitionedTable table = PartitionedTable::Build(keys, payload, {spec}, topts);
-  PartitionedLayout layout(LayoutMode::kEquiWidthGhost, std::move(table));
+  PartitionedLayout layout(
+      LayoutMode::kEquiWidthGhost,
+      PartitionedTable::Build(keys, payload, {spec}, topts));
 
-  // Scans at one write epoch: the cache builds once the chunk proves
-  // read-mostly, and every later count comes from the encoding.
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(layout.CountRange(100, 5000), 4900u) << i;
+  ScanSpec full_sum = ScanSpec::Sum(0, 0, {1});
+  full_sum.full_domain = true;
+  const std::vector<ScanSpec> shapes = {
+      ScanSpec::Count(100, 5000),  ScanSpec::FullScan(),
+      ScanSpec::Sum(100, 5000, {0, 2}), full_sum,
+      ScanSpec::Q6(100, 5000, 2, 5, 30), ScanSpec::Min(100, 5000, 2),
+      ScanSpec::Max(100, 5000, 1), ScanSpec::Avg(100, 5000, 0)};
+  const size_t before = layout.MemoryStats().total_bytes;
+  for (const ScanSpec& s : shapes) {
+    const ScanPartial first = layout.ExecuteScan(s);
+    for (int i = 1; i < 16; ++i) {
+      const ScanPartial again = layout.ExecuteScan(s);
+      EXPECT_EQ(again.count, first.count);
+      EXPECT_EQ(again.sum, first.sum);
+    }
+    EXPECT_EQ(layout.MemoryStats().total_bytes, before);
   }
-  EXPECT_TRUE(layout.table().compressed_cache().HasEncoding(0));
-  const auto s = layout.table().key_chunk(0).StatsSnapshot();
-  EXPECT_GT(s.compressed_scans, 0u);
-
-  // A write advances the chunk epoch; the stale encoding is dropped on the
-  // next scan and results stay exact.
-  layout.Insert(4000, {42});
-  EXPECT_EQ(layout.CountRange(100, 5000), 4901u);
-  EXPECT_FALSE(layout.table().compressed_cache().HasEncoding(0));
-  // Losing a built encoding to a write doubles the scan threshold (churn
-  // backoff: write-hot chunks must not keep paying O(chunk) encodes), so
-  // the first 12 scans at the new epoch stay raw...
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(layout.CountRange(100, 5000), 4901u) << i;
-  }
-  EXPECT_FALSE(layout.table().compressed_cache().HasEncoding(0));
-  // ...and a genuinely read-mostly chunk crosses the doubled threshold.
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(layout.CountRange(100, 5000), 4901u) << i;
-  }
-  EXPECT_TRUE(layout.table().compressed_cache().HasEncoding(0));
 }
 
 }  // namespace

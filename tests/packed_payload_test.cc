@@ -17,7 +17,6 @@
 #include "exec/scan_kernels.h"
 #include "exec/scan_spec.h"
 #include "model/encoding_advisor.h"
-#include "persist/chunk_format.h"
 #include "util/rng.h"
 
 namespace casper {
@@ -237,23 +236,14 @@ TEST(PackedPayload, SpecEvalOnHugeRunMatchesFlat) {
 
 TEST(EncodingAdvisor, PicksExpectedEncodings) {
   Rng rng(9);
-  // Write-heavy columns stay raw no matter how compressible.
-  {
-    std::vector<Payload> v(10000, 42);
-    auto p = ProfilePayloadValues(v);
-    p.reads = 1;
-    p.writes = 2;
-    EXPECT_EQ(ChoosePayloadEncoding(p), PayloadEncoding::kRaw);
-  }
   // Few distinct values spread over a wide range: dictionary wins.
   {
     std::vector<Payload> v;
     for (int i = 0; i < 10000; ++i) {
       v.push_back(static_cast<Payload>(rng.Below(7)) * 100000019u);
     }
-    auto p = ProfilePayloadValues(v);
-    p.reads = 1;
-    EXPECT_EQ(ChoosePayloadEncoding(p), PayloadEncoding::kDictionary);
+    EXPECT_EQ(ChooseDiskEncoding(ProfilePayloadValues(v)),
+              PayloadEncoding::kDictionary);
   }
   // Dense narrow range with many distinct values: FoR wins.
   {
@@ -261,35 +251,9 @@ TEST(EncodingAdvisor, PicksExpectedEncodings) {
     for (int i = 0; i < 10000; ++i) {
       v.push_back(500000u + static_cast<Payload>(rng.Below(250)));
     }
-    auto p = ProfilePayloadValues(v);
-    p.reads = 1;
-    EXPECT_EQ(ChoosePayloadEncoding(p), PayloadEncoding::kFrameOfReference);
+    EXPECT_EQ(ChooseDiskEncoding(ProfilePayloadValues(v)),
+              PayloadEncoding::kFrameOfReference);
   }
-  // Wide random u32 data beats the >=2x payoff gate in neither codec: raw.
-  {
-    std::vector<Payload> v;
-    for (int i = 0; i < 10000; ++i) {
-      v.push_back(static_cast<Payload>(rng.Below(uint64_t{1} << 32)));
-    }
-    auto p = ProfilePayloadValues(v);
-    p.reads = 1;
-    EXPECT_EQ(ChoosePayloadEncoding(p), PayloadEncoding::kRaw);
-    EXPECT_EQ(AdvisePayloadEncoding(v, /*reads=*/1, /*writes=*/0), nullptr);
-  }
-  // End to end: the advisor's chosen encoding round-trips and clears the
-  // central mean-bits gate.
-  {
-    std::vector<Payload> v;
-    for (int i = 0; i < 10000; ++i) {
-      v.push_back(static_cast<Payload>(rng.Below(1000)));
-    }
-    const auto col = AdvisePayloadEncoding(v, /*reads=*/1, /*writes=*/0);
-    ASSERT_NE(col, nullptr);
-    EXPECT_LE(col->MeanBitsPerValue(), kMaxPayloadMeanBits);
-    EXPECT_EQ(col->DecodeAll(), v);
-  }
-  // Empty column: nothing to encode.
-  EXPECT_EQ(AdvisePayloadEncoding({}, /*reads=*/1, /*writes=*/0), nullptr);
 }
 
 // A `rows`-row column whose values span exactly [lo, lo + span - 1]: both
@@ -305,9 +269,8 @@ std::vector<Payload> SpanColumn(size_t rows, Payload lo, uint64_t span, Rng& rng
 TEST(EncodingAdvisor, ProfileIsExactOnBothPaths) {
   // The profile counts distinct values over a [min, max] bitmap when
   // ProfileUsesBitmap (span <= 32 x rows) and over a sorted copy otherwise.
-  // On both sides of that rule it must match a std::set count, and the two
-  // encoding choices made from it are pinned to the ones the sort-only
-  // profile made.
+  // On both sides of that rule it must match a std::set count, and the
+  // encoding chosen from it is pinned to the one the sort-only profile made.
   Rng rng(21);
   const size_t n = 1000;
   const uint64_t at = kMaxProfileBitmapBitsPerRow * n;  // the widest bitmap span
@@ -315,43 +278,36 @@ TEST(EncodingAdvisor, ProfileIsExactOnBothPaths) {
     std::string name;
     std::vector<Payload> values;
     bool bitmap;
-    PayloadEncoding advised;  // ChoosePayloadEncoding, read-only chunk
-    PayloadEncoding disk;     // ChooseDiskEncoding
+    PayloadEncoding disk;  // ChooseDiskEncoding
   };
   std::vector<Case> cases;
   std::vector<Payload> narrow;
   for (int i = 0; i < 26215; ++i) narrow.push_back(static_cast<Payload>(rng.Below(10000)));
-  cases.push_back({"narrow", narrow, true, PayloadEncoding::kFrameOfReference,
-                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"narrow", narrow, true, PayloadEncoding::kFrameOfReference});
   std::vector<Payload> wide;
   for (int i = 0; i < 4000; ++i) {
     wide.push_back(static_cast<Payload>(rng.Below(uint64_t{1} << 32)));
   }
-  cases.push_back({"wide", wide, false, PayloadEncoding::kRaw,
-                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"wide", wide, false, PayloadEncoding::kFrameOfReference});
   std::vector<Payload> sparse;
   for (int i = 0; i < 3000; ++i) {
     sparse.push_back(static_cast<Payload>(rng.Below(4)) * 1000003u);
   }
-  cases.push_back({"wide few distinct", sparse, false, PayloadEncoding::kDictionary,
-                   PayloadEncoding::kDictionary});
+  cases.push_back({"wide few distinct", sparse, false, PayloadEncoding::kDictionary});
   cases.push_back({"span at threshold - 1", SpanColumn(n, 7, at - 1, rng), true,
-                   PayloadEncoding::kFrameOfReference, PayloadEncoding::kFrameOfReference});
-  cases.push_back({"span at threshold", SpanColumn(n, 7, at, rng), true,
-                   PayloadEncoding::kFrameOfReference, PayloadEncoding::kFrameOfReference});
-  cases.push_back({"span at threshold + 1", SpanColumn(n, 7, at + 1, rng), false,
-                   PayloadEncoding::kFrameOfReference, PayloadEncoding::kFrameOfReference});
-  cases.push_back({"one repeated value", std::vector<Payload>(5000, 42), true,
-                   PayloadEncoding::kFrameOfReference,
                    PayloadEncoding::kFrameOfReference});
-  cases.push_back({"u32 edges", {0, kPayMax}, false, PayloadEncoding::kRaw,
+  cases.push_back({"span at threshold", SpanColumn(n, 7, at, rng), true,
+                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"span at threshold + 1", SpanColumn(n, 7, at + 1, rng), false,
+                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"one repeated value", std::vector<Payload>(5000, 42), true,
+                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"u32 edges", {0, kPayMax}, false,
                    PayloadEncoding::kFrameOfReference});
   std::vector<Payload> edges;
   for (int i = 0; i < 1000; ++i) edges.push_back(i % 2 == 0 ? 0 : kPayMax);
-  cases.push_back({"u32 edges repeated", edges, false, PayloadEncoding::kDictionary,
-                   PayloadEncoding::kDictionary});
-  cases.push_back({"empty", {}, false, PayloadEncoding::kRaw,
-                   PayloadEncoding::kFrameOfReference});
+  cases.push_back({"u32 edges repeated", edges, false, PayloadEncoding::kDictionary});
+  cases.push_back({"empty", {}, false, PayloadEncoding::kFrameOfReference});
 
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -364,10 +320,7 @@ TEST(EncodingAdvisor, ProfileIsExactOnBothPaths) {
       EXPECT_EQ(p.max, *std::max_element(v.begin(), v.end()));
       EXPECT_EQ(ProfileUsesBitmap(p.min, p.max, p.rows), c.bitmap);
     }
-    PayloadColumnProfile read_only = p;
-    read_only.reads = 1;
-    EXPECT_EQ(ChoosePayloadEncoding(read_only), c.advised);
-    EXPECT_EQ(persist::ChooseDiskEncoding(v), c.disk);
+    EXPECT_EQ(ChooseDiskEncoding(p), c.disk);
   }
 }
 

@@ -826,16 +826,14 @@ TEST(TierManager, RidesTheMaintenanceCycle) {
 }
 
 
-// ---- (5) One partition walk across hot, warm and cold chunks ---------------
+// ---- (5) One partition walk across hot and cold chunks ---------------------
 //
-// The same fixed-seed spec set runs on resident chunks without an encoding
-// (hot), on resident chunks answering from their cached encoding (warm) and
-// on evicted chunks (cold). Every answer must equal brute force, and each
-// shape's per-chunk counter delta is pinned exactly: the tier manager's heat
-// and the encoding advisor read these counters, so a refactor of the scan
-// paths must not move them.
+// The same fixed-seed spec set runs on resident chunks (hot) and on evicted
+// chunks (cold). Every answer must equal brute force, and each shape's
+// per-chunk counter delta is pinned exactly: the tier manager's heat reads
+// these counters, so a refactor of the scan paths must not move them.
 
-constexpr size_t kTierChunkRows = 8192;  // at least the cache's kMinRows
+constexpr size_t kTierChunkRows = 8192;
 constexpr size_t kTierChunks = 3;
 constexpr size_t kTierParts = 16;
 
@@ -922,8 +920,6 @@ struct TierShape {
   std::vector<ScanSpec> specs;
 };
 
-/// At most seven specs per shape: the hot tier runs each shape on a fresh
-/// table, and eight range scans at one epoch would build an encoding.
 std::vector<TierShape> TierShapes() {
   const Value domain = static_cast<Value>(4 * kTierChunkRows * kTierChunks);
   Rng rng(77);
@@ -984,7 +980,6 @@ std::string DeltaString(const ChunkStatsSnapshot& a, const ChunkStatsSnapshot& b
   field("ripples", a.ripple_steps, b.ripple_steps);
   field("scanned", a.partitions_scanned, b.partitions_scanned);
   field("pruned", a.partitions_pruned, b.partitions_pruned);
-  field("blocks", a.blocks_scanned, b.blocks_scanned);
   field("cscans", a.compressed_scans, b.compressed_scans);
   field("cpscans", a.compressed_payload_scans, b.compressed_payload_scans);
   field("ppruned", a.payload_partitions_pruned, b.payload_partitions_pruned);
@@ -1019,12 +1014,11 @@ std::string RunShape(const PartitionedLayout& layout, const TierData& d,
   return out;
 }
 
-TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
+TEST(TierEquivalence, HotColdAnswersAndCounters) {
   const TierData d = MakeTierData();
   const std::vector<TierShape> shapes = TierShapes();
   struct Expected {
     const char* hot;
-    const char* warm;
     const char* cold;
   };
   // Per-chunk counter deltas per shape and tier.
@@ -1034,9 +1028,6 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
           "reads=1536 scanned=3 | "
           "reads=512 scanned=1 | "
           "reads=1536 scanned=18",
-          "reads=1536 scanned=3 pruned=29 cscans=2 | "
-          "reads=512 scanned=1 pruned=15 cscans=1 | "
-          "reads=1536 scanned=18 pruned=30 cscans=3",
           "reads=1536 scanned=3 pruned=29 cscans=2 disk_reads=2 disk_bytes=76048 | "
           "reads=512 scanned=1 pruned=15 cscans=1 disk_reads=1 disk_bytes=38024 | "
           "reads=1536 scanned=18 pruned=30 cscans=3 disk_reads=3 disk_bytes=114072"
@@ -1045,18 +1036,12 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
       {
           " |  | ",
           " | "
-          "cpscans=15 | "
-          "cpscans=23",
-          " | "
           "reads=7680 cpscans=15 disk_reads=3 disk_bytes=114072 | "
           "reads=11776 cpscans=23 disk_reads=4 disk_bytes=152096"
       },
       // q6
       {
           " |  | ",
-          "cpscans=18 ppruned=35 | "
-          "cpscans=27 ppruned=48 | "
-          "cpscans=28 ppruned=50",
           "reads=9216 cpscans=18 ppruned=35 disk_reads=4 disk_bytes=152096 | "
           "reads=13824 cpscans=27 ppruned=48 disk_reads=5 disk_bytes=190120 | "
           "reads=14336 cpscans=28 ppruned=50 disk_reads=7 disk_bytes=266168"
@@ -1064,9 +1049,6 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
       // min
       {
           " |  | ",
-          "cpscans=10 | "
-          "cpscans=16 | "
-          "cpscans=37",
           "reads=5120 cpscans=10 disk_reads=2 disk_bytes=76048 | "
           "reads=8192 cpscans=16 disk_reads=1 disk_bytes=38024 | "
           "reads=18944 cpscans=37 disk_reads=5 disk_bytes=190120"
@@ -1074,9 +1056,6 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
       // max
       {
           " |  | ",
-          "cpscans=1 | "
-          "cpscans=14 | "
-          "cpscans=29",
           "reads=512 cpscans=1 disk_reads=1 disk_bytes=38024 | "
           "reads=7168 cpscans=14 disk_reads=3 disk_bytes=114072 | "
           "reads=14848 cpscans=29 disk_reads=3 disk_bytes=114072"
@@ -1084,9 +1063,6 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
       // avg
       {
           " |  | ",
-          " | "
-          "cpscans=12 | "
-          "cpscans=7",
           " | "
           "reads=6144 cpscans=12 disk_reads=4 disk_bytes=152096 | "
           "reads=3584 cpscans=7 disk_reads=3 disk_bytes=114072"
@@ -1096,9 +1072,6 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
           "scanned=16 | "
           "scanned=16 | "
           "scanned=16",
-          "scanned=16 cpscans=16 | "
-          "scanned=16 cpscans=16 | "
-          "scanned=16 cpscans=16",
           "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048 | "
           "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048 | "
           "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048"
@@ -1106,33 +1079,16 @@ TEST(TierEquivalence, HotWarmColdAnswersAndCounters) {
       // empty
       {
           " |  | ",
-          " |  | ",
           " |  | "
       },
   };
   ASSERT_EQ(expected.size(), shapes.size());
 
-  // Hot: a fresh table per shape, so no chunk collects enough range scans to
-  // build its encoding.
-  for (size_t s = 0; s < shapes.size(); ++s) {
-    const PartitionedLayout hot = MakeTierLayout(d);
-    EXPECT_EQ(RunShape(hot, d, shapes[s], "hot"), expected[s].hot)
-        << "hot " << shapes[s].name;
-    for (size_t c = 0; c < kTierChunks; ++c) {
-      EXPECT_FALSE(hot.table().compressed_cache().HasEncoding(c));
-    }
-  }
-
-  // Warm: repeated range counts make every chunk read-mostly, so each one
-  // answers from its cached encoding.
+  // Hot: resident chunks scan their partitioned arrays.
   PartitionedLayout layout = MakeTierLayout(d);
-  for (int i = 0; i < 8; ++i) layout.ExecuteScan(ScanSpec::Count(-1, 1 << 20));
-  for (size_t c = 0; c < kTierChunks; ++c) {
-    ASSERT_TRUE(layout.table().compressed_cache().HasEncoding(c)) << c;
-  }
   for (size_t s = 0; s < shapes.size(); ++s) {
-    EXPECT_EQ(RunShape(layout, d, shapes[s], "warm"), expected[s].warm)
-        << "warm " << shapes[s].name;
+    EXPECT_EQ(RunShape(layout, d, shapes[s], "hot"), expected[s].hot)
+        << "hot " << shapes[s].name;
   }
 
   // Cold: every chunk evicted to its tier file.

@@ -165,7 +165,7 @@ TEST(ChunkFormat, ColdScansMatchBruteForce) {
           ScanPartitions(ScanSpec::Count(lo, hi), PartitionSource::File(f),
                          &stats);
       EXPECT_EQ(cnt.count, count);
-      // Sum specs populate only the sum (same contract as the warm
+      // Sum specs populate only the sum (same contract as the resident
       // EvalSpecRows: count is the kCount aggregate's output).
       const ScanPartial sum = ScanPartitions(
           ScanSpec::Sum(lo, hi, {0, 1}), PartitionSource::File(f), &stats);

@@ -543,7 +543,6 @@ TEST(StatsSnapshots, CoherentStatsSnapshotUnderWriter) {
     const ChunkStatsSnapshot coherent = table.CoherentStatsSnapshot(c);
     EXPECT_EQ(coherent.element_reads, raw.element_reads);
     EXPECT_EQ(coherent.partitions_scanned, raw.partitions_scanned);
-    EXPECT_EQ(coherent.blocks_scanned, raw.blocks_scanned);
   }
 
   std::atomic<bool> done{false};

@@ -24,7 +24,7 @@ checked for test coverage (rule 5).
 
 Rule 6 covers the storage and tiered-storage consumers: everything under
 src/storage/ and src/persist/ (the partition evaluator in src/storage/ runs
-hot, warm and cold scans, cold ones over chunk files) must call kernels
+hot and cold scans, cold ones over chunk files) must call kernels
 through the top-level dispatched entry points — a direct scalar:: or avx2::
 call there would silently pin those scans to one implementation and skip the
 runtime dispatch the parity contract exists to protect.
@@ -120,7 +120,7 @@ def main() -> int:
         if name not in test_text:
             errors.append(f"{TEST}: kernel {name} is never exercised")
 
-    # 6. the storage and persistence layers (hot, warm and cold scans) go
+    # 6. the storage and persistence layers (hot and cold scans) go
     #    through the dispatched entry points only — never a pinned
     #    scalar::/avx2:: call.
     ns_call = re.compile(r"\b(scalar|avx2)::")

@@ -4,8 +4,8 @@
 Raw `std::memory_order_*` tokens are the sharpest tool in the codebase:
 every use carries a fence-placement argument that has to be re-verified on
 every edit. The repo's policy is to concentrate them in a small set of
-audited files (the seqlock latch, the relaxed counter, the lock-free
-encoding cache) and express everything else through those abstractions —
+audited files (the seqlock latch, the relaxed counter, the mixed runner's
+dependency counters) and express everything else through those abstractions —
 RelaxedCounter::FetchAdd/UpdateMax for work cursors and accounting, the
 latch/guard API for publication.
 
@@ -26,9 +26,6 @@ AUDITED = {
     "src/storage/types.h":
         "RelaxedCounter: the relaxed-atomic accounting abstraction the rest "
         "of the tree is expected to use",
-    "src/storage/compressed_cache.h":
-        "lock-free hit path of the encoding cache: epoch-validated "
-        "acquire/release publication, documented in the class comment",
     "src/exec/mixed_workload_runner.cc":
         "conflict-DAG dependency counters: the acq_rel fetch_sub edge is the "
         "happens-before carrier from predecessor effects to successor "
