@@ -5,8 +5,8 @@
 //
 // This binary also carries the KERNEL-THROUGHPUT AXIS: a hand-timed
 // comparison of the seed element-at-a-time scan loops against the
-// vectorized scan kernels (exec/scan_kernels.h) and the scan-on-compressed
-// path, written as $CASPER_BENCH_JSON metrics so the CI bench-smoke job
+// vectorized scan kernels (exec/scan_kernels.h), written as
+// $CASPER_BENCH_JSON metrics so the CI bench-smoke job
 // accumulates per-PR kernel numbers (see RunKernelAxis below and the
 // Kernel* google-benchmarks). The chunk-encode axis (RunChunkEncodeAxis)
 // times the chunk-file encode and the column profile inside it.
@@ -17,8 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "compression/frame_of_reference.h"
-#include "compression/packed_column.h"
 #include "exec/scan_kernels.h"
 #include "exec/scan_spec.h"
 #include "layouts/no_order.h"
@@ -91,22 +89,18 @@ double MeasureMrps(size_t rows, size_t reps, const Fn& fn) {
   return static_cast<double>(rows) * 1e3 / best_ns;  // rows/ns * 1e3 = Mrows/s
 }
 
-/// The kernel axis proper: seed loops vs dispatched kernels vs compressed,
+/// The kernel axis proper: seed loops vs dispatched kernels,
 /// printed and (when CASPER_BENCH_JSON is set) written as flat metrics.
 void RunKernelAxis(bench::JsonMetrics* metrics) {
   const size_t rows = bench::SmokeMode() ? (1u << 15) : (1u << 18);
   const size_t reps = bench::SmokeMode() ? 5 : 25;
   const KernelFixture f = MakeKernelFixture(rows);
-  const FrameOfReferenceColumn compressed(f.keys, 4096);
 
   const double count_seed = MeasureMrps(rows, reps, [&] {
     return SeedCountRange(f.keys.data(), rows, f.lo, f.hi);
   });
   const double count_simd = MeasureMrps(rows, reps, [&] {
     return kernels::CountInRange(f.keys.data(), rows, f.lo, f.hi);
-  });
-  const double count_compressed = MeasureMrps(rows, reps, [&] {
-    return compressed.CountRange(f.lo, f.hi);
   });
   const double sum_seed = MeasureMrps(rows, reps, [&] {
     return SeedSumPayloadRange(f.keys.data(), f.pay.data(), rows, f.lo, f.hi);
@@ -136,11 +130,10 @@ void RunKernelAxis(bench::JsonMetrics* metrics) {
                                          2500, 7500, refined.data());
   });
 
-  // Sanity: all three representations agree before we publish numbers.
+  // Sanity: the kernel agrees with the seed loop before we publish numbers.
   const uint64_t want = SeedCountRange(f.keys.data(), rows, f.lo, f.hi);
-  if (kernels::CountInRange(f.keys.data(), rows, f.lo, f.hi) != want ||
-      compressed.CountRange(f.lo, f.hi) != want) {
-    std::fprintf(stderr, "kernel axis: representations disagree!\n");
+  if (kernels::CountInRange(f.keys.data(), rows, f.lo, f.hi) != want) {
+    std::fprintf(stderr, "kernel axis: kernel disagrees with the seed loop!\n");
     std::abort();
   }
 
@@ -149,7 +142,6 @@ void RunKernelAxis(bench::JsonMetrics* metrics) {
               kernels::HaveAvx2() ? "yes" : "no (scalar dispatch)", rows);
   bench::PrintRow("count_range seed loop", count_seed, "Mrows/s");
   bench::PrintRow("count_range kernel", count_simd, "Mrows/s");
-  bench::PrintRow("count_range compressed", count_compressed, "Mrows/s");
   bench::PrintRow("sum_payload seed loop", sum_seed, "Mrows/s");
   bench::PrintRow("sum_payload kernel", sum_simd, "Mrows/s");
   bench::PrintRow("filter_slots kernel", filter_simd, "Mrows/s");
@@ -161,7 +153,6 @@ void RunKernelAxis(bench::JsonMetrics* metrics) {
   metrics->Add("kernel_avx2_active", kernels::HaveAvx2() ? 1.0 : 0.0);
   metrics->Add("kernel_count_range_seed_mrps", count_seed);
   metrics->Add("kernel_count_range_simd_mrps", count_simd);
-  metrics->Add("kernel_count_range_compressed_mrps", count_compressed);
   metrics->Add("kernel_count_range_speedup", count_simd / count_seed);
   metrics->Add("kernel_sum_payload_seed_mrps", sum_seed);
   metrics->Add("kernel_sum_payload_simd_mrps", sum_simd);
@@ -236,114 +227,6 @@ double RunSpecDispatchAxis(bench::JsonMetrics* metrics) {
   return overhead_pct;
 }
 
-// --- Packed-payload axis -----------------------------------------------------
-// Scan-on-compressed for payload columns: predicate-free sums and closed-
-// range filters evaluated on a dictionary-encoded PackedPayloadColumn vs the
-// flat-array kernels, on dictionary-friendly data (~1000 distinct values —
-// the HAP small-domain payload shape). The sum comparison is the CI-gated
-// one: the packed representation must be >= 1.5x the flat kernel, which the
-// encode-time prefix-sum blocks guarantee with a wide margin.
-
-double RunPackedPayloadAxis(bench::JsonMetrics* metrics) {
-  const size_t rows = 1u << 18;
-  const size_t reps = 51;
-  Rng rng(131);
-  std::vector<Payload> pay;
-  pay.reserve(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    pay.push_back(static_cast<Payload>(rng.Below(1000)) * 9 + 100);
-  }
-  const auto packed =
-      PackedPayloadColumn::Encode(pay, PayloadEncoding::kDictionary);
-
-  // Interleave the two measurements (flat rep, packed rep, ...) so both
-  // best-of windows sample the same machine conditions, like the spec axis.
-  double flat_best_ns = 1e300;
-  double packed_best_ns = 1e300;
-  for (size_t r = 0; r < reps; ++r) {
-    Stopwatch sw;
-    benchmark::DoNotOptimize(kernels::SumPayload(pay.data(), rows));
-    flat_best_ns = std::min(flat_best_ns, static_cast<double>(sw.ElapsedNanos()));
-    sw.Restart();
-    benchmark::DoNotOptimize(packed->SumRows(0, rows));
-    packed_best_ns =
-        std::min(packed_best_ns, static_cast<double>(sw.ElapsedNanos()));
-  }
-  const double flat_mrps = static_cast<double>(rows) * 1e3 / flat_best_ns;
-  const double packed_mrps = static_cast<double>(rows) * 1e3 / packed_best_ns;
-  const double sum_speedup = packed_mrps / flat_mrps;
-
-  // Closed-range predicate: packed filter (value range rewritten to a code
-  // range once, then scanned on the packed words) vs the gather kernel over
-  // an identity slot list — the two paths EvalSpecRows picks between.
-  const Payload plo_val = 1000;
-  const Payload phi_val = 5000;
-  uint64_t plo = 0, phi = 0;
-  if (!packed->RewritePredicate(plo_val, phi_val, &plo, &phi)) {
-    std::fprintf(stderr, "packed axis: predicate rewrite unexpectedly empty\n");
-    std::abort();
-  }
-  std::vector<uint32_t> slots(rows), out_flat(rows), out_packed(rows);
-  for (size_t i = 0; i < rows; ++i) slots[i] = static_cast<uint32_t>(i);
-  double fflat_best_ns = 1e300;
-  double fpacked_best_ns = 1e300;
-  for (size_t r = 0; r < reps; ++r) {
-    Stopwatch sw;
-    benchmark::DoNotOptimize(kernels::FilterPayloadInRange(
-        pay.data(), slots.data(), rows, plo_val, phi_val, out_flat.data()));
-    fflat_best_ns =
-        std::min(fflat_best_ns, static_cast<double>(sw.ElapsedNanos()));
-    sw.Restart();
-    benchmark::DoNotOptimize(kernels::FilterPackedPayloadInRange(
-        packed->words(), 0, rows, packed->bit_width(), plo, phi, 0,
-        out_packed.data()));
-    fpacked_best_ns =
-        std::min(fpacked_best_ns, static_cast<double>(sw.ElapsedNanos()));
-  }
-  const double filter_flat_mrps = static_cast<double>(rows) * 1e3 / fflat_best_ns;
-  const double filter_packed_mrps =
-      static_cast<double>(rows) * 1e3 / fpacked_best_ns;
-
-  // Sanity before publishing: both representations agree bit for bit.
-  const uint64_t want_sum =
-      static_cast<uint64_t>(kernels::SumPayload(pay.data(), rows));
-  const size_t want_n = kernels::FilterPayloadInRange(
-      pay.data(), slots.data(), rows, plo_val, phi_val, out_flat.data());
-  const size_t got_n = kernels::FilterPackedPayloadInRange(
-      packed->words(), 0, rows, packed->bit_width(), plo, phi, 0,
-      out_packed.data());
-  if (packed->SumRows(0, rows) != want_sum || got_n != want_n ||
-      !std::equal(out_flat.begin(), out_flat.begin() + static_cast<ptrdiff_t>(want_n),
-                  out_packed.begin())) {
-    std::fprintf(stderr, "packed axis: representations disagree!\n");
-    std::abort();
-  }
-
-  bench::PrintHeader("packed payload axis",
-                     "packed (dictionary) vs flat payload kernels");
-  std::printf("  encoding: dictionary, %zu distinct, %u bits/code, %.1f "
-              "bits/value\n",
-              packed->dictionary_size(), packed->bit_width(),
-              packed->MeanBitsPerValue());
-  bench::PrintRow("sum_payload flat kernel", flat_mrps, "Mrows/s");
-  bench::PrintRow("sum_payload packed", packed_mrps, "Mrows/s");
-  bench::PrintRow("sum_payload packed speedup", sum_speedup, "x");
-  bench::PrintRow("filter_payload flat kernel", filter_flat_mrps, "Mrows/s");
-  bench::PrintRow("filter_payload packed", filter_packed_mrps, "Mrows/s");
-
-  metrics->Add("packed_payload_mean_bits", packed->MeanBitsPerValue());
-  metrics->Add("packed_sum_payload_flat_mrps", flat_mrps);
-  metrics->Add("packed_sum_payload_packed_mrps", packed_mrps);
-  metrics->Add("packed_sum_payload_speedup", sum_speedup);
-  metrics->Add("packed_filter_payload_flat_mrps", filter_flat_mrps);
-  metrics->Add("packed_filter_payload_packed_mrps", filter_packed_mrps);
-  metrics->Add("packed_filter_payload_speedup",
-               filter_packed_mrps / filter_flat_mrps);
-  // The >= 1.5x floor is enforced by the caller AFTER the JSON is written,
-  // so a failing run still uploads the numbers that explain the failure.
-  return sum_speedup;
-}
-
 // --- Chunk-encode axis -------------------------------------------------------
 // The chunk-file encode an eviction or a store write runs, on the perfbench
 // durable_drift chunk shape: 26,215 live rows in 48 key-sorted partitions
@@ -403,7 +286,7 @@ double RunChunkEncodeAxis(bench::JsonMetrics* metrics) {
   const size_t reps = bench::SmokeMode() ? 11 : 51;
   const ChunkRows rows = MakeEncodeChunk();
 
-  // Interleaved best-of windows, like the spec and packed-payload axes.
+  // Interleaved best-of windows, like the spec axis.
   double encode_best_ns = 1e300;
   double profile_best_ns = 1e300;
   double sort_profile_best_ns = 1e300;
@@ -622,19 +505,12 @@ int main(int argc, char** argv) {
   casper::bench::JsonMetrics metrics;
   casper::RunKernelAxis(&metrics);
   const double spec_overhead_pct = casper::RunSpecDispatchAxis(&metrics);
-  const double packed_sum_speedup = casper::RunPackedPayloadAxis(&metrics);
   const double profile_speedup = casper::RunChunkEncodeAxis(&metrics);
   metrics.WriteIfRequested();
   if (spec_overhead_pct > 2.0) {
     std::fprintf(stderr,
                  "spec axis: facade overhead %.2f%% exceeds the 2%% budget\n",
                  spec_overhead_pct);
-    return 1;
-  }
-  if (packed_sum_speedup < 1.5) {
-    std::fprintf(stderr,
-                 "packed axis: packed sum speedup %.2fx below the 1.5x floor\n",
-                 packed_sum_speedup);
     return 1;
   }
   if (profile_speedup < 5.0) {

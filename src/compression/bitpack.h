@@ -92,9 +92,7 @@ class BitPackedArray {
   unsigned bit_width() const { return width_; }
   size_t bytes() const { return words_.size() * sizeof(uint64_t); }
 
-  /// Raw word storage for the block-decode scan kernels
-  /// (kernels::CountPackedInRange / SumPacked): scans evaluate predicates on
-  /// the packed words directly instead of Get()-ing one element at a time.
+  /// Raw word storage: the chunk file writes it verbatim.
   const uint64_t* words() const { return words_.data(); }
   size_t num_words() const { return words_.size(); }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/scan_kernels.h"
-
 namespace casper {
 
 FrameOfReferenceColumn::FrameOfReferenceColumn(const std::vector<Value>& values,
@@ -89,52 +87,6 @@ Value FrameOfReferenceColumn::Get(size_t i) const {
   const Frame& f = frames_[lo];
   return static_cast<Value>(static_cast<uint64_t>(f.reference) +
                             f.offsets.Get(i - f.begin));
-}
-
-uint64_t FrameOfReferenceColumn::CountRange(Value lo, Value hi,
-                                            ScanStats* stats) const {
-  if (lo >= hi) return 0;
-  uint64_t count = 0;
-  for (const Frame& f : frames_) {
-    const size_t n = f.offsets.size();
-    if (n == 0) continue;
-    if (f.reference >= hi || f.max < lo) {  // zone-map prune
-      if (stats != nullptr) ++stats->frames_pruned;
-      continue;
-    }
-    if (f.reference >= lo && f.max < hi) {  // fully qualifies: blind consume
-      if (stats != nullptr) ++stats->frames_blind;
-      count += n;
-      continue;
-    }
-    // Translate the predicate to unsigned offset space (offsets are deltas
-    // from the frame minimum, so order is preserved) and evaluate it on the
-    // packed words block-by-block without materializing the frame.
-    const uint64_t olo =
-        lo <= f.reference
-            ? 0
-            : static_cast<uint64_t>(lo) - static_cast<uint64_t>(f.reference);
-    const uint64_t ohi =
-        static_cast<uint64_t>(hi) - static_cast<uint64_t>(f.reference);
-    count += kernels::CountPackedInRange(f.offsets.words(), 0, n,
-                                         f.offsets.bit_width(), olo, ohi);
-    if (stats != nullptr) {
-      ++stats->frames_scanned;
-      stats->elements_decoded += n;
-    }
-  }
-  return count;
-}
-
-int64_t FrameOfReferenceColumn::SumAll() const {
-  uint64_t sum = 0;
-  for (const Frame& f : frames_) {
-    sum += static_cast<uint64_t>(f.reference) *
-           static_cast<uint64_t>(f.offsets.size());
-    sum += kernels::SumPacked(f.offsets.words(), 0, f.offsets.size(),
-                              f.offsets.bit_width());
-  }
-  return static_cast<int64_t>(sum);
 }
 
 std::vector<Value> FrameOfReferenceColumn::DecodeAll() const {

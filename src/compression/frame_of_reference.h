@@ -9,11 +9,12 @@
 namespace casper {
 
 /// Frame-of-reference (delta) compression with per-frame references
-/// (paper §6.2). Frames typically align with partitions — Casper's
-/// fine partitioning of hot ranges shrinks per-frame value ranges, which
-/// directly shrinks the delta bit width: the partitioning/compression
-/// synergy the paper describes ("the more we read a partition the more
-/// compressed it is").
+/// (paper §6.2), the key column of a chunk file. Frames align with the
+/// non-empty partitions — Casper's fine partitioning of hot ranges shrinks
+/// per-frame value ranges, which directly shrinks the delta bit width: the
+/// partitioning/compression synergy the paper describes ("the more we read
+/// a partition the more compressed it is"). Scans decode the keys they need
+/// with Get; no predicate runs on the packed words.
 class FrameOfReferenceColumn {
  public:
   /// `frame_sizes` must sum to values.size(); each frame stores min(frame)
@@ -27,32 +28,11 @@ class FrameOfReferenceColumn {
   size_t size() const;
   Value Get(size_t i) const;
 
-  /// Per-scan accounting of the compressed read path, mirroring the
-  /// uncompressed chunk counters: pruned = skipped entirely by the frame
-  /// zone map, blind = fully qualifying (consumed via the element count),
-  /// scanned/decoded = frames whose packed blocks were actually evaluated.
-  struct ScanStats {
-    uint64_t frames_pruned = 0;
-    uint64_t frames_blind = 0;
-    uint64_t frames_scanned = 0;
-    uint64_t elements_decoded = 0;
-  };
-
-  /// Count of values in [lo, hi); frames are skipped via their min/max and
-  /// surviving frames are evaluated on the packed words (scan-on-compressed,
-  /// kernels::CountPackedInRange — no materialization).
-  uint64_t CountRange(Value lo, Value hi, ScanStats* stats = nullptr) const;
-
-  /// Sum of all values (decompression-free aggregate: sum of references +
-  /// packed offsets).
-  int64_t SumAll() const;
-
   std::vector<Value> DecodeAll() const;
 
   size_t CompressedBytes() const;
-  size_t UncompressedBytes() const { return size() * sizeof(Value); }
   double CompressionRatio() const {
-    return static_cast<double>(UncompressedBytes()) /
+    return static_cast<double>(size() * sizeof(Value)) /
            static_cast<double>(CompressedBytes());
   }
 

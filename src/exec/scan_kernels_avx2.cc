@@ -233,109 +233,6 @@ uint64_t SumBytes(const uint8_t* d, size_t n) {
   return s;
 }
 
-uint64_t CountU64InRange(const uint64_t* d, size_t n, uint64_t lo, uint64_t hi) {
-  // Unsigned compare via sign-bit bias + signed compare.
-  const __m256i bias = _mm256_set1_epi64x(static_cast<int64_t>(uint64_t{1} << 63));
-  const __m256i vlo =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(lo)), bias);
-  const __m256i vhi =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(hi)), bias);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)), bias);
-    acc = _mm256_sub_epi64(acc, RangeMask(v, vlo, vhi));
-  }
-  uint64_t c = HSum64(acc);
-  for (; i < n; ++i) {
-    c += static_cast<uint64_t>(d[i] >= lo) & static_cast<uint64_t>(d[i] < hi);
-  }
-  return c;
-}
-
-size_t FilterSlotsU64InClosedRange(const uint64_t* d, size_t n, uint64_t lo,
-                                   uint64_t hi, uint32_t base, uint32_t* out) {
-  // Closed unsigned range on 64-bit lanes (packed-lane payload predicate):
-  // sign-bit bias, then keep lanes with !(v < lo) && !(v > hi).
-  const __m256i bias = _mm256_set1_epi64x(static_cast<int64_t>(uint64_t{1} << 63));
-  const __m256i vlo =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(lo)), bias);
-  const __m256i vhi =
-      _mm256_xor_si256(_mm256_set1_epi64x(static_cast<int64_t>(hi)), bias);
-  size_t k = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i)), bias);
-    const __m256i below = _mm256_cmpgt_epi64(vlo, v);  // v < lo
-    const __m256i above = _mm256_cmpgt_epi64(v, vhi);  // v > hi
-    const int bad = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_or_si256(below, above)));
-    const int mm = ~bad & 0xF;
-    const uint32_t s = base + static_cast<uint32_t>(i);
-    out[k] = s;
-    k += static_cast<size_t>(mm & 1);
-    out[k] = s + 1;
-    k += static_cast<size_t>((mm >> 1) & 1);
-    out[k] = s + 2;
-    k += static_cast<size_t>((mm >> 2) & 1);
-    out[k] = s + 3;
-    k += static_cast<size_t>((mm >> 3) & 1);
-  }
-  for (; i < n; ++i) {
-    out[k] = base + static_cast<uint32_t>(i);
-    k += static_cast<size_t>(d[i] >= lo) & static_cast<size_t>(d[i] <= hi);
-  }
-  return k;
-}
-
-size_t FilterSlotsU32InClosedRange(const uint32_t* d, size_t n, uint32_t lo,
-                                   uint32_t hi, uint32_t base, uint32_t* out) {
-  // Closed unsigned range on contiguous 32-bit lanes (the packed payload
-  // filter's inner kernel after unpacking to u32): same min/max identities as
-  // FilterPayloadInRange, minus its gather — 8 lanes per compare instead of
-  // the 4 the 64-bit variant manages.
-  const __m256i vlo = _mm256_set1_epi32(static_cast<int>(lo));
-  const __m256i vhi = _mm256_set1_epi32(static_cast<int>(hi));
-  size_t k = 0;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const __m256i ge_lo = _mm256_cmpeq_epi32(_mm256_max_epu32(v, vlo), v);
-    const __m256i le_hi = _mm256_cmpeq_epi32(_mm256_min_epu32(v, vhi), v);
-    const int mm = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_and_si256(ge_lo, le_hi)));
-    const uint32_t s = base + static_cast<uint32_t>(i);
-    for (size_t j = 0; j < 8; ++j) {
-      out[k] = s + static_cast<uint32_t>(j);
-      k += static_cast<size_t>((mm >> j) & 1);
-    }
-  }
-  for (; i < n; ++i) {
-    out[k] = base + static_cast<uint32_t>(i);
-    k += static_cast<size_t>(d[i] >= lo) & static_cast<size_t>(d[i] <= hi);
-  }
-  return k;
-}
-
-uint64_t SumIndexedU64(const uint64_t* lut, const uint64_t* idx, size_t n) {
-  // Dictionary-domain sum: 4-lane 64-bit gather through the decoded lut.
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i vi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx + i));
-    acc = _mm256_add_epi64(
-        acc, _mm256_i64gather_epi64(reinterpret_cast<const long long*>(lut),
-                                    vi, sizeof(uint64_t)));
-  }
-  uint64_t s = HSum64(acc);
-  for (; i < n; ++i) s += lut[idx[i]];
-  return s;
-}
-
 }  // namespace casper::kernels::avx2
 
 #endif  // CASPER_AVX2

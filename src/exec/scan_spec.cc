@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "compression/packed_column.h"
 #include "exec/scan_kernels.h"
 #include "util/status.h"
 
@@ -88,32 +87,6 @@ void AggregateSlots(const ScanSpec& spec, const SpecRows& r,
   }
 }
 
-/// True when summing packed rows [begin, begin + n) beats the flat AVX2
-/// kernel. The prefix blocks answer the interior in O(1), so the packed cost
-/// is only the partial blocks at the two edges — but edge rows unpack several
-/// times slower than the flat sum consumes them, so short runs (anything that
-/// doesn't span a full block, e.g. single partitions) must stay on the raw
-/// array.
-bool PackedSumPaysOff(size_t begin, size_t n) {
-  constexpr size_t kB = PackedPayloadColumn::kSumBlock;
-  const size_t end = begin + n;
-  const size_t first_full = (begin + kB - 1) / kB * kB;
-  const size_t last_full = end / kB * kB;
-  if (first_full >= last_full) return false;  // no whole block in the window
-  const size_t edge_rows = (first_full - begin) + (end - last_full);
-  return n > 4 * edge_rows;  // interior must dwarf the slower edge unpacking
-}
-
-/// Minimum run length before payload predicates evaluate in the packed
-/// domain. On cache-resident runs the flat gather filter beats unpack+filter
-/// outright (~2x measured), so short runs — partition-sized scans after the
-/// key filter — stay on the raw arrays. A run past this floor streams more
-/// flat payload bytes than any LLC holds, and there the packed words read
-/// width/32 of the memory traffic and win on bandwidth. The predicate
-/// rewrite itself (whole-run veto) stays on for every run length: it costs a
-/// couple of comparisons and can skip the scan entirely.
-constexpr size_t kPackedFilterMinRun = size_t{1} << 21;
-
 }  // namespace
 
 ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
@@ -128,11 +101,6 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
   const PredicateSpec* preds =
       r.preds_override ? r.preds : spec.predicates.data();
   const size_t npreds = r.preds_override ? r.npreds : spec.predicates.size();
-
-  const auto packed_col = [&r](size_t c) -> const PackedPayloadColumn* {
-    return (r.packed != nullptr && c < r.packed->size()) ? (*r.packed)[c].get()
-                                                         : nullptr;
-  };
 
   // Vectorized fast paths: the predicate-free count/sum shapes dominate real
   // workloads (Q2/Q3 and full scans), and they need no slot materialization.
@@ -150,18 +118,7 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
     if (spec.agg.kind == AggKind::kSum &&
         (r.tombstones == nullptr ||
          kernels::SumBytes(r.tombstones + r.base, r.n) == 0)) {
-      const bool packed_pays = PackedSumPaysOff(r.packed_base, r.n);
       for (const size_t c : spec.agg.cols) {
-        // Scan-on-compressed: when the whole run qualifies and the column is
-        // encoded, sum straight off the packed words (prefix blocks answer
-        // the interior) — no decode, no materialization, bit-identical
-        // because all sums wrap in u64.
-        const PackedPayloadColumn* pc =
-            (check || !packed_pays) ? nullptr : packed_col(c);
-        if (pc != nullptr) {
-          out.sum += pc->SumRows(r.packed_base, r.packed_base + r.n);
-          continue;
-        }
         const Payload* col = (*r.cols)[c].data() + r.base;
         out.sum += static_cast<uint64_t>(
             check ? kernels::SumPayloadInRange(r.keys, col, r.n, spec.lo, spec.hi)
@@ -171,56 +128,20 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
     }
   }
 
-  // Rewrite each predicate on an encoded column into the packed domain once
-  // per run (offset space for FoR, code space for dictionary). A rewrite
-  // that proves no encoded value can qualify vetoes the whole run.
-  struct PackedPred {
-    const PackedPayloadColumn* pc;
-    uint64_t plo;
-    uint64_t phi;
-  };
-  constexpr size_t kMaxPackedPreds = 16;
-  PackedPred pp[kMaxPackedPreds];
-  const bool use_packed = r.packed != nullptr && npreds <= kMaxPackedPreds;
-  if (use_packed) {
-    for (size_t i = 0; i < npreds; ++i) {
-      pp[i] = {packed_col(preds[i].col), 0, 0};
-      if (pp[i].pc != nullptr &&
-          !pp[i].pc->RewritePredicate(preds[i].lo, preds[i].hi, &pp[i].plo,
-                                      &pp[i].phi)) {
-        return out;  // no value in the encoded column qualifies
-      }
-    }
-  }
-
   // General path: block-wise late materialization. The key filter (or an
   // identity slot list when the run pre-qualifies) feeds the tombstone
   // filter, then each payload predicate refines via the gather kernel, and
   // the aggregate consumes the survivors — all ascending, so addition order
   // matches the legacy per-row loops exactly.
-  const bool packed_filter = use_packed && r.n >= kPackedFilterMinRun;
   constexpr size_t kBlock = 256;
   uint32_t buf_a[kBlock];
   uint32_t buf_b[kBlock];
-  const int64_t packed_bias =
-      static_cast<int64_t>(r.packed_base) - static_cast<int64_t>(r.base);
   for (size_t off = 0; off < r.n; off += kBlock) {
     const size_t m = std::min(kBlock, r.n - off);
     uint32_t* slots = buf_a;
     uint32_t* spare = buf_b;
     size_t k;
-    size_t pred_start = 0;
-    if (!check && r.tombstones == nullptr && packed_filter && npreds > 0 &&
-        pp[0].pc != nullptr) {
-      // Every row of the block is a candidate, so the first packed predicate
-      // emits qualifying slots straight from the packed words — the identity
-      // fill and the first gather filter collapse into one packed pass.
-      k = kernels::FilterPackedPayloadInRange(
-          pp[0].pc->words(), r.packed_base + off, r.packed_base + off + m,
-          pp[0].pc->bit_width(), pp[0].plo, pp[0].phi,
-          r.base + static_cast<uint32_t>(off), slots);
-      pred_start = 1;
-    } else if (check) {
+    if (check) {
       k = kernels::FilterSlots(r.keys + off, m, spec.lo, spec.hi,
                                r.base + static_cast<uint32_t>(off), slots);
     } else {
@@ -238,18 +159,11 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
       std::swap(slots, spare);
       k = kept;
     }
-    for (size_t pi = pred_start; pi < npreds; ++pi) {
+    for (size_t pi = 0; pi < npreds; ++pi) {
       if (k == 0) break;
-      const PackedPayloadColumn* pc = packed_filter ? pp[pi].pc : nullptr;
-      if (pc != nullptr) {
-        k = kernels::RefinePackedPayloadInRange(pc->words(), pc->bit_width(),
-                                                slots, k, packed_bias,
-                                                pp[pi].plo, pp[pi].phi, spare);
-      } else {
-        const PredicateSpec& p = preds[pi];
-        k = kernels::FilterPayloadInRange((*r.cols)[p.col].data(), slots, k,
-                                          p.lo, p.hi, spare);
-      }
+      const PredicateSpec& p = preds[pi];
+      k = kernels::FilterPayloadInRange((*r.cols)[p.col].data(), slots, k,
+                                        p.lo, p.hi, spare);
       std::swap(slots, spare);
     }
     if (k > 0) AggregateSlots(spec, r, slots, k, &out);

@@ -5,15 +5,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "storage/types.h"
 #include "workload/ops.h"
 
 namespace casper {
-
-class PackedPayloadColumn;
 
 /// The unified scan/aggregate query surface (paper §6.4's generic
 /// storage-engine API, made composable): every read over a key range — full
@@ -109,7 +106,7 @@ struct ScanSpec {
   bool EmptyKeyRange() const { return !full_domain && lo >= hi; }
 
   /// True when evaluation reads payload columns (a predicate or an aggregate
-  /// column), i.e. when a packed payload encoding can serve it.
+  /// column).
   bool TouchesPayload() const { return !predicates.empty() || !agg.cols.empty(); }
 
   /// True when every referenced payload column exists in a table of `pcols`
@@ -233,17 +230,6 @@ struct SpecRows {
   const std::vector<std::vector<Payload>>* cols = nullptr;
   const uint8_t* tombstones = nullptr;  ///< nullable; 1 = deleted, by slot
   bool key_check = true;
-
-  /// Optional packed payload encodings for the run (a chunk file's columns,
-  /// storage/partition_scan.h): packed[c] is nullptr when column c has no
-  /// packed form. The run's rows must be POSITIONALLY DENSE in packed space —
-  /// slot `base + i` is packed row `packed_base + i`. Predicate-free sums
-  /// scan packed words with no materialization; predicated scans
-  /// filter/refine in the packed domain and aggregate from the raw arrays
-  /// (late materialization), so results stay bit-identical either way.
-  const std::vector<std::shared_ptr<const PackedPayloadColumn>>* packed =
-      nullptr;
-  size_t packed_base = 0;  ///< packed row position of slot `base`
 
   /// Optional predicate override (zone-map blind consume): when
   /// `preds_override` is true, evaluate `preds[0..npreds)` INSTEAD of

@@ -119,9 +119,9 @@ CycleCapture CaptureCycle(const PartitionedTable& table,
 ///  (c) Re-partition — diverged chunks are rebuilt ONE AT A TIME through
 ///      PartitionedTable::RepartitionChunk, each under its own exclusive
 ///      chunk latch while queries keep flowing on every other chunk; the
-///      epoch bump invalidates that chunk's compressed encodings exactly as
-///      a write does, and results stay bit-identical to serial replay
-///      because re-partitioning preserves the logical row multiset.
+///      epoch bump is the one a write makes, and results stay bit-identical
+///      to serial replay because re-partitioning preserves the logical row
+///      multiset.
 ///
 /// Threading: Observe() is a mutex-guarded ring append (hot path). Cycles
 /// are serialized by cycle_mu_ whether driven manually (RunCycle) or by the

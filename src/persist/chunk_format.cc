@@ -276,6 +276,14 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
     Status s = GetBitPacked(&src, static_cast<int64_t>(chunk.rows), &packed,
                             "payload column");
     if (!s.ok()) return s;
+    if (enc_tag == kEncDict) {
+      // A code past the dictionary would decode out of bounds.
+      for (size_t i = 0; i < packed.size(); ++i) {
+        if (packed.Get(i) >= dict_size) {
+          return Corrupt("dictionary code out of range");
+        }
+      }
+    }
     if (chunk.rows > 0) {
       enc.payload[c] = PackedPayloadColumn::FromParts(
           enc_tag == kEncDict ? PayloadEncoding::kDictionary

@@ -35,7 +35,7 @@ namespace persist {
 ///                   per partition: u32 zone_min | u32 zone_max
 ///   u32  crc
 ///
-/// The packed words are exactly the words EncodeChunkRows packs: a cold scan
+/// The packed words are exactly the words EncodeChunkRows packs: the reader
 /// reassembles BitPackedArrays from them verbatim (no re-encoding). Every
 /// payload column is packed, with the encoding ChooseDiskEncoding picks.
 
@@ -82,8 +82,9 @@ class ChunkReader {
   /// Pure parse: validates magic, version, CRC and structural consistency
   /// (at least one partition, strictly increasing partition uppers,
   /// partition sizes vs rows, prefix sums, frame coverage, packed word
-  /// counts) before reassembling the columns. Any violation is a clean
-  /// Status, never a crash or out-of-bounds read.
+  /// counts, dictionary codes inside the dictionary) before reassembling
+  /// the columns. Any violation is a clean Status, never a crash or
+  /// out-of-bounds read.
   static Status Parse(const std::string& bytes, PersistedChunk* out);
 
   /// Read + Parse; fills out->file_bytes.

@@ -33,11 +33,12 @@ struct PayloadZone {
   Payload max = 0;
 };
 
-/// The encoded image of one chunk — what a chunk file holds and a cold scan
-/// reads: the key frame (FoR over live keys, frames = partitions), one packed
-/// column per payload column, the packed-space prefix of live rows per
-/// partition (to map chunk partitions into packed row positions), and
-/// per-column/per-partition payload zone maps.
+/// The encoded image of one chunk — what a chunk file holds: the key frame
+/// (FoR over live keys, frames = partitions), one packed column per payload
+/// column, the packed-space prefix of live rows per partition (to map chunk
+/// partitions into packed row positions), and per-column/per-partition
+/// payload zone maps. A cold scan prunes by the zone maps and decodes the
+/// rows of each partition it reads into flat arrays.
 struct ChunkEncoding {
   std::shared_ptr<const FrameOfReferenceColumn> keys;
   std::vector<std::shared_ptr<const PackedPayloadColumn>> payload;

@@ -46,22 +46,15 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   }
   if (spec.EmptyKeyRange() || src.rows == 0) return out;
   const ChunkEncoding* enc = src.enc;  // null for a resident view
-  if (count_only && enc != nullptr) {
-    // Frames align with non-empty partitions, so the frame zone-map walk is
-    // the partition walk, counted on the packed key words.
-    FrameOfReferenceColumn::ScanStats fs;
-    out.count = enc->keys->CountRange(spec.lo, spec.hi, &fs);
-    ++stats->compressed_scans;
-    stats->partitions_scanned += fs.frames_blind + fs.frames_scanned;
-    stats->partitions_pruned += fs.frames_pruned;
-    stats->element_reads += fs.elements_decoded;
-    return out;
-  }
+  // One compressed scan per file-backed count: the tier manager's heat score
+  // reads it.
+  if (count_only && enc != nullptr) ++stats->compressed_scans;
 
   // A file-backed view decodes each surviving partition into scratch: the
   // payload columns the spec references, and the keys only where the key
   // predicate is checked (EvalSpecRows reads no key otherwise). Every one of
-  // its payload columns is packed.
+  // its payload columns is packed, and the flat scratch is all EvalSpecRows
+  // sees.
   std::vector<Value> key_scratch;
   std::vector<std::vector<Payload>> col_scratch;
   std::vector<char> referenced;
@@ -84,7 +77,6 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   // keeps the per-partition set-up to a few register moves.
   exec::SpecRows shared;
   shared.cols = enc == nullptr ? src.cols : &col_scratch;
-  if (enc != nullptr) shared.packed = &enc->payload;
   uint64_t scanned = 0;
   uint64_t pruned = 0;
   uint64_t reads = 0;
@@ -105,7 +97,7 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
               !(p.min_val >= spec.lo && p.max_val < spec.hi);
     }
     if (count_only) {
-      // Key-range count on resident keys.
+      // Key-range count: only a checked boundary partition reads its keys.
       ++scanned;
       if (!check) {
         out.count += p.size;  // blind consume (paper Fig. 3c)
@@ -150,7 +142,6 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
     // Scratch starts at the partition, so base stays 0.
     const size_t begin = enc->live_prefix[t];
     const size_t n = p.size;
-    rows.packed_base = begin;
     payload_scans += spec.TouchesPayload();
     if (check) {
       key_scratch.resize(n);
@@ -164,7 +155,9 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
         col_scratch[c][i] = enc->payload[c]->DecodeAt(begin + i);
       }
     }
-    reads += n;  // rows decoded from packed storage count as reads
+    // Rows decoded from packed storage count as reads (a count's keys
+    // already did, above).
+    if (!count_only) reads += n;
     out.Merge(exec::EvalSpecRows(spec, rows));
   }
   if (scanned != 0) stats->partitions_scanned += scanned;

@@ -51,13 +51,12 @@ struct PartitionSource {
 /// (Fig. 3c): route to the boundary partitions, prune by zone map, consume
 /// the middle partitions without reading them.
 ///  - Full-domain counts add up partition sizes.
-///  - Key-range counts on a file-backed view count the packed key frames.
 ///  - Everything else walks the routed partitions: key zone-map skip and
-///    blind consume, then exec::EvalSpecRows on the partition's rows. A
-///    file-backed view also prunes by payload zone map and drops predicates
-///    a zone proves, and decodes the referenced payload columns of each
-///    surviving partition into scratch, its keys only where the key
-///    predicate must be checked.
+///    blind consume, then exec::EvalSpecRows on the partition's flat rows.
+///    A file-backed view also prunes by payload zone map and drops
+///    predicates a zone proves, and decodes the referenced payload columns
+///    of each surviving partition into scratch, its keys only where the key
+///    predicate must be checked (for a count, only at the boundaries).
 /// Counters land on `stats`; rows decoded from a tier file count as element
 /// reads. The caller validates column references (ScanSpec::RefsValid).
 ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,

@@ -313,12 +313,7 @@ size_t PartitionedTable::ApplyWriteRun(const std::vector<BatchWrite>& run,
 
 size_t PartitionedTable::MemoryBytes() const {
   size_t bytes = 0;
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    const TableChunk& ch = *chunks_[c];
-    SharedChunkGuard guard(ch.latch);
-    bytes += ch.keys.capacity() * sizeof(Value);
-    for (const auto& col : ch.payload) bytes += col.size() * sizeof(Payload);
-  }
+  for (size_t c = 0; c < chunks_.size(); ++c) bytes += ChunkMemoryBytes(c);
   return bytes;
 }
 
@@ -518,12 +513,16 @@ bool PartitionedTable::ChunkResident(size_t c) const {
   return ch.evicted == nullptr;
 }
 
-size_t PartitionedTable::ChunkMemoryBytes(size_t c) const {
-  const TableChunk& ch = *chunks_[c];
-  SharedChunkGuard guard(ch.latch);
+size_t PartitionedTable::ResidentBytes(const TableChunk& ch) {
   size_t bytes = ch.keys.capacity() * sizeof(Value);
   for (const auto& col : ch.payload) bytes += col.size() * sizeof(Payload);
   return bytes;
+}
+
+size_t PartitionedTable::ChunkMemoryBytes(size_t c) const {
+  const TableChunk& ch = *chunks_[c];
+  SharedChunkGuard guard(ch.latch);
+  return ResidentBytes(ch);
 }
 
 size_t PartitionedTable::ChunkFootprintIfResident(size_t c) const {
@@ -533,9 +532,7 @@ size_t PartitionedTable::ChunkFootprintIfResident(size_t c) const {
     return static_cast<size_t>(ch.evicted->capacity) *
            (sizeof(Value) + payload_cols_ * sizeof(Payload));
   }
-  size_t bytes = ch.keys.capacity() * sizeof(Value);
-  for (const auto& col : ch.payload) bytes += col.size() * sizeof(Payload);
-  return bytes;
+  return ResidentBytes(ch);
 }
 
 uint64_t PartitionedTable::LayoutFingerprint() const {

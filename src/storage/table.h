@@ -301,6 +301,9 @@ class PartitionedTable {
   persist::PersistedChunk LoadEvicted(const TableChunk& ch) const
       REQUIRES_SHARED(ch.latch);
 
+  /// Bytes held by ch's key + payload storage.
+  static size_t ResidentBytes(const TableChunk& ch) REQUIRES_SHARED(ch.latch);
+
   /// Brings an evicted chunk back to residency in place (no-op when already
   /// resident): decode the tier file, rebuild it (RebuildChunkLocked), remove
   /// the now-stale tier file.

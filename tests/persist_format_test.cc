@@ -234,6 +234,18 @@ TEST(ChunkFormat, CorruptionIsACleanStatus) {
   bad.clear();
   ChunkWriter::Serialize(unordered, &bad);
   EXPECT_FALSE(ChunkReader::Parse(bad, &out).ok());
+
+  // A dictionary code past the dictionary, behind a valid CRC: 3 entries,
+  // 2-bit codes, and one row holding code 3.
+  PersistedChunk past_dict = enc;
+  past_dict.encoding.payload[0] = PackedPayloadColumn::FromParts(
+      PayloadEncoding::kDictionary, 0, {10, 20, 30},
+      BitPackedArray::Pack(enc.rows, 2, [](size_t i) -> uint64_t {
+        return i == 500 ? 3 : i % 3;
+      }));
+  bad.clear();
+  ChunkWriter::Serialize(past_dict, &bad);
+  EXPECT_FALSE(ChunkReader::Parse(bad, &out).ok());
 }
 
 TEST(ChunkFormat, FileRoundTripFillsFileBytes) {

@@ -1,20 +1,17 @@
 // Randomized kernel-equivalence suite for the vectorized scan layer
-// (exec/scan_kernels.h): the dispatched kernels (AVX2 where the CPU has it),
-// the portable scalar references, and the scan-on-compressed packed kernels
-// must agree bit for bit on identical inputs — swept over buffer sizes
-// 0..4097 (every SIMD width boundary and tail remainder), unaligned base
-// offsets, duplicate-heavy data, and both key-domain edges. CI runs this
-// binary under ASan+UBSan and TSan as well as Release.
+// (exec/scan_kernels.h): the dispatched kernels (AVX2 where the CPU has it)
+// and the portable scalar references must agree bit for bit on identical
+// inputs — swept over buffer sizes 0..4097 (every SIMD width boundary and
+// tail remainder), unaligned base offsets, duplicate-heavy data, and both
+// key-domain edges. CI runs this binary under ASan+UBSan and TSan as well as
+// Release.
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "compression/bitpack.h"
-#include "compression/frame_of_reference.h"
 #include "exec/scan_kernels.h"
 #include "storage/types.h"
 #include "util/rng.h"
@@ -126,15 +123,6 @@ TEST(ScanKernels, DispatchedMatchesScalarAcrossSizesAndOffsets) {
                 kernels::scalar::FindFirstEqual(c.k(), n, present))
           << n;
     }
-
-    // Unsigned-offset kernel (the compressed path's predicate).
-    std::vector<uint64_t> u(n);
-    for (size_t i = 0; i < n; ++i) u[i] = static_cast<uint64_t>(c.k()[i]);
-    const uint64_t ulo = rng.Below(2000);
-    const uint64_t uhi = ulo + rng.Below(2000);
-    ASSERT_EQ(kernels::CountU64InRange(u.data(), n, ulo, uhi),
-              kernels::scalar::CountU64InRange(u.data(), n, ulo, uhi))
-        << n;
   }
 }
 
@@ -241,245 +229,6 @@ TEST(ScanKernels, Avx2NamespaceMatchesScalarWhenAvailable) {
   }
 }
 #endif  // CASPER_AVX2
-
-// Scan-on-compressed: a frame-of-reference encoding of the same buffer must
-// produce the same counts as the raw kernels, for every size and random
-// frame widths (tail frames exercise partial unpack blocks).
-TEST(ScanKernels, CompressedMatchesRawAcrossSizes) {
-  Rng rng(4242);
-  for (size_t n = 1; n <= 4097; n += (n < 128 ? 1 : 29)) {
-    const Corpus c = MakeCorpus(n, rng);
-    std::vector<Value> raw(c.k(), c.k() + n);
-    const size_t frame_width = 1 + rng.Below(300);
-    const FrameOfReferenceColumn col(raw, frame_width);
-    ASSERT_EQ(col.size(), n);
-
-    ASSERT_EQ(col.CountRange(c.lo, c.hi),
-              kernels::scalar::CountInRange(raw.data(), n, c.lo, c.hi))
-        << n << " fw=" << frame_width;
-
-    // Decode-free aggregate and random access agree with the raw column.
-    // Reference sum accumulated in uint64_t: wraparound stays defined at
-    // the key-domain edges.
-    const uint64_t raw_sum =
-        std::accumulate(raw.begin(), raw.end(), uint64_t{0},
-                        [](uint64_t s, Value v) { return s + static_cast<uint64_t>(v); });
-    ASSERT_EQ(col.SumAll(), static_cast<int64_t>(raw_sum)) << n;
-    const size_t probe_at = rng.Below(n);
-    ASSERT_EQ(col.Get(probe_at), raw[probe_at]) << n;
-  }
-}
-
-// Packed payload kernels vs brute-force unpack: the dispatched entry points
-// (SumPackedPayload / SumPackedLookup / FilterPackedPayloadInRange /
-// RefinePackedPayloadInRange) must agree with a value-at-a-time reference on
-// the same packed words — swept over sizes 0..4097, bit widths 0..32, and
-// unaligned element offsets (window starts that don't sit on a word edge).
-TEST(ScanKernels, PackedPayloadKernelsMatchBruteForce) {
-  Rng rng(20260808);
-  for (size_t n = 0; n <= 4097; n = n < 96 ? n + 1 : n + 57) {
-    const unsigned width = static_cast<unsigned>(rng.Below(33));
-    const size_t off = rng.Below(8);  // unaligned window start
-    const size_t total = n + off;
-    const uint64_t mask =
-        width == 0 ? 0 : (width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1));
-    BitPackedArray arr(total, width);
-    std::vector<uint64_t> vals(total);
-    for (size_t i = 0; i < total; ++i) {
-      vals[i] = rng.Next() & mask;
-      arr.Set(i, vals[i]);
-    }
-
-    // FoR sum: base * count + packed offsets, wrapping u64.
-    const uint64_t base = rng.Below(uint64_t{1} << 20);
-    uint64_t want_sum = 0;
-    for (size_t i = off; i < total; ++i) want_sum += base + vals[i];
-    ASSERT_EQ(kernels::SumPackedPayload(arr.words(), off, total, width, base),
-              want_sum)
-        << n << " w=" << width << " off=" << off;
-
-    // Dictionary sum: lut gather over the codes (keep the lut addressable).
-    if (width <= 12) {
-      std::vector<uint64_t> lut(mask + 1);
-      for (auto& v : lut) v = rng.Below(uint64_t{1} << 32);
-      uint64_t want_lut = 0;
-      for (size_t i = off; i < total; ++i) want_lut += lut[vals[i]];
-      ASSERT_EQ(
-          kernels::SumPackedLookup(arr.words(), off, total, width, lut.data()),
-          want_lut)
-          << n << " w=" << width << " off=" << off;
-    }
-
-    // Closed packed-domain filter, including the empty lo > hi shape.
-    uint64_t plo = rng.Next() & mask;
-    uint64_t phi = rng.Next() & mask;
-    if (plo > phi) std::swap(plo, phi);
-    if (mask > 0 && rng.Below(8) == 0) {
-      plo = 2;
-      phi = 1;
-    }
-    const uint32_t slot_base = 13;
-    std::vector<uint32_t> want_slots;
-    for (size_t i = off; i < total; ++i) {
-      if (plo <= vals[i] && vals[i] <= phi) {
-        want_slots.push_back(slot_base + static_cast<uint32_t>(i - off));
-      }
-    }
-    std::vector<uint32_t> got(n);
-    const size_t k = kernels::FilterPackedPayloadInRange(
-        arr.words(), off, total, width, plo, phi, slot_base, got.data());
-    got.resize(k);
-    ASSERT_EQ(got, want_slots) << n << " w=" << width << " off=" << off;
-
-    // Refine an already-thinned ascending slot list (random subset), with a
-    // bias mapping absolute slots back to packed positions; in place.
-    std::vector<uint32_t> slots;
-    for (size_t i = off; i < total; ++i) {
-      if (rng.Below(3) == 0) {
-        slots.push_back(slot_base + static_cast<uint32_t>(i - off));
-      }
-    }
-    const int64_t slot_bias =
-        static_cast<int64_t>(off) - static_cast<int64_t>(slot_base);
-    std::vector<uint32_t> want_refined;
-    for (const uint32_t s : slots) {
-      const uint64_t v = vals[static_cast<size_t>(s + slot_bias)];
-      if (plo <= v && v <= phi) want_refined.push_back(s);
-    }
-    std::vector<uint32_t> refined = slots;
-    const size_t rk = kernels::RefinePackedPayloadInRange(
-        arr.words(), width, refined.data(), refined.size(), slot_bias, plo, phi,
-        refined.data());
-    refined.resize(rk);
-    ASSERT_EQ(refined, want_refined) << n << " w=" << width << " off=" << off;
-  }
-}
-
-// The key-side scan-on-compressed kernels (CountPackedInRange / SumPacked)
-// vs brute-force unpack: swept over sizes, bit widths 0..32, unaligned
-// element windows, and the half-open offset-space predicate — including the
-// empty olo >= ohi shape.
-TEST(ScanKernels, PackedKeyKernelsMatchBruteForce) {
-  Rng rng(20260809);
-  for (size_t n = 0; n <= 4097; n = n < 96 ? n + 1 : n + 57) {
-    const unsigned width = static_cast<unsigned>(rng.Below(33));
-    const size_t off = rng.Below(8);  // unaligned window start
-    const size_t total = n + off;
-    const uint64_t mask =
-        width == 0 ? 0 : (width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1));
-    BitPackedArray arr(total, width);
-    std::vector<uint64_t> vals(total);
-    for (size_t i = 0; i < total; ++i) {
-      vals[i] = rng.Next() & mask;
-      arr.Set(i, vals[i]);
-    }
-
-    uint64_t olo = rng.Next() & mask;
-    uint64_t ohi = rng.Next() & mask;
-    if (olo > ohi) std::swap(olo, ohi);
-    if (mask > 0 && rng.Below(8) == 0) std::swap(olo, ohi);  // maybe empty
-
-    uint64_t want_count = 0;
-    uint64_t want_sum = 0;
-    for (size_t i = off; i < total; ++i) {
-      want_count += (olo <= vals[i] && vals[i] < ohi);
-      want_sum += vals[i];
-    }
-    ASSERT_EQ(kernels::CountPackedInRange(arr.words(), off, total, width, olo, ohi),
-              want_count)
-        << n << " w=" << width << " off=" << off;
-    ASSERT_EQ(kernels::SumPacked(arr.words(), off, total, width), want_sum)
-        << n << " w=" << width << " off=" << off;
-  }
-}
-
-// The unpacked-block inner kernels behind the packed payload layer:
-// dispatched == scalar == avx2 (when the CPU has it) on identical inputs,
-// sizes 0..4097 with unaligned base offsets.
-TEST(ScanKernels, PackedInnerKernelsDispatchMatchesScalar) {
-  Rng rng(808);
-  for (size_t n = 0; n <= 4097; n = n < 96 ? n + 1 : n + 31) {
-    const size_t off = rng.Below(8);
-    std::vector<uint64_t> d(n + off);
-    for (auto& v : d) v = rng.Below(5000);
-    uint64_t lo = rng.Below(5000);
-    uint64_t hi = rng.Below(5000);
-    if (lo > hi) std::swap(lo, hi);
-    if (rng.Below(8) == 0) {
-      lo = 7;  // empty closed range
-      hi = 6;
-    }
-    std::vector<uint32_t> got(n), want(n);
-    const size_t kg = kernels::FilterSlotsU64InClosedRange(d.data() + off, n, lo,
-                                                           hi, 5, got.data());
-    const size_t kw = kernels::scalar::FilterSlotsU64InClosedRange(
-        d.data() + off, n, lo, hi, 5, want.data());
-    ASSERT_EQ(kg, kw) << n;
-    got.resize(kg);
-    want.resize(kw);
-    ASSERT_EQ(got, want) << n;
-
-    // The narrow (u32-lane) variant the packed payload filter actually runs:
-    // same sweep, 32-bit data and bounds, including the domain edges.
-    std::vector<uint32_t> d32(n + off);
-    for (auto& v : d32) v = static_cast<uint32_t>(rng.Below(5000));
-    if (n > 0 && rng.Below(4) == 0) {
-      d32[off + rng.Below(n)] = 0;
-      d32[off + rng.Below(n)] = UINT32_MAX;
-    }
-    uint32_t lo32 = static_cast<uint32_t>(rng.Below(5000));
-    uint32_t hi32 = static_cast<uint32_t>(rng.Below(5000));
-    if (lo32 > hi32) std::swap(lo32, hi32);
-    switch (rng.Below(8)) {
-      case 0:
-        lo32 = 7;  // empty closed range
-        hi32 = 6;
-        break;
-      case 1:
-        hi32 = UINT32_MAX;  // no upper cut
-        break;
-      default:
-        break;
-    }
-    std::vector<uint32_t> got32(n), want32(n);
-    const size_t kg32 = kernels::FilterSlotsU32InClosedRange(
-        d32.data() + off, n, lo32, hi32, 5, got32.data());
-    const size_t kw32 = kernels::scalar::FilterSlotsU32InClosedRange(
-        d32.data() + off, n, lo32, hi32, 5, want32.data());
-    ASSERT_EQ(kg32, kw32) << n;
-    got32.resize(kg32);
-    want32.resize(kw32);
-    ASSERT_EQ(got32, want32) << n;
-
-    std::vector<uint64_t> lut(257);
-    for (auto& v : lut) v = rng.Below(uint64_t{1} << 40);
-    std::vector<uint64_t> idx(n + off);
-    for (auto& v : idx) v = rng.Below(lut.size());
-    ASSERT_EQ(kernels::SumIndexedU64(lut.data(), idx.data() + off, n),
-              kernels::scalar::SumIndexedU64(lut.data(), idx.data() + off, n))
-        << n;
-
-#if defined(CASPER_AVX2)
-    if (kernels::HaveAvx2()) {
-      std::vector<uint32_t> simd(n);
-      const size_t ks = kernels::avx2::FilterSlotsU64InClosedRange(
-          d.data() + off, n, lo, hi, 5, simd.data());
-      ASSERT_EQ(ks, kw) << n;
-      simd.resize(ks);
-      ASSERT_EQ(simd, want) << n;
-      std::vector<uint32_t> simd32(n);
-      const size_t ks32 = kernels::avx2::FilterSlotsU32InClosedRange(
-          d32.data() + off, n, lo32, hi32, 5, simd32.data());
-      ASSERT_EQ(ks32, kw32) << n;
-      simd32.resize(ks32);
-      ASSERT_EQ(simd32, want32) << n;
-      ASSERT_EQ(kernels::avx2::SumIndexedU64(lut.data(), idx.data() + off, n),
-                kernels::scalar::SumIndexedU64(lut.data(), idx.data() + off, n))
-          << n;
-    }
-#endif
-  }
-}
 
 // Full-domain predicates at the integer edges: [kMinValue, kMaxValue)
 // excludes exactly the kMaxValue rows; CountEqual picks them up without any

@@ -17,10 +17,10 @@ Checked, for every function declared in `namespace scalar` of the header:
   4. scan_kernels_avx2.cc defines the AVX2 implementation;
   5. tests/scan_kernels_test.cc sweeps the name (the equivalence suite).
 
-Kernels outside the scalar namespace (the packed/scan-on-compressed family:
-CountPackedInRange, SumPacked, ...) are single-implementation by design —
-they work on bit-packed words where the unpack IS the kernel — and are only
-checked for test coverage (rule 5).
+Every kernel in the header has all three forms; the only top-level names
+without scalar/avx2 variants are the helpers in NON_KERNEL_NAMES. A
+top-level kernel added without variants is still checked for test coverage
+(rule 5).
 
 Rule 6 covers the storage and tiered-storage consumers: everything under
 src/storage/ and src/persist/ (the partition evaluator in src/storage/ runs
