@@ -129,7 +129,6 @@ bool RunTierPanel(size_t rows, JsonMetrics* json) {
   // chunks actually fit).
   bopts.persist.memory_budget_bytes = static_cast<int64_t>(
       rows * (sizeof(Value) + 2 * sizeof(Payload)) / 3);
-  bopts.persist.max_evictions_per_cycle = 64;
   CasperEngine budgeted = CasperEngine::Open(std::move(bopts));
   // Hot set: the lowest eighth of the domain, i.e. roughly the first chunk.
   std::vector<std::pair<Value, Value>> hot_queries;

@@ -102,7 +102,6 @@ int main() {
     // slots (an exact quarter would evict a hot chunk over a few spare KiB).
     const int64_t budget = table_bytes / 3;
     opts.persist.memory_budget_bytes = budget;
-    opts.persist.max_evictions_per_cycle = 64;
     opts.maintenance.enabled = true;
     CasperEngine engine = CasperEngine::Open(std::move(opts));
 

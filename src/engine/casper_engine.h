@@ -39,10 +39,8 @@ struct PersistOptions {
   /// larger trades the last few records for write throughput.
   size_t journal_fsync_every = 1;
 
-  /// Tiering policy (persist/tier_manager.h): the promotion threshold and
-  /// the demotion-per-cycle cap.
+  /// Tiering policy (persist/tier_manager.h): the promotion threshold.
   double tier_promote_score = 256.0;
-  size_t max_evictions_per_cycle = 4;
 };
 
 /// One cohesive construction surface for the engine — the same

@@ -86,16 +86,6 @@ size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
   return k;
 }
 
-size_t FilterSlotsEqual(const Value* d, size_t n, Value v, uint32_t base,
-                        uint32_t* out) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    out[k] = base + static_cast<uint32_t>(i);
-    k += static_cast<size_t>(d[i] == v);
-  }
-  return k;
-}
-
 size_t FindFirstEqual(const Value* d, size_t n, Value v) {
   // Block the early-exit check so the inner loop stays branch-light: scan 8
   // at a time accumulating a match flag, then pinpoint within the block.
@@ -195,11 +185,6 @@ int64_t SumPayload(const Payload* payload, size_t n) {
 size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
                    uint32_t* out) {
   return CASPER_DISPATCH(FilterSlots, d, n, lo, hi, base, out);
-}
-
-size_t FilterSlotsEqual(const Value* d, size_t n, Value v, uint32_t base,
-                        uint32_t* out) {
-  return CASPER_DISPATCH(FilterSlotsEqual, d, n, v, base, out);
 }
 
 size_t FindFirstEqual(const Value* d, size_t n, Value v) {

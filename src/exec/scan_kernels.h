@@ -50,13 +50,9 @@ int64_t SumPayload(const Payload* payload, size_t n);
 
 /// Writes base+i for every qualifying d[i] to out (caller provides >= n
 /// slots); returns the number written, in ascending order. The selection
-/// primitive behind slot collection and late-materialized payload filters.
+/// primitive behind late-materialized payload filters (exec::EvalSpecRows).
 size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
                    uint32_t* out);
-
-/// FilterSlots with an equality predicate (point lookups / CollectSlots).
-size_t FilterSlotsEqual(const Value* d, size_t n, Value v, uint32_t base,
-                        uint32_t* out);
 
 /// Index of the first d[i] == v, or n if absent — the delete/update
 /// find-first probe (vector compare per block, early exit on the first hit).
@@ -87,8 +83,6 @@ int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
 int64_t SumPayload(const Payload* payload, size_t n);
 size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
                    uint32_t* out);
-size_t FilterSlotsEqual(const Value* d, size_t n, Value v, uint32_t base,
-                        uint32_t* out);
 size_t FindFirstEqual(const Value* d, size_t n, Value v);
 size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
                             Payload lo, Payload hi, uint32_t* out);
@@ -107,31 +101,12 @@ int64_t SumPayloadInRange(const Value* keys, const Payload* payload, size_t n,
 int64_t SumPayload(const Payload* payload, size_t n);
 size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
                    uint32_t* out);
-size_t FilterSlotsEqual(const Value* d, size_t n, Value v, uint32_t base,
-                        uint32_t* out);
 size_t FindFirstEqual(const Value* d, size_t n, Value v);
 size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
                             Payload lo, Payload hi, uint32_t* out);
 uint64_t SumBytes(const uint8_t* d, size_t n);
 }  // namespace avx2
 #endif  // CASPER_AVX2
-
-/// Visits qualifying slots of d[0..n) in blocks through the FilterSlots
-/// kernel: fn(uint32_t slot) for every i with lo <= d[i] < hi, slots offset
-/// by `base`, ascending. Used by the template read paths (ForEachSlotInRange
-/// and friends) so callback-style scans still run on the vector kernels.
-template <typename Fn>
-void ForEachQualifyingSlot(const Value* d, size_t n, Value lo, Value hi,
-                           uint32_t base, Fn&& fn) {
-  constexpr size_t kBlock = 256;
-  uint32_t slots[kBlock];
-  for (size_t off = 0; off < n; off += kBlock) {
-    const size_t m = n - off < kBlock ? n - off : kBlock;
-    const size_t k =
-        FilterSlots(d + off, m, lo, hi, base + static_cast<uint32_t>(off), slots);
-    for (size_t j = 0; j < k; ++j) fn(slots[j]);
-  }
-}
 
 }  // namespace casper::kernels
 

@@ -137,33 +137,6 @@ size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
   return k;
 }
 
-size_t FilterSlotsEqual(const Value* d, size_t n, Value v, uint32_t base,
-                        uint32_t* out) {
-  const __m256i vv = _mm256_set1_epi64x(v);
-  size_t k = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const int mm =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(x, vv)));
-    const uint32_t s = base + static_cast<uint32_t>(i);
-    out[k] = s;
-    k += static_cast<size_t>(mm & 1);
-    out[k] = s + 1;
-    k += static_cast<size_t>((mm >> 1) & 1);
-    out[k] = s + 2;
-    k += static_cast<size_t>((mm >> 2) & 1);
-    out[k] = s + 3;
-    k += static_cast<size_t>((mm >> 3) & 1);
-  }
-  for (; i < n; ++i) {
-    out[k] = base + static_cast<uint32_t>(i);
-    k += static_cast<size_t>(d[i] == v);
-  }
-  return k;
-}
-
 size_t FindFirstEqual(const Value* d, size_t n, Value v) {
   const __m256i vv = _mm256_set1_epi64x(v);
   size_t i = 0;

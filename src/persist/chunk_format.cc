@@ -61,26 +61,12 @@ Status GetBitPacked(ByteSource* src, int64_t expect_count, BitPackedArray* out,
 
 }  // namespace
 
-EvictedChunkState PersistedChunk::ToEvictedState(std::string path) const {
-  EvictedChunkState st;
-  st.path = std::move(path);
-  st.rows = rows;
-  for (const ChunkPartitionMeta& p : parts) st.capacity += p.cap;
-  st.parts = parts;
-  return st;
-}
-
 PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) {
   PersistedChunk out;
   out.chunk_index = chunk_index;
   out.rows = rows.keys.size();
   out.parts = rows.parts;
-  std::vector<Value> uppers;
-  for (const ChunkPartitionMeta& p : out.parts) {
-    CASPER_CHECK(p.cap >= p.size);
-    uppers.push_back(p.upper);
-  }
-  if (!uppers.empty()) out.index = PartitionIndex(std::move(uppers));
+  for (const ChunkPartitionMeta& p : out.parts) CASPER_CHECK(p.cap >= p.size);
   out.encoding = EncodeChunkRows(rows);
   return out;
 }
@@ -176,11 +162,11 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
       !src.U64(&payload_cols) || !src.BoundedCount(&num_parts, 5 * 8)) {
     return Corrupt("header truncated");
   }
-  // Routing needs at least one partition and strictly increasing uppers
-  // (the resident chunk's invariant); anything else is not a chunk file.
+  // A chunk's geometry has at least one partition and strictly increasing
+  // uppers (the resident chunk's invariant); anything else is not a chunk
+  // file.
   if (num_parts == 0) return Corrupt("no partitions");
   chunk.parts.resize(num_parts);
-  std::vector<Value> uppers(num_parts);
   uint64_t live_total = 0;
   uint64_t begin = 0;
   for (size_t t = 0; t < num_parts; ++t) {
@@ -192,20 +178,18 @@ Status ChunkReader::Parse(const std::string& bytes, PersistedChunk* out) {
       return Corrupt("partition table truncated");
     }
     if (cap < size) return Corrupt("partition cap < size");
-    if (t > 0 && p.upper <= uppers[t - 1]) {
+    if (t > 0 && p.upper <= chunk.parts[t - 1].upper) {
       return Corrupt("partition uppers not increasing");
     }
     p.begin = begin;
     p.size = size;
     p.cap = cap;
-    uppers[t] = p.upper;
     begin += cap;
     live_total += size;
   }
   if (live_total != chunk.rows) {
     return Corrupt("partition sizes do not sum to rows");
   }
-  chunk.index = PartitionIndex(std::move(uppers));
   ChunkEncoding& enc = chunk.encoding;
   {
     std::vector<uint64_t> lp;

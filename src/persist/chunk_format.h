@@ -8,9 +8,8 @@
 
 #include "compression/frame_of_reference.h"
 #include "compression/packed_column.h"
-#include "persist/evicted_chunk.h"
+#include "storage/column_chunk.h"
 #include "storage/chunk_rows.h"
-#include "storage/partition_index.h"
 #include "storage/types.h"
 #include "util/status.h"
 
@@ -42,26 +41,30 @@ namespace persist {
 constexpr uint32_t kChunkMagic = 0x52505343u;  // 'CSPR'
 constexpr uint32_t kChunkFormatVersion = 1;
 
+/// Partition geometry as persisted: the resident chunk's own partition record.
+/// The file stores size, cap, upper and the key zone map; `begin` is not
+/// stored — Parse restores it as the prefix sum of caps, the
+/// contiguous-layout invariant.
+using ChunkPartitionMeta = PartitionedColumnChunk::Partition;
+
 /// A chunk file's contents in memory: writer input and reader output. After
 /// Parse the encoded columns are live objects (FromFrames / FromParts) held
-/// as one ChunkEncoding, which the partition evaluator
-/// (storage/partition_scan.h) reads through PartitionSource::File.
+/// as one ChunkEncoding. The file supplies rows only: an evicted chunk keeps
+/// its geometry resident, routes and prunes on it, and reads the encoding
+/// through PartitionSource::File (storage/partition_scan.h) once its
+/// partitions are checked against `parts`. Promotion and recovery rebuild
+/// from `parts` (DecodeForPromotion).
 struct PersistedChunk {
   uint32_t version = kChunkFormatVersion;
   uint64_t chunk_index = 0;
   uint64_t rows = 0;  ///< live rows
   std::vector<ChunkPartitionMeta> parts;
-  /// Routing over the partition uppers, built by Encode and Parse.
-  PartitionIndex index;
   /// keys: null iff rows == 0. payload: one packed column per payload column
   /// (all non-null when rows > 0). live_prefix: size parts + 1.
   /// payload_zones[c][t]: min/max of column c in partition t (live rows).
   ChunkEncoding encoding;
   /// Serialized size; filled by the reader for disk_bytes_read accounting.
   uint64_t file_bytes = 0;
-
-  /// The geometry summary an evicted chunk keeps resident.
-  EvictedChunkState ToEvictedState(std::string path) const;
 };
 
 class ChunkWriter {

@@ -56,7 +56,6 @@ TierCycleReport TierManager::RunCycle() {
   if (budget > 0 && resident_bytes > static_cast<size_t>(budget)) {
     std::sort(candidates.begin(), candidates.end());
     for (const auto& [score, c] : candidates) {
-      if (report.evictions >= options_.max_evictions_per_cycle) break;
       if (resident_bytes <= static_cast<size_t>(budget)) break;
       const size_t bytes = table_->ChunkMemoryBytes(c);
       if (!table_->EvictChunk(c, store_.TierChunkPath(c))) continue;
@@ -89,8 +88,7 @@ TierCycleReport TierManager::RunCycle() {
     const size_t footprint = table_->ChunkFootprintIfResident(c);
     while (budget > 0 &&
            resident_bytes + footprint > static_cast<size_t>(budget) &&
-           !displaceable.empty() && displaceable.back().first < score &&
-           report.evictions < options_.max_evictions_per_cycle) {
+           !displaceable.empty() && displaceable.back().first < score) {
       const size_t victim = displaceable.back().second;
       displaceable.pop_back();
       const size_t bytes = table_->ChunkMemoryBytes(victim);

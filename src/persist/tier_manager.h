@@ -27,9 +27,6 @@ struct TierOptions {
   /// Heat score at which an evicted chunk is promoted back (subject to the
   /// budget admitting its resident footprint).
   double promote_score = 256.0;
-  /// Demotions per cycle cap — spreads eviction I/O across maintenance
-  /// cycles instead of stalling one cycle on a large spill.
-  size_t max_evictions_per_cycle = 4;
 };
 
 struct TierCycleReport {

@@ -96,38 +96,23 @@ PartitionedColumnChunk PartitionedColumnChunk::Build(
 
 // --- Read path ---------------------------------------------------------------
 
-size_t PartitionedColumnChunk::CountEqual(Value v) const {
+size_t PartitionedColumnChunk::ProbePartition(Value v) const {
   const size_t t = index_.Route(v);
   const Partition& p = parts_[t];
   ++stats_.partitions_scanned;
   if (p.size == 0 || v < p.min_val || v > p.max_val) {
     ++stats_.partitions_pruned;
-    return 0;
+    return kNoPartition;
   }
-  stats_.element_reads += p.size;
-  return kernels::CountEqual(data_.data() + p.begin, p.size, v);
+  return t;
 }
 
-void PartitionedColumnChunk::CollectSlots(Value v, std::vector<uint32_t>* out) const {
-  const size_t t = index_.Route(v);
+size_t PartitionedColumnChunk::CountEqual(Value v) const {
+  const size_t t = ProbePartition(v);
+  if (t == kNoPartition) return 0;
   const Partition& p = parts_[t];
-  ++stats_.partitions_scanned;
-  if (p.size == 0 || v < p.min_val || v > p.max_val) {
-    ++stats_.partitions_pruned;
-    return;
-  }
   stats_.element_reads += p.size;
-  // Stream matches through a stack block instead of resize()-zeroing p.size
-  // output slots that the kernel would mostly never write.
-  constexpr size_t kBlock = 256;
-  uint32_t slots[kBlock];
-  const Value* d = data_.data() + p.begin;
-  for (size_t off = 0; off < p.size; off += kBlock) {
-    const size_t m = p.size - off < kBlock ? p.size - off : kBlock;
-    const size_t k = kernels::FilterSlotsEqual(
-        d + off, m, v, static_cast<uint32_t>(p.begin + off), slots);
-    out->insert(out->end(), slots, slots + k);
-  }
+  return kernels::CountEqual(data_.data() + p.begin, p.size, v);
 }
 
 // --- Free-slot primitives -----------------------------------------------------
@@ -212,10 +197,6 @@ void PartitionedColumnChunk::EnsureFreeSlot(size_t m, MoveLog* log) {
 }
 
 // --- Write path ----------------------------------------------------------------
-
-void PartitionedColumnChunk::PrepareInsertSlot(Value v, MoveLog* log) {
-  EnsureFreeSlot(index_.Route(v), log);
-}
 
 void PartitionedColumnChunk::Insert(Value v, MoveLog* log) {
   const size_t m = index_.Route(v);
@@ -314,6 +295,8 @@ bool PartitionedColumnChunk::Update(Value old_value, Value new_value, MoveLog* l
 
 void PartitionedColumnChunk::ValidateInvariants() const {
   CASPER_CHECK(!parts_.empty());
+  // A released chunk (evicted to its tier file) keeps only its geometry.
+  const bool released = data_.empty();
   size_t expected_begin = 0;
   size_t live = 0;
   Value prev_upper = kMinValue;
@@ -325,13 +308,14 @@ void PartitionedColumnChunk::ValidateInvariants() const {
     live += p.size;
     if (t > 0) CASPER_CHECK_MSG(p.upper > prev_upper, "uppers must increase");
     prev_upper = p.upper;
+    if (released) continue;
     // Every live value routes back to this partition and fits the zonemap.
     for (size_t s = p.begin; s < p.begin + p.size; ++s) {
       CASPER_CHECK_MSG(index_.Route(data_[s]) == t, "routing invariant violated");
       CASPER_CHECK(data_[s] >= p.min_val && data_[s] <= p.max_val);
     }
   }
-  CASPER_CHECK(expected_begin == data_.size());
+  CASPER_CHECK(released || expected_begin == data_.size());
   CASPER_CHECK(live == live_);
 }
 

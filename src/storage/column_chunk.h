@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "exec/scan_kernels.h"
 #include "storage/partition_index.h"
 #include "storage/types.h"
 
@@ -68,30 +67,20 @@ class PartitionedColumnChunk {
 
   // --- Read path -------------------------------------------------------------
 
+  /// The partition a point read of v scans (paper Fig. 3b): v's routed
+  /// partition, or kNoPartition when that partition is empty or its zone map
+  /// excludes v. Counts the partition scanned, and pruned when excluded. Reads
+  /// only geometry, so it answers for an evicted chunk too.
+  size_t ProbePartition(Value v) const;
+  static constexpr size_t kNoPartition = static_cast<size_t>(-1);
+
   /// Number of live values equal to v (point query, paper Fig. 3b).
   size_t CountEqual(Value v) const;
-
-  /// Slots (positions) of live values equal to v.
-  void CollectSlots(Value v, std::vector<uint32_t>* out) const;
-
-  /// Visits each live slot in [lo, hi): fn(slot). Used by tables to apply
-  /// per-row logic (e.g. payload aggregation) on qualifying rows. Boundary
-  /// partitions are filtered through the vectorized FilterSlots kernel;
-  /// zone-map-qualified partitions skip the predicate entirely.
-  template <typename Fn>
-  void ForEachSlotInRange(Value lo, Value hi, Fn&& fn) const;
 
   // --- Write path ------------------------------------------------------------
 
   /// Inserts v into its range partition (paper Fig. 4a / Fig. 5).
   void Insert(Value v, MoveLog* log = nullptr);
-
-  /// Ensures the partition owning v has a free slot without inserting — the
-  /// decoupled ghost-value fetch of paper §6.1: transactions trigger it
-  /// eagerly, and the movement persists even if the transaction aborts
-  /// ("the already completed fetching of ghost values will persist and will
-  /// benefit future inserts").
-  void PrepareInsertSlot(Value v, MoveLog* log = nullptr);
 
   /// Deletes one occurrence of v. Returns the number deleted (0 or 1).
   size_t DeleteOne(Value v, MoveLog* log = nullptr);
@@ -103,7 +92,9 @@ class PartitionedColumnChunk {
   // --- Introspection ----------------------------------------------------------
 
   size_t size() const { return live_; }
-  size_t capacity() const { return data_.size(); }
+  /// Slots across all partition regions (live values plus free slots); the
+  /// geometry holds it, so it stays readable after ReleaseStorage.
+  size_t capacity() const { return parts_.back().begin + parts_.back().cap; }
   size_t num_partitions() const { return parts_.size(); }
   const Partition& partition(size_t t) const { return parts_[t]; }
   const std::vector<Partition>& partitions() const { return parts_; }
@@ -130,17 +121,14 @@ class PartitionedColumnChunk {
 
   // --- Tiered storage ---------------------------------------------------------
 
-  /// Drops the value buffer and partition metadata — the chunk's data now
-  /// lives in its on-disk tier file. The live count and the access counters
-  /// stay resident (stats survive eviction exactly as they survive a
-  /// re-partition, and size() keeps feeding the table's row accounting);
-  /// promotion replaces this object wholesale via Build.
+  /// Drops the value buffer — the chunk's rows now live in its on-disk tier
+  /// file. Everything else stays resident: partitions, zone maps, the
+  /// partition index, the live count and the access counters, so reads keep
+  /// routing and pruning on one geometry in both tiers. Promotion replaces
+  /// this object wholesale via Build.
   void ReleaseStorage() {
     data_.clear();
     data_.shrink_to_fit();
-    parts_.clear();
-    parts_.shrink_to_fit();
-    index_ = PartitionIndex();
   }
 
  private:
@@ -175,33 +163,6 @@ class PartitionedColumnChunk {
   mutable ChunkStats stats_;
   size_t live_ = 0;
 };
-
-template <typename Fn>
-void PartitionedColumnChunk::ForEachSlotInRange(Value lo, Value hi, Fn&& fn) const {
-  if (lo >= hi || live_ == 0) return;
-  const size_t first = index_.Route(lo);
-  const size_t last = index_.Route(hi - 1);
-  for (size_t t = first; t <= last && t < parts_.size(); ++t) {
-    const Partition& p = parts_[t];
-    if (p.size == 0) continue;
-    if (p.min_val >= hi || p.max_val < lo) {
-      ++stats_.partitions_pruned;  // zone map excluded it: zero touched
-      continue;
-    }
-    // A boundary partition whose zone map sits fully inside [lo, hi) needs
-    // no predicate either — same blind consume as a middle partition.
-    const bool check = (t == first || t == last) &&
-                       !(p.min_val >= lo && p.max_val < hi);
-    if (check) {
-      kernels::ForEachQualifyingSlot(data_.data() + p.begin, p.size, lo, hi,
-                                     static_cast<uint32_t>(p.begin), fn);
-    } else {
-      for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-        fn(static_cast<uint32_t>(s));
-      }
-    }
-  }
-}
 
 }  // namespace casper
 

@@ -1,8 +1,10 @@
 #include "storage/partition_scan.h"
 
+#include <algorithm>
+
 #include "compression/frame_of_reference.h"
 #include "compression/packed_column.h"
-#include "persist/chunk_format.h"
+#include "exec/scan_kernels.h"
 
 namespace casper {
 
@@ -10,41 +12,51 @@ PartitionSource PartitionSource::Resident(
     const PartitionedColumnChunk& chunk,
     const std::vector<std::vector<Payload>>& payload) {
   PartitionSource src;
-  src.parts = chunk.partitions().data();
-  src.num_parts = chunk.num_partitions();
-  src.index = &chunk.partition_index();
-  src.rows = chunk.size();
-  src.keys = chunk.raw_data().data();
+  src.chunk = &chunk;
   src.cols = &payload;
   return src;
 }
 
-PartitionSource PartitionSource::File(const persist::PersistedChunk& f) {
+PartitionSource PartitionSource::File(const PartitionedColumnChunk& chunk,
+                                      const ChunkEncoding& enc) {
   PartitionSource src;
-  src.parts = f.parts.data();
-  src.num_parts = f.parts.size();
-  src.index = &f.index;
-  src.rows = f.rows;
-  src.enc = &f.encoding;
+  src.chunk = &chunk;
+  src.enc = &enc;
   return src;
+}
+
+const Value* PartitionSource::Keys(size_t t, std::vector<Value>* scratch) const {
+  const PartitionedColumnChunk::Partition& p = chunk->partition(t);
+  if (enc == nullptr) return chunk->raw_data().data() + p.begin;
+  const size_t begin = enc->live_prefix[t];
+  scratch->resize(p.size);
+  for (size_t i = 0; i < p.size; ++i) (*scratch)[i] = enc->keys->Get(begin + i);
+  return scratch->data();
+}
+
+bool CountsPartitionSizes(const ScanSpec& spec) {
+  return spec.full_domain && spec.predicates.empty() &&
+         spec.agg.kind == AggKind::kCount;
 }
 
 ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
                            ChunkStats* stats) {
   ScanPartial out;
-  const bool count_only =
-      spec.predicates.empty() && spec.agg.kind == AggKind::kCount;
-  if (count_only && spec.full_domain) {
+  const std::vector<PartitionedColumnChunk::Partition>& parts =
+      src.chunk->partitions();
+  if (CountsPartitionSizes(spec)) {
     // Every partition fully qualifies: consume the size counters.
     uint64_t scanned = 0;
-    for (size_t t = 0; t < src.num_parts; ++t) {
-      out.count += src.parts[t].size;
-      scanned += (src.parts[t].size != 0);
+    for (const PartitionedColumnChunk::Partition& p : parts) {
+      out.count += p.size;
+      scanned += (p.size != 0);
     }
     stats->partitions_scanned += scanned;
     return out;
   }
-  if (spec.EmptyKeyRange() || src.rows == 0) return out;
+  if (spec.EmptyKeyRange() || src.chunk->size() == 0) return out;
+  const bool count_only =
+      spec.predicates.empty() && spec.agg.kind == AggKind::kCount;
   const ChunkEncoding* enc = src.enc;  // null for a resident view
   // One compressed scan per file-backed count: the tier manager's heat score
   // reads it.
@@ -66,10 +78,10 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   }
 
   size_t first = 0;
-  size_t last = src.num_parts - 1;
+  size_t last = parts.size() - 1;
   if (!spec.full_domain) {
-    first = src.index->Route(spec.lo);
-    last = src.index->Route(spec.hi - 1);
+    first = src.chunk->RoutePartition(spec.lo);
+    last = src.chunk->RoutePartition(spec.hi - 1);
   }
   constexpr size_t kMaxLocalPreds = 16;
   PredicateSpec local_preds[kMaxLocalPreds];
@@ -82,8 +94,8 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   uint64_t reads = 0;
   uint64_t payload_scans = 0;
   uint64_t payload_pruned = 0;
-  for (size_t t = first; t <= last && t < src.num_parts; ++t) {
-    const PartitionedColumnChunk::Partition& p = src.parts[t];
+  for (size_t t = first; t <= last && t < parts.size(); ++t) {
+    const PartitionedColumnChunk::Partition& p = parts[t];
     if (p.size == 0) continue;
     bool check = false;
     if (!spec.full_domain) {
@@ -109,55 +121,50 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
     rows.n = p.size;
     rows.key_check = check;
     if (enc == nullptr) {
-      rows.keys = src.keys + p.begin;
       rows.base = static_cast<uint32_t>(p.begin);
-      out.Merge(exec::EvalSpecRows(spec, rows));
-      continue;
-    }
-    // Payload zone maps: a predicate disjoint from the zone skips the
-    // partition without touching a value; a zone inside the predicate range
-    // proves it for every live row, so it is dropped from this run.
-    if (!spec.predicates.empty() && spec.predicates.size() <= kMaxLocalPreds) {
-      bool skip = false;
-      size_t np = 0;
-      for (const PredicateSpec& pr : spec.predicates) {
-        const PayloadZone z = enc->payload_zones[pr.col][t];
-        if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
-          skip = true;
-          break;
+    } else {
+      // Payload zone maps: a predicate disjoint from the zone skips the
+      // partition without touching a value; a zone inside the predicate
+      // range proves it for every live row, so it is dropped from this run.
+      if (!spec.predicates.empty() &&
+          spec.predicates.size() <= kMaxLocalPreds) {
+        bool skip = false;
+        size_t np = 0;
+        for (const PredicateSpec& pr : spec.predicates) {
+          const PayloadZone z = enc->payload_zones[pr.col][t];
+          if (pr.lo > pr.hi || z.min > pr.hi || z.max < pr.lo) {
+            skip = true;
+            break;
+          }
+          if (pr.lo <= z.min && z.max <= pr.hi) continue;  // always true
+          local_preds[np++] = pr;
         }
-        if (pr.lo <= z.min && z.max <= pr.hi) continue;  // always true
-        local_preds[np++] = pr;
+        if (skip) {
+          ++payload_pruned;
+          continue;
+        }
+        if (np < spec.predicates.size()) {
+          rows.preds = local_preds;
+          rows.npreds = np;
+          rows.preds_override = true;
+        }
       }
-      if (skip) {
-        ++payload_pruned;
-        continue;
+      // Scratch starts at the partition, so base stays 0.
+      const size_t begin = enc->live_prefix[t];
+      payload_scans += spec.TouchesPayload();
+      for (size_t c = 0; c < col_scratch.size(); ++c) {
+        if (!referenced[c]) continue;
+        col_scratch[c].resize(p.size);
+        for (size_t i = 0; i < p.size; ++i) {
+          col_scratch[c][i] = enc->payload[c]->DecodeAt(begin + i);
+        }
       }
-      if (np < spec.predicates.size()) {
-        rows.preds = local_preds;
-        rows.npreds = np;
-        rows.preds_override = true;
-      }
+      // Rows decoded from packed storage count as reads (a count's keys
+      // already did, above).
+      if (!count_only) reads += p.size;
     }
-    // Scratch starts at the partition, so base stays 0.
-    const size_t begin = enc->live_prefix[t];
-    const size_t n = p.size;
-    payload_scans += spec.TouchesPayload();
-    if (check) {
-      key_scratch.resize(n);
-      for (size_t i = 0; i < n; ++i) key_scratch[i] = enc->keys->Get(begin + i);
-      rows.keys = key_scratch.data();
-    }
-    for (size_t c = 0; c < col_scratch.size(); ++c) {
-      if (!referenced[c]) continue;
-      col_scratch[c].resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        col_scratch[c][i] = enc->payload[c]->DecodeAt(begin + i);
-      }
-    }
-    // Rows decoded from packed storage count as reads (a count's keys
-    // already did, above).
-    if (!count_only) reads += n;
+    // EvalSpecRows reads keys only where it checks the key predicate.
+    if (check) rows.keys = src.Keys(t, &key_scratch);
     out.Merge(exec::EvalSpecRows(spec, rows));
   }
   if (scanned != 0) stats->partitions_scanned += scanned;
@@ -166,6 +173,56 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   if (payload_scans != 0) stats->compressed_payload_scans += payload_scans;
   if (payload_pruned != 0) stats->payload_partitions_pruned += payload_pruned;
   return out;
+}
+
+size_t PointRead(const PartitionSource& src, size_t t, Value key,
+                 std::vector<Payload>* payload_out, ChunkStats* stats) {
+  if (payload_out != nullptr) payload_out->clear();
+  const PartitionedColumnChunk::Partition& p = src.chunk->partition(t);
+  std::vector<Value> scratch;
+  const Value* keys = src.Keys(t, &scratch);
+  stats->element_reads += p.size;
+  // A count alone needs no first match, and the branch-free count kernel
+  // outruns the early-exit search.
+  if (payload_out == nullptr) return kernels::CountEqual(keys, p.size, key);
+  const size_t hit = kernels::FindFirstEqual(keys, p.size, key);
+  if (hit == p.size) return 0;
+  if (src.enc == nullptr) {
+    for (const auto& col : *src.cols) payload_out->push_back(col[p.begin + hit]);
+  } else {
+    const size_t row = src.enc->live_prefix[t] + hit;
+    for (const auto& col : src.enc->payload) payload_out->push_back(col->DecodeAt(row));
+  }
+  return 1 + kernels::CountEqual(keys + hit + 1, p.size - hit - 1, key);
+}
+
+void RankKeys(const PartitionSource& src, const Value* keys, size_t n,
+              size_t* ranks) {
+  const PartitionedColumnChunk& chunk = *src.chunk;
+  size_t summed = 0;  // partitions [0, summed) are counted in `before`
+  size_t before = 0;
+  std::vector<size_t> below;
+  std::vector<Value> scratch;
+  for (size_t i = 0; i < n;) {
+    const size_t t = chunk.RoutePartition(keys[i]);
+    size_t j = i + 1;
+    while (j < n && chunk.RoutePartition(keys[j]) == t) ++j;
+    for (; summed < t; ++summed) before += chunk.partition(summed).size;
+    // One pass over the partition: a live key x is below every run key from
+    // upper_bound(x) on, so bucket x there and prefix-sum the buckets.
+    below.assign(j - i + 1, 0);
+    const Value* live = src.Keys(t, &scratch);
+    for (size_t r = 0; r < chunk.partition(t).size; ++r) {
+      ++below[static_cast<size_t>(
+          std::upper_bound(keys + i, keys + j, live[r]) - (keys + i))];
+    }
+    size_t rank = before;
+    for (size_t k = i; k < j; ++k) {
+      rank += below[k - i];
+      ranks[k] = rank;
+    }
+    i = j;
+  }
 }
 
 }  // namespace casper

@@ -8,34 +8,22 @@
 #include "exec/scan_spec.h"
 #include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
-#include "storage/partition_index.h"
 #include "storage/types.h"
 
 namespace casper {
 
-namespace persist {
-struct PersistedChunk;
-}  // namespace persist
-
-/// A view of one chunk for the partition evaluator: its partition geometry
-/// and routing, plus the chunk's one storage form right now — resident
-/// key/payload arrays, or the encoding of a parsed chunk file, never both.
-/// The view hides the storage form, so resident and evicted chunks scan
-/// through one partition walk (Hyrise's chunk: segments of different
-/// encodings behind one reader). It owns nothing; the caller keeps the chunk
-/// latched (or the parsed file alive) while it scans.
+/// A view of one chunk for the reads below: the chunk itself, whose geometry
+/// (partitions, zone maps, routing) is resident in both tiers, plus its rows
+/// — the resident key/payload arrays, or the encoding of its parsed tier
+/// file, never both. Resident and evicted chunks thus read through one
+/// partition walk, one point read and one rank walk (Hyrise's chunk: metadata
+/// kept apart from how its segments are stored). A view with neither serves
+/// only CountsPartitionSizes specs. It owns nothing; the caller keeps the
+/// chunk latched (and the parsed file alive) while it reads.
 struct PartitionSource {
-  /// Per-partition geometry: live size, key zone map, routing upper, and
-  /// (resident only) the slot where the partition's rows begin.
-  const PartitionedColumnChunk::Partition* parts = nullptr;
-  size_t num_parts = 0;
-  const PartitionIndex* index = nullptr;  ///< routes keys to partitions
-  uint64_t rows = 0;                      ///< live rows
-
-  /// Resident arrays, indexed by slot; both null for a file-backed view.
-  const Value* keys = nullptr;
+  const PartitionedColumnChunk* chunk = nullptr;
+  /// Resident payload arrays, indexed by slot; null for a file-backed view.
   const std::vector<std::vector<Payload>>* cols = nullptr;
-
   /// A file-backed view's columns: key frames (frames == non-empty
   /// partitions), packed payload columns, live-row prefix and payload zone
   /// maps; null for a resident view.
@@ -44,8 +32,20 @@ struct PartitionSource {
   static PartitionSource Resident(
       const PartitionedColumnChunk& chunk,
       const std::vector<std::vector<Payload>>& payload);
-  static PartitionSource File(const persist::PersistedChunk& f);
+  /// `enc` must hold the chunk's rows in the chunk's own geometry (the
+  /// table checks a tier file's partitions before it builds this view).
+  static PartitionSource File(const PartitionedColumnChunk& chunk,
+                              const ChunkEncoding& enc);
+
+  /// Partition t's live keys, in stored order: a pointer into the resident
+  /// key array, or the key frame decoded into `scratch`.
+  const Value* Keys(size_t t, std::vector<Value>* scratch) const;
 };
+
+/// True for a full-domain count: ScanPartitions answers it from the
+/// partition sizes alone, so it reads no row and an evicted chunk answers it
+/// without its tier file.
+bool CountsPartitionSizes(const ScanSpec& spec);
 
 /// The one per-chunk evaluator of a ScanSpec — the paper's range read
 /// (Fig. 3c): route to the boundary partitions, prune by zone map, consume
@@ -55,12 +55,26 @@ struct PartitionSource {
 ///    blind consume, then exec::EvalSpecRows on the partition's flat rows.
 ///    A file-backed view also prunes by payload zone map and drops
 ///    predicates a zone proves, and decodes the referenced payload columns
-///    of each surviving partition into scratch, its keys only where the key
-///    predicate must be checked (for a count, only at the boundaries).
+///    of each surviving partition into scratch; keys are read only where the
+///    key predicate must be checked (for a count, only at the boundaries).
 /// Counters land on `stats`; rows decoded from a tier file count as element
 /// reads. The caller validates column references (ScanSpec::RefsValid).
 ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
                            ChunkStats* stats);
+
+/// The one point read (paper Fig. 3b), after the chunk's ProbePartition(key)
+/// picked partition t: COUNT(key == key) over partition t and, unless
+/// `payload_out` is null, the first match's payload row in it (left empty on
+/// a miss). Counts the partition's rows as element reads on `stats`.
+size_t PointRead(const PartitionSource& src, size_t t, Value key,
+                 std::vector<Payload>* payload_out, ChunkStats* stats);
+
+/// The geometry rank of the maintenance capture: for each of the `n`
+/// ascending `keys`, the count of the chunk's live keys below it — the sizes
+/// of the partitions before its routed partition plus one count inside it.
+/// The keys routing to one partition form a run that reads it once.
+void RankKeys(const PartitionSource& src, const Value* keys, size_t n,
+              size_t* ranks);
 
 }  // namespace casper
 

@@ -100,39 +100,46 @@ size_t PartitionedTable::RouteChunk(Value key) const {
 
 persist::PersistedChunk PartitionedTable::LoadEvicted(const TableChunk& ch) const {
   persist::PersistedChunk pc;
-  const Status s = persist::ChunkReader::Read(ch.evicted->path, &pc);
+  const Status s = persist::ChunkReader::Read(ch.evicted, &pc);
   CASPER_CHECK_MSG(s.ok(), "tier chunk file unreadable");
+  const auto& parts = ch.keys.partitions();
+  bool same = pc.parts.size() == parts.size();
+  for (size_t t = 0; same && t < parts.size(); ++t) {
+    const auto& f = pc.parts[t];
+    same = f.size == parts[t].size && f.cap == parts[t].cap &&
+           f.upper == parts[t].upper;
+  }
+  CASPER_CHECK_MSG(same, "tier chunk file " << ch.evicted
+                             << " does not match the chunk's geometry");
   ChunkStats& stats = ch.keys.stats();
   ++stats.disk_reads;
   stats.disk_bytes_read.Add(pc.file_bytes);
   return pc;
 }
 
+template <typename Fn>
+auto PartitionedTable::WithRows(const TableChunk& ch, Fn&& fn) const {
+  if (ch.evicted.empty()) return fn(PartitionSource::Resident(ch.keys, ch.payload));
+  const persist::PersistedChunk pc = LoadEvicted(ch);
+  return fn(PartitionSource::File(ch.keys, pc.encoding));
+}
+
+size_t PartitionedTable::PointLookupLocked(const TableChunk& ch, Value key,
+                                           std::vector<Payload>* payload_out) const {
+  if (payload_out != nullptr) payload_out->clear();
+  const size_t t = ch.keys.ProbePartition(key);
+  if (t == PartitionedColumnChunk::kNoPartition) return 0;
+  ChunkStats* stats = &ch.keys.stats();
+  return WithRows(ch, [&](const PartitionSource& src) {
+    return PointRead(src, t, key, payload_out, stats);
+  });
+}
+
 size_t PartitionedTable::PointLookup(Value key,
                                      std::vector<Payload>* payload_out) const {
-  const size_t c = RouteChunk(key);
-  const TableChunk& ch = *chunks_[c];
+  const TableChunk& ch = *chunks_[RouteChunk(key)];
   SharedChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr) {
-    const persist::PersistedChunk pc = LoadEvicted(ch);
-    return persist::PointLookupPersisted(pc, key, payload_out, payload_cols_,
-                                         &ch.keys.stats());
-  }
-  if (payload_out == nullptr || payload_cols_ == 0) {
-    size_t n = ch.keys.CountEqual(key);
-    if (payload_out != nullptr) payload_out->clear();
-    return n;
-  }
-  std::vector<uint32_t> slots;
-  ch.keys.CollectSlots(key, &slots);
-  payload_out->clear();
-  if (!slots.empty()) {
-    payload_out->resize(payload_cols_);
-    for (size_t col = 0; col < payload_cols_; ++col) {
-      (*payload_out)[col] = ch.payload[col][slots.front()];
-    }
-  }
-  return slots.size();
+  return PointLookupLocked(ch, key, payload_out);
 }
 
 ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) const {
@@ -143,12 +150,15 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
   ChunkStats* stats = &ch.keys.stats();
-  if (ch.evicted != nullptr) {
-    const persist::PersistedChunk pc = LoadEvicted(ch);
-    return ScanPartitions(spec, PartitionSource::File(pc), stats);
+  if (CountsPartitionSizes(spec)) {
+    // Sizes only: the chunk's geometry answers in either tier, with no rows.
+    PartitionSource geometry;
+    geometry.chunk = &ch.keys;
+    return ScanPartitions(spec, geometry, stats);
   }
-  return ScanPartitions(spec, PartitionSource::Resident(ch.keys, ch.payload),
-                        stats);
+  return WithRows(ch, [&](const PartitionSource& src) {
+    return ScanPartitions(spec, src, stats);
+  });
 }
 
 void PartitionedTable::ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
@@ -207,13 +217,8 @@ bool PartitionedTable::MoveRowAcrossChunks(TableChunk& src, TableChunk& dst,
                                            Value old_key, Value new_key) {
   EnsureResidentLocked(src);
   EnsureResidentLocked(dst);
-  std::vector<uint32_t> slots;
-  src.keys.CollectSlots(old_key, &slots);
-  if (slots.empty()) return false;
-  std::vector<Payload> row(payload_cols_);
-  for (size_t col = 0; col < payload_cols_; ++col) {
-    row[col] = src.payload[col][slots.front()];
-  }
+  std::vector<Payload> row;
+  if (PointLookupLocked(src, old_key, &row) == 0) return false;
   MoveLog del_log;
   CASPER_CHECK(src.keys.DeleteOne(old_key, &del_log) == 1);
   ApplyMoveLog(src, del_log, nullptr, nullptr);
@@ -317,70 +322,14 @@ size_t PartitionedTable::MemoryBytes() const {
   return bytes;
 }
 
-namespace {
-
-/// The geometry rank of RankKeysInChunk over one chunk's partitions:
-/// `route(v)` is the chunk's partition routing and `for_each_key(t, fn)`
-/// visits partition t's live keys. Keys are ascending, so the keys routing to
-/// one partition form a run and the partitions before it are summed once.
-template <typename Route, typename ForEachKey>
-void RankByPartition(const std::vector<PartitionedColumnChunk::Partition>& parts,
-                     const Value* keys, size_t n, size_t* ranks, Route&& route,
-                     ForEachKey&& for_each_key) {
-  size_t summed = 0;  // partitions [0, summed) are counted in `before`
-  size_t before = 0;
-  std::vector<size_t> below;
-  for (size_t i = 0; i < n;) {
-    const size_t t = route(keys[i]);
-    size_t j = i + 1;
-    while (j < n && route(keys[j]) == t) ++j;
-    for (; summed < t; ++summed) before += parts[summed].size;
-    // One pass over the partition: a live key x is below every run key from
-    // upper_bound(x) on, so bucket x there and prefix-sum the buckets.
-    below.assign(j - i + 1, 0);
-    for_each_key(t, [&](Value x) {
-      ++below[static_cast<size_t>(std::upper_bound(keys + i, keys + j, x) -
-                                  (keys + i))];
-    });
-    size_t rank = before;
-    for (size_t k = i; k < j; ++k) {
-      rank += below[k - i];
-      ranks[k] = rank;
-    }
-    i = j;
-  }
-}
-
-}  // namespace
-
 size_t PartitionedTable::RankKeysInChunk(size_t c, const Value* keys, size_t n,
                                          size_t* ranks) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr) {
-    const size_t rows = static_cast<size_t>(ch.evicted->rows);
-    if (n == 0) return rows;
-    const persist::PersistedChunk pc = LoadEvicted(ch);
-    const ChunkEncoding& enc = pc.encoding;
-    RankByPartition(
-        pc.parts, keys, n, ranks, [&](Value v) { return pc.index.Route(v); },
-        [&](size_t t, auto&& fn) {
-          for (size_t i = enc.live_prefix[t]; i < enc.live_prefix[t + 1]; ++i) {
-            fn(enc.keys->Get(i));
-          }
-        });
-    return rows;
+  if (n > 0) {
+    WithRows(ch, [&](const PartitionSource& src) { RankKeys(src, keys, n, ranks); });
   }
-  const PartitionedColumnChunk& chunk = ch.keys;
-  const std::vector<Value>& data = chunk.raw_data();
-  RankByPartition(
-      chunk.partitions(), keys, n, ranks,
-      [&](Value v) { return chunk.RoutePartition(v); },
-      [&](size_t t, auto&& fn) {
-        const auto& p = chunk.partition(t);
-        for (size_t s = p.begin; s < p.begin + p.size; ++s) fn(data[s]);
-      });
-  return chunk.size();
+  return ch.keys.size();
 }
 
 void PartitionedTable::SnapshotChunkPartitionSizes(size_t c,
@@ -388,9 +337,7 @@ void PartitionedTable::SnapshotChunkPartitionSizes(size_t c,
   out->clear();
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  const auto& parts =
-      ch.evicted != nullptr ? ch.evicted->parts : ch.keys.partitions();
-  for (const auto& p : parts) out->push_back(p.size);
+  for (const auto& p : ch.keys.partitions()) out->push_back(p.size);
 }
 
 bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
@@ -457,24 +404,20 @@ ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
 ChunkRows PartitionedTable::SnapshotChunkRows(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  CASPER_CHECK_MSG(ch.evicted == nullptr, "row snapshot of an evicted chunk");
+  CASPER_CHECK_MSG(ch.evicted.empty(), "row snapshot of an evicted chunk");
   return SnapshotRowsLocked(ch);
 }
 
 bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
   TableChunk& ch = *chunks_[c];
   ExclusiveChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr || ch.keys.size() == 0) return false;
+  if (!ch.evicted.empty() || ch.keys.size() == 0) return false;
   const persist::PersistedChunk pc =
       persist::ChunkWriter::Encode(c, SnapshotRowsLocked(ch));
   if (!persist::ChunkWriter::Write(path, pc).ok()) return false;
-  ch.evicted = std::make_unique<persist::EvictedChunkState>(
-      pc.ToEvictedState(path));
+  ch.evicted = path;
   ch.keys.ReleaseStorage();
-  for (auto& col : ch.payload) {
-    col.clear();
-    col.shrink_to_fit();
-  }
+  ch.payload.assign(payload_cols_, {});
   ++ch.keys.stats().evictions;
   return true;
 }
@@ -482,26 +425,21 @@ bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
 bool PartitionedTable::PromoteChunk(size_t c) {
   TableChunk& ch = *chunks_[c];
   ExclusiveChunkGuard guard(ch.latch);
-  if (ch.evicted == nullptr) return false;
+  if (ch.evicted.empty()) return false;
   EnsureResidentLocked(ch);
   return true;
 }
 
 void PartitionedTable::EnsureResidentLocked(TableChunk& ch) {
-  if (ch.evicted == nullptr) return;
-  persist::PersistedChunk pc;
-  const Status s = persist::ChunkReader::Read(ch.evicted->path, &pc);
-  CASPER_CHECK_MSG(s.ok(), "tier chunk file unreadable during promotion");
+  if (ch.evicted.empty()) return;
+  const persist::PersistedChunk pc = LoadEvicted(ch);
   persist::PromotedChunkData data =
       persist::DecodeForPromotion(pc, opts_.chunk.spare_tail);
-  const std::string stale_path = ch.evicted->path;
-  ch.evicted.reset();
+  const std::string stale_path = std::move(ch.evicted);
+  ch.evicted.clear();
   RebuildChunkLocked(ch, std::move(data.rows.keys), data.rows.payload,
                      std::move(data.spec));
-  ChunkStats& stats = ch.keys.stats();
-  ++stats.promotions;
-  ++stats.disk_reads;
-  stats.disk_bytes_read.Add(pc.file_bytes);
+  ++ch.keys.stats().promotions;
   // The tier file is stale the moment the chunk is writable again; recovery
   // wipes the tier dir anyway, but don't leave bytes behind mid-run.
   persist::RemoveFileIfExists(stale_path);
@@ -510,29 +448,19 @@ void PartitionedTable::EnsureResidentLocked(TableChunk& ch) {
 bool PartitionedTable::ChunkResident(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  return ch.evicted == nullptr;
-}
-
-size_t PartitionedTable::ResidentBytes(const TableChunk& ch) {
-  size_t bytes = ch.keys.capacity() * sizeof(Value);
-  for (const auto& col : ch.payload) bytes += col.size() * sizeof(Payload);
-  return bytes;
+  return ch.evicted.empty();
 }
 
 size_t PartitionedTable::ChunkMemoryBytes(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  return ResidentBytes(ch);
+  return ch.evicted.empty() ? ch.keys.capacity() * RowBytes() : 0;
 }
 
 size_t PartitionedTable::ChunkFootprintIfResident(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  if (ch.evicted != nullptr) {
-    return static_cast<size_t>(ch.evicted->capacity) *
-           (sizeof(Value) + payload_cols_ * sizeof(Payload));
-  }
-  return ResidentBytes(ch);
+  return ch.keys.capacity() * RowBytes();
 }
 
 uint64_t PartitionedTable::LayoutFingerprint() const {
@@ -544,10 +472,9 @@ uint64_t PartitionedTable::LayoutFingerprint() const {
   for (size_t c = 0; c < chunks_.size(); ++c) {
     const TableChunk& ch = *chunks_[c];
     SharedChunkGuard guard(ch.latch);
-    // Evicted chunks contribute the geometry recorded at eviction time, so
-    // the fingerprint is stable across evict/promote round trips.
-    const auto& parts =
-        ch.evicted != nullptr ? ch.evicted->parts : ch.keys.partitions();
+    // An evicted chunk keeps its geometry, so the fingerprint is stable
+    // across evict/promote round trips.
+    const auto& parts = ch.keys.partitions();
     mix(parts.size());
     for (const auto& p : parts) {
       mix(p.begin);
@@ -563,26 +490,13 @@ void PartitionedTable::ValidateInvariants() const {
   for (size_t c = 0; c < chunks_.size(); ++c) {
     const TableChunk& ch = *chunks_[c];
     SharedChunkGuard guard(ch.latch);
-    if (ch.evicted != nullptr) {
-      // Cold chunk: storage is released; the eviction record must still
-      // account for every live row and the tier file must be readable.
-      uint64_t recorded = 0;
-      for (const auto& p : ch.evicted->parts) {
-        CASPER_CHECK(p.size <= p.cap);
-        recorded += p.size;
-      }
-      CASPER_CHECK(recorded == ch.evicted->rows);
-      CASPER_CHECK(ch.keys.size() == ch.evicted->rows);
-      for (const auto& col : ch.payload) CASPER_CHECK(col.empty());
-      CASPER_CHECK(persist::FileExists(ch.evicted->path));
-      live += ch.keys.size();
-      continue;
-    }
     ch.keys.ValidateInvariants();
     live += ch.keys.size();
-    for (const auto& col : ch.payload) {
-      CASPER_CHECK(col.size() == ch.keys.capacity());
-    }
+    // Payload arrays mirror the key slots while resident; an evicted chunk's
+    // rows (both) live in its tier file.
+    const size_t slots = ch.evicted.empty() ? ch.keys.capacity() : 0;
+    for (const auto& col : ch.payload) CASPER_CHECK(col.size() == slots);
+    if (!ch.evicted.empty()) CASPER_CHECK(persist::FileExists(ch.evicted));
   }
   CASPER_CHECK(live == num_rows());
 }

@@ -3,12 +3,10 @@
 
 #include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include <string>
-
 #include "exec/scan_spec.h"
-#include "persist/evicted_chunk.h"
 #include "storage/chunk_latch.h"
 #include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
@@ -73,10 +71,10 @@ class PartitionedTable {
   /// The chunk-c slice of an arbitrary ScanSpec (exec/scan_spec.h) — the
   /// per-chunk read behind LayoutEngine::ScanSpecShard, and the only one:
   /// counts, sums, the Q6 shape, min/max/avg and full scans all come here.
-  /// Under the chunk's shared latch it builds a PartitionSource view — from
-  /// the resident arrays, or from the tier file of an evicted chunk — and
-  /// hands it to ScanPartitions (storage/partition_scan.h), the one partition
-  /// walk for every tier. A read never builds or keeps anything.
+  /// Under the chunk's shared latch it builds a PartitionSource view — the
+  /// chunk with its resident arrays, or with the tier file of an evicted
+  /// chunk — and hands it to ScanPartitions (storage/partition_scan.h), the
+  /// one partition walk for every tier. A read never builds or keeps anything.
   ScanPartial ScanSpecInChunk(size_t c, const ScanSpec& spec) const;
 
   /// O(1) key-range overlap test against the chunk routing bounds.
@@ -85,20 +83,6 @@ class PartitionedTable {
     if (!is_last && chunk_uppers_[c] < lo) return false;      // entirely below
     if (c > 0 && chunk_uppers_[c - 1] >= hi - 1) return false;  // entirely above
     return true;
-  }
-
-  /// Visits every qualifying row: fn(chunk_index, slot, key).
-  template <typename Fn>
-  void ForEachRowInRange(Value lo, Value hi, Fn&& fn) const;
-
-  /// Payload accessor for rows surfaced by ForEachRowInRange. Unlatched:
-  /// only valid while the surfacing callback (which holds the chunk latch)
-  /// is on the stack, or while the table is otherwise write-quiescent — the
-  /// assert claims that contract to the analysis and epoch-checks it.
-  Payload payload(size_t chunk, size_t col, uint32_t slot) const {
-    const TableChunk& ch = *chunks_[chunk];
-    ch.latch.AssertReaderHeld();
-    return ch.payload[col][slot];
   }
 
   // --- Writes ----------------------------------------------------------------
@@ -172,11 +156,10 @@ class PartitionedTable {
   /// Live rows of chunk c and, for each of the `n` ascending `keys`, the
   /// count of the chunk's live keys below it (`ranks[i]`), under one shared
   /// latch — where the maintenance cycle places the keys its observed ops
-  /// name. Ranks come from partition geometry: partitions cover disjoint
-  /// ascending key ranges, so a key's rank is the sizes of the partitions
-  /// before RoutePartition(key) plus one count inside that partition; no key
-  /// is copied or sorted. With n == 0 only the row count is read (no I/O);
-  /// otherwise an evicted chunk's tier file is read once.
+  /// name. Ranks come from partition geometry (RankKeys in
+  /// storage/partition_scan.h); no key is copied or sorted. With n == 0 only
+  /// the row count is read (no I/O); otherwise an evicted chunk's tier file
+  /// is read once.
   size_t RankKeysInChunk(size_t c, const Value* keys, size_t n,
                          size_t* ranks) const;
 
@@ -202,15 +185,14 @@ class PartitionedTable {
   uint64_t LayoutFingerprint() const;
 
   // --- Tiered storage (persist/) ---------------------------------------------
-  // A chunk is either resident (keys + payload in memory) or evicted (its
-  // data lives in a .cspr tier file; only an EvictedChunkState summary stays
-  // resident). Scans on evicted chunks read the parsed file through the same
-  // partition evaluator as resident chunks (storage/partition_scan.h), with
-  // the same zone-map pruning; each surviving partition's referenced columns
-  // are decoded into scratch, its keys only at the range's boundary
-  // partitions. Point lookups use persist/cold_scan.h. Any write to an
-  // evicted chunk promotes it first, under the same exclusive latch the
-  // write already holds.
+  // A chunk is either resident or evicted: its rows live in a .cspr tier
+  // file, and its geometry (partitions, zone maps, partition index, live
+  // count, counters) stays resident, so every read routes and prunes on one
+  // geometry in both tiers. A read that needs rows loads the file once and
+  // reads it through a PartitionSource (storage/partition_scan.h); one that
+  // needs none (a full-domain count, a zone-pruned point lookup, geometry and
+  // footprint queries) opens no file. Any write to an evicted chunk promotes
+  // it first, under the same exclusive latch the write already holds.
 
   /// Demotes chunk c to `path` (one durable .cspr file) and releases its
   /// in-memory storage, under the chunk's exclusive latch. Returns false
@@ -228,9 +210,9 @@ class PartitionedTable {
   /// Resident bytes of chunk c's key + payload storage (0 when evicted).
   size_t ChunkMemoryBytes(size_t c) const;
 
-  /// Bytes chunk c would occupy resident: its current footprint, or (when
-  /// evicted) the estimate from the stored capacity envelope — the tier
-  /// manager's admission check for promotions under a byte budget.
+  /// Bytes chunk c occupies when resident: slot capacity x row width, read
+  /// from its geometry in either tier — the tier manager's admission check
+  /// for promotions under a byte budget.
   size_t ChunkFootprintIfResident(size_t c) const;
 
   /// Chunk c's live rows in partition order (storage/chunk_rows.h), under
@@ -275,10 +257,10 @@ class PartitionedTable {
     mutable ChunkLatch latch;
     PartitionedColumnChunk keys GUARDED_BY(latch);
     std::vector<std::vector<Payload>> payload GUARDED_BY(latch);  // [col][slot]
-    /// Set while the chunk's data lives in a tier file (keys/payload storage
-    /// released); null when resident. Reads branch on it under the shared
-    /// latch; eviction/promotion flip it under the exclusive latch.
-    std::unique_ptr<persist::EvictedChunkState> evicted GUARDED_BY(latch);
+    /// The tier file holding the chunk's rows while it is evicted (key and
+    /// payload storage released, geometry kept); empty when resident.
+    /// Eviction and promotion set and clear it under the exclusive latch.
+    std::string evicted GUARDED_BY(latch);
   };
 
   PartitionedTable() = default;
@@ -295,14 +277,29 @@ class PartitionedTable {
                            Value new_key) REQUIRES(src.latch, dst.latch);
 
   /// Reads + parses an evicted chunk's tier file, accounting the disk read
-  /// on the chunk's counters. The file must parse: a corrupt tier file under
-  /// a running engine is unrecoverable here (recovery-time corruption is
-  /// handled by wiping the tier and rebuilding from base + journal).
+  /// on the chunk's counters. The file must parse, and each partition's
+  /// size, cap and upper must equal the chunk's resident geometry — reads
+  /// pair the file's rows with that geometry. Either failure is
+  /// unrecoverable here (recovery-time corruption is handled by wiping the
+  /// tier and rebuilding from base + journal).
   persist::PersistedChunk LoadEvicted(const TableChunk& ch) const
       REQUIRES_SHARED(ch.latch);
 
-  /// Bytes held by ch's key + payload storage.
-  static size_t ResidentBytes(const TableChunk& ch) REQUIRES_SHARED(ch.latch);
+  /// fn(PartitionSource) over ch's rows: the resident arrays, or the tier
+  /// file loaded once (LoadEvicted) for the duration of the call.
+  template <typename Fn>
+  auto WithRows(const TableChunk& ch, Fn&& fn) const REQUIRES_SHARED(ch.latch);
+
+  /// The one point read of ch: probe the resident geometry (a miss it proves
+  /// opens no tier file), then PointRead the probed partition's rows.
+  size_t PointLookupLocked(const TableChunk& ch, Value key,
+                           std::vector<Payload>* payload_out) const
+      REQUIRES_SHARED(ch.latch);
+
+  /// Bytes one slot takes across the key and payload columns.
+  size_t RowBytes() const {
+    return sizeof(Value) + payload_cols_ * sizeof(Payload);
+  }
 
   /// Brings an evicted chunk back to residency in place (no-op when already
   /// resident): decode the tier file, rebuild it (RebuildChunkLocked), remove
@@ -332,28 +329,6 @@ class PartitionedTable {
   std::vector<std::unique_ptr<TableChunk>> chunks_;
   std::vector<Value> chunk_uppers_;
 };
-
-template <typename Fn>
-void PartitionedTable::ForEachRowInRange(Value lo, Value hi, Fn&& fn) const {
-  if (lo >= hi) return;
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    // Chunk c holds keys in (uppers[c-1], uppers[c]]; the last chunk also
-    // absorbs everything above its build-time upper.
-    const bool is_last = (c + 1 == chunks_.size());
-    if (!is_last && chunk_uppers_[c] < lo) continue;     // entirely below
-    if (c > 0 && chunk_uppers_[c - 1] >= hi - 1) break;  // entirely above
-    // The shared latch spans the callback too: fn may read payload slots.
-    const TableChunk& ch = *chunks_[c];
-    SharedChunkGuard guard(ch.latch);
-    // Slot-surfacing iteration has no cold equivalent (an evicted chunk has
-    // no slots); callers of this test/capture hook work on resident tables.
-    CASPER_CHECK_MSG(ch.evicted == nullptr,
-                     "ForEachRowInRange requires resident chunks");
-    const auto& chunk = ch.keys;
-    chunk.ForEachSlotInRange(
-        lo, hi, [&](uint32_t slot) { fn(c, slot, chunk.raw_data()[slot]); });
-  }
-}
 
 }  // namespace casper
 

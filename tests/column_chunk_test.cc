@@ -321,31 +321,5 @@ INSTANTIATE_TEST_SUITE_P(
     DenseAndGhost, ChunkFuzz,
     ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2, 3, 4, 5, 6)));
 
-TEST(GhostDecoupling, PreparedSlotsSurviveAbort) {
-  // Paper §6.1: the ghost-value fetch is decoupled from the transaction —
-  // "even if a transaction is rolled back, the already completed fetching of
-  // ghost values will persist and will benefit future inserts".
-  std::vector<Value> values;
-  for (Value v = 0; v < 32; ++v) values.push_back(v * 10);
-  PartitionedColumnChunk::Options opts;
-  opts.ghost_batch = 4;
-  PartitionedColumnChunk chunk = PartitionedColumnChunk::Build(
-      values, {8, 8, 8, 8}, {0, 0, 0, 8}, opts);
-
-  // A transaction that intends to insert into partition 0 prefetches a slot.
-  ASSERT_EQ(chunk.partition(0).free_slots(), 0u);
-  chunk.PrepareInsertSlot(5);
-  EXPECT_GT(chunk.partition(0).free_slots(), 0u);
-  chunk.ValidateInvariants();
-  // ... transaction aborts; the slot remains (nothing to undo).
-  const size_t slots_after_abort = chunk.partition(0).free_slots();
-  EXPECT_GT(slots_after_abort, 0u);
-  // A later insert is served locally with zero ripples.
-  chunk.stats().Clear();
-  chunk.Insert(6);
-  EXPECT_EQ(chunk.stats().ripple_steps, 0u);
-  chunk.ValidateInvariants();
-}
-
 }  // namespace
 }  // namespace casper

@@ -712,7 +712,6 @@ TEST(TierManager, EnforcesBudgetAndKeepsHotChunksResident) {
       total += probe.ChunkMemoryBytes(c);
     }
     o.persist.memory_budget_bytes = static_cast<int64_t>(total / 3);
-    o.persist.max_evictions_per_cycle = 16;
     o.persist.tier_promote_score = 64.0;
   }
   const int64_t budget = *o.persist.memory_budget_bytes;
@@ -789,7 +788,6 @@ TEST(TierManager, PromotionDisplacesColderResidentChunks) {
     }
     o.persist.memory_budget_bytes = static_cast<int64_t>(total / 3);
   }
-  o.persist.max_evictions_per_cycle = 16;
   o.persist.tier_promote_score = 64.0;
   const int64_t budget = *o.persist.memory_budget_bytes;
   CasperEngine e = CasperEngine::Open(std::move(o));
@@ -824,7 +822,6 @@ TEST(TierManager, RidesTheMaintenanceCycle) {
   const std::string dir = FreshDir("tier_maint");
   EngineOptions o = BaseOptions(d, dir);
   o.persist.memory_budget_bytes = 1;  // everything over budget
-  o.persist.max_evictions_per_cycle = 64;
   o.maintenance.enabled = true;
   o.maintenance.background = false;  // deterministic foreground cycles
   CasperEngine e = CasperEngine::Open(std::move(o));
@@ -847,10 +844,10 @@ TEST(TierManager, RidesTheMaintenanceCycle) {
 
 // ---- (5) One partition walk across hot and cold chunks ---------------------
 //
-// The same fixed-seed spec set runs on resident chunks (hot) and on evicted
-// chunks (cold). Every answer must equal brute force, and each shape's
-// per-chunk counter delta is pinned exactly: the tier manager's heat reads
-// these counters, so a refactor of the scan paths must not move them.
+// The same fixed-seed spec set and point lookups run on resident chunks (hot)
+// and on evicted chunks (cold). Every answer must equal brute force, and each
+// shape's per-chunk counter delta is pinned exactly: the tier manager's heat
+// reads these counters, so a refactor of the read paths must not move them.
 
 constexpr size_t kTierChunkRows = 8192;
 constexpr size_t kTierChunks = 3;
@@ -937,6 +934,7 @@ ScanPartial BruteForce(const TierData& d, const ScanSpec& spec) {
 struct TierShape {
   const char* name;
   std::vector<ScanSpec> specs;
+  std::vector<Value> finds;  ///< point lookups, run after the specs
 };
 
 std::vector<TierShape> TierShapes() {
@@ -950,7 +948,7 @@ std::vector<TierShape> TierShapes() {
   };
   std::vector<TierShape> shapes;
   const auto add = [&](const char* name, auto make, int n = 6) {
-    TierShape s{name, {}};
+    TierShape s{name, {}, {}};
     for (int i = 0; i < n; ++i) {
       Value lo = 0, hi = 0;
       range(&lo, &hi);
@@ -979,11 +977,38 @@ std::vector<TierShape> TierShapes() {
   add("avg", [](Value lo, Value hi) { return ScanSpec::Avg(lo, hi, 0); });
   ScanSpec full_sum = ScanSpec::Sum(0, 0, {2});
   full_sum.full_domain = true;
-  shapes.push_back({"full", {ScanSpec::FullScan(), full_sum}});
+  shapes.push_back({"full", {ScanSpec::FullScan(), full_sum}, {}});
   shapes.push_back({"empty",
                     {ScanSpec::Count(5, 5), ScanSpec::Sum(10, 3, {0}),
-                     ScanSpec::Q6(7, 7, 0, 10, 50), ScanSpec::Min(9, 9, 0)}});
+                     ScanSpec::Q6(7, 7, 0, 10, 50), ScanSpec::Min(9, 9, 0)},
+                    {}});
   return shapes;
+}
+
+/// Point lookups over TierData's unique keys: hits in every chunk, misses
+/// inside a partition's zone map (a gap between two of its keys), and misses
+/// outside every zone (below the domain, in the gap between two partitions,
+/// above the domain).
+TierShape FindShape(const TierData& d) {
+  const size_t part = kTierChunkRows / kTierParts;
+  const auto next_gap = [&](size_t r, bool at_boundary) {
+    while ((r % part == part - 1) != at_boundary ||
+           d.keys[r] + 1 == d.keys[r + 1]) {
+      ++r;
+    }
+    return d.keys[r] + 1;
+  };
+  TierShape s{"find", {}, {}};
+  for (const size_t r : {size_t{5}, size_t{3000}, kTierChunkRows + 700,
+                         2 * kTierChunkRows + 4000}) {
+    s.finds.push_back(d.keys[r]);
+  }
+  s.finds.push_back(next_gap(40, false));
+  s.finds.push_back(next_gap(kTierChunkRows + 1234, false));
+  s.finds.push_back(-7);
+  s.finds.push_back(next_gap(2 * kTierChunkRows, true));
+  s.finds.push_back(d.keys.back() + 100);
+  return s;
 }
 
 /// The nonzero counters of one chunk's delta, e.g. "reads=12 scanned=3".
@@ -1024,6 +1049,17 @@ std::string RunShape(const PartitionedLayout& layout, const TierData& d,
     EXPECT_EQ(got.min, want.min) << tier << " " << shape.name << " #" << i;
     EXPECT_EQ(got.max, want.max) << tier << " " << shape.name << " #" << i;
   }
+  for (const Value key : shape.finds) {
+    std::vector<Payload> got;
+    const size_t n = layout.PointLookup(key, &got);
+    const auto it = std::lower_bound(d.keys.begin(), d.keys.end(), key);
+    std::vector<Payload> want;
+    if (it != d.keys.end() && *it == key) {
+      for (const auto& col : d.payload) want.push_back(col[it - d.keys.begin()]);
+    }
+    EXPECT_EQ(n, want.empty() ? 0u : 1u) << tier << " find " << key;
+    EXPECT_EQ(got, want) << tier << " find " << key;
+  }
   const StatsSnapshotRegistry after = layout.StatsSnapshots();
   std::string out;
   for (size_t c = 0; c < after.per_chunk.size(); ++c) {
@@ -1035,7 +1071,8 @@ std::string RunShape(const PartitionedLayout& layout, const TierData& d,
 
 TEST(TierEquivalence, HotColdAnswersAndCounters) {
   const TierData d = MakeTierData();
-  const std::vector<TierShape> shapes = TierShapes();
+  std::vector<TierShape> shapes = TierShapes();
+  shapes.push_back(FindShape(d));
   struct Expected {
     const char* hot;
     const char* cold;
@@ -1091,14 +1128,24 @@ TEST(TierEquivalence, HotColdAnswersAndCounters) {
           "scanned=16 | "
           "scanned=16 | "
           "scanned=16",
-          "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048 | "
-          "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048 | "
-          "reads=8192 scanned=16 cpscans=16 disk_reads=2 disk_bytes=76048"
+          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024 | "
+          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024 | "
+          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024"
       },
       // empty
       {
           " |  | ",
           " |  | "
+      },
+      // find: each cold row is its hot row plus one file read per lookup
+      // that reads rows; a zone-pruned lookup reads no file.
+      {
+          "reads=1536 scanned=4 pruned=1 | "
+          "reads=1024 scanned=2 | "
+          "reads=512 scanned=3 pruned=2",
+          "reads=1536 scanned=4 pruned=1 disk_reads=3 disk_bytes=114072 | "
+          "reads=1024 scanned=2 disk_reads=2 disk_bytes=76048 | "
+          "reads=512 scanned=3 pruned=2 disk_reads=1 disk_bytes=38024"
       },
   };
   ASSERT_EQ(expected.size(), shapes.size());
@@ -1122,6 +1169,30 @@ TEST(TierEquivalence, HotColdAnswersAndCounters) {
     EXPECT_EQ(RunShape(layout, d, shapes[s], "cold"), expected[s].cold)
         << "cold " << shapes[s].name;
   }
+  std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(TierEquivalenceDeathTest, TierFileOfAnotherChunkIsRefused) {
+  // Reads pair a tier file's rows with the chunk's resident geometry, so a
+  // file written for another chunk must be refused, not read. TierData's
+  // chunks have equal partition sizes and caps: only the uppers differ.
+  const TierData d = MakeTierData();
+  PartitionedLayout layout = MakeTierLayout(d);
+  PartitionedTable& table = layout.mutable_table();
+  const std::string dir = FreshDir("tier_swap");
+  ASSERT_TRUE(persist::EnsureDir(dir).ok());
+  const std::string a = dir + "/chunk_0.cspr";
+  const std::string b = dir + "/chunk_1.cspr";
+  const std::string tmp = dir + "/swap.cspr";
+  ASSERT_TRUE(table.EvictChunk(0, a));
+  ASSERT_TRUE(table.EvictChunk(1, b));
+  ASSERT_EQ(std::rename(a.c_str(), tmp.c_str()), 0);
+  ASSERT_EQ(std::rename(b.c_str(), a.c_str()), 0);
+  ASSERT_EQ(std::rename(tmp.c_str(), b.c_str()), 0);
+  EXPECT_DEATH(layout.PointLookup(d.keys[400], nullptr), "does not match");
+  EXPECT_DEATH(layout.ExecuteScan(ScanSpec::Count(d.keys[0], d.keys[100])),
+               "does not match");
+  EXPECT_DEATH(table.PromoteChunk(1), "does not match");
   std::system(("rm -rf " + dir).c_str());
 }
 

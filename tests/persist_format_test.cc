@@ -136,6 +136,19 @@ TEST(ChunkFormat, GoldenBytesPinTheV1Image) {
   EXPECT_EQ(crc, 0xe3e6b5e2u);
 }
 
+/// The resident geometry an evicted chunk of these rows keeps: Build cut at
+/// the same partition sizes (MakeChunk never splits a run of equal keys),
+/// with ghosts = cap - size.
+PartitionedColumnChunk GeometryOf(const ChunkRows& c) {
+  std::vector<size_t> sizes;
+  std::vector<size_t> ghosts;
+  for (const ChunkPartitionMeta& p : c.parts) {
+    sizes.push_back(p.size);
+    ghosts.push_back(p.cap - p.size);
+  }
+  return PartitionedColumnChunk::Build(c.keys, sizes, ghosts);
+}
+
 TEST(ChunkFormat, ColdScansMatchBruteForce) {
   for (const uint32_t payload_mod : {8u, 1u << 20}) {  // dict- and FoR-shaped
     const ChunkRows c = MakeChunk(4000, 12, 2, payload_mod, 7);
@@ -145,6 +158,11 @@ TEST(ChunkFormat, ColdScansMatchBruteForce) {
     ChunkWriter::Serialize(enc, &bytes);
     PersistedChunk f;
     ASSERT_TRUE(ChunkReader::Parse(bytes, &f).ok());
+    // The parsed file's rows, read next to the geometry built from the same
+    // rows — how a table reads an evicted chunk.
+    const PartitionedColumnChunk chunk = GeometryOf(c);
+    ASSERT_EQ(chunk.num_partitions(), f.parts.size());
+    const PartitionSource src = PartitionSource::File(chunk, f.encoding);
 
     ChunkStats stats;
     Rng rng(99);
@@ -161,27 +179,29 @@ TEST(ChunkFormat, ColdScansMatchBruteForce) {
           pay_sum += c.payload[0][r] + c.payload[1][r];
         }
       }
-      const ScanPartial cnt =
-          ScanPartitions(ScanSpec::Count(lo, hi), PartitionSource::File(f),
-                         &stats);
+      const ScanPartial cnt = ScanPartitions(ScanSpec::Count(lo, hi), src, &stats);
       EXPECT_EQ(cnt.count, count);
       // Sum specs populate only the sum (same contract as the resident
       // EvalSpecRows: count is the kCount aggregate's output).
-      const ScanPartial sum = ScanPartitions(
-          ScanSpec::Sum(lo, hi, {0, 1}), PartitionSource::File(f), &stats);
+      const ScanPartial sum =
+          ScanPartitions(ScanSpec::Sum(lo, hi, {0, 1}), src, &stats);
       EXPECT_EQ(sum.sum, pay_sum);
     }
 
-    // Point lookups: every 37th live key, plus guaranteed misses.
+    // Point reads: every 37th live key, plus guaranteed misses.
     for (size_t r = 0; r < c.keys.size(); r += 37) {
+      const Value key = c.keys[r];
+      const size_t t = chunk.ProbePartition(key);
+      ASSERT_NE(t, PartitionedColumnChunk::kNoPartition);
       std::vector<Payload> row;
-      const size_t n = PointLookupPersisted(f, c.keys[r], &row, 2, &stats);
-      ASSERT_GE(n, 1u);
+      const size_t n = PointRead(src, t, key, &row, &stats);
+      EXPECT_EQ(n, static_cast<size_t>(
+                       std::count(c.keys.begin(), c.keys.end(), key)));
       ASSERT_EQ(row.size(), 2u);
       // The first match's payload must belong to SOME row with this key.
       bool found = false;
       for (size_t s = 0; s < c.keys.size(); ++s) {
-        if (c.keys[s] == c.keys[r] && c.payload[0][s] == row[0] &&
+        if (c.keys[s] == key && c.payload[0][s] == row[0] &&
             c.payload[1][s] == row[1]) {
           found = true;
           break;
@@ -189,11 +209,37 @@ TEST(ChunkFormat, ColdScansMatchBruteForce) {
       }
       EXPECT_TRUE(found);
     }
-    EXPECT_EQ(PointLookupPersisted(f, max_key + 10, nullptr, 0, &stats), 0u);
+    // A miss inside a partition's zone map reads the partition and finds
+    // nothing; a miss past every zone is pruned before any row is read.
+    for (size_t t = 0; t < chunk.num_partitions(); ++t) {
+      const auto& p = chunk.partition(t);
+      for (Value v = p.min_val; v < p.max_val; ++v) {
+        if (std::binary_search(c.keys.begin(), c.keys.end(), v)) continue;
+        ASSERT_EQ(chunk.ProbePartition(v), t);
+        std::vector<Payload> row;
+        EXPECT_EQ(PointRead(src, t, v, &row, &stats), 0u);
+        EXPECT_TRUE(row.empty());
+        break;
+      }
+    }
+    EXPECT_EQ(chunk.ProbePartition(max_key + 10),
+              PartitionedColumnChunk::kNoPartition);
+
+    // Ranks: the live keys below each probe.
+    std::vector<Value> probes;
+    for (Value v = -3; v <= max_key + 3; v += 97) probes.push_back(v);
+    std::vector<size_t> ranks(probes.size());
+    RankKeys(src, probes.data(), probes.size(), ranks.data());
+    for (size_t i = 0; i < probes.size(); ++i) {
+      EXPECT_EQ(ranks[i], static_cast<size_t>(
+                              std::lower_bound(c.keys.begin(), c.keys.end(),
+                                               probes[i]) -
+                              c.keys.begin()))
+          << probes[i];
+    }
 
     // Full scan covers both domain edges.
-    const ScanPartial full =
-        ScanPartitions(ScanSpec::FullScan(), PartitionSource::File(f), &stats);
+    const ScanPartial full = ScanPartitions(ScanSpec::FullScan(), src, &stats);
     EXPECT_EQ(full.count, c.keys.size());
   }
 }

@@ -102,17 +102,6 @@ TEST(ScanKernels, DispatchedMatchesScalarAcrossSizesAndOffsets) {
     want.resize(kw);
     ASSERT_EQ(got, want) << n;
 
-    got.assign(n, 0);
-    want.assign(n, 0);
-    const size_t eg =
-        kernels::FilterSlotsEqual(c.k(), n, c.probe, 3, got.data());
-    const size_t ew =
-        kernels::scalar::FilterSlotsEqual(c.k(), n, c.probe, 3, want.data());
-    ASSERT_EQ(eg, ew) << n;
-    got.resize(eg);
-    want.resize(ew);
-    ASSERT_EQ(got, want) << n;
-
     ASSERT_EQ(kernels::FindFirstEqual(c.k(), n, c.probe),
               kernels::scalar::FindFirstEqual(c.k(), n, c.probe))
         << n;

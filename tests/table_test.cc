@@ -102,9 +102,14 @@ TEST(Table, SumsAgreeWithScan) {
   Table t = MakeTable(4096, 2, 1024, 8, 2, 4);
   const Value lo = 1000, hi = 9000;
   int64_t expect_pay = 0;
-  t.ForEachRowInRange(lo, hi, [&](size_t ci, uint32_t slot, Value) {
-    expect_pay += t.payload(ci, 0, slot) + t.payload(ci, 1, slot);
-  });
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    const ChunkRows rows = t.SnapshotChunkRows(c);
+    for (size_t r = 0; r < rows.keys.size(); ++r) {
+      if (rows.keys[r] >= lo && rows.keys[r] < hi) {
+        expect_pay += rows.payload[0][r] + rows.payload[1][r];
+      }
+    }
+  }
   EXPECT_EQ(ScanTable(t, ScanSpec::Sum(lo, hi, {0, 1})).SumResult(), expect_pay);
 }
 

@@ -40,7 +40,7 @@ AVX2_TU = "src/exec/scan_kernels_avx2.cc"
 TEST = "tests/scan_kernels_test.cc"
 
 # Declared at the top level on purpose, with no scalar/avx2 variants.
-NON_KERNEL_NAMES = {"HaveAvx2", "ForEachQualifyingSlot"}
+NON_KERNEL_NAMES = {"HaveAvx2"}
 
 FUNC_RE = re.compile(r"\b([A-Z]\w+)\s*\(")
 
