@@ -93,8 +93,7 @@ int Main() {
                 bip.NumConstraints(), bip.ToLpFormat().size());
   }
   std::printf("(the DP replaces this quadratic-variable program with an O(N^2) "
-              "interval DP\n returning the same argmin; see DESIGN.md "
-              "substitutions)\n");
+              "interval DP\n returning the same argmin)\n");
   return 0;
 }
 

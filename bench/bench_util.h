@@ -74,8 +74,7 @@ class JsonMetrics {
 inline void PrintHeader(const char* figure, const char* title) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", figure, title);
-  std::printf("(reproduction; absolute numbers are machine-specific, the paper\n");
-  std::printf(" comparison lives in EXPERIMENTS.md)\n");
+  std::printf("(reproduction; absolute numbers are machine-specific)\n");
   std::printf("================================================================\n");
 }
 

@@ -182,16 +182,17 @@ class CasperEngine {
     return Commit({OpKind::kDelete, key, 0}, [&] { return engine_->Delete(key); });
   }
 
-  /// Mixed-workload admission: read queries and write runs execute together,
-  /// overlapped wherever their chunk footprints are disjoint (reads during
-  /// ingest, chunk-disjoint write runs in parallel), with results
-  /// bit-identical to a single-threaded serial replay of `ops`. Write items
-  /// are stamped with commit timestamps from this engine's oracle. A
-  /// read-only stream is the inter-query case: every query overlaps every
-  /// other on the shared pool, and nothing is journaled.
+  /// Mixed-workload admission: reads and writes execute together as chunk
+  /// groups on the engine's pool (MixedWorkloadRunner), overlapped wherever
+  /// they share no written chunk (reads during ingest, chunk-disjoint write
+  /// runs in parallel), with results bit-identical to a single-threaded
+  /// serial replay of `ops`. Write runs are stamped with commit timestamps
+  /// from this engine's oracle. A read-only stream is the inter-query case:
+  /// every query overlaps every other on the shared pool, and nothing is
+  /// journaled.
   MixedResult RunMixed(const std::vector<Operation>& ops);
 
-  /// Commit-timestamp oracle shared by mixed runs; it stamps write items.
+  /// Commit-timestamp oracle shared by mixed runs; it stamps write runs.
   TimestampOracle& oracle() { return *oracle_; }
 
   LayoutMode mode() const { return engine_->mode(); }

@@ -1,8 +1,6 @@
 #include "exec/mixed_workload_runner.h"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
+#include <cstdint>
 
 #include "exec/morsel.h"
 #include "util/thread_pool.h"
@@ -11,26 +9,91 @@ namespace casper {
 
 namespace {
 
-/// One schedulable unit: a single read query or a maximal write run.
-struct Item {
-  bool is_write = false;
-  uint32_t begin = 0;  ///< [begin, end) indices into the op stream
-  uint32_t end = 0;
-  std::vector<size_t> chunks;      ///< sorted, deduped chunk footprint
-  std::vector<uint32_t> succs;     ///< items unblocked by this one
-  size_t dep_count = 0;            ///< incoming edges (duplicates counted)
-};
+constexpr uint32_t kNone = UINT32_MAX;
+
+/// Root of chunk c in the union-find forest (path halving).
+uint32_t Root(std::vector<uint32_t>& parent, uint32_t c) {
+  while (parent[c] != c) c = parent[c] = parent[parent[c]];
+  return c;
+}
+
+/// Splits the stream into chunk groups and returns the morsel count, with
+/// (*morsel_of)[i] the morsel that runs ops[i]. The chunks the stream
+/// writes are joined through every operation that touches two of them, and
+/// each resulting group is one morsel; a read that touches no written chunk
+/// is a morsel on its own. Two morsels never touch a common written chunk,
+/// so their operations commute.
+size_t AssignChunkGroups(const PartitionedTable& table,
+                         const std::vector<Operation>& ops,
+                         std::vector<uint32_t>* morsel_of) {
+  // Footprints: a write touches ChunkFor(a), and an update ChunkFor(b) too;
+  // chunks cover contiguous sorted key ranges, so a range read touches the
+  // window [ChunkFor(lo), ChunkFor(hi - 1)]; an empty range keeps the empty
+  // window [1, 0]. parent[c] stays kNone while chunk c is unwritten.
+  const size_t n = ops.size();
+  std::vector<uint32_t> first(n, 1);
+  std::vector<uint32_t> last(n, 0);
+  std::vector<uint32_t> parent(table.num_chunks(), kNone);
+  for (size_t i = 0; i < n; ++i) {
+    const Operation& op = ops[i];
+    if (op.kind == OpKind::kPointQuery || IsWriteKind(op.kind)) {
+      first[i] = static_cast<uint32_t>(table.ChunkFor(op.a));
+      last[i] = op.kind == OpKind::kUpdate ? static_cast<uint32_t>(table.ChunkFor(op.b))
+                                           : first[i];
+      if (IsWriteKind(op.kind)) {
+        parent[first[i]] = first[i];
+        parent[last[i]] = last[i];
+      }
+    } else if (op.a < op.b) {
+      first[i] = static_cast<uint32_t>(table.ChunkFor(op.a));
+      last[i] = static_cast<uint32_t>(table.ChunkFor(op.b - 1));
+    }
+  }
+  // Join each operation's written chunks and anchor it to one of them.
+  std::vector<uint32_t>& anchor = *morsel_of;
+  anchor.assign(n, kNone);
+  for (size_t i = 0; i < n; ++i) {
+    if (IsWriteKind(ops[i].kind)) {
+      anchor[i] = Root(parent, first[i]);
+      parent[Root(parent, last[i])] = anchor[i];
+      continue;
+    }
+    for (uint32_t c = first[i]; c <= last[i]; ++c) {
+      if (parent[c] == kNone) continue;
+      if (anchor[i] == kNone) {
+        anchor[i] = Root(parent, c);
+      } else {
+        parent[Root(parent, c)] = Root(parent, anchor[i]);
+      }
+    }
+  }
+  // Number the groups and the unanchored reads in stream order.
+  std::vector<uint32_t> group(parent.size(), kNone);
+  uint32_t morsels = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (anchor[i] == kNone) {
+      anchor[i] = morsels++;
+      continue;
+    }
+    uint32_t& g = group[Root(parent, anchor[i])];
+    if (g == kNone) g = morsels++;
+    anchor[i] = g;
+  }
+  return morsels;
+}
 
 }  // namespace
 
 ScanPartial ExecuteScanOnPool(const PartitionedLayout& engine, const ScanSpec& spec,
                               ThreadPool* pool) {
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    return engine.ExecuteScan(spec);
-  }
+  if (spec.EmptyKeyRange()) return ScanPartial();
+  const PartitionedTable& table = engine.table();
+  const size_t first = spec.full_domain ? 0 : table.ChunkFor(spec.lo);
+  const size_t last =
+      spec.full_domain ? table.num_chunks() - 1 : table.ChunkFor(spec.hi - 1);
   const auto partials = exec::MorselMap<ScanPartial>(
-      pool, engine.NumShards(),
-      [&](size_t s) { return engine.ScanSpecShard(s, spec); });
+      pool, last - first + 1,
+      [&](size_t i) { return engine.ScanSpecShard(first + i, spec); });
   ScanPartial total;
   for (const ScanPartial& p : partials) total.Merge(p);
   return total;
@@ -43,155 +106,64 @@ MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
   result.results.assign(ops.size(), 0);
   if (ops.empty()) return result;
 
-  // --- 1. Split the stream into items and compute chunk footprints. --------
-  const PartitionedTable& table = engine.table();
-  std::vector<Item> items;
-  for (uint32_t i = 0; i < ops.size(); ++i) {
-    const Operation& op = ops[i];
-    if (IsWriteKind(op.kind)) {
-      // Start a new run iff the previous item is not a write run (every
-      // prior op produced an item ending exactly at i, so runs are maximal).
-      if (items.empty() || !items.back().is_write) {
-        Item item;
-        item.is_write = true;
-        item.begin = i;
-        items.push_back(std::move(item));
-      }
-      Item& item = items.back();
-      item.end = i + 1;
-      item.chunks.push_back(table.ChunkFor(op.a));
-      if (op.kind == OpKind::kUpdate) item.chunks.push_back(table.ChunkFor(op.b));
-    } else {
-      Item item;
-      item.begin = i;
-      item.end = i + 1;
-      if (op.kind == OpKind::kPointQuery) {
-        item.chunks.push_back(table.ChunkFor(op.a));
-      } else if (op.a < op.b) {
-        // Chunks cover contiguous sorted key ranges, so a range read touches
-        // the window [ChunkFor(lo), ChunkFor(hi - 1)].
-        const size_t last = table.ChunkFor(op.b - 1);
-        for (size_t c = table.ChunkFor(op.a); c <= last; ++c) item.chunks.push_back(c);
-      }
-      items.push_back(std::move(item));
-    }
+  // --- 1. Morsels: chunk groups on a pool, else the whole stream. ----------
+  std::vector<uint32_t> morsel_of(ops.size(), 0);
+  size_t num_morsels = 1;
+  if (pool_ != nullptr && pool_->num_threads() > 1) {
+    num_morsels = AssignChunkGroups(engine.table(), ops, &morsel_of);
   }
-  for (Item& item : items) {
-    std::sort(item.chunks.begin(), item.chunks.end());
-    item.chunks.erase(std::unique(item.chunks.begin(), item.chunks.end()),
-                      item.chunks.end());
+  // Morsel m runs ops order[begin[m]] .. order[begin[m + 1] - 1], in stream
+  // order (a stable counting sort by morsel).
+  std::vector<uint32_t> begin(num_morsels + 1, 0);
+  for (const uint32_t m : morsel_of) ++begin[m + 1];
+  for (size_t m = 0; m < num_morsels; ++m) begin[m + 1] += begin[m];
+  std::vector<uint32_t> order(ops.size());
+  {
+    std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
+    for (uint32_t i = 0; i < ops.size(); ++i) order[next[morsel_of[i]]++] = i;
   }
 
-  // Specs for the range-read ops, built once on this (serial) setup path:
-  // workers only read them, so the concurrent phase never allocates or
-  // mutates shared spec state.
-  std::vector<ScanSpec> read_specs(ops.size());
-  for (uint32_t i = 0; i < ops.size(); ++i) {
-    if (!IsWriteKind(ops[i].kind) && ops[i].kind != OpKind::kPointQuery) {
-      read_specs[i] = SpecForOperation(ops[i], sum_cols);
-    }
-  }
-
-  // --- 2. Per-op executors (shared by the serial and DAG paths). -----------
-  // Write accounting folded from concurrent items: pure counters, no
-  // ordering implied (the DAG dependency edges carry the happens-before).
+  // --- 2. Execute. ---------------------------------------------------------
+  // Write accounting folded from concurrent morsels: pure counters, no
+  // ordering implied (morsels share no written chunk).
   RelaxedCounter inserts;
   RelaxedCounter deletes;
   RelaxedCounter updates;
   RelaxedCounter last_ts;
-
-  auto run_read = [&](uint32_t i) {
-    const Operation& op = ops[i];
-    if (op.kind == OpKind::kPointQuery) {
-      result.results[i] = engine.PointLookup(op.a, nullptr);
-      return;
-    }
-    // Every range read — count, sum, min/max/avg — is one ExecuteScan; the
-    // DAG already keeps writers off the chunks it reads, and the per-op
-    // value uses the same Result extraction as the serial harness, so mixed
-    // results stay bit-identical to serial replay.
-    const ScanSpec& spec = read_specs[i];
-    result.results[i] = engine.ExecuteScan(spec).Result(spec.agg);
-  };
-  auto run_item = [&](const Item& item) {
-    if (!item.is_write) {
-      run_read(item.begin);
-      return;
-    }
-    // Grouped commit under the per-chunk exclusive latches; chunk-disjoint
-    // write items execute this concurrently from different workers.
-    const BatchResult br =
-        engine.ApplyBatch(ops.data() + item.begin, item.end - item.begin,
-                          /*pool=*/nullptr);
-    inserts.Add(br.inserts);
-    deletes.Add(br.deletes);
-    updates.Add(br.updates);
-    if (oracle_ != nullptr) {
-      last_ts.UpdateMax(oracle_->Next());
-    }
-  };
-
-  // --- 3. Execute: serial replay, or the conflict DAG over the pool. -------
-  if (pool_ == nullptr || pool_->num_threads() <= 1 || items.size() == 1) {
-    for (const Item& item : items) run_item(item);
-  } else {
-    // Per-chunk edge construction mirroring shared/exclusive latch
-    // compatibility in stream order: readers since the last write all block
-    // the next write; the last write blocks everything after it until the
-    // next write supersedes it.
-    const size_t num_chunks = table.num_chunks();
-    std::vector<uint32_t> last_write(num_chunks, UINT32_MAX);
-    std::vector<std::vector<uint32_t>> readers(num_chunks);
-    for (uint32_t i = 0; i < items.size(); ++i) {
-      for (const size_t c : items[i].chunks) {
-        if (!items[i].is_write) {
-          if (last_write[c] != UINT32_MAX) {
-            items[last_write[c]].succs.push_back(i);
-            ++items[i].dep_count;
-          }
-          readers[c].push_back(i);
-        } else {
-          if (readers[c].empty()) {
-            if (last_write[c] != UINT32_MAX) {
-              items[last_write[c]].succs.push_back(i);
-              ++items[i].dep_count;
-            }
-          } else {
-            for (const uint32_t r : readers[c]) {
-              items[r].succs.push_back(i);
-              ++items[i].dep_count;
-            }
-            readers[c].clear();
-          }
-          last_write[c] = i;
-        }
+  const auto run_morsel = [&](size_t m) {
+    std::vector<Operation> run;  // the morsel's pending writes
+    const auto flush = [&] {
+      if (run.empty()) return;
+      // Grouped commit under the per-chunk exclusive latches.
+      const BatchResult br = engine.ApplyBatch(run.data(), run.size(), /*pool=*/nullptr);
+      inserts.Add(br.inserts);
+      deletes.Add(br.deletes);
+      updates.Add(br.updates);
+      if (oracle_ != nullptr) last_ts.UpdateMax(oracle_->Next());
+      run.clear();
+    };
+    for (uint32_t k = begin[m]; k < begin[m + 1]; ++k) {
+      const uint32_t i = order[k];
+      const Operation& op = ops[i];
+      if (IsWriteKind(op.kind)) {
+        run.push_back(op);
+        continue;
+      }
+      flush();
+      if (op.kind == OpKind::kPointQuery) {
+        result.results[i] = engine.PointLookup(op.a, nullptr);
+      } else {
+        // The per-op value uses the same Result extraction as the serial
+        // harness, so mixed results stay bit-identical to serial replay.
+        const ScanSpec spec = SpecForOperation(op, sum_cols);
+        result.results[i] = engine.ExecuteScan(spec).Result(spec.agg);
       }
     }
+    flush();
+  };
+  exec::MorselFor(pool_, num_morsels, run_morsel);
 
-    std::unique_ptr<std::atomic<size_t>[]> deps(
-        new std::atomic<size_t>[items.size()]);
-    for (size_t i = 0; i < items.size(); ++i) {
-      deps[i].store(items[i].dep_count, std::memory_order_relaxed);
-    }
-    // Submission recursion: finishing an item releases its successors, which
-    // enqueue themselves the moment their last dependency resolves. The
-    // acquire/release dependency counter carries the happens-before from
-    // every predecessor's effects to the successor's execution.
-    std::function<void(uint32_t)> submit = [&](uint32_t i) {
-      pool_->Submit([&, i] {
-        run_item(items[i]);
-        for (const uint32_t s : items[i].succs) {
-          if (deps[s].fetch_sub(1, std::memory_order_acq_rel) == 1) submit(s);
-        }
-      });
-    };
-    for (uint32_t i = 0; i < items.size(); ++i) {
-      if (items[i].dep_count == 0) submit(i);
-    }
-    pool_->Wait();
-  }
-
-  // --- 4. Deterministic merge. ---------------------------------------------
+  // --- 3. Deterministic merge. ---------------------------------------------
   result.inserts = inserts.load();
   result.deletes = deletes.load();
   result.updates = updates.load();

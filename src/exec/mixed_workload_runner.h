@@ -47,36 +47,27 @@ struct MixedResult {
 
 /// The engine's one multi-operation scheduler (paper §6.3: column chunks are
 /// independent units for execution as much as for layout solving). It admits
-/// any operation stream — point and range reads, write runs, or both — and
-/// overlaps items wherever their chunk footprints say they cannot conflict,
-/// while keeping every result deterministic and serial-equivalent. A
-/// read-only stream is the special case with no write items: every read
-/// overlaps every other.
+/// any operation stream — point and range reads, writes, or both — with a
+/// chunk group, not an operation, as the unit of pooled work, and keeps
+/// every result deterministic and serial-equivalent.
 ///
-/// How: the stream is split into items — each read query is one item, each
-/// maximal run of consecutive writes is one item — and each item's
-/// *footprint* (the column chunks it touches: routed chunks for writes, the
-/// window of range-overlapping chunks for reads) is computed from the
-/// immutable chunk routing bounds. Items are then executed as a dependency
-/// DAG: per chunk, a read depends on the last write before it and a write
-/// depends on every read since the previous write — exactly the
-/// shared/exclusive compatibility of the chunk latches, lifted to stream
-/// order. Conflicting items therefore run in stream order; disjoint items
-/// run concurrently. Results are bit-identical to a single-threaded serial
-/// replay because conflicting operations never reorder and disjoint
-/// operations commute.
+/// How: each operation's chunk footprint (the routed chunk of a point read
+/// or write, both chunks of an update, the window of range-overlapping
+/// chunks of a range read) comes from the immutable chunk routing bounds. A
+/// union-find joins the chunks the stream writes through every operation
+/// that touches two of them. Each resulting group is one morsel that runs
+/// its operations in stream order, consecutive writes as one grouped
+/// ApplyBatch under the per-chunk exclusive latches; a read that touches no
+/// written chunk is a morsel of its own. Morsels share no written chunk, so
+/// they commute, and a read of an unwritten chunk sees the same state
+/// whenever it runs: results are bit-identical to a single-threaded serial
+/// replay. The morsels go through exec::MorselFor. A read-only stream is the
+/// special case where every read is its own morsel.
 ///
-/// A read item is one ExecuteScan (or PointLookup): items, not chunks, are
-/// the unit of overlap, and the DAG already orders every read after the
-/// writes to its chunks. A writer outside the runner that shares the engine
-/// only blocks a chunk on its latch; each chunk is still read under one
-/// latch hold.
-///
-/// Write items commit through the engine's grouped ApplyBatch under the
-/// per-chunk exclusive latches, so chunk-disjoint write runs from different
-/// items commit in parallel (multi-writer ingest). When a TimestampOracle is
-/// attached, each write item is stamped with a commit timestamp on
-/// completion (MixedResult::last_commit_ts reports the highest).
+/// A writer outside the runner that shares the engine only blocks a chunk
+/// on its latch; each chunk is still read under one latch hold. When a
+/// TimestampOracle is attached, each committed write run is stamped with a
+/// commit timestamp (MixedResult::last_commit_ts reports the highest).
 class MixedWorkloadRunner {
  public:
   explicit MixedWorkloadRunner(ThreadPool* pool = nullptr,
@@ -84,9 +75,9 @@ class MixedWorkloadRunner {
       : pool_(pool), oracle_(oracle) {}
 
   /// Executes the mixed stream. Admissible kinds: all of them — the point
-  /// and range reads (count/sum/min/max/avg as ScanSpecs) overlap; writes
-  /// are grouped into runs. A null pool or single worker degrades to a
-  /// serial replay with identical results.
+  /// and range reads (count/sum/min/max/avg as ScanSpecs) and the writes. A
+  /// null pool or single worker runs the stream in order on the calling
+  /// thread, with identical results.
   MixedResult Run(PartitionedLayout& engine, const std::vector<Operation>& ops,
                   const std::vector<size_t>& sum_cols) const;
 
@@ -102,11 +93,13 @@ class MixedWorkloadRunner {
   TimestampOracle* oracle_;
 };
 
-/// Morsel-driven fan-out of one ScanSpec over the engine's chunks on `pool`,
-/// merging the per-chunk partials in chunk order — bit-identical to
-/// engine.ExecuteScan(spec) for any thread count, because ScanPartial merging
-/// is associative. A null pool or a single worker runs
-/// engine.ExecuteScan(spec) on the calling thread.
+/// Morsel-driven fan-out of one ScanSpec over the chunk window its key range
+/// routes to, [ChunkFor(lo), ChunkFor(hi - 1)] (every chunk for a
+/// full-domain spec), on `pool`, merging the per-chunk partials in chunk
+/// order — bit-identical to engine.ExecuteScan(spec) for any thread count,
+/// because chunks outside the window contribute nothing and ScanPartial
+/// merging is associative. A one-chunk window, a null pool or a single
+/// worker scans on the calling thread.
 ScanPartial ExecuteScanOnPool(const PartitionedLayout& engine, const ScanSpec& spec,
                               ThreadPool* pool);
 

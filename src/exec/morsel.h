@@ -9,35 +9,40 @@
 
 namespace casper::exec {
 
-/// Runs fn(i) for every i in [0, n) and returns the n partial results in
-/// index order. Work is handed out morsel-at-a-time: each worker pulls the
-/// next shard index from a shared atomic counter, so a skewed shard (one hot
-/// chunk) does not stall the rest of the pool behind a static split. The
-/// result is deterministic — slot i always holds fn(i), whichever thread ran
-/// it — which lets callers merge partials in index order for bit-identical
-/// answers regardless of scheduling.
+/// The engine's one fan-out loop: runs fn(i) for every i in [0, n). Work is
+/// handed out morsel-at-a-time: each thread pulls the next index from a
+/// shared atomic counter, so a skewed morsel (one hot chunk) does not stall
+/// the rest behind a static split. The calling thread pulls morsels too, and
+/// ThreadPool::Wait runs any helper task that no worker has picked up yet,
+/// so a short fan-out finishes on the caller instead of waiting for a
+/// worker to wake. Callers that need deterministic answers write fn(i) into
+/// slot i and merge in index order (MorselMap).
 ///
-/// Falls back to a plain serial loop when there is no pool, a single worker,
-/// or a single shard.
+/// A plain serial loop when there is no pool, a single worker, or a single
+/// morsel. `fn` must not call Wait on the same pool.
+template <typename Fn>
+void MorselFor(ThreadPool* pool, size_t n, const Fn& fn) {
+  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  RelaxedCounter next;  // work cursor: distinct indices, no ordering implied
+  const auto drain = [&next, n, &fn] {
+    for (size_t i = next.FetchAdd(1); i < n; i = next.FetchAdd(1)) fn(i);
+  };
+  const size_t helpers = pool->num_threads() < n - 1 ? pool->num_threads() : n - 1;
+  for (size_t h = 0; h < helpers; ++h) pool->Submit(drain);
+  drain();
+  pool->Wait();
+}
+
+/// MorselFor that returns the n results in index order: slot i always holds
+/// fn(i), whichever thread ran it, so merging partials in index order is
+/// bit-identical to a serial loop regardless of scheduling.
 template <typename T, typename Fn>
 std::vector<T> MorselMap(ThreadPool* pool, size_t n, const Fn& fn) {
   std::vector<T> partials(n);
-  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) partials[i] = fn(i);
-    return partials;
-  }
-  RelaxedCounter next;  // work cursor: distinct indices, no ordering implied
-  const size_t workers = pool->num_threads() < n ? pool->num_threads() : n;
-  for (size_t w = 0; w < workers; ++w) {
-    pool->Submit([&partials, &next, n, &fn] {
-      for (;;) {
-        const size_t i = next.FetchAdd(1);
-        if (i >= n) return;
-        partials[i] = fn(i);
-      }
-    });
-  }
-  pool->Wait();
+  MorselFor(pool, n, [&partials, &fn](size_t i) { partials[i] = fn(i); });
   return partials;
 }
 

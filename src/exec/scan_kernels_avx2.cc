@@ -138,16 +138,32 @@ size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
 }
 
 size_t FindFirstEqual(const Value* d, size_t n, Value v) {
+  // Four compares OR-ed into one test: one branch per 16 values, then the
+  // four lane masks locate the first hit inside the block.
   const __m256i vv = _mm256_set1_epi64x(v);
+  const auto eq = [&](size_t at) {
+    return _mm256_cmpeq_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + at)), vv);
+  };
+  const auto mask = [](__m256i m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
+  };
   size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    const int mm =
-        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(x, vv)));
-    if (mm != 0) {
-      return i + static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(mm)));
+  for (; i + 16 <= n; i += 16) {
+    const __m256i e0 = eq(i);
+    const __m256i e1 = eq(i + 4);
+    const __m256i e2 = eq(i + 8);
+    const __m256i e3 = eq(i + 12);
+    const __m256i any =
+        _mm256_or_si256(_mm256_or_si256(e0, e1), _mm256_or_si256(e2, e3));
+    if (_mm256_testz_si256(any, any) == 0) {
+      const unsigned mm = mask(e0) | mask(e1) << 4 | mask(e2) << 8 | mask(e3) << 12;
+      return i + static_cast<size_t>(__builtin_ctz(mm));
     }
+  }
+  for (; i + 4 <= n; i += 4) {
+    const unsigned mm = mask(eq(i));
+    if (mm != 0) return i + static_cast<size_t>(__builtin_ctz(mm));
   }
   for (; i < n; ++i) {
     if (d[i] == v) return i;

@@ -71,8 +71,8 @@ void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out)
 /// read work (paper §6.3): the partitioned layouts have one shard per column
 /// chunk, and NoOrder, Sorted and the delta store are one shard each — a
 /// single store is a single chunk. ExecuteScan is the in-order merge of
-/// every shard, and ExecuteScanOnPool (exec/) runs a partitioned layout's
-/// shards on a pool.
+/// every shard, and ExecuteScanOnPool (exec/) runs the shards of a
+/// partitioned layout's routed chunk window on a pool.
 ///
 /// Concurrency: every read and write path is routed through an epoch/latch
 /// (chunk_latch.h) — per chunk for the partitioned layouts, whole-engine for

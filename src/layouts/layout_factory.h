@@ -22,7 +22,7 @@ struct LayoutBuildOptions {
   // Chunking and block granularity. The paper uses 1M-value chunks with
   // 16KB blocks; at laptop scale (DRAM instead of a 45MB-L3 server) 4KB
   // blocks give point queries the same relative cost vs binary search that
-  // the paper's setup has (see EXPERIMENTS.md calibration note).
+  // the paper's setup has.
   size_t chunk_values = size_t{1} << 20;
   size_t block_values = 512;
 
@@ -35,7 +35,7 @@ struct LayoutBuildOptions {
   /// evenly; Casper distributes it by Eq. 18). The paper's headline (Fig. 1)
   /// uses 1%; Fig. 14 sweeps 0.01%..10%. At laptop scale the budget must
   /// cover the expected insert volume to stay in the paper's regime (at
-  /// 100M rows even 0.1% dwarfs a 10k-op workload; see EXPERIMENTS.md).
+  /// 100M rows even 0.1% dwarfs a 10k-op workload).
   double ghost_fraction = 0.01;
   size_t ghost_batch = 8;
 

@@ -37,7 +37,7 @@ struct CostTerms {
 double EvaluateLayoutCostLiteral(const CostTerms& terms, const Partitioning& p);
 
 /// Evaluates the same objective in O(N) using the per-partition
-/// decomposition (see DESIGN.md §3): for a partition [a..b],
+/// decomposition: for a partition [a..b],
 /// bck_read(i) = i - a and fwd_read(i) = b - i, and the trailing-partitions
 /// term equals the prefix sum of `parts` at each boundary.
 double EvaluateLayoutCost(const CostTerms& terms, const Partitioning& p);

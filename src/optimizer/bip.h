@@ -20,9 +20,9 @@ namespace casper {
 ///   y_{i,j} in {0, 1}
 ///
 /// plus p_{N-1} = 1 and the SLA bounds. The paper solves this with Mosek;
-/// this repo solves the identical objective exactly with DpSolver (see
-/// DESIGN.md substitutions) and keeps this class to (a) document/export the
-/// formulation and (b) provide an independent reference solver for tests.
+/// this repo solves the identical objective exactly with DpSolver and
+/// keeps this class to (a) document/export the formulation and (b) provide
+/// an independent reference solver for tests.
 class BipFormulation {
  public:
   BipFormulation(const CostTerms& terms, const SolverOptions& opts = {});

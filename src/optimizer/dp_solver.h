@@ -39,7 +39,7 @@ struct SolveResult {
 ///
 /// The paper hands the linearized binary program to Mosek; this solver
 /// instead exploits that the objective decomposes into a per-partition
-/// weight plus a per-boundary weight (DESIGN.md §3), which an interval
+/// weight plus a per-boundary weight (EvaluateLayoutCost), which an interval
 /// dynamic program minimizes exactly in O(N^2) — returning the same argmin
 /// as the BIP. The read SLA caps the DP transition length; the update SLA
 /// bounds the boundary count via a layered DP (exact) or a Lagrangian

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "exec/morsel.h"
 #include "optimizer/sla.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace casper {
 
@@ -63,17 +63,9 @@ std::vector<ChunkPlan> LayoutPlanner::PlanChunks(const std::vector<FrequencyMode
                                                  size_t chunk_values,
                                                  const PlannerOptions& opts,
                                                  ThreadPool* pool) {
-  std::vector<ChunkPlan> plans(fms.size());
-  if (pool == nullptr || fms.size() <= 1) {
-    for (size_t i = 0; i < fms.size(); ++i) {
-      plans[i] = PlanChunk(fms[i], chunk_values, opts);
-    }
-    return plans;
-  }
-  pool->ParallelFor(fms.size(), [&](size_t i) {
-    plans[i] = PlanChunk(fms[i], chunk_values, opts);
+  return exec::MorselMap<ChunkPlan>(pool, fms.size(), [&](size_t i) {
+    return PlanChunk(fms[i], chunk_values, opts);
   });
-  return plans;
 }
 
 }  // namespace casper

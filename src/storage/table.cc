@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <numeric>
 
+#include "exec/morsel.h"
 #include "persist/chunk_format.h"
 #include "persist/cold_scan.h"
 #include "persist/io.h"
 #include "storage/partition_scan.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace casper {
 
@@ -301,11 +301,7 @@ size_t PartitionedTable::ApplyWriteRun(const std::vector<BatchWrite>& run,
     }
   };
 
-  if (pool != nullptr && pool->num_threads() > 1 && touched.size() > 1) {
-    pool->ParallelFor(touched.size(), [&](size_t i) { apply_chunk(touched[i]); });
-  } else {
-    for (const size_t c : touched) apply_chunk(c);
-  }
+  exec::MorselFor(pool, touched.size(), [&](size_t i) { apply_chunk(touched[i]); });
 
   size_t deleted = 0;
   for (const size_t c : touched) {

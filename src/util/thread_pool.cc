@@ -1,8 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
-
-#include "storage/types.h"
 #include "util/status.h"
 
 namespace casper {
@@ -34,30 +31,28 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Wait() {
-  MutexLock lock(mu_);
-  idle_cv_.wait(lock.native(), [this] {
-    // Wait predicates run with the mutex held, but the analysis treats the
-    // lambda as a separate context with no capability in scope.
-    mu_.AssertHeld();
-    return in_flight_ == 0;
-  });
+  for (;;) {
+    std::function<void()> task;
+    {
+      MutexLock lock(mu_);
+      idle_cv_.wait(lock.native(), [this] {
+        // Wait predicates run with the mutex held, but the analysis treats
+        // the lambda as a separate context with no capability in scope.
+        mu_.AssertHeld();
+        return in_flight_ == 0 || !tasks_.empty();
+      });
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop();
+    }
+    RunTask(task);
+  }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  // Block-cyclic split keeps task count bounded by thread count.
-  const size_t shards = std::min(n, workers_.size() * 4);
-  if (shards == 0) return;
-  RelaxedCounter next;
-  for (size_t s = 0; s < shards; ++s) {
-    Submit([&next, n, &fn] {
-      for (;;) {
-        const size_t i = next.FetchAdd(1);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  Wait();
+void ThreadPool::RunTask(const std::function<void()>& task) {
+  task();
+  MutexLock lock(mu_);
+  if (--in_flight_ == 0) idle_cv_.notify_all();
 }
 
 void ThreadPool::WorkerLoop() {
@@ -73,12 +68,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    task();
-    {
-      MutexLock lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) idle_cv_.notify_all();
-    }
+    RunTask(task);
   }
 }
 

@@ -13,9 +13,9 @@
 
 namespace casper {
 
-/// Fixed-size thread pool. The layout planner partitions column chunks
-/// independently (embarrassingly parallel, paper §6.3); query execution also
-/// fans out across chunks.
+/// Fixed-size thread pool. Column chunks are independent units of layout
+/// solving and of execution (paper §6.3); exec::MorselFor (exec/morsel.h) is
+/// the one loop that fans chunk-sized work out over it.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -24,19 +24,20 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Tasks must not throw.
+  /// Enqueue a task. Tasks must not throw and must not call Wait.
   void Submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
+  /// Block until every submitted task has finished. Tasks still queued are
+  /// run on the calling thread, so a caller never sleeps while work it
+  /// waits for sits behind a busy or not-yet-woken worker.
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Run `fn(i)` for i in [0, n) across the pool and wait for completion.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
  private:
   void WorkerLoop();
+  /// Runs a popped task and retires it (mu_ not held).
+  void RunTask(const std::function<void()>& task) EXCLUDES(mu_);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_ GUARDED_BY(mu_);

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <memory>
 
+#include "exec/morsel.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace casper {
 
@@ -201,7 +201,7 @@ void WorkloadCapture::CaptureAll(const std::vector<Operation>& ops,
       buckets[chunk].push_back(e);
     });
   }
-  pool->ParallelFor(models_.size(), [&](size_t c) {
+  exec::MorselFor(pool, models_.size(), [&](size_t c) {
     for (const Event& e : buckets[c]) ApplyEvent(c, e);
   });
 }

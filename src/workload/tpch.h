@@ -12,7 +12,7 @@ namespace casper {
 /// TPC-H-like lineitem substrate for the paper's Fig. 1 experiment (point
 /// queries + TPC-H Q6 range queries + inserts). We do not ship the TPC-H
 /// generator; this synthetic equivalent reproduces the value distributions
-/// Q6 touches (see DESIGN.md substitutions):
+/// Q6 touches:
 ///
 ///   key      = l_shipdate as days since 1992-01-01, uniform over 7 years
 ///   payload0 = l_quantity in [1, 50]

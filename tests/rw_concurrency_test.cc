@@ -180,7 +180,7 @@ SerialRef SerialReplay(LayoutEngine& engine, const std::vector<Operation>& ops,
   return ref;
 }
 
-// The tentpole guarantee: a mixed stream admitted to the DAG scheduler over
+// The core guarantee: a mixed stream admitted as chunk groups over
 // a real pool produces per-op read results, write aggregates, checksum AND
 // final physical state bit-identical to the single-threaded serial replay,
 // on every partitioned layout.
@@ -219,7 +219,7 @@ TEST(MixedWorkload, RunMatchesSerialReplayAcrossLayouts) {
   }
 }
 
-// A min/max/avg-bearing mixed stream through the DAG scheduler: the new
+// A min/max/avg-bearing mixed stream through the chunk-group runner: the new
 // aggregate op kinds interleave with write bursts and must stay bit-identical
 // to the serial replay (per-op results, aggregates, checksum, final state) —
 // the ScanSpec surface composes with the latch-footprint protocol.
@@ -284,6 +284,92 @@ TEST(MixedWorkload, AggregateBearingStreamMatchesSerialReplay) {
     EXPECT_EQ(mixed.checksum, ref.checksum);
     EXPECT_EQ(mixed_engine->num_rows(), serial_engine->num_rows());
     mixed_engine->ValidateInvariants();
+  }
+}
+
+// The chunk-group admission on a hand-built stream whose answers depend on
+// stream order: a range read over two chunks between writes on both, a
+// cross-chunk update between reads of each of its chunks, reads of unwritten
+// chunks next to writes elsewhere, and a read-only batch whose reads cross
+// chunk boundaries. Per-op results, checksum, row count and layout
+// fingerprint must match the serial replay at every pool size, every time.
+TEST(MixedWorkload, ChunkGroupsKeepStreamOrder) {
+  const Fixture f = MakeFixture(10000, 71);
+  LayoutBuildOptions opts = ModeOptions(LayoutMode::kEquiWidthGhost, f);
+  opts.chunk_values = 1024;
+  const auto build = [&] {
+    return BuildPartitionedLayout(opts, f.data.keys, f.data.payload);
+  };
+  const std::vector<size_t> cols = {0, 1};
+
+  // k(c, off): the off-th key of chunk c's routing range.
+  const auto probe = build();
+  const PartitionedTable& table = probe->table();
+  ASSERT_GE(table.num_chunks(), 8u);
+  const auto k = [&](size_t c, Value off) {
+    Value lo = f.data.domain_lo;
+    Value hi = f.data.domain_hi;
+    while (lo < hi) {
+      const Value mid = lo + (hi - lo) / 2;
+      if (table.ChunkFor(mid) < c) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo + off;
+  };
+  const auto op = [](OpKind kind, Value a, Value b = 0) {
+    Operation o;
+    o.kind = kind;
+    o.a = a;
+    o.b = b;
+    return o;
+  };
+  using K = OpKind;
+  const std::vector<Operation> mixed = {
+      // A range read over chunks 1-2, between writes on both.
+      op(K::kInsert, k(1, 3)), op(K::kInsert, k(2, 4)),
+      op(K::kRangeCount, k(1, 0), k(2, 9)), op(K::kRangeSum, k(1, 0), k(2, 9)),
+      op(K::kDelete, k(1, 3)), op(K::kInsert, k(2, 4)),
+      op(K::kRangeCount, k(1, 0), k(2, 9)), op(K::kPointQuery, k(2, 4)),
+      // A cross-chunk update 3 -> 4, between reads of each chunk.
+      op(K::kInsert, k(3, 7)), op(K::kPointQuery, k(3, 7)),
+      op(K::kRangeCount, k(4, 0), k(4, 50)), op(K::kUpdate, k(3, 7), k(4, 11)),
+      op(K::kPointQuery, k(3, 7)), op(K::kPointQuery, k(4, 11)),
+      op(K::kRangeSum, k(4, 0), k(4, 50)), op(K::kUpdate, k(4, 11), k(3, 7)),
+      op(K::kRangeCount, k(3, 0), k(3, 50)),
+      // Reads of unwritten chunks 6-7, next to writes on chunk 5.
+      op(K::kRangeSum, k(6, 0), k(7, 20)), op(K::kInsert, k(5, 2)),
+      op(K::kPointQuery, k(7, 1)), op(K::kDelete, k(5, 2)),
+      op(K::kRangeMax, k(6, 5), k(6, 90)), op(K::kPointQuery, k(5, 2)),
+      op(K::kInsert, k(5, 2)), op(K::kRangeAvg, k(7, 0), k(8, 0)),
+      op(K::kRangeCount, k(5, 0), k(5, 3)),
+  };
+  const std::vector<Operation> reads = {
+      op(K::kRangeCount, k(1, 20), k(3, 5)), op(K::kPointQuery, k(2, 0)),
+      op(K::kRangeSum, k(2, -3), k(2, 3)), op(K::kRangeMin, k(4, -1), k(6, 1)),
+      op(K::kRangeCount, f.data.domain_lo, f.data.domain_hi + 1),
+      op(K::kPointQuery, k(5, -1)), op(K::kRangeAvg, k(6, 0), k(7, 1)),
+  };
+
+  for (const auto* stream : {&mixed, &reads}) {
+    auto serial_engine = build();
+    const SerialRef ref = SerialReplay(*serial_engine, *stream, cols);
+    for (const size_t threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      const MixedWorkloadRunner runner(&pool);
+      for (int rep = 0; rep < 50; ++rep) {
+        SCOPED_TRACE(testing::Message() << "stream " << stream->size() << " threads "
+                                        << threads << " rep " << rep);
+        auto engine = build();
+        const MixedResult got = runner.Run(*engine, *stream, cols);
+        ASSERT_EQ(got.results, ref.results);
+        ASSERT_EQ(got.checksum, ref.checksum);
+        ASSERT_EQ(engine->num_rows(), serial_engine->num_rows());
+        ASSERT_EQ(engine->LayoutFingerprint(), serial_engine->LayoutFingerprint());
+      }
+    }
   }
 }
 

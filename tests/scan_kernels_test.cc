@@ -115,6 +115,33 @@ TEST(ScanKernels, DispatchedMatchesScalarAcrossSizesAndOffsets) {
   }
 }
 
+// FindFirstEqual tests 16 values per branch and then locates the hit inside
+// the block: the dispatched kernel must return the scalar reference's index
+// with the first hit at every position of a 16-value block, at every base
+// misalignment, on inputs of 0-33 values (every tail after 0, 1 and 2
+// blocks), with a later duplicate of the probe, and with no hit at all.
+TEST(ScanKernels, FindFirstEqualLocatesEveryHitPosition) {
+  constexpr size_t kMaxLen = 16 * 2 + 33;
+  std::vector<Value> buf(kMaxLen + 8);
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t n = 0; n <= kMaxLen; ++n) {
+      for (size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<Value>(i) + 1000;
+      Value* d = buf.data() + off;
+      const Value probe = -7;
+      ASSERT_EQ(kernels::FindFirstEqual(d, n, probe), n) << off << " " << n;
+      for (size_t hit = 0; hit < n; ++hit) {
+        d[hit] = probe;
+        if (hit + 1 < n) d[n - 1] = probe;  // a later duplicate
+        const size_t want = kernels::scalar::FindFirstEqual(d, n, probe);
+        ASSERT_EQ(want, hit);
+        ASSERT_EQ(kernels::FindFirstEqual(d, n, probe), want)
+            << "off " << off << " n " << n << " hit " << hit;
+        d[hit] = static_cast<Value>(off + hit) + 1000;
+      }
+    }
+  }
+}
+
 // The ScanSpec payload-predicate kernel: dispatched gather refine == scalar
 // reference on random slot subsets (ascending, duplicate-free), with closed
 // unsigned bounds including 0 / UINT32_MAX edges and empty (lo > hi)

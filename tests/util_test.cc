@@ -1,11 +1,15 @@
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "exec/morsel.h"
 #include "util/distributions.h"
 #include "util/latency_recorder.h"
 #include "util/rng.h"
@@ -110,11 +114,32 @@ TEST(Distributions, RotationWrapsAround) {
   }
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
+TEST(ThreadPool, MorselForCoversAllIndices) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{1000}}) {
+    std::vector<std::atomic<int>> hits(n);
+    exec::MorselFor(&pool, n, [&](size_t i) { hits[i].fetch_add(1); });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << n;
+  }
+}
+
+// One worker, blocked in task B until task A has run, with A queued behind
+// B: only the waiting caller can run A. B gives up after a timeout so that a
+// Wait that leaves queued tasks to the workers fails instead of hanging.
+TEST(ThreadPool, WaitRunsQueuedTasksOnTheCaller) {
+  ThreadPool pool(1);
+  std::promise<void> b_started;
+  std::promise<void> a_ran;
+  std::shared_future<void> a_done = a_ran.get_future().share();
+  bool b_saw_a = false;
+  pool.Submit([&] {
+    b_started.set_value();
+    b_saw_a = a_done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  });
+  b_started.get_future().wait();
+  pool.Submit([&] { a_ran.set_value(); });
+  pool.Wait();
+  EXPECT_TRUE(b_saw_a);
 }
 
 TEST(ThreadPool, WaitBlocksUntilTasksFinish) {

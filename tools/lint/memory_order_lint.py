@@ -4,10 +4,10 @@
 Raw `std::memory_order_*` tokens are the sharpest tool in the codebase:
 every use carries a fence-placement argument that has to be re-verified on
 every edit. The repo's policy is to concentrate them in a small set of
-audited files (the seqlock latch, the relaxed counter, the mixed runner's
-dependency counters) and express everything else through those abstractions —
-RelaxedCounter::FetchAdd/UpdateMax for work cursors and accounting, the
-latch/guard API for publication.
+audited files (the seqlock latch, the relaxed counter) and express
+everything else through those abstractions — RelaxedCounter::FetchAdd/
+UpdateMax for work cursors and accounting, the latch/guard API for
+publication.
 
 This linter fails on any `memory_order` token in src/ outside the audit
 list below, pointing the author at the abstraction (or at adding the file
@@ -26,10 +26,6 @@ AUDITED = {
     "src/storage/types.h":
         "RelaxedCounter: the relaxed-atomic accounting abstraction the rest "
         "of the tree is expected to use",
-    "src/exec/mixed_workload_runner.cc":
-        "conflict-DAG dependency counters: the acq_rel fetch_sub edge is the "
-        "happens-before carrier from predecessor effects to successor "
-        "execution, irreducible to RelaxedCounter by design",
     "src/persist/io.cc":
         "g_fail_after torn-write injection counter: a test-only relaxed "
         "countdown read/written inside the write syscall wrapper; it orders "
