@@ -145,7 +145,6 @@ CasperEngine CasperEngine::Open(EngineOptions options) {
 
     persist::TierOptions topt;
     topt.memory_budget_bytes = options.persist.memory_budget_bytes.value_or(0);
-    topt.promote_score = options.persist.tier_promote_score;
     engine.tier_ = std::make_unique<persist::TierManager>(
         &partitioned.mutable_table(), store, topt);
   }

@@ -38,9 +38,6 @@ struct PersistOptions {
   /// Journal fsync batching: 1 (default) = strict write-ahead durability;
   /// larger trades the last few records for write throughput.
   size_t journal_fsync_every = 1;
-
-  /// Tiering policy (persist/tier_manager.h): the promotion threshold.
-  double tier_promote_score = 256.0;
 };
 
 /// One cohesive construction surface for the engine — the same

@@ -3,17 +3,9 @@
 #include <sstream>
 
 #include "exec/mixed_workload_runner.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace casper {
-namespace {
-
-/// Seed of the random payload attached to inserted rows when
-/// HarnessOptions::key_derived_payload is off.
-constexpr uint64_t kInsertPayloadSeed = 0xC0FFEE;
-
-}  // namespace
 
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops,
                           const HarnessOptions& options) {
@@ -21,7 +13,6 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
   result.ops = ops.size();
   for (auto& rec : result.latency) rec.Reserve(ops.size() / 4 + 1);
 
-  Rng payload_rng(kInsertPayloadSeed);
   std::vector<Payload> payload(engine.num_payload_columns());
   std::vector<Payload> row_out;
   const std::vector<size_t> q3_cols = DefaultSumColumns(engine);
@@ -62,11 +53,7 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
         result.checksum += run_spec(avg_spec, op);
         break;
       case OpKind::kInsert:
-        if (options.key_derived_payload) {
-          KeyDerivedPayload(op.a, payload.size(), &payload);
-        } else {
-          for (auto& p : payload) p = static_cast<Payload>(payload_rng.Below(10000));
-        }
+        KeyDerivedPayload(op.a, payload.size(), &payload);
         engine.Insert(op.a, payload);
         break;
       case OpKind::kDelete:

@@ -39,20 +39,17 @@ struct HarnessResult {
 struct HarnessOptions {
   /// Record per-op latency (tiny overhead; disable for pure throughput).
   bool record_latency = true;
-  /// Derive inserted payloads from the key instead of a fixed-seed random
-  /// stream:
-  /// payload[c] = (key * (c + 1)) % 10000. Makes duplicate-key rows
-  /// indistinguishable, so layouts that delete different physical duplicates
-  /// still produce identical aggregates (cross-layout correctness checks).
-  bool key_derived_payload = false;
   /// Pool for RunWorkloadMixed (RunWorkload is always serial). Results —
   /// including the checksum — are identical to the serial replay.
   ThreadPool* pool = nullptr;
 };
 
 /// Replays `ops` sequentially against `engine`, one operation at a time —
-/// the serial reference every parallel path is checked against. Range
-/// aggregates sum DefaultSumColumns(engine).
+/// the per-operation replay the paper's figures time on every layout, and
+/// the serial reference every parallel path is checked against. Inserts
+/// take KeyDerivedPayload rows, so duplicate-key rows are indistinguishable
+/// and layouts that delete different physical duplicates still produce
+/// identical checksums. Range aggregates sum DefaultSumColumns(engine).
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops,
                           const HarnessOptions& options);
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops);
@@ -60,10 +57,9 @@ HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& op
 /// Replays a stream of any mix (read-only, write-only, or interleaved)
 /// through the MixedWorkloadRunner on options.pool: reads overlap each other
 /// and ingest, and chunk-disjoint write runs commit in parallel, ordered only
-/// where their chunk footprints conflict. The checksum is
-/// bit-identical to RunWorkload over the same stream with
-/// key_derived_payload = true (write runs take key-derived payloads, like
-/// ApplyBatch). Per-op latency is not recorded (operations overlap).
+/// where their chunk footprints conflict. The checksum is bit-identical to
+/// RunWorkload over the same stream. Per-op latency is not recorded
+/// (operations overlap).
 HarnessResult RunWorkloadMixed(PartitionedLayout& engine,
                                const std::vector<Operation>& ops,
                                const HarnessOptions& options);

@@ -119,20 +119,6 @@ size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
   return k;
 }
 
-uint64_t SumBytes(const uint8_t* d, size_t n) {
-  uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += d[i];
-    s1 += d[i + 1];
-    s2 += d[i + 2];
-    s3 += d[i + 3];
-  }
-  uint64_t s = s0 + s1 + s2 + s3;
-  for (; i < n; ++i) s += d[i];
-  return s;
-}
-
 }  // namespace scalar
 
 // --- Runtime dispatch --------------------------------------------------------
@@ -194,10 +180,6 @@ size_t FindFirstEqual(const Value* d, size_t n, Value v) {
 size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
                             Payload lo, Payload hi, uint32_t* out) {
   return CASPER_DISPATCH(FilterPayloadInRange, col, slots, n, lo, hi, out);
-}
-
-uint64_t SumBytes(const uint8_t* d, size_t n) {
-  return CASPER_DISPATCH(SumBytes, d, n);
 }
 
 #undef CASPER_DISPATCH

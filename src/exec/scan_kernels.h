@@ -68,9 +68,6 @@ size_t FindFirstEqual(const Value* d, size_t n, Value v);
 size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
                             Payload lo, Payload hi, uint32_t* out);
 
-/// Sum of n bytes (tombstone-bitmap popcount: delete bitmaps store 0/1).
-uint64_t SumBytes(const uint8_t* d, size_t n);
-
 // --- Scalar reference implementations ---------------------------------------
 // Exposed so the equivalence suite and the micro-bench kernel axis can pin
 // SIMD == scalar on identical inputs.
@@ -86,7 +83,6 @@ size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
 size_t FindFirstEqual(const Value* d, size_t n, Value v);
 size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
                             Payload lo, Payload hi, uint32_t* out);
-uint64_t SumBytes(const uint8_t* d, size_t n);
 }  // namespace scalar
 
 // --- AVX2 implementations (present only when compiled in) -------------------
@@ -104,7 +100,6 @@ size_t FilterSlots(const Value* d, size_t n, Value lo, Value hi, uint32_t base,
 size_t FindFirstEqual(const Value* d, size_t n, Value v);
 size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
                             Payload lo, Payload hi, uint32_t* out);
-uint64_t SumBytes(const uint8_t* d, size_t n);
 }  // namespace avx2
 #endif  // CASPER_AVX2
 

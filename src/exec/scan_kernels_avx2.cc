@@ -207,21 +207,6 @@ size_t FilterPayloadInRange(const Payload* col, const uint32_t* slots, size_t n,
   return k;
 }
 
-uint64_t SumBytes(const uint8_t* d, size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + i));
-    // Sum of absolute differences against zero = per-8-byte-group byte sums.
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(v, zero));
-  }
-  uint64_t s = HSum64(acc);
-  for (; i < n; ++i) s += d[i];
-  return s;
-}
-
 }  // namespace casper::kernels::avx2
 
 #endif  // CASPER_AVX2

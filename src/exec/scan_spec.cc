@@ -106,18 +106,10 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
   // workloads (Q2/Q3 and full scans), and they need no slot materialization.
   if (npreds == 0) {
     if (spec.agg.kind == AggKind::kCount) {
-      if (check) {
-        out.count = kernels::CountInRange(r.keys, r.n, spec.lo, spec.hi);
-      } else if (r.tombstones != nullptr) {
-        out.count = r.n - kernels::SumBytes(r.tombstones + r.base, r.n);
-      } else {
-        out.count = r.n;
-      }
+      out.count = check ? kernels::CountInRange(r.keys, r.n, spec.lo, spec.hi) : r.n;
       return out;
     }
-    if (spec.agg.kind == AggKind::kSum &&
-        (r.tombstones == nullptr ||
-         kernels::SumBytes(r.tombstones + r.base, r.n) == 0)) {
+    if (spec.agg.kind == AggKind::kSum) {
       for (const size_t c : spec.agg.cols) {
         const Payload* col = (*r.cols)[c].data() + r.base;
         out.sum += static_cast<uint64_t>(
@@ -129,9 +121,9 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
   }
 
   // General path: block-wise late materialization. The key filter (or an
-  // identity slot list when the run pre-qualifies) feeds the tombstone
-  // filter, then each payload predicate refines via the gather kernel, and
-  // the aggregate consumes the survivors — all ascending, so addition order
+  // identity slot list when the run pre-qualifies) feeds each payload
+  // predicate, which refines via the gather kernel, and the aggregate
+  // consumes the survivors — all ascending, so addition order
   // matches the legacy per-row loops exactly.
   constexpr size_t kBlock = 256;
   uint32_t buf_a[kBlock];
@@ -149,15 +141,6 @@ ScanPartial EvalSpecRows(const ScanSpec& spec, const SpecRows& r) {
         slots[i] = r.base + static_cast<uint32_t>(off + i);
       }
       k = m;
-    }
-    if (r.tombstones != nullptr && k > 0) {
-      size_t kept = 0;
-      for (size_t i = 0; i < k; ++i) {
-        spare[kept] = slots[i];
-        kept += static_cast<size_t>(r.tombstones[slots[i]] == 0);
-      }
-      std::swap(slots, spare);
-      k = kept;
     }
     for (size_t pi = 0; pi < npreds; ++pi) {
       if (k == 0) break;

@@ -218,23 +218,22 @@ ScanSpec SpecForOperation(const Operation& op, const std::vector<size_t>& sum_co
 namespace exec {
 
 /// One contiguous run of rows for generic spec evaluation. `keys[0]` is the
-/// row at absolute slot `base`; payload columns (and the optional tombstone
-/// bitmap) are FULL arrays indexed by absolute slot, matching the layouts'
-/// storage. When `key_check` is false the caller has already resolved the
-/// key predicate (sorted windows, zone-map-qualified partitions) and every
-/// live row in the run qualifies.
+/// row at absolute slot `base`; payload columns are FULL arrays indexed by
+/// absolute slot, matching the layouts' storage. Every row of the run is
+/// live. When `key_check` is false the caller has already resolved the key
+/// predicate (sorted windows, zone-map-qualified partitions) and every row
+/// in the run qualifies.
 struct SpecRows {
   const Value* keys = nullptr;
   size_t n = 0;
   uint32_t base = 0;
   const std::vector<std::vector<Payload>>* cols = nullptr;
-  const uint8_t* tombstones = nullptr;  ///< nullable; 1 = deleted, by slot
   bool key_check = true;
 
   /// Optional predicate override (zone-map blind consume): when
   /// `preds_override` is true, evaluate `preds[0..npreds)` INSTEAD of
   /// spec.predicates — the caller proved the dropped predicates hold for
-  /// every live row of this run (payload zone inside the predicate range).
+  /// every row of this run (payload zone inside the predicate range).
   const PredicateSpec* preds = nullptr;
   size_t npreds = 0;
   bool preds_override = false;

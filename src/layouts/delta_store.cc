@@ -1,6 +1,7 @@
 #include "layouts/delta_store.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "exec/scan_kernels.h"
@@ -8,11 +9,18 @@
 
 namespace casper {
 
+namespace {
+
+/// The delta is merged back once it holds this fraction of the main store,
+/// and never below kMinMergeRows (avoids merge storms on tiny data).
+constexpr double kMergeFraction = 0.002;
+constexpr size_t kMinMergeRows = 4096;
+
+}  // namespace
+
 DeltaStoreLayout::DeltaStoreLayout(std::vector<Value> keys,
-                                   std::vector<std::vector<Payload>> payload,
-                                   Options options)
-    : opts_(options),
-      payload_cols_(payload.size()),
+                                   std::vector<std::vector<Payload>> payload)
+    : payload_cols_(payload.size()),
       main_keys_(std::move(keys)),
       main_payload_(std::move(payload)),
       deleted_(main_keys_.size(), 0),
@@ -21,10 +29,6 @@ DeltaStoreLayout::DeltaStoreLayout(std::vector<Value> keys,
   CASPER_CHECK(std::is_sorted(main_keys_.begin(), main_keys_.end()));
   for (const auto& col : main_payload_) CASPER_CHECK(col.size() == main_keys_.size());
 }
-
-DeltaStoreLayout::DeltaStoreLayout(std::vector<Value> keys,
-                                   std::vector<std::vector<Payload>> payload)
-    : DeltaStoreLayout(std::move(keys), std::move(payload), Options()) {}
 
 size_t DeltaStoreLayout::PointLookup(Value key, std::vector<Payload>* payload) const {
   SharedChunkGuard guard(engine_latch_);
@@ -66,24 +70,31 @@ size_t DeltaStoreLayout::PointLookupLocked(Value key,
 
 ScanPartial DeltaStoreLayout::EvalMainWindowLocked(size_t first, size_t last,
                                                    const ScanSpec& spec) const {
+  // Window rows already satisfy the key predicate. The tombstones cut the
+  // window into runs of live rows; each run is a pre-qualified window of its
+  // own, and ScanPartial::Merge is associative and commutative, so the
+  // merged partial is bit-identical to filtering row by row. A store with
+  // no tombstones at all (deletes are rare and merges compact them away)
+  // is one run, found without touching the bitmap.
+  const bool any_dead = main_live_ != main_keys_.size();
+  const uint8_t* dead = deleted_.data();
   ScanPartial out;
-  if (first >= last) return out;
-  // Window rows already satisfy the key predicate; the tombstone bitmap
-  // drops deleted rows. Predicate-free counts reduce to window width minus
-  // the bitmap byte sum and predicate-free sums over a tombstone-free
-  // window to the unconditional vector sum — both are EvalSpecRows' own
-  // fast paths, so there is exactly one copy of that invariant.
   exec::SpecRows rows;
-  rows.keys = main_keys_.data() + first;
-  rows.n = last - first;
-  rows.base = static_cast<uint32_t>(first);
   rows.cols = &main_payload_;
-  // O(1) short-circuit for the common case (deletes are rare and merges
-  // compact them away): a store with no tombstones at all skips the
-  // per-window bitmap byte scans entirely.
-  rows.tombstones = main_live_ == main_keys_.size() ? nullptr : deleted_.data();
   rows.key_check = false;
-  return exec::EvalSpecRows(spec, rows);
+  while (first < last) {
+    const auto* hit = static_cast<const uint8_t*>(
+        any_dead ? std::memchr(dead + first, 1, last - first) : nullptr);
+    const size_t end = hit == nullptr ? last : static_cast<size_t>(hit - dead);
+    if (end > first) {
+      rows.keys = main_keys_.data() + first;
+      rows.n = end - first;
+      rows.base = static_cast<uint32_t>(first);
+      out.Merge(exec::EvalSpecRows(spec, rows));
+    }
+    first = end + 1;
+  }
+  return out;
 }
 
 ScanPartial DeltaStoreLayout::EvalDeltaLocked(const ScanSpec& spec) const {
@@ -169,30 +180,15 @@ bool DeltaStoreLayout::UpdateKey(Value old_key, Value new_key) {
   return true;
 }
 
-size_t DeltaStoreLayout::ApplyWriteRun(const std::vector<BatchWrite>& run,
-                                       ThreadPool* /*pool*/) {
-  ExclusiveChunkGuard guard(engine_latch_);
-  size_t deleted = 0;
-  for (const BatchWrite& w : run) {
-    if (w.is_insert) {
-      InsertLocked(w.key, w.payload);
-    } else {
-      deleted += DeleteLocked(w.key);
-    }
-  }
-  return deleted;
-}
-
 size_t DeltaStoreLayout::num_rows() const {
   SharedChunkGuard guard(engine_latch_);
   return main_live_ + delta_keys_.size();
 }
 
 void DeltaStoreLayout::MaybeMerge() {
-  const size_t threshold =
-      std::max(opts_.min_merge_rows,
-               static_cast<size_t>(opts_.merge_fraction *
-                                   static_cast<double>(main_keys_.size())));
+  const size_t threshold = std::max(
+      kMinMergeRows,
+      static_cast<size_t>(kMergeFraction * static_cast<double>(main_keys_.size())));
   if (delta_keys_.size() >= threshold) MergeLocked();
 }
 

@@ -9,23 +9,16 @@
 namespace casper {
 
 /// State-of-the-art update-aware columnar layout (paper's "State-of-art"
-/// mode): a sorted read-optimized main store plus an unsorted delta buffer
-/// for incoming writes, periodically merged back (the C-Store / Vertica
-/// write-store design [78, 48]). Deletes on the main store are positional
-/// tombstones (a delete bitmap, cf. positional update handling [38]); the
-/// merge compacts them away.
+/// mode), one of the paper's comparison points: a sorted read-optimized main
+/// store plus an unsorted delta buffer for incoming writes, merged back once
+/// the delta holds max(4096 rows, 0.2% of the main store) (the C-Store /
+/// Vertica write-store design [78, 48]). Deletes on the main store are
+/// positional tombstones (a delete bitmap, cf. positional update handling
+/// [38]); reads evaluate the main window as tombstone-free runs, and the
+/// merge compacts the tombstones away.
 class DeltaStoreLayout final : public LayoutEngine {
  public:
-  struct Options {
-    /// Merge when delta size exceeds this fraction of the main store.
-    double merge_fraction = 0.002;
-    /// Lower bound on the merge trigger (avoids merge storms on tiny data).
-    size_t min_merge_rows = 4096;
-  };
-
   /// `keys` must be sorted; payload columns aligned.
-  DeltaStoreLayout(std::vector<Value> keys, std::vector<std::vector<Payload>> payload,
-                   Options options);
   DeltaStoreLayout(std::vector<Value> keys, std::vector<std::vector<Payload>> payload);
 
   LayoutMode mode() const override { return LayoutMode::kDeltaStore; }
@@ -35,15 +28,9 @@ class DeltaStoreLayout final : public LayoutEngine {
   size_t Delete(Value key) override;
   bool UpdateKey(Value old_key, Value new_key) override;
 
-  /// Batched writes: the run applies in order under one exclusive hold of
-  /// the engine latch, each insert with its own merge check, so content and
-  /// merge timing both match one-by-one Insert/Delete calls.
-  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
-                       ThreadPool* pool) override;
-
   /// Unified scan surface: the main/delta pair is the one shard — one
-  /// main-store pass (binary-searched window with the delete bitmap applied)
-  /// plus one delta pass, merged main-first.
+  /// main-store pass (binary-searched window, split at its tombstones) plus
+  /// one delta pass, merged main-first.
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
   size_t num_rows() const override;
@@ -76,8 +63,8 @@ class DeltaStoreLayout final : public LayoutEngine {
   void MaybeMerge() REQUIRES(engine_latch_);
 
   /// Spec evaluation over the pre-qualified main window [first, last) —
-  /// rows already satisfy the key predicate; the delete bitmap is applied
-  /// inside.
+  /// rows already satisfy the key predicate — as the merge of its
+  /// tombstone-free runs.
   ScanPartial EvalMainWindowLocked(size_t first, size_t last,
                                    const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
@@ -86,7 +73,6 @@ class DeltaStoreLayout final : public LayoutEngine {
   ScanPartial EvalDeltaLocked(const ScanSpec& spec) const
       REQUIRES_SHARED(engine_latch_);
 
-  Options opts_;
   /// Payload column count: immutable after construction, so readable with no
   /// latch (columns are never added or dropped, only rows).
   size_t payload_cols_ = 0;

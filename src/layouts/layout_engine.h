@@ -12,8 +12,6 @@
 
 namespace casper {
 
-class ThreadPool;
-
 /// The six operation modes evaluated in the paper (§7, Fig. 12):
 enum class LayoutMode {
   kNoOrder,        ///< plain column-store, insertion order, no write opt.
@@ -45,45 +43,35 @@ struct LayoutMemoryStats {
   }
 };
 
-/// Outcome of a batched operation run (LayoutEngine::ApplyBatch).
-struct BatchResult {
-  size_t inserts = 0;  ///< rows inserted (inserts always succeed)
-  size_t deletes = 0;  ///< rows actually deleted
-  size_t updates = 0;  ///< updates that found their key
-  /// Rolling sum over read-op results, same mixing as the harness checksum
-  /// (point-lookup match counts, range counts, range sums).
-  uint64_t query_checksum = 0;
-};
-
-/// Deterministic payload for rows inserted through the batched API:
-/// payload[c] = (|key| * (c + 1)) % 10000, the harness's key-derived scheme.
-/// Duplicate keys carry identical payloads, so any reordering of physical
-/// duplicates (across layouts or batching strategies) is unobservable.
+/// Deterministic payload for rows inserted from an Operation stream (the
+/// harness replay, ApplyOperation, PartitionedLayout::ApplyBatch):
+/// payload[c] = (|key| * (c + 1)) % 10000. Duplicate keys carry identical
+/// payloads, so any reordering of physical duplicates (across layouts or
+/// batching strategies) is unobservable.
 void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out);
 
 /// Storage-engine access-path interface shared by every layout — the
-/// "physical benchmark" surface of the HAP benchmark (paper §7.1). All
-/// layouts store the same logical table: key column a0 plus payload columns.
+/// per-operation replay surface of the HAP benchmark (paper §7.1) that the
+/// figures drive one operation at a time. All layouts store the same logical
+/// table: key column a0 plus payload columns.
 ///
-/// Beyond the per-operation surface, every layout exposes one read virtual,
-/// ScanSpecShard, and one batched write virtual, ApplyWriteRun, that
-/// ApplyBatch and InsertRows both reduce to. A shard is the unit of parallel
-/// read work (paper §6.3): the partitioned layouts have one shard per column
-/// chunk, and NoOrder, Sorted and the delta store are one shard each — a
-/// single store is a single chunk. ExecuteScan is the in-order merge of
-/// every shard, and ExecuteScanOnPool (exec/) runs the shards of a
-/// partitioned layout's routed chunk window on a pool.
+/// Every range read goes through one virtual, ScanSpecShard. A shard is the
+/// unit of parallel read work (paper §6.3): the partitioned layouts have one
+/// shard per column chunk, and NoOrder, Sorted and the delta store are one
+/// shard each — a single store is a single chunk. ExecuteScan is the
+/// in-order merge of every shard, and ExecuteScanOnPool (exec/) runs the
+/// shards of a partitioned layout's routed chunk window on a pool.
 ///
-/// Concurrency: every read and write path is routed through an epoch/latch
-/// (chunk_latch.h) — per chunk for the partitioned layouts, whole-engine for
-/// the single-store ones — so reads may overlap ingest and chunk-disjoint
-/// write runs commit in parallel. Each shard is read under one hold of its
-/// latch, so a shard's partial is always a state that shard was in.
+/// Concurrency: every read and write path is routed through a shared/
+/// exclusive latch (chunk_latch.h) — per chunk for the partitioned layouts,
+/// whole-engine for the single-store ones — so reads may overlap ingest.
+/// Each shard is read under one hold of its latch, so a shard's partial is
+/// always a state that shard was in.
 ///
 /// The engine facade and the mixed runner hold the partitioned layout
-/// (layouts/partitioned.h) directly; NoOrder, Sorted and the delta store are
-/// the paper's comparison points, built through BuildLayout and replayed
-/// through this interface.
+/// (layouts/partitioned.h) directly, and batched writes are its own members;
+/// NoOrder, Sorted and the delta store are the paper's comparison points,
+/// built through BuildLayout and replayed through this interface.
 class LayoutEngine {
  public:
   virtual ~LayoutEngine() = default;
@@ -159,54 +147,11 @@ class LayoutEngine {
   /// Structural self-check (test hook); default no-op.
   virtual void ValidateInvariants() const {}
 
-  // --- Batched write surface -----------------------------------------------
-
-  /// Applies a run of inserts (with their payloads) and deletes with results
-  /// identical to calling Insert/Delete on them in order, and returns the
-  /// rows actually deleted. This is the one batched write every layout
-  /// implements: partitioned layouts group the run by destination chunk and
-  /// may fan chunk groups out over `pool`; the single-store layouts apply it
-  /// under one exclusive hold of the engine latch.
-  virtual size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
-                               ThreadPool* pool) = 0;
-
-  /// Applies `n` operations with results identical to applying them in order
-  /// one-by-one (inserts take key-derived payloads). Each maximal run of
-  /// inserts/deletes goes to ApplyWriteRun as one call; queries and updates
-  /// are barriers applied through ApplyOperation.
-  BatchResult ApplyBatch(const Operation* ops, size_t n, ThreadPool* pool = nullptr);
-  BatchResult ApplyBatch(const std::vector<Operation>& ops,
-                         ThreadPool* pool = nullptr) {
-    return ApplyBatch(ops.data(), ops.size(), pool);
-  }
-
-  /// Payload-carrying batch ingest (the production write surface, vs the
-  /// Operation stream's key-derived payloads): inserts `n` caller-supplied
-  /// rows as one ApplyWriteRun, with results identical to calling
-  /// Insert(row.key, row.payload) in order. Every row's width is checked
-  /// before any row applies.
-  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr);
-  void InsertRows(const std::vector<Row>& rows, ThreadPool* pool = nullptr) {
-    InsertRows(rows.data(), rows.size(), pool);
-  }
-
  protected:
-  /// Whole-engine epoch/latch for the single-store layouts; PartitionedLayout
+  /// Whole-engine latch for the single-store layouts; PartitionedLayout
   /// latches per chunk and leaves this unused.
   mutable ChunkLatch engine_latch_;
 };
-
-/// Applies one operation through the per-op surface, folding the outcome
-/// into `result` exactly as ApplyBatch does (shared by ApplyBatch's
-/// barriers and the equivalence tests). Inserts use KeyDerivedPayload;
-/// range aggregates (sum/min/max/avg) use `sum_cols` — callers applying a
-/// whole batch compute it ONCE (DefaultSumColumns) and pass it through
-/// instead of re-deriving it per op.
-void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* result,
-                    const std::vector<size_t>& sum_cols);
-
-/// Single-op convenience: derives DefaultSumColumns itself.
-void ApplyOperation(LayoutEngine& engine, const Operation& op, BatchResult* result);
 
 /// Payload columns aggregated by kRangeSum in batched execution and by the
 /// harness's Q3: the first two, clipped to the table's width.

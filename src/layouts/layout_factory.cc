@@ -68,6 +68,9 @@ std::vector<size_t> DuplicateSafeChunkCounts(const std::vector<Value>& sorted_ke
 
 namespace {
 
+constexpr size_t kGhostBatch = 8;         ///< free slots pulled in per grow
+constexpr size_t kDenseSpareTail = 1024;  ///< dense chunks' column-end scratch
+
 std::vector<size_t> EquiPartitionSizes(size_t rows, size_t k) {
   k = std::max<size_t>(1, std::min(k, rows));
   std::vector<size_t> sizes;
@@ -97,10 +100,8 @@ PartitionedTable::Options PartitionedTableOptionsFor(
   topts.chunk.dense = (options.mode == LayoutMode::kEquiWidth);
   // The dense design moves exactly one slot per ripple (paper Fig. 4);
   // batching is a ghost-value optimization (paper §6.1).
-  topts.chunk.ghost_batch = topts.chunk.dense ? 1 : options.ghost_batch;
-  topts.chunk.spare_tail = (options.mode == LayoutMode::kEquiWidth)
-                               ? options.spare_tail
-                               : 0;
+  topts.chunk.ghost_batch = topts.chunk.dense ? 1 : kGhostBatch;
+  topts.chunk.spare_tail = topts.chunk.dense ? kDenseSpareTail : 0;
   return topts;
 }
 
@@ -170,17 +171,12 @@ std::unique_ptr<LayoutEngine> BuildLayout(const LayoutBuildOptions& options,
   switch (options.mode) {
     case LayoutMode::kNoOrder:
       return std::make_unique<NoOrderLayout>(std::move(keys), std::move(payload));
-    case LayoutMode::kSorted: {
+    case LayoutMode::kSorted:
       SortRowsByKey(&keys, &payload);
       return std::make_unique<SortedLayout>(std::move(keys), std::move(payload));
-    }
-    case LayoutMode::kDeltaStore: {
+    case LayoutMode::kDeltaStore:
       SortRowsByKey(&keys, &payload);
-      DeltaStoreLayout::Options dopts;
-      dopts.min_merge_rows = options.delta_min_merge_rows;
-      return std::make_unique<DeltaStoreLayout>(std::move(keys), std::move(payload),
-                                                dopts);
-    }
+      return std::make_unique<DeltaStoreLayout>(std::move(keys), std::move(payload));
     case LayoutMode::kEquiWidth:
     case LayoutMode::kEquiWidthGhost:
     case LayoutMode::kCasper:

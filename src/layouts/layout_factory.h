@@ -37,17 +37,6 @@ struct LayoutBuildOptions {
   /// cover the expected insert volume to stay in the paper's regime (at
   /// 100M rows even 0.1% dwarfs a 10k-op workload).
   double ghost_fraction = 0.01;
-  size_t ghost_batch = 8;
-
-  /// Dense-layout scratch space at the column end (NoOrder-style spare).
-  size_t spare_tail = 1024;
-
-  // Delta-store knobs: the write-store is a bounded buffer that is merged
-  // back ("moved out") when full, like Vertica's WOS — the continuous
-  // integration cost the paper charges the state of the art for. The cap is
-  // the larger of this absolute budget and DeltaStoreLayout's default
-  // fraction of the main store.
-  size_t delta_min_merge_rows = 4096;
 
   /// Casper's optimizer inputs (access costs, SLAs). ghost_fraction and the
   /// equi-partition fairness cap above override the planner's own fields.
@@ -90,9 +79,10 @@ std::unique_ptr<PartitionedLayout> BuildPartitionedLayout(
     std::vector<std::vector<Payload>> payload);
 
 /// The PartitionedTable::Options a partitioned build derives from the
-/// build-level knobs (chunk capacity, block granularity, dense/ghost mode,
-/// spare tail). Exposed so durable-store recovery rebuilds
-/// the table under exactly the configuration the original build used.
+/// build-level knobs (chunk capacity, block granularity, dense/ghost mode)
+/// and the factory's ghost batch and dense spare tail. Exposed so
+/// durable-store recovery rebuilds the table under exactly the
+/// configuration the original build used.
 PartitionedTable::Options PartitionedTableOptionsFor(
     const LayoutBuildOptions& options);
 

@@ -51,10 +51,6 @@ ScanPartial NoOrderLayout::ScanSpecShard(size_t /*shard*/,
 
 void NoOrderLayout::Insert(Value key, const std::vector<Payload>& payload) {
   ExclusiveChunkGuard guard(engine_latch_);
-  InsertLocked(key, payload);
-}
-
-void NoOrderLayout::InsertLocked(Value key, const std::vector<Payload>& payload) {
   CASPER_CHECK(payload.size() == payload_.size());
   keys_.push_back(key);
   for (size_t c = 0; c < payload_.size(); ++c) payload_[c].push_back(payload[c]);
@@ -62,10 +58,6 @@ void NoOrderLayout::InsertLocked(Value key, const std::vector<Payload>& payload)
 
 size_t NoOrderLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
-  return DeleteLocked(key);
-}
-
-size_t NoOrderLayout::DeleteLocked(Value key) {
   const size_t i = kernels::FindFirstEqual(keys_.data(), keys_.size(), key);
   if (i == keys_.size()) return 0;
   keys_[i] = keys_.back();
@@ -75,20 +67,6 @@ size_t NoOrderLayout::DeleteLocked(Value key) {
     col.pop_back();
   }
   return 1;
-}
-
-size_t NoOrderLayout::ApplyWriteRun(const std::vector<BatchWrite>& run,
-                                    ThreadPool* /*pool*/) {
-  ExclusiveChunkGuard guard(engine_latch_);
-  size_t deleted = 0;
-  for (const BatchWrite& w : run) {
-    if (w.is_insert) {
-      InsertLocked(w.key, w.payload);
-    } else {
-      deleted += DeleteLocked(w.key);
-    }
-  }
-  return deleted;
 }
 
 bool NoOrderLayout::UpdateKey(Value old_key, Value new_key) {

@@ -26,11 +26,6 @@ class NoOrderLayout final : public LayoutEngine {
   /// shard, evaluated under one latch hold.
   ScanPartial ScanSpecShard(size_t shard, const ScanSpec& spec) const override;
 
-  /// Batched writes: the run applies in order under one exclusive hold of
-  /// the engine latch (appends and swap-removes, exactly as Insert/Delete).
-  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
-                       ThreadPool* pool) override;
-
   size_t num_rows() const override {
     SharedChunkGuard guard(engine_latch_);
     return keys_.size();
@@ -47,11 +42,6 @@ class NoOrderLayout final : public LayoutEngine {
   void ValidateInvariants() const override;
 
  private:
-  // Latch-free write internals; callers hold the engine latch exclusively.
-  void InsertLocked(Value key, const std::vector<Payload>& payload)
-      REQUIRES(engine_latch_);
-  size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
-
   /// Payload column count: immutable after construction, so readable with no
   /// latch (columns are never added or dropped, only rows).
   size_t payload_cols_ = 0;

@@ -79,10 +79,6 @@ void SortedLayout::InsertLocked(Value key, const std::vector<Payload>& payload) 
 
 size_t SortedLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
-  return DeleteLocked(key);
-}
-
-size_t SortedLayout::DeleteLocked(Value key) {
   const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
   if (it == keys_.end() || *it != key) return 0;
   const size_t pos = static_cast<size_t>(it - keys_.begin());
@@ -102,65 +98,6 @@ bool SortedLayout::UpdateKey(Value old_key, Value new_key) {
   for (auto& col : payload_) col.erase(col.begin() + static_cast<ptrdiff_t>(pos));
   InsertLocked(new_key, row);
   return true;
-}
-
-void SortedLayout::MergeRowsLocked(std::vector<Row> rows) {
-  // Stable sort keeps batch order among equal keys, and the <= tie-break
-  // toward the existing run reproduces upper_bound placement — the merged
-  // column is exactly what sequential Insert calls would have produced.
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const Row& a, const Row& b) { return a.key < b.key; });
-
-  const size_t total = keys_.size() + rows.size();
-  std::vector<Value> merged_keys;
-  merged_keys.reserve(total);
-  std::vector<std::vector<Payload>> merged_payload(payload_.size());
-  for (auto& col : merged_payload) col.reserve(total);
-
-  size_t mi = 0;
-  size_t bi = 0;
-  while (mi < keys_.size() || bi < rows.size()) {
-    const bool take_main =
-        mi < keys_.size() && (bi >= rows.size() || keys_[mi] <= rows[bi].key);
-    if (take_main) {
-      merged_keys.push_back(keys_[mi]);
-      for (size_t c = 0; c < payload_.size(); ++c) {
-        merged_payload[c].push_back(payload_[c][mi]);
-      }
-      ++mi;
-    } else {
-      merged_keys.push_back(rows[bi].key);
-      for (size_t c = 0; c < payload_.size(); ++c) {
-        merged_payload[c].push_back(rows[bi].payload[c]);
-      }
-      ++bi;
-    }
-  }
-  keys_ = std::move(merged_keys);
-  payload_ = std::move(merged_payload);
-}
-
-size_t SortedLayout::ApplyWriteRun(const std::vector<BatchWrite>& run,
-                                   ThreadPool* /*pool*/) {
-  ExclusiveChunkGuard guard(engine_latch_);
-  size_t deleted = 0;
-  std::vector<Row> stretch;
-  auto merge_stretch = [&] {
-    if (stretch.empty()) return;
-    MergeRowsLocked(std::move(stretch));
-    stretch.clear();
-  };
-  for (const BatchWrite& w : run) {
-    if (w.is_insert) {
-      CASPER_CHECK(w.payload.size() == payload_cols_);
-      stretch.push_back(Row{w.key, w.payload});
-    } else {
-      merge_stretch();
-      deleted += DeleteLocked(w.key);
-    }
-  }
-  merge_stretch();
-  return deleted;
 }
 
 LayoutMemoryStats SortedLayout::MemoryStats() const {

@@ -22,15 +22,6 @@ class SortedLayout final : public LayoutEngine {
   size_t Delete(Value key) override;
   bool UpdateKey(Value old_key, Value new_key) override;
 
-  /// Batched writes, under one exclusive hold of the engine latch: each
-  /// stretch of inserts is stably sorted and merged in one O(n + k log k)
-  /// pass instead of k O(n) tail shifts, and deletes apply between
-  /// stretches. Placement matches sequential Insert/Delete exactly
-  /// (upper_bound: new rows land after existing equals, run order preserved
-  /// among themselves).
-  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
-                       ThreadPool* pool) override;
-
   /// Unified scan surface: the sorted run is the one shard. The key range
   /// resolves to one whole-column binary-searched window [first, last) —
   /// counts never touch data, sums run the unconditional vector kernels, and
@@ -46,12 +37,10 @@ class SortedLayout final : public LayoutEngine {
   void ValidateInvariants() const override;
 
  private:
-  // Latch-free write internals; callers hold the engine latch exclusively.
+  /// Latch-free insert at the upper_bound position (new rows land after
+  /// existing equals); Insert and UpdateKey hold the engine latch exclusively.
   void InsertLocked(Value key, const std::vector<Payload>& payload)
       REQUIRES(engine_latch_);
-  size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
-  /// One-pass merge of caller rows into the sorted column.
-  void MergeRowsLocked(std::vector<Row> rows) REQUIRES(engine_latch_);
 
   /// Spec evaluation over the pre-qualified sorted window [first, last)
   /// (every row in it satisfies the key predicate).

@@ -118,10 +118,9 @@ CycleCapture CaptureCycle(const PartitionedTable& table,
 ///      the fractional threshold and the amortized re-partition cost.
 ///  (c) Re-partition — diverged chunks are rebuilt ONE AT A TIME through
 ///      PartitionedTable::RepartitionChunk, each under its own exclusive
-///      chunk latch while queries keep flowing on every other chunk; the
-///      epoch bump is the one a write makes, and results stay bit-identical
-///      to serial replay because re-partitioning preserves the logical row
-///      multiset.
+///      chunk latch while queries keep flowing on every other chunk, the
+///      same hold a write takes; results stay bit-identical to serial
+///      replay because re-partitioning preserves the logical row multiset.
 ///
 /// Threading: Observe() is a mutex-guarded ring append (hot path). Cycles
 /// are serialized by cycle_mu_ whether driven manually (RunCycle) or by the

@@ -73,7 +73,7 @@ TierCycleReport TierManager::RunCycle() {
   std::vector<std::pair<double, size_t>> hot;  // (score, chunk), evicted
   for (size_t c = 0; c < n; ++c) {
     if (table_->ChunkResident(c)) continue;
-    if (heat_[c].score < options_.promote_score) continue;
+    if (heat_[c].score < TierOptions::kPromoteScore) continue;
     hot.emplace_back(heat_[c].score, c);
   }
   std::sort(hot.rbegin(), hot.rend());  // hottest first

@@ -1,30 +1,23 @@
 #ifndef CASPER_STORAGE_CHUNK_LATCH_H_
 #define CASPER_STORAGE_CHUNK_LATCH_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <cstdlib>
 #include <shared_mutex>
 
-#include "util/cpu_relax.h"
+#include "storage/types.h"
 #include "util/thread_annotations.h"
 
 namespace casper {
 
-/// Per-chunk concurrency control: a shared/exclusive latch fused with a
-/// seqlock-style epoch counter. This is the protection layer that lets read
-/// queries overlap ingest (paper's hybrid premise — reads and writes arrive
-/// interleaved) instead of requiring a quiescent engine:
+/// Per-chunk concurrency control: a shared/exclusive latch. This is the
+/// protection layer that lets read queries overlap ingest (paper's hybrid
+/// premise — reads and writes arrive interleaved) instead of requiring a
+/// quiescent engine:
 ///
 /// - Readers take the latch shared; any number may hold it at once.
-/// - Writers take it exclusive and advance the epoch twice: to an odd value
-///   on entry, back to even on exit. The epoch is therefore odd exactly
-///   while a writer is inside the chunk.
-/// - Comparing two epochs tells whether a writer entered a chunk between
-///   two points.
-/// - Seqlock reads over atomic payloads (e.g. ChunkStats' relaxed counters)
-///   use `ReadBegin()` / `ReadValidate()` to obtain a copy that is coherent
-///   with respect to writers, without ever touching the mutex.
+/// - Writers take it exclusive and raise a writer flag for as long as they
+///   hold it, so the latch can tell whether a writer is inside.
 ///
 /// Chunk-disjoint write runs each hold only their own chunk's latch, so
 /// multi-writer ingest commits in parallel; writers touching the same chunk
@@ -35,9 +28,7 @@ namespace casper {
 /// The latch is a Thread Safety Analysis *capability*: data it protects is
 /// declared `GUARDED_BY` it, internals that assume it are `REQUIRES`-
 /// annotated, and the clang CI leg (`-DCASPER_TSA=ON`) turns violations of
-/// that contract into build errors. The epoch/seqlock side is deliberately
-/// outside the capability: `Epoch`/`WriteActive`/`ReadBegin`/`ReadValidate`
-/// are latch-free by design and carry no annotations.
+/// that contract into build errors.
 class CAPABILITY("chunk latch") ChunkLatch {
  public:
   ChunkLatch() = default;
@@ -48,18 +39,10 @@ class CAPABILITY("chunk latch") ChunkLatch {
 
   void LockExclusive() ACQUIRE() {
     mu_.lock();
-    // even -> odd: writer in. The release fence orders the odd increment
-    // before the writer's payload stores (Boehm-style seqlock writer entry):
-    // a reader that observes any of those stores and then issues its own
-    // acquire fence (ReadValidate) is guaranteed to see the odd epoch.
-    epoch_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
+    writer_ = 1;
   }
   void UnlockExclusive() RELEASE() {
-    // odd -> even: writer out. The release increment orders every payload
-    // store before the even value, so a reader whose ReadBegin acquires the
-    // new even epoch sees the completed write.
-    epoch_.fetch_add(1, std::memory_order_release);
+    writer_ = 0;
     mu_.unlock();
   }
 
@@ -71,61 +54,29 @@ class CAPABILITY("chunk latch") ChunkLatch {
   // --- Capability assertions ------------------------------------------------
   //
   // Escape hatches for contracts the static analysis cannot follow — e.g. a
-  // compression callback invoked by a helper whose caller took the latch, or
-  // a bench/test hook documented as quiescent-only. Each asserts the
+  // callback invoked by a helper whose caller took the latch, or a
+  // bench/test hook documented as quiescent-only. Each asserts the
   // capability to the analysis AND runtime-checks the strongest necessary
   // condition the latch can observe about itself (a std::shared_mutex cannot
-  // name its holders, but the fused epoch knows whether a writer is inside).
+  // name its holders, but the writer flag tells whether a writer is inside).
 
-  /// Caller claims a shared (or stronger) hold: no writer can be inside, so
-  /// the epoch must be even.
+  /// Caller claims a shared (or stronger) hold: no writer can be inside.
   void AssertReaderHeld() const ASSERT_SHARED_CAPABILITY(this) {
-    if (WriteActive()) std::abort();
-  }
-  /// Caller claims the exclusive hold: it advanced the epoch to odd on entry.
-  void AssertWriterHeld() const ASSERT_CAPABILITY(this) {
-    if (!WriteActive()) std::abort();
+    if (writer_.load() != 0) std::abort();
   }
   /// Caller claims nobody else can touch the chunk at all (single-threaded
   /// test/bench hooks that mutate without latching). Grants the exclusive
   /// capability to the analysis; at runtime the latch can only verify the
   /// necessary condition that no latched writer is mid-flight.
   void AssertQuiescent() const ASSERT_CAPABILITY(this) {
-    if (WriteActive()) std::abort();
-  }
-
-  // --- Epoch / seqlock protocol --------------------------------------------
-
-  /// Current epoch; odd while an exclusive writer is inside.
-  uint64_t Epoch() const { return epoch_.load(std::memory_order_acquire); }
-  bool WriteActive() const { return (Epoch() & 1) != 0; }
-
-  /// Seqlock read entry over *atomic* payloads: returns the first even epoch
-  /// observed (spinning past any in-flight writer). The caller copies the
-  /// payload, then confirms with ReadValidate; on failure, retry.
-  uint64_t ReadBegin() const {
-    for (;;) {
-      const uint64_t e = Epoch();
-      if ((e & 1) == 0) return e;
-      // Writer in flight: pause instead of hammering the epoch line — the
-      // pause hint stops the load loop from flooding the core and gives a
-      // hyperthread-sibling writer the execution resources to finish sooner.
-      CpuRelax();
-    }
-  }
-  /// True when no writer entered since ReadBegin returned `epoch` — the copy
-  /// taken in between is coherent with respect to writers. The acquire fence
-  /// pairs with the writer-entry release fence: if any payload load observed
-  /// a mid-write value, the epoch load below is guaranteed to see the odd
-  /// epoch and fail validation.
-  bool ReadValidate(uint64_t epoch) const {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return epoch_.load(std::memory_order_relaxed) == epoch;
+    if (writer_.load() != 0) std::abort();
   }
 
  private:
   mutable std::shared_mutex mu_;
-  std::atomic<uint64_t> epoch_{0};
+  /// 1 while an exclusive holder is inside. Relaxed: it orders nothing and
+  /// only feeds the fail-fast checks above.
+  RelaxedCounter writer_;
 };
 
 namespace internal {
@@ -160,7 +111,7 @@ class SCOPED_CAPABILITY SharedChunkGuard {
   const ChunkLatch& latch_;
 };
 
-/// RAII exclusive (write) hold on a chunk latch; advances the epoch.
+/// RAII exclusive (write) hold on a chunk latch.
 class SCOPED_CAPABILITY ExclusiveChunkGuard {
  public:
   explicit ExclusiveChunkGuard(ChunkLatch& latch) ACQUIRE(latch)

@@ -116,28 +116,13 @@ class PartitionedTable {
   /// to call concurrently with any reads or writes).
   size_t ChunkFor(Value key) const { return RouteChunk(key); }
 
-  /// The epoch/latch protecting chunk c. All table read/write paths route
-  /// through these internally; external callers only need them for epoch
-  /// sniffing (ChunkLatch::WriteActive) or snapshot validation.
-  const ChunkLatch& chunk_latch(size_t c) const { return chunks_[c]->latch; }
-  ChunkLatch& chunk_latch(size_t c) { return chunks_[c]->latch; }
-
-  /// Chunk-c ChunkStats copy that is coherent with respect to writers: the
-  /// seqlock loop retries until no exclusive writer interleaved the reads.
-  /// This is the documented NO_THREAD_SAFETY_ANALYSIS escape: a seqlock read
-  /// touches latch-guarded state WITHOUT the latch by design — coherence
-  /// comes from epoch validation (retry if a writer interleaved), not mutual
-  /// exclusion, and the payload it copies is all relaxed atomics. See README
-  /// "Static analysis".
-  ChunkStatsSnapshot CoherentStatsSnapshot(size_t c) const
-      NO_THREAD_SAFETY_ANALYSIS {
+  /// Chunk-c ChunkStats copy that is coherent with respect to writers: it is
+  /// taken under the chunk's shared latch, so no exclusive writer is inside
+  /// while the counters are copied. The caller must hold no chunk latch.
+  ChunkStatsSnapshot CoherentStatsSnapshot(size_t c) const {
     const TableChunk& ch = *chunks_[c];
-    for (;;) {
-      const uint64_t e = ch.latch.ReadBegin();
-      ChunkStatsSnapshot s = ch.keys.StatsSnapshot();
-      if (ch.latch.ReadValidate(e)) return s;
-      CpuRelax();  // writer interleaved the copy; pause before retrying
-    }
+    SharedChunkGuard guard(ch.latch);
+    return ch.keys.StatsSnapshot();
   }
 
   /// Unified stats read surface: one CoherentStatsSnapshot per chunk

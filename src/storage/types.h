@@ -18,7 +18,7 @@ constexpr Value kMinValue = std::numeric_limits<Value>::min();
 constexpr Value kMaxValue = std::numeric_limits<Value>::max();
 
 /// One caller-supplied row for the payload-carrying batch ingest API
-/// (LayoutEngine::InsertRows): a key plus one payload value per payload
+/// (PartitionedLayout::InsertRows): a key plus one payload value per payload
 /// column. Unlike the Operation-stream write path, whose inserts take
 /// key-derived payloads, this is the production surface where the
 /// application owns the row contents.
@@ -27,8 +27,8 @@ struct Row {
   std::vector<Payload> payload;  ///< one entry per payload column
 };
 
-/// One write of a batched write run (LayoutEngine::ApplyWriteRun): an insert
-/// carrying its payload, or a delete of one row with `key`.
+/// One write of a batched write run (PartitionedTable::ApplyWriteRun): an
+/// insert carrying its payload, or a delete of one row with `key`.
 struct BatchWrite {
   Value key = 0;
   bool is_insert = false;  ///< false = delete-one

@@ -86,8 +86,9 @@
 /// Tells the analysis the capability IS held exclusively from this call on —
 /// the escape hatch for contracts the analysis cannot follow (callbacks
 /// invoked under a latch taken by the caller, quiescent-only test hooks).
-/// Unlike NO_THREAD_SAFETY_ANALYSIS this is scoped to one capability and the
-/// implementation can still runtime-check a necessary condition.
+/// It is scoped to one capability, and the implementation can still
+/// runtime-check a necessary condition. There is deliberately no macro that
+/// switches the analysis off for a whole function.
 #define ASSERT_CAPABILITY(x) \
   CASPER_THREAD_ANNOTATION__(assert_capability(x))
 #define ASSERT_SHARED_CAPABILITY(x) \
@@ -96,12 +97,5 @@
 /// Declares that a function returns a reference to the given capability
 /// (accessor functions exposing a latch).
 #define RETURN_CAPABILITY(x) CASPER_THREAD_ANNOTATION__(lock_returned(x))
-
-/// Disables the analysis for one function. Policy: the ONLY sanctioned uses
-/// in this codebase are the documented seqlock epoch read paths, which are
-/// latch-free by design (see chunk_latch.h and README "Static analysis");
-/// everything else must be restructured or use ASSERT_*_CAPABILITY.
-#define NO_THREAD_SAFETY_ANALYSIS \
-  CASPER_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
 #endif  // CASPER_UTIL_THREAD_ANNOTATIONS_H_

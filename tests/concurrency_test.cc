@@ -361,9 +361,9 @@ TEST(DeltaReads, TombstonesAndDeltaMatchReference) {
   std::vector<Value> keys;
   std::vector<std::vector<Payload>> payload;
   MakeDuplicateRun(&keys, &payload);
-  DeltaStoreLayout::Options dopts;
-  dopts.min_merge_rows = 1 << 20;  // keep the delta unmerged for the test
-  DeltaStoreLayout layout(keys, payload, dopts);
+  // 500 inserts stay below the 4096-row merge threshold: the delta stays
+  // unmerged for the test.
+  DeltaStoreLayout layout(keys, payload);
 
   // Tombstone part of the duplicate run and land new rows in the delta.
   std::vector<Payload> row;

@@ -63,6 +63,11 @@ std::unique_ptr<LayoutEngine> BuildMode(LayoutMode mode, const Fixture& f) {
   return BuildLayout(ModeOptions(mode, f.training), f.data.keys, f.data.payload);
 }
 
+std::unique_ptr<PartitionedLayout> BuildPartitioned(LayoutMode mode, const Fixture& f) {
+  return BuildPartitionedLayout(ModeOptions(mode, f.training), f.data.keys,
+                                f.data.payload);
+}
+
 /// Live rows visited by a full scan fanned over `pool` (serial when null).
 uint64_t PoolScanAll(const PartitionedLayout& engine, ThreadPool* pool) {
   return ExecuteScanOnPool(engine, ScanSpec::FullScan(), pool).count;
@@ -125,8 +130,7 @@ TEST(ParallelExec, ParallelReadsBitIdenticalToSerialAcrossLayouts) {
 
   for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto engine = BuildPartitionedLayout(ModeOptions(mode, f.training), f.data.keys,
-                                         f.data.payload);
+    auto engine = BuildPartitioned(mode, f);
     EXPECT_EQ(PoolScanAll(*engine, &pool), 30000u);
     EXPECT_EQ(PoolScanAll(*engine, &pool), PoolScanAll(*engine, nullptr));
 
@@ -212,10 +216,10 @@ TEST(ApplyBatch, EquivalentToOneByOneAcrossLayouts) {
   const Value lo = f.data.domain_lo;
   const uint64_t span = static_cast<uint64_t>(f.data.domain_hi - lo) + 1;
 
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto one_by_one = BuildMode(mode, f);
-    auto batched = BuildMode(mode, f);
+    auto batched = BuildPartitioned(mode, f);
 
     BatchResult serial_result;
     for (const Operation& op : ops) {
@@ -250,8 +254,8 @@ TEST(ApplyBatch, BatchSlicingDoesNotChangeResults) {
   // Same stream, different batch boundaries -> same engine state.
   const Fixture f = MakeFixture(10000, 5);
   const auto ops = RandomOps(2000, f.data.domain_lo, f.data.domain_hi, 77);
-  auto a = BuildMode(LayoutMode::kCasper, f);
-  auto b = BuildMode(LayoutMode::kCasper, f);
+  auto a = BuildPartitioned(LayoutMode::kCasper, f);
+  auto b = BuildPartitioned(LayoutMode::kCasper, f);
 
   BatchResult ra, rb;
   for (size_t begin = 0; begin < ops.size(); begin += 64) {
@@ -282,15 +286,13 @@ TEST(ApplyBatch, PooledBatchSlicesMatchPerOpReplay) {
   const auto ops = RandomOps(2500, f.data.domain_lo, f.data.domain_hi, 555);
   ThreadPool pool(4);
 
-  for (const LayoutMode mode :
-       {LayoutMode::kCasper, LayoutMode::kDeltaStore, LayoutMode::kSorted}) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto per_op_engine = BuildMode(mode, f);
-    auto batch_engine = BuildMode(mode, f);
+    auto batch_engine = BuildPartitioned(mode, f);
 
     HarnessOptions hopts;
     hopts.record_latency = false;
-    hopts.key_derived_payload = true;  // matches the batched API's payloads
     const HarnessResult per_op = RunWorkload(*per_op_engine, ops, hopts);
 
     // 128-op slices through the pooled grouped-write path, folded with the

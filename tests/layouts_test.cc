@@ -9,6 +9,7 @@
 #include "layouts/delta_store.h"
 #include "layouts/layout_factory.h"
 #include "layouts/partitioned.h"
+#include "layouts/sorted.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/hap.h"
@@ -29,7 +30,6 @@ LayoutBuildOptions SmallOptions(LayoutMode mode) {
   opts.block_values = 64;
   opts.equi_partitions = 16;
   opts.ghost_fraction = 0.01;
-  opts.delta_min_merge_rows = 128;
   return opts;
 }
 
@@ -107,8 +107,13 @@ TEST_P(LayoutOracle, AgreesWithReferenceModel) {
   std::multimap<Value, Payload> oracle;
   for (size_t i = 0; i < d.keys.size(); ++i) oracle.emplace(d.keys[i], d.payload[0][i]);
 
+  // The delta store merges at 4096 delta rows, more than this stream
+  // inserts; merging every 512 ops makes the oracle cross merged states too.
+  auto* delta = dynamic_cast<DeltaStoreLayout*>(engine.get());
+
   Rng rng(99);
   for (int i = 0; i < 3000; ++i) {
+    if (delta != nullptr && i % 512 == 511) delta->Merge();
     const Value v = rng.Range(d.spec.domain_lo - 100, d.spec.domain_hi + 100);
     switch (rng.Below(6)) {
       case 0: {  // point query
@@ -194,15 +199,13 @@ TEST(LayoutOracleCross, AllModesProduceIdenticalChecksums) {
   }
   Rng rng(5);
   auto ops = GenerateWorkload(d.spec, 4000, rng);
-  HarnessOptions hopts;
-  hopts.key_derived_payload = true;
   uint64_t reference = 0;
   bool first = true;
   for (const LayoutMode mode : kAllModes) {
     auto opts = SmallOptions(mode);
     opts.training = &d.training;
     auto engine = BuildLayout(opts, d.keys, d.payload);
-    HarnessResult r = RunWorkload(*engine, ops, hopts);
+    HarnessResult r = RunWorkload(*engine, ops);
     if (first) {
       reference = r.checksum;
       first = false;
@@ -214,19 +217,20 @@ TEST(LayoutOracleCross, AllModesProduceIdenticalChecksums) {
 }
 
 TEST(DeltaStore, MergesWhenDeltaFills) {
+  // The delta merges back at max(4096 rows, 0.2% of the main store): 4096
+  // here, so the 4096th insert merges and the rest stay in the delta.
   std::vector<Value> keys;
   for (Value v = 0; v < 1000; ++v) keys.push_back(v * 2);
-  DeltaStoreLayout::Options dopts;
-  dopts.merge_fraction = 0.05;
-  dopts.min_merge_rows = 16;
-  DeltaStoreLayout ds(keys, {}, dopts);
+  DeltaStoreLayout ds(keys, {});
+  for (Value v = 0; v < 4095; ++v) ds.Insert(v * 2 + 1, {});
   EXPECT_EQ(ds.merge_count(), 0u);
-  for (Value v = 0; v < 200; ++v) ds.Insert(v * 2 + 1, {});
-  EXPECT_GT(ds.merge_count(), 0u);
-  EXPECT_EQ(ds.num_rows(), 1200u);
+  for (Value v = 4095; v < 4200; ++v) ds.Insert(v * 2 + 1, {});
+  EXPECT_EQ(ds.merge_count(), 1u);
+  EXPECT_EQ(ds.delta_size(), 104u);
+  EXPECT_EQ(ds.num_rows(), 5200u);
   ds.ValidateInvariants();
   // All data visible post-merge.
-  EXPECT_EQ(ds.CountRange(0, 4000), 1200u);
+  EXPECT_EQ(ds.CountRange(0, 10000), 5200u);
 }
 
 TEST(DeltaStore, TombstonesHideMainRows) {
@@ -239,6 +243,87 @@ TEST(DeltaStore, TombstonesHideMainRows) {
   ds.Merge();
   EXPECT_EQ(ds.CountRange(1, 6), 4u);
   ds.ValidateInvariants();
+}
+
+// The main window is evaluated as the runs between its tombstones. Place
+// tombstones on the first and last slot of a window, in adjacent slots, and
+// over whole windows, and check every aggregate, with and without a payload
+// predicate, plus the Q6 shape, against a store of the same rows with the
+// tombstoned rows left out.
+TEST(DeltaStore, TombstoneRunsMatchRowsWithoutThem) {
+  constexpr Value kRows = 2000;
+  Rng rng(17);
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload(3);
+  for (Value k = 0; k < kRows; ++k) {
+    keys.push_back(k);
+    for (auto& col : payload) col.push_back(static_cast<Payload>(rng.Below(10000)));
+  }
+  std::set<Value> dead = {100, 399, 200, 201, 202, 900, 901, 0, kRows - 1};
+  for (Value k = 600; k < 650; ++k) dead.insert(k);
+  for (Value k = 1000; k < 1500; k += 3) dead.insert(k);
+
+  DeltaStoreLayout ds(keys, payload);
+  std::vector<Value> live_keys;
+  std::vector<std::vector<Payload>> live_payload(3);
+  for (Value k = 0; k < kRows; ++k) {
+    if (dead.count(k) > 0) {
+      ASSERT_EQ(ds.Delete(k), 1u);
+      continue;
+    }
+    live_keys.push_back(k);
+    for (size_t c = 0; c < 3; ++c) live_payload[c].push_back(payload[c][k]);
+  }
+  ASSERT_EQ(ds.delta_size(), 0u);
+  ASSERT_EQ(ds.num_rows(), live_keys.size());
+  SortedLayout ref(live_keys, live_payload);
+
+  std::vector<ScanSpec> specs;
+  const std::vector<std::pair<Value, Value>> windows = {
+      {100, 400},    // tombstones on the first and the last slot
+      {199, 204},    // adjacent tombstones inside, live rows at both ends
+      {200, 203},    // adjacent tombstones covering the whole window
+      {600, 650},    // a tombstone run covering the whole window
+      {590, 660},    // ... and one inside a longer window
+      {1000, 1500},  // every third row dead
+      {0, kRows},    // tombstones on the store's first and last slot
+  };
+  for (const auto& [lo, hi] : windows) {
+    specs.push_back(ScanSpec::Count(lo, hi));
+    specs.push_back(ScanSpec::Sum(lo, hi, {0, 1}));
+    ScanSpec product = ScanSpec::Sum(lo, hi, {2, 1});
+    product.agg.kind = AggKind::kSumProduct;
+    specs.push_back(product);
+    specs.push_back(ScanSpec::Min(lo, hi, 0));
+    specs.push_back(ScanSpec::Max(lo, hi, 0));
+    specs.push_back(ScanSpec::Avg(lo, hi, 0));
+    specs.push_back(ScanSpec::Q6(lo, hi, 1000, 9000, 8000));
+  }
+  ScanSpec full = ScanSpec::FullScan();
+  specs.push_back(full);
+  full.agg = {AggKind::kSum, {2}};
+  specs.push_back(full);
+  // Every spec again with a payload predicate: the block-loop path.
+  const size_t plain = specs.size();
+  for (size_t i = 0; i < plain; ++i) {
+    ScanSpec filtered = specs[i];
+    filtered.predicates.push_back({1, 2000, 7000});
+    specs.push_back(filtered);
+  }
+
+  for (const ScanSpec& spec : specs) {
+    SCOPED_TRACE(testing::Message()
+                 << "[" << spec.lo << ", " << spec.hi << ") agg "
+                 << static_cast<int>(spec.agg.kind) << " preds "
+                 << spec.predicates.size() << " full " << spec.full_domain);
+    const ScanPartial got = ds.ExecuteScan(spec);
+    const ScanPartial want = ref.ExecuteScan(spec);
+    EXPECT_EQ(got.Result(spec.agg), want.Result(spec.agg));
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.sum, want.sum);
+  }
+  EXPECT_EQ(ds.ExecuteScan(ScanSpec::Count(600, 650)).count, 0u);
+  EXPECT_EQ(ds.ExecuteScan(ScanSpec::Count(200, 203)).count, 0u);
 }
 
 TEST(DeltaStore, UpdateMovesRowWithPayload) {

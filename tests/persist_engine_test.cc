@@ -712,7 +712,6 @@ TEST(TierManager, EnforcesBudgetAndKeepsHotChunksResident) {
       total += probe.ChunkMemoryBytes(c);
     }
     o.persist.memory_budget_bytes = static_cast<int64_t>(total / 3);
-    o.persist.tier_promote_score = 64.0;
   }
   const int64_t budget = *o.persist.memory_budget_bytes;
   CasperEngine e = CasperEngine::Open(std::move(o));
@@ -720,10 +719,11 @@ TEST(TierManager, EnforcesBudgetAndKeepsHotChunksResident) {
   PartitionedTable& table = TableOf(e);
 
   // Concentrate reads on the low quarter of the domain: those chunks are the
-  // hot set, everything else is demotion fodder.
+  // hot set, everything else is demotion fodder. Enough reads per cycle to
+  // lift the hot chunks' heat past the promotion threshold (256).
   const Value hot_hi = kDomain / 4;
   auto hammer = [&] {
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0; i < 200; ++i) {
       (void)e.CountBetween(i % 100, hot_hi - i % 100);
     }
   };
@@ -750,18 +750,18 @@ TEST(TierManager, PromotesChunksThatGetHot) {
   const std::string dir = FreshDir("tier_promote");
   EngineOptions o = BaseOptions(d, dir);
   o.persist.memory_budget_bytes = int64_t{1} << 40;  // roomy: promotion free
-  o.persist.tier_promote_score = 32.0;
   CasperEngine e = CasperEngine::Open(std::move(o));
   PartitionedTable& table = TableOf(e);
   const persist::StoreLayout store(dir);
 
-  // Manually demote every chunk, then hammer one key range; the tier cycle
-  // must bring the hot chunks back while the rest stay cold.
+  // Manually demote every chunk, then hammer one key range past the
+  // promotion threshold (256); the tier cycle must bring the hot chunks back
+  // while the rest stay cold.
   for (size_t c = 0; c < table.num_chunks(); ++c) {
     ASSERT_TRUE(table.EvictChunk(c, store.TierChunkPath(c)));
   }
   e.tier()->RunCycle();  // absorb eviction-time counters as baseline
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 1600; ++i) {
     (void)e.CountBetween(0, kDomain / 8);
   }
   const persist::TierCycleReport rep = e.tier()->RunCycle();
@@ -788,15 +788,15 @@ TEST(TierManager, PromotionDisplacesColderResidentChunks) {
     }
     o.persist.memory_budget_bytes = static_cast<int64_t>(total / 3);
   }
-  o.persist.tier_promote_score = 64.0;
   const int64_t budget = *o.persist.memory_budget_bytes;
   CasperEngine e = CasperEngine::Open(std::move(o));
   PartitionedTable& table = TableOf(e);
   const size_t last = table.num_chunks() - 1;
 
   // Phase 1: the low domain is hot; the budget settles on those chunks.
+  // Each phase reads enough per cycle to cross the promotion threshold (256).
   for (int cycle = 0; cycle < 4; ++cycle) {
-    for (int i = 0; i < 50; ++i) (void)e.CountBetween(0, kDomain / 4);
+    for (int i = 0; i < 200; ++i) (void)e.CountBetween(0, kDomain / 4);
     e.tier()->RunCycle();
   }
   ASSERT_TRUE(table.ChunkResident(0));
@@ -806,7 +806,7 @@ TEST(TierManager, PromotionDisplacesColderResidentChunks) {
   // the only way in is displacing the now-cold low chunks.
   persist::TierCycleReport rep{};
   for (int cycle = 0; cycle < 6; ++cycle) {
-    for (int i = 0; i < 50; ++i) {
+    for (int i = 0; i < 200; ++i) {
       (void)e.CountBetween(kDomain - kDomain / 4, kDomain);
     }
     rep = e.tier()->RunCycle();

@@ -1,4 +1,4 @@
-// Read-write concurrency tests for the epoch/latch protection layer: mixed
+// Read-write concurrency tests for the chunk-latch protection layer: mixed
 // streams (reads + chunk-disjoint write runs) admitted together must produce
 // results bit-identical to a single-threaded serial replay, raw reader
 // threads must survive overlapping a live ingest with only bounded-staleness
@@ -376,7 +376,9 @@ TEST(MixedWorkload, ChunkGroupsKeepStreamOrder) {
 // Raw std::threads reading while a writer ingests — the access pattern the
 // latch layer exists for. Writers only insert, so every concurrent range
 // count must land between the initial and final counts (per-chunk counts are
-// monotone under the latch), and the final state must be exact.
+// monotone under the latch), and the final state must be exact. The writer
+// applies each run as one ApplyBatch on the partitioned layouts and one
+// Insert at a time on the baselines.
 TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
   const Fixture f = MakeFixture(20000, 23);
   const std::vector<size_t> cols = {0, 1};
@@ -386,9 +388,10 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
   for (const LayoutMode mode : AllModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildMode(mode, f);
+    auto* partitioned = dynamic_cast<PartitionedLayout*>(engine.get());
     const uint64_t before = engine->CountRange(lo, hi);
 
-    // Insert-only write runs (key-derived payloads via the batched path).
+    // Insert-only write runs with key-derived payloads.
     constexpr size_t kRuns = 20;
     constexpr size_t kRunSize = 50;
     Rng wrng(900);
@@ -429,7 +432,14 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
       });
     }
     std::thread writer([&] {
-      for (const auto& run : runs) engine->ApplyBatch(run);
+      BatchResult applied;
+      for (const auto& run : runs) {
+        if (partitioned != nullptr) {
+          partitioned->ApplyBatch(run.data(), run.size());
+        } else {
+          for (const Operation& op : run) ApplyOperation(*engine, op, &applied);
+        }
+      }
       done.store(true, std::memory_order_release);
     });
     writer.join();
@@ -521,7 +531,7 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
   const Value mid = lo + (hi - lo) / 2;
 
   auto parallel_engine = BuildPartitioned(LayoutMode::kEquiWidthGhost, f);
-  auto serial_engine = BuildMode(LayoutMode::kEquiWidthGhost, f);
+  auto serial_engine = BuildPartitioned(LayoutMode::kEquiWidthGhost, f);
   const PartitionedTable& table = parallel_engine->table();
   ASSERT_GT(table.num_chunks(), 2u);
 
@@ -553,13 +563,13 @@ TEST(WriteWriteConflicts, DisjointRunsCommitInParallel) {
   for (const auto& op : run_a) in_a[table.ChunkFor(op.a)] = true;
   for (const auto& op : run_b) ASSERT_FALSE(in_a[table.ChunkFor(op.a)]);
 
-  std::thread t1([&] { parallel_engine->ApplyBatch(run_a); });
-  std::thread t2([&] { parallel_engine->ApplyBatch(run_b); });
+  std::thread t1([&] { parallel_engine->ApplyBatch(run_a.data(), run_a.size()); });
+  std::thread t2([&] { parallel_engine->ApplyBatch(run_b.data(), run_b.size()); });
   t1.join();
   t2.join();
 
-  serial_engine->ApplyBatch(run_a);
-  serial_engine->ApplyBatch(run_b);
+  serial_engine->ApplyBatch(run_a.data(), run_a.size());
+  serial_engine->ApplyBatch(run_b.data(), run_b.size());
 
   EXPECT_EQ(parallel_engine->num_rows(), serial_engine->num_rows());
   EXPECT_EQ(parallel_engine->CountRange(lo, hi + 1),
@@ -578,8 +588,8 @@ TEST(WriteWriteConflicts, OverlappingRunsSerializeWithoutDeadlock) {
   const Value lo = f.data.domain_lo;
   const Value hi = f.data.domain_hi;
 
-  auto parallel_engine = BuildMode(LayoutMode::kCasper, f);
-  auto serial_engine = BuildMode(LayoutMode::kCasper, f);
+  auto parallel_engine = BuildPartitioned(LayoutMode::kCasper, f);
+  auto serial_engine = BuildPartitioned(LayoutMode::kCasper, f);
 
   // Both runs hit the whole domain (same chunks); keys are disjoint (even
   // offsets vs odd offsets), so inserts commute.
@@ -598,13 +608,14 @@ TEST(WriteWriteConflicts, OverlappingRunsSerializeWithoutDeadlock) {
   const auto run_even = make_run(0, 51);
   const auto run_odd = make_run(1, 52);
 
-  std::thread t1([&] { parallel_engine->ApplyBatch(run_even); });
-  std::thread t2([&] { parallel_engine->ApplyBatch(run_odd); });
+  std::thread t1(
+      [&] { parallel_engine->ApplyBatch(run_even.data(), run_even.size()); });
+  std::thread t2([&] { parallel_engine->ApplyBatch(run_odd.data(), run_odd.size()); });
   t1.join();
   t2.join();
 
-  serial_engine->ApplyBatch(run_even);
-  serial_engine->ApplyBatch(run_odd);
+  serial_engine->ApplyBatch(run_even.data(), run_even.size());
+  serial_engine->ApplyBatch(run_odd.data(), run_odd.size());
 
   EXPECT_EQ(parallel_engine->num_rows(), serial_engine->num_rows());
   EXPECT_EQ(parallel_engine->CountRange(lo, hi + 1),
@@ -615,9 +626,9 @@ TEST(WriteWriteConflicts, OverlappingRunsSerializeWithoutDeadlock) {
   parallel_engine->ValidateInvariants();
 }
 
-// CoherentStatsSnapshot's seqlock loop: equal to the raw snapshot when
-// quiescent, and always terminating (with copies taken from writer-free
-// epoch windows) while a writer is live.
+// CoherentStatsSnapshot takes the chunk's shared latch: equal to the raw
+// snapshot when quiescent, and always terminating (each copy taken while no
+// writer holds the chunk) while a writer is live.
 TEST(StatsSnapshots, CoherentStatsSnapshotUnderWriter) {
   const Fixture f = MakeFixture(20000, 67);
   auto engine = BuildPartitioned(LayoutMode::kEquiWidthGhost, f);
@@ -687,7 +698,7 @@ TEST(MixedWorkload, EngineRunMixedMatchesSerialFacade) {
 }
 
 // Harness plumbing: RunWorkloadMixed's checksum equals the serial harness
-// replay with key-derived payloads, across the partitioned layouts.
+// replay, across the partitioned layouts.
 TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
   const Fixture f = MakeFixture(20000, 59);
   ThreadPool pool(4);
@@ -700,7 +711,6 @@ TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
 
     HarnessOptions serial_opts;
     serial_opts.record_latency = false;
-    serial_opts.key_derived_payload = true;
     const HarnessResult serial = RunWorkload(*serial_engine, ops, serial_opts);
 
     HarnessOptions mixed_opts = serial_opts;
@@ -711,10 +721,11 @@ TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
 }
 
 // The payload-carrying batch APIs must be byte-equivalent to sequential
-// Insert/Delete calls with the same caller-supplied rows, on every layout
-// (placement included — probed via payload lookups and range sums): first
-// an insert-only InsertRows run, then an ApplyWriteRun that mixes inserts
-// and deletes, with duplicate keys that carry distinct payloads.
+// Insert/Delete calls with the same caller-supplied rows, on every
+// partitioned layout (placement included — probed via payload lookups and
+// range sums): first an insert-only InsertRows run, then an ApplyWriteRun
+// that mixes inserts and deletes, with duplicate keys that carry distinct
+// payloads.
 TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
   const Fixture f = MakeFixture(15000, 61);
   const std::vector<size_t> cols = {0, 1, 2};
@@ -750,9 +761,9 @@ TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
   }
 
   ThreadPool pool(4);
-  for (const LayoutMode mode : AllModes()) {
+  for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
-    auto batch_engine = BuildMode(mode, f);
+    auto batch_engine = BuildPartitioned(mode, f);
     auto serial_engine = BuildMode(mode, f);
     auto expect_same = [&](const std::vector<Value>& touched) {
       EXPECT_EQ(batch_engine->num_rows(), serial_engine->num_rows());
@@ -778,7 +789,7 @@ TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
     for (size_t i = 0; i < rows.size(); i += 37) inserted.push_back(rows[i].key);
     expect_same(inserted);
 
-    const size_t deleted = batch_engine->ApplyWriteRun(run, &pool);
+    const size_t deleted = batch_engine->mutable_table().ApplyWriteRun(run, &pool);
     size_t serial_deleted = 0;
     for (const BatchWrite& w : run) {
       if (w.is_insert) {

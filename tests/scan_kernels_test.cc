@@ -26,14 +26,12 @@ namespace {
 struct Corpus {
   std::vector<Value> keys;      // size + 8 slots: base offset 0..7 applied
   std::vector<Payload> pay;
-  std::vector<uint8_t> bytes;
   size_t offset = 0;            // unaligned base offset
   Value lo = 0, hi = 0;         // predicate bounds (lo <= hi)
   Value probe = 0;              // equality probe
 
   const Value* k() const { return keys.data() + offset; }
   const Payload* p() const { return pay.data() + offset; }
-  const uint8_t* b() const { return bytes.data() + offset; }
 };
 
 Corpus MakeCorpus(size_t n, Rng& rng) {
@@ -42,7 +40,6 @@ Corpus MakeCorpus(size_t n, Rng& rng) {
   const size_t total = n + 8;
   c.keys.resize(total);
   c.pay.resize(total);
-  c.bytes.resize(total);
   for (size_t i = 0; i < total; ++i) {
     const uint64_t pick = rng.Below(100);
     if (pick < 2) {
@@ -53,7 +50,6 @@ Corpus MakeCorpus(size_t n, Rng& rng) {
       c.keys[i] = static_cast<Value>(rng.Below(997)) - 498;
     }
     c.pay[i] = static_cast<Payload>(rng.Below(1u << 20));
-    c.bytes[i] = static_cast<uint8_t>(rng.Below(256));
   }
   // Bounds: usually inside the narrow window, sometimes at the edges.
   const uint64_t bpick = rng.Below(10);
@@ -89,8 +85,6 @@ TEST(ScanKernels, DispatchedMatchesScalarAcrossSizesAndOffsets) {
               kernels::scalar::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi))
         << n;
     ASSERT_EQ(kernels::SumPayload(c.p(), n), kernels::scalar::SumPayload(c.p(), n))
-        << n;
-    ASSERT_EQ(kernels::SumBytes(c.b(), n), kernels::scalar::SumBytes(c.b(), n))
         << n;
 
     std::vector<uint32_t> got(n), want(n);
@@ -229,9 +223,6 @@ TEST(ScanKernels, Avx2NamespaceMatchesScalarWhenAvailable) {
         << n;
     ASSERT_EQ(kernels::avx2::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi),
               kernels::scalar::SumPayloadInRange(c.k(), c.p(), n, c.lo, c.hi))
-        << n;
-    ASSERT_EQ(kernels::avx2::SumBytes(c.b(), n),
-              kernels::scalar::SumBytes(c.b(), n))
         << n;
     std::vector<uint32_t> got(n), want(n);
     const size_t kg =

@@ -1,5 +1,5 @@
-// Violation: releasing a latch that is not held — with the seqlock fused
-// into the latch this would also corrupt the write epoch (odd/even protocol).
+// Violation: releasing a latch that is not held — undefined behaviour on the
+// underlying shared_mutex, and it would clear another holder's writer flag.
 #include "storage/chunk_latch.h"
 
 namespace {

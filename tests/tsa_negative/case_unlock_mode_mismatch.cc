@@ -1,5 +1,6 @@
 // Violation: exclusive acquire paired with a shared release — the mismatch
-// would leave the seqlock epoch odd forever (readers spin, writers deadlock).
+// would leave the writer flag raised and the exclusive hold never released
+// (readers and writers deadlock).
 #include "storage/chunk_latch.h"
 
 namespace {

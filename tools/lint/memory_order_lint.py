@@ -4,10 +4,10 @@
 Raw `std::memory_order_*` tokens are the sharpest tool in the codebase:
 every use carries a fence-placement argument that has to be re-verified on
 every edit. The repo's policy is to concentrate them in a small set of
-audited files (the seqlock latch, the relaxed counter) and express
-everything else through those abstractions — RelaxedCounter::FetchAdd/
-UpdateMax for work cursors and accounting, the latch/guard API for
-publication.
+audited files (the relaxed counter, one test-only countdown) and express
+everything else through abstractions — RelaxedCounter::FetchAdd/UpdateMax
+for work cursors and accounting, the latch/guard API and the annotated
+Mutex for publication.
 
 This linter fails on any `memory_order` token in src/ outside the audit
 list below, pointing the author at the abstraction (or at adding the file
@@ -20,9 +20,6 @@ from pathlib import Path
 
 # path (relative to repo root) -> why raw orderings are justified there.
 AUDITED = {
-    "src/storage/chunk_latch.h":
-        "the seqlock/latch protocol itself (Boehm-style acquire/release "
-        "epoch fences); every other file synchronizes through it",
     "src/storage/types.h":
         "RelaxedCounter: the relaxed-atomic accounting abstraction the rest "
         "of the tree is expected to use",
