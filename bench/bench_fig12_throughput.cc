@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -25,16 +27,38 @@ int Main() {
   }
   std::printf("   (x State-of-art)\n");
 
+  // Per workload, whether each layout's checksum equals State-of-art's:
+  // every layout replays the same stream over the same rows.
+  std::vector<std::pair<std::string, std::map<LayoutMode, bool>>> agree;
   for (const auto w : workloads) {
     BuiltWorkload exp = MakeHapExperiment(w, rows, num_ops);
     std::map<LayoutMode, double> tput;
+    std::map<LayoutMode, uint64_t> checksum;
     for (const LayoutMode mode : AllLayouts()) {
-      tput[mode] = RunLayout(mode, exp).ThroughputOpsPerSec();
+      const HarnessResult r = RunLayout(mode, exp);
+      tput[mode] = r.ThroughputOpsPerSec();
+      checksum[mode] = r.checksum;
     }
     const double base = tput[LayoutMode::kDeltaStore];
-    std::printf("%-24s", std::string(hap::WorkloadName(w)).c_str());
+    const std::string name(hap::WorkloadName(w));
+    std::printf("%-24s", name.c_str());
+    agree.emplace_back(name, std::map<LayoutMode, bool>());
     for (const LayoutMode mode : AllLayouts()) {
       std::printf(" %12.2f", tput[mode] / base);
+      agree.back().second[mode] = checksum[mode] == checksum[LayoutMode::kDeltaStore];
+    }
+    std::printf("\n");
+  }
+
+  std::printf("\n%-24s", "checksum = State-of-art");
+  for (const LayoutMode mode : AllLayouts()) {
+    std::printf(" %12s", std::string(LayoutModeName(mode)).c_str());
+  }
+  std::printf("\n");
+  for (const auto& [name, same] : agree) {
+    std::printf("%-24s", name.c_str());
+    for (const LayoutMode mode : AllLayouts()) {
+      std::printf(" %12s", same.at(mode) ? "yes" : "NO");
     }
     std::printf("\n");
   }

@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the storage-engine primitives the
 // cost model prices: partition scans (SR), ripple steps (RR+RW), partition
-// index probes, and the chunk's five operations. These are the numbers
+// index probes, the chunk's five operations, and a table insert stream that
+// ripples ghost blocks through three payload columns. These are the numbers
 // CalibrateEngineCosts feeds the optimizer (paper §4.5).
 //
 // This binary also carries the KERNEL-THROUGHPUT AXIS: a hand-timed
@@ -26,6 +27,8 @@
 #include "storage/column_chunk.h"
 #include "storage/partition_index.h"
 #include "storage/partition_scan.h"
+#include "storage/table.h"
+#include "util/distributions.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -430,6 +433,12 @@ void BM_RangeCount(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeCount)->Arg(64)->Arg(256);
 
+// The write rows mutate one chunk for their whole run, so each is pinned to
+// a fixed iteration count: every commit then times the same operations over
+// the same chunk states. They keep the chunk's default ghost batch of 1 (the
+// textbook one-slot ripple); BM_TableInsertRipple runs the engine's batch.
+constexpr int64_t kChunkWriteIterations = 20000;
+
 void BM_InsertWithGhosts(benchmark::State& state) {
   const size_t ghosts = static_cast<size_t>(state.range(0));
   auto chunk = MakeChunk(1 << 20, 256, ghosts, ghosts == 0);
@@ -439,7 +448,11 @@ void BM_InsertWithGhosts(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_InsertWithGhosts)->Arg(0)->Arg(64)->Arg(1024);
+BENCHMARK(BM_InsertWithGhosts)
+    ->Arg(0)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Iterations(kChunkWriteIterations);
 
 void BM_DeleteAndReinsert(benchmark::State& state) {
   auto chunk = MakeChunk(1 << 20, 256, 16, false);
@@ -450,7 +463,7 @@ void BM_DeleteAndReinsert(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_DeleteAndReinsert);
+BENCHMARK(BM_DeleteAndReinsert)->Iterations(kChunkWriteIterations);
 
 void BM_RippleUpdate(benchmark::State& state) {
   auto chunk = MakeChunk(1 << 20, 256, 16, false);
@@ -462,7 +475,59 @@ void BM_RippleUpdate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RippleUpdate);
+BENCHMARK(BM_RippleUpdate)->Iterations(kChunkWriteIterations);
+
+// The storage write layer as the engine runs it: one 2^16-row table chunk in
+// 64 partitions with 1% ghost slots, 3 payload columns and the layout
+// factory's ghost batch of 8, fed a fixed insert stream, 90% of it into the
+// top 30% of the key domain. Once a partition's ghosts run out, each insert
+// carries a block of ghost slots across the boundaries in between as one
+// copy run per boundary, and the payload columns replay the runs. Reports
+// ns and ripple steps per insert; pinned iterations keep the stream and the
+// chunk states equal across commits.
+constexpr int64_t kTableRippleInserts = 200000;
+
+void BM_TableInsertRipple(benchmark::State& state) {
+  const size_t rows = size_t{1} << 16;
+  const size_t parts = 64;
+  const size_t cols = 3;
+  Rng rng(9);
+  std::vector<Value> keys(rows);
+  for (Value& k : keys) k = static_cast<Value>(rng.Below(rows * 4));
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::vector<Payload>> payload(cols, std::vector<Payload>(rows));
+  for (auto& col : payload) {
+    for (Payload& x : col) x = static_cast<Payload>(rng.Below(10000));
+  }
+  PartitionedTable::ChunkLayoutSpec spec;
+  spec.partition_sizes.assign(parts, rows / parts);
+  spec.ghosts.assign(parts, rows / 100 / parts);
+  PartitionedTable::Options opts;
+  opts.chunk_values = rows;
+  opts.chunk.ghost_batch = 8;
+  PartitionedTable table =
+      PartitionedTable::Build(std::move(keys), std::move(payload), {spec}, opts);
+
+  const HotspotDistribution skew(0.7, 0.3, 0.9);
+  std::vector<Value> stream(static_cast<size_t>(kTableRippleInserts));
+  for (Value& k : stream) {
+    k = static_cast<Value>(skew.Sample(rng) * static_cast<double>(rows * 4));
+  }
+  const std::vector<Payload> row(cols, 7);
+  const uint64_t steps_before = table.CoherentStatsSnapshot(0).ripple_steps;
+  size_t i = 0;
+  Stopwatch sw;
+  for (auto _ : state) table.Insert(stream[i++], row);
+  const double ns = static_cast<double>(sw.ElapsedNanos());
+  const double inserts = static_cast<double>(i);
+  state.counters["ns_per_insert"] = ns / inserts;
+  state.counters["ripple_steps_per_insert"] =
+      static_cast<double>(table.CoherentStatsSnapshot(0).ripple_steps -
+                          steps_before) /
+      inserts;
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TableInsertRipple)->Iterations(kTableRippleInserts);
 
 void BM_PartitionIndexRoute(benchmark::State& state) {
   const size_t parts = static_cast<size_t>(state.range(0));

@@ -97,13 +97,21 @@ struct BuiltWorkload {
 };
 
 /// Standard experiment input: dataset + training sample + replay stream,
-/// all deterministic for a given workload and size.
+/// all deterministic for a given workload and size. Base rows carry
+/// KeyDerivedPayload values, as the replay's inserts do, so rows with equal
+/// keys are indistinguishable and every layout's checksum agrees whichever
+/// duplicate it deletes or moves.
 inline BuiltWorkload MakeHapExperiment(hap::Workload w, size_t rows, size_t num_ops,
                                        size_t payload_cols = 2,
                                        uint64_t seed = 1234) {
   BuiltWorkload out;
   Rng data_rng(seed);
   out.data = hap::MakeDataset(rows, payload_cols, data_rng);
+  std::vector<Payload> row;
+  for (size_t r = 0; r < rows; ++r) {
+    KeyDerivedPayload(out.data.keys[r], payload_cols, &row);
+    for (size_t c = 0; c < payload_cols; ++c) out.data.payload[c][r] = row[c];
+  }
   out.spec = hap::MakeSpec(w, out.data.domain_lo, out.data.domain_hi);
   Rng train_rng(seed + 1);
   Rng run_rng(seed + 2);

@@ -17,10 +17,11 @@ namespace casper {
 /// Writes move data with the ripple algorithms of paper Fig. 4: a free slot
 /// travels across partition boundaries one element copy per partition, so
 /// the measured data movement matches the cost model's
-/// (RR + RW) x trailing-partitions term exactly. With ghost values
-/// (paper Fig. 5), inserts into a partition that has a free slot are O(1),
-/// deletes create new free slots in place, and updates ripple only between
-/// the source and destination partitions.
+/// (RR + RW) x trailing-partitions term exactly. A block of k ghost slots
+/// (Options::ghost_batch) crosses each boundary as one run of k copies.
+/// With ghost values (paper Fig. 5), inserts into a partition that has a
+/// free slot are O(1), deletes create new free slots in place, and updates
+/// ripple only between the source and destination partitions.
 class PartitionedColumnChunk {
  public:
   struct Options {
@@ -134,12 +135,13 @@ class PartitionedColumnChunk {
  private:
   PartitionedColumnChunk() = default;
 
-  // Moves one free slot from partition t+1 to partition t (toward the
-  // front). Precondition: parts_[t+1].free_slots() > 0.
-  void MoveFreeSlotLeft(size_t t, MoveLog* log);
-  // Moves one free slot from partition t to partition t+1 (toward the back).
-  // Precondition: parts_[t].free_slots() > 0.
-  void MoveFreeSlotRight(size_t t, MoveLog* log);
+  // Moves k free slots from partition t+1 to partition t (toward the
+  // front): k ripple steps taken as one copy run, one MoveLog run and one
+  // bump of each counter. Precondition: parts_[t+1].free_slots() >= k.
+  void MoveFreeSlotLeft(size_t t, MoveLog* log, size_t k);
+  // Moves k free slots from partition t to partition t+1 (toward the back),
+  // likewise as one run. Precondition: parts_[t].free_slots() >= k.
+  void MoveFreeSlotRight(size_t t, MoveLog* log, size_t k);
 
   // Brings >=1 free slot into partition m (ghost_batch at most), growing the
   // buffer when the chunk is completely full. Returns false only on internal

@@ -174,10 +174,8 @@ void PartitionedTable::ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
       (*stash)[col] = chunk.payload[col][log.source_slot];
     }
   }
-  for (const auto& [from, to] : log.moves) {
-    for (size_t col = 0; col < payload_cols_; ++col) {
-      chunk.payload[col][to] = chunk.payload[col][from];
-    }
+  for (auto& col : chunk.payload) {
+    for (const MoveRun& run : log.moves) CopyRun(col.data(), run);
   }
   if (log.touched_slot != MoveLog::kNone) {
     const std::vector<Payload>* row = new_payload != nullptr ? new_payload : stash;

@@ -251,6 +251,10 @@ class PartitionedTable {
   PartitionedTable() = default;
 
   size_t RouteChunk(Value key) const;
+  /// Mirrors a key-chunk operation on every payload column: grows them with
+  /// the chunk, stashes the updated row's payload, replays each MoveLog run
+  /// with CopyRun (one loop per run and column, in the order the chunk
+  /// copied its keys), then writes the new or stashed row at touched_slot.
   void ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
                     const std::vector<Payload>* new_payload,
                     std::vector<Payload>* stash) REQUIRES(chunk.latch);

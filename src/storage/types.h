@@ -35,6 +35,30 @@ struct BatchWrite {
   std::vector<Payload> payload;  ///< inserts only; one entry per column
 };
 
+/// A run of `len` element copies data[from + j] -> data[to + j]: the block
+/// of ghost slots one ripple carries across one partition boundary (paper
+/// §6.1), or a single swap (len 1).
+struct MoveRun {
+  uint32_t from = 0;
+  uint32_t to = 0;
+  uint32_t len = 0;
+};
+
+/// Replays one run in the order its single-slot copies were taken:
+/// ascending j when to > from, descending otherwise. When the source holds
+/// fewer live rows than the run is long, source and destination overlap and
+/// a copy re-reads slots the run already wrote, so this is not memmove.
+template <typename T>
+inline void CopyRun(T* data, const MoveRun& run) {
+  T* dst = data + run.to;
+  const T* src = data + run.from;
+  if (run.to > run.from) {
+    for (uint32_t j = 0; j < run.len; ++j) dst[j] = src[j];
+  } else {
+    for (uint32_t j = run.len; j-- > 0;) dst[j] = src[j];
+  }
+}
+
 /// Physical slot movements performed by a chunk operation. Column groups
 /// replay the log on payload columns so rows stay positionally aligned
 /// (the Frequency Model and chunk logic are oblivious to payload width,
@@ -42,8 +66,8 @@ struct BatchWrite {
 struct MoveLog {
   static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-  /// Element copies data[from] -> data[to], in execution order.
-  std::vector<std::pair<uint32_t, uint32_t>> moves;
+  /// Copy runs, in execution order; each replays with CopyRun.
+  std::vector<MoveRun> moves;
   /// Final slot of the row inserted / updated by this operation.
   uint32_t touched_slot = kNone;
   /// Original slot of the row being updated (its payload must be stashed

@@ -10,6 +10,7 @@
 #include "storage/column_chunk.h"
 #include "storage/partition_index.h"
 #include "storage/partition_scan.h"
+#include "storage/table.h"
 #include "util/rng.h"
 
 namespace casper {
@@ -240,8 +241,343 @@ TEST(ColumnChunk, MoveLogReplaysDeleteSwap) {
   MoveLog log;
   EXPECT_EQ(c.DeleteOne(0, &log), 1u);  // head victim swaps with tail
   ASSERT_EQ(log.moves.size(), 1u);
-  EXPECT_EQ(log.moves[0].first, 7u);
-  EXPECT_EQ(log.moves[0].second, 0u);
+  EXPECT_EQ(log.moves[0].from, 7u);
+  EXPECT_EQ(log.moves[0].to, 0u);
+  EXPECT_EQ(log.moves[0].len, 1u);
+}
+
+// --- Copy runs against the single-slot ripple they replace -------------------
+
+/// The payload a slot holding key v must carry.
+Payload Shade(Value v) {
+  return static_cast<Payload>((static_cast<uint64_t>(v) * 2654435761u) >> 7);
+}
+
+/// A payload column kept beside a chunk the way PartitionedTable keeps its
+/// columns, but replayed one slot copy at a time, in the order the ripple
+/// takes its steps: the reference every MoveLog run must reproduce.
+class ShadowColumn {
+ public:
+  explicit ShadowColumn(const Chunk& c) : slots_(c.raw_data().size(), 0) {
+    for (const auto& p : c.partitions()) {
+      for (size_t s = p.begin; s < p.begin + p.size; ++s) {
+        slots_[s] = Shade(c.raw_data()[s]);
+      }
+    }
+  }
+
+  void Replay(const Chunk& c, const MoveLog& log) {
+    if (log.grew_to != MoveLog::kNone) slots_.resize(log.grew_to, 0);
+    for (const MoveRun& run : log.moves) {
+      const bool ascending = run.to > run.from;
+      const uint32_t gap = ascending ? run.to - run.from : run.from - run.to;
+      if (gap < run.len) ++(ascending ? left_overlaps_ : right_overlaps_);
+      for (uint32_t step = 0; step < run.len; ++step) {
+        const uint32_t j = ascending ? step : run.len - 1 - step;
+        slots_[run.to + j] = slots_[run.from + j];
+      }
+    }
+    if (log.touched_slot != MoveLog::kNone) {
+      slots_[log.touched_slot] = Shade(c.raw_data()[log.touched_slot]);
+    }
+  }
+
+  /// Every live slot carries its key's payload, and the chunk is sound.
+  void Check(const Chunk& c) const {
+    c.ValidateInvariants();
+    ASSERT_EQ(slots_.size(), c.raw_data().size());
+    for (const auto& p : c.partitions()) {
+      for (size_t s = p.begin; s < p.begin + p.size; ++s) {
+        ASSERT_EQ(slots_[s], Shade(c.raw_data()[s])) << "slot " << s;
+      }
+    }
+  }
+
+  /// Runs whose source and destination overlapped (the source partition
+  /// held fewer live rows than the run was long), per direction.
+  size_t left_overlaps() const { return left_overlaps_; }
+  size_t right_overlaps() const { return right_overlaps_; }
+
+ private:
+  std::vector<Payload> slots_;
+  size_t left_overlaps_ = 0;
+  size_t right_overlaps_ = 0;
+};
+
+/// A chunk plus its shadow column, checked after every operation.
+struct Shadowed {
+  explicit Shadowed(Chunk chunk) : c(std::move(chunk)), shadow(c) {}
+
+  void Insert(Value v) {
+    log.Clear();
+    c.Insert(v, &log);
+    Sync();
+  }
+  size_t DeleteOne(Value v) {
+    log.Clear();
+    const size_t n = c.DeleteOne(v, &log);
+    Sync();
+    return n;
+  }
+  bool Update(Value from, Value to) {
+    log.Clear();
+    const bool ok = c.Update(from, to, &log);
+    Sync();
+    return ok;
+  }
+  void Sync() {
+    shadow.Replay(c, log);
+    shadow.Check(c);
+  }
+
+  Chunk c;
+  ShadowColumn shadow;
+  MoveLog log;
+};
+
+Chunk::Options GhostOptions(size_t ghost_batch) {
+  Chunk::Options opts;
+  opts.ghost_batch = ghost_batch;
+  return opts;
+}
+
+class RippleRuns : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RippleRuns, LeftRunsCarryTheBlock) {
+  const size_t batch = GetParam();
+  // Partitions 0 and 1 are full; partition 2 donates toward the front.
+  Shadowed t(Chunk::Build(Iota(48, 0, 10), {16, 16, 16}, {0, 0, 32},
+                          GhostOptions(batch)));
+  t.c.stats().Clear();
+  t.Insert(5);
+  ASSERT_EQ(t.log.moves.size(), 2u);  // one run per boundary
+  for (const MoveRun& run : t.log.moves) {
+    EXPECT_EQ(run.len, batch);
+    EXPECT_GT(run.to, run.from);
+  }
+  EXPECT_EQ(t.c.stats().ripple_steps, 2 * batch);
+  EXPECT_EQ(t.c.stats().element_reads, 2 * batch);
+  EXPECT_EQ(t.c.stats().element_writes, 2 * batch + 1);
+  EXPECT_EQ(t.shadow.left_overlaps(), 0u);
+}
+
+TEST_P(RippleRuns, RightRunsCarryTheBlock) {
+  const size_t batch = GetParam();
+  // Partition 0 donates toward the back.
+  Shadowed t(Chunk::Build(Iota(48, 0, 10), {16, 16, 16}, {32, 0, 0},
+                          GhostOptions(batch)));
+  t.c.stats().Clear();
+  t.Insert(475);
+  ASSERT_EQ(t.log.moves.size(), 2u);
+  for (const MoveRun& run : t.log.moves) {
+    EXPECT_EQ(run.len, batch);
+    EXPECT_LT(run.to, run.from);
+  }
+  EXPECT_EQ(t.c.stats().ripple_steps, 2 * batch);
+  EXPECT_EQ(t.shadow.right_overlaps(), 0u);
+}
+
+TEST_P(RippleRuns, RunsLongerThanTheSourceOverlap) {
+  const size_t batch = GetParam();
+  // Partitions of 2 and 3 rows: a block of 8 slots passes through them, so
+  // each run re-reads slots it has already written.
+  Shadowed left(Chunk::Build(Iota(9, 0, 10), {4, 2, 3}, {0, 0, 16},
+                             GhostOptions(batch)));
+  left.Insert(5);
+  Shadowed right(Chunk::Build(Iota(9, 0, 10), {3, 2, 4}, {16, 0, 0},
+                              GhostOptions(batch)));
+  right.Insert(85);
+  if (batch > 3) {
+    EXPECT_EQ(left.shadow.left_overlaps(), 2u);
+    EXPECT_EQ(right.shadow.right_overlaps(), 2u);
+  } else {
+    EXPECT_EQ(left.shadow.left_overlaps() + right.shadow.right_overlaps(), 0u);
+  }
+  for (int i = 0; i < 6; ++i) {
+    left.Insert(1 + i);
+    right.Insert(81 + i);
+  }
+}
+
+TEST_P(RippleRuns, EmptySourcePartitionLogsNoMove) {
+  const size_t batch = GetParam();
+  Shadowed t(Chunk::Build(Iota(12, 0, 10), {4, 4, 4}, {}, GhostOptions(batch)));
+  for (Value v = 40; v < 80; v += 10) ASSERT_EQ(t.DeleteOne(v), 1u);
+  // Partition 1 is now empty with four free slots: the slots it donates to
+  // partition 0 carry no rows, so nothing is copied or logged.
+  t.c.stats().Clear();
+  t.Insert(5);
+  EXPECT_TRUE(t.log.moves.empty());
+  EXPECT_EQ(t.c.stats().ripple_steps, std::min<size_t>(batch, 4));
+  EXPECT_EQ(t.c.stats().element_reads, 0u);
+}
+
+TEST_P(RippleRuns, GrowThenRipple) {
+  const size_t batch = GetParam();
+  Shadowed t(Chunk::Build(Iota(24, 0, 10), {8, 8, 8}, {}, GhostOptions(batch)));
+  t.Insert(5);  // full chunk: grows at the back, then ripples to the front
+  EXPECT_NE(t.log.grew_to, MoveLog::kNone);
+  EXPECT_EQ(t.c.stats().grows, 1u);
+  for (Value v = 1; v < 40; ++v) t.Insert(v * 6);
+}
+
+TEST_P(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
+  const size_t batch = GetParam();
+  Chunk::Options dense = GhostOptions(batch);
+  dense.dense = true;
+  dense.spare_tail = 4;
+  Shadowed d(Chunk::Build(Iota(32, 0, 10), {8, 8, 8, 8}, {}, dense));
+  ASSERT_EQ(d.DeleteOne(20), 1u);  // swap run, then a hole to the column end
+  EXPECT_EQ(d.log.moves.size(), 4u);
+  ASSERT_EQ(d.DeleteOne(310), 1u);  // the last partition's tail row
+  d.Insert(21);
+
+  Shadowed g(Chunk::Build(Iota(32, 0, 10), {8, 8, 8, 8}, {2, 2, 2, 2},
+                          GhostOptions(batch)));
+  EXPECT_TRUE(g.Update(10, 305));   // forward, across three boundaries
+  EXPECT_TRUE(g.Update(300, 15));   // backward, across three boundaries
+  EXPECT_TRUE(g.Update(230, 105));  // backward, one boundary
+  EXPECT_TRUE(g.Update(100, 101));  // in place
+}
+
+TEST_P(RippleRuns, RandomStreamMatchesSlotBySlotReplay) {
+  const size_t batch = GetParam();
+  for (const bool dense : {false, true}) {
+    Rng rng(77 + batch);
+    std::vector<Value> init;
+    for (size_t i = 0; i < 192; ++i) init.push_back(static_cast<Value>(rng.Below(600)));
+    std::sort(init.begin(), init.end());
+    Chunk::Options opts = GhostOptions(batch);
+    opts.dense = dense;
+    opts.spare_tail = dense ? 8 : 0;
+    Shadowed t(Chunk::Build(init, std::vector<size_t>(24, 8),
+                            std::vector<size_t>(24, dense ? 0 : 1), opts));
+    for (int op = 0; op < 1500; ++op) {
+      // Skewed to the front, so ghosts run out and blocks ripple far.
+      const Value v = static_cast<Value>(rng.Below(4) == 0 ? rng.Below(600)
+                                                           : rng.Below(60));
+      switch (rng.Below(4)) {
+        case 0:
+        case 1:
+          t.Insert(v);
+          break;
+        case 2:
+          t.DeleteOne(static_cast<Value>(rng.Below(600)));
+          break;
+        default:
+          t.Update(static_cast<Value>(rng.Below(600)), v);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    if (!dense && batch > 1) {
+      EXPECT_GT(t.shadow.left_overlaps() + t.shadow.right_overlaps(), 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(GhostBatch, RippleRuns, ::testing::Values(1, 8));
+
+// --- Golden slot image -------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Fnv1a {
+  uint64_t h = 1469598103934665603ull;
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+/// A seeded, ripple-heavy stream over a 3-column table with the factory's
+/// ghost batch of 8: skewed inserts that exhaust the ghosts and grow the
+/// chunks, deletes, cross-partition and cross-chunk key updates, and batched
+/// write runs. Hashes every chunk's full key buffer (free slots included),
+/// every live payload row in partition order, the geometry and the data
+/// movement counters.
+uint64_t RippleStreamImageHash() {
+  const size_t rows = 8192;
+  const size_t cols = 3;
+  Rng rng(2028);
+  std::vector<Value> keys(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    keys[i] = static_cast<Value>(i * 8 + rng.Below(8));
+  }
+  std::vector<std::vector<Payload>> payload(cols, std::vector<Payload>(rows));
+  for (auto& col : payload) {
+    for (Payload& x : col) x = static_cast<Payload>(rng.Below(1u << 30));
+  }
+  PartitionedTable::Options opts;
+  opts.chunk_values = 4096;
+  opts.chunk.block_values = 64;
+  opts.chunk.ghost_batch = 8;
+  std::vector<PartitionedTable::ChunkLayoutSpec> specs(2);
+  for (auto& spec : specs) {
+    // Narrow partitions between wide ones: a block of 8 ghost slots passes
+    // through partitions holding fewer rows than it, so runs overlap.
+    for (size_t p = 0; p < 32; ++p) spec.partition_sizes.push_back(p % 2 ? 250 : 6);
+    spec.ghosts.assign(32, 2);
+  }
+  PartitionedTable t = PartitionedTable::Build(keys, std::move(payload),
+                                               std::move(specs), opts);
+
+  const Value domain = static_cast<Value>(rows * 8);
+  auto skewed_key = [&] {
+    // 3 in 4 keys land in the first tenth of each chunk's range.
+    const Value chunk_base = rng.Below(2) == 0 ? 0 : domain / 2;
+    return rng.Below(4) == 0 ? static_cast<Value>(rng.Below(rows * 8))
+                             : chunk_base + static_cast<Value>(rng.Below(rows * 8 / 20));
+  };
+  std::vector<Payload> row(cols);
+  for (int op = 0; op < 6000; ++op) {
+    const uint64_t kind = rng.Below(10);
+    if (kind < 6) {
+      for (Payload& x : row) x = static_cast<Payload>(rng.Below(1u << 30));
+      t.Insert(skewed_key(), row);
+    } else if (kind == 6) {
+      t.Delete(keys[rng.Below(rows)]);
+    } else if (kind < 9) {
+      t.UpdateKey(keys[rng.Below(rows)], skewed_key());
+    } else {
+      std::vector<BatchWrite> run(8);
+      for (BatchWrite& w : run) {
+        w.is_insert = rng.Below(4) != 0;
+        w.key = w.is_insert ? skewed_key() : keys[rng.Below(rows)];
+        if (w.is_insert) {
+          w.payload.resize(cols);
+          for (Payload& x : w.payload) x = static_cast<Payload>(rng.Below(1u << 30));
+        }
+      }
+      t.ApplyWriteRun(run);
+    }
+  }
+  t.ValidateInvariants();
+
+  Fnv1a fnv;
+  fnv.Add(t.num_rows());
+  fnv.Add(t.LayoutFingerprint());
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    const std::vector<Value>& data = t.key_chunk(c).raw_data();
+    fnv.Add(data.size());
+    for (const Value v : data) fnv.Add(static_cast<uint64_t>(v));
+    const ChunkRows image = t.SnapshotChunkRows(c);
+    for (const auto& col : image.payload) {
+      for (const Payload x : col) fnv.Add(x);
+    }
+    const ChunkStatsSnapshot s = t.CoherentStatsSnapshot(c);
+    fnv.Add(s.ripple_steps);
+    fnv.Add(s.element_reads);
+    fnv.Add(s.element_writes);
+    fnv.Add(s.grows);
+  }
+  return fnv.h;
+}
+
+TEST(RippleRuns, GoldenSlotImageAfterRippleHeavyStream) {
+  // Recorded with the single-slot ripple the runs replaced: the runs must
+  // leave every key slot, payload row and counter where it left them.
+  EXPECT_EQ(RippleStreamImageHash(), 0xfcc6a0f05ce6e858ull);
 }
 
 // Property test: a random operation stream against a multiset oracle.
