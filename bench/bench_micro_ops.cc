@@ -171,7 +171,9 @@ void RunKernelAxis(bench::JsonMetrics* metrics) {
 // cost: engine.CountRange (spec path end to end, latch included) against the
 // raw kernel call that the pre-redesign virtual body reduced to on this
 // layout. The layout keeps its keys in one form, so BOTH paths scan the raw
-// array — apples to apples. The facade must cost <= 2%.
+// array — apples to apples. The facade must cost <= 2%, read as the median
+// of 5 rounds, each an interleaved best-of-51 of both paths: one noisy round
+// on a loaded host does not decide the gate.
 
 double RunSpecDispatchAxis(bench::JsonMetrics* metrics) {
   // Chunk-sized scan (the unit real queries amortize over): long enough that
@@ -179,6 +181,7 @@ double RunSpecDispatchAxis(bench::JsonMetrics* metrics) {
   // measured against a realistic scan body, short enough for smoke CI.
   const size_t rows = 1u << 18;
   const size_t reps = 51;
+  const size_t rounds = 5;
   Rng rng(97);
   std::vector<Value> keys;
   keys.reserve(rows);
@@ -196,18 +199,33 @@ double RunSpecDispatchAxis(bench::JsonMetrics* metrics) {
   // Interleave the two measurements (direct rep, spec rep, ...) so both
   // best-of windows sample the same machine conditions — back-to-back
   // windows would let a turbo/thermal drift masquerade as facade cost.
-  double direct_best_ns = 1e300;
-  double spec_best_ns = 1e300;
-  for (size_t r = 0; r < reps; ++r) {
-    Stopwatch sw;
-    benchmark::DoNotOptimize(kernels::CountInRange(column, rows, lo, hi));
-    direct_best_ns = std::min(direct_best_ns, static_cast<double>(sw.ElapsedNanos()));
-    sw.Restart();
-    benchmark::DoNotOptimize(layout.CountRange(lo, hi));
-    spec_best_ns = std::min(spec_best_ns, static_cast<double>(sw.ElapsedNanos()));
+  struct Round {
+    double direct_mrps;
+    double spec_mrps;
+    double overhead_pct;
+  };
+  std::vector<Round> measured;
+  for (size_t round = 0; round < rounds; ++round) {
+    double direct_best_ns = 1e300;
+    double spec_best_ns = 1e300;
+    for (size_t r = 0; r < reps; ++r) {
+      Stopwatch sw;
+      benchmark::DoNotOptimize(kernels::CountInRange(column, rows, lo, hi));
+      direct_best_ns =
+          std::min(direct_best_ns, static_cast<double>(sw.ElapsedNanos()));
+      sw.Restart();
+      benchmark::DoNotOptimize(layout.CountRange(lo, hi));
+      spec_best_ns = std::min(spec_best_ns, static_cast<double>(sw.ElapsedNanos()));
+    }
+    const double direct_mrps = static_cast<double>(rows) * 1e3 / direct_best_ns;
+    const double spec_mrps = static_cast<double>(rows) * 1e3 / spec_best_ns;
+    measured.push_back(
+        {direct_mrps, spec_mrps, (1.0 - spec_mrps / direct_mrps) * 100.0});
   }
-  const double direct_mrps = static_cast<double>(rows) * 1e3 / direct_best_ns;
-  const double spec_mrps = static_cast<double>(rows) * 1e3 / spec_best_ns;
+  std::sort(measured.begin(), measured.end(), [](const Round& a, const Round& b) {
+    return a.overhead_pct < b.overhead_pct;
+  });
+  const Round& median = measured[rounds / 2];
 
   // Sanity before publishing: the facade answers exactly the direct kernel.
   if (layout.CountRange(lo, hi) != kernels::CountInRange(column, rows, lo, hi)) {
@@ -215,19 +233,21 @@ double RunSpecDispatchAxis(bench::JsonMetrics* metrics) {
     std::abort();
   }
 
-  const double overhead_pct = (1.0 - spec_mrps / direct_mrps) * 100.0;
   bench::PrintHeader("spec dispatch axis",
-                     "ScanSpec facade vs direct kernel (CountRange)");
-  bench::PrintRow("count_range direct kernel", direct_mrps, "Mrows/s");
-  bench::PrintRow("count_range via ScanSpec", spec_mrps, "Mrows/s");
-  bench::PrintRow("facade overhead", overhead_pct, "%");
+                     "ScanSpec facade vs direct kernel (CountRange), median round");
+  bench::PrintRow("count_range direct kernel", median.direct_mrps, "Mrows/s");
+  bench::PrintRow("count_range via ScanSpec", median.spec_mrps, "Mrows/s");
+  bench::PrintRow("facade overhead", median.overhead_pct, "%");
+  bench::PrintRow("facade overhead, lowest round", measured.front().overhead_pct, "%");
+  bench::PrintRow("facade overhead, highest round", measured.back().overhead_pct, "%");
 
-  metrics->Add("spec_dispatch_direct_mrps", direct_mrps);
-  metrics->Add("spec_dispatch_spec_mrps", spec_mrps);
-  metrics->Add("spec_dispatch_overhead_pct", overhead_pct);
-  // The <= 2% budget is enforced by the caller AFTER the JSON is written, so
-  // a failing run still uploads the numbers that explain the failure.
-  return overhead_pct;
+  metrics->Add("spec_dispatch_direct_mrps", median.direct_mrps);
+  metrics->Add("spec_dispatch_spec_mrps", median.spec_mrps);
+  metrics->Add("spec_dispatch_overhead_pct", median.overhead_pct);
+  // The <= 2% budget is enforced by main after the JSON and the selected
+  // google-benchmark rows are written, so a failing run still uploads the
+  // numbers that explain the failure.
+  return median.overhead_pct;
 }
 
 // --- Chunk-encode axis -------------------------------------------------------
@@ -336,8 +356,9 @@ double RunChunkEncodeAxis(bench::JsonMetrics* metrics) {
   metrics->Add("payload_profile_mrps", profile_mrps);
   metrics->Add("payload_profile_sort_mrps", sort_profile_mrps);
   metrics->Add("payload_profile_speedup", profile_speedup);
-  // The >= 5x floor is enforced by the caller AFTER the JSON is written, so
-  // a failing run still uploads the numbers that explain the failure.
+  // The >= 5x floor is enforced by main after the JSON and the selected
+  // google-benchmark rows are written, so a failing run still uploads the
+  // numbers that explain the failure.
   return profile_speedup;
 }
 
@@ -422,8 +443,7 @@ void BM_RangeCount(benchmark::State& state) {
   Rng rng(3);
   const Value width = (4 << 20) / 100;  // ~1% selectivity
   // The chunk's count-only partition walk, through the one evaluator.
-  const std::vector<std::vector<Payload>> no_payload;
-  const PartitionSource src = PartitionSource::Resident(chunk, no_payload);
+  const PartitionSource src = PartitionSource::Resident(chunk);
   for (auto _ : state) {
     const Value lo = static_cast<Value>(rng.Below(4 << 20));
     benchmark::DoNotOptimize(
@@ -482,7 +502,7 @@ BENCHMARK(BM_RippleUpdate)->Iterations(kChunkWriteIterations);
 // factory's ghost batch of 8, fed a fixed insert stream, 90% of it into the
 // top 30% of the key domain. Once a partition's ghosts run out, each insert
 // carries a block of ghost slots across the boundaries in between as one
-// copy run per boundary, and the payload columns replay the runs. Reports
+// copy run per boundary, applied to the key and each payload column. Reports
 // ns and ripple steps per insert; pinned iterations keep the stream and the
 // chunk states equal across commits.
 constexpr int64_t kTableRippleInserts = 200000;
@@ -562,8 +582,10 @@ BENCHMARK(BM_PartitionIndexBinarySearch)->Arg(64)->Arg(256)->Arg(4096);
 }  // namespace
 }  // namespace casper
 
-// Custom main: the kernel axis runs first (prints + JSON for the CI perf
-// trajectory), then any google-benchmarks selected on the command line.
+// Custom main: the hand-timed axes run first (prints + JSON for the CI perf
+// trajectory), then any google-benchmarks selected on the command line, and
+// only then the axes' gates: a missed gate exits nonzero, but never before
+// every selected row has run and been written.
 int main(int argc, char** argv) {
   // One metrics object for every hand-timed axis: WriteIfRequested truncates
   // the JSON file, so it must run exactly once.
@@ -572,22 +594,23 @@ int main(int argc, char** argv) {
   const double spec_overhead_pct = casper::RunSpecDispatchAxis(&metrics);
   const double profile_speedup = casper::RunChunkEncodeAxis(&metrics);
   metrics.WriteIfRequested();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  int status = 0;
   if (spec_overhead_pct > 2.0) {
     std::fprintf(stderr,
                  "spec axis: facade overhead %.2f%% exceeds the 2%% budget\n",
                  spec_overhead_pct);
-    return 1;
+    status = 1;
   }
   if (profile_speedup < 5.0) {
     std::fprintf(stderr,
                  "chunk-encode axis: payload profile speedup %.2fx below the "
                  "5x floor\n",
                  profile_speedup);
-    return 1;
+    status = 1;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return status;
 }

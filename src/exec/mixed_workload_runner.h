@@ -20,7 +20,6 @@ class ThreadPool;
 class TimestampOracle {
  public:
   uint64_t Next() { return next_.FetchAdd(1); }
-  uint64_t Current() const { return next_.load() - 1; }
 
  private:
   RelaxedCounter next_{1};

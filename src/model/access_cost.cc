@@ -4,73 +4,18 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <numeric>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "util/rng.h"
-#include "util/status.h"
 #include "util/stopwatch.h"
 
 namespace casper {
-
-std::string AccessCostConstants::ToString() const {
-  std::ostringstream oss;
-  oss << "AccessCost{RR=" << rr << "ns RW=" << rw << "ns SR=" << sr << "ns SW=" << sw
-      << "ns probe=" << index_probe << "ns}";
-  return oss.str();
-}
 
 namespace {
 
 // Volatile sink defeating dead-code elimination across the timing loops.
 volatile int64_t g_sink = 0;
-
-double TimeSequentialRead(const std::vector<int64_t>& data, size_t block_values) {
-  const size_t blocks = data.size() / block_values;
-  Stopwatch sw;
-  int64_t acc = 0;
-  for (const int64_t v : data) acc += v;
-  g_sink = acc;
-  return sw.ElapsedNanos() / static_cast<double>(blocks);
-}
-
-double TimeRandomRead(const std::vector<int64_t>& data, size_t block_values,
-                      Rng& rng) {
-  const size_t blocks = data.size() / block_values;
-  std::vector<size_t> order(blocks);
-  std::iota(order.begin(), order.end(), 0);
-  std::shuffle(order.begin(), order.end(), rng);
-  Stopwatch sw;
-  int64_t acc = 0;
-  for (const size_t b : order) {
-    const int64_t* p = data.data() + b * block_values;
-    for (size_t i = 0; i < block_values; i += 8) acc += p[i];
-  }
-  g_sink = acc;
-  return sw.ElapsedNanos() / static_cast<double>(blocks);
-}
-
-double TimeRandomWrite(std::vector<int64_t>& data, size_t block_values, Rng& rng) {
-  const size_t blocks = data.size() / block_values;
-  std::vector<size_t> order(blocks);
-  std::iota(order.begin(), order.end(), 0);
-  std::shuffle(order.begin(), order.end(), rng);
-  Stopwatch sw;
-  for (const size_t b : order) {
-    int64_t* p = data.data() + b * block_values;
-    for (size_t i = 0; i < block_values; i += 8) p[i] = static_cast<int64_t>(b + i);
-  }
-  return sw.ElapsedNanos() / static_cast<double>(blocks);
-}
-
-double TimeSequentialWrite(std::vector<int64_t>& data, size_t block_values) {
-  const size_t blocks = data.size() / block_values;
-  Stopwatch sw;
-  std::fill(data.begin(), data.end(), 7);
-  return sw.ElapsedNanos() / static_cast<double>(blocks);
-}
 
 }  // namespace
 
@@ -117,29 +62,6 @@ AccessCostConstants CalibrateEngineCosts(size_t block_values, size_t working_set
   c.rr = std::max(1.0, ns_per_step / 2.0);
   c.rw = c.rr;
   cache[key] = c;
-  return c;
-}
-
-AccessCostConstants CalibrateAccessCosts(size_t block_values, size_t working_set) {
-  CASPER_CHECK(block_values > 0);
-  working_set = std::max(working_set, block_values * 16);
-  std::vector<int64_t> data(working_set, 1);
-  Rng rng(42);
-
-  AccessCostConstants c;
-  // Warm-up pass then measure; take the min of 3 runs to shed scheduler noise.
-  TimeSequentialRead(data, block_values);
-  double sr = 1e18, rr = 1e18, rw = 1e18, sw = 1e18;
-  for (int rep = 0; rep < 3; ++rep) {
-    sr = std::min(sr, TimeSequentialRead(data, block_values));
-    rr = std::min(rr, TimeRandomRead(data, block_values, rng));
-    rw = std::min(rw, TimeRandomWrite(data, block_values, rng));
-    sw = std::min(sw, TimeSequentialWrite(data, block_values));
-  }
-  c.sr = std::max(sr, 1.0);
-  c.rr = std::max(rr, c.sr);  // random can never be cheaper than sequential
-  c.rw = std::max(rw, 1.0);
-  c.sw = std::max(sw, 1.0);
   return c;
 }
 

@@ -2,7 +2,6 @@
 #define CASPER_MODEL_ACCESS_COST_H_
 
 #include <cstddef>
-#include <string>
 
 namespace casper {
 
@@ -21,19 +20,7 @@ struct AccessCostConstants {
   /// measures ~8.5us cumulative). Not part of the optimization objective
   /// because it is identical for every layout; kept for latency prediction.
   double index_probe = 0.0;
-
-  std::string ToString() const;
 };
-
-/// Micro-benchmarks the in-memory block access costs on this machine
-/// (paper §4.5: "for every instance of Casper deployed, we first need to
-/// establish these values through micro-benchmarking").
-///
-/// `block_values` is the number of int64 values per block; `working_set`
-/// the number of values in the probed array (should exceed LLC to expose
-/// memory, not cache, behavior).
-AccessCostConstants CalibrateAccessCosts(size_t block_values = 2048,
-                                         size_t working_set = (1u << 24));
 
 /// Engine-matched calibration: measures the two primitives Casper's own
 /// operations are built from, in the units the cost model expects:

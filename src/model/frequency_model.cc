@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/status.h"
 
@@ -113,30 +112,6 @@ bool FrequencyModel::Empty() const {
     }
   }
   return true;
-}
-
-std::string FrequencyModel::DebugString() const {
-  std::ostringstream oss;
-  auto dump = [&oss](const char* name, const std::vector<double>& h) {
-    oss << name << ": [";
-    for (size_t i = 0; i < h.size(); ++i) {
-      if (i) oss << ", ";
-      oss << h[i];
-    }
-    oss << "]\n";
-  };
-  oss << "FrequencyModel(" << num_blocks_ << " blocks, " << total_ops_ << " ops)\n";
-  dump("pq ", pq_);
-  dump("rs ", rs_);
-  dump("sc ", sc_);
-  dump("re ", re_);
-  dump("de ", de_);
-  dump("in ", in_);
-  dump("udf", udf_);
-  dump("utf", utf_);
-  dump("udb", udb_);
-  dump("utb", utb_);
-  return oss.str();
 }
 
 }  // namespace casper

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace casper {
@@ -97,7 +96,6 @@ class FrequencyModel {
   /// True when every histogram is all-zero.
   bool Empty() const;
 
-  std::string DebugString() const;
 
  private:
   size_t num_blocks_ = 0;

@@ -61,9 +61,8 @@ class DurableStore {
     return apply();
   }
 
-  /// Journal-only forms of CommitOps / CommitRows (nothing to apply).
+  /// Journal-only form of CommitOps (nothing to apply).
   void LogOps(const Operation* ops, size_t n) { CommitOps(ops, n, [] {}); }
-  void LogRows(const Row* rows, size_t n) { CommitRows(rows, n, [] {}); }
 
   /// Forces batched journal records to disk (fsync_every > 1).
   Status Flush();

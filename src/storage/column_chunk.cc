@@ -17,9 +17,13 @@ PartitionedColumnChunk PartitionedColumnChunk::Build(
 
 PartitionedColumnChunk PartitionedColumnChunk::Build(
     std::vector<Value> sorted_values, std::vector<size_t> partition_sizes,
-    std::vector<size_t> ghosts, Options options) {
+    std::vector<size_t> ghosts, Options options,
+    const std::vector<std::vector<Payload>>& payload, size_t first_row) {
   const size_t m = sorted_values.size();
   CASPER_CHECK_MSG(m > 0, "cannot build an empty chunk");
+  for (const std::vector<Payload>& col : payload) {
+    CASPER_CHECK_MSG(col.size() >= first_row + m, "payload column too short");
+  }
   CASPER_CHECK(std::is_sorted(sorted_values.begin(), sorted_values.end()));
   CASPER_CHECK_MSG(std::accumulate(partition_sizes.begin(), partition_sizes.end(),
                                    size_t{0}) == m,
@@ -70,18 +74,25 @@ PartitionedColumnChunk PartitionedColumnChunk::Build(
   if (pending_ghosts > 0) parts.back().cap += pending_ghosts;
   parts.back().cap += options.spare_tail;
 
-  // Lay out the buffer: each partition's values followed by its free slots.
+  // Lay out the buffers: each partition's rows followed by its free slots.
   size_t total_cap = 0;
   for (auto& p : parts) {
     p.begin = total_cap;
     total_cap += p.cap;
   }
   chunk.data_.assign(total_cap, 0);
+  chunk.payload_.resize(payload.size());
+  for (std::vector<Payload>& col : chunk.payload_) col.assign(total_cap, 0);
+  chunk.row_scratch_.resize(payload.size());
   size_t src = 0;
   for (const auto& p : parts) {
-    std::copy(sorted_values.begin() + static_cast<ptrdiff_t>(src),
-              sorted_values.begin() + static_cast<ptrdiff_t>(src + p.size),
-              chunk.data_.begin() + static_cast<ptrdiff_t>(p.begin));
+    std::copy_n(sorted_values.begin() + static_cast<ptrdiff_t>(src), p.size,
+                chunk.data_.begin() + static_cast<ptrdiff_t>(p.begin));
+    for (size_t col = 0; col < payload.size(); ++col) {
+      std::copy_n(payload[col].begin() + static_cast<ptrdiff_t>(first_row + src),
+                  p.size,
+                  chunk.payload_[col].begin() + static_cast<ptrdiff_t>(p.begin));
+    }
     src += p.size;
   }
   chunk.live_ = m;
@@ -117,24 +128,30 @@ size_t PartitionedColumnChunk::CountEqual(Value v) const {
 
 // --- Free-slot primitives -----------------------------------------------------
 
-// The two run primitives are inline: every ripple calls one per partition
+// The run primitives are inline: every ripple calls one per partition
 // boundary, and the one-slot ripples (dense layout, updates) pay for an
 // out-of-line call, about 15% of BM_InsertWithGhosts/0.
-inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, MoveLog* log,
-                                                     size_t k) {
+inline void PartitionedColumnChunk::MoveRows(const MoveRun& run) {
+  CopyRun(data_.data(), run);
+  for (std::vector<Payload>& col : payload_) CopyRun(col.data(), run);
+}
+
+inline void PartitionedColumnChunk::PutRow(size_t slot, const Payload* row) {
+  for (size_t col = 0; col < payload_.size(); ++col) payload_[col][slot] = row[col];
+}
+
+inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, size_t k) {
   Partition& a = parts_[t];
   Partition& b = parts_[t + 1];
   CASPER_CHECK(b.free_slots() >= k);
   if (b.size > 0) {
     // Step j copies b's head element (begin + j) to its first free slot
     // (begin + size + j).
-    const MoveRun run{static_cast<uint32_t>(b.begin),
-                      static_cast<uint32_t>(b.begin + b.size),
-                      static_cast<uint32_t>(k)};
-    CopyRun(data_.data(), run);
+    MoveRows({static_cast<uint32_t>(b.begin),
+              static_cast<uint32_t>(b.begin + b.size),
+              static_cast<uint32_t>(k)});
     stats_.element_reads += k;
     stats_.element_writes += k;
-    if (log) log->moves.push_back(run);
   }
   b.begin += k;
   b.cap -= k;
@@ -142,21 +159,17 @@ inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, MoveLog* log,
   stats_.ripple_steps += k;
 }
 
-inline void PartitionedColumnChunk::MoveFreeSlotRight(size_t t, MoveLog* log,
-                                                      size_t k) {
+inline void PartitionedColumnChunk::MoveFreeSlotRight(size_t t, size_t k) {
   Partition& a = parts_[t];
   Partition& b = parts_[t + 1];
   CASPER_CHECK(a.free_slots() >= k);
   if (b.size > 0) {
     // Step j copies b's last element (begin + size - 1 - j) into the last
     // free slot of a's region (begin - 1 - j).
-    const MoveRun run{static_cast<uint32_t>(b.begin + b.size - k),
-                      static_cast<uint32_t>(b.begin - k),
-                      static_cast<uint32_t>(k)};
-    CopyRun(data_.data(), run);
+    MoveRows({static_cast<uint32_t>(b.begin + b.size - k),
+              static_cast<uint32_t>(b.begin - k), static_cast<uint32_t>(k)});
     stats_.element_reads += k;
     stats_.element_writes += k;
-    if (log) log->moves.push_back(run);
   }
   a.cap -= k;
   b.begin -= k;
@@ -173,19 +186,19 @@ size_t PartitionedColumnChunk::FindDonor(size_t m) const {
   return static_cast<size_t>(-1);
 }
 
-void PartitionedColumnChunk::Grow(MoveLog* log) {
+void PartitionedColumnChunk::Grow() {
   const size_t growth = std::max<size_t>(64, data_.size() / 64);
   data_.resize(data_.size() + growth, 0);
+  for (std::vector<Payload>& col : payload_) col.resize(data_.size(), 0);
   parts_.back().cap += growth;
   ++stats_.grows;
-  if (log) log->grew_to = static_cast<uint32_t>(data_.size());
 }
 
-void PartitionedColumnChunk::EnsureFreeSlot(size_t m, MoveLog* log) {
+void PartitionedColumnChunk::EnsureFreeSlot(size_t m) {
   if (parts_[m].free_slots() > 0) return;
   size_t donor = FindDonor(m);
   if (donor == static_cast<size_t>(-1)) {
-    Grow(log);
+    Grow();
     donor = parts_.size() - 1;
     if (donor == m) return;
   }
@@ -193,11 +206,11 @@ void PartitionedColumnChunk::EnsureFreeSlot(size_t m, MoveLog* log) {
       std::max<size_t>(1, std::min(opts_.ghost_batch, parts_[donor].free_slots()));
   if (donor > m) {
     for (size_t t = donor; t-- > m;) {
-      MoveFreeSlotLeft(t, log, std::min(batch, parts_[t + 1].free_slots()));
+      MoveFreeSlotLeft(t, std::min(batch, parts_[t + 1].free_slots()));
     }
   } else {
     for (size_t t = donor; t < m; ++t) {
-      MoveFreeSlotRight(t, log, std::min(batch, parts_[t].free_slots()));
+      MoveFreeSlotRight(t, std::min(batch, parts_[t].free_slots()));
     }
   }
   CASPER_CHECK(parts_[m].free_slots() > 0);
@@ -205,21 +218,22 @@ void PartitionedColumnChunk::EnsureFreeSlot(size_t m, MoveLog* log) {
 
 // --- Write path ----------------------------------------------------------------
 
-void PartitionedColumnChunk::Insert(Value v, MoveLog* log) {
+void PartitionedColumnChunk::Insert(Value v, const std::vector<Payload>& row) {
+  CASPER_CHECK(row.size() == payload_.size());
   const size_t m = index_.Route(v);
-  EnsureFreeSlot(m, log);
+  EnsureFreeSlot(m);
   Partition& p = parts_[m];
   const size_t slot = p.begin + p.size;
   data_[slot] = v;
+  PutRow(slot, row.data());
   p.size += 1;
   live_ += 1;
   p.min_val = std::min(p.min_val, v);
   p.max_val = std::max(p.max_val, v);
   ++stats_.element_writes;
-  if (log) log->touched_slot = static_cast<uint32_t>(slot);
 }
 
-size_t PartitionedColumnChunk::DeleteOne(Value v, MoveLog* log) {
+size_t PartitionedColumnChunk::DeleteOne(Value v) {
   const size_t m = index_.Route(v);
   Partition& p = parts_[m];
   ++stats_.partitions_scanned;
@@ -231,22 +245,20 @@ size_t PartitionedColumnChunk::DeleteOne(Value v, MoveLog* log) {
   const size_t pos = p.begin + hit;
   const size_t last = p.begin + p.size - 1;
   if (pos != last) {
-    data_[pos] = data_[last];
+    MoveRows({static_cast<uint32_t>(last), static_cast<uint32_t>(pos), 1});
     ++stats_.element_reads;
     ++stats_.element_writes;
-    if (log) log->moves.push_back({static_cast<uint32_t>(last),
-                                   static_cast<uint32_t>(pos), 1});
   }
   p.size -= 1;
   live_ -= 1;
   if (opts_.dense) {
     // Dense layout keeps the column contiguous: ripple the hole to the end.
-    for (size_t t = m; t + 1 < parts_.size(); ++t) MoveFreeSlotRight(t, log, 1);
+    for (size_t t = m; t + 1 < parts_.size(); ++t) MoveFreeSlotRight(t, 1);
   }
   return 1;
 }
 
-bool PartitionedColumnChunk::Update(Value old_value, Value new_value, MoveLog* log) {
+bool PartitionedColumnChunk::Update(Value old_value, Value new_value) {
   const size_t i = index_.Route(old_value);
   Partition& p = parts_[i];
   ++stats_.partitions_scanned;
@@ -258,45 +270,45 @@ bool PartitionedColumnChunk::Update(Value old_value, Value new_value, MoveLog* l
   const size_t pos = p.begin + hit;
 
   const size_t j = index_.Route(new_value);
-  if (log) log->source_slot = static_cast<uint32_t>(pos);
 
   if (i == j) {
     data_[pos] = new_value;
     ++stats_.element_writes;
     p.min_val = std::min(p.min_val, new_value);
     p.max_val = std::max(p.max_val, new_value);
-    if (log) log->touched_slot = static_cast<uint32_t>(pos);
     return true;
   }
 
-  // Detach the old value: swap it out with the partition's last element,
-  // leaving a free slot at the tail (paper Fig. 4b first phase).
+  // Detach the old row: keep its payload aside, then swap it out with the
+  // partition's last row, leaving a free slot at the tail (paper Fig. 4b
+  // first phase).
+  for (size_t col = 0; col < payload_.size(); ++col) {
+    row_scratch_[col] = payload_[col][pos];
+  }
   const size_t last = p.begin + p.size - 1;
   if (pos != last) {
-    data_[pos] = data_[last];
+    MoveRows({static_cast<uint32_t>(last), static_cast<uint32_t>(pos), 1});
     ++stats_.element_reads;
     ++stats_.element_writes;
-    if (log) log->moves.push_back({static_cast<uint32_t>(last),
-                                   static_cast<uint32_t>(pos), 1});
   }
   p.size -= 1;
 
   // Ripple the free slot to the destination partition (forward or backward).
   if (j > i) {
-    for (size_t t = i; t < j; ++t) MoveFreeSlotRight(t, log, 1);
+    for (size_t t = i; t < j; ++t) MoveFreeSlotRight(t, 1);
   } else {
-    for (size_t t = i; t-- > j;) MoveFreeSlotLeft(t, log, 1);
+    for (size_t t = i; t-- > j;) MoveFreeSlotLeft(t, 1);
   }
 
   Partition& q = parts_[j];
   CASPER_CHECK(q.free_slots() > 0);
   const size_t slot = q.begin + q.size;
   data_[slot] = new_value;
+  PutRow(slot, row_scratch_.data());
   q.size += 1;
   q.min_val = std::min(q.min_val, new_value);
   q.max_val = std::max(q.max_val, new_value);
   ++stats_.element_writes;
-  if (log) log->touched_slot = static_cast<uint32_t>(slot);
   return true;
 }
 
@@ -323,6 +335,9 @@ void PartitionedColumnChunk::ValidateInvariants() const {
     }
   }
   CASPER_CHECK(released || expected_begin == data_.size());
+  for (const std::vector<Payload>& col : payload_) {
+    CASPER_CHECK(col.size() == data_.size());
+  }
   CASPER_CHECK(live == live_);
 }
 

@@ -10,9 +10,15 @@
 namespace casper {
 
 /// A range-partitioned column chunk — the physical heart of Casper
-/// (paper §3, §6). Values live in one contiguous buffer split into
+/// (paper §3, §6). Keys live in one contiguous buffer split into
 /// partitions; each partition's free ("ghost") slots sit at the tail of its
 /// region, so `begin[t+1] == begin[t] + cap[t]` always holds.
+///
+/// The chunk owns its rows: beside the key buffer it holds one payload array
+/// per payload column, sized like the key buffer, and row r sits at the same
+/// slot in each of them. The key column decides the layout and the payload
+/// columns follow it (paper §4.2, "Columns and Column-Groups"): every copy
+/// the chunk makes (MoveRows) moves the key and each payload column at once.
 ///
 /// Writes move data with the ripple algorithms of paper Fig. 4: a free slot
 /// travels across partition boundaries one element copy per partition, so
@@ -21,7 +27,8 @@ namespace casper {
 /// (Options::ghost_batch) crosses each boundary as one run of k copies.
 /// With ghost values (paper Fig. 5), inserts into a partition that has a
 /// free slot are O(1), deletes create new free slots in place, and updates
-/// ripple only between the source and destination partitions.
+/// ripple only between the source and destination partitions. The counters
+/// count key elements only, so the cost model prices a row like a key.
 class PartitionedColumnChunk {
  public:
   struct Options {
@@ -57,11 +64,14 @@ class PartitionedColumnChunk {
   /// `partition_sizes` values (must sum to the data size), giving partition
   /// t `ghosts[t]` free slots (empty = none). Cuts never split duplicate
   /// values: a cut landing inside a run of equal values slides forward, and
-  /// partitions emptied by the slide are merged away.
-  static PartitionedColumnChunk Build(std::vector<Value> sorted_values,
-                                      std::vector<size_t> partition_sizes,
-                                      std::vector<size_t> ghosts,
-                                      Options options);
+  /// partitions emptied by the slide are merged away. Row r's payload is
+  /// `payload[c][first_row + r]` for each payload column c; no columns
+  /// builds a key-only chunk.
+  static PartitionedColumnChunk Build(
+      std::vector<Value> sorted_values, std::vector<size_t> partition_sizes,
+      std::vector<size_t> ghosts, Options options,
+      const std::vector<std::vector<Payload>>& payload = {},
+      size_t first_row = 0);
   static PartitionedColumnChunk Build(std::vector<Value> sorted_values,
                                       std::vector<size_t> partition_sizes,
                                       std::vector<size_t> ghosts = {});
@@ -80,15 +90,17 @@ class PartitionedColumnChunk {
 
   // --- Write path ------------------------------------------------------------
 
-  /// Inserts v into its range partition (paper Fig. 4a / Fig. 5).
-  void Insert(Value v, MoveLog* log = nullptr);
+  /// Inserts v into its range partition (paper Fig. 4a / Fig. 5), with
+  /// `row` (one entry per payload column) at the same slot.
+  void Insert(Value v, const std::vector<Payload>& row = {});
 
-  /// Deletes one occurrence of v. Returns the number deleted (0 or 1).
-  size_t DeleteOne(Value v, MoveLog* log = nullptr);
+  /// Deletes one row with key v. Returns the number deleted (0 or 1).
+  size_t DeleteOne(Value v);
 
-  /// Moves one occurrence of old_value to new_value (direct ripple update,
-  /// paper §3 "Updates"). Returns false if old_value is absent.
-  bool Update(Value old_value, Value new_value, MoveLog* log = nullptr);
+  /// Moves one row with key old_value to key new_value, payload unchanged
+  /// (direct ripple update, paper §3 "Updates"). Returns false if old_value
+  /// is absent.
+  bool Update(Value old_value, Value new_value);
 
   // --- Introspection ----------------------------------------------------------
 
@@ -101,6 +113,8 @@ class PartitionedColumnChunk {
   const std::vector<Partition>& partitions() const { return parts_; }
   const PartitionIndex& partition_index() const { return index_; }
   const std::vector<Value>& raw_data() const { return data_; }
+  /// Payload columns, `[col][slot]`, aligned slot for slot with raw_data().
+  const std::vector<std::vector<Payload>>& payload() const { return payload_; }
   Value domain_upper() const { return parts_.back().upper; }
 
   ChunkStats& stats() { return stats_; }
@@ -122,40 +136,54 @@ class PartitionedColumnChunk {
 
   // --- Tiered storage ---------------------------------------------------------
 
-  /// Drops the value buffer — the chunk's rows now live in its on-disk tier
-  /// file. Everything else stays resident: partitions, zone maps, the
-  /// partition index, the live count and the access counters, so reads keep
-  /// routing and pruning on one geometry in both tiers. Promotion replaces
-  /// this object wholesale via Build.
+  /// Drops the key and payload buffers — the chunk's rows now live in its
+  /// on-disk tier file. Everything else stays resident: partitions, zone
+  /// maps, the partition index, the live count and the access counters, so
+  /// reads keep routing and pruning on one geometry in both tiers. Promotion
+  /// replaces this object wholesale via Build.
   void ReleaseStorage() {
     data_.clear();
     data_.shrink_to_fit();
+    for (std::vector<Payload>& col : payload_) {
+      col.clear();
+      col.shrink_to_fit();
+    }
   }
 
  private:
   PartitionedColumnChunk() = default;
 
+  // Applies one copy run to the key buffer and to each payload column.
+  void MoveRows(const MoveRun& run);
+
   // Moves k free slots from partition t+1 to partition t (toward the
-  // front): k ripple steps taken as one copy run, one MoveLog run and one
-  // bump of each counter. Precondition: parts_[t+1].free_slots() >= k.
-  void MoveFreeSlotLeft(size_t t, MoveLog* log, size_t k);
+  // front): k ripple steps taken as one copy run and one bump of each
+  // counter. Precondition: parts_[t+1].free_slots() >= k.
+  void MoveFreeSlotLeft(size_t t, size_t k);
   // Moves k free slots from partition t to partition t+1 (toward the back),
   // likewise as one run. Precondition: parts_[t].free_slots() >= k.
-  void MoveFreeSlotRight(size_t t, MoveLog* log, size_t k);
+  void MoveFreeSlotRight(size_t t, size_t k);
 
   // Brings >=1 free slot into partition m (ghost_batch at most), growing the
-  // buffer when the chunk is completely full. Returns false only on internal
-  // error.
-  void EnsureFreeSlot(size_t m, MoveLog* log);
+  // buffers when the chunk is completely full.
+  void EnsureFreeSlot(size_t m);
 
   // Nearest partition (by boundary distance from m) holding a free slot;
   // SIZE_MAX if none.
   size_t FindDonor(size_t m) const;
 
-  void Grow(MoveLog* log);
+  // Widens the last partition's region in every column.
+  void Grow();
+
+  // Writes `row` (one entry per payload column) at `slot`.
+  void PutRow(size_t slot, const Payload* row);
 
   Options opts_;
   std::vector<Value> data_;
+  std::vector<std::vector<Payload>> payload_;  // [col][slot]
+  // An updated row's payload while its slot is recycled (Update); a member,
+  // so an update allocates nothing.
+  std::vector<Payload> row_scratch_;
   std::vector<Partition> parts_;
   PartitionIndex index_;
   // Reads also account their data movement; recorders are not logical state.

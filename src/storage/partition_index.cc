@@ -13,13 +13,6 @@ PartitionIndex::PartitionIndex(std::vector<Value> uppers, size_t fanout)
   BuildTree();
 }
 
-void PartitionIndex::Reset(std::vector<Value> uppers) {
-  CASPER_CHECK(!uppers.empty());
-  CASPER_CHECK(std::is_sorted(uppers.begin(), uppers.end()));
-  uppers_ = std::move(uppers);
-  BuildTree();
-}
-
 void PartitionIndex::BuildTree() {
   // Build levels bottom-up: each inner node stores the max key of its
   // subtree, so descending compares against at most `fanout` separators.

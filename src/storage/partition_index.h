@@ -28,9 +28,6 @@ class PartitionIndex {
   explicit PartitionIndex(std::vector<Value> uppers,
                           size_t fanout = kPartitionIndexFanout);
 
-  /// Rebuild after partition bounds change.
-  void Reset(std::vector<Value> uppers);
-
   size_t num_partitions() const { return uppers_.size(); }
 
   /// First partition with upper bound >= v; last partition if none.

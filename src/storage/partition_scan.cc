@@ -8,12 +8,9 @@
 
 namespace casper {
 
-PartitionSource PartitionSource::Resident(
-    const PartitionedColumnChunk& chunk,
-    const std::vector<std::vector<Payload>>& payload) {
+PartitionSource PartitionSource::Resident(const PartitionedColumnChunk& chunk) {
   PartitionSource src;
   src.chunk = &chunk;
-  src.cols = &payload;
   return src;
 }
 
@@ -88,7 +85,7 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   // What every partition's run shares, set once: copying it per partition
   // keeps the per-partition set-up to a few register moves.
   exec::SpecRows shared;
-  shared.cols = enc == nullptr ? src.cols : &col_scratch;
+  shared.cols = enc == nullptr ? &src.chunk->payload() : &col_scratch;
   uint64_t scanned = 0;
   uint64_t pruned = 0;
   uint64_t reads = 0;
@@ -188,7 +185,9 @@ size_t PointRead(const PartitionSource& src, size_t t, Value key,
   const size_t hit = kernels::FindFirstEqual(keys, p.size, key);
   if (hit == p.size) return 0;
   if (src.enc == nullptr) {
-    for (const auto& col : *src.cols) payload_out->push_back(col[p.begin + hit]);
+    for (const auto& col : src.chunk->payload()) {
+      payload_out->push_back(col[p.begin + hit]);
+    }
   } else {
     const size_t row = src.enc->live_prefix[t] + hit;
     for (const auto& col : src.enc->payload) payload_out->push_back(col->DecodeAt(row));

@@ -14,24 +14,20 @@ namespace casper {
 
 /// A view of one chunk for the reads below: the chunk itself, whose geometry
 /// (partitions, zone maps, routing) is resident in both tiers, plus its rows
-/// — the resident key/payload arrays, or the encoding of its parsed tier
-/// file, never both. Resident and evicted chunks thus read through one
-/// partition walk, one point read and one rank walk (Hyrise's chunk: metadata
-/// kept apart from how its segments are stored). A view with neither serves
-/// only CountsPartitionSizes specs. It owns nothing; the caller keeps the
-/// chunk latched (and the parsed file alive) while it reads.
+/// — the chunk's own key and payload arrays, or the encoding of its parsed
+/// tier file. Resident and evicted chunks thus read through one partition
+/// walk, one point read and one rank walk (Hyrise's chunk: metadata kept
+/// apart from how its segments are stored). A resident view of an evicted
+/// chunk serves only CountsPartitionSizes specs. It owns nothing; the caller
+/// keeps the chunk latched (and the parsed file alive) while it reads.
 struct PartitionSource {
   const PartitionedColumnChunk* chunk = nullptr;
-  /// Resident payload arrays, indexed by slot; null for a file-backed view.
-  const std::vector<std::vector<Payload>>* cols = nullptr;
   /// A file-backed view's columns: key frames (frames == non-empty
   /// partitions), packed payload columns, live-row prefix and payload zone
-  /// maps; null for a resident view.
+  /// maps; null for a resident view, which reads the chunk's arrays.
   const ChunkEncoding* enc = nullptr;
 
-  static PartitionSource Resident(
-      const PartitionedColumnChunk& chunk,
-      const std::vector<std::vector<Payload>>& payload);
+  static PartitionSource Resident(const PartitionedColumnChunk& chunk);
   /// `enc` must hold the chunk's rows in the chunk's own geometry (the
   /// table checks a tier file's partitions before it builds this view).
   static PartitionSource File(const PartitionedColumnChunk& chunk,

@@ -12,29 +12,6 @@
 
 namespace casper {
 
-namespace {
-
-/// Payload arrays mirroring a freshly Built chunk's slot layout: rows
-/// [first_row, first_row + chunk.size()) of `cols`, in key order, packed at
-/// the head of each partition region, free slots zero-filled.
-std::vector<std::vector<Payload>> PlacePayloadRows(
-    const PartitionedColumnChunk& chunk,
-    const std::vector<std::vector<Payload>>& cols, size_t first_row) {
-  std::vector<std::vector<Payload>> placed(cols.size());
-  for (size_t col = 0; col < cols.size(); ++col) {
-    placed[col].assign(chunk.capacity(), 0);
-    size_t src = first_row;
-    for (const auto& p : chunk.partitions()) {
-      std::copy_n(cols[col].begin() + static_cast<ptrdiff_t>(src), p.size,
-                  placed[col].begin() + static_cast<ptrdiff_t>(p.begin));
-      src += p.size;
-    }
-  }
-  return placed;
-}
-
-}  // namespace
-
 PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
                                          std::vector<std::vector<Payload>> payload_cols,
                                          std::vector<ChunkLayoutSpec> specs) {
@@ -80,13 +57,10 @@ PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
     std::vector<Value> keys(sorted_keys.begin() + static_cast<ptrdiff_t>(offset),
                             sorted_keys.begin() + static_cast<ptrdiff_t>(offset + n));
     PartitionedColumnChunk chunk = PartitionedColumnChunk::Build(
-        std::move(keys), specs[c].partition_sizes, specs[c].ghosts, options.chunk);
-
-    std::vector<std::vector<Payload>> payload =
-        PlacePayloadRows(chunk, payload_cols, offset);
+        std::move(keys), specs[c].partition_sizes, specs[c].ghosts, options.chunk,
+        payload_cols, offset);
     table.chunk_uppers_.push_back(chunk.domain_upper());
-    table.chunks_.push_back(
-        std::make_unique<TableChunk>(std::move(chunk), std::move(payload)));
+    table.chunks_.push_back(std::make_unique<TableChunk>(std::move(chunk)));
     offset += n;
   }
   return table;
@@ -102,7 +76,7 @@ persist::PersistedChunk PartitionedTable::LoadEvicted(const TableChunk& ch) cons
   persist::PersistedChunk pc;
   const Status s = persist::ChunkReader::Read(ch.evicted, &pc);
   CASPER_CHECK_MSG(s.ok(), "tier chunk file unreadable");
-  const auto& parts = ch.keys.partitions();
+  const auto& parts = ch.chunk.partitions();
   bool same = pc.parts.size() == parts.size();
   for (size_t t = 0; same && t < parts.size(); ++t) {
     const auto& f = pc.parts[t];
@@ -111,7 +85,7 @@ persist::PersistedChunk PartitionedTable::LoadEvicted(const TableChunk& ch) cons
   }
   CASPER_CHECK_MSG(same, "tier chunk file " << ch.evicted
                              << " does not match the chunk's geometry");
-  ChunkStats& stats = ch.keys.stats();
+  ChunkStats& stats = ch.chunk.stats();
   ++stats.disk_reads;
   stats.disk_bytes_read.Add(pc.file_bytes);
   return pc;
@@ -119,17 +93,17 @@ persist::PersistedChunk PartitionedTable::LoadEvicted(const TableChunk& ch) cons
 
 template <typename Fn>
 auto PartitionedTable::WithRows(const TableChunk& ch, Fn&& fn) const {
-  if (ch.evicted.empty()) return fn(PartitionSource::Resident(ch.keys, ch.payload));
+  if (ch.evicted.empty()) return fn(PartitionSource::Resident(ch.chunk));
   const persist::PersistedChunk pc = LoadEvicted(ch);
-  return fn(PartitionSource::File(ch.keys, pc.encoding));
+  return fn(PartitionSource::File(ch.chunk, pc.encoding));
 }
 
 size_t PartitionedTable::PointLookupLocked(const TableChunk& ch, Value key,
                                            std::vector<Payload>* payload_out) const {
   if (payload_out != nullptr) payload_out->clear();
-  const size_t t = ch.keys.ProbePartition(key);
+  const size_t t = ch.chunk.ProbePartition(key);
   if (t == PartitionedColumnChunk::kNoPartition) return 0;
-  ChunkStats* stats = &ch.keys.stats();
+  ChunkStats* stats = &ch.chunk.stats();
   return WithRows(ch, [&](const PartitionSource& src) {
     return PointRead(src, t, key, payload_out, stats);
   });
@@ -149,52 +123,21 @@ ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) co
   }
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  ChunkStats* stats = &ch.keys.stats();
+  ChunkStats* stats = &ch.chunk.stats();
   if (CountsPartitionSizes(spec)) {
     // Sizes only: the chunk's geometry answers in either tier, with no rows.
-    PartitionSource geometry;
-    geometry.chunk = &ch.keys;
-    return ScanPartitions(spec, geometry, stats);
+    return ScanPartitions(spec, PartitionSource::Resident(ch.chunk), stats);
   }
   return WithRows(ch, [&](const PartitionSource& src) {
     return ScanPartitions(spec, src, stats);
   });
 }
 
-void PartitionedTable::ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
-                                    const std::vector<Payload>* new_payload,
-                                    std::vector<Payload>* stash) {
-  if (payload_cols_ == 0) return;
-  if (log.grew_to != MoveLog::kNone) {
-    for (auto& col : chunk.payload) col.resize(log.grew_to, 0);
-  }
-  if (stash != nullptr && log.source_slot != MoveLog::kNone) {
-    stash->resize(payload_cols_);
-    for (size_t col = 0; col < payload_cols_; ++col) {
-      (*stash)[col] = chunk.payload[col][log.source_slot];
-    }
-  }
-  for (auto& col : chunk.payload) {
-    for (const MoveRun& run : log.moves) CopyRun(col.data(), run);
-  }
-  if (log.touched_slot != MoveLog::kNone) {
-    const std::vector<Payload>* row = new_payload != nullptr ? new_payload : stash;
-    if (row != nullptr && !row->empty()) {
-      for (size_t col = 0; col < payload_cols_; ++col) {
-        chunk.payload[col][log.touched_slot] = (*row)[col];
-      }
-    }
-  }
-}
-
 void PartitionedTable::Insert(Value key, const std::vector<Payload>& payload) {
-  CASPER_CHECK(payload.size() == payload_cols_);
   TableChunk& ch = *chunks_[RouteChunk(key)];
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
-  MoveLog log;
-  ch.keys.Insert(key, &log);
-  ApplyMoveLog(ch, log, &payload, nullptr);
+  ch.chunk.Insert(key, payload);
   ++rows_;
 }
 
@@ -202,12 +145,8 @@ size_t PartitionedTable::Delete(Value key) {
   TableChunk& ch = *chunks_[RouteChunk(key)];
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
-  MoveLog log;
-  const size_t n = ch.keys.DeleteOne(key, &log);
-  if (n > 0) {
-    ApplyMoveLog(ch, log, nullptr, nullptr);
-    rows_.Sub(1);
-  }
+  const size_t n = ch.chunk.DeleteOne(key);
+  if (n > 0) rows_.Sub(1);
   return n;
 }
 
@@ -217,12 +156,8 @@ bool PartitionedTable::MoveRowAcrossChunks(TableChunk& src, TableChunk& dst,
   EnsureResidentLocked(dst);
   std::vector<Payload> row;
   if (PointLookupLocked(src, old_key, &row) == 0) return false;
-  MoveLog del_log;
-  CASPER_CHECK(src.keys.DeleteOne(old_key, &del_log) == 1);
-  ApplyMoveLog(src, del_log, nullptr, nullptr);
-  MoveLog ins_log;
-  dst.keys.Insert(new_key, &ins_log);
-  ApplyMoveLog(dst, ins_log, &row, nullptr);
+  CASPER_CHECK(src.chunk.DeleteOne(old_key) == 1);
+  dst.chunk.Insert(new_key, row);
   return true;
 }
 
@@ -233,11 +168,7 @@ bool PartitionedTable::UpdateKey(Value old_key, Value new_key) {
     TableChunk& ch = *chunks_[c_old];
     ExclusiveChunkGuard guard(ch.latch);
     EnsureResidentLocked(ch);
-    MoveLog log;
-    std::vector<Payload> stash;
-    if (!ch.keys.Update(old_key, new_key, &log)) return false;
-    ApplyMoveLog(ch, log, nullptr, &stash);
-    return true;
+    return ch.chunk.Update(old_key, new_key);
   }
   // Cross-chunk update: delete from the source chunk, reinsert in the
   // destination chunk, carrying the payload across. Both chunk latches are
@@ -284,16 +215,12 @@ size_t PartitionedTable::ApplyWriteRun(const std::vector<BatchWrite>& run,
     TableChunk& ch = *chunks_[c];
     ExclusiveChunkGuard guard(ch.latch);
     EnsureResidentLocked(ch);
-    MoveLog log;
     for (const uint32_t idx : by_chunk[c]) {
       const BatchWrite& w = run[idx];
-      log.Clear();
       if (w.is_insert) {
-        ch.keys.Insert(w.key, &log);
-        ApplyMoveLog(ch, log, &w.payload, nullptr);
+        ch.chunk.Insert(w.key, w.payload);
         ++inserted[c];
-      } else if (ch.keys.DeleteOne(w.key, &log) > 0) {
-        ApplyMoveLog(ch, log, nullptr, nullptr);
+      } else if (ch.chunk.DeleteOne(w.key) > 0) {
         ++removed[c];
       }
     }
@@ -323,7 +250,7 @@ size_t PartitionedTable::RankKeysInChunk(size_t c, const Value* keys, size_t n,
   if (n > 0) {
     WithRows(ch, [&](const PartitionSource& src) { RankKeys(src, keys, n, ranks); });
   }
-  return ch.keys.size();
+  return ch.chunk.size();
 }
 
 void PartitionedTable::SnapshotChunkPartitionSizes(size_t c,
@@ -331,7 +258,7 @@ void PartitionedTable::SnapshotChunkPartitionSizes(size_t c,
   out->clear();
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  for (const auto& p : ch.keys.partitions()) out->push_back(p.size);
+  for (const auto& p : ch.chunk.partitions()) out->push_back(p.size);
 }
 
 bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
@@ -339,7 +266,7 @@ bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
   TableChunk& ch = *chunks_[c];
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
-  if (ch.keys.size() == 0) return false;  // Build requires live data
+  if (ch.chunk.size() == 0) return false;  // Build requires live data
   ChunkRows rows = SnapshotRowsLocked(ch);
   SortWithinPartitions(&rows);
   const size_t n = rows.keys.size();
@@ -364,16 +291,15 @@ bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
 void PartitionedTable::RebuildChunkLocked(
     TableChunk& ch, std::vector<Value> sorted_keys,
     const std::vector<std::vector<Payload>>& payload, ChunkLayoutSpec spec) {
-  const ChunkStatsSnapshot carry = ch.keys.StatsSnapshot();
-  ch.keys = PartitionedColumnChunk::Build(std::move(sorted_keys),
-                                          std::move(spec.partition_sizes),
-                                          std::move(spec.ghosts), opts_.chunk);
-  ch.payload = PlacePayloadRows(ch.keys, payload, 0);
-  ch.keys.stats().Restore(carry);
+  const ChunkStatsSnapshot carry = ch.chunk.StatsSnapshot();
+  ch.chunk = PartitionedColumnChunk::Build(
+      std::move(sorted_keys), std::move(spec.partition_sizes),
+      std::move(spec.ghosts), opts_.chunk, payload);
+  ch.chunk.stats().Restore(carry);
 }
 
 ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
-  const PartitionedColumnChunk& chunk = ch.keys;
+  const PartitionedColumnChunk& chunk = ch.chunk;
   const std::vector<Value>& data = chunk.raw_data();
   ChunkRows rows;
   rows.parts = chunk.partitions();
@@ -384,7 +310,7 @@ ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
   }
   rows.payload.resize(payload_cols_);
   for (size_t col = 0; col < payload_cols_; ++col) {
-    const std::vector<Payload>& raw = ch.payload[col];
+    const std::vector<Payload>& raw = chunk.payload()[col];
     rows.payload[col].reserve(chunk.size());
     for (const auto& p : rows.parts) {
       rows.payload[col].insert(rows.payload[col].end(),
@@ -405,14 +331,13 @@ ChunkRows PartitionedTable::SnapshotChunkRows(size_t c) const {
 bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
   TableChunk& ch = *chunks_[c];
   ExclusiveChunkGuard guard(ch.latch);
-  if (!ch.evicted.empty() || ch.keys.size() == 0) return false;
+  if (!ch.evicted.empty() || ch.chunk.size() == 0) return false;
   const persist::PersistedChunk pc =
       persist::ChunkWriter::Encode(c, SnapshotRowsLocked(ch));
   if (!persist::ChunkWriter::Write(path, pc).ok()) return false;
   ch.evicted = path;
-  ch.keys.ReleaseStorage();
-  ch.payload.assign(payload_cols_, {});
-  ++ch.keys.stats().evictions;
+  ch.chunk.ReleaseStorage();
+  ++ch.chunk.stats().evictions;
   return true;
 }
 
@@ -433,7 +358,7 @@ void PartitionedTable::EnsureResidentLocked(TableChunk& ch) {
   ch.evicted.clear();
   RebuildChunkLocked(ch, std::move(data.rows.keys), data.rows.payload,
                      std::move(data.spec));
-  ++ch.keys.stats().promotions;
+  ++ch.chunk.stats().promotions;
   // The tier file is stale the moment the chunk is writable again; recovery
   // wipes the tier dir anyway, but don't leave bytes behind mid-run.
   persist::RemoveFileIfExists(stale_path);
@@ -448,13 +373,13 @@ bool PartitionedTable::ChunkResident(size_t c) const {
 size_t PartitionedTable::ChunkMemoryBytes(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  return ch.evicted.empty() ? ch.keys.capacity() * RowBytes() : 0;
+  return ch.evicted.empty() ? ch.chunk.capacity() * RowBytes() : 0;
 }
 
 size_t PartitionedTable::ChunkFootprintIfResident(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
-  return ch.keys.capacity() * RowBytes();
+  return ch.chunk.capacity() * RowBytes();
 }
 
 uint64_t PartitionedTable::LayoutFingerprint() const {
@@ -468,7 +393,7 @@ uint64_t PartitionedTable::LayoutFingerprint() const {
     SharedChunkGuard guard(ch.latch);
     // An evicted chunk keeps its geometry, so the fingerprint is stable
     // across evict/promote round trips.
-    const auto& parts = ch.keys.partitions();
+    const auto& parts = ch.chunk.partitions();
     mix(parts.size());
     for (const auto& p : parts) {
       mix(p.begin);
@@ -484,12 +409,9 @@ void PartitionedTable::ValidateInvariants() const {
   for (size_t c = 0; c < chunks_.size(); ++c) {
     const TableChunk& ch = *chunks_[c];
     SharedChunkGuard guard(ch.latch);
-    ch.keys.ValidateInvariants();
-    live += ch.keys.size();
-    // Payload arrays mirror the key slots while resident; an evicted chunk's
-    // rows (both) live in its tier file.
-    const size_t slots = ch.evicted.empty() ? ch.keys.capacity() : 0;
-    for (const auto& col : ch.payload) CASPER_CHECK(col.size() == slots);
+    ch.chunk.ValidateInvariants();
+    CASPER_CHECK(ch.chunk.payload().size() == payload_cols_);
+    live += ch.chunk.size();
     if (!ch.evicted.empty()) CASPER_CHECK(persist::FileExists(ch.evicted));
   }
   CASPER_CHECK(live == num_rows());

@@ -23,11 +23,11 @@ struct PersistedChunk;
 
 /// A column-group table in the HAP schema: one key column a0 (the sort /
 /// partition attribute) plus `p` fixed-width payload columns a1..ap.
-/// The key column is a sequence of range-partitioned chunks (1M values each
-/// by default, paper §7 "Column Chunks"); payload columns are flat arrays
-/// aligned slot-for-slot with each chunk, kept in sync by replaying the
-/// chunk's MoveLog. The Frequency Model and layout decisions are oblivious
-/// to payload width (paper §4.2, "Columns and Column-Groups").
+/// The table is a sequence of range-partitioned chunks (1M rows each by
+/// default, paper §7 "Column Chunks"); each chunk holds its rows whole, the
+/// key and every payload column slot for slot (storage/column_chunk.h). The
+/// Frequency Model and layout decisions are oblivious to payload width
+/// (paper §4.2, "Columns and Column-Groups").
 class PartitionedTable {
  public:
   struct Options {
@@ -122,7 +122,7 @@ class PartitionedTable {
   ChunkStatsSnapshot CoherentStatsSnapshot(size_t c) const {
     const TableChunk& ch = *chunks_[c];
     SharedChunkGuard guard(ch.latch);
-    return ch.keys.StatsSnapshot();
+    return ch.chunk.StatsSnapshot();
   }
 
   /// Unified stats read surface: one CoherentStatsSnapshot per chunk
@@ -216,12 +216,12 @@ class PartitionedTable {
   const PartitionedColumnChunk& key_chunk(size_t i) const {
     const TableChunk& ch = *chunks_[i];
     ch.latch.AssertReaderHeld();
-    return ch.keys;
+    return ch.chunk;
   }
   PartitionedColumnChunk& mutable_key_chunk(size_t i) {
     TableChunk& ch = *chunks_[i];
     ch.latch.AssertQuiescent();
-    return ch.keys;
+    return ch.chunk;
   }
 
   /// Bytes held by key + payload storage (memory-amplification reporting).
@@ -233,15 +233,13 @@ class PartitionedTable {
   /// One chunk plus the latch that protects it. The latch lives INSIDE the
   /// chunk (rather than in a parallel latch array) so the thread-safety
   /// analysis can bind data to its protector: a local `TableChunk& ch` names
-  /// both `ch.latch` and `ch.keys`, making `GUARDED_BY(latch)` checkable at
+  /// both `ch.latch` and `ch.chunk`, making `GUARDED_BY(latch)` checkable at
   /// every use site — latch-array indexing (`latches_[c]`) is opaque to the
   /// analysis. ChunkLatch is non-movable, so chunks are held by unique_ptr.
   struct TableChunk {
-    TableChunk(PartitionedColumnChunk k, std::vector<std::vector<Payload>> p)
-        : keys(std::move(k)), payload(std::move(p)) {}
+    explicit TableChunk(PartitionedColumnChunk c) : chunk(std::move(c)) {}
     mutable ChunkLatch latch;
-    PartitionedColumnChunk keys GUARDED_BY(latch);
-    std::vector<std::vector<Payload>> payload GUARDED_BY(latch);  // [col][slot]
+    PartitionedColumnChunk chunk GUARDED_BY(latch);
     /// The tier file holding the chunk's rows while it is evicted (key and
     /// payload storage released, geometry kept); empty when resident.
     /// Eviction and promotion set and clear it under the exclusive latch.
@@ -251,13 +249,6 @@ class PartitionedTable {
   PartitionedTable() = default;
 
   size_t RouteChunk(Value key) const;
-  /// Mirrors a key-chunk operation on every payload column: grows them with
-  /// the chunk, stashes the updated row's payload, replays each MoveLog run
-  /// with CopyRun (one loop per run and column, in the order the chunk
-  /// copied its keys), then writes the new or stashed row at touched_slot.
-  void ApplyMoveLog(TableChunk& chunk, const MoveLog& log,
-                    const std::vector<Payload>* new_payload,
-                    std::vector<Payload>* stash) REQUIRES(chunk.latch);
 
   /// Cross-chunk key move: delete `old_key` from src, reinsert as `new_key`
   /// in dst carrying the payload. Both latches held by the caller (acquired
@@ -300,10 +291,10 @@ class PartitionedTable {
   ChunkRows SnapshotRowsLocked(const TableChunk& ch) const
       REQUIRES_SHARED(ch.latch);
 
-  /// Replaces chunk ch with a fresh Build of `sorted_keys` to `spec`, its
-  /// payload placed to the new slot layout, and its access counters carried
-  /// over: they describe the data, not the geometry, so they survive
-  /// re-partition, eviction and promotion alike.
+  /// Replaces chunk ch with a fresh Build of `sorted_keys` and `payload` to
+  /// `spec`, its access counters carried over: they describe the data, not
+  /// the geometry, so they survive re-partition, eviction and promotion
+  /// alike.
   void RebuildChunkLocked(TableChunk& ch, std::vector<Value> sorted_keys,
                           const std::vector<std::vector<Payload>>& payload,
                           ChunkLayoutSpec spec) REQUIRES(ch.latch);

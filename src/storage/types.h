@@ -37,7 +37,8 @@ struct BatchWrite {
 
 /// A run of `len` element copies data[from + j] -> data[to + j]: the block
 /// of ghost slots one ripple carries across one partition boundary (paper
-/// §6.1), or a single swap (len 1).
+/// §6.1), or a single swap (len 1). The chunk applies each run to its key
+/// column and to every payload column (PartitionedColumnChunk::MoveRows).
 struct MoveRun {
   uint32_t from = 0;
   uint32_t to = 0;
@@ -58,31 +59,6 @@ inline void CopyRun(T* data, const MoveRun& run) {
     for (uint32_t j = run.len; j-- > 0;) dst[j] = src[j];
   }
 }
-
-/// Physical slot movements performed by a chunk operation. Column groups
-/// replay the log on payload columns so rows stay positionally aligned
-/// (the Frequency Model and chunk logic are oblivious to payload width,
-/// paper §4.2 "Columns and Column-Groups").
-struct MoveLog {
-  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-
-  /// Copy runs, in execution order; each replays with CopyRun.
-  std::vector<MoveRun> moves;
-  /// Final slot of the row inserted / updated by this operation.
-  uint32_t touched_slot = kNone;
-  /// Original slot of the row being updated (its payload must be stashed
-  /// before applying `moves` and rewritten at `touched_slot` afterwards).
-  uint32_t source_slot = kNone;
-  /// New chunk capacity if the operation grew the underlying buffer.
-  uint32_t grew_to = kNone;
-
-  void Clear() {
-    moves.clear();
-    touched_slot = kNone;
-    source_slot = kNone;
-    grew_to = kNone;
-  }
-};
 
 /// Monotonic accounting counter bumped from concurrent const read paths.
 /// All accesses are relaxed atomics: counters are frequency accounting, not

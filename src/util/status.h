@@ -17,9 +17,6 @@ class Status {
     kOk = 0,
     kInvalidArgument,
     kNotFound,
-    kOutOfRange,
-    kConflict,       // transaction write-write conflict (first committer wins)
-    kCapacity,       // structure cannot accept more data
     kInternal,
   };
 
@@ -31,9 +28,6 @@ class Status {
     return Status(Code::kInvalidArgument, std::move(m));
   }
   static Status NotFound(std::string m) { return Status(Code::kNotFound, std::move(m)); }
-  static Status OutOfRange(std::string m) { return Status(Code::kOutOfRange, std::move(m)); }
-  static Status Conflict(std::string m) { return Status(Code::kConflict, std::move(m)); }
-  static Status Capacity(std::string m) { return Status(Code::kCapacity, std::move(m)); }
   static Status Internal(std::string m) { return Status(Code::kInternal, std::move(m)); }
 
   bool ok() const { return code_ == Code::kOk; }
@@ -42,8 +36,7 @@ class Status {
 
   std::string ToString() const {
     if (ok()) return "OK";
-    static const char* names[] = {"OK",       "InvalidArgument", "NotFound",
-                                  "OutOfRange", "Conflict",        "Capacity",
+    static const char* names[] = {"OK", "InvalidArgument", "NotFound",
                                   "Internal"};
     return std::string(names[static_cast<int>(code_)]) + ": " + message_;
   }

@@ -18,7 +18,6 @@ class Stopwatch {
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_)
             .count());
   }
-  double ElapsedMicros() const { return ElapsedNanos() / 1e3; }
   double ElapsedMillis() const { return ElapsedNanos() / 1e6; }
   double ElapsedSeconds() const { return ElapsedNanos() / 1e9; }
 

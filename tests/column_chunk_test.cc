@@ -21,9 +21,7 @@ using Chunk = PartitionedColumnChunk;
 /// Count of live values in [lo, hi), through the partition evaluator's
 /// count-only walk over the resident chunk (no payload columns).
 uint64_t CountRange(const Chunk& c, Value lo, Value hi) {
-  const std::vector<std::vector<Payload>> no_payload;
-  return ScanPartitions(ScanSpec::Count(lo, hi),
-                        PartitionSource::Resident(c, no_payload),
+  return ScanPartitions(ScanSpec::Count(lo, hi), PartitionSource::Resident(c),
                         &c.stats())
       .count;
 }
@@ -228,111 +226,85 @@ TEST(ColumnChunk, GhostBatchPrefetchesSlots) {
   c.ValidateInvariants();
 }
 
-TEST(ColumnChunk, MoveLogTracksInsertSlot) {
-  Chunk c = Chunk::Build(Iota(8, 0, 10), {4, 4}, {1, 1});
-  MoveLog log;
-  c.Insert(15, &log);
-  ASSERT_NE(log.touched_slot, MoveLog::kNone);
-  EXPECT_EQ(c.raw_data()[log.touched_slot], 15);
-}
+// --- Rows stay whole ----------------------------------------------------------
 
-TEST(ColumnChunk, MoveLogReplaysDeleteSwap) {
-  Chunk c = Chunk::Build(Iota(8), {8});
-  MoveLog log;
-  EXPECT_EQ(c.DeleteOne(0, &log), 1u);  // head victim swaps with tail
-  ASSERT_EQ(log.moves.size(), 1u);
-  EXPECT_EQ(log.moves[0].from, 7u);
-  EXPECT_EQ(log.moves[0].to, 0u);
-  EXPECT_EQ(log.moves[0].len, 1u);
-}
-
-// --- Copy runs against the single-slot ripple they replace -------------------
-
-/// The payload a slot holding key v must carry.
-Payload Shade(Value v) {
-  return static_cast<Payload>((static_cast<uint64_t>(v) * 2654435761u) >> 7);
-}
-
-/// A payload column kept beside a chunk the way PartitionedTable keeps its
-/// columns, but replayed one slot copy at a time, in the order the ripple
-/// takes its steps: the reference every MoveLog run must reproduce.
-class ShadowColumn {
+/// A chunk built with one payload column over distinct keys, and the payload
+/// each live key must carry: every copy the chunk makes must move a key and
+/// its payload together, so after each operation every live slot's payload
+/// is the one its key was given. Keys stay distinct, so an updated row is
+/// known by its new key.
+class RowTracked {
  public:
-  explicit ShadowColumn(const Chunk& c) : slots_(c.raw_data().size(), 0) {
-    for (const auto& p : c.partitions()) {
-      for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-        slots_[s] = Shade(c.raw_data()[s]);
-      }
-    }
+  RowTracked(const std::vector<Value>& keys, std::vector<size_t> sizes,
+             std::vector<size_t> ghosts, Chunk::Options opts)
+      : c(Build(keys, std::move(sizes), std::move(ghosts), opts)) {
+    for (const Value k : keys) rows[k] = Tag(k);
+    Check();
   }
-
-  void Replay(const Chunk& c, const MoveLog& log) {
-    if (log.grew_to != MoveLog::kNone) slots_.resize(log.grew_to, 0);
-    for (const MoveRun& run : log.moves) {
-      const bool ascending = run.to > run.from;
-      const uint32_t gap = ascending ? run.to - run.from : run.from - run.to;
-      if (gap < run.len) ++(ascending ? left_overlaps_ : right_overlaps_);
-      for (uint32_t step = 0; step < run.len; ++step) {
-        const uint32_t j = ascending ? step : run.len - 1 - step;
-        slots_[run.to + j] = slots_[run.from + j];
-      }
-    }
-    if (log.touched_slot != MoveLog::kNone) {
-      slots_[log.touched_slot] = Shade(c.raw_data()[log.touched_slot]);
-    }
-  }
-
-  /// Every live slot carries its key's payload, and the chunk is sound.
-  void Check(const Chunk& c) const {
-    c.ValidateInvariants();
-    ASSERT_EQ(slots_.size(), c.raw_data().size());
-    for (const auto& p : c.partitions()) {
-      for (size_t s = p.begin; s < p.begin + p.size; ++s) {
-        ASSERT_EQ(slots_[s], Shade(c.raw_data()[s])) << "slot " << s;
-      }
-    }
-  }
-
-  /// Runs whose source and destination overlapped (the source partition
-  /// held fewer live rows than the run was long), per direction.
-  size_t left_overlaps() const { return left_overlaps_; }
-  size_t right_overlaps() const { return right_overlaps_; }
-
- private:
-  std::vector<Payload> slots_;
-  size_t left_overlaps_ = 0;
-  size_t right_overlaps_ = 0;
-};
-
-/// A chunk plus its shadow column, checked after every operation.
-struct Shadowed {
-  explicit Shadowed(Chunk chunk) : c(std::move(chunk)), shadow(c) {}
 
   void Insert(Value v) {
-    log.Clear();
-    c.Insert(v, &log);
-    Sync();
+    ASSERT_EQ(rows.count(v), 0u) << "keys stay distinct: " << v;
+    const Payload x = next_payload_++;
+    c.Insert(v, {x});
+    rows[v] = x;
+    Check();
   }
   size_t DeleteOne(Value v) {
-    log.Clear();
-    const size_t n = c.DeleteOne(v, &log);
-    Sync();
+    const size_t n = c.DeleteOne(v);
+    EXPECT_EQ(n, rows.erase(v)) << v;
+    Check();
     return n;
   }
   bool Update(Value from, Value to) {
-    log.Clear();
-    const bool ok = c.Update(from, to, &log);
-    Sync();
+    EXPECT_EQ(rows.count(to), 0u) << "keys stay distinct: " << to;
+    const bool ok = c.Update(from, to);
+    const auto it = rows.find(from);
+    EXPECT_EQ(ok, it != rows.end()) << from;
+    if (it != rows.end()) {
+      const Payload x = it->second;
+      rows.erase(it);
+      rows[to] = x;
+    }
+    Check();
     return ok;
   }
-  void Sync() {
-    shadow.Replay(c, log);
-    shadow.Check(c);
+
+  /// Every live slot carries its key's payload, each key lives once, and the
+  /// chunk is sound (ValidateInvariants also sizes the payload column).
+  void Check() const {
+    c.ValidateInvariants();
+    ASSERT_EQ(c.payload().size(), 1u);
+    ASSERT_EQ(c.size(), rows.size());
+    std::set<Value> seen;
+    for (const auto& p : c.partitions()) {
+      for (size_t s = p.begin; s < p.begin + p.size; ++s) {
+        const Value k = c.raw_data()[s];
+        const auto it = rows.find(k);
+        ASSERT_NE(it, rows.end()) << "slot " << s << " holds unknown key " << k;
+        ASSERT_EQ(c.payload()[0][s], it->second) << "slot " << s << " key " << k;
+        ASSERT_TRUE(seen.insert(k).second) << "key " << k << " lives twice";
+      }
+    }
   }
 
+  bool Has(Value v) const { return rows.count(v) > 0; }
+
   Chunk c;
-  ShadowColumn shadow;
-  MoveLog log;
+  std::map<Value, Payload> rows;
+
+ private:
+  /// The payload a built row with key k starts with.
+  static Payload Tag(Value k) {
+    return static_cast<Payload>((static_cast<uint64_t>(k) * 2654435761u) >> 7);
+  }
+  static Chunk Build(const std::vector<Value>& keys, std::vector<size_t> sizes,
+                     std::vector<size_t> ghosts, Chunk::Options opts) {
+    std::vector<std::vector<Payload>> col(1);
+    for (const Value k : keys) col[0].push_back(Tag(k));
+    return Chunk::Build(keys, std::move(sizes), std::move(ghosts), opts, col);
+  }
+
+  Payload next_payload_ = 1u << 31;  // above every Tag, so a mix-up shows
 };
 
 Chunk::Options GhostOptions(size_t ghost_batch) {
@@ -341,84 +313,115 @@ Chunk::Options GhostOptions(size_t ghost_batch) {
   return opts;
 }
 
+TEST(ColumnChunk, BuildPlacesRowsFromFirstRow) {
+  // Rows 3..14 of a 16-row input; the cut inside the run of 5s slides.
+  std::vector<Value> keys = {1, 2, 5, 5, 5, 5, 5, 9, 10, 11, 12, 13};
+  std::vector<std::vector<Payload>> cols(2, std::vector<Payload>(16));
+  for (size_t r = 0; r < 16; ++r) {
+    cols[0][r] = static_cast<Payload>(100 + r);
+    cols[1][r] = static_cast<Payload>(200 + r);
+  }
+  Chunk c = Chunk::Build(keys, {4, 4, 4}, {1, 0, 2}, Chunk::Options(), cols, 3);
+  c.ValidateInvariants();
+  ASSERT_EQ(c.payload().size(), 2u);
+  size_t r = 3;
+  for (const auto& p : c.partitions()) {
+    for (size_t s = p.begin; s < p.begin + p.size; ++s, ++r) {
+      EXPECT_EQ(c.raw_data()[s], keys[r - 3]);
+      EXPECT_EQ(c.payload()[0][s], 100 + r);
+      EXPECT_EQ(c.payload()[1][s], 200 + r);
+    }
+  }
+  EXPECT_EQ(r, 15u);
+}
+
+TEST(ColumnChunk, ReleaseStorageDropsEveryColumn) {
+  std::vector<std::vector<Payload>> cols(2, std::vector<Payload>(8, 7));
+  Chunk c = Chunk::Build(Iota(8), {4, 4}, {2, 2}, Chunk::Options(), cols);
+  EXPECT_EQ(c.payload()[1].size(), 12u);
+  c.ReleaseStorage();
+  EXPECT_TRUE(c.raw_data().empty());
+  ASSERT_EQ(c.payload().size(), 2u);
+  for (const auto& col : c.payload()) EXPECT_TRUE(col.empty());
+  EXPECT_EQ(c.capacity(), 12u);  // the geometry stays
+  c.ValidateInvariants();
+}
+
 class RippleRuns : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(RippleRuns, LeftRunsCarryTheBlock) {
   const size_t batch = GetParam();
   // Partitions 0 and 1 are full; partition 2 donates toward the front.
-  Shadowed t(Chunk::Build(Iota(48, 0, 10), {16, 16, 16}, {0, 0, 32},
-                          GhostOptions(batch)));
+  RowTracked t(Iota(48, 0, 10), {16, 16, 16}, {0, 0, 32}, GhostOptions(batch));
   t.c.stats().Clear();
   t.Insert(5);
-  ASSERT_EQ(t.log.moves.size(), 2u);  // one run per boundary
-  for (const MoveRun& run : t.log.moves) {
-    EXPECT_EQ(run.len, batch);
-    EXPECT_GT(run.to, run.from);
-  }
+  // One run of `batch` copies per boundary, each counted per slot.
   EXPECT_EQ(t.c.stats().ripple_steps, 2 * batch);
   EXPECT_EQ(t.c.stats().element_reads, 2 * batch);
   EXPECT_EQ(t.c.stats().element_writes, 2 * batch + 1);
-  EXPECT_EQ(t.shadow.left_overlaps(), 0u);
 }
 
 TEST_P(RippleRuns, RightRunsCarryTheBlock) {
   const size_t batch = GetParam();
   // Partition 0 donates toward the back.
-  Shadowed t(Chunk::Build(Iota(48, 0, 10), {16, 16, 16}, {32, 0, 0},
-                          GhostOptions(batch)));
+  RowTracked t(Iota(48, 0, 10), {16, 16, 16}, {32, 0, 0}, GhostOptions(batch));
   t.c.stats().Clear();
   t.Insert(475);
-  ASSERT_EQ(t.log.moves.size(), 2u);
-  for (const MoveRun& run : t.log.moves) {
-    EXPECT_EQ(run.len, batch);
-    EXPECT_LT(run.to, run.from);
-  }
   EXPECT_EQ(t.c.stats().ripple_steps, 2 * batch);
-  EXPECT_EQ(t.shadow.right_overlaps(), 0u);
+  EXPECT_EQ(t.c.stats().element_reads, 2 * batch);
+  EXPECT_EQ(t.c.stats().element_writes, 2 * batch + 1);
 }
 
 TEST_P(RippleRuns, RunsLongerThanTheSourceOverlap) {
   const size_t batch = GetParam();
-  // Partitions of 2 and 3 rows: a block of 8 slots passes through them, so
-  // each run re-reads slots it has already written.
-  Shadowed left(Chunk::Build(Iota(9, 0, 10), {4, 2, 3}, {0, 0, 16},
-                             GhostOptions(batch)));
+  // Partitions of 2 and 3 rows: at batch 8 a block of 8 slots passes through
+  // them, so each run re-reads slots it has already written (a run is not a
+  // memmove, and its copy direction matters).
+  RowTracked left(Iota(9, 0, 10), {4, 2, 3}, {0, 0, 16}, GhostOptions(batch));
+  EXPECT_EQ(left.c.partition(1).size, 2u);
+  EXPECT_EQ(left.c.partition(2).size, 3u);
+  left.c.stats().Clear();
   left.Insert(5);
-  Shadowed right(Chunk::Build(Iota(9, 0, 10), {3, 2, 4}, {16, 0, 0},
-                              GhostOptions(batch)));
+  EXPECT_EQ(left.c.stats().ripple_steps, 2 * batch);
+  EXPECT_EQ(left.c.stats().element_reads, 2 * batch);
+  EXPECT_EQ(left.c.stats().element_writes, 2 * batch + 1);
+
+  RowTracked right(Iota(9, 0, 10), {3, 2, 4}, {16, 0, 0}, GhostOptions(batch));
+  EXPECT_EQ(right.c.partition(1).size, 2u);
+  EXPECT_EQ(right.c.partition(2).size, 4u);
+  right.c.stats().Clear();
   right.Insert(85);
-  if (batch > 3) {
-    EXPECT_EQ(left.shadow.left_overlaps(), 2u);
-    EXPECT_EQ(right.shadow.right_overlaps(), 2u);
-  } else {
-    EXPECT_EQ(left.shadow.left_overlaps() + right.shadow.right_overlaps(), 0u);
-  }
-  for (int i = 0; i < 6; ++i) {
-    left.Insert(1 + i);
-    right.Insert(81 + i);
+  EXPECT_EQ(right.c.stats().ripple_steps, 2 * batch);
+  EXPECT_EQ(right.c.stats().element_reads, 2 * batch);
+  EXPECT_EQ(right.c.stats().element_writes, 2 * batch + 1);
+
+  for (const Value v : {1, 2, 3, 4, 6, 7}) {
+    left.Insert(v);
+    right.Insert(80 + v);
   }
 }
 
-TEST_P(RippleRuns, EmptySourcePartitionLogsNoMove) {
+TEST_P(RippleRuns, EmptySourcePartitionCopiesNothing) {
   const size_t batch = GetParam();
-  Shadowed t(Chunk::Build(Iota(12, 0, 10), {4, 4, 4}, {}, GhostOptions(batch)));
+  RowTracked t(Iota(12, 0, 10), {4, 4, 4}, {}, GhostOptions(batch));
   for (Value v = 40; v < 80; v += 10) ASSERT_EQ(t.DeleteOne(v), 1u);
   // Partition 1 is now empty with four free slots: the slots it donates to
-  // partition 0 carry no rows, so nothing is copied or logged.
+  // partition 0 carry no rows, so nothing is copied.
   t.c.stats().Clear();
   t.Insert(5);
-  EXPECT_TRUE(t.log.moves.empty());
   EXPECT_EQ(t.c.stats().ripple_steps, std::min<size_t>(batch, 4));
   EXPECT_EQ(t.c.stats().element_reads, 0u);
+  EXPECT_EQ(t.c.stats().element_writes, 1u);
 }
 
 TEST_P(RippleRuns, GrowThenRipple) {
   const size_t batch = GetParam();
-  Shadowed t(Chunk::Build(Iota(24, 0, 10), {8, 8, 8}, {}, GhostOptions(batch)));
+  RowTracked t(Iota(24, 0, 10), {8, 8, 8}, {}, GhostOptions(batch));
+  t.c.stats().Clear();
   t.Insert(5);  // full chunk: grows at the back, then ripples to the front
-  EXPECT_NE(t.log.grew_to, MoveLog::kNone);
   EXPECT_EQ(t.c.stats().grows, 1u);
-  for (Value v = 1; v < 40; ++v) t.Insert(v * 6);
+  EXPECT_EQ(t.c.payload()[0].size(), t.c.raw_data().size());
+  for (Value v = 1; v < 40; ++v) t.Insert(v * 6 + 1);
 }
 
 TEST_P(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
@@ -426,51 +429,63 @@ TEST_P(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
   Chunk::Options dense = GhostOptions(batch);
   dense.dense = true;
   dense.spare_tail = 4;
-  Shadowed d(Chunk::Build(Iota(32, 0, 10), {8, 8, 8, 8}, {}, dense));
-  ASSERT_EQ(d.DeleteOne(20), 1u);  // swap run, then a hole to the column end
-  EXPECT_EQ(d.log.moves.size(), 4u);
+  RowTracked d(Iota(32, 0, 10), {8, 8, 8, 8}, {}, dense);
+  d.c.stats().Clear();
+  ASSERT_EQ(d.DeleteOne(20), 1u);  // swap, then a hole to the column end
+  EXPECT_EQ(d.c.stats().ripple_steps, 3u);
+  EXPECT_EQ(d.c.stats().element_reads, 8u + 1 + 3);  // scan, swap, 3 runs
+  EXPECT_EQ(d.c.stats().element_writes, 1u + 3);
   ASSERT_EQ(d.DeleteOne(310), 1u);  // the last partition's tail row
   d.Insert(21);
 
-  Shadowed g(Chunk::Build(Iota(32, 0, 10), {8, 8, 8, 8}, {2, 2, 2, 2},
-                          GhostOptions(batch)));
-  EXPECT_TRUE(g.Update(10, 305));   // forward, across three boundaries
-  EXPECT_TRUE(g.Update(300, 15));   // backward, across three boundaries
+  RowTracked g(Iota(32, 0, 10), {8, 8, 8, 8}, {2, 2, 2, 2}, GhostOptions(batch));
+  const auto steps = [&g] { return g.c.stats().ripple_steps.load(); };
+  g.c.stats().Clear();
+  EXPECT_TRUE(g.Update(10, 305));  // forward, across three boundaries
+  EXPECT_EQ(steps(), 3u);
+  EXPECT_TRUE(g.Update(300, 15));  // backward, across three boundaries
+  EXPECT_EQ(steps(), 6u);
   EXPECT_TRUE(g.Update(230, 105));  // backward, one boundary
+  EXPECT_EQ(steps(), 7u);
   EXPECT_TRUE(g.Update(100, 101));  // in place
+  EXPECT_EQ(steps(), 7u);
+  EXPECT_FALSE(g.Update(999, 5));  // absent source
 }
 
-TEST_P(RippleRuns, RandomStreamMatchesSlotBySlotReplay) {
+TEST_P(RippleRuns, RandomStreamKeepsRowsWhole) {
   const size_t batch = GetParam();
+  const Value domain = 6000;
   for (const bool dense : {false, true}) {
     Rng rng(77 + batch);
-    std::vector<Value> init;
-    for (size_t i = 0; i < 192; ++i) init.push_back(static_cast<Value>(rng.Below(600)));
-    std::sort(init.begin(), init.end());
+    std::set<Value> init;
+    while (init.size() < 192) init.insert(static_cast<Value>(rng.Below(domain)));
     Chunk::Options opts = GhostOptions(batch);
     opts.dense = dense;
     opts.spare_tail = dense ? 8 : 0;
-    Shadowed t(Chunk::Build(init, std::vector<size_t>(24, 8),
-                            std::vector<size_t>(24, dense ? 0 : 1), opts));
+    RowTracked t(std::vector<Value>(init.begin(), init.end()),
+                 std::vector<size_t>(24, 8), std::vector<size_t>(24, dense ? 0 : 1),
+                 opts);
+    // A live key near a random point, or kMaxValue if none lies above it.
+    const auto live_key = [&] {
+      const auto it = t.rows.lower_bound(static_cast<Value>(rng.Below(domain)));
+      return it == t.rows.end() ? kMaxValue : it->first;
+    };
     for (int op = 0; op < 1500; ++op) {
       // Skewed to the front, so ghosts run out and blocks ripple far.
-      const Value v = static_cast<Value>(rng.Below(4) == 0 ? rng.Below(600)
-                                                           : rng.Below(60));
+      const Value v = static_cast<Value>(rng.Below(4) == 0 ? rng.Below(domain)
+                                                           : rng.Below(domain / 10));
       switch (rng.Below(4)) {
         case 0:
         case 1:
-          t.Insert(v);
+          if (!t.Has(v)) t.Insert(v);
           break;
         case 2:
-          t.DeleteOne(static_cast<Value>(rng.Below(600)));
+          t.DeleteOne(static_cast<Value>(rng.Below(domain)));
           break;
         default:
-          t.Update(static_cast<Value>(rng.Below(600)), v);
+          if (!t.Has(v)) t.Update(live_key(), v);
       }
       if (::testing::Test::HasFatalFailure()) return;
-    }
-    if (!dense && batch > 1) {
-      EXPECT_GT(t.shadow.left_overlaps() + t.shadow.right_overlaps(), 0u);
     }
   }
 }

@@ -240,15 +240,5 @@ TEST(Predictions, UniformSummaryIsConsistent) {
   EXPECT_GT(u.delete_ns, u.insert_ns * 0.5);
 }
 
-TEST(Calibration, ProducesSaneOrdering) {
-  // Small working set keeps the test fast; we only check invariants, not
-  // absolute values.
-  AccessCostConstants c = CalibrateAccessCosts(512, 1u << 18);
-  EXPECT_GT(c.rr, 0.0);
-  EXPECT_GT(c.rw, 0.0);
-  EXPECT_GT(c.sr, 0.0);
-  EXPECT_GE(c.rr, c.sr);  // random read at least as expensive as sequential
-}
-
 }  // namespace
 }  // namespace casper
