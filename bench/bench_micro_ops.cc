@@ -523,7 +523,6 @@ void BM_TableInsertRipple(benchmark::State& state) {
   spec.partition_sizes.assign(parts, rows / parts);
   spec.ghosts.assign(parts, rows / 100 / parts);
   PartitionedTable::Options opts;
-  opts.chunk_values = rows;
   opts.chunk.ghost_batch = 8;
   PartitionedTable table =
       PartitionedTable::Build(std::move(keys), std::move(payload), {spec}, opts);

@@ -32,11 +32,6 @@ DeltaStoreLayout::DeltaStoreLayout(std::vector<Value> keys,
 
 size_t DeltaStoreLayout::PointLookup(Value key, std::vector<Payload>* payload) const {
   SharedChunkGuard guard(engine_latch_);
-  return PointLookupLocked(key, payload);
-}
-
-size_t DeltaStoreLayout::PointLookupLocked(Value key,
-                                           std::vector<Payload>* payload) const {
   size_t count = 0;
   size_t first_main = main_keys_.size();
   const auto [lo, hi] = std::equal_range(main_keys_.begin(), main_keys_.end(), key);
@@ -141,17 +136,19 @@ void DeltaStoreLayout::InsertLocked(Value key, const std::vector<Payload>& paylo
 
 size_t DeltaStoreLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
-  return DeleteLocked(key);
+  return DeleteLocked(key, nullptr);
 }
 
-size_t DeltaStoreLayout::DeleteLocked(Value key) {
+size_t DeltaStoreLayout::DeleteLocked(Value key, std::vector<Payload>* row_out) {
   // Prefer the delta (cheap swap-remove), then tombstone the main store.
+  if (row_out != nullptr) row_out->clear();
   const size_t i =
       kernels::FindFirstEqual(delta_keys_.data(), delta_keys_.size(), key);
   if (i < delta_keys_.size()) {
     delta_keys_[i] = delta_keys_.back();
     delta_keys_.pop_back();
     for (auto& col : delta_payload_) {
+      if (row_out != nullptr) row_out->push_back(col[i]);
       col[i] = col.back();
       col.pop_back();
     }
@@ -161,6 +158,9 @@ size_t DeltaStoreLayout::DeleteLocked(Value key) {
   for (auto it = lo; it != hi; ++it) {
     const size_t i = static_cast<size_t>(it - main_keys_.begin());
     if (!deleted_[i]) {
+      if (row_out != nullptr) {
+        for (const auto& col : main_payload_) row_out->push_back(col[i]);
+      }
       deleted_[i] = 1;
       --main_live_;
       return 1;
@@ -170,12 +170,12 @@ size_t DeltaStoreLayout::DeleteLocked(Value key) {
 }
 
 bool DeltaStoreLayout::UpdateKey(Value old_key, Value new_key) {
-  // Classic delta-store update: delete + re-insert (paper §3 "Updates"),
-  // atomic under one exclusive hold of the engine latch.
+  // Classic delta-store update (paper §3 "Updates"): the delete hands out the
+  // row it removes and the insert re-adds exactly that row, atomic under one
+  // exclusive hold of the engine latch.
   ExclusiveChunkGuard guard(engine_latch_);
   std::vector<Payload> row;
-  if (PointLookupLocked(old_key, &row) == 0) return false;
-  DeleteLocked(old_key);
+  if (DeleteLocked(old_key, &row) == 0) return false;
   InsertLocked(new_key, row);
   return true;
 }

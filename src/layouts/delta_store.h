@@ -15,7 +15,9 @@ namespace casper {
 /// Vertica write-store design [78, 48]). Deletes on the main store are
 /// positional tombstones (a delete bitmap, cf. positional update handling
 /// [38]); reads evaluate the main window as tombstone-free runs, and the
-/// merge compacts the tombstones away.
+/// merge compacts the tombstones away. An update is a delete that hands out
+/// the row it removes (the delta's match first, else the main store's)
+/// followed by an insert of that same row under the new key.
 class DeltaStoreLayout final : public LayoutEngine {
  public:
   /// `keys` must be sorted; payload columns aligned.
@@ -53,12 +55,13 @@ class DeltaStoreLayout final : public LayoutEngine {
 
  private:
   // Latch-free internals; public wrappers hold the engine latch (UpdateKey
-  // composes lookup + delete + insert under one exclusive hold).
-  size_t PointLookupLocked(Value key, std::vector<Payload>* payload) const
-      REQUIRES_SHARED(engine_latch_);
+  // composes delete + insert under one exclusive hold).
   void InsertLocked(Value key, const std::vector<Payload>& payload)
       REQUIRES(engine_latch_);
-  size_t DeleteLocked(Value key) REQUIRES(engine_latch_);
+  /// Deletes one row with `key`, the delta's first match before the main
+  /// store's; on a hit, `row_out` (if non-null) receives that row's payload.
+  size_t DeleteLocked(Value key, std::vector<Payload>* row_out)
+      REQUIRES(engine_latch_);
   void MergeLocked() REQUIRES(engine_latch_);
   void MaybeMerge() REQUIRES(engine_latch_);
 

@@ -95,8 +95,6 @@ std::vector<size_t> EvenGhosts(size_t partitions, size_t budget) {
 PartitionedTable::Options PartitionedTableOptionsFor(
     const LayoutBuildOptions& options) {
   PartitionedTable::Options topts;
-  topts.chunk_values = options.chunk_values;
-  topts.chunk.block_values = options.block_values;
   topts.chunk.dense = (options.mode == LayoutMode::kEquiWidth);
   // The dense design moves exactly one slot per ripple (paper Fig. 4);
   // batching is a ghost-value optimization (paper §6.1).

@@ -77,25 +77,28 @@ void SortedLayout::InsertLocked(Value key, const std::vector<Payload>& payload) 
   }
 }
 
+bool SortedLayout::TakeLocked(Value key, std::vector<Payload>* row_out) {
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) return false;
+  const size_t pos = static_cast<size_t>(it - keys_.begin());
+  if (row_out != nullptr) row_out->clear();
+  keys_.erase(it);
+  for (auto& col : payload_) {
+    if (row_out != nullptr) row_out->push_back(col[pos]);
+    col.erase(col.begin() + static_cast<ptrdiff_t>(pos));
+  }
+  return true;
+}
+
 size_t SortedLayout::Delete(Value key) {
   ExclusiveChunkGuard guard(engine_latch_);
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return 0;
-  const size_t pos = static_cast<size_t>(it - keys_.begin());
-  keys_.erase(it);
-  for (auto& col : payload_) col.erase(col.begin() + static_cast<ptrdiff_t>(pos));
-  return 1;
+  return TakeLocked(key, nullptr) ? 1 : 0;
 }
 
 bool SortedLayout::UpdateKey(Value old_key, Value new_key) {
   ExclusiveChunkGuard guard(engine_latch_);
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), old_key);
-  if (it == keys_.end() || *it != old_key) return false;
-  const size_t pos = static_cast<size_t>(it - keys_.begin());
-  std::vector<Payload> row(payload_.size());
-  for (size_t c = 0; c < payload_.size(); ++c) row[c] = payload_[c][pos];
-  keys_.erase(it);
-  for (auto& col : payload_) col.erase(col.begin() + static_cast<ptrdiff_t>(pos));
+  std::vector<Payload> row;
+  if (!TakeLocked(old_key, &row)) return false;
   InsertLocked(new_key, row);
   return true;
 }

@@ -9,7 +9,9 @@ namespace casper {
 
 /// Fully sorted column-store (paper Table 1 row (b)): binary-search reads,
 /// but every write shifts the tail of the column (and of every payload
-/// column) to keep the sort order — the classic read-optimized extreme.
+/// column) to keep the sort order — the classic read-optimized extreme. A
+/// delete takes its row out (TakeLocked), and an update is that take followed
+/// by an insert of the same row under the new key.
 class SortedLayout final : public LayoutEngine {
  public:
   /// `keys` must be sorted; payload columns aligned with it.
@@ -40,6 +42,11 @@ class SortedLayout final : public LayoutEngine {
   /// Latch-free insert at the upper_bound position (new rows land after
   /// existing equals); Insert and UpdateKey hold the engine latch exclusively.
   void InsertLocked(Value key, const std::vector<Payload>& payload)
+      REQUIRES(engine_latch_);
+
+  /// Latch-free take of the first row with `key`: erases it from every
+  /// column, handing its payload to `row_out` if non-null. False if absent.
+  bool TakeLocked(Value key, std::vector<Payload>* row_out)
       REQUIRES(engine_latch_);
 
   /// Spec evaluation over the pre-qualified sorted window [first, last)

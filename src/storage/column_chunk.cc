@@ -136,10 +136,6 @@ inline void PartitionedColumnChunk::MoveRows(const MoveRun& run) {
   for (std::vector<Payload>& col : payload_) CopyRun(col.data(), run);
 }
 
-inline void PartitionedColumnChunk::PutRow(size_t slot, const Payload* row) {
-  for (size_t col = 0; col < payload_.size(); ++col) payload_[col][slot] = row[col];
-}
-
 inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, size_t k) {
   Partition& a = parts_[t];
   Partition& b = parts_[t + 1];
@@ -218,14 +214,33 @@ void PartitionedColumnChunk::EnsureFreeSlot(size_t m) {
 
 // --- Write path ----------------------------------------------------------------
 
-void PartitionedColumnChunk::Insert(Value v, const std::vector<Payload>& row) {
-  CASPER_CHECK(row.size() == payload_.size());
-  const size_t m = index_.Route(v);
-  EnsureFreeSlot(m);
-  Partition& p = parts_[m];
+inline size_t PartitionedColumnChunk::FindRow(size_t t, Value v) const {
+  const Partition& p = parts_[t];
+  const size_t hit = kernels::FindFirstEqual(data_.data() + p.begin, p.size, v);
+  stats_.element_reads += p.size;
+  return hit == p.size ? kNoSlot : p.begin + hit;
+}
+
+inline void PartitionedColumnChunk::TakeRow(size_t t, size_t slot, Payload* row_out) {
+  if (row_out != nullptr) {
+    for (size_t col = 0; col < payload_.size(); ++col) row_out[col] = payload_[col][slot];
+  }
+  Partition& p = parts_[t];
+  const size_t last = p.begin + p.size - 1;
+  if (slot != last) {
+    MoveRows({static_cast<uint32_t>(last), static_cast<uint32_t>(slot), 1});
+    ++stats_.element_reads;
+    ++stats_.element_writes;
+  }
+  p.size -= 1;
+  live_ -= 1;
+}
+
+inline void PartitionedColumnChunk::PlaceRow(size_t t, Value v, const Payload* row) {
+  Partition& p = parts_[t];
   const size_t slot = p.begin + p.size;
   data_[slot] = v;
-  PutRow(slot, row.data());
+  for (size_t col = 0; col < payload_.size(); ++col) payload_[col][slot] = row[col];
   p.size += 1;
   live_ += 1;
   p.min_val = std::min(p.min_val, v);
@@ -233,24 +248,20 @@ void PartitionedColumnChunk::Insert(Value v, const std::vector<Payload>& row) {
   ++stats_.element_writes;
 }
 
-size_t PartitionedColumnChunk::DeleteOne(Value v) {
+void PartitionedColumnChunk::Insert(Value v, const std::vector<Payload>& row) {
+  CASPER_CHECK(row.size() == payload_.size());
   const size_t m = index_.Route(v);
-  Partition& p = parts_[m];
-  ++stats_.partitions_scanned;
-  if (p.size == 0 || v < p.min_val || v > p.max_val) return 0;
-  const Value* d = data_.data() + p.begin;
-  const size_t hit = kernels::FindFirstEqual(d, p.size, v);
-  stats_.element_reads += p.size;
-  if (hit == p.size) return 0;
-  const size_t pos = p.begin + hit;
-  const size_t last = p.begin + p.size - 1;
-  if (pos != last) {
-    MoveRows({static_cast<uint32_t>(last), static_cast<uint32_t>(pos), 1});
-    ++stats_.element_reads;
-    ++stats_.element_writes;
-  }
-  p.size -= 1;
-  live_ -= 1;
+  EnsureFreeSlot(m);
+  PlaceRow(m, v, row.data());
+}
+
+size_t PartitionedColumnChunk::DeleteOne(Value v, std::vector<Payload>* row_out) {
+  const size_t m = ProbePartition(v);
+  if (m == kNoPartition) return 0;
+  const size_t slot = FindRow(m, v);
+  if (slot == kNoSlot) return 0;
+  if (row_out != nullptr) row_out->resize(payload_.size());
+  TakeRow(m, slot, row_out == nullptr ? nullptr : row_out->data());
   if (opts_.dense) {
     // Dense layout keeps the column contiguous: ripple the hole to the end.
     for (size_t t = m; t + 1 < parts_.size(); ++t) MoveFreeSlotRight(t, 1);
@@ -259,56 +270,31 @@ size_t PartitionedColumnChunk::DeleteOne(Value v) {
 }
 
 bool PartitionedColumnChunk::Update(Value old_value, Value new_value) {
-  const size_t i = index_.Route(old_value);
-  Partition& p = parts_[i];
-  ++stats_.partitions_scanned;
-  if (p.size == 0 || old_value < p.min_val || old_value > p.max_val) return false;
-  const Value* d = data_.data() + p.begin;
-  const size_t hit = kernels::FindFirstEqual(d, p.size, old_value);
-  stats_.element_reads += p.size;
-  if (hit == p.size) return false;
-  const size_t pos = p.begin + hit;
-
+  const size_t i = ProbePartition(old_value);
+  if (i == kNoPartition) return false;
+  const size_t slot = FindRow(i, old_value);
+  if (slot == kNoSlot) return false;
   const size_t j = index_.Route(new_value);
 
   if (i == j) {
-    data_[pos] = new_value;
+    Partition& p = parts_[i];
+    data_[slot] = new_value;
     ++stats_.element_writes;
     p.min_val = std::min(p.min_val, new_value);
     p.max_val = std::max(p.max_val, new_value);
     return true;
   }
 
-  // Detach the old row: keep its payload aside, then swap it out with the
-  // partition's last row, leaving a free slot at the tail (paper Fig. 4b
-  // first phase).
-  for (size_t col = 0; col < payload_.size(); ++col) {
-    row_scratch_[col] = payload_[col][pos];
-  }
-  const size_t last = p.begin + p.size - 1;
-  if (pos != last) {
-    MoveRows({static_cast<uint32_t>(last), static_cast<uint32_t>(pos), 1});
-    ++stats_.element_reads;
-    ++stats_.element_writes;
-  }
-  p.size -= 1;
-
-  // Ripple the free slot to the destination partition (forward or backward).
+  // Take the row out, leaving a free slot at the partition's tail (paper
+  // Fig. 4b first phase), ripple that slot to the destination partition
+  // (forward or backward), and place the row there.
+  TakeRow(i, slot, row_scratch_.data());
   if (j > i) {
     for (size_t t = i; t < j; ++t) MoveFreeSlotRight(t, 1);
   } else {
     for (size_t t = i; t-- > j;) MoveFreeSlotLeft(t, 1);
   }
-
-  Partition& q = parts_[j];
-  CASPER_CHECK(q.free_slots() > 0);
-  const size_t slot = q.begin + q.size;
-  data_[slot] = new_value;
-  PutRow(slot, row_scratch_.data());
-  q.size += 1;
-  q.min_val = std::min(q.min_val, new_value);
-  q.max_val = std::max(q.max_val, new_value);
-  ++stats_.element_writes;
+  PlaceRow(j, new_value, row_scratch_.data());
   return true;
 }
 

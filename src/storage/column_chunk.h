@@ -20,6 +20,13 @@ namespace casper {
 /// columns follow it (paper §4.2, "Columns and Column-Groups"): every copy
 /// the chunk makes (MoveRows) moves the key and each payload column at once.
 ///
+/// Every write is made of three steps: find a row's slot in its partition
+/// (probed like a point read), take the row out (its payload copied out and
+/// the partition's last row moved into the hole), and place a row at a
+/// partition's first free slot. An insert places, a delete takes and hands
+/// the row out, and an update takes, ripples the free slot to the
+/// destination partition and places the same row there.
+///
 /// Writes move data with the ripple algorithms of paper Fig. 4: a free slot
 /// travels across partition boundaries one element copy per partition, so
 /// the measured data movement matches the cost model's
@@ -32,9 +39,6 @@ namespace casper {
 class PartitionedColumnChunk {
  public:
   struct Options {
-    /// Values per logical block; partitions are built on block boundaries
-    /// but drift freely afterwards (paper §4.4).
-    size_t block_values = 4096;
     /// Dense mode (no ghost values): every delete ripples its hole to the
     /// column end, every insert pulls a slot from the end. Ghost mode
     /// leaves/uses free slots in place.
@@ -78,10 +82,11 @@ class PartitionedColumnChunk {
 
   // --- Read path -------------------------------------------------------------
 
-  /// The partition a point read of v scans (paper Fig. 3b): v's routed
-  /// partition, or kNoPartition when that partition is empty or its zone map
-  /// excludes v. Counts the partition scanned, and pruned when excluded. Reads
-  /// only geometry, so it answers for an evicted chunk too.
+  /// The partition a point read of v scans (paper Fig. 3b), and the one a
+  /// delete or an update of v searches: v's routed partition, or kNoPartition
+  /// when that partition is empty or its zone map excludes v. Counts the
+  /// partition scanned, and pruned when excluded. Reads only geometry, so it
+  /// answers for an evicted chunk too.
   size_t ProbePartition(Value v) const;
   static constexpr size_t kNoPartition = static_cast<size_t>(-1);
 
@@ -94,8 +99,10 @@ class PartitionedColumnChunk {
   /// `row` (one entry per payload column) at the same slot.
   void Insert(Value v, const std::vector<Payload>& row = {});
 
-  /// Deletes one row with key v. Returns the number deleted (0 or 1).
-  size_t DeleteOne(Value v);
+  /// Deletes one row with key v, probed like a point read (ProbePartition).
+  /// Returns the number deleted (0 or 1); on a hit, `row_out` (if non-null)
+  /// receives the removed row's payload, one entry per payload column.
+  size_t DeleteOne(Value v, std::vector<Payload>* row_out = nullptr);
 
   /// Moves one row with key old_value to key new_value, payload unchanged
   /// (direct ripple update, paper §3 "Updates"). Returns false if old_value
@@ -175,14 +182,23 @@ class PartitionedColumnChunk {
   // Widens the last partition's region in every column.
   void Grow();
 
-  // Writes `row` (one entry per payload column) at `slot`.
-  void PutRow(size_t slot, const Payload* row);
+  // The three steps every write is made of. FindRow: the slot of the first
+  // row with key v in partition t, or kNoSlot; counts the partition's rows
+  // as element reads. TakeRow: removes the row at `slot` of partition t,
+  // copying its payload to `row_out` (if non-null) and moving the
+  // partition's last row into the hole, so the free slot opens at the tail.
+  // PlaceRow: writes (v, row) at partition t's first free slot, which must
+  // exist.
+  size_t FindRow(size_t t, Value v) const;
+  void TakeRow(size_t t, size_t slot, Payload* row_out);
+  void PlaceRow(size_t t, Value v, const Payload* row);
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
 
   Options opts_;
   std::vector<Value> data_;
   std::vector<std::vector<Payload>> payload_;  // [col][slot]
-  // An updated row's payload while its slot is recycled (Update); a member,
-  // so an update allocates nothing.
+  // An updated row's payload between its take and its place (Update); a
+  // member, so an update allocates nothing.
   std::vector<Payload> row_scratch_;
   std::vector<Partition> parts_;
   PartitionIndex index_;

@@ -98,22 +98,18 @@ auto PartitionedTable::WithRows(const TableChunk& ch, Fn&& fn) const {
   return fn(PartitionSource::File(ch.chunk, pc.encoding));
 }
 
-size_t PartitionedTable::PointLookupLocked(const TableChunk& ch, Value key,
-                                           std::vector<Payload>* payload_out) const {
+size_t PartitionedTable::PointLookup(Value key,
+                                     std::vector<Payload>* payload_out) const {
   if (payload_out != nullptr) payload_out->clear();
+  const TableChunk& ch = *chunks_[RouteChunk(key)];
+  SharedChunkGuard guard(ch.latch);
+  // Probe the resident geometry first: a miss it proves opens no tier file.
   const size_t t = ch.chunk.ProbePartition(key);
   if (t == PartitionedColumnChunk::kNoPartition) return 0;
   ChunkStats* stats = &ch.chunk.stats();
   return WithRows(ch, [&](const PartitionSource& src) {
     return PointRead(src, t, key, payload_out, stats);
   });
-}
-
-size_t PartitionedTable::PointLookup(Value key,
-                                     std::vector<Payload>* payload_out) const {
-  const TableChunk& ch = *chunks_[RouteChunk(key)];
-  SharedChunkGuard guard(ch.latch);
-  return PointLookupLocked(ch, key, payload_out);
 }
 
 ScanPartial PartitionedTable::ScanSpecInChunk(size_t c, const ScanSpec& spec) const {
@@ -155,8 +151,7 @@ bool PartitionedTable::MoveRowAcrossChunks(TableChunk& src, TableChunk& dst,
   EnsureResidentLocked(src);
   EnsureResidentLocked(dst);
   std::vector<Payload> row;
-  if (PointLookupLocked(src, old_key, &row) == 0) return false;
-  CASPER_CHECK(src.chunk.DeleteOne(old_key) == 1);
+  if (src.chunk.DeleteOne(old_key, &row) == 0) return false;
   dst.chunk.Insert(new_key, row);
   return true;
 }
@@ -170,8 +165,8 @@ bool PartitionedTable::UpdateKey(Value old_key, Value new_key) {
     EnsureResidentLocked(ch);
     return ch.chunk.Update(old_key, new_key);
   }
-  // Cross-chunk update: delete from the source chunk, reinsert in the
-  // destination chunk, carrying the payload across. Both chunk latches are
+  // Cross-chunk update: take the row out of the source chunk and insert it
+  // in the destination chunk under its new key. Both chunk latches are
   // held for the whole move so no reader sees the row absent from both;
   // ascending-index acquisition (checked by AssertLatchOrdered, one branch
   // per direction so the analysis sees exactly which latches are held) keeps

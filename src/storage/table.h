@@ -31,7 +31,6 @@ struct PersistedChunk;
 class PartitionedTable {
  public:
   struct Options {
-    size_t chunk_values = size_t{1} << 20;
     PartitionedColumnChunk::Options chunk;
   };
 
@@ -43,8 +42,9 @@ class PartitionedTable {
   };
 
   /// Bulk-loads rows already sorted by key. `payload_cols[c][r]` is column
-  /// c+1 of row r. `specs[i]` describes chunk i; chunks are formed by
-  /// splitting the sorted input into runs of at most options.chunk_values.
+  /// c+1 of row r. `specs[i]` describes chunk i, and its partition sizes sum
+  /// to chunk i's row count: the sorted input is cut into consecutive runs
+  /// of those counts.
   static PartitionedTable Build(std::vector<Value> sorted_keys,
                                 std::vector<std::vector<Payload>> payload_cols,
                                 std::vector<ChunkLayoutSpec> specs,
@@ -250,9 +250,10 @@ class PartitionedTable {
 
   size_t RouteChunk(Value key) const;
 
-  /// Cross-chunk key move: delete `old_key` from src, reinsert as `new_key`
-  /// in dst carrying the payload. Both latches held by the caller (acquired
-  /// in ascending chunk index, see UpdateKey).
+  /// Cross-chunk key move: take the row with `old_key` out of src (one probe
+  /// and one read of its partition) and insert it as `new_key` in dst. Both
+  /// latches held by the caller (acquired in ascending chunk index, see
+  /// UpdateKey).
   bool MoveRowAcrossChunks(TableChunk& src, TableChunk& dst, Value old_key,
                            Value new_key) REQUIRES(src.latch, dst.latch);
 
@@ -269,12 +270,6 @@ class PartitionedTable {
   /// file loaded once (LoadEvicted) for the duration of the call.
   template <typename Fn>
   auto WithRows(const TableChunk& ch, Fn&& fn) const REQUIRES_SHARED(ch.latch);
-
-  /// The one point read of ch: probe the resident geometry (a miss it proves
-  /// opens no tier file), then PointRead the probed partition's rows.
-  size_t PointLookupLocked(const TableChunk& ch, Value key,
-                           std::vector<Payload>* payload_out) const
-      REQUIRES_SHARED(ch.latch);
 
   /// Bytes one slot takes across the key and payload columns.
   size_t RowBytes() const {

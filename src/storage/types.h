@@ -114,47 +114,64 @@ class RelaxedCounter {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Plain-value copy of a ChunkStats, for the solver/capture/reporting paths
-/// that want one coherent set of numbers instead of six racing loads.
-struct ChunkStatsSnapshot {
-  uint64_t element_reads = 0;
-  uint64_t element_writes = 0;
-  uint64_t ripple_steps = 0;
-  uint64_t partitions_scanned = 0;
-  uint64_t partitions_pruned = 0;
-  uint64_t compressed_scans = 0;
-  uint64_t compressed_payload_scans = 0;
-  uint64_t payload_partitions_pruned = 0;
-  uint64_t grows = 0;
-  uint64_t evictions = 0;
-  uint64_t promotions = 0;
-  uint64_t disk_reads = 0;
-  uint64_t disk_bytes_read = 0;
+/// The per-chunk data-movement counters, declared once over the counter
+/// type: ChunkStats holds them as relaxed atomics, ChunkStatsSnapshot as
+/// plain values. ForEachCounter is the one other place that names them.
+template <typename T>
+struct ChunkCounters {
+  T element_reads{};
+  T element_writes{};
+  T ripple_steps{};        ///< free-slot moves across boundaries
+  T partitions_scanned{};  ///< partitions touched by point reads, scans and
+                           ///< writes
+  T partitions_pruned{};   ///< partitions skipped by their zone map
+                           ///< (min_val/max_val excluded the key or range
+                           ///< without reading a single element)
+  T compressed_scans{};    ///< range counts answered from a chunk file's
+                           ///< packed (FoR) key frames
+  T compressed_payload_scans{};   ///< partition scans that read at least one
+                                  ///< packed (FoR/dict) payload column
+  T payload_partitions_pruned{};  ///< partitions skipped because a payload
+                                  ///< zone map excluded a predicate range
+  T grows{};
+  T evictions{};        ///< times this chunk was demoted to disk
+  T promotions{};       ///< times it was rebuilt back in memory
+  T disk_reads{};       ///< cold reads served from the chunk file
+  T disk_bytes_read{};  ///< bytes those cold reads pulled off disk
 };
 
+/// Calls fn(a.x, b.x) for every counter x of two ChunkCounters.
+template <typename A, typename B, typename Fn>
+void ForEachCounter(A& a, B& b, Fn&& fn) {
+  fn(a.element_reads, b.element_reads);
+  fn(a.element_writes, b.element_writes);
+  fn(a.ripple_steps, b.ripple_steps);
+  fn(a.partitions_scanned, b.partitions_scanned);
+  fn(a.partitions_pruned, b.partitions_pruned);
+  fn(a.compressed_scans, b.compressed_scans);
+  fn(a.compressed_payload_scans, b.compressed_payload_scans);
+  fn(a.payload_partitions_pruned, b.payload_partitions_pruned);
+  fn(a.grows, b.grows);
+  fn(a.evictions, b.evictions);
+  fn(a.promotions, b.promotions);
+  fn(a.disk_reads, b.disk_reads);
+  fn(a.disk_bytes_read, b.disk_bytes_read);
+}
+
+/// Plain-value copy of a ChunkStats, for the solver/capture/reporting paths
+/// that want one coherent set of numbers instead of racing loads.
+using ChunkStatsSnapshot = ChunkCounters<uint64_t>;
+
 /// The unified stats read surface: one coherent counter snapshot per chunk,
-/// as returned by PartitionedLayout::StatsSnapshots(). Everything that used
-/// to hand-roll CoherentStatsSnapshot loops (dashboards, advisors, the
-/// layout maintenance service) reads this instead.
+/// as returned by PartitionedLayout::StatsSnapshots(). Dashboards, advisors
+/// and the layout maintenance service read this.
 struct StatsSnapshotRegistry {
   std::vector<ChunkStatsSnapshot> per_chunk;
 
   ChunkStatsSnapshot Totals() const {
     ChunkStatsSnapshot t;
     for (const ChunkStatsSnapshot& s : per_chunk) {
-      t.element_reads += s.element_reads;
-      t.element_writes += s.element_writes;
-      t.ripple_steps += s.ripple_steps;
-      t.partitions_scanned += s.partitions_scanned;
-      t.partitions_pruned += s.partitions_pruned;
-      t.compressed_scans += s.compressed_scans;
-      t.compressed_payload_scans += s.compressed_payload_scans;
-      t.payload_partitions_pruned += s.payload_partitions_pruned;
-      t.grows += s.grows;
-      t.evictions += s.evictions;
-      t.promotions += s.promotions;
-      t.disk_reads += s.disk_reads;
-      t.disk_bytes_read += s.disk_bytes_read;
+      ForEachCounter(t, s, [](uint64_t& sum, uint64_t v) { sum += v; });
     }
     return t;
   }
@@ -166,43 +183,12 @@ struct StatsSnapshotRegistry {
 /// queries (and parallel shard scans within one query) bump them from many
 /// threads at once. Totals are exact under any interleaving of increments;
 /// Snapshot() is coherent only when taken between queries.
-struct ChunkStats {
-  RelaxedCounter element_reads;
-  RelaxedCounter element_writes;
-  RelaxedCounter ripple_steps;       ///< free-slot moves across boundaries
-  RelaxedCounter partitions_scanned; ///< partitions touched by queries
-  RelaxedCounter partitions_pruned;  ///< partitions skipped by their zone map
-                                     ///< (min_val/max_val excluded the range
-                                     ///< without reading a single element)
-  RelaxedCounter compressed_scans;   ///< range counts answered from a chunk
-                                     ///< file's packed (FoR) key frames
-  RelaxedCounter compressed_payload_scans;  ///< partition scans that read at
-                                            ///< least one packed (FoR/dict)
-                                            ///< payload column
-  RelaxedCounter payload_partitions_pruned;  ///< partitions skipped because a
-                                             ///< payload zone map excluded a
-                                             ///< predicate range
-  RelaxedCounter grows;
-  RelaxedCounter evictions;         ///< times this chunk was demoted to disk
-  RelaxedCounter promotions;        ///< times it was rebuilt back in memory
-  RelaxedCounter disk_reads;        ///< cold reads served from the chunk file
-  RelaxedCounter disk_bytes_read;   ///< bytes those cold reads pulled off disk
-
+struct ChunkStats : ChunkCounters<RelaxedCounter> {
   ChunkStatsSnapshot Snapshot() const {
     ChunkStatsSnapshot s;
-    s.element_reads = element_reads.load();
-    s.element_writes = element_writes.load();
-    s.ripple_steps = ripple_steps.load();
-    s.partitions_scanned = partitions_scanned.load();
-    s.partitions_pruned = partitions_pruned.load();
-    s.compressed_scans = compressed_scans.load();
-    s.compressed_payload_scans = compressed_payload_scans.load();
-    s.payload_partitions_pruned = payload_partitions_pruned.load();
-    s.grows = grows.load();
-    s.evictions = evictions.load();
-    s.promotions = promotions.load();
-    s.disk_reads = disk_reads.load();
-    s.disk_bytes_read = disk_bytes_read.load();
+    ForEachCounter(s, *this, [](uint64_t& out, const RelaxedCounter& c) {
+      out = c.load();
+    });
     return s;
   }
 
@@ -212,19 +198,7 @@ struct ChunkStats {
   /// promotion) carries its counts over, since they describe the data, not
   /// the geometry.
   void Restore(const ChunkStatsSnapshot& s) {
-    element_reads.store(s.element_reads);
-    element_writes.store(s.element_writes);
-    ripple_steps.store(s.ripple_steps);
-    partitions_scanned.store(s.partitions_scanned);
-    partitions_pruned.store(s.partitions_pruned);
-    compressed_scans.store(s.compressed_scans);
-    compressed_payload_scans.store(s.compressed_payload_scans);
-    payload_partitions_pruned.store(s.payload_partitions_pruned);
-    grows.store(s.grows);
-    evictions.store(s.evictions);
-    promotions.store(s.promotions);
-    disk_reads.store(s.disk_reads);
-    disk_bytes_read.store(s.disk_bytes_read);
+    ForEachCounter(*this, s, [](RelaxedCounter& c, uint64_t v) { c.store(v); });
   }
 };
 

@@ -249,9 +249,16 @@ class RowTracked {
     rows[v] = x;
     Check();
   }
+  /// Also checks that the row DeleteOne hands out is its key's payload.
   size_t DeleteOne(Value v) {
-    const size_t n = c.DeleteOne(v);
-    EXPECT_EQ(n, rows.erase(v)) << v;
+    std::vector<Payload> taken;
+    const size_t n = c.DeleteOne(v, &taken);
+    const auto it = rows.find(v);
+    EXPECT_EQ(n, it != rows.end() ? 1u : 0u) << v;
+    if (n == 1 && it != rows.end()) {
+      EXPECT_EQ(taken, std::vector<Payload>{it->second}) << v;
+      rows.erase(it);
+    }
     Check();
     return n;
   }
@@ -505,13 +512,20 @@ struct Fnv1a {
   }
 };
 
+/// What a seeded, ripple-heavy stream leaves behind: the slot image and each
+/// chunk's data-movement counters.
+struct RippleStreamResult {
+  uint64_t image_hash = 0;
+  std::vector<ChunkStatsSnapshot> stats;  ///< per chunk
+};
+
 /// A seeded, ripple-heavy stream over a 3-column table with the factory's
 /// ghost batch of 8: skewed inserts that exhaust the ghosts and grow the
 /// chunks, deletes, cross-partition and cross-chunk key updates, and batched
-/// write runs. Hashes every chunk's full key buffer (free slots included),
-/// every live payload row in partition order, the geometry and the data
-/// movement counters.
-uint64_t RippleStreamImageHash() {
+/// write runs. The image hash covers the row count, the geometry, every
+/// chunk's full key buffer (free slots included) and every live payload row
+/// in partition order.
+RippleStreamResult RunRippleStream() {
   const size_t rows = 8192;
   const size_t cols = 3;
   Rng rng(2028);
@@ -524,8 +538,6 @@ uint64_t RippleStreamImageHash() {
     for (Payload& x : col) x = static_cast<Payload>(rng.Below(1u << 30));
   }
   PartitionedTable::Options opts;
-  opts.chunk_values = 4096;
-  opts.chunk.block_values = 64;
   opts.chunk.ghost_batch = 8;
   std::vector<PartitionedTable::ChunkLayoutSpec> specs(2);
   for (auto& spec : specs) {
@@ -553,7 +565,10 @@ uint64_t RippleStreamImageHash() {
     } else if (kind == 6) {
       t.Delete(keys[rng.Below(rows)]);
     } else if (kind < 9) {
-      t.UpdateKey(keys[rng.Below(rows)], skewed_key());
+      // Sequenced: the order in which call arguments are evaluated is
+      // unspecified, and the two draws must come in one order everywhere.
+      const Value from = keys[rng.Below(rows)];
+      t.UpdateKey(from, skewed_key());
     } else {
       std::vector<BatchWrite> run(8);
       for (BatchWrite& w : run) {
@@ -569,6 +584,7 @@ uint64_t RippleStreamImageHash() {
   }
   t.ValidateInvariants();
 
+  RippleStreamResult out;
   Fnv1a fnv;
   fnv.Add(t.num_rows());
   fnv.Add(t.LayoutFingerprint());
@@ -580,19 +596,28 @@ uint64_t RippleStreamImageHash() {
     for (const auto& col : image.payload) {
       for (const Payload x : col) fnv.Add(x);
     }
-    const ChunkStatsSnapshot s = t.CoherentStatsSnapshot(c);
-    fnv.Add(s.ripple_steps);
-    fnv.Add(s.element_reads);
-    fnv.Add(s.element_writes);
-    fnv.Add(s.grows);
+    out.stats.push_back(t.CoherentStatsSnapshot(c));
   }
-  return fnv.h;
+  out.image_hash = fnv.h;
+  return out;
 }
 
 TEST(RippleRuns, GoldenSlotImageAfterRippleHeavyStream) {
-  // Recorded with the single-slot ripple the runs replaced: the runs must
-  // leave every key slot, payload row and counter where it left them.
-  EXPECT_EQ(RippleStreamImageHash(), 0xfcc6a0f05ce6e858ull);
+  const RippleStreamResult r = RunRippleStream();
+  // Every key slot and payload row stays where the single-slot ripple put
+  // it.
+  EXPECT_EQ(r.image_hash, 0x320cd640b53995aeull);
+  ASSERT_EQ(r.stats.size(), 2u);
+  // The data movement, chunk by chunk: a cross-chunk move (258 and 244 of
+  // them) reads its source partition once.
+  EXPECT_EQ(r.stats[0].element_reads, 608884u);
+  EXPECT_EQ(r.stats[1].element_reads, 630853u);
+  EXPECT_EQ(r.stats[0].ripple_steps, 107889u);
+  EXPECT_EQ(r.stats[1].ripple_steps, 104381u);
+  EXPECT_EQ(r.stats[0].element_writes, 113368u);
+  EXPECT_EQ(r.stats[1].element_writes, 109833u);
+  EXPECT_EQ(r.stats[0].grows, 34u);
+  EXPECT_EQ(r.stats[1].grows, 33u);
 }
 
 // Property test: a random operation stream against a multiset oracle.

@@ -338,6 +338,28 @@ TEST(DeltaStore, UpdateMovesRowWithPayload) {
   EXPECT_EQ(ds.PointLookup(20, nullptr), 0u);
 }
 
+TEST(DeltaStore, UpdateOfAKeyInBothStoresMovesOneWholeRow) {
+  // Key 5 has a main row (payload 100) and a delta row (payload 200). The
+  // update must move exactly the row its delete removes: one payload stays
+  // under 5, the other moves to 7, and nothing is lost or duplicated.
+  DeltaStoreLayout ds({3, 5}, {{100, 100}});
+  ds.Insert(5, {200});
+  ASSERT_EQ(ds.delta_size(), 1u);
+  ScanSpec sum = ScanSpec::Sum(0, 0, {0});
+  sum.full_domain = true;
+  ASSERT_EQ(ds.ExecuteScan(sum).SumResult(), 400);
+
+  EXPECT_TRUE(ds.UpdateKey(5, 7));
+  EXPECT_EQ(ds.num_rows(), 3u);
+  EXPECT_EQ(ds.ExecuteScan(sum).SumResult(), 400);
+  std::vector<Payload> at5;
+  std::vector<Payload> at7;
+  ASSERT_EQ(ds.PointLookup(5, &at5), 1u);
+  ASSERT_EQ(ds.PointLookup(7, &at7), 1u);
+  EXPECT_EQ(std::multiset<Payload>({at5[0], at7[0]}), std::multiset<Payload>({100, 200}));
+  ds.ValidateInvariants();
+}
+
 TEST(PartitionedLayout, PayloadFollowsRowsThroughRipples) {
   // Build a ghostless partitioned table and force cross-partition ripples;
   // payload must stay attached to its key.
@@ -530,11 +552,8 @@ TEST(ScanMemory, ReadsNeverGrowResidentBytes) {
   }
   PartitionedTable::ChunkLayoutSpec spec;
   spec.partition_sizes.assign(8, 1024);
-  PartitionedTable::Options topts;
-  topts.chunk_values = keys.size();
-  PartitionedLayout layout(
-      LayoutMode::kEquiWidthGhost,
-      PartitionedTable::Build(keys, payload, {spec}, topts));
+  PartitionedLayout layout(LayoutMode::kEquiWidthGhost,
+                           PartitionedTable::Build(keys, payload, {spec}));
 
   ScanSpec full_sum = ScanSpec::Sum(0, 0, {1});
   full_sum.full_domain = true;

@@ -384,15 +384,12 @@ PartitionedTable MakeCaptureTable() {
     keys.push_back(key);
     payload[0].push_back(static_cast<Payload>(key % 1000));
   }
-  PartitionedTable::Options options;
-  options.chunk_values = kCapChunkRows;
-  options.chunk.block_values = kCapBlockValues;
   std::vector<PartitionedTable::ChunkLayoutSpec> specs(kCapChunks);
   for (auto& spec : specs) {
     spec.partition_sizes.assign(kCapPartitions, kCapChunkRows / kCapPartitions);
   }
   return PartitionedTable::Build(std::move(keys), std::move(payload),
-                                 std::move(specs), options);
+                                 std::move(specs));
 }
 
 std::string CaptureTestDir(const std::string& tag) {

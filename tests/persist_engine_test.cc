@@ -880,14 +880,11 @@ PartitionedLayout MakeTierLayout(const TierData& d) {
   PartitionedTable::ChunkLayoutSpec spec;
   spec.partition_sizes.assign(kTierParts, kTierChunkRows / kTierParts);
   spec.ghosts.assign(kTierParts, 4);
-  PartitionedTable::Options opts;
-  opts.chunk_values = kTierChunkRows;
   return PartitionedLayout(
       LayoutMode::kEquiWidthGhost,
       PartitionedTable::Build(d.keys, d.payload,
                               std::vector<PartitionedTable::ChunkLayoutSpec>(
-                                  kTierChunks, spec),
-                              opts));
+                                  kTierChunks, spec)));
 }
 
 ScanPartial BruteForce(const TierData& d, const ScanSpec& spec) {

@@ -1,6 +1,9 @@
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,10 +61,7 @@ Table MakeTable(size_t rows, size_t payload_cols, size_t chunk_values,
     specs[i].partition_sizes.back() += counts[i] % k;
     specs[i].ghosts.assign(k, ghosts_per_part);
   }
-  Table::Options opts;
-  opts.chunk_values = chunk_values;
-  opts.chunk.block_values = 64;
-  return Table::Build(std::move(keys), std::move(payload), std::move(specs), opts);
+  return Table::Build(std::move(keys), std::move(payload), std::move(specs));
 }
 
 TEST(Table, BuildSplitsIntoChunks) {
@@ -145,6 +145,116 @@ TEST(Table, CrossChunkUpdateCarriesPayload) {
   EXPECT_EQ(before, after);
   EXPECT_EQ(t.num_rows(), 4096u);
   t.ValidateInvariants();
+}
+
+/// Two chunks of `per_chunk` rows with even keys: chunk 0 holds
+/// [0, 2 * per_chunk), chunk 1 the next 2 * per_chunk. Row key k carries
+/// payload PayloadOf(k); `parts` equal partitions with `ghosts` free slots each.
+Payload PayloadOf(Value k) { return static_cast<Payload>(k * 3 + 7); }
+
+Table MakeTwoChunkTable(size_t per_chunk, size_t parts, size_t ghosts) {
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload(1);
+  for (size_t i = 0; i < 2 * per_chunk; ++i) {
+    keys.push_back(static_cast<Value>(2 * i));
+    payload[0].push_back(PayloadOf(keys.back()));
+  }
+  std::vector<Table::ChunkLayoutSpec> specs(2);
+  for (auto& spec : specs) {
+    spec.partition_sizes.assign(parts, per_chunk / parts);
+    spec.ghosts.assign(parts, ghosts);
+  }
+  return Table::Build(std::move(keys), std::move(payload), std::move(specs));
+}
+
+TEST(Table, CrossChunkMoveReadsItsSourceOnce) {
+  // Chunk 0 holds keys 0..30 in two partitions of 8; key 10 sits in
+  // partition 0 (keys 0..14), ahead of its last row.
+  Table t = MakeTwoChunkTable(16, 2, 2);
+  ASSERT_EQ(t.ChunkFor(10), 0u);
+  ASSERT_EQ(t.key_chunk(0).partition(0).size, 8u);
+  const Value dst = 41;
+  ASSERT_EQ(t.ChunkFor(dst), 1u);
+  const ChunkStatsSnapshot before = t.CoherentStatsSnapshot(0);
+  ASSERT_TRUE(t.UpdateKey(10, dst));
+  const ChunkStatsSnapshot after = t.CoherentStatsSnapshot(0);
+  // One probe and one read of the 8-row partition, plus the one read of the
+  // swap that closes the hole.
+  EXPECT_EQ(after.partitions_scanned - before.partitions_scanned, 1u);
+  EXPECT_EQ(after.element_reads - before.element_reads, 9u);
+  std::vector<Payload> row;
+  ASSERT_EQ(t.PointLookup(dst, &row), 1u);
+  EXPECT_EQ(row, std::vector<Payload>{PayloadOf(10)});
+  EXPECT_EQ(t.PointLookup(10, nullptr), 0u);
+  EXPECT_EQ(t.num_rows(), 32u);
+  t.ValidateInvariants();
+}
+
+TEST(Table, OppositeCrossChunkMovesNeitherDeadlockNorLoseRows) {
+  // One thread moves chunk 0's keys into chunk 1 while another moves chunk
+  // 1's keys into chunk 0, each move latching both chunks, and a third reads
+  // full-domain sums. Moved keys are odd, so no move names another's key.
+  const size_t per_chunk = 512;
+  const size_t moves = per_chunk / 2;
+  Table t = MakeTwoChunkTable(per_chunk, 8, 4);
+  const Value base1 = static_cast<Value>(2 * per_chunk);  // chunk 1's first key
+  std::multiset<Payload> payloads;
+  std::map<Value, Payload> want;  // key -> payload after every move
+  for (Value k = 0; k < 2 * base1; k += 2) {
+    payloads.insert(PayloadOf(k));
+    want[k] = PayloadOf(k);
+  }
+  for (size_t i = 0; i < moves; ++i) {
+    const Value from0 = static_cast<Value>(2 * i);
+    const Value from1 = base1 + static_cast<Value>(2 * i);
+    ASSERT_EQ(t.ChunkFor(from0 + base1 + 1), 1u);
+    ASSERT_EQ(t.ChunkFor(from1 - base1 + 1), 0u);
+    want.erase(from0);
+    want.erase(from1);
+    want[from0 + base1 + 1] = PayloadOf(from0);
+    want[from1 - base1 + 1] = PayloadOf(from1);
+  }
+
+  std::atomic<bool> reading{false};
+  std::atomic<int> writers_left{2};
+  std::atomic<size_t> failed_moves{0};
+  auto mover = [&](Value from_base, Value shift) {
+    while (!reading.load()) std::this_thread::yield();
+    for (size_t i = 0; i < moves; ++i) {
+      const Value from = from_base + static_cast<Value>(2 * i);
+      if (!t.UpdateKey(from, from + shift)) ++failed_moves;
+    }
+    --writers_left;
+  };
+  ScanSpec sum = ScanSpec::Sum(0, 0, {0});
+  sum.full_domain = true;
+  std::thread reader([&] {
+    do {
+      ScanPartial out;
+      for (size_t c = 0; c < t.num_chunks(); ++c) out.Merge(t.ScanSpecInChunk(c, sum));
+      reading.store(true);
+    } while (writers_left.load() > 0);
+  });
+  std::thread forward(mover, Value{0}, base1 + 1);
+  std::thread backward(mover, base1, -base1 + 1);
+  forward.join();
+  backward.join();
+  reader.join();
+
+  EXPECT_EQ(failed_moves.load(), 0u);
+  EXPECT_EQ(t.num_rows(), 2 * per_chunk);
+  t.ValidateInvariants();
+  std::multiset<Payload> got;
+  for (size_t c = 0; c < t.num_chunks(); ++c) {
+    const ChunkRows rows = t.SnapshotChunkRows(c);
+    got.insert(rows.payload[0].begin(), rows.payload[0].end());
+  }
+  EXPECT_EQ(got, payloads);
+  for (const auto& [key, payload] : want) {
+    std::vector<Payload> row;
+    ASSERT_EQ(t.PointLookup(key, &row), 1u) << key;
+    EXPECT_EQ(row[0], payload) << key;
+  }
 }
 
 TEST(Table, DeleteShrinksAndValidates) {
