@@ -51,27 +51,11 @@ void LayoutMaintenanceService::ObserveAll(const std::vector<Operation>& ops) {
 
 void LayoutMaintenanceService::ObserveSpec(const ScanSpec& spec) {
   if (spec.full_domain || spec.EmptyKeyRange()) return;
+  // The capture routes every range kind alike, so one kind stands for all.
   Operation op;
+  op.kind = OpKind::kRangeCount;
   op.a = spec.lo;
   op.b = spec.hi;
-  switch (spec.agg.kind) {
-    case AggKind::kCount:
-      op.kind = OpKind::kRangeCount;
-      break;
-    case AggKind::kSum:
-    case AggKind::kSumProduct:
-      op.kind = OpKind::kRangeSum;
-      break;
-    case AggKind::kMin:
-      op.kind = OpKind::kRangeMin;
-      break;
-    case AggKind::kMax:
-      op.kind = OpKind::kRangeMax;
-      break;
-    case AggKind::kAvg:
-      op.kind = OpKind::kRangeAvg;
-      break;
-  }
   Observe(op);
 }
 

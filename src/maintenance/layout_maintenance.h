@@ -142,9 +142,10 @@ class LayoutMaintenanceService {
   /// Feed one live operation into the capture buffer.
   void Observe(const Operation& op);
   void ObserveAll(const std::vector<Operation>& ops);
-  /// Spec-surface mirror of Observe: maps a range-read spec onto the
-  /// equivalent Operation (full-domain and empty-range specs carry no
-  /// locality signal and are skipped).
+  /// Spec-surface mirror of Observe: records a range-read spec as one
+  /// {kRangeCount, lo, hi} observation — the capture treats every range kind
+  /// alike (WorkloadCapture::Route). Full-domain and empty-range specs carry
+  /// no locality signal and are skipped.
   void ObserveSpec(const ScanSpec& spec);
 
   /// One capture → detect → re-partition cycle (see class comment). Safe to

@@ -71,6 +71,18 @@ PersistedChunk ChunkWriter::Encode(uint64_t chunk_index, const ChunkRows& rows) 
   return out;
 }
 
+ChunkRows DecodeChunkRows(const PersistedChunk& f) {
+  const ChunkEncoding& enc = f.encoding;
+  ChunkRows rows;
+  rows.parts = f.parts;
+  if (enc.keys != nullptr) rows.keys = enc.keys->DecodeAll();
+  rows.payload.resize(enc.payload.size());
+  for (size_t c = 0; c < enc.payload.size(); ++c) {
+    if (enc.payload[c] != nullptr) rows.payload[c] = enc.payload[c]->DecodeAll();
+  }
+  return rows;
+}
+
 void ChunkWriter::Serialize(const PersistedChunk& chunk, std::string* out) {
   const ChunkEncoding& enc = chunk.encoding;
   ByteSink s;

@@ -52,8 +52,8 @@ using ChunkPartitionMeta = PartitionedColumnChunk::Partition;
 /// as one ChunkEncoding. The file supplies rows only: an evicted chunk keeps
 /// its geometry resident, routes and prunes on it, and reads the encoding
 /// through PartitionSource::File (storage/partition_scan.h) once its
-/// partitions are checked against `parts`. Promotion and recovery rebuild
-/// from `parts` (DecodeForPromotion).
+/// partitions are checked against `parts`. Promotion and recovery decode it
+/// whole (DecodeChunkRows).
 struct PersistedChunk {
   uint32_t version = kChunkFormatVersion;
   uint64_t chunk_index = 0;
@@ -79,6 +79,13 @@ class ChunkWriter {
   /// Serialize + durable atomic write (tmp -> fsync -> rename -> fsync dir).
   static Status Write(const std::string& path, const PersistedChunk& chunk);
 };
+
+/// The inverse of ChunkWriter::Encode: the file's live rows in partition
+/// order, each partition's rows in the order they were stored, and its
+/// partitions. Promotion copies them back into the geometry the evicted chunk
+/// kept (PartitionedColumnChunk::RestoreStorage); recovery sorts them and
+/// rebuilds.
+ChunkRows DecodeChunkRows(const PersistedChunk& f);
 
 class ChunkReader {
  public:

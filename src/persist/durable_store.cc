@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "persist/chunk_format.h"
-#include "persist/cold_scan.h"
 #include "persist/io.h"
 
 namespace casper {
@@ -84,13 +83,22 @@ Status LoadStore(const StoreLayout& layout, Manifest* manifest,
     if (pc.encoding.payload.size() != manifest->payload_cols) {
       return Status::Internal("base chunk payload column count mismatch");
     }
-    PromotedChunkData d = DecodeForPromotion(pc, spare_tail);
-    out->specs.push_back(std::move(d.spec));
-    out->keys.insert(out->keys.end(), d.rows.keys.begin(), d.rows.keys.end());
+    // Sorted within each partition, the rows are in key order; the spec
+    // keeps every partition (empties too) and its ghosts = cap - size, less
+    // the spare tail Build re-appends to the last partition.
+    ChunkRows rows = DecodeChunkRows(pc);
+    SortWithinPartitions(&rows);
+    PartitionedTable::ChunkLayoutSpec spec;
+    for (const ChunkPartitionMeta& p : rows.parts) {
+      spec.partition_sizes.push_back(p.size);
+      spec.ghosts.push_back(p.cap - p.size);
+    }
+    spec.ghosts.back() -= std::min(spec.ghosts.back(), spare_tail);
+    out->specs.push_back(std::move(spec));
+    out->keys.insert(out->keys.end(), rows.keys.begin(), rows.keys.end());
     for (size_t col = 0; col < manifest->payload_cols; ++col) {
-      out->payload[col].insert(out->payload[col].end(),
-                               d.rows.payload[col].begin(),
-                               d.rows.payload[col].end());
+      out->payload[col].insert(out->payload[col].end(), rows.payload[col].begin(),
+                               rows.payload[col].end());
     }
   }
   if (out->keys.size() != manifest->base_rows) {

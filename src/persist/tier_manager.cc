@@ -1,6 +1,7 @@
 #include "persist/tier_manager.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "storage/table.h"
@@ -22,11 +23,12 @@ TierCycleReport TierManager::RunCycle() {
   const size_t n = table_->num_chunks();
   if (heat_.size() < n) heat_.resize(n);
 
-  // 1. Fold counter deltas into the decayed heat scores.
+  // Fold counter deltas into the decayed heat scores: rows read plus
+  // partitions visited, the same counters in both tiers (ScanPartitions'
+  // one rule), and data moved by writes.
   for (size_t c = 0; c < n; ++c) {
     const ChunkStatsSnapshot s = table_->CoherentStatsSnapshot(c);
-    const uint64_t reads =
-        s.element_reads + s.compressed_scans + s.compressed_payload_scans;
+    const uint64_t reads = s.element_reads + s.partitions_scanned;
     const uint64_t writes = s.element_writes + s.ripple_steps;
     ChunkHeat& h = heat_[c];
     // Counters only move forward in normal operation; clamp so an explicit
@@ -40,74 +42,48 @@ TierCycleReport TierManager::RunCycle() {
               static_cast<double>(dw);
   }
 
-  // 2. Demote coldest-first while over budget. Chunks that took writes since
-  // the last cycle are pinned: the write path would promote them right back.
-  size_t resident_bytes = 0;
-  std::vector<std::pair<double, size_t>> candidates;  // (score, chunk)
+  // Rank the resident chunks and the evicted ones hot enough to promote:
+  // written this cycle first (the write path would promote them right back),
+  // then hottest, then lowest index.
+  std::vector<std::tuple<bool, double, size_t>> ranked;  // (!wrote, -heat, c)
+  std::vector<char> resident(n);
   for (size_t c = 0; c < n; ++c) {
-    if (!table_->ChunkResident(c)) continue;
-    const size_t bytes = table_->ChunkMemoryBytes(c);
-    resident_bytes += bytes;
-    ++report.resident_chunks;
-    if (bytes == 0 || heat_[c].wrote_this_cycle) continue;
-    candidates.emplace_back(heat_[c].score, c);
+    resident[c] = table_->ChunkResident(c);
+    if (!resident[c] && heat_[c].score < TierOptions::kPromoteScore) continue;
+    ranked.emplace_back(!heat_[c].wrote_this_cycle, -heat_[c].score, c);
   }
-  const int64_t budget = options_.memory_budget_bytes;
-  if (budget > 0 && resident_bytes > static_cast<size_t>(budget)) {
-    std::sort(candidates.begin(), candidates.end());
-    for (const auto& [score, c] : candidates) {
-      if (resident_bytes <= static_cast<size_t>(budget)) break;
-      const size_t bytes = table_->ChunkMemoryBytes(c);
-      if (!table_->EvictChunk(c, store_.TierChunkPath(c))) continue;
-      resident_bytes -= std::min(resident_bytes, bytes);
-      ++report.evictions;
-      --report.resident_chunks;
-    }
-  }
+  std::sort(ranked.begin(), ranked.end());
 
-  // 3. Promote evicted chunks that got hot. Under a tight budget a promotion
-  // may displace strictly colder resident chunks: without displacement, a
-  // chunk that was lukewarm when the budget first bit squats on its bytes
-  // forever (demotion only runs while over budget) while a genuinely hot
-  // evicted chunk keeps paying a disk read per query.
-  std::vector<std::pair<double, size_t>> hot;  // (score, chunk), evicted
-  for (size_t c = 0; c < n; ++c) {
-    if (table_->ChunkResident(c)) continue;
-    if (heat_[c].score < TierOptions::kPromoteScore) continue;
-    hot.emplace_back(heat_[c].score, c);
-  }
-  std::sort(hot.rbegin(), hot.rend());  // hottest first
-  std::vector<std::pair<double, size_t>> displaceable;  // coldest at the back
-  for (size_t c = 0; c < n; ++c) {
-    if (!table_->ChunkResident(c)) continue;
-    if (table_->ChunkMemoryBytes(c) == 0 || heat_[c].wrote_this_cycle) continue;
-    displaceable.emplace_back(heat_[c].score, c);
-  }
-  std::sort(displaceable.rbegin(), displaceable.rend());
-  for (const auto& [score, c] : hot) {
-    const size_t footprint = table_->ChunkFootprintIfResident(c);
-    while (budget > 0 &&
-           resident_bytes + footprint > static_cast<size_t>(budget) &&
-           !displaceable.empty() && displaceable.back().first < score) {
-      const size_t victim = displaceable.back().second;
-      displaceable.pop_back();
-      const size_t bytes = table_->ChunkMemoryBytes(victim);
-      if (!table_->EvictChunk(victim, store_.TierChunkPath(victim))) continue;
-      resident_bytes -= std::min(resident_bytes, bytes);
-      ++report.evictions;
-      --report.resident_chunks;
-    }
-    if (budget > 0 &&
-        resident_bytes + footprint > static_cast<size_t>(budget)) {
+  // Admit in rank order while the footprints fit the budget; a chunk too big
+  // for the room left is skipped, so it displaces nothing.
+  const int64_t budget = options_.memory_budget_bytes;
+  std::vector<char> admit(n, 0);
+  size_t admitted_bytes = 0;
+  for (const auto& [not_written, neg_heat, c] : ranked) {
+    const size_t bytes = table_->ChunkFootprintIfResident(c);
+    if (budget > 0 && not_written &&
+        admitted_bytes + bytes > static_cast<size_t>(budget)) {
       continue;
     }
-    if (!table_->PromoteChunk(c)) continue;
-    resident_bytes += table_->ChunkMemoryBytes(c);
-    ++report.promotions;
-    ++report.resident_chunks;
+    admit[c] = 1;
+    admitted_bytes += bytes;
   }
 
-  report.resident_bytes = resident_bytes;
+  // Evict what was left out, then promote what was let in: evictions go
+  // first, so the resident bytes stay within the budget throughout.
+  for (size_t c = 0; c < n; ++c) {
+    if (resident[c] && !admit[c] && table_->EvictChunk(c, store_.TierChunkPath(c))) {
+      ++report.evictions;
+    }
+  }
+  for (size_t c = 0; c < n; ++c) {
+    if (!resident[c] && admit[c] && table_->PromoteChunk(c)) ++report.promotions;
+  }
+  for (size_t c = 0; c < n; ++c) {
+    if (!table_->ChunkResident(c)) continue;
+    ++report.resident_chunks;
+    report.resident_bytes += table_->ChunkMemoryBytes(c);
+  }
   return report;
 }
 

@@ -15,12 +15,13 @@ class PartitionedTable;
 
 namespace persist {
 
-/// Tiering policy knobs, split out of EngineOptions::persist.
+/// Tiering policy: the heat decay and promotion threshold are constants;
+/// the byte budget is the one setting (EngineOptions::persist).
 struct TierOptions {
   /// Exponential decay applied to each chunk's heat score per cycle.
   static constexpr double kDecay = 0.5;
-  /// Heat score at which an evicted chunk is promoted back (subject to the
-  /// budget admitting its resident footprint).
+  /// Heat score at which an evicted chunk becomes a candidate for promotion
+  /// (admitted only if its resident footprint fits the budget).
   static constexpr double kPromoteScore = 256.0;
 
   /// Resident-byte ceiling across all chunks (keys + payload). <= 0 means
@@ -37,12 +38,16 @@ struct TierCycleReport {
 };
 
 /// Memory-budgeted chunk tiering (ROADMAP item 2). Each cycle it folds the
-/// per-chunk access-counter deltas into an exponentially decayed heat score,
-/// then (a) demotes the coldest resident chunks to tier files while the
-/// resident footprint exceeds the budget, and (b) promotes evicted chunks
-/// whose score crossed the promotion threshold — displacing strictly colder
-/// resident chunks when the budget is tight, so the resident set tracks the
-/// hot set instead of freezing at whatever was warm when the budget first bit.
+/// per-chunk counter deltas into an exponentially decayed heat score — rows
+/// read plus partitions visited plus data moved by writes, counted alike in
+/// both tiers (storage/partition_scan.h) — and then makes one ranked pass:
+/// the resident chunks and the evicted chunks whose heat reached
+/// kPromoteScore, ordered written-this-cycle first, then hottest, then lowest
+/// chunk index, are admitted while their footprints fit the budget (all of
+/// them when unbudgeted; a written chunk always). Every resident chunk left
+/// out is evicted and every evicted chunk let in is promoted, so the resident
+/// set tracks the hot set, and a hot chunk too big for the room left evicts
+/// nothing.
 ///
 /// Rides the LayoutMaintenanceService cycle cadence via SetCycleHook, so
 /// demotion/promotion happens on the same background thread (and under the
@@ -51,7 +56,7 @@ struct TierCycleReport {
 ///
 /// Writes always promote first (the table's write paths call
 /// EnsureResidentLocked under the exclusive chunk latch), so a chunk that
-/// took writes since the last cycle is pinned resident for this cycle —
+/// took writes since the last cycle is ranked first and kept resident —
 /// demoting it would immediately bounce back.
 class TierManager {
  public:
@@ -60,7 +65,7 @@ class TierManager {
   TierManager(const TierManager&) = delete;
   TierManager& operator=(const TierManager&) = delete;
 
-  /// One scoring + demotion + promotion pass. Serialized internally.
+  /// One scoring + ranking + eviction/promotion pass. Serialized internally.
   TierCycleReport RunCycle();
 
   const TierOptions& options() const { return options_; }

@@ -13,10 +13,11 @@ namespace casper {
 
 /// One chunk's live rows in partition order: the image every chunk
 /// transition passes through. The chunk file is encoded from it
-/// (EncodeChunkRows); re-partition, promotion and recovery rebuild from it
-/// once SortWithinPartitions has put it in key order (partitions cover
-/// disjoint ascending key ranges, so sorting within each partition sorts the
-/// chunk).
+/// (EncodeChunkRows) and decoded back to it (persist::DecodeChunkRows);
+/// promotion copies it into the chunk's kept geometry as it stands, and
+/// re-partition and recovery rebuild from it once SortWithinPartitions has
+/// put it in key order (partitions cover disjoint ascending key ranges, so
+/// sorting within each partition sorts the chunk).
 struct ChunkRows {
   /// Partition geometry; the sizes sum to keys.size().
   std::vector<PartitionedColumnChunk::Partition> parts;

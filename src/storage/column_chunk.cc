@@ -298,6 +298,28 @@ bool PartitionedColumnChunk::Update(Value old_value, Value new_value) {
   return true;
 }
 
+// --- Tiered storage -------------------------------------------------------------
+
+void PartitionedColumnChunk::RestoreStorage(
+    const std::vector<Value>& keys, const std::vector<std::vector<Payload>>& payload) {
+  CASPER_CHECK(keys.size() == live_ && payload.size() == payload_.size());
+  data_.assign(capacity(), 0);
+  for (size_t col = 0; col < payload_.size(); ++col) {
+    CASPER_CHECK(payload[col].size() == live_);
+    payload_[col].assign(capacity(), 0);
+  }
+  size_t src = 0;
+  for (const Partition& p : parts_) {
+    const auto from = static_cast<ptrdiff_t>(src);
+    const auto to = static_cast<ptrdiff_t>(p.begin);
+    std::copy_n(keys.begin() + from, p.size, data_.begin() + to);
+    for (size_t col = 0; col < payload_.size(); ++col) {
+      std::copy_n(payload[col].begin() + from, p.size, payload_[col].begin() + to);
+    }
+    src += p.size;
+  }
+}
+
 void PartitionedColumnChunk::ValidateInvariants() const {
   CASPER_CHECK(!parts_.empty());
   // A released chunk (evicted to its tier file) keeps only its geometry.

@@ -146,8 +146,7 @@ class PartitionedColumnChunk {
   /// Drops the key and payload buffers — the chunk's rows now live in its
   /// on-disk tier file. Everything else stays resident: partitions, zone
   /// maps, the partition index, the live count and the access counters, so
-  /// reads keep routing and pruning on one geometry in both tiers. Promotion
-  /// replaces this object wholesale via Build.
+  /// reads keep routing and pruning on one geometry in both tiers.
   void ReleaseStorage() {
     data_.clear();
     data_.shrink_to_fit();
@@ -156,6 +155,15 @@ class PartitionedColumnChunk {
       col.shrink_to_fit();
     }
   }
+
+  /// The inverse of ReleaseStorage (promotion): reallocates the buffers at
+  /// the kept capacity and copies the live rows back, partition t's rows
+  /// into slots [begin, begin + size). `keys` and each `payload` column hold
+  /// the rows in partition order (persist::DecodeChunkRows), so a chunk
+  /// comes back slot for slot as it was evicted: no partition, zone map,
+  /// index entry or counter is rebuilt.
+  void RestoreStorage(const std::vector<Value>& keys,
+                      const std::vector<std::vector<Payload>>& payload);
 
  private:
   PartitionedColumnChunk() = default;

@@ -55,8 +55,6 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   const bool count_only =
       spec.predicates.empty() && spec.agg.kind == AggKind::kCount;
   const ChunkEncoding* enc = src.enc;  // null for a resident view
-  // One compressed scan per file-backed count: the tier manager's heat score
-  // reads it.
   if (count_only && enc != nullptr) ++stats->compressed_scans;
 
   // A file-backed view decodes each surviving partition into scratch: the
@@ -94,10 +92,11 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
   for (size_t t = first; t <= last && t < parts.size(); ++t) {
     const PartitionedColumnChunk::Partition& p = parts[t];
     if (p.size == 0) continue;
+    ++scanned;
     bool check = false;
     if (!spec.full_domain) {
       if (p.min_val >= spec.hi || p.max_val < spec.lo) {
-        pruned += count_only;  // zone map excluded it: nothing read
+        ++pruned;  // zone map excluded it: nothing read
         continue;
       }
       // A boundary partition whose zone map sits inside [lo, hi) is consumed
@@ -105,14 +104,10 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
       check = (t == first || t == last) &&
               !(p.min_val >= spec.lo && p.max_val < spec.hi);
     }
-    if (count_only) {
+    if (count_only && !check) {
       // Key-range count: only a checked boundary partition reads its keys.
-      ++scanned;
-      if (!check) {
-        out.count += p.size;  // blind consume (paper Fig. 3c)
-        continue;
-      }
-      reads += p.size;
+      out.count += p.size;  // blind consume (paper Fig. 3c)
+      continue;
     }
     exec::SpecRows rows = shared;
     rows.n = p.size;
@@ -156,10 +151,8 @@ ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
           col_scratch[c][i] = enc->payload[c]->DecodeAt(begin + i);
         }
       }
-      // Rows decoded from packed storage count as reads (a count's keys
-      // already did, above).
-      if (!count_only) reads += p.size;
     }
+    reads += p.size;  // every row evaluated, in either tier
     // EvalSpecRows reads keys only where it checks the key predicate.
     if (check) rows.keys = src.Keys(t, &key_scratch);
     out.Merge(exec::EvalSpecRows(spec, rows));

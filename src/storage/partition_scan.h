@@ -17,9 +17,10 @@ namespace casper {
 /// — the chunk's own key and payload arrays, or the encoding of its parsed
 /// tier file. Resident and evicted chunks thus read through one partition
 /// walk, one point read and one rank walk (Hyrise's chunk: metadata kept
-/// apart from how its segments are stored). A resident view of an evicted
-/// chunk serves only CountsPartitionSizes specs. It owns nothing; the caller
-/// keeps the chunk latched (and the parsed file alive) while it reads.
+/// apart from how its segments are stored), and count their reads by one
+/// rule (ScanPartitions). A resident view of an evicted chunk serves only
+/// CountsPartitionSizes specs. It owns nothing; the caller keeps the chunk
+/// latched (and the parsed file alive) while it reads.
 struct PartitionSource {
   const PartitionedColumnChunk* chunk = nullptr;
   /// A file-backed view's columns: key frames (frames == non-empty
@@ -53,8 +54,13 @@ bool CountsPartitionSizes(const ScanSpec& spec);
 ///    predicates a zone proves, and decodes the referenced payload columns
 ///    of each surviving partition into scratch; keys are read only where the
 ///    key predicate must be checked (for a count, only at the boundaries).
-/// Counters land on `stats`; rows decoded from a tier file count as element
-/// reads. The caller validates column references (ScanSpec::RefsValid).
+/// Counters land on `stats`, by one rule in both tiers: every non-empty
+/// partition the key range visits is scanned, every one its key zone map
+/// excludes is also pruned, and every row evaluated is an element read —
+/// all but a count's blind-consumed partitions and a file-backed view's
+/// payload-pruned ones. The tier manager's heat reads these counters, so a
+/// chunk earns the same heat from the same reads resident or evicted. The
+/// caller validates column references (ScanSpec::RefsValid).
 ScanPartial ScanPartitions(const ScanSpec& spec, const PartitionSource& src,
                            ChunkStats* stats);
 

@@ -5,7 +5,6 @@
 
 #include "exec/morsel.h"
 #include "persist/chunk_format.h"
-#include "persist/cold_scan.h"
 #include "persist/io.h"
 #include "storage/partition_scan.h"
 #include "util/status.h"
@@ -279,18 +278,14 @@ bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
   }
   sizes.back() += n - cum;
   clamped.ghosts.resize(sizes.size(), 0);
-  RebuildChunkLocked(ch, std::move(rows.keys), rows.payload, std::move(clamped));
-  return true;
-}
-
-void PartitionedTable::RebuildChunkLocked(
-    TableChunk& ch, std::vector<Value> sorted_keys,
-    const std::vector<std::vector<Payload>>& payload, ChunkLayoutSpec spec) {
+  // The access counters describe the data, not the geometry: they survive
+  // the rebuild.
   const ChunkStatsSnapshot carry = ch.chunk.StatsSnapshot();
   ch.chunk = PartitionedColumnChunk::Build(
-      std::move(sorted_keys), std::move(spec.partition_sizes),
-      std::move(spec.ghosts), opts_.chunk, payload);
+      std::move(rows.keys), std::move(sizes), std::move(clamped.ghosts),
+      opts_.chunk, rows.payload);
   ch.chunk.stats().Restore(carry);
+  return true;
 }
 
 ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
@@ -346,13 +341,12 @@ bool PartitionedTable::PromoteChunk(size_t c) {
 
 void PartitionedTable::EnsureResidentLocked(TableChunk& ch) {
   if (ch.evicted.empty()) return;
-  const persist::PersistedChunk pc = LoadEvicted(ch);
-  persist::PromotedChunkData data =
-      persist::DecodeForPromotion(pc, opts_.chunk.spare_tail);
+  // LoadEvicted checked the file's partitions against the kept geometry, so
+  // the rows fit their slots exactly.
+  const ChunkRows rows = persist::DecodeChunkRows(LoadEvicted(ch));
+  ch.chunk.RestoreStorage(rows.keys, rows.payload);
   const std::string stale_path = std::move(ch.evicted);
   ch.evicted.clear();
-  RebuildChunkLocked(ch, std::move(data.rows.keys), data.rows.payload,
-                     std::move(data.spec));
   ++ch.chunk.stats().promotions;
   // The tier file is stale the moment the chunk is writable again; recovery
   // wipes the tier dir anyway, but don't leave bytes behind mid-run.

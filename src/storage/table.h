@@ -184,9 +184,9 @@ class PartitionedTable {
   /// (no-op) if the chunk is already evicted, empty, or the write fails.
   bool EvictChunk(size_t c, const std::string& path);
 
-  /// Promotes chunk c back to residency (no-op if already resident).
-  /// Geometry is rebuilt through the deterministic Build path from the tier
-  /// file; the stale tier file is removed.
+  /// Promotes chunk c back to residency (no-op if already resident): the
+  /// tier file's rows refill the geometry the chunk kept, and the stale tier
+  /// file is removed.
   bool PromoteChunk(size_t c);
 
   /// Whether chunk c currently holds its data in memory.
@@ -277,22 +277,15 @@ class PartitionedTable {
   }
 
   /// Brings an evicted chunk back to residency in place (no-op when already
-  /// resident): decode the tier file, rebuild it (RebuildChunkLocked), remove
-  /// the now-stale tier file.
+  /// resident): decode the tier file, copy its rows back into the kept
+  /// geometry (PartitionedColumnChunk::RestoreStorage), remove the now-stale
+  /// tier file.
   void EnsureResidentLocked(TableChunk& ch) REQUIRES(ch.latch);
 
   /// The locked core of SnapshotChunkRows (also what eviction and
   /// re-partition read; an exclusive hold satisfies it).
   ChunkRows SnapshotRowsLocked(const TableChunk& ch) const
       REQUIRES_SHARED(ch.latch);
-
-  /// Replaces chunk ch with a fresh Build of `sorted_keys` and `payload` to
-  /// `spec`, its access counters carried over: they describe the data, not
-  /// the geometry, so they survive re-partition, eviction and promotion
-  /// alike.
-  void RebuildChunkLocked(TableChunk& ch, std::vector<Value> sorted_keys,
-                          const std::vector<std::vector<Payload>>& payload,
-                          ChunkLayoutSpec spec) REQUIRES(ch.latch);
 
   Options opts_;
   size_t payload_cols_ = 0;

@@ -122,8 +122,10 @@ struct ChunkCounters {
   T element_reads{};
   T element_writes{};
   T ripple_steps{};        ///< free-slot moves across boundaries
-  T partitions_scanned{};  ///< partitions touched by point reads, scans and
-                           ///< writes
+  T partitions_scanned{};  ///< partitions visited: a point read's or a
+                           ///< write's probed partition, and every non-empty
+                           ///< partition a scan's key range covers, pruned
+                           ///< or not, counted alike in both tiers
   T partitions_pruned{};   ///< partitions skipped by their zone map
                            ///< (min_val/max_val excluded the key or range
                            ///< without reading a single element)
@@ -135,7 +137,7 @@ struct ChunkCounters {
                                   ///< zone map excluded a predicate range
   T grows{};
   T evictions{};        ///< times this chunk was demoted to disk
-  T promotions{};       ///< times it was rebuilt back in memory
+  T promotions{};       ///< times its rows were restored to memory
   T disk_reads{};       ///< cold reads served from the chunk file
   T disk_bytes_read{};  ///< bytes those cold reads pulled off disk
 };
@@ -194,9 +196,8 @@ struct ChunkStats : ChunkCounters<RelaxedCounter> {
 
   void Clear() { Restore(ChunkStatsSnapshot{}); }
 
-  /// Re-seeds the counters from a snapshot: a rebuilt chunk (re-partition,
-  /// promotion) carries its counts over, since they describe the data, not
-  /// the geometry.
+  /// Re-seeds the counters from a snapshot: a re-partitioned chunk carries
+  /// its counts over, since they describe the data, not the geometry.
   void Restore(const ChunkStatsSnapshot& s) {
     ForEachCounter(*this, s, [](RelaxedCounter& c, uint64_t v) { c.store(v); });
   }

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "persist/io.h"
 #include "persist/journal.h"
 #include "persist/store.h"
+#include "persist/tier_manager.h"
 #include "util/rng.h"
 
 namespace casper {
@@ -87,6 +89,30 @@ std::string FreshDir(const std::string& tag) {
 }
 
 PartitionedTable& TableOf(CasperEngine& e) { return e.layout().mutable_table(); }
+
+/// The nonzero counters of one chunk's delta, e.g. "reads=12 scanned=3".
+std::string DeltaString(const ChunkStatsSnapshot& a, const ChunkStatsSnapshot& b) {
+  std::string out;
+  const auto field = [&](const char* name, uint64_t before, uint64_t after) {
+    if (after == before) return;
+    if (!out.empty()) out += ' ';
+    out += std::string(name) + '=' + std::to_string(after - before);
+  };
+  field("reads", a.element_reads, b.element_reads);
+  field("writes", a.element_writes, b.element_writes);
+  field("ripples", a.ripple_steps, b.ripple_steps);
+  field("scanned", a.partitions_scanned, b.partitions_scanned);
+  field("pruned", a.partitions_pruned, b.partitions_pruned);
+  field("cscans", a.compressed_scans, b.compressed_scans);
+  field("cpscans", a.compressed_payload_scans, b.compressed_payload_scans);
+  field("ppruned", a.payload_partitions_pruned, b.payload_partitions_pruned);
+  field("grows", a.grows, b.grows);
+  field("evictions", a.evictions, b.evictions);
+  field("promotions", a.promotions, b.promotions);
+  field("disk_reads", a.disk_reads, b.disk_reads);
+  field("disk_bytes", a.disk_bytes_read, b.disk_bytes_read);
+  return out;
+}
 
 /// Randomized query grid over every read surface; `a` and `b` must answer
 /// each probe identically.
@@ -333,6 +359,116 @@ TEST(TieredStorage, WritesPromoteTheChunksTheyTouch) {
   ExpectSameAnswers(cold, ref, 7);
   const ChunkStatsSnapshot totals = cold.layout().StatsSnapshots().Totals();
   EXPECT_GT(totals.promotions, 0u);
+  std::system(("rm -rf " + dir).c_str());
+}
+
+/// Three chunks of 2,000 rows, keys 0, 10, 20, ..., each chunk cut into 20
+/// partitions of 100 rows with 2 ghost slots apiece; two key-derived
+/// payload columns.
+PartitionedTable MakeRoundTripTable() {
+  constexpr size_t kChunkRows = 2000;
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload(2);
+  for (size_t i = 0; i < 3 * kChunkRows; ++i) {
+    const Value key = static_cast<Value>(10 * i);
+    keys.push_back(key);
+    payload[0].push_back(static_cast<Payload>(key % 997));
+    payload[1].push_back(static_cast<Payload>(key / 10));
+  }
+  PartitionedTable::ChunkLayoutSpec spec;
+  spec.partition_sizes.assign(20, kChunkRows / 20);
+  spec.ghosts.assign(20, 2);
+  return PartitionedTable::Build(
+      std::move(keys), std::move(payload),
+      std::vector<PartitionedTable::ChunkLayoutSpec>(3, spec));
+}
+
+// An evicted chunk keeps its geometry, and promotion refills that geometry:
+// a table that evicts and promotes every chunk between write batches ends
+// in exactly the state of one that never does, geometry, answers and
+// counters alike. The batches empty a partition, remove another partition's
+// largest key (its routing upper must not shrink to the next key), insert
+// above the last partition's upper and move rows across chunks.
+TEST(TieredStorage, EvictPromoteBetweenWritesIsInvisible) {
+  PartitionedTable kept = MakeRoundTripTable();
+  PartitionedTable cycled = MakeRoundTripTable();
+  const std::string dir = FreshDir("evict_invisible");
+  const persist::StoreLayout store(dir);
+  ASSERT_TRUE(store.EnsureLayout().ok());
+
+  const std::vector<std::function<void(PartitionedTable&)>> batches = {
+      [](PartitionedTable& t) {
+        for (Value k = 5000; k < 6000; k += 10) ASSERT_EQ(t.Delete(k), 1u);
+        ASSERT_EQ(t.Delete(3990), 1u);
+        ASSERT_EQ(t.Delete(25990), 1u);
+      },
+      [](PartitionedTable& t) {
+        for (Value k = 60005; k < 60400; k += 10) t.Insert(k, {7, 8});
+        for (Value k = 1001; k < 1100; k += 10) t.Insert(k, {1, 2});
+      },
+      [](PartitionedTable& t) {
+        ASSERT_TRUE(t.UpdateKey(2500, 45005));
+        ASSERT_TRUE(t.UpdateKey(50000, 12345));
+        ASSERT_TRUE(t.UpdateKey(60105, 15));
+        ASSERT_TRUE(t.UpdateKey(7000, 7777));
+        ASSERT_EQ(t.Delete(35000), 1u);
+      },
+  };
+  for (const auto& batch : batches) {
+    batch(kept);
+    batch(cycled);
+    for (size_t c = 0; c < cycled.num_chunks(); ++c) {
+      ASSERT_TRUE(cycled.EvictChunk(c, store.TierChunkPath(c)));
+      ASSERT_TRUE(cycled.PromoteChunk(c));
+    }
+    cycled.ValidateInvariants();
+  }
+
+  EXPECT_EQ(cycled.LayoutFingerprint(), kept.LayoutFingerprint());
+  for (size_t c = 0; c < kept.num_chunks(); ++c) {
+    const auto& want = kept.key_chunk(c).partitions();
+    const auto& got = cycled.key_chunk(c).partitions();
+    ASSERT_EQ(got.size(), want.size()) << "chunk " << c;
+    for (size_t t = 0; t < want.size(); ++t) {
+      EXPECT_EQ(got[t].begin, want[t].begin) << c << "/" << t;
+      EXPECT_EQ(got[t].size, want[t].size) << c << "/" << t;
+      EXPECT_EQ(got[t].cap, want[t].cap) << c << "/" << t;
+      EXPECT_EQ(got[t].upper, want[t].upper) << c << "/" << t;
+      EXPECT_EQ(got[t].min_val, want[t].min_val) << c << "/" << t;
+      EXPECT_EQ(got[t].max_val, want[t].max_val) << c << "/" << t;
+    }
+  }
+
+  Rng rng(3);
+  for (int i = 0; i < 200; ++i) {
+    const Value key = static_cast<Value>(rng.Next() % 61000);
+    std::vector<Payload> a, b;
+    EXPECT_EQ(cycled.PointLookup(key, &a), kept.PointLookup(key, &b)) << key;
+    EXPECT_EQ(a, b) << key;
+    const Value hi = key + static_cast<Value>(rng.Next() % 8000);
+    for (const ScanSpec& spec :
+         {ScanSpec::Count(key, hi), ScanSpec::Sum(key, hi, {0, 1}),
+          ScanSpec::Max(key, hi, 1)}) {
+      for (size_t c = 0; c < kept.num_chunks(); ++c) {
+        const ScanPartial x = cycled.ScanSpecInChunk(c, spec);
+        const ScanPartial y = kept.ScanSpecInChunk(c, spec);
+        EXPECT_EQ(x.count, y.count);
+        EXPECT_EQ(x.sum, y.sum);
+        EXPECT_EQ(x.max, y.max);
+      }
+    }
+  }
+
+  for (size_t c = 0; c < kept.num_chunks(); ++c) {
+    ChunkStatsSnapshot got = cycled.CoherentStatsSnapshot(c);
+    const ChunkStatsSnapshot want = kept.CoherentStatsSnapshot(c);
+    EXPECT_EQ(got.evictions, batches.size());
+    EXPECT_EQ(got.promotions, batches.size());
+    got.evictions = got.promotions = got.disk_reads = got.disk_bytes_read = 0;
+    EXPECT_EQ(DeltaString(ChunkStatsSnapshot{}, got),
+              DeltaString(ChunkStatsSnapshot{}, want))
+        << "chunk " << c;
+  }
   std::system(("rm -rf " + dir).c_str());
 }
 
@@ -842,12 +978,102 @@ TEST(TierManager, RidesTheMaintenanceCycle) {
 }
 
 
+/// Chunks A, B and C of 1,000, 4,000 and 3,000 rows (keys 0..7,999, one
+/// payload column, 10 partitions each, no ghost slots): resident footprints
+/// of 12,000, 48,000 and 36,000 bytes.
+PartitionedTable MakeTierTable() {
+  std::vector<Value> keys;
+  std::vector<std::vector<Payload>> payload(1);
+  for (Value k = 0; k < 8000; ++k) {
+    keys.push_back(k);
+    payload[0].push_back(static_cast<Payload>(k % 100));
+  }
+  std::vector<PartitionedTable::ChunkLayoutSpec> specs(3);
+  specs[0].partition_sizes.assign(10, 100);
+  specs[1].partition_sizes.assign(10, 400);
+  specs[2].partition_sizes.assign(10, 300);
+  return PartitionedTable::Build(std::move(keys), std::move(payload),
+                                 std::move(specs));
+}
+
+constexpr int64_t kTierTableBudget = 64800;  // fits A + B, not B + C
+
+size_t ResidentBytes(const PartitionedTable& table) {
+  size_t bytes = 0;
+  for (size_t c = 0; c < table.num_chunks(); ++c) bytes += table.ChunkMemoryBytes(c);
+  return bytes;
+}
+
+// A hot evicted chunk that does not fit the room its colder neighbours would
+// free evicts none of them: C (36,000 bytes) is hot, but B (48,000) is
+// hotter, and B + C exceed the budget, so A stays beside B and C stays out.
+TEST(TierManager, PromotionThatDoesNotFitEvictsNothing) {
+  PartitionedTable table = MakeTierTable();
+  ASSERT_EQ(table.ChunkMemoryBytes(0), 12000u);
+  ASSERT_EQ(table.ChunkMemoryBytes(1), 48000u);
+  ASSERT_EQ(table.ChunkMemoryBytes(2), 36000u);
+  const std::string dir = FreshDir("tier_no_fit");
+  const persist::StoreLayout store(dir);
+  ASSERT_TRUE(store.EnsureLayout().ok());
+  persist::TierOptions opts;
+  opts.memory_budget_bytes = kTierTableBudget;
+  persist::TierManager tier(&table, store, opts);
+  ASSERT_TRUE(table.EvictChunk(2, store.TierChunkPath(2)));
+  tier.RunCycle();  // absorb the baseline
+
+  for (Value k = 1000; k < 1400; ++k) ASSERT_EQ(table.PointLookup(k), 1u);
+  for (Value k = 5000; k < 5100; ++k) ASSERT_EQ(table.PointLookup(k), 1u);
+  const persist::TierCycleReport rep = tier.RunCycle();
+  EXPECT_TRUE(table.ChunkResident(0));
+  EXPECT_TRUE(table.ChunkResident(1));
+  EXPECT_FALSE(table.ChunkResident(2));
+  EXPECT_EQ(rep.evictions, 0u);
+  EXPECT_EQ(rep.promotions, 0u);
+  EXPECT_EQ(rep.resident_bytes, 60000u);
+  EXPECT_EQ(ResidentBytes(table), 60000u);
+  std::system(("rm -rf " + dir).c_str());
+}
+
+// A resident range sum counts the rows it evaluates and the partitions it
+// visits, as a cold one does, so sums alone keep a chunk hot.
+TEST(TierManager, ResidentRangeSumsEarnHeat) {
+  {
+    PartitionedTable table = MakeTierTable();
+    const ChunkStatsSnapshot before = table.CoherentStatsSnapshot(1);
+    for (int i = 0; i < 100; ++i) {
+      (void)table.ScanSpecInChunk(1, ScanSpec::Sum(1000, 5000, {0}));
+    }
+    const ChunkStatsSnapshot after = table.CoherentStatsSnapshot(1);
+    EXPECT_EQ(after.element_reads - before.element_reads, 400000u);
+    EXPECT_EQ(after.partitions_scanned - before.partitions_scanned, 1000u);
+  }
+
+  // Budgeted: A + B + C (96,000 bytes) exceed the budget, and the only
+  // traffic is range sums over A, the smallest and lowest-indexed chunk.
+  PartitionedTable table = MakeTierTable();
+  const std::string dir = FreshDir("tier_sum_heat");
+  const persist::StoreLayout store(dir);
+  ASSERT_TRUE(store.EnsureLayout().ok());
+  persist::TierOptions opts;
+  opts.memory_budget_bytes = kTierTableBudget;
+  persist::TierManager tier(&table, store, opts);
+  for (int i = 0; i < 100; ++i) {
+    (void)table.ScanSpecInChunk(0, ScanSpec::Sum(0, 1000, {0}));
+  }
+  const persist::TierCycleReport rep = tier.RunCycle();
+  EXPECT_TRUE(table.ChunkResident(0));
+  EXPECT_LE(rep.resident_bytes, static_cast<size_t>(kTierTableBudget));
+  std::system(("rm -rf " + dir).c_str());
+}
+
 // ---- (5) One partition walk across hot and cold chunks ---------------------
 //
 // The same fixed-seed spec set and point lookups run on resident chunks (hot)
 // and on evicted chunks (cold). Every answer must equal brute force, and each
 // shape's per-chunk counter delta is pinned exactly: the tier manager's heat
-// reads these counters, so a refactor of the read paths must not move them.
+// reads element_reads and partitions_scanned in both tiers alike, so a hot
+// row must be its cold row less the counters only a file-backed read moves,
+// and a refactor of the read paths must not move them.
 
 constexpr size_t kTierChunkRows = 8192;
 constexpr size_t kTierChunks = 3;
@@ -1008,27 +1234,41 @@ TierShape FindShape(const TierData& d) {
   return s;
 }
 
-/// The nonzero counters of one chunk's delta, e.g. "reads=12 scanned=3".
-std::string DeltaString(const ChunkStatsSnapshot& a, const ChunkStatsSnapshot& b) {
+/// The hot row the counting rule predicts from a cold row: per chunk, the
+/// same counters less those only a file-backed read moves (cscans, cpscans,
+/// ppruned, disk_reads, disk_bytes), with the rows of each payload-pruned
+/// partition counted back as read — a resident partition has no payload
+/// zone map, so it evaluates them.
+std::string HotFromCold(const std::string& cold) {
+  constexpr uint64_t kPartRows = kTierChunkRows / kTierParts;
   std::string out;
-  const auto field = [&](const char* name, uint64_t before, uint64_t after) {
-    if (after == before) return;
-    if (!out.empty()) out += ' ';
-    out += std::string(name) + '=' + std::to_string(after - before);
-  };
-  field("reads", a.element_reads, b.element_reads);
-  field("writes", a.element_writes, b.element_writes);
-  field("ripples", a.ripple_steps, b.ripple_steps);
-  field("scanned", a.partitions_scanned, b.partitions_scanned);
-  field("pruned", a.partitions_pruned, b.partitions_pruned);
-  field("cscans", a.compressed_scans, b.compressed_scans);
-  field("cpscans", a.compressed_payload_scans, b.compressed_payload_scans);
-  field("ppruned", a.payload_partitions_pruned, b.payload_partitions_pruned);
-  field("grows", a.grows, b.grows);
-  field("evictions", a.evictions, b.evictions);
-  field("promotions", a.promotions, b.promotions);
-  field("disk_reads", a.disk_reads, b.disk_reads);
-  field("disk_bytes", a.disk_bytes_read, b.disk_bytes_read);
+  size_t pos = 0;
+  while (true) {
+    const size_t bar = cold.find(" | ", pos);
+    std::istringstream chunk(cold.substr(pos, bar - pos));
+    uint64_t reads = 0;
+    uint64_t ppruned = 0;
+    std::string rest;
+    for (std::string tok; chunk >> tok;) {
+      const std::string name = tok.substr(0, tok.find('='));
+      const uint64_t value = std::stoull(tok.substr(name.size() + 1));
+      if (name == "reads") {
+        reads = value;
+      } else if (name == "ppruned") {
+        ppruned = value;
+      } else if (name != "cscans" && name != "cpscans" && name != "disk_reads" &&
+                 name != "disk_bytes") {
+        rest += ' ' + tok;
+      }
+    }
+    reads += kPartRows * ppruned;
+    std::string row = reads == 0 ? rest.substr(std::min<size_t>(1, rest.size()))
+                                 : "reads=" + std::to_string(reads) + rest;
+    out += row;
+    if (bar == std::string::npos) break;
+    out += " | ";
+    pos = bar + 3;
+  }
   return out;
 }
 
@@ -1087,47 +1327,61 @@ TEST(TierEquivalence, HotColdAnswersAndCounters) {
       },
       // sum
       {
-          " |  | ",
           " | "
-          "reads=7680 cpscans=15 disk_reads=3 disk_bytes=114072 | "
-          "reads=11776 cpscans=23 disk_reads=4 disk_bytes=152096"
+          "reads=7680 scanned=15 | "
+          "reads=11776 scanned=23",
+          " | "
+          "reads=7680 scanned=15 cpscans=15 disk_reads=3 disk_bytes=114072 | "
+          "reads=11776 scanned=23 cpscans=23 disk_reads=4 disk_bytes=152096"
       },
-      // q6
+      // q6: the cold reads skip each payload-pruned partition's 512 rows
       {
-          " |  | ",
-          "reads=9216 cpscans=18 ppruned=35 disk_reads=4 disk_bytes=152096 | "
-          "reads=13824 cpscans=27 ppruned=48 disk_reads=5 disk_bytes=190120 | "
-          "reads=14336 cpscans=28 ppruned=50 disk_reads=7 disk_bytes=266168"
+          "reads=27136 scanned=53 | "
+          "reads=38400 scanned=75 | "
+          "reads=39936 scanned=78",
+          "reads=9216 scanned=53 cpscans=18 ppruned=35 disk_reads=4 "
+          "disk_bytes=152096 | "
+          "reads=13824 scanned=75 cpscans=27 ppruned=48 disk_reads=5 "
+          "disk_bytes=190120 | "
+          "reads=14336 scanned=78 cpscans=28 ppruned=50 disk_reads=7 "
+          "disk_bytes=266168"
       },
       // min
       {
-          " |  | ",
-          "reads=5120 cpscans=10 disk_reads=2 disk_bytes=76048 | "
-          "reads=8192 cpscans=16 disk_reads=1 disk_bytes=38024 | "
-          "reads=18944 cpscans=37 disk_reads=5 disk_bytes=190120"
+          "reads=5120 scanned=10 | "
+          "reads=8192 scanned=16 | "
+          "reads=18944 scanned=37",
+          "reads=5120 scanned=10 cpscans=10 disk_reads=2 disk_bytes=76048 | "
+          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024 | "
+          "reads=18944 scanned=37 cpscans=37 disk_reads=5 disk_bytes=190120"
       },
       // max
       {
-          " |  | ",
-          "reads=512 cpscans=1 disk_reads=1 disk_bytes=38024 | "
-          "reads=7168 cpscans=14 disk_reads=3 disk_bytes=114072 | "
-          "reads=14848 cpscans=29 disk_reads=3 disk_bytes=114072"
+          "reads=512 scanned=1 | "
+          "reads=7168 scanned=14 | "
+          "reads=14848 scanned=29",
+          "reads=512 scanned=1 cpscans=1 disk_reads=1 disk_bytes=38024 | "
+          "reads=7168 scanned=14 cpscans=14 disk_reads=3 disk_bytes=114072 | "
+          "reads=14848 scanned=29 cpscans=29 disk_reads=3 disk_bytes=114072"
       },
       // avg
       {
-          " |  | ",
           " | "
-          "reads=6144 cpscans=12 disk_reads=4 disk_bytes=152096 | "
-          "reads=3584 cpscans=7 disk_reads=3 disk_bytes=114072"
+          "reads=6144 scanned=12 | "
+          "reads=3584 scanned=7",
+          " | "
+          "reads=6144 scanned=12 cpscans=12 disk_reads=4 disk_bytes=152096 | "
+          "reads=3584 scanned=7 cpscans=7 disk_reads=3 disk_bytes=114072"
       },
-      // full
+      // full: a full-domain count reads only the partition sizes, a
+      // full-domain sum every row
       {
-          "scanned=16 | "
-          "scanned=16 | "
-          "scanned=16",
-          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024 | "
-          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024 | "
-          "reads=8192 scanned=16 cpscans=16 disk_reads=1 disk_bytes=38024"
+          "reads=8192 scanned=32 | "
+          "reads=8192 scanned=32 | "
+          "reads=8192 scanned=32",
+          "reads=8192 scanned=32 cpscans=16 disk_reads=1 disk_bytes=38024 | "
+          "reads=8192 scanned=32 cpscans=16 disk_reads=1 disk_bytes=38024 | "
+          "reads=8192 scanned=32 cpscans=16 disk_reads=1 disk_bytes=38024"
       },
       // empty
       {
@@ -1146,6 +1400,10 @@ TEST(TierEquivalence, HotColdAnswersAndCounters) {
       },
   };
   ASSERT_EQ(expected.size(), shapes.size());
+  // The one counting rule, read off the pins: each hot row is its cold row.
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    EXPECT_EQ(HotFromCold(expected[s].cold), expected[s].hot) << shapes[s].name;
+  }
 
   // Hot: resident chunks scan their partitioned arrays.
   PartitionedLayout layout = MakeTierLayout(d);
