@@ -29,7 +29,7 @@ double Median(std::vector<double> v) {
 int Main() {
   PrintHeader("Figure 12",
               "normalized throughput: 6 layouts x 6 HAP workloads");
-  const size_t rows = ScaledRows(2'000'000);
+  const size_t rows = ScaledRows(SmokeMode() ? 200'000 : 2'000'000);
   const size_t num_ops = NumOps();
   std::printf("rows=%zu ops=%zu ghost=1%%\n\n", rows, num_ops);
 

@@ -502,9 +502,11 @@ BENCHMARK(BM_RippleUpdate)->Iterations(kChunkWriteIterations);
 // factory's ghost batch of 8, fed a fixed insert stream, 90% of it into the
 // top 30% of the key domain. Once a partition's ghosts run out, each insert
 // carries a block of ghost slots across the boundaries in between as one
-// copy run per boundary, applied to the key and each payload column. Reports
-// ns and ripple steps per insert; pinned iterations keep the stream and the
-// chunk states equal across commits.
+// copy run per boundary, applied to the key and each payload column; once
+// the chunk is full, an insert grows it. Reports ns and ripple steps per
+// insert, the grows, and the slowest single insert (max_insert_us: a grow's
+// exclusive hold); pinned iterations keep the stream and the chunk states
+// equal across commits.
 constexpr int64_t kTableRippleInserts = 200000;
 
 void BM_TableInsertRipple(benchmark::State& state) {
@@ -533,17 +535,24 @@ void BM_TableInsertRipple(benchmark::State& state) {
     k = static_cast<Value>(skew.Sample(rng) * static_cast<double>(rows * 4));
   }
   const std::vector<Payload> row(cols, 7);
-  const uint64_t steps_before = table.CoherentStatsSnapshot(0).ripple_steps;
+  const ChunkStatsSnapshot before = table.CoherentStatsSnapshot(0);
   size_t i = 0;
+  uint64_t last_ns = 0;
+  uint64_t max_insert_ns = 0;
   Stopwatch sw;
-  for (auto _ : state) table.Insert(stream[i++], row);
-  const double ns = static_cast<double>(sw.ElapsedNanos());
+  for (auto _ : state) {
+    table.Insert(stream[i++], row);
+    const uint64_t now = sw.ElapsedNanos();
+    max_insert_ns = std::max(max_insert_ns, now - last_ns);
+    last_ns = now;
+  }
+  const ChunkStatsSnapshot after = table.CoherentStatsSnapshot(0);
   const double inserts = static_cast<double>(i);
-  state.counters["ns_per_insert"] = ns / inserts;
+  state.counters["ns_per_insert"] = static_cast<double>(last_ns) / inserts;
   state.counters["ripple_steps_per_insert"] =
-      static_cast<double>(table.CoherentStatsSnapshot(0).ripple_steps -
-                          steps_before) /
-      inserts;
+      static_cast<double>(after.ripple_steps - before.ripple_steps) / inserts;
+  state.counters["grows"] = static_cast<double>(after.grows - before.grows);
+  state.counters["max_insert_us"] = static_cast<double>(max_insert_ns) / 1e3;
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TableInsertRipple)->Iterations(kTableRippleInserts);

@@ -97,6 +97,7 @@ PartitionedColumnChunk PartitionedColumnChunk::Build(
   }
   chunk.live_ = m;
   chunk.parts_ = std::move(parts);
+  chunk.inserts_.assign(chunk.parts_.size(), 0);
 
   std::vector<Value> uppers;
   uppers.reserve(chunk.parts_.size());
@@ -136,7 +137,16 @@ inline void PartitionedColumnChunk::MoveRows(const MoveRun& run) {
   for (std::vector<Payload>& col : payload_) CopyRun(col.data(), run);
 }
 
-inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, size_t k) {
+inline void PartitionedColumnChunk::Publish(const RippleTally& tally) {
+  if (tally.moves > 0) {
+    stats_.element_reads += tally.moves;
+    stats_.element_writes += tally.moves;
+  }
+  if (tally.steps > 0) stats_.ripple_steps += tally.steps;
+}
+
+inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, size_t k,
+                                                     RippleTally& tally) {
   Partition& a = parts_[t];
   Partition& b = parts_[t + 1];
   CASPER_CHECK(b.free_slots() >= k);
@@ -146,16 +156,16 @@ inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, size_t k) {
     MoveRows({static_cast<uint32_t>(b.begin),
               static_cast<uint32_t>(b.begin + b.size),
               static_cast<uint32_t>(k)});
-    stats_.element_reads += k;
-    stats_.element_writes += k;
+    tally.moves += k;
   }
   b.begin += k;
   b.cap -= k;
   a.cap += k;
-  stats_.ripple_steps += k;
+  tally.steps += k;
 }
 
-inline void PartitionedColumnChunk::MoveFreeSlotRight(size_t t, size_t k) {
+inline void PartitionedColumnChunk::MoveFreeSlotRight(size_t t, size_t k,
+                                                      RippleTally& tally) {
   Partition& a = parts_[t];
   Partition& b = parts_[t + 1];
   CASPER_CHECK(a.free_slots() >= k);
@@ -164,13 +174,12 @@ inline void PartitionedColumnChunk::MoveFreeSlotRight(size_t t, size_t k) {
     // free slot of a's region (begin - 1 - j).
     MoveRows({static_cast<uint32_t>(b.begin + b.size - k),
               static_cast<uint32_t>(b.begin - k), static_cast<uint32_t>(k)});
-    stats_.element_reads += k;
-    stats_.element_writes += k;
+    tally.moves += k;
   }
   a.cap -= k;
   b.begin -= k;
   b.cap += k;
-  stats_.ripple_steps += k;
+  tally.steps += k;
 }
 
 size_t PartitionedColumnChunk::FindDonor(size_t m) const {
@@ -182,11 +191,50 @@ size_t PartitionedColumnChunk::FindDonor(size_t m) const {
   return static_cast<size_t>(-1);
 }
 
-void PartitionedColumnChunk::Grow() {
-  const size_t growth = std::max<size_t>(64, data_.size() / 64);
-  data_.resize(data_.size() + growth, 0);
-  for (std::vector<Payload>& col : payload_) col.resize(data_.size(), 0);
-  parts_.back().cap += growth;
+// One column re-laid for a grow into a buffer of `wider` slots, each slot
+// written once: partition t's live rows at its new begin, then zeros up to
+// its cap widened by added[t].
+template <typename T>
+static std::vector<T> Relaid(const std::vector<T>& col,
+                             const std::vector<PartitionedColumnChunk::Partition>& parts,
+                             const std::vector<size_t>& added, size_t wider) {
+  std::vector<T> out;
+  out.reserve(wider);
+  for (size_t t = 0; t < parts.size(); ++t) {
+    const auto first = col.begin() + static_cast<ptrdiff_t>(parts[t].begin);
+    out.insert(out.end(), first, first + static_cast<ptrdiff_t>(parts[t].size));
+    out.resize(out.size() + parts[t].free_slots() + added[t], T{0});
+  }
+  return out;
+}
+
+void PartitionedColumnChunk::Grow(size_t m) {
+  const size_t growth = std::max<size_t>(64, capacity() / 64);
+  std::vector<size_t> added(parts_.size(), 0);
+  if (opts_.dense) {
+    added.back() = growth;
+  } else {
+    const size_t inserted =
+        std::accumulate(inserts_.begin(), inserts_.end(), size_t{0});
+    size_t given = 0;
+    for (size_t t = 0; inserted > 0 && t < parts_.size(); ++t) {
+      added[t] = growth * inserts_[t] / inserted;
+      given += added[t];
+    }
+    added[m] += growth - given;
+  }
+
+  const size_t wider = capacity() + growth;
+  data_ = Relaid(data_, parts_, added, wider);
+  for (std::vector<Payload>& col : payload_) col = Relaid(col, parts_, added, wider);
+  size_t begin = 0;
+  for (size_t t = 0; t < parts_.size(); ++t) {
+    parts_[t].begin = begin;
+    parts_[t].cap += added[t];
+    begin += parts_[t].cap;
+  }
+  inserts_.assign(parts_.size(), 0);
+  Publish({live_, 0});
   ++stats_.grows;
 }
 
@@ -194,21 +242,23 @@ void PartitionedColumnChunk::EnsureFreeSlot(size_t m) {
   if (parts_[m].free_slots() > 0) return;
   size_t donor = FindDonor(m);
   if (donor == static_cast<size_t>(-1)) {
-    Grow();
-    donor = parts_.size() - 1;
-    if (donor == m) return;
+    Grow(m);
+    if (parts_[m].free_slots() > 0) return;
+    donor = FindDonor(m);
   }
   const size_t batch =
       std::max<size_t>(1, std::min(opts_.ghost_batch, parts_[donor].free_slots()));
+  RippleTally tally;
   if (donor > m) {
     for (size_t t = donor; t-- > m;) {
-      MoveFreeSlotLeft(t, std::min(batch, parts_[t + 1].free_slots()));
+      MoveFreeSlotLeft(t, std::min(batch, parts_[t + 1].free_slots()), tally);
     }
   } else {
     for (size_t t = donor; t < m; ++t) {
-      MoveFreeSlotRight(t, std::min(batch, parts_[t].free_slots()));
+      MoveFreeSlotRight(t, std::min(batch, parts_[t].free_slots()), tally);
     }
   }
+  Publish(tally);
   CASPER_CHECK(parts_[m].free_slots() > 0);
 }
 
@@ -245,6 +295,7 @@ inline void PartitionedColumnChunk::PlaceRow(size_t t, Value v, const Payload* r
   live_ += 1;
   p.min_val = std::min(p.min_val, v);
   p.max_val = std::max(p.max_val, v);
+  ++inserts_[t];
   ++stats_.element_writes;
 }
 
@@ -264,7 +315,9 @@ size_t PartitionedColumnChunk::DeleteOne(Value v, std::vector<Payload>* row_out)
   TakeRow(m, slot, row_out == nullptr ? nullptr : row_out->data());
   if (opts_.dense) {
     // Dense layout keeps the column contiguous: ripple the hole to the end.
-    for (size_t t = m; t + 1 < parts_.size(); ++t) MoveFreeSlotRight(t, 1);
+    RippleTally tally;
+    for (size_t t = m; t + 1 < parts_.size(); ++t) MoveFreeSlotRight(t, 1, tally);
+    Publish(tally);
   }
   return 1;
 }
@@ -289,11 +342,13 @@ bool PartitionedColumnChunk::Update(Value old_value, Value new_value) {
   // Fig. 4b first phase), ripple that slot to the destination partition
   // (forward or backward), and place the row there.
   TakeRow(i, slot, row_scratch_.data());
+  RippleTally tally;
   if (j > i) {
-    for (size_t t = i; t < j; ++t) MoveFreeSlotRight(t, 1);
+    for (size_t t = i; t < j; ++t) MoveFreeSlotRight(t, 1, tally);
   } else {
-    for (size_t t = i; t-- > j;) MoveFreeSlotLeft(t, 1);
+    for (size_t t = i; t-- > j;) MoveFreeSlotLeft(t, 1, tally);
   }
+  Publish(tally);
   PlaceRow(j, new_value, row_scratch_.data());
   return true;
 }

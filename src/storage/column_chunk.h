@@ -35,7 +35,15 @@ namespace casper {
 /// With ghost values (paper Fig. 5), inserts into a partition that has a
 /// free slot are O(1), deletes create new free slots in place, and updates
 /// ripple only between the source and destination partitions. The counters
-/// count key elements only, so the cost model prices a row like a key.
+/// count key elements only, so the cost model prices a row like a key. A
+/// ripple tallies its moves in locals and publishes them to the counters
+/// once, when it ends.
+///
+/// When no partition has a free slot left, the chunk grows. Build and
+/// re-partition spread ghost slots by the model's insert frequency (paper
+/// §6.1, Eq. 18); a grow applies the same rule online, spreading its new
+/// slots over the partitions by the inserts each took since the last build
+/// or grow, so the slack lands where the inserts go.
 class PartitionedColumnChunk {
  public:
   struct Options {
@@ -171,13 +179,23 @@ class PartitionedColumnChunk {
   // Applies one copy run to the key buffer and to each payload column.
   void MoveRows(const MoveRun& run);
 
+  // What one ripple moved: rows copied (each one element read and one
+  // write) and free slots carried across a boundary (ripple steps). A
+  // ripple adds to it at every boundary and publishes it once (Publish), so
+  // a boundary costs no locked add.
+  struct RippleTally {
+    size_t moves = 0;
+    size_t steps = 0;
+  };
+  void Publish(const RippleTally& tally);
+
   // Moves k free slots from partition t+1 to partition t (toward the
-  // front): k ripple steps taken as one copy run and one bump of each
-  // counter. Precondition: parts_[t+1].free_slots() >= k.
-  void MoveFreeSlotLeft(size_t t, size_t k);
+  // front): k ripple steps taken as one copy run, added to `tally`.
+  // Precondition: parts_[t+1].free_slots() >= k.
+  void MoveFreeSlotLeft(size_t t, size_t k, RippleTally& tally);
   // Moves k free slots from partition t to partition t+1 (toward the back),
   // likewise as one run. Precondition: parts_[t].free_slots() >= k.
-  void MoveFreeSlotRight(size_t t, size_t k);
+  void MoveFreeSlotRight(size_t t, size_t k, RippleTally& tally);
 
   // Brings >=1 free slot into partition m (ghost_batch at most), growing the
   // buffers when the chunk is completely full.
@@ -187,8 +205,15 @@ class PartitionedColumnChunk {
   // SIZE_MAX if none.
   size_t FindDonor(size_t m) const;
 
-  // Widens the last partition's region in every column.
-  void Grow();
+  // Adds max(64, capacity/64) slots, triggered by an insert into partition
+  // m. Partition t gets floor(growth x inserts_[t] / sum of inserts_) of
+  // them (Eq. 18 over the inserts since the last build or grow), m the
+  // rounding remainder, or all of them when nothing was inserted; a dense
+  // chunk grows at its tail. The chunk is re-laid in one pass into wider
+  // buffers, each partition's live rows copied to its new begin (counted as
+  // element reads and writes). Only begin and cap move, so uppers, zone
+  // maps and the partition index stay valid.
+  void Grow(size_t m);
 
   // The three steps every write is made of. FindRow: the slot of the first
   // row with key v in partition t, or kNoSlot; counts the partition's rows
@@ -196,7 +221,7 @@ class PartitionedColumnChunk {
   // copying its payload to `row_out` (if non-null) and moving the
   // partition's last row into the hole, so the free slot opens at the tail.
   // PlaceRow: writes (v, row) at partition t's first free slot, which must
-  // exist.
+  // exist, and counts the insert in inserts_[t].
   size_t FindRow(size_t t, Value v) const;
   void TakeRow(size_t t, size_t slot, Payload* row_out);
   void PlaceRow(size_t t, Value v, const Payload* row);
@@ -209,6 +234,9 @@ class PartitionedColumnChunk {
   // member, so an update allocates nothing.
   std::vector<Payload> row_scratch_;
   std::vector<Partition> parts_;
+  // Rows placed in each partition since the last build or grow: the insert
+  // frequency the next grow spreads its slots by.
+  std::vector<size_t> inserts_;
   PartitionIndex index_;
   // Reads also account their data movement; recorders are not logical state.
   // Relaxed-atomic counters: const read paths bump them from concurrent

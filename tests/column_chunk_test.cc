@@ -425,7 +425,8 @@ TEST_P(RippleRuns, GrowThenRipple) {
   const size_t batch = GetParam();
   RowTracked t(Iota(24, 0, 10), {8, 8, 8}, {}, GhostOptions(batch));
   t.c.stats().Clear();
-  t.Insert(5);  // full chunk: grows at the back, then ripples to the front
+  t.Insert(5);  // full chunk, nothing inserted since the build: the grow
+                // gives all its slots to the front partition
   EXPECT_EQ(t.c.stats().grows, 1u);
   EXPECT_EQ(t.c.payload()[0].size(), t.c.raw_data().size());
   for (Value v = 1; v < 40; ++v) t.Insert(v * 6 + 1);
@@ -498,6 +499,100 @@ TEST_P(RippleRuns, RandomStreamKeepsRowsWhole) {
 }
 
 INSTANTIATE_TEST_SUITE_P(GhostBatch, RippleRuns, ::testing::Values(1, 8));
+
+// --- Grows spread slack by demand ----------------------------------------------
+
+/// Slots one grow adds to a chunk of `capacity` slots.
+size_t Growth(size_t capacity) { return std::max<size_t>(64, capacity / 64); }
+
+std::vector<size_t> Caps(const Chunk& c) {
+  std::vector<size_t> caps;
+  for (const auto& p : c.partitions()) caps.push_back(p.cap);
+  return caps;
+}
+
+TEST(ColumnChunk, GrowSpreadsSlotsByInserts) {
+  // No ghosts, so the first insert grows a chunk that has taken no inserts.
+  RowTracked t(Iota(256, 0, 10), std::vector<size_t>(8, 32), {}, GhostOptions(8));
+  const size_t k = t.c.num_partitions();
+  Rng rng(36);
+  const Value domain = 2560;
+  // Rows placed in each partition since the last grow: every insert, and
+  // every update that moves its row to another partition.
+  std::vector<size_t> placed(k, 0);
+  size_t grows = 0;
+  size_t grows_without_inserts = 0;
+  for (int op = 0; op < 2000 && grows < 12; ++op) {
+    // Skewed: 3 in 4 keys land in the first three partitions.
+    const Value v = static_cast<Value>(rng.Below(4) == 0 ? rng.Below(domain)
+                                                         : rng.Below(domain * 3 / 8));
+    const uint64_t kind = rng.Below(10);
+    // A live key near a random point: an update's source, a delete's key.
+    const auto live = t.rows.lower_bound(static_cast<Value>(rng.Below(domain)));
+    if (t.Has(v) || live == t.rows.end()) continue;
+    const std::vector<size_t> caps = Caps(t.c);
+    const size_t capacity = t.c.capacity();
+    const uint64_t grows_before = t.c.stats().grows;
+    const size_t target = t.c.RoutePartition(v);
+    bool places = false;
+    if (kind < 6) {
+      t.Insert(v);
+      places = true;
+    } else if (kind < 9) {
+      places = t.c.RoutePartition(live->first) != target;
+      t.Update(live->first, v);
+    } else {
+      t.DeleteOne(live->first);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    if (t.c.stats().grows != grows_before) {
+      ASSERT_EQ(t.c.stats().grows, grows_before + 1);
+      ASSERT_LT(kind, 6u) << "only an insert finds the chunk full";
+      ++grows;
+      // Eq. 18 over the rows placed since the last grow: partition p gets
+      // floor(growth x placed[p] / total), the insert's partition the rest,
+      // or everything when nothing was placed.
+      const size_t growth = Growth(capacity);
+      const size_t total = std::accumulate(placed.begin(), placed.end(), size_t{0});
+      std::vector<size_t> share(k, 0);
+      for (size_t p = 0; total > 0 && p < k; ++p) share[p] = growth * placed[p] / total;
+      share[target] += growth - std::accumulate(share.begin(), share.end(), size_t{0});
+      if (total == 0) ++grows_without_inserts;
+      // The stream is chosen so every grow covers its own insert; otherwise
+      // a ripple after the grow would also move caps.
+      ASSERT_GT(share[target], 0u);
+      const std::vector<size_t> after = Caps(t.c);
+      for (size_t p = 0; p < k; ++p) {
+        EXPECT_EQ(after[p] - caps[p], share[p]) << "grow " << grows << " partition " << p;
+      }
+      EXPECT_EQ(t.c.capacity(), capacity + growth);
+      placed.assign(k, 0);
+    }
+    if (places) ++placed[target];
+  }
+  EXPECT_GE(grows, 5u);
+  EXPECT_EQ(grows_without_inserts, 1u);  // the first grow after the build
+}
+
+TEST(ColumnChunk, DenseChunkGrowsAtTheTail) {
+  Chunk::Options dense = GhostOptions(1);
+  dense.dense = true;
+  RowTracked t(Iota(256, 0, 10), std::vector<size_t>(8, 32), {}, dense);
+  const size_t last = t.c.num_partitions() - 1;
+  size_t grows = 0;
+  for (Value v = 1; grows < 3; v += 10) {
+    const size_t capacity = t.c.capacity();
+    const uint64_t grows_before = t.c.stats().grows;
+    t.Insert(v);  // the front partitions: every slot comes from the tail
+    if (::testing::Test::HasFatalFailure()) return;
+    if (t.c.stats().grows == grows_before) continue;
+    ++grows;
+    EXPECT_EQ(t.c.capacity(), capacity + Growth(capacity));
+    // Only the slot this insert took crossed over from the tail.
+    for (size_t p = 0; p < last; ++p) EXPECT_EQ(t.c.partition(p).free_slots(), 0u);
+    EXPECT_EQ(t.c.partition(last).free_slots(), Growth(capacity) - 1);
+  }
+}
 
 // --- Golden slot image -------------------------------------------------------
 
@@ -604,18 +699,19 @@ RippleStreamResult RunRippleStream() {
 
 TEST(RippleRuns, GoldenSlotImageAfterRippleHeavyStream) {
   const RippleStreamResult r = RunRippleStream();
-  // Every key slot and payload row stays where the single-slot ripple put
-  // it.
-  EXPECT_EQ(r.image_hash, 0x320cd640b53995aeull);
+  // Every key slot and payload row stays where the ripples and the
+  // demand-spread grows put it.
+  EXPECT_EQ(r.image_hash, 0xa171f2f88df89c76ull);
   ASSERT_EQ(r.stats.size(), 2u);
   // The data movement, chunk by chunk: a cross-chunk move (258 and 244 of
-  // them) reads its source partition once.
-  EXPECT_EQ(r.stats[0].element_reads, 608884u);
-  EXPECT_EQ(r.stats[1].element_reads, 630853u);
-  EXPECT_EQ(r.stats[0].ripple_steps, 107889u);
-  EXPECT_EQ(r.stats[1].ripple_steps, 104381u);
-  EXPECT_EQ(r.stats[0].element_writes, 113368u);
-  EXPECT_EQ(r.stats[1].element_writes, 109833u);
+  // them) reads its source partition once, and a grow reads and writes
+  // every live row it re-lays.
+  EXPECT_EQ(r.stats[0].element_reads, 703224u);
+  EXPECT_EQ(r.stats[1].element_reads, 722312u);
+  EXPECT_EQ(r.stats[0].ripple_steps, 17669u);
+  EXPECT_EQ(r.stats[1].ripple_steps, 18204u);
+  EXPECT_EQ(r.stats[0].element_writes, 207708u);
+  EXPECT_EQ(r.stats[1].element_writes, 201292u);
   EXPECT_EQ(r.stats[0].grows, 34u);
   EXPECT_EQ(r.stats[1].grows, 33u);
 }
