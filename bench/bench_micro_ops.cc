@@ -455,8 +455,9 @@ BENCHMARK(BM_RangeCount)->Arg(64)->Arg(256);
 
 // The write rows mutate one chunk for their whole run, so each is pinned to
 // a fixed iteration count: every commit then times the same operations over
-// the same chunk states. They keep the chunk's default ghost batch of 1 (the
-// textbook one-slot ripple); BM_TableInsertRipple runs the engine's batch.
+// the same chunk states. Their ghost chunks fetch free slots in blocks of
+// PartitionedColumnChunk::kGhostBatch, and the dense one (BM_InsertWithGhosts/0)
+// one slot at a time, as every engine chunk does.
 constexpr int64_t kChunkWriteIterations = 20000;
 
 void BM_InsertWithGhosts(benchmark::State& state) {
@@ -498,8 +499,8 @@ void BM_RippleUpdate(benchmark::State& state) {
 BENCHMARK(BM_RippleUpdate)->Iterations(kChunkWriteIterations);
 
 // The storage write layer as the engine runs it: one 2^16-row table chunk in
-// 64 partitions with 1% ghost slots, 3 payload columns and the layout
-// factory's ghost batch of 8, fed a fixed insert stream, 90% of it into the
+// 64 partitions with 1% ghost slots, 3 payload columns and the chunk's
+// ghost batch of 8, fed a fixed insert stream, 90% of it into the
 // top 30% of the key domain. Once a partition's ghosts run out, each insert
 // carries a block of ghost slots across the boundaries in between as one
 // copy run per boundary, applied to the key and each payload column; once
@@ -524,10 +525,8 @@ void BM_TableInsertRipple(benchmark::State& state) {
   PartitionedTable::ChunkLayoutSpec spec;
   spec.partition_sizes.assign(parts, rows / parts);
   spec.ghosts.assign(parts, rows / 100 / parts);
-  PartitionedTable::Options opts;
-  opts.chunk.ghost_batch = 8;
   PartitionedTable table =
-      PartitionedTable::Build(std::move(keys), std::move(payload), {spec}, opts);
+      PartitionedTable::Build(std::move(keys), std::move(payload), {spec});
 
   const HotspotDistribution skew(0.7, 0.3, 0.9);
   std::vector<Value> stream(static_cast<size_t>(kTableRippleInserts));

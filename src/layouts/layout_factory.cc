@@ -68,7 +68,6 @@ std::vector<size_t> DuplicateSafeChunkCounts(const std::vector<Value>& sorted_ke
 
 namespace {
 
-constexpr size_t kGhostBatch = 8;         ///< free slots pulled in per grow
 constexpr size_t kDenseSpareTail = 1024;  ///< dense chunks' column-end scratch
 
 std::vector<size_t> EquiPartitionSizes(size_t rows, size_t k) {
@@ -96,9 +95,6 @@ PartitionedTable::Options PartitionedTableOptionsFor(
     const LayoutBuildOptions& options) {
   PartitionedTable::Options topts;
   topts.chunk.dense = (options.mode == LayoutMode::kEquiWidth);
-  // The dense design moves exactly one slot per ripple (paper Fig. 4);
-  // batching is a ghost-value optimization (paper §6.1).
-  topts.chunk.ghost_batch = topts.chunk.dense ? 1 : kGhostBatch;
   topts.chunk.spare_tail = topts.chunk.dense ? kDenseSpareTail : 0;
   return topts;
 }

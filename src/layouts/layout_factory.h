@@ -80,9 +80,9 @@ std::unique_ptr<PartitionedLayout> BuildPartitionedLayout(
 
 /// The PartitionedTable::Options a partitioned build derives from the
 /// build-level knobs (chunk capacity, block granularity, dense/ghost mode)
-/// and the factory's ghost batch and dense spare tail. Exposed so
-/// durable-store recovery rebuilds the table under exactly the
-/// configuration the original build used.
+/// and the factory's dense spare tail. Exposed so durable-store recovery
+/// rebuilds the table under exactly the configuration the original build
+/// used.
 PartitionedTable::Options PartitionedTableOptionsFor(
     const LayoutBuildOptions& options);
 

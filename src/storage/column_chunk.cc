@@ -4,9 +4,52 @@
 #include <numeric>
 
 #include "exec/scan_kernels.h"
+#include "storage/chunk_rows.h"
 #include "util/status.h"
 
 namespace casper {
+
+using Partition = PartitionedColumnChunk::Partition;
+
+// The one way rows enter slots: a column laid out for `parts`, partition t's
+// rows read from src + from[t] into [begin, begin + size), then zeros up to
+// its cap. Every slot is written once.
+template <typename T>
+static std::vector<T> LaidOut(const T* src, const std::vector<size_t>& from,
+                              const std::vector<Partition>& parts) {
+  std::vector<T> out;
+  out.reserve(parts.back().begin + parts.back().cap);
+  for (size_t t = 0; t < parts.size(); ++t) {
+    out.insert(out.end(), src + from[t], src + from[t] + parts[t].size);
+    out.resize(out.size() + parts[t].free_slots(), T{0});
+  }
+  return out;
+}
+
+// LaidOut's inverse: a column's live rows, partition by partition.
+template <typename T>
+static std::vector<T> Gathered(const std::vector<T>& col,
+                               const std::vector<Partition>& parts, size_t live) {
+  std::vector<T> out;
+  out.reserve(live);
+  for (const Partition& p : parts) {
+    const auto first = col.begin() + static_cast<ptrdiff_t>(p.begin);
+    out.insert(out.end(), first, first + static_cast<ptrdiff_t>(p.size));
+  }
+  return out;
+}
+
+// Where each partition's rows start when the rows are stored in partition
+// order with no free slots between them (sorted input, ChunkRows).
+static std::vector<size_t> RowOffsets(const std::vector<Partition>& parts) {
+  std::vector<size_t> from(parts.size());
+  size_t at = 0;
+  for (size_t t = 0; t < parts.size(); ++t) {
+    from[t] = at;
+    at += parts[t].size;
+  }
+  return from;
+}
 
 PartitionedColumnChunk PartitionedColumnChunk::Build(
     std::vector<Value> sorted_values, std::vector<size_t> partition_sizes,
@@ -75,26 +118,17 @@ PartitionedColumnChunk PartitionedColumnChunk::Build(
   parts.back().cap += options.spare_tail;
 
   // Lay out the buffers: each partition's rows followed by its free slots.
-  size_t total_cap = 0;
+  size_t begin = 0;
   for (auto& p : parts) {
-    p.begin = total_cap;
-    total_cap += p.cap;
+    p.begin = begin;
+    begin += p.cap;
   }
-  chunk.data_.assign(total_cap, 0);
-  chunk.payload_.resize(payload.size());
-  for (std::vector<Payload>& col : chunk.payload_) col.assign(total_cap, 0);
+  const std::vector<size_t> from = RowOffsets(parts);
+  chunk.data_ = LaidOut(sorted_values.data(), from, parts);
+  for (const std::vector<Payload>& col : payload) {
+    chunk.payload_.push_back(LaidOut(col.data() + first_row, from, parts));
+  }
   chunk.row_scratch_.resize(payload.size());
-  size_t src = 0;
-  for (const auto& p : parts) {
-    std::copy_n(sorted_values.begin() + static_cast<ptrdiff_t>(src), p.size,
-                chunk.data_.begin() + static_cast<ptrdiff_t>(p.begin));
-    for (size_t col = 0; col < payload.size(); ++col) {
-      std::copy_n(payload[col].begin() + static_cast<ptrdiff_t>(first_row + src),
-                  p.size,
-                  chunk.payload_[col].begin() + static_cast<ptrdiff_t>(p.begin));
-    }
-    src += p.size;
-  }
   chunk.live_ = m;
   chunk.parts_ = std::move(parts);
   chunk.inserts_.assign(chunk.parts_.size(), 0);
@@ -129,57 +163,56 @@ size_t PartitionedColumnChunk::CountEqual(Value v) const {
 
 // --- Free-slot primitives -----------------------------------------------------
 
-// The run primitives are inline: every ripple calls one per partition
-// boundary, and the one-slot ripples (dense layout, updates) pay for an
-// out-of-line call, about 15% of BM_InsertWithGhosts/0.
+// The ripple primitives are inline. CarrySlots applies one MoveRows per
+// partition boundary, and the one-slot ripples (dense layout, updates) pay
+// for an out-of-line call, about 15% of BM_InsertWithGhosts/0. CarrySlots
+// is forced inline: with three callers GCC keeps it out of line, and the
+// call with a run length it cannot see costs about 5% of the same row.
 inline void PartitionedColumnChunk::MoveRows(const MoveRun& run) {
   CopyRun(data_.data(), run);
   for (std::vector<Payload>& col : payload_) CopyRun(col.data(), run);
 }
 
-inline void PartitionedColumnChunk::Publish(const RippleTally& tally) {
-  if (tally.moves > 0) {
-    stats_.element_reads += tally.moves;
-    stats_.element_writes += tally.moves;
+[[gnu::always_inline]] inline void PartitionedColumnChunk::CarrySlots(
+    size_t from, size_t to, size_t k) {
+  size_t moves = 0;
+  if (from > to) {
+    // Toward the front: at boundary t|t+1, partition t+1's first k rows go
+    // to its first free slots and its region starts k slots later.
+    for (size_t t = from; t-- > to;) {
+      Partition& b = parts_[t + 1];
+      CASPER_CHECK(b.free_slots() >= k);
+      if (b.size > 0) {
+        MoveRows({static_cast<uint32_t>(b.begin),
+                  static_cast<uint32_t>(b.begin + b.size), static_cast<uint32_t>(k)});
+        moves += k;
+      }
+      b.begin += k;
+      b.cap -= k;
+      parts_[t].cap += k;
+    }
+  } else {
+    // Toward the back: partition t's last k free slots pass to t+1, whose
+    // last k rows go into them and whose region starts k slots earlier.
+    for (size_t t = from; t < to; ++t) {
+      Partition& a = parts_[t];
+      Partition& b = parts_[t + 1];
+      CASPER_CHECK(a.free_slots() >= k);
+      if (b.size > 0) {
+        MoveRows({static_cast<uint32_t>(b.begin + b.size - k),
+                  static_cast<uint32_t>(b.begin - k), static_cast<uint32_t>(k)});
+        moves += k;
+      }
+      a.cap -= k;
+      b.begin -= k;
+      b.cap += k;
+    }
   }
-  if (tally.steps > 0) stats_.ripple_steps += tally.steps;
-}
-
-inline void PartitionedColumnChunk::MoveFreeSlotLeft(size_t t, size_t k,
-                                                     RippleTally& tally) {
-  Partition& a = parts_[t];
-  Partition& b = parts_[t + 1];
-  CASPER_CHECK(b.free_slots() >= k);
-  if (b.size > 0) {
-    // Step j copies b's head element (begin + j) to its first free slot
-    // (begin + size + j).
-    MoveRows({static_cast<uint32_t>(b.begin),
-              static_cast<uint32_t>(b.begin + b.size),
-              static_cast<uint32_t>(k)});
-    tally.moves += k;
+  if (moves > 0) {
+    stats_.element_reads += moves;
+    stats_.element_writes += moves;
   }
-  b.begin += k;
-  b.cap -= k;
-  a.cap += k;
-  tally.steps += k;
-}
-
-inline void PartitionedColumnChunk::MoveFreeSlotRight(size_t t, size_t k,
-                                                      RippleTally& tally) {
-  Partition& a = parts_[t];
-  Partition& b = parts_[t + 1];
-  CASPER_CHECK(a.free_slots() >= k);
-  if (b.size > 0) {
-    // Step j copies b's last element (begin + size - 1 - j) into the last
-    // free slot of a's region (begin - 1 - j).
-    MoveRows({static_cast<uint32_t>(b.begin + b.size - k),
-              static_cast<uint32_t>(b.begin - k), static_cast<uint32_t>(k)});
-    tally.moves += k;
-  }
-  a.cap -= k;
-  b.begin -= k;
-  b.cap += k;
-  tally.steps += k;
+  if (from != to) stats_.ripple_steps += k * (from > to ? from - to : to - from);
 }
 
 size_t PartitionedColumnChunk::FindDonor(size_t m) const {
@@ -189,23 +222,6 @@ size_t PartitionedColumnChunk::FindDonor(size_t m) const {
     if (d <= m && parts_[m - d].free_slots() > 0) return m - d;
   }
   return static_cast<size_t>(-1);
-}
-
-// One column re-laid for a grow into a buffer of `wider` slots, each slot
-// written once: partition t's live rows at its new begin, then zeros up to
-// its cap widened by added[t].
-template <typename T>
-static std::vector<T> Relaid(const std::vector<T>& col,
-                             const std::vector<PartitionedColumnChunk::Partition>& parts,
-                             const std::vector<size_t>& added, size_t wider) {
-  std::vector<T> out;
-  out.reserve(wider);
-  for (size_t t = 0; t < parts.size(); ++t) {
-    const auto first = col.begin() + static_cast<ptrdiff_t>(parts[t].begin);
-    out.insert(out.end(), first, first + static_cast<ptrdiff_t>(parts[t].size));
-    out.resize(out.size() + parts[t].free_slots() + added[t], T{0});
-  }
-  return out;
 }
 
 void PartitionedColumnChunk::Grow(size_t m) {
@@ -224,17 +240,20 @@ void PartitionedColumnChunk::Grow(size_t m) {
     added[m] += growth - given;
   }
 
-  const size_t wider = capacity() + growth;
-  data_ = Relaid(data_, parts_, added, wider);
-  for (std::vector<Payload>& col : payload_) col = Relaid(col, parts_, added, wider);
+  // Each partition's rows are read from its old begin.
+  std::vector<size_t> from(parts_.size());
   size_t begin = 0;
   for (size_t t = 0; t < parts_.size(); ++t) {
+    from[t] = parts_[t].begin;
     parts_[t].begin = begin;
     parts_[t].cap += added[t];
     begin += parts_[t].cap;
   }
+  data_ = LaidOut(data_.data(), from, parts_);
+  for (std::vector<Payload>& col : payload_) col = LaidOut(col.data(), from, parts_);
   inserts_.assign(parts_.size(), 0);
-  Publish({live_, 0});
+  stats_.element_reads += live_;
+  stats_.element_writes += live_;
   ++stats_.grows;
 }
 
@@ -246,19 +265,8 @@ void PartitionedColumnChunk::EnsureFreeSlot(size_t m) {
     if (parts_[m].free_slots() > 0) return;
     donor = FindDonor(m);
   }
-  const size_t batch =
-      std::max<size_t>(1, std::min(opts_.ghost_batch, parts_[donor].free_slots()));
-  RippleTally tally;
-  if (donor > m) {
-    for (size_t t = donor; t-- > m;) {
-      MoveFreeSlotLeft(t, std::min(batch, parts_[t + 1].free_slots()), tally);
-    }
-  } else {
-    for (size_t t = donor; t < m; ++t) {
-      MoveFreeSlotRight(t, std::min(batch, parts_[t].free_slots()), tally);
-    }
-  }
-  Publish(tally);
+  const size_t batch = opts_.dense ? 1 : kGhostBatch;
+  CarrySlots(donor, m, std::min(batch, parts_[donor].free_slots()));
   CASPER_CHECK(parts_[m].free_slots() > 0);
 }
 
@@ -315,9 +323,7 @@ size_t PartitionedColumnChunk::DeleteOne(Value v, std::vector<Payload>* row_out)
   TakeRow(m, slot, row_out == nullptr ? nullptr : row_out->data());
   if (opts_.dense) {
     // Dense layout keeps the column contiguous: ripple the hole to the end.
-    RippleTally tally;
-    for (size_t t = m; t + 1 < parts_.size(); ++t) MoveFreeSlotRight(t, 1, tally);
-    Publish(tally);
+    CarrySlots(m, parts_.size() - 1, 1);
   }
   return 1;
 }
@@ -342,36 +348,31 @@ bool PartitionedColumnChunk::Update(Value old_value, Value new_value) {
   // Fig. 4b first phase), ripple that slot to the destination partition
   // (forward or backward), and place the row there.
   TakeRow(i, slot, row_scratch_.data());
-  RippleTally tally;
-  if (j > i) {
-    for (size_t t = i; t < j; ++t) MoveFreeSlotRight(t, 1, tally);
-  } else {
-    for (size_t t = i; t-- > j;) MoveFreeSlotLeft(t, 1, tally);
-  }
-  Publish(tally);
+  CarrySlots(i, j, 1);
   PlaceRow(j, new_value, row_scratch_.data());
   return true;
 }
 
 // --- Tiered storage -------------------------------------------------------------
 
-void PartitionedColumnChunk::RestoreStorage(
-    const std::vector<Value>& keys, const std::vector<std::vector<Payload>>& payload) {
-  CASPER_CHECK(keys.size() == live_ && payload.size() == payload_.size());
-  data_.assign(capacity(), 0);
-  for (size_t col = 0; col < payload_.size(); ++col) {
-    CASPER_CHECK(payload[col].size() == live_);
-    payload_[col].assign(capacity(), 0);
+ChunkRows PartitionedColumnChunk::Rows() const {
+  CASPER_CHECK_MSG(data_.size() == capacity(), "rows of a released chunk");
+  ChunkRows rows;
+  rows.parts = parts_;
+  rows.keys = Gathered(data_, parts_, live_);
+  for (const std::vector<Payload>& col : payload_) {
+    rows.payload.push_back(Gathered(col, parts_, live_));
   }
-  size_t src = 0;
-  for (const Partition& p : parts_) {
-    const auto from = static_cast<ptrdiff_t>(src);
-    const auto to = static_cast<ptrdiff_t>(p.begin);
-    std::copy_n(keys.begin() + from, p.size, data_.begin() + to);
-    for (size_t col = 0; col < payload_.size(); ++col) {
-      std::copy_n(payload[col].begin() + from, p.size, payload_[col].begin() + to);
-    }
-    src += p.size;
+  return rows;
+}
+
+void PartitionedColumnChunk::RestoreStorage(const ChunkRows& rows) {
+  CASPER_CHECK(rows.keys.size() == live_ && rows.payload.size() == payload_.size());
+  const std::vector<size_t> from = RowOffsets(parts_);
+  data_ = LaidOut(rows.keys.data(), from, parts_);
+  for (size_t col = 0; col < payload_.size(); ++col) {
+    CASPER_CHECK(rows.payload[col].size() == live_);
+    payload_[col] = LaidOut(rows.payload[col].data(), from, parts_);
   }
 }
 

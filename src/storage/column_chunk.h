@@ -9,6 +9,8 @@
 
 namespace casper {
 
+struct ChunkRows;
+
 /// A range-partitioned column chunk — the physical heart of Casper
 /// (paper §3, §6). Keys live in one contiguous buffer split into
 /// partitions; each partition's free ("ghost") slots sit at the tail of its
@@ -30,14 +32,19 @@ namespace casper {
 /// Writes move data with the ripple algorithms of paper Fig. 4: a free slot
 /// travels across partition boundaries one element copy per partition, so
 /// the measured data movement matches the cost model's
-/// (RR + RW) x trailing-partitions term exactly. A block of k ghost slots
-/// (Options::ghost_batch) crosses each boundary as one run of k copies.
-/// With ghost values (paper Fig. 5), inserts into a partition that has a
-/// free slot are O(1), deletes create new free slots in place, and updates
-/// ripple only between the source and destination partitions. The counters
-/// count key elements only, so the cost model prices a row like a key. A
-/// ripple tallies its moves in locals and publishes them to the counters
-/// once, when it ends.
+/// (RR + RW) x trailing-partitions term exactly. Every ripple is one
+/// CarrySlots: k free slots cross each boundary between two partitions as
+/// one run of k copies, and the counters are bumped once, when the slots
+/// arrive. A dense chunk carries one slot at a time; a ghost chunk that must
+/// fetch free capacity carries a block of up to kGhostBatch slots, so the
+/// next inserts find them in place (paper §6.1). With ghost values (paper
+/// Fig. 5), inserts into a partition that has a free slot are O(1), deletes
+/// create new free slots in place, and updates ripple only between the
+/// source and destination partitions. The counters count key elements only,
+/// so the cost model prices a row like a key.
+///
+/// Rows enter slots one way (LaidOut, in Build, Grow and RestoreStorage)
+/// and leave them one way (Rows, the live rows in partition order).
 ///
 /// When no partition has a free slot left, the chunk grows. Build and
 /// re-partition spread ghost slots by the model's insert frequency (paper
@@ -51,15 +58,15 @@ class PartitionedColumnChunk {
     /// column end, every insert pulls a slot from the end. Ghost mode
     /// leaves/uses free slots in place.
     bool dense = false;
-    /// When a ripple must fetch free capacity, move up to this many slots at
-    /// once so neighbors can reuse them (paper §6.1 "moves a block of ghost
-    /// values every time one is necessary"). 1 reproduces the textbook
-    /// ripple.
-    size_t ghost_batch = 1;
     /// Extra free slots appended after the last partition at build time
     /// (the column-end scratch space of the dense design).
     size_t spare_tail = 0;
   };
+
+  /// Free slots a ghost chunk's insert fetches at once when its partition
+  /// has none (paper §6.1 "moves a block of ghost values every time one is
+  /// necessary"); a dense chunk fetches one, the textbook ripple.
+  static constexpr size_t kGhostBatch = 8;
 
   struct Partition {
     size_t begin = 0;  ///< first slot of this partition's region
@@ -135,7 +142,8 @@ class PartitionedColumnChunk {
   ChunkStats& stats() { return stats_; }
   /// Read paths account their data movement too: the counters are mutable
   /// relaxed atomics, so const callers (e.g. the partition evaluator
-  /// recording packed-payload scans and payload-zone prunes) may bump them.
+  /// recording evicted-partition scans and payload-zone prunes) may bump
+  /// them.
   ChunkStats& stats() const { return stats_; }
   /// One coherent copy of the counters (take between queries for exact
   /// totals; always safe to call, even mid-query).
@@ -164,14 +172,17 @@ class PartitionedColumnChunk {
     }
   }
 
-  /// The inverse of ReleaseStorage (promotion): reallocates the buffers at
-  /// the kept capacity and copies the live rows back, partition t's rows
-  /// into slots [begin, begin + size). `keys` and each `payload` column hold
-  /// the rows in partition order (persist::DecodeChunkRows), so a chunk
-  /// comes back slot for slot as it was evicted: no partition, zone map,
-  /// index entry or counter is rebuilt.
-  void RestoreStorage(const std::vector<Value>& keys,
-                      const std::vector<std::vector<Payload>>& payload);
+  /// The live rows in partition order with the geometry they sit in
+  /// (storage/chunk_rows.h): what eviction encodes, re-partition rebuilds
+  /// from and RestoreStorage lays back. The chunk must be resident.
+  ChunkRows Rows() const;
+
+  /// The inverse of ReleaseStorage (promotion): lays `rows` (as Rows gave
+  /// them, or persist::DecodeChunkRows decoded them) back into buffers of
+  /// the kept capacity, partition t's rows into slots [begin, begin + size)
+  /// and zeros in the free slots. The chunk comes back slot for slot as it
+  /// was evicted: no partition, zone map, index entry or counter is rebuilt.
+  void RestoreStorage(const ChunkRows& rows);
 
  private:
   PartitionedColumnChunk() = default;
@@ -179,26 +190,16 @@ class PartitionedColumnChunk {
   // Applies one copy run to the key buffer and to each payload column.
   void MoveRows(const MoveRun& run);
 
-  // What one ripple moved: rows copied (each one element read and one
-  // write) and free slots carried across a boundary (ripple steps). A
-  // ripple adds to it at every boundary and publishes it once (Publish), so
-  // a boundary costs no locked add.
-  struct RippleTally {
-    size_t moves = 0;
-    size_t steps = 0;
-  };
-  void Publish(const RippleTally& tally);
+  // The whole ripple: carries k free slots from partition `from` to
+  // partition `to`, across every boundary between them. At each boundary
+  // the partition behind it shifts its region by k slots, its rows moving
+  // as one run of k copies (none when it is empty). Bumps the element and
+  // ripple-step counters once, when the slots arrive. Precondition:
+  // parts_[from].free_slots() >= k.
+  void CarrySlots(size_t from, size_t to, size_t k);
 
-  // Moves k free slots from partition t+1 to partition t (toward the
-  // front): k ripple steps taken as one copy run, added to `tally`.
-  // Precondition: parts_[t+1].free_slots() >= k.
-  void MoveFreeSlotLeft(size_t t, size_t k, RippleTally& tally);
-  // Moves k free slots from partition t to partition t+1 (toward the back),
-  // likewise as one run. Precondition: parts_[t].free_slots() >= k.
-  void MoveFreeSlotRight(size_t t, size_t k, RippleTally& tally);
-
-  // Brings >=1 free slot into partition m (ghost_batch at most), growing the
-  // buffers when the chunk is completely full.
+  // Brings >=1 free slot into partition m (a ghost chunk fetches up to
+  // kGhostBatch), growing the buffers when the chunk is completely full.
   void EnsureFreeSlot(size_t m);
 
   // Nearest partition (by boundary distance from m) holding a free slot;
@@ -209,9 +210,9 @@ class PartitionedColumnChunk {
   // m. Partition t gets floor(growth x inserts_[t] / sum of inserts_) of
   // them (Eq. 18 over the inserts since the last build or grow), m the
   // rounding remainder, or all of them when nothing was inserted; a dense
-  // chunk grows at its tail. The chunk is re-laid in one pass into wider
-  // buffers, each partition's live rows copied to its new begin (counted as
-  // element reads and writes). Only begin and cap move, so uppers, zone
+  // chunk grows at its tail. The chunk is laid out anew in wider buffers
+  // (LaidOut), each partition's live rows copied to its new begin (counted
+  // as element reads and writes). Only begin and cap move, so uppers, zone
   // maps and the partition index stay valid.
   void Grow(size_t m);
 

@@ -261,7 +261,7 @@ bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
   if (ch.chunk.size() == 0) return false;  // Build requires live data
-  ChunkRows rows = SnapshotRowsLocked(ch);
+  ChunkRows rows = ch.chunk.Rows();
   SortWithinPartitions(&rows);
   const size_t n = rows.keys.size();
 
@@ -288,34 +288,11 @@ bool PartitionedTable::RepartitionChunk(size_t c, const ChunkLayoutSpec& spec) {
   return true;
 }
 
-ChunkRows PartitionedTable::SnapshotRowsLocked(const TableChunk& ch) const {
-  const PartitionedColumnChunk& chunk = ch.chunk;
-  const std::vector<Value>& data = chunk.raw_data();
-  ChunkRows rows;
-  rows.parts = chunk.partitions();
-  rows.keys.reserve(chunk.size());
-  for (const auto& p : rows.parts) {
-    rows.keys.insert(rows.keys.end(), data.begin() + static_cast<ptrdiff_t>(p.begin),
-                     data.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
-  }
-  rows.payload.resize(payload_cols_);
-  for (size_t col = 0; col < payload_cols_; ++col) {
-    const std::vector<Payload>& raw = chunk.payload()[col];
-    rows.payload[col].reserve(chunk.size());
-    for (const auto& p : rows.parts) {
-      rows.payload[col].insert(rows.payload[col].end(),
-                               raw.begin() + static_cast<ptrdiff_t>(p.begin),
-                               raw.begin() + static_cast<ptrdiff_t>(p.begin + p.size));
-    }
-  }
-  return rows;
-}
-
 ChunkRows PartitionedTable::SnapshotChunkRows(size_t c) const {
   const TableChunk& ch = *chunks_[c];
   SharedChunkGuard guard(ch.latch);
   CASPER_CHECK_MSG(ch.evicted.empty(), "row snapshot of an evicted chunk");
-  return SnapshotRowsLocked(ch);
+  return ch.chunk.Rows();
 }
 
 bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
@@ -323,7 +300,7 @@ bool PartitionedTable::EvictChunk(size_t c, const std::string& path) {
   ExclusiveChunkGuard guard(ch.latch);
   if (!ch.evicted.empty() || ch.chunk.size() == 0) return false;
   const persist::PersistedChunk pc =
-      persist::ChunkWriter::Encode(c, SnapshotRowsLocked(ch));
+      persist::ChunkWriter::Encode(c, ch.chunk.Rows());
   if (!persist::ChunkWriter::Write(path, pc).ok()) return false;
   ch.evicted = path;
   ch.chunk.ReleaseStorage();
@@ -344,7 +321,7 @@ void PartitionedTable::EnsureResidentLocked(TableChunk& ch) {
   // LoadEvicted checked the file's partitions against the kept geometry, so
   // the rows fit their slots exactly.
   const ChunkRows rows = persist::DecodeChunkRows(LoadEvicted(ch));
-  ch.chunk.RestoreStorage(rows.keys, rows.payload);
+  ch.chunk.RestoreStorage(rows);
   const std::string stale_path = std::move(ch.evicted);
   ch.evicted.clear();
   ++ch.chunk.stats().promotions;

@@ -200,8 +200,8 @@ class PartitionedTable {
   /// for promotions under a byte budget.
   size_t ChunkFootprintIfResident(size_t c) const;
 
-  /// Chunk c's live rows in partition order (storage/chunk_rows.h), under
-  /// the chunk's shared latch: the input of the chunk-file writer.
+  /// Chunk c's live rows in partition order (PartitionedColumnChunk::Rows),
+  /// under the chunk's shared latch: the input of the chunk-file writer.
   ChunkRows SnapshotChunkRows(size_t c) const;
 
   // --- Introspection -----------------------------------------------------------
@@ -281,11 +281,6 @@ class PartitionedTable {
   /// geometry (PartitionedColumnChunk::RestoreStorage), remove the now-stale
   /// tier file.
   void EnsureResidentLocked(TableChunk& ch) REQUIRES(ch.latch);
-
-  /// The locked core of SnapshotChunkRows (also what eviction and
-  /// re-partition read; an exclusive hold satisfies it).
-  ChunkRows SnapshotRowsLocked(const TableChunk& ch) const
-      REQUIRES_SHARED(ch.latch);
 
   Options opts_;
   size_t payload_cols_ = 0;

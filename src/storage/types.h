@@ -129,10 +129,10 @@ struct ChunkCounters {
   T partitions_pruned{};   ///< partitions skipped by their zone map
                            ///< (min_val/max_val excluded the key or range
                            ///< without reading a single element)
-  T compressed_scans{};    ///< range counts answered from a chunk file's
-                           ///< packed (FoR) key frames
-  T compressed_payload_scans{};   ///< partition scans that read at least one
-                                  ///< packed (FoR/dict) payload column
+  T compressed_scans{};    ///< count-only scans of an evicted chunk (one
+                           ///< per scan; its partitions decode flat)
+  T compressed_payload_scans{};   ///< scans of an evicted chunk's partition
+                                  ///< that touch a payload column
   T payload_partitions_pruned{};  ///< partitions skipped because a payload
                                   ///< zone map excluded a predicate range
   T grows{};

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/scan_spec.h"
+#include "storage/chunk_rows.h"
 #include "storage/column_chunk.h"
 #include "storage/partition_index.h"
 #include "storage/partition_scan.h"
@@ -211,18 +212,18 @@ TEST(ColumnChunk, GrowsWhenFull) {
 }
 
 TEST(ColumnChunk, GhostBatchPrefetchesSlots) {
-  Chunk::Options opts;
-  opts.ghost_batch = 4;
-  // Partition 0 has no ghosts; partition 2 has plenty.
-  Chunk c = Chunk::Build(Iota(12, 0, 10), {4, 4, 4}, {0, 0, 8}, opts);
+  const size_t batch = Chunk::kGhostBatch;
+  // Partitions 0 and 1 have no ghosts; partition 2 has two blocks' worth.
+  Chunk c = Chunk::Build(Iota(12, 0, 10), {4, 4, 4}, {0, 0, 2 * batch});
   c.stats().Clear();
-  c.Insert(5);  // needs a slot in partition 0; batch pulls 4 across
-  EXPECT_GT(c.partition(0).free_slots(), 0u);  // spare slots left behind
-  const uint64_t first_ripples = c.stats().ripple_steps;
+  c.Insert(5);  // needs a slot in partition 0: one block crosses two bounds
+  EXPECT_EQ(c.partition(0).free_slots(), batch - 1);  // spare slots left behind
+  EXPECT_EQ(c.partition(1).free_slots(), 0u);
+  EXPECT_EQ(c.partition(2).free_slots(), batch);
+  EXPECT_EQ(c.stats().ripple_steps, 2 * batch);
   c.stats().Clear();
   c.Insert(6);  // served locally now
   EXPECT_EQ(c.stats().ripple_steps, 0u);
-  EXPECT_GT(first_ripples, 0u);
   c.ValidateInvariants();
 }
 
@@ -314,12 +315,6 @@ class RowTracked {
   Payload next_payload_ = 1u << 31;  // above every Tag, so a mix-up shows
 };
 
-Chunk::Options GhostOptions(size_t ghost_batch) {
-  Chunk::Options opts;
-  opts.ghost_batch = ghost_batch;
-  return opts;
-}
-
 TEST(ColumnChunk, BuildPlacesRowsFromFirstRow) {
   // Rows 3..14 of a 16-row input; the cut inside the run of 5s slides.
   std::vector<Value> keys = {1, 2, 5, 5, 5, 5, 5, 9, 10, 11, 12, 13};
@@ -354,12 +349,57 @@ TEST(ColumnChunk, ReleaseStorageDropsEveryColumn) {
   c.ValidateInvariants();
 }
 
-class RippleRuns : public ::testing::TestWithParam<size_t> {};
+TEST(ColumnChunk, ReleaseRestoreKeepsTheSlotImage) {
+  for (const bool dense : {false, true}) {
+    Chunk::Options opts;
+    opts.dense = dense;
+    opts.spare_tail = dense ? 4 : 0;
+    RowTracked t(Iota(64, 0, 10), std::vector<size_t>(8, 8),
+                 std::vector<size_t>(8, dense ? 0 : 1), opts);
+    // Front-heavy inserts ripple and grow; deletes and updates leave stale
+    // rows behind in free slots.
+    for (Value v = 1; v < 200; v += 2) t.Insert(v);
+    for (Value v = 300; v < 500; v += 20) ASSERT_EQ(t.DeleteOne(v), 1u);
+    ASSERT_TRUE(t.Update(610, 2));
+    ASSERT_TRUE(t.Update(5, 605));
+    ASSERT_GE(t.c.stats().grows, 1u);
+    ASSERT_GT(t.c.stats().ripple_steps, 0u);
+    const std::vector<Value> keys = t.c.raw_data();
+    const std::vector<std::vector<Payload>> payload = t.c.payload();
+    size_t stale = 0;
+    for (const auto& p : t.c.partitions()) {
+      for (size_t s = p.begin + p.size; s < p.begin + p.cap; ++s) stale += keys[s] != 0;
+    }
+    ASSERT_GT(stale, 0u) << "the free slots must hold something to clear";
 
-TEST_P(RippleRuns, LeftRunsCarryTheBlock) {
-  const size_t batch = GetParam();
+    const ChunkRows rows = t.c.Rows();
+    ASSERT_EQ(rows.keys.size(), t.c.size());
+    t.c.ReleaseStorage();
+    t.c.RestoreStorage(rows);
+
+    // Live slots come back as they were, free slots as zeros.
+    ASSERT_EQ(t.c.raw_data().size(), keys.size());
+    ASSERT_EQ(t.c.payload().size(), payload.size());
+    for (const auto& p : t.c.partitions()) {
+      for (size_t s = p.begin; s < p.begin + p.cap; ++s) {
+        const bool live = s < p.begin + p.size;
+        EXPECT_EQ(t.c.raw_data()[s], live ? keys[s] : 0)
+            << "dense " << dense << " slot " << s;
+        for (size_t col = 0; col < payload.size(); ++col) {
+          EXPECT_EQ(t.c.payload()[col][s], live ? payload[col][s] : 0)
+              << "dense " << dense << " column " << col << " slot " << s;
+        }
+      }
+    }
+    t.Check();
+    for (Value v = 201; v < 260; v += 2) t.Insert(v);  // and writes go on
+  }
+}
+
+TEST(RippleRuns, LeftRunsCarryTheBlock) {
+  const size_t batch = Chunk::kGhostBatch;
   // Partitions 0 and 1 are full; partition 2 donates toward the front.
-  RowTracked t(Iota(48, 0, 10), {16, 16, 16}, {0, 0, 32}, GhostOptions(batch));
+  RowTracked t(Iota(48, 0, 10), {16, 16, 16}, {0, 0, 32}, Chunk::Options());
   t.c.stats().Clear();
   t.Insert(5);
   // One run of `batch` copies per boundary, each counted per slot.
@@ -368,10 +408,10 @@ TEST_P(RippleRuns, LeftRunsCarryTheBlock) {
   EXPECT_EQ(t.c.stats().element_writes, 2 * batch + 1);
 }
 
-TEST_P(RippleRuns, RightRunsCarryTheBlock) {
-  const size_t batch = GetParam();
+TEST(RippleRuns, RightRunsCarryTheBlock) {
+  const size_t batch = Chunk::kGhostBatch;
   // Partition 0 donates toward the back.
-  RowTracked t(Iota(48, 0, 10), {16, 16, 16}, {32, 0, 0}, GhostOptions(batch));
+  RowTracked t(Iota(48, 0, 10), {16, 16, 16}, {32, 0, 0}, Chunk::Options());
   t.c.stats().Clear();
   t.Insert(475);
   EXPECT_EQ(t.c.stats().ripple_steps, 2 * batch);
@@ -379,12 +419,12 @@ TEST_P(RippleRuns, RightRunsCarryTheBlock) {
   EXPECT_EQ(t.c.stats().element_writes, 2 * batch + 1);
 }
 
-TEST_P(RippleRuns, RunsLongerThanTheSourceOverlap) {
-  const size_t batch = GetParam();
-  // Partitions of 2 and 3 rows: at batch 8 a block of 8 slots passes through
-  // them, so each run re-reads slots it has already written (a run is not a
-  // memmove, and its copy direction matters).
-  RowTracked left(Iota(9, 0, 10), {4, 2, 3}, {0, 0, 16}, GhostOptions(batch));
+TEST(RippleRuns, RunsLongerThanTheSourceOverlap) {
+  const size_t batch = Chunk::kGhostBatch;
+  // Partitions of 2 and 3 rows: a block of 8 slots passes through them, so
+  // each run re-reads slots it has already written (a run is not a memmove,
+  // and its copy direction matters).
+  RowTracked left(Iota(9, 0, 10), {4, 2, 3}, {0, 0, 16}, Chunk::Options());
   EXPECT_EQ(left.c.partition(1).size, 2u);
   EXPECT_EQ(left.c.partition(2).size, 3u);
   left.c.stats().Clear();
@@ -393,7 +433,7 @@ TEST_P(RippleRuns, RunsLongerThanTheSourceOverlap) {
   EXPECT_EQ(left.c.stats().element_reads, 2 * batch);
   EXPECT_EQ(left.c.stats().element_writes, 2 * batch + 1);
 
-  RowTracked right(Iota(9, 0, 10), {3, 2, 4}, {16, 0, 0}, GhostOptions(batch));
+  RowTracked right(Iota(9, 0, 10), {3, 2, 4}, {16, 0, 0}, Chunk::Options());
   EXPECT_EQ(right.c.partition(1).size, 2u);
   EXPECT_EQ(right.c.partition(2).size, 4u);
   right.c.stats().Clear();
@@ -408,9 +448,9 @@ TEST_P(RippleRuns, RunsLongerThanTheSourceOverlap) {
   }
 }
 
-TEST_P(RippleRuns, EmptySourcePartitionCopiesNothing) {
-  const size_t batch = GetParam();
-  RowTracked t(Iota(12, 0, 10), {4, 4, 4}, {}, GhostOptions(batch));
+TEST(RippleRuns, EmptySourcePartitionCopiesNothing) {
+  const size_t batch = Chunk::kGhostBatch;
+  RowTracked t(Iota(12, 0, 10), {4, 4, 4}, {}, Chunk::Options());
   for (Value v = 40; v < 80; v += 10) ASSERT_EQ(t.DeleteOne(v), 1u);
   // Partition 1 is now empty with four free slots: the slots it donates to
   // partition 0 carry no rows, so nothing is copied.
@@ -421,9 +461,8 @@ TEST_P(RippleRuns, EmptySourcePartitionCopiesNothing) {
   EXPECT_EQ(t.c.stats().element_writes, 1u);
 }
 
-TEST_P(RippleRuns, GrowThenRipple) {
-  const size_t batch = GetParam();
-  RowTracked t(Iota(24, 0, 10), {8, 8, 8}, {}, GhostOptions(batch));
+TEST(RippleRuns, GrowThenRipple) {
+  RowTracked t(Iota(24, 0, 10), {8, 8, 8}, {}, Chunk::Options());
   t.c.stats().Clear();
   t.Insert(5);  // full chunk, nothing inserted since the build: the grow
                 // gives all its slots to the front partition
@@ -432,9 +471,8 @@ TEST_P(RippleRuns, GrowThenRipple) {
   for (Value v = 1; v < 40; ++v) t.Insert(v * 6 + 1);
 }
 
-TEST_P(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
-  const size_t batch = GetParam();
-  Chunk::Options dense = GhostOptions(batch);
+TEST(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
+  Chunk::Options dense;
   dense.dense = true;
   dense.spare_tail = 4;
   RowTracked d(Iota(32, 0, 10), {8, 8, 8, 8}, {}, dense);
@@ -446,7 +484,7 @@ TEST_P(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
   ASSERT_EQ(d.DeleteOne(310), 1u);  // the last partition's tail row
   d.Insert(21);
 
-  RowTracked g(Iota(32, 0, 10), {8, 8, 8, 8}, {2, 2, 2, 2}, GhostOptions(batch));
+  RowTracked g(Iota(32, 0, 10), {8, 8, 8, 8}, {2, 2, 2, 2}, Chunk::Options());
   const auto steps = [&g] { return g.c.stats().ripple_steps.load(); };
   g.c.stats().Clear();
   EXPECT_TRUE(g.Update(10, 305));  // forward, across three boundaries
@@ -460,14 +498,13 @@ TEST_P(RippleRuns, DenseDeleteAndCrossPartitionUpdates) {
   EXPECT_FALSE(g.Update(999, 5));  // absent source
 }
 
-TEST_P(RippleRuns, RandomStreamKeepsRowsWhole) {
-  const size_t batch = GetParam();
+TEST(RippleRuns, RandomStreamKeepsRowsWhole) {
   const Value domain = 6000;
   for (const bool dense : {false, true}) {
-    Rng rng(77 + batch);
+    Rng rng(85);
     std::set<Value> init;
     while (init.size() < 192) init.insert(static_cast<Value>(rng.Below(domain)));
-    Chunk::Options opts = GhostOptions(batch);
+    Chunk::Options opts;
     opts.dense = dense;
     opts.spare_tail = dense ? 8 : 0;
     RowTracked t(std::vector<Value>(init.begin(), init.end()),
@@ -498,8 +535,6 @@ TEST_P(RippleRuns, RandomStreamKeepsRowsWhole) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(GhostBatch, RippleRuns, ::testing::Values(1, 8));
-
 // --- Grows spread slack by demand ----------------------------------------------
 
 /// Slots one grow adds to a chunk of `capacity` slots.
@@ -513,7 +548,7 @@ std::vector<size_t> Caps(const Chunk& c) {
 
 TEST(ColumnChunk, GrowSpreadsSlotsByInserts) {
   // No ghosts, so the first insert grows a chunk that has taken no inserts.
-  RowTracked t(Iota(256, 0, 10), std::vector<size_t>(8, 32), {}, GhostOptions(8));
+  RowTracked t(Iota(256, 0, 10), std::vector<size_t>(8, 32), {}, Chunk::Options());
   const size_t k = t.c.num_partitions();
   Rng rng(36);
   const Value domain = 2560;
@@ -575,7 +610,7 @@ TEST(ColumnChunk, GrowSpreadsSlotsByInserts) {
 }
 
 TEST(ColumnChunk, DenseChunkGrowsAtTheTail) {
-  Chunk::Options dense = GhostOptions(1);
+  Chunk::Options dense;
   dense.dense = true;
   RowTracked t(Iota(256, 0, 10), std::vector<size_t>(8, 32), {}, dense);
   const size_t last = t.c.num_partitions() - 1;
@@ -614,7 +649,7 @@ struct RippleStreamResult {
   std::vector<ChunkStatsSnapshot> stats;  ///< per chunk
 };
 
-/// A seeded, ripple-heavy stream over a 3-column table with the factory's
+/// A seeded, ripple-heavy stream over a 3-column table with the chunk's
 /// ghost batch of 8: skewed inserts that exhaust the ghosts and grow the
 /// chunks, deletes, cross-partition and cross-chunk key updates, and batched
 /// write runs. The image hash covers the row count, the geometry, every
@@ -632,8 +667,6 @@ RippleStreamResult RunRippleStream() {
   for (auto& col : payload) {
     for (Payload& x : col) x = static_cast<Payload>(rng.Below(1u << 30));
   }
-  PartitionedTable::Options opts;
-  opts.chunk.ghost_batch = 8;
   std::vector<PartitionedTable::ChunkLayoutSpec> specs(2);
   for (auto& spec : specs) {
     // Narrow partitions between wide ones: a block of 8 ghost slots passes
@@ -641,8 +674,8 @@ RippleStreamResult RunRippleStream() {
     for (size_t p = 0; p < 32; ++p) spec.partition_sizes.push_back(p % 2 ? 250 : 6);
     spec.ghosts.assign(32, 2);
   }
-  PartitionedTable t = PartitionedTable::Build(keys, std::move(payload),
-                                               std::move(specs), opts);
+  PartitionedTable t =
+      PartitionedTable::Build(keys, std::move(payload), std::move(specs));
 
   const Value domain = static_cast<Value>(rows * 8);
   auto skewed_key = [&] {
