@@ -181,15 +181,16 @@ class CasperEngine {
 
   /// Mixed-workload admission: reads and writes execute together as chunk
   /// groups on the engine's pool (MixedWorkloadRunner), overlapped wherever
-  /// they share no written chunk (reads during ingest, chunk-disjoint write
-  /// runs in parallel), with results bit-identical to a single-threaded
-  /// serial replay of `ops`. Write runs are stamped with commit timestamps
-  /// from this engine's oracle. A read-only stream is the inter-query case:
-  /// every query overlaps every other on the shared pool, and nothing is
-  /// journaled.
+  /// they share no written chunk (reads during ingest, chunk-disjoint
+  /// writes in parallel), with results bit-identical to a single-threaded
+  /// serial replay of `ops`. Each chunk group that writes is stamped with a
+  /// commit timestamp from this engine's oracle. A read-only stream is the
+  /// inter-query case: every query overlaps every other on the shared pool,
+  /// and nothing is journaled.
   MixedResult RunMixed(const std::vector<Operation>& ops);
 
-  /// Commit-timestamp oracle shared by mixed runs; it stamps write runs.
+  /// Commit-timestamp oracle shared by mixed runs; it stamps writing chunk
+  /// groups.
   TimestampOracle& oracle() { return *oracle_; }
 
   LayoutMode mode() const { return engine_->mode(); }

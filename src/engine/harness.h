@@ -44,19 +44,21 @@ struct HarnessOptions {
   ThreadPool* pool = nullptr;
 };
 
-/// Replays `ops` sequentially against `engine`, one operation at a time —
-/// the per-operation replay the paper's figures time on every layout, and
-/// the serial reference every parallel path is checked against. Inserts
-/// take KeyDerivedPayload rows, so duplicate-key rows are indistinguishable
-/// and layouts that delete different physical duplicates still produce
-/// identical checksums. Range aggregates sum DefaultSumColumns(engine).
+/// Replays `ops` sequentially against `engine`, one operation at a time
+/// through one OperationInterpreter — the per-operation replay the paper's
+/// figures time on every layout, and the serial reference every parallel
+/// path is checked against. Inserts take KeyDerivedPayload rows, so
+/// duplicate-key rows are indistinguishable and layouts that delete
+/// different physical duplicates still produce identical checksums. Point
+/// reads count their matches without copying a payload out, and range
+/// aggregates sum DefaultSumColumns(engine).
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops,
                           const HarnessOptions& options);
 HarnessResult RunWorkload(LayoutEngine& engine, const std::vector<Operation>& ops);
 
 /// Replays a stream of any mix (read-only, write-only, or interleaved)
 /// through the MixedWorkloadRunner on options.pool: reads overlap each other
-/// and ingest, and chunk-disjoint write runs commit in parallel, ordered only
+/// and ingest, and chunk-disjoint writes commit in parallel, ordered only
 /// where their chunk footprints conflict. The checksum is bit-identical to
 /// RunWorkload over the same stream. Per-op latency is not recorded
 /// (operations overlap).

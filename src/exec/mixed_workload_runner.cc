@@ -23,14 +23,12 @@ uint32_t Root(std::vector<uint32_t>& parent, uint32_t c) {
 /// each resulting group is one morsel; a read that touches no written chunk
 /// is a morsel on its own. Two morsels never touch a common written chunk,
 /// so their operations commute.
-size_t AssignChunkGroups(const PartitionedTable& table,
-                         const std::vector<Operation>& ops,
-                         std::vector<uint32_t>* morsel_of) {
+size_t AssignChunkGroups(const PartitionedTable& table, const Operation* ops,
+                         size_t n, std::vector<uint32_t>* morsel_of) {
   // Footprints: a write touches ChunkFor(a), and an update ChunkFor(b) too;
   // chunks cover contiguous sorted key ranges, so a range read touches the
   // window [ChunkFor(lo), ChunkFor(hi - 1)]; an empty range keeps the empty
   // window [1, 0]. parent[c] stays kNone while chunk c is unwritten.
-  const size_t n = ops.size();
   std::vector<uint32_t> first(n, 1);
   std::vector<uint32_t> last(n, 0);
   std::vector<uint32_t> parent(table.num_chunks(), kNone);
@@ -99,28 +97,27 @@ ScanPartial ExecuteScanOnPool(const PartitionedLayout& engine, const ScanSpec& s
   return total;
 }
 
-MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
-                                     const std::vector<Operation>& ops,
-                                     const std::vector<size_t>& sum_cols) const {
+MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine, const Operation* ops,
+                                     size_t n) const {
   MixedResult result;
-  result.results.assign(ops.size(), 0);
-  if (ops.empty()) return result;
+  result.results.assign(n, 0);
+  if (n == 0) return result;
 
   // --- 1. Morsels: chunk groups on a pool, else the whole stream. ----------
-  std::vector<uint32_t> morsel_of(ops.size(), 0);
+  std::vector<uint32_t> morsel_of(n, 0);
   size_t num_morsels = 1;
   if (pool_ != nullptr && pool_->num_threads() > 1) {
-    num_morsels = AssignChunkGroups(engine.table(), ops, &morsel_of);
+    num_morsels = AssignChunkGroups(engine.table(), ops, n, &morsel_of);
   }
   // Morsel m runs ops order[begin[m]] .. order[begin[m + 1] - 1], in stream
   // order (a stable counting sort by morsel).
   std::vector<uint32_t> begin(num_morsels + 1, 0);
   for (const uint32_t m : morsel_of) ++begin[m + 1];
   for (size_t m = 0; m < num_morsels; ++m) begin[m + 1] += begin[m];
-  std::vector<uint32_t> order(ops.size());
+  std::vector<uint32_t> order(n);
   {
     std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
-    for (uint32_t i = 0; i < ops.size(); ++i) order[next[morsel_of[i]]++] = i;
+    for (uint32_t i = 0; i < n; ++i) order[next[morsel_of[i]]++] = i;
   }
 
   // --- 2. Execute. ---------------------------------------------------------
@@ -130,38 +127,32 @@ MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
   RelaxedCounter deletes;
   RelaxedCounter updates;
   RelaxedCounter last_ts;
-  const auto run_morsel = [&](size_t m) {
-    std::vector<Operation> run;  // the morsel's pending writes
-    const auto flush = [&] {
-      if (run.empty()) return;
-      // Grouped commit under the per-chunk exclusive latches.
-      const BatchResult br = engine.ApplyBatch(run.data(), run.size(), /*pool=*/nullptr);
-      inserts.Add(br.inserts);
-      deletes.Add(br.deletes);
-      updates.Add(br.updates);
-      if (oracle_ != nullptr) last_ts.UpdateMax(oracle_->Next());
-      run.clear();
-    };
+  const auto run_morsel = [&](OperationInterpreter& interpreter, size_t m) {
+    bool wrote = false;
+    size_t ins = 0;
+    size_t del = 0;
+    size_t upd = 0;
     for (uint32_t k = begin[m]; k < begin[m + 1]; ++k) {
       const uint32_t i = order[k];
-      const Operation& op = ops[i];
-      if (IsWriteKind(op.kind)) {
-        run.push_back(op);
+      const OpKind kind = ops[i].kind;
+      const uint64_t r = interpreter.Apply(ops[i]);
+      if (!IsWriteKind(kind)) {
+        result.results[i] = r;
         continue;
       }
-      flush();
-      if (op.kind == OpKind::kPointQuery) {
-        result.results[i] = engine.PointLookup(op.a, nullptr);
-      } else {
-        // The per-op value uses the same Result extraction as the serial
-        // harness, so mixed results stay bit-identical to serial replay.
-        const ScanSpec spec = SpecForOperation(op, sum_cols);
-        result.results[i] = engine.ExecuteScan(spec).Result(spec.agg);
-      }
+      wrote = true;
+      ins += kind == OpKind::kInsert ? 1 : 0;
+      del += kind == OpKind::kDelete ? r : 0;
+      upd += kind == OpKind::kUpdate ? r : 0;
     }
-    flush();
+    if (!wrote) return;
+    inserts.Add(ins);
+    deletes.Add(del);
+    updates.Add(upd);
+    if (oracle_ != nullptr) last_ts.UpdateMax(oracle_->Next());
   };
-  exec::MorselFor(pool_, num_morsels, run_morsel);
+  exec::MorselForWith(
+      pool_, num_morsels, [&engine] { return OperationInterpreter(engine); }, run_morsel);
 
   // --- 3. Deterministic merge. ---------------------------------------------
   result.inserts = inserts.load();
@@ -173,9 +164,9 @@ MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
   return result;
 }
 
-MixedResult MixedWorkloadRunner::Run(PartitionedLayout& engine,
-                                     const std::vector<Operation>& ops) const {
-  return Run(engine, ops, DefaultSumColumns(engine));
+MixedResult PartitionedLayout::ApplyBatch(const Operation* ops, size_t n,
+                                          ThreadPool* pool) {
+  return MixedWorkloadRunner(pool).Run(*this, ops, n);
 }
 
 }  // namespace casper

@@ -40,7 +40,8 @@ struct MixedResult {
   /// sum(read results) + deletes + updates — HarnessResult::checksum of the
   /// serial replay of the same stream (key-derived payloads).
   uint64_t checksum = 0;
-  /// Highest commit timestamp stamped on a write run (0 without an oracle).
+  /// Highest commit timestamp stamped on a morsel that applied a write (0
+  /// without an oracle).
   uint64_t last_commit_ts = 0;
 };
 
@@ -54,19 +55,21 @@ struct MixedResult {
 /// or write, both chunks of an update, the window of range-overlapping
 /// chunks of a range read) comes from the immutable chunk routing bounds. A
 /// union-find joins the chunks the stream writes through every operation
-/// that touches two of them. Each resulting group is one morsel that runs
-/// its operations in stream order, consecutive writes as one grouped
-/// ApplyBatch under the per-chunk exclusive latches; a read that touches no
-/// written chunk is a morsel of its own. Morsels share no written chunk, so
+/// that touches two of them. Each resulting group is one morsel that applies
+/// its operations in stream order through an OperationInterpreter, each
+/// write under its chunk's exclusive latch; a read that touches no written
+/// chunk is a morsel of its own. Morsels share no written chunk, so
 /// they commute, and a read of an unwritten chunk sees the same state
 /// whenever it runs: results are bit-identical to a single-threaded serial
-/// replay. The morsels go through exec::MorselFor. A read-only stream is the
-/// special case where every read is its own morsel.
+/// replay. The morsels go through exec::MorselForWith, and each thread that
+/// runs morsels keeps one interpreter for all of them. A read-only stream is
+/// the special case where every read is its own morsel.
 ///
 /// A writer outside the runner that shares the engine only blocks a chunk
 /// on its latch; each chunk is still read under one latch hold. When a
-/// TimestampOracle is attached, each committed write run is stamped with a
-/// commit timestamp (MixedResult::last_commit_ts reports the highest).
+/// TimestampOracle is attached, each morsel that applied a write is stamped
+/// with one commit timestamp (MixedResult::last_commit_ts reports the
+/// highest).
 class MixedWorkloadRunner {
  public:
   explicit MixedWorkloadRunner(ThreadPool* pool = nullptr,
@@ -74,15 +77,16 @@ class MixedWorkloadRunner {
       : pool_(pool), oracle_(oracle) {}
 
   /// Executes the mixed stream. Admissible kinds: all of them — the point
-  /// and range reads (count/sum/min/max/avg as ScanSpecs) and the writes. A
-  /// null pool or single worker runs the stream in order on the calling
-  /// thread, with identical results.
-  MixedResult Run(PartitionedLayout& engine, const std::vector<Operation>& ops,
-                  const std::vector<size_t>& sum_cols) const;
+  /// and range reads (count/sum/min/max/avg as ScanSpecs over
+  /// DefaultSumColumns(engine), as the serial harness sums) and the writes.
+  /// A null pool or single worker runs the stream in order on the calling
+  /// thread, op by op, with identical results.
+  MixedResult Run(PartitionedLayout& engine, const Operation* ops, size_t n) const;
 
-  /// Same, summing over DefaultSumColumns(engine) for range sums.
   MixedResult Run(PartitionedLayout& engine,
-                  const std::vector<Operation>& ops) const;
+                  const std::vector<Operation>& ops) const {
+    return Run(engine, ops.data(), ops.size());
+  }
 
   ThreadPool* pool() const { return pool_; }
   TimestampOracle* oracle() const { return oracle_; }

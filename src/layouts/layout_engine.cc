@@ -19,6 +19,39 @@ std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine) {
   return cols;
 }
 
+OperationInterpreter::OperationInterpreter(LayoutEngine& engine) : engine_(engine) {
+  const std::vector<size_t> cols = DefaultSumColumns(engine);
+  for (const OpKind kind : {OpKind::kRangeCount, OpKind::kRangeSum, OpKind::kRangeMin,
+                            OpKind::kRangeMax, OpKind::kRangeAvg}) {
+    specs_[static_cast<size_t>(kind)] = SpecForOperation({kind, 0, 0}, cols);
+  }
+}
+
+uint64_t OperationInterpreter::Apply(const Operation& op) {
+  switch (op.kind) {
+    case OpKind::kPointQuery:
+      return engine_.PointLookup(op.a, nullptr);
+    case OpKind::kInsert:
+      KeyDerivedPayload(op.a, engine_.num_payload_columns(), &payload_);
+      engine_.Insert(op.a, payload_);
+      return 0;
+    case OpKind::kDelete:
+      return engine_.Delete(op.a);
+    case OpKind::kUpdate:
+      return engine_.UpdateKey(op.a, op.b) ? 1 : 0;
+    case OpKind::kRangeCount:
+    case OpKind::kRangeSum:
+    case OpKind::kRangeMin:
+    case OpKind::kRangeMax:
+    case OpKind::kRangeAvg:
+      break;
+  }
+  ScanSpec& spec = specs_[static_cast<size_t>(op.kind)];
+  spec.lo = op.a;
+  spec.hi = op.b;
+  return engine_.ExecuteScan(spec).Result(spec.agg);
+}
+
 ScanPartial LayoutEngine::ExecuteScan(const ScanSpec& spec) const {
   ScanPartial total;
   const size_t shards = NumShards();

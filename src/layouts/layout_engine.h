@@ -1,7 +1,9 @@
 #ifndef CASPER_LAYOUTS_LAYOUT_ENGINE_H_
 #define CASPER_LAYOUTS_LAYOUT_ENGINE_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -43,8 +45,8 @@ struct LayoutMemoryStats {
   }
 };
 
-/// Deterministic payload for rows inserted from an Operation stream (the
-/// harness replay, ApplyOperation, PartitionedLayout::ApplyBatch):
+/// Deterministic payload for rows inserted from an Operation stream (every
+/// insert OperationInterpreter applies):
 /// payload[c] = (|key| * (c + 1)) % 10000. Duplicate keys carry identical
 /// payloads, so any reordering of physical duplicates (across layouts or
 /// batching strategies) is unobservable.
@@ -69,9 +71,9 @@ void KeyDerivedPayload(Value key, size_t num_columns, std::vector<Payload>* out)
 /// always a state that shard was in.
 ///
 /// The engine facade and the mixed runner hold the partitioned layout
-/// (layouts/partitioned.h) directly, and batched writes are its own members;
-/// NoOrder, Sorted and the delta store are the paper's comparison points,
-/// built through BuildLayout and replayed through this interface.
+/// (layouts/partitioned.h) directly; NoOrder, Sorted and the delta store are
+/// the paper's comparison points, built through BuildLayout and replayed
+/// through this interface by OperationInterpreter.
 class LayoutEngine {
  public:
   virtual ~LayoutEngine() = default;
@@ -156,6 +158,28 @@ class LayoutEngine {
 /// Payload columns aggregated by kRangeSum in batched execution and by the
 /// harness's Q3: the first two, clipped to the table's width.
 std::vector<size_t> DefaultSumColumns(const LayoutEngine& engine);
+
+/// The one step from an Operation to engine calls, behind the harness replay
+/// (RunWorkload) and every thread of the mixed runner. Built once per
+/// stream: range reads sum (and min/max/avg take the first of)
+/// DefaultSumColumns(engine), through one ScanSpec per range-read kind whose
+/// key range each read resets; inserts take KeyDerivedPayload rows from one
+/// reused buffer. Not thread-safe: concurrent streams use one each.
+class OperationInterpreter {
+ public:
+  explicit OperationInterpreter(LayoutEngine& engine);
+
+  /// Applies `op` and returns what it adds to a replay checksum: a read's
+  /// result (a point read's match count, which copies out no payload; a
+  /// range read's ScanPartial::Result), 1 for a delete or update that found
+  /// its key, and 0 for an insert.
+  uint64_t Apply(const Operation& op);
+
+ private:
+  LayoutEngine& engine_;
+  std::array<ScanSpec, kNumOpKinds> specs_;  ///< indexed by range-read OpKind
+  std::vector<Payload> payload_;  ///< the insert payload buffer
+};
 
 }  // namespace casper
 

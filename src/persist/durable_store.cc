@@ -21,11 +21,7 @@ bool DurableStore::HasWrites(const Operation* ops, size_t n) {
 }
 
 void DurableStore::AppendOpsLocked(const Operation* ops, size_t n) {
-  std::vector<Operation> writes;
-  for (size_t i = 0; i < n; ++i) {
-    if (IsWriteKind(ops[i].kind)) writes.push_back(ops[i]);
-  }
-  const Status s = journal_.AppendOps(writes.data(), writes.size());
+  const Status s = journal_.AppendOps(ops, n);
   CASPER_CHECK_MSG(s.ok(), "journal append failed");
 }
 

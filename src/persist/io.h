@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ class ByteSink {
     U64(v.size());
     if (!v.empty()) Raw(v.data(), v.size() * sizeof(uint64_t));
   }
+  /// Overwrites the 8 bytes at `pos` (a field written before its value was
+  /// known, such as a length prefix).
+  void U64At(size_t pos, uint64_t v) { std::memcpy(&buf_[pos], &v, sizeof(v)); }
 
   const std::string& data() const { return buf_; }
   size_t size() const { return buf_.size(); }

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -12,9 +13,24 @@ namespace persist {
 
 namespace {
 
-void SerializeOps(const Operation* ops, size_t n, ByteSink* s) {
-  s->U64(n);
+/// Fixed part of a record before its payload: magic + type + seq + len.
+constexpr size_t kRecordHeader = 4 + 4 + 8 + 8;
+
+/// Starts a record in `rec`: its header, with a zero payload length that
+/// JournalWriter::AppendRecord fills in once the payload follows.
+void BeginRecord(JournalRecordType type, uint64_t seq, ByteSink* rec) {
+  rec->U32(kJournalMagic);
+  rec->U32(static_cast<uint32_t>(type));
+  rec->U64(seq);
+  rec->U64(0);
+}
+
+/// The write operations of ops[0, n), in order; reads are dropped.
+void SerializeWrites(const Operation* ops, size_t n, ByteSink* s) {
+  s->U64(static_cast<uint64_t>(std::count_if(
+      ops, ops + n, [](const Operation& op) { return IsWriteKind(op.kind); })));
   for (size_t i = 0; i < n; ++i) {
+    if (!IsWriteKind(ops[i].kind)) continue;
     s->U32(static_cast<uint32_t>(ops[i].kind));
     s->I64(ops[i].a);
     s->I64(ops[i].b);
@@ -73,19 +89,13 @@ Status JournalWriter::Open(const std::string& path, uint64_t next_seq,
   return file_.Open(path);
 }
 
-Status JournalWriter::AppendRecord(JournalRecordType type,
-                                   const std::string& payload) {
+Status JournalWriter::AppendRecord(ByteSink* rec) {
   CASPER_CHECK(file_.is_open());
-  ByteSink rec;
-  rec.U32(kJournalMagic);
-  rec.U32(static_cast<uint32_t>(type));
-  rec.U64(next_seq_);
-  rec.U64(payload.size());
-  rec.Raw(payload.data(), payload.size());
-  const uint32_t crc = Crc32(rec.data().data(), rec.size());
-  rec.U32(crc);
+  rec->U64At(kRecordHeader - 8, rec->size() - kRecordHeader);
+  const uint32_t crc = Crc32(rec->data().data(), rec->size());
+  rec->U32(crc);
   MaybeCrash("journal:before_append");
-  Status s = file_.Append(rec.data().data(), rec.size());
+  Status s = file_.Append(rec->data().data(), rec->size());
   if (!s.ok()) return s;
   ++next_seq_;
   if (++unsynced_ >= fsync_every_) {
@@ -99,15 +109,17 @@ Status JournalWriter::AppendRecord(JournalRecordType type,
 }
 
 Status JournalWriter::AppendOps(const Operation* ops, size_t n) {
-  ByteSink payload;
-  SerializeOps(ops, n, &payload);
-  return AppendRecord(JournalRecordType::kOpsRun, payload.data());
+  ByteSink rec;
+  BeginRecord(JournalRecordType::kOpsRun, next_seq_, &rec);
+  SerializeWrites(ops, n, &rec);
+  return AppendRecord(&rec);
 }
 
 Status JournalWriter::AppendRows(const Row* rows, size_t n) {
-  ByteSink payload;
-  SerializeRows(rows, n, &payload);
-  return AppendRecord(JournalRecordType::kRowsRun, payload.data());
+  ByteSink rec;
+  BeginRecord(JournalRecordType::kRowsRun, next_seq_, &rec);
+  SerializeRows(rows, n, &rec);
+  return AppendRecord(&rec);
 }
 
 Status JournalWriter::Flush() {
@@ -127,9 +139,7 @@ Status ReadJournal(const std::string& path, std::vector<JournalRecord>* out,
   if (!s.ok()) return s;
   size_t pos = 0;
   uint64_t expect_seq = 0;
-  // Fixed part of a record: magic + type + seq + len ... crc.
-  constexpr size_t kHeader = 4 + 4 + 8 + 8;
-  while (bytes.size() - pos >= kHeader + 4) {
+  while (bytes.size() - pos >= kRecordHeader + 4) {
     ByteSource src(bytes.data() + pos, bytes.size() - pos);
     uint32_t magic = 0;
     uint32_t type = 0;
@@ -144,15 +154,15 @@ Status ReadJournal(const std::string& path, std::vector<JournalRecord>* out,
         type != static_cast<uint32_t>(JournalRecordType::kRowsRun)) {
       break;
     }
-    if (len > bytes.size() - pos - kHeader - 4) break;  // torn tail
-    const size_t rec_len = kHeader + len + 4;
+    if (len > bytes.size() - pos - kRecordHeader - 4) break;  // torn tail
+    const size_t rec_len = kRecordHeader + len + 4;
     uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, bytes.data() + pos + kHeader + len, 4);
-    if (stored_crc != Crc32(bytes.data() + pos, kHeader + len)) break;
+    std::memcpy(&stored_crc, bytes.data() + pos + kRecordHeader + len, 4);
+    if (stored_crc != Crc32(bytes.data() + pos, kRecordHeader + len)) break;
     JournalRecord rec;
     rec.type = static_cast<JournalRecordType>(type);
     rec.seq = seq;
-    ByteSource payload(bytes.data() + pos + kHeader, len);
+    ByteSource payload(bytes.data() + pos + kRecordHeader, len);
     const bool parsed = rec.type == JournalRecordType::kOpsRun
                             ? ParseOps(&payload, &rec.ops)
                             : ParseRows(&payload, &rec.rows);

@@ -53,7 +53,10 @@ class JournalWriter {
   /// record. `fsync_every` >= 1 batches fsyncs.
   Status Open(const std::string& path, uint64_t next_seq, size_t fsync_every);
 
+  /// Appends one kOpsRun record of the write operations in ops[0, n), in
+  /// order (reads are read-only and deterministic, so replay needs none).
   Status AppendOps(const Operation* ops, size_t n);
+  /// Appends one kRowsRun record of rows[0, n).
   Status AppendRows(const Row* rows, size_t n);
 
   /// Forces any batched records down to disk.
@@ -64,7 +67,9 @@ class JournalWriter {
   void Close() { file_.Close(); }
 
  private:
-  Status AppendRecord(JournalRecordType type, const std::string& payload);
+  /// Completes the record `rec` holds (header, then payload): fills in its
+  /// payload length, appends the CRC and writes it out.
+  Status AppendRecord(ByteSink* rec);
 
   FileAppender file_;
   uint64_t next_seq_ = 0;

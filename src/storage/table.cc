@@ -48,7 +48,6 @@ PartitionedTable PartitionedTable::Build(std::vector<Value> sorted_keys,
   PartitionedTable table;
   table.opts_ = options;
   table.payload_cols_ = payload_cols.size();
-  table.rows_ = sorted_keys.size();
 
   size_t offset = 0;
   for (size_t c = 0; c < counts.size(); ++c) {
@@ -133,16 +132,13 @@ void PartitionedTable::Insert(Value key, const std::vector<Payload>& payload) {
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
   ch.chunk.Insert(key, payload);
-  ++rows_;
 }
 
 size_t PartitionedTable::Delete(Value key) {
   TableChunk& ch = *chunks_[RouteChunk(key)];
   ExclusiveChunkGuard guard(ch.latch);
   EnsureResidentLocked(ch);
-  const size_t n = ch.chunk.DeleteOne(key);
-  if (n > 0) rows_.Sub(1);
-  return n;
+  return ch.chunk.DeleteOne(key);
 }
 
 bool PartitionedTable::MoveRowAcrossChunks(TableChunk& src, TableChunk& dst,
@@ -186,49 +182,38 @@ bool PartitionedTable::UpdateKey(Value old_key, Value new_key) {
   return MoveRowAcrossChunks(src, dst, old_key, new_key);
 }
 
-size_t PartitionedTable::ApplyWriteRun(const std::vector<BatchWrite>& run,
-                                       ThreadPool* pool) {
-  // Route once: bucket op indices by destination chunk. Bucketing is stable,
-  // so ops sharing a chunk (in particular, ops on the same key) keep their
-  // relative order; ops on different chunks commute.
+void PartitionedTable::InsertRows(const Row* rows, size_t n, ThreadPool* pool) {
+  // Route once: bucket row indices by destination chunk, stably, so rows
+  // sharing a chunk keep their order; rows on different chunks commute.
   std::vector<std::vector<uint32_t>> by_chunk(chunks_.size());
-  for (size_t i = 0; i < run.size(); ++i) {
-    if (run[i].is_insert) CASPER_CHECK(run[i].payload.size() == payload_cols_);
-    by_chunk[RouteChunk(run[i].key)].push_back(static_cast<uint32_t>(i));
+  for (size_t i = 0; i < n; ++i) {
+    CASPER_CHECK_MSG(rows[i].payload.size() == payload_cols_,
+                     "row payload width != table payload columns");
+    by_chunk[RouteChunk(rows[i].key)].push_back(static_cast<uint32_t>(i));
   }
   std::vector<size_t> touched;
   for (size_t c = 0; c < by_chunk.size(); ++c) {
     if (!by_chunk[c].empty()) touched.push_back(c);
   }
-
-  std::vector<size_t> inserted(chunks_.size(), 0);
-  std::vector<size_t> removed(chunks_.size(), 0);
-  auto apply_chunk = [&](size_t c) {
-    // One exclusive hold per chunk group amortizes the latch over the run;
-    // a concurrent ApplyWriteRun touching other chunks proceeds in parallel.
-    TableChunk& ch = *chunks_[c];
+  exec::MorselFor(pool, touched.size(), [&](size_t i) {
+    // One exclusive hold per chunk group amortizes the latch over the rows.
+    TableChunk& ch = *chunks_[touched[i]];
     ExclusiveChunkGuard guard(ch.latch);
     EnsureResidentLocked(ch);
-    for (const uint32_t idx : by_chunk[c]) {
-      const BatchWrite& w = run[idx];
-      if (w.is_insert) {
-        ch.chunk.Insert(w.key, w.payload);
-        ++inserted[c];
-      } else if (ch.chunk.DeleteOne(w.key) > 0) {
-        ++removed[c];
-      }
+    for (const uint32_t r : by_chunk[touched[i]]) {
+      ch.chunk.Insert(rows[r].key, rows[r].payload);
     }
-  };
+  });
+}
 
-  exec::MorselFor(pool, touched.size(), [&](size_t i) { apply_chunk(touched[i]); });
-
-  size_t deleted = 0;
-  for (const size_t c : touched) {
-    rows_.Add(inserted[c]);
-    rows_.Sub(removed[c]);
-    deleted += removed[c];
+size_t PartitionedTable::num_rows() const {
+  size_t live = 0;
+  for (const auto& owned : chunks_) {
+    const TableChunk& ch = *owned;
+    SharedChunkGuard guard(ch.latch);
+    live += ch.chunk.size();
   }
-  return deleted;
+  return live;
 }
 
 size_t PartitionedTable::MemoryBytes() const {
@@ -371,16 +356,13 @@ uint64_t PartitionedTable::LayoutFingerprint() const {
 }
 
 void PartitionedTable::ValidateInvariants() const {
-  size_t live = 0;
-  for (size_t c = 0; c < chunks_.size(); ++c) {
-    const TableChunk& ch = *chunks_[c];
+  for (const auto& owned : chunks_) {
+    const TableChunk& ch = *owned;
     SharedChunkGuard guard(ch.latch);
     ch.chunk.ValidateInvariants();
     CASPER_CHECK(ch.chunk.payload().size() == payload_cols_);
-    live += ch.chunk.size();
     if (!ch.evicted.empty()) CASPER_CHECK(persist::FileExists(ch.evicted));
   }
-  CASPER_CHECK(live == num_rows());
 }
 
 }  // namespace casper

@@ -65,7 +65,7 @@ class PartitionedTable {
   // key range contributes 0 after an O(1) bounds check.
   // Every per-chunk read holds that chunk's latch shared and every write
   // holds it exclusive (see chunk_latch.h), so reads may overlap ingest and
-  // chunk-disjoint write runs commit in parallel; the per-chunk access
+  // writes to different chunks commit in parallel; the per-chunk access
   // counters are relaxed atomics on top of that.
 
   /// The chunk-c slice of an arbitrary ScanSpec (exec/scan_spec.h) — the
@@ -96,19 +96,13 @@ class PartitionedTable {
   /// Q6: move one row from old_key to new_key (primary-key correction).
   bool UpdateKey(Value old_key, Value new_key);
 
-  /// Applies a run of inserts/deletes with results identical to applying
-  /// them in order one-by-one. The run is routed once (one binary search per
-  /// op, stable within each chunk) and then applied chunk-by-chunk — legal
-  /// because inserts/deletes on different chunks touch disjoint state and
-  /// same-key ops always share a chunk, keeping their relative order. With a
-  /// pool, chunk groups run concurrently (morsel over the touched chunks).
-  /// Each chunk group commits under that chunk's exclusive latch, so two
-  /// ApplyWriteRun calls with chunk-disjoint runs may execute from different
-  /// threads at the same time (multi-writer ingest); overlapping runs
-  /// serialize per chunk without deadlock (one latch held at a time).
-  /// Returns the number of rows actually deleted.
-  size_t ApplyWriteRun(const std::vector<BatchWrite>& run,
-                       ThreadPool* pool = nullptr);
+  /// Inserts `n` caller-supplied rows with results identical to calling
+  /// Insert(row.key, row.payload) in order. Every row's width is checked and
+  /// every row routed (stable within each chunk) before any applies; then
+  /// each touched chunk takes its rows under one hold of its exclusive
+  /// latch, the chunks fanned over `pool`. Rows on different chunks touch
+  /// disjoint state and rows on one chunk keep their order.
+  void InsertRows(const Row* rows, size_t n, ThreadPool* pool = nullptr);
 
   // --- Concurrency control ---------------------------------------------------
 
@@ -206,7 +200,8 @@ class PartitionedTable {
 
   // --- Introspection -----------------------------------------------------------
 
-  size_t num_rows() const { return static_cast<size_t>(rows_.load()); }
+  /// Live rows: the chunks' live counts, each read under its shared latch.
+  size_t num_rows() const;
   size_t num_chunks() const { return chunks_.size(); }
   size_t num_payload_columns() const { return payload_cols_; }
   /// Raw chunk access for tests/capture; bypasses the latch — callers must
@@ -284,9 +279,6 @@ class PartitionedTable {
 
   Options opts_;
   size_t payload_cols_ = 0;
-  /// Whole-table row count: relaxed atomic because chunk-disjoint write runs
-  /// commit from multiple threads at once (each under its own chunk latch).
-  RelaxedCounter rows_;
   /// Chunk set and routing bounds are sized once at Build and never change;
   /// only the data inside each TableChunk (guarded by its latch) mutates.
   std::vector<std::unique_ptr<TableChunk>> chunks_;

@@ -27,14 +27,6 @@ struct Row {
   std::vector<Payload> payload;  ///< one entry per payload column
 };
 
-/// One write of a batched write run (PartitionedTable::ApplyWriteRun): an
-/// insert carrying its payload, or a delete of one row with `key`.
-struct BatchWrite {
-  Value key = 0;
-  bool is_insert = false;  ///< false = delete-one
-  std::vector<Payload> payload;  ///< inserts only; one entry per column
-};
-
 /// A run of `len` element copies data[from + j] -> data[to + j]: the block
 /// of ghost slots one ripple carries across one partition boundary (paper
 /// §6.1), or a single swap (len 1). The chunk applies each run to its key

@@ -651,8 +651,8 @@ struct RippleStreamResult {
 
 /// A seeded, ripple-heavy stream over a 3-column table with the chunk's
 /// ghost batch of 8: skewed inserts that exhaust the ghosts and grow the
-/// chunks, deletes, cross-partition and cross-chunk key updates, and batched
-/// write runs. The image hash covers the row count, the geometry, every
+/// chunks, deletes, cross-partition and cross-chunk key updates, and runs of
+/// 8 writes. The image hash covers the row count, the geometry, every
 /// chunk's full key buffer (free slots included) and every live payload row
 /// in partition order.
 RippleStreamResult RunRippleStream() {
@@ -698,16 +698,16 @@ RippleStreamResult RunRippleStream() {
       const Value from = keys[rng.Below(rows)];
       t.UpdateKey(from, skewed_key());
     } else {
-      std::vector<BatchWrite> run(8);
-      for (BatchWrite& w : run) {
-        w.is_insert = rng.Below(4) != 0;
-        w.key = w.is_insert ? skewed_key() : keys[rng.Below(rows)];
-        if (w.is_insert) {
-          w.payload.resize(cols);
-          for (Payload& x : w.payload) x = static_cast<Payload>(rng.Below(1u << 30));
+      // A run of 8 writes, applied in order.
+      for (int w = 0; w < 8; ++w) {
+        if (rng.Below(4) == 0) {
+          t.Delete(keys[rng.Below(rows)]);
+          continue;
         }
+        const Value key = skewed_key();
+        for (Payload& x : row) x = static_cast<Payload>(rng.Below(1u << 30));
+        t.Insert(key, row);
       }
-      t.ApplyWriteRun(run);
     }
   }
   t.ValidateInvariants();

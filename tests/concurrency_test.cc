@@ -173,8 +173,8 @@ TEST(ConcurrentQueries, RunnerResultsBitIdenticalToSerialAcrossLayouts) {
   for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto engine = BuildPartitioned(mode, f);
-    const auto serial = serial_runner.Run(*engine, queries, cols).results;
-    const auto parallel = runner.Run(*engine, queries, cols).results;
+    const auto serial = serial_runner.Run(*engine, queries).results;
+    const auto parallel = runner.Run(*engine, queries).results;
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t q = 0; q < serial.size(); ++q) {
       EXPECT_EQ(parallel[q], serial[q]) << "query " << q;
@@ -199,6 +199,9 @@ TEST(ConcurrentQueries, HarnessConcurrentChecksumMatchesSerialReplay) {
     HarnessOptions serial_opts;
     serial_opts.record_latency = false;
     const HarnessResult serial = RunWorkload(*engine, ops, serial_opts);
+    // Both replays apply ops through OperationInterpreter; the direct calls
+    // keep a reference outside it.
+    EXPECT_EQ(serial.checksum, SerialChecksum(*engine, ops, DefaultSumColumns(*engine)));
 
     HarnessOptions conc_opts = serial_opts;
     conc_opts.pool = &pool;

@@ -208,6 +208,52 @@ TEST(ParallelExec, ScanAllCoversDomainEdges) {
   }
 }
 
+/// What a per-op replay of a RandomOps stream yields: the write counts and
+/// the harness checksum mixing (read results + rows deleted + updates that
+/// found their key).
+struct ReplayTally {
+  size_t inserts = 0;
+  size_t deletes = 0;
+  size_t updates = 0;
+  uint64_t checksum = 0;
+};
+
+/// The reference replay: one direct LayoutEngine call per operation, written
+/// out here rather than taken from OperationInterpreter, so a fault in the
+/// interpreter cannot hide in both sides of a comparison.
+ReplayTally DirectReplay(LayoutEngine& engine, const std::vector<Operation>& ops) {
+  ReplayTally ref;
+  std::vector<Payload> payload;
+  for (const Operation& op : ops) {
+    switch (op.kind) {
+      case OpKind::kPointQuery:
+        ref.checksum += engine.PointLookup(op.a, nullptr);
+        break;
+      case OpKind::kRangeCount:
+        ref.checksum += engine.CountRange(op.a, op.b);
+        break;
+      case OpKind::kRangeSum:
+        ref.checksum += static_cast<uint64_t>(engine.SumPayloadRange(op.a, op.b, {0, 1}));
+        break;
+      case OpKind::kInsert:
+        KeyDerivedPayload(op.a, engine.num_payload_columns(), &payload);
+        engine.Insert(op.a, payload);
+        ++ref.inserts;
+        break;
+      case OpKind::kDelete:
+        ref.deletes += engine.Delete(op.a);
+        break;
+      case OpKind::kUpdate:
+        ref.updates += engine.UpdateKey(op.a, op.b) ? 1 : 0;
+        break;
+      default:
+        ADD_FAILURE() << "RandomOps draws no " << OpKindName(op.kind);
+    }
+  }
+  ref.checksum += ref.deletes + ref.updates;
+  return ref;
+}
+
 TEST(ApplyBatch, EquivalentToOneByOneAcrossLayouts) {
   const Fixture f = MakeFixture(20000, 99);
   const auto ops =
@@ -221,17 +267,14 @@ TEST(ApplyBatch, EquivalentToOneByOneAcrossLayouts) {
     auto one_by_one = BuildMode(mode, f);
     auto batched = BuildPartitioned(mode, f);
 
-    BatchResult serial_result;
-    for (const Operation& op : ops) {
-      ApplyOperation(*one_by_one, op, &serial_result);
-    }
-    const BatchResult batch_result =
+    const ReplayTally serial_result = DirectReplay(*one_by_one, ops);
+    const MixedResult batch_result =
         batched->ApplyBatch(ops.data(), ops.size(), &pool);
 
     EXPECT_EQ(batch_result.inserts, serial_result.inserts);
     EXPECT_EQ(batch_result.deletes, serial_result.deletes);
     EXPECT_EQ(batch_result.updates, serial_result.updates);
-    EXPECT_EQ(batch_result.query_checksum, serial_result.query_checksum);
+    EXPECT_EQ(batch_result.checksum, serial_result.checksum);
     EXPECT_EQ(batched->num_rows(), one_by_one->num_rows());
     one_by_one->ValidateInvariants();
     batched->ValidateInvariants();
@@ -257,27 +300,27 @@ TEST(ApplyBatch, BatchSlicingDoesNotChangeResults) {
   auto a = BuildPartitioned(LayoutMode::kCasper, f);
   auto b = BuildPartitioned(LayoutMode::kCasper, f);
 
-  BatchResult ra, rb;
+  ReplayTally ra, rb;
   for (size_t begin = 0; begin < ops.size(); begin += 64) {
     const size_t n = std::min<size_t>(64, ops.size() - begin);
-    const BatchResult r = a->ApplyBatch(ops.data() + begin, n);
+    const MixedResult r = a->ApplyBatch(ops.data() + begin, n);
     ra.inserts += r.inserts;
     ra.deletes += r.deletes;
     ra.updates += r.updates;
-    ra.query_checksum += r.query_checksum;
+    ra.checksum += r.checksum;
   }
   for (size_t begin = 0; begin < ops.size(); begin += 97) {
     const size_t n = std::min<size_t>(97, ops.size() - begin);
-    const BatchResult r = b->ApplyBatch(ops.data() + begin, n);
+    const MixedResult r = b->ApplyBatch(ops.data() + begin, n);
     rb.inserts += r.inserts;
     rb.deletes += r.deletes;
     rb.updates += r.updates;
-    rb.query_checksum += r.query_checksum;
+    rb.checksum += r.checksum;
   }
   EXPECT_EQ(ra.inserts, rb.inserts);
   EXPECT_EQ(ra.deletes, rb.deletes);
   EXPECT_EQ(ra.updates, rb.updates);
-  EXPECT_EQ(ra.query_checksum, rb.query_checksum);
+  EXPECT_EQ(ra.checksum, rb.checksum);
   EXPECT_EQ(a->num_rows(), b->num_rows());
 }
 
@@ -291,17 +334,14 @@ TEST(ApplyBatch, PooledBatchSlicesMatchPerOpReplay) {
     auto per_op_engine = BuildMode(mode, f);
     auto batch_engine = BuildPartitioned(mode, f);
 
-    HarnessOptions hopts;
-    hopts.record_latency = false;
-    const HarnessResult per_op = RunWorkload(*per_op_engine, ops, hopts);
+    const ReplayTally per_op = DirectReplay(*per_op_engine, ops);
 
-    // 128-op slices through the pooled grouped-write path, folded with the
+    // 128-op slices through the pooled chunk-group path, folded with the
     // harness checksum mixing: query results, rows deleted, updates applied.
     uint64_t checksum = 0;
     for (size_t begin = 0; begin < ops.size(); begin += 128) {
       const size_t n = std::min<size_t>(128, ops.size() - begin);
-      const BatchResult br = batch_engine->ApplyBatch(ops.data() + begin, n, &pool);
-      checksum += br.query_checksum + br.deletes + br.updates;
+      checksum += batch_engine->ApplyBatch(ops.data() + begin, n, &pool).checksum;
     }
 
     EXPECT_EQ(per_op.checksum, checksum);

@@ -516,6 +516,43 @@ TEST(Journal, GarbageTailEndsValidPrefix) {
   RemoveFileIfExists(path);
 }
 
+TEST(Journal, GoldenBytesPinTheRecordImage) {
+  // One operation record made from a mixed run (its reads are dropped on the
+  // way in) and one row record, journaled through the store. Each record's
+  // byte length and trailing CRC (which covers every byte before it) pin the
+  // wire image: any change to the header, the op or row serializers, or the
+  // read filter that moves a byte fails here.
+  const std::string dir = TempDir() + "/golden_journal_store";
+  EXPECT_TRUE(EnsureDir(dir).ok());
+  StoreLayout layout(dir);
+  ASSERT_TRUE(layout.EnsureLayout().ok());
+  RemoveFileIfExists(layout.JournalPath());
+  DurableStore store(layout);
+  ASSERT_TRUE(store.OpenJournal(0, 1).ok());
+  const std::vector<Operation> mixed = {{OpKind::kRangeSum, -5, 90},
+                                        {OpKind::kInsert, 42, 0},
+                                        {OpKind::kPointQuery, 42, 0},
+                                        {OpKind::kDelete, -17, 0},
+                                        {OpKind::kRangeAvg, 0, 1000},
+                                        {OpKind::kUpdate, 3, 1LL << 40}};
+  store.LogOps(mixed.data(), mixed.size());
+  const std::vector<Row> rows = {{7, {1, 2, 3}}, {-9, {0xFFFFFFFFu, 0, 5}}};
+  store.CommitRows(rows.data(), rows.size(), [] {});
+
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(layout.JournalPath(), &bytes).ok());
+  constexpr size_t kOpsRecord = 24 + 8 + 3 * 20 + 4;
+  constexpr size_t kRowsRecord = 24 + 16 + 2 * (8 + 3 * 4) + 4;
+  ASSERT_EQ(bytes.size(), kOpsRecord + kRowsRecord);
+  uint32_t ops_crc = 0;
+  uint32_t rows_crc = 0;
+  std::memcpy(&ops_crc, bytes.data() + kOpsRecord - 4, 4);
+  std::memcpy(&rows_crc, bytes.data() + bytes.size() - 4, 4);
+  EXPECT_EQ(ops_crc, 0xd563a463u);
+  EXPECT_EQ(rows_crc, 0x9635a0b2u);
+  RemoveFileIfExists(layout.JournalPath());
+}
+
 TEST(DurableStoreUnits, LogOpsFiltersReadOnlyRuns) {
   const std::string dir = TempDir() + "/log_filter_store";
   EXPECT_TRUE(EnsureDir(dir).ok());

@@ -197,7 +197,7 @@ TEST(MixedWorkload, RunMatchesSerialReplayAcrossLayouts) {
     auto serial_engine = BuildMode(mode, f);
 
     const SerialRef ref = SerialReplay(*serial_engine, ops, cols);
-    const MixedResult mixed = runner.Run(*mixed_engine, ops, cols);
+    const MixedResult mixed = runner.Run(*mixed_engine, ops);
 
     ASSERT_EQ(mixed.results.size(), ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -272,7 +272,7 @@ TEST(MixedWorkload, AggregateBearingStreamMatchesSerialReplay) {
     auto serial_engine = BuildMode(mode, f);
 
     const SerialRef ref = SerialReplay(*serial_engine, ops, cols);
-    const MixedResult mixed = runner.Run(*mixed_engine, ops, cols);
+    const MixedResult mixed = runner.Run(*mixed_engine, ops);
 
     ASSERT_EQ(mixed.results.size(), ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
@@ -363,7 +363,7 @@ TEST(MixedWorkload, ChunkGroupsKeepStreamOrder) {
         SCOPED_TRACE(testing::Message() << "stream " << stream->size() << " threads "
                                         << threads << " rep " << rep);
         auto engine = build();
-        const MixedResult got = runner.Run(*engine, *stream, cols);
+        const MixedResult got = runner.Run(*engine, *stream);
         ASSERT_EQ(got.results, ref.results);
         ASSERT_EQ(got.checksum, ref.checksum);
         ASSERT_EQ(engine->num_rows(), serial_engine->num_rows());
@@ -432,12 +432,15 @@ TEST(ReadsDuringWrites, RawReadersOverlapIngestBounded) {
       });
     }
     std::thread writer([&] {
-      BatchResult applied;
+      std::vector<Payload> payload;
       for (const auto& run : runs) {
         if (partitioned != nullptr) {
           partitioned->ApplyBatch(run.data(), run.size());
-        } else {
-          for (const Operation& op : run) ApplyOperation(*engine, op, &applied);
+          continue;
+        }
+        for (const Operation& op : run) {
+          KeyDerivedPayload(op.a, engine->num_payload_columns(), &payload);
+          engine->Insert(op.a, payload);
         }
       }
       done.store(true, std::memory_order_release);
@@ -708,10 +711,14 @@ TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto mixed_engine = BuildPartitioned(mode, f);
     auto serial_engine = BuildMode(mode, f);
+    auto ref_engine = BuildMode(mode, f);
 
     HarnessOptions serial_opts;
     serial_opts.record_latency = false;
     const HarnessResult serial = RunWorkload(*serial_engine, ops, serial_opts);
+    // Both replays apply ops through OperationInterpreter; SerialReplay's
+    // direct calls keep a reference outside it.
+    EXPECT_EQ(serial.checksum, SerialReplay(*ref_engine, ops, {0, 1}).checksum);
 
     HarnessOptions mixed_opts = serial_opts;
     mixed_opts.pool = &pool;
@@ -720,12 +727,9 @@ TEST(MixedWorkload, HarnessMixedChecksumMatchesSerialReplay) {
   }
 }
 
-// The payload-carrying batch APIs must be byte-equivalent to sequential
-// Insert/Delete calls with the same caller-supplied rows, on every
-// partitioned layout (placement included — probed via payload lookups and
-// range sums): first an insert-only InsertRows run, then an ApplyWriteRun
-// that mixes inserts and deletes, with duplicate keys that carry distinct
-// payloads.
+// The payload-carrying batch API must be byte-equivalent to sequential
+// Insert calls with the same caller-supplied rows, on every partitioned
+// layout (placement included — probed via payload lookups and range sums).
 TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
   const Fixture f = MakeFixture(15000, 61);
   const std::vector<size_t> cols = {0, 1, 2};
@@ -743,64 +747,30 @@ TEST(PayloadCarryingWrites, InsertRowsMatchesSequentialInserts) {
     row.payload = random_payload();
   }
 
-  // The mixed run draws from a small key pool — keys the InsertRows run
-  // added, keys of the base table, and fresh keys — so inserts stack
-  // duplicates with distinct payloads and deletes hit rows of every origin
-  // (and sometimes no row at all).
-  std::vector<Value> pool_keys;
-  for (size_t i = 0; i < 10; ++i) {
-    pool_keys.push_back(rows[i * 29].key);
-    pool_keys.push_back(f.data.keys[i * 1409]);
-    pool_keys.push_back(f.data.domain_lo + static_cast<Value>(rng.Below(span)));
-  }
-  std::vector<BatchWrite> run(400);
-  for (auto& w : run) {
-    w.key = pool_keys[rng.Below(pool_keys.size())];
-    w.is_insert = rng.Below(5) < 3;
-    if (w.is_insert) w.payload = random_payload();
-  }
-
   ThreadPool pool(4);
   for (const LayoutMode mode : PartitionedModes()) {
     SCOPED_TRACE(LayoutModeName(mode));
     auto batch_engine = BuildPartitioned(mode, f);
     auto serial_engine = BuildMode(mode, f);
-    auto expect_same = [&](const std::vector<Value>& touched) {
-      EXPECT_EQ(batch_engine->num_rows(), serial_engine->num_rows());
-      EXPECT_EQ(
-          batch_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1),
-          serial_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1));
-      EXPECT_EQ(
-          batch_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols),
-          serial_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols));
-      std::vector<Payload> got;
-      std::vector<Payload> want;
-      for (const Value key : touched) {
-        EXPECT_EQ(batch_engine->PointLookup(key, &got),
-                  serial_engine->PointLookup(key, &want));
-        EXPECT_EQ(got, want) << "key " << key;
-      }
-      batch_engine->ValidateInvariants();
-    };
 
     batch_engine->InsertRows(rows.data(), rows.size(), &pool);
     for (const Row& row : rows) serial_engine->Insert(row.key, row.payload);
-    std::vector<Value> inserted;
-    for (size_t i = 0; i < rows.size(); i += 37) inserted.push_back(rows[i].key);
-    expect_same(inserted);
 
-    const size_t deleted = batch_engine->mutable_table().ApplyWriteRun(run, &pool);
-    size_t serial_deleted = 0;
-    for (const BatchWrite& w : run) {
-      if (w.is_insert) {
-        serial_engine->Insert(w.key, w.payload);
-      } else {
-        serial_deleted += serial_engine->Delete(w.key);
-      }
+    EXPECT_EQ(batch_engine->num_rows(), serial_engine->num_rows());
+    EXPECT_EQ(batch_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1),
+              serial_engine->CountRange(f.data.domain_lo, f.data.domain_hi + 1));
+    EXPECT_EQ(
+        batch_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols),
+        serial_engine->SumPayloadRange(f.data.domain_lo, f.data.domain_hi + 1, cols));
+    std::vector<Payload> got;
+    std::vector<Payload> want;
+    for (size_t i = 0; i < rows.size(); i += 37) {
+      const Value key = rows[i].key;
+      EXPECT_EQ(batch_engine->PointLookup(key, &got),
+                serial_engine->PointLookup(key, &want));
+      EXPECT_EQ(got, want) << "key " << key;
     }
-    EXPECT_EQ(deleted, serial_deleted);
-    EXPECT_GT(deleted, 0u);
-    expect_same(pool_keys);
+    batch_engine->ValidateInvariants();
   }
 }
 
